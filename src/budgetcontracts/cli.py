@@ -155,6 +155,8 @@ def emit_report(rows: Sequence[dict], columns: Sequence[str],
                 cells.append(repr(float(v)))
             else:
                 cells.append(str(v))
+                if col in rational:  # empty _float cell keeps the row aligned
+                    cells.append("")
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 
@@ -257,14 +259,16 @@ def _cmd_solve(args) -> int:
     inst = load_instance(args.instance)
     obj = load_objective(args.objective)
     budget = parse_rational(args.budget)
-    eps = parse_rational(args.eps) if args.eps else None
+    eps = parse_rational(args.eps) if args.eps is not None else Fraction(1, 10)
     solver = _pick_solver(inst, args.force_solver)
+    if solver not in ("fptas", "single-fptas"):
+        eps = None  # the exact and GS solvers take no eps; report none
     if solver == "fptas":
-        result = additive_fptas(inst, budget, eps or Fraction(1, 10), obj)
+        result = additive_fptas(inst, budget, eps, obj)
     elif solver == "single-fptas":
         if obj.kind != "profit":
             raise ModelError("the single-agent scheme maximizes profit only")
-        result = single_agent_fptas(inst, budget, eps or Fraction(1, 10))
+        result = single_agent_fptas(inst, budget, eps)
     elif solver == "gs-pipeline":
         result = gs_constant_factor(inst, budget, obj, enum_cap=args.enum_cap)
     else:

@@ -65,11 +65,17 @@ class RationalParseError(ModelError):
     pass
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse a "p/q" (or plain integer) string into an exact rational."""
+def parse_rational(text: str | int) -> Fraction:
+    """Parse a "p/q" (or plain integer) string into an exact rational.
+
+    A JSON integer is taken exactly; anything else that is not a string,
+    floats and booleans included, is rejected.
+    """
+    if type(text) is int:
+        return Fraction(text)
     try:
         return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
+    except (AttributeError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise RationalParseError(f"not a valid rational: {text!r}") from exc
 
 

@@ -169,6 +169,8 @@ def brute_force_opt(inst: Instance, budget: Fraction, obj: Objective, *,
     contract, keeps the budget-feasible ones and returns the objective
     maximizer.  Ground truth for everything else in this module.
     """
+    if not 0 <= budget <= 1:
+        raise ModelError("budget must lie in [0, 1]")
     m = inst.num_actions
     if m > enum_cap:
         raise GroundSetTooLargeError(f"{m} actions exceed cap {enum_cap}")
@@ -194,6 +196,8 @@ def max_reward_bounded_brute(inst: Instance, budget: Fraction, *,
                              table: Optional[Sequence[Fraction]] = None
                              ) -> SolveResult:
     """Exact reward maximization with the per-agent cap alpha_i <= 3B/4."""
+    if not 0 <= budget <= 1:
+        raise ModelError("budget must lie in [0, 1]")
     m = inst.num_actions
     if m > enum_cap:
         raise GroundSetTooLargeError(f"{m} actions exceed cap {enum_cap}")
@@ -266,12 +270,13 @@ class DpTable:
     ``basis`` is "f" (reward) or "f-c" (welfare); x ranges over integer
     multiples t * delta * b for t = 0..t_max.  Payments are stored as
     integers over the common denominator ``den`` (exact; the hot loop stays
-    on machine integers), with None marking unreachable entries - never a
-    large sentinel number.  ``choice[j][t]`` stores the prefix length taken
-    by agent j and the previous column, for reconstruction.  Actions with
-    zero singleton value are dropped up front; actions whose payment ratio
-    exceeds the budget survive the table and are filtered by the budget
-    selection downstream.
+    on machine integers).  Each row is nondecreasing in t and its reachable
+    columns form a prefix, so ``scaled_payments[j]`` keeps only that prefix:
+    a column past the end of a row is unreachable, never a large sentinel
+    number.  When the table is built with a budget, every row is also cut
+    after its last entry within the budget.  Nothing records the choices:
+    :meth:`reconstruct` re-derives each argmin from the rows.  Actions with
+    zero singleton value are dropped up front.
     """
 
     basis: str
@@ -280,8 +285,7 @@ class DpTable:
     delta: Fraction
     t_max: int
     den: int
-    scaled_payments: tuple[tuple[Optional[int], ...], ...]
-    choice: tuple[tuple[Optional[tuple[int, int]], ...], ...]
+    scaled_payments: tuple[tuple[int, ...], ...]
     agent_order: tuple[tuple[int, ...], ...]
     prefix_ratio: tuple[tuple[Fraction, ...], ...]
     prefix_weight: tuple[tuple[int, ...], ...]
@@ -291,23 +295,33 @@ class DpTable:
         return [t * self.delta * self.b for t in range(self.t_max + 1)]
 
     def payment(self, j: int, t: int) -> Optional[Fraction]:
-        scaled = self.scaled_payments[j][t]
-        return None if scaled is None else Fraction(scaled, self.den)
+        row = self.scaled_payments[j]
+        return Fraction(row[t], self.den) if t < len(row) else None
 
     def reconstruct(self, inst: Instance, t: int) -> tuple[Contract, frozenset[int]]:
-        """The payment-minimal (contract, profile) behind column ``t``."""
+        """The payment-minimal (contract, profile) behind column ``t``.
+
+        Walking down from agent n, each step takes the smallest prefix
+        length whose candidate attains the entry - the tie rule of the fill.
+        """
         n = inst.num_agents
-        if self.scaled_payments[n][t] is None:
+        if not 0 <= t < len(self.scaled_payments[n]):
             raise ModelError(f"column {t} is unreachable")
         alpha = [ZERO] * n
         chosen: set[int] = set()
         col = t
         for j in range(n, 0, -1):
-            ell, prev = self.choice[j][col]
+            prev = self.scaled_payments[j - 1]
+            target = self.scaled_payments[j][col]
+            for ell, (w, r) in enumerate(zip(self.prefix_weight[j - 1],
+                                             self.prefix_ratio[j - 1])):
+                idx = max(col - w, 0)
+                if idx < len(prev) and prev[idx] + r * self.den == target:
+                    break
             if ell > 0:
                 alpha[j - 1] = self.prefix_ratio[j - 1][ell]
                 chosen.update(self.agent_order[j - 1][:ell])
-            col = prev
+            col = idx
         return Contract(tuple(alpha)), frozenset(chosen)
 
 
@@ -319,9 +333,12 @@ def build_dp_table(inst: Instance, basis: str, b: Fraction, eps: Fraction, *,
     Per agent, actions sort ascending by payment ratio c_a / f({a}); a
     contract then incentivizes exactly a prefix, whose payment is the last
     prefix member's ratio.  Column arguments below zero clamp to column
-    zero.  Passing ``budget`` drops prefixes whose own ratio already
-    exceeds it; this only changes entries that the budget selection would
-    discard anyway.
+    zero.  Row j is filled one prefix at a time: the previous row, shifted
+    by the prefix weight and raised by its payment, merged in by min.
+    Passing ``budget`` drops prefixes whose own ratio already exceeds it
+    and cuts every row after its last entry within it.  Payments are
+    nonnegative, so this only removes entries that the budget selection
+    would discard anyway.
     """
     if not 0 < eps < 1:
         raise ModelError("eps must lie in (0, 1)")
@@ -371,37 +388,33 @@ def build_dp_table(inst: Instance, basis: str, b: Fraction, eps: Fraction, *,
         [int(r * den) for r in ratios] for ratios in prefix_ratio
     ]
 
-    rows: list[list[Optional[int]]] = [[None] * (t_max + 1)]
-    rows[0][0] = 0
-    choices: list[list[Optional[tuple[int, int]]]] = [[None] * (t_max + 1)]
+    cap = None if budget is None else budget.numerator * den // budget.denominator
+    rows: list[list[int]] = [[0]]
     for j in range(1, n + 1):
-        prev = rows[j - 1]
-        row: list[Optional[int]] = [None] * (t_max + 1)
-        ch: list[Optional[tuple[int, int]]] = [None] * (t_max + 1)
-        weights = prefix_weight[j - 1]
-        pay = scaled[j - 1]
-        for t in range(t_max + 1):
-            best = None
-            best_ch = None
-            for ell, w in enumerate(weights):
-                idx = t - w
-                if idx < 0:
-                    idx = 0
-                elif idx > t_max:
-                    continue
-                base = prev[idx]
-                if base is None:
-                    continue
-                cand = base + pay[ell]
-                if best is None or cand < best:
-                    best, best_ch = cand, (ell, idx)
-            row[t] = best
-            ch[t] = best_ch
+        prev = rows[-1]
+        row: list[int] = []
+        # one min-plus pass per prefix: row[t] = min(prev[max(t - w, 0)] + p)
+        for w, p in zip(prefix_weight[j - 1], scaled[j - 1]):
+            start = 0
+            if w > 0:
+                # columns below w all read prev[0]; the row is sorted, so
+                # that constant replaces exactly a run found by bisection
+                start = min(w, t_max + 1)
+                c = prev[0] + p
+                k = bisect_right(row, c, 0, min(start, len(row)))
+                row[k:start] = [c] * (start - k)
+            cand = [x + p for x in prev[max(-w, 0):t_max + 1 - start]]
+            ov = row[start:start + len(cand)]
+            row[start:start + len(ov)] = [x if x < y else y
+                                          for x, y in zip(ov, cand)]
+            row += cand[len(ov):]
+        if cap is not None:
+            # payments are nonnegative, so entries above the budget only
+            # ever feed entries above it
+            del row[bisect_right(row, cap):]
         rows.append(row)
-        choices.append(ch)
     return DpTable(basis, b, eps, delta, t_max, den,
                    tuple(tuple(r) for r in rows),
-                   tuple(tuple(c) for c in choices),
                    tuple(agent_order),
                    tuple(tuple(r) for r in prefix_ratio),
                    tuple(tuple(w) for w in prefix_weight))
@@ -447,28 +460,13 @@ def additive_fptas(inst: Instance, budget: Fraction, eps: Fraction,
     best_value = evaluate(obj, inst, best_alpha, best_profile, table=table)
     for b in sorted(candidates, reverse=True):
         dp = build_dp_table(inst, basis, b, eps, budget=budget, table=table)
+        # rows end at the budget, so every column left is affordable
         row = dp.scaled_payments[inst.num_agents]
-        # scaled integer comparisons: A(n, t) <= B  <=>  row[t] * q <= p * den
-        b_num = budget.numerator * dp.den
-        b_den = budget.denominator
-        t_bar = -1
-        for t in range(dp.t_max, -1, -1):
-            if row[t] is not None and row[t] * b_den <= b_num:
-                t_bar = t
-                break
-        if t_bar < 0:
-            continue
         if obj.kind == "profit":
-            best_score = -1
-            t_star = 0
-            for t in range(t_bar + 1):
-                if row[t] is None:
-                    continue
-                score = (dp.den - row[t]) * t
-                if score >= best_score:
-                    best_score, t_star = score, t
+            # (1 - payment) * value; ties go to the larger column
+            _, t_star = max(((dp.den - p) * t, t) for t, p in enumerate(row))
         else:
-            t_star = t_bar
+            t_star = len(row) - 1
         alpha, profile = dp.reconstruct(inst, t_star)
         v = evaluate(obj, inst, alpha, profile, table=table)
         if v > best_value:

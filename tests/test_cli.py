@@ -188,3 +188,80 @@ def test_cli_missing_file_is_domain_error(capsys):
                  "--budget", "1/2"])
     assert code == 1
     assert "error" in capsys.readouterr().err
+
+
+def _error_type(capsys):
+    return json.loads(capsys.readouterr().err)["error"]["type"]
+
+
+def test_cli_solve_eps_zero_is_domain_error(tmp_path, capsys):
+    inst_path = tmp_path / "inst.json"
+    inst_path.write_text(MINIMAL)
+    code = main(["solve", "--instance", str(inst_path), "--budget", "1/2",
+                 "--eps", "0", "--csv"])
+    assert code == 1
+    assert _error_type(capsys) == "ModelError"
+
+
+def test_cli_solve_csv_reports_eps_used(tmp_path, capsys):
+    inst_path = tmp_path / "inst.json"
+    inst_path.write_text(MINIMAL)
+    base = ["solve", "--instance", str(inst_path), "--budget", "1/2", "--csv"]
+    for extra, eps in (([], "1/10"), (["--eps", "1/4"], "1/4")):
+        assert main(base + extra) == 0
+        header, row = capsys.readouterr().out.splitlines()
+        cells = dict(zip(header.split(","), row.split(",")))
+        assert cells["eps"] == eps
+        assert cells["factor"] == str(1 / (1 - F(eps)))
+
+
+def test_cli_csv_rows_match_header(tmp_path, capsys):
+    one_agent = tmp_path / "one.json"
+    one_agent.write_text(json.dumps({
+        "numAgents": 1,
+        "actions": [{"id": 0, "owner": 0, "cost": "1/8"},
+                    {"id": 1, "owner": 0, "cost": "1/4"}],
+        "reward": {"type": "explicit", "values": ["0", "1/2", "1/2", "3/4"]},
+    }))
+    runs = [
+        ["solve", "--instance", "gen:additive:seed=3,agents=2,actions=5",
+         "--budget", "1/2", "--force-solver", "fptas"],
+        ["solve", "--instance", str(one_agent), "--budget", "1/2",
+         "--force-solver", "single-fptas"],
+        ["solve", "--instance", "gen:oxs:seed=2,agents=2,actions=4",
+         "--budget", "1/2", "--force-solver", "gs-pipeline"],
+        ["solve", "--instance", "gen:additive:seed=3,agents=2,actions=5",
+         "--budget", "1/2", "--force-solver", "brute"],
+        ["brute", "--instance", "gen:additive:seed=3,agents=2,actions=5",
+         "--budget", "1/2"],
+    ]
+    for argv in runs:
+        assert main(argv + ["--csv"]) == 0, argv
+    gap_out = tmp_path / "gap.csv"
+    assert main(["gap-report", "--n", "4", "--budget", "1/2",
+                 "--hidden", "0,1", "--out", str(gap_out)]) == 0
+    text = capsys.readouterr().out + gap_out.read_text()
+    lines = text.splitlines()
+    assert len(lines) == 2 * (len(runs) + 1)
+    for header, row in zip(lines[::2], lines[1::2]):
+        assert row.count(",") == header.count(","), (header, row)
+
+
+def test_cli_integer_cost_is_exact_and_float_is_rejected(tmp_path, capsys):
+    doc = json.loads(MINIMAL)
+    doc["actions"][0]["cost"] = 0
+    assert parse_instance(json.dumps(doc)).cost_of[0] == 0
+    inst_path = tmp_path / "inst.json"
+    for bad in (0.125, True, None):
+        doc["actions"][0]["cost"] = bad
+        inst_path.write_text(json.dumps(doc))
+        assert main(["solve", "--instance", str(inst_path),
+                     "--budget", "1/2"]) == 1
+        assert _error_type(capsys) == "RationalParseError"
+
+
+def test_cli_brute_rejects_budget_above_one(capsys):
+    code = main(["brute", "--instance", "gen:additive:seed=3,agents=2,actions=4",
+                 "--budget", "3"])
+    assert code == 1
+    assert _error_type(capsys) == "ModelError"

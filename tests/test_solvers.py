@@ -4,13 +4,13 @@ from fractions import Fraction as F
 
 import pytest
 
-from budgetcontracts.core import Action, Contract, Instance
+from budgetcontracts.core import Action, Contract, Instance, ModelError
 from budgetcontracts.equilibria import best_response, is_nash, \
     min_incentivizing_contract, ne_from_demand
 from budgetcontracts.generators import random_additive_instance, \
     random_explicit_monotone_instance, random_gs_instance, random_oxs_instance
 from budgetcontracts.hardness import HardnessParams, build_hardness, good_action
-from budgetcontracts.objectives import PROFIT, REWARD, WELFARE
+from budgetcontracts.objectives import PROFIT, REWARD, WELFARE, evaluate
 from budgetcontracts.rewards import AdditiveOracle, value_table
 from budgetcontracts.solvers import (
     NotAnEquilibriumError,
@@ -154,6 +154,127 @@ def test_dp_reconstruction_matches_table_payment():
             alpha, profile = dp.reconstruct(inst, t)
             assert alpha.total() == dp.payment(inst.num_agents, t)
             assert is_nash(inst, alpha, profile, table=table).ok
+
+
+def _reference_rows(dp):
+    """The per-cell fill the row-at-a-time DP replaced: full-width rows with
+    None for unreachable entries, and per-cell (prefix length, previous
+    column) choices; the first strict minimum over prefixes wins."""
+    t_max = dp.t_max
+    rows = [[0] + [None] * t_max]
+    choices = [[None] * (t_max + 1)]
+    for weights, ratios in zip(dp.prefix_weight, dp.prefix_ratio):
+        prev = rows[-1]
+        pay = [int(r * dp.den) for r in ratios]
+        row = [None] * (t_max + 1)
+        ch = [None] * (t_max + 1)
+        for t in range(t_max + 1):
+            for ell, w in enumerate(weights):
+                idx = max(t - w, 0)
+                if idx > t_max or prev[idx] is None:
+                    continue
+                cand = prev[idx] + pay[ell]
+                if row[t] is None or cand < row[t]:
+                    row[t], ch[t] = cand, (ell, idx)
+        rows.append(row)
+        choices.append(ch)
+    return rows, choices
+
+
+def _reference_reconstruct(dp, choices, t):
+    alpha = [F(0)] * len(dp.agent_order)
+    chosen = set()
+    for j in range(len(dp.agent_order), 0, -1):
+        ell, t = choices[j][t]
+        if ell > 0:
+            alpha[j - 1] = dp.prefix_ratio[j - 1][ell]
+            chosen.update(dp.agent_order[j - 1][:ell])
+    return Contract(tuple(alpha)), frozenset(chosen)
+
+
+def _reference_fptas(inst, budget, eps, obj):
+    """additive_fptas with the reference fill and the scan-based selection."""
+    basis = "f-c" if obj is WELFARE else "f"
+    scales = set()
+    for a in range(inst.num_actions):
+        f_a = inst.oracle.value(frozenset({a}))
+        b = f_a - inst.cost_of[a] if basis == "f-c" else f_a
+        if f_a > 0 and b > 0:
+            scales.add(b)
+    best = Contract.zero(inst.num_agents), frozenset()
+    best_value = evaluate(obj, inst, *best)
+    for b in sorted(scales, reverse=True):
+        dp = build_dp_table(inst, basis, b, eps, budget=budget)
+        rows, choices = _reference_rows(dp)
+        row = rows[-1]
+        affordable = [t for t, p in enumerate(row)
+                      if p is not None and F(p, dp.den) <= budget]
+        if not affordable:
+            continue
+        t_bar = t_star = max(affordable)
+        if obj is PROFIT:
+            best_score = -1
+            for t in range(t_bar + 1):
+                if row[t] is not None and (dp.den - row[t]) * t >= best_score:
+                    best_score, t_star = (dp.den - row[t]) * t, t
+        pair = _reference_reconstruct(dp, choices, t_star)
+        v = evaluate(obj, inst, *pair)
+        if v > best_value:
+            best, best_value = pair, v
+    return best, best_value
+
+
+def _size_stable_additive(seed):
+    # cost = weight * factor below 1: every action has positive welfare
+    rng = random.Random(seed)
+    n, m = rng.randint(1, 4), rng.randint(2, 9)
+    raw = [rng.randint(1, 20) for _ in range(m)]
+    weights = [F(w, 2 * sum(raw)) for w in raw]
+    actions = tuple(Action(a, rng.randrange(n), weights[a] * F(rng.randint(1, 31), 32))
+                    for a in range(m))
+    return Instance(n, actions, AdditiveOracle(weights))
+
+
+def _differential_instances():
+    rng = random.Random(11)
+    for _ in range(4):
+        yield random_additive_instance(rng.randint(0, 10 ** 6))
+        yield _size_stable_additive(rng.randint(0, 10 ** 6))
+
+
+def test_dp_table_matches_per_cell_reference():
+    negative_weights = 0
+    for inst in _differential_instances():
+        scales = sorted({inst.oracle.value(frozenset({a}))
+                         for a in range(inst.num_actions)} - {0})
+        for basis, eps, budget in itertools.product(
+                ("f", "f-c"), (F(1, 2), F(1, 4), F(1, 10)),
+                (None, F(0), F(1, 4), F(1, 2), F(1))):
+            for b in scales[-2:]:
+                dp = build_dp_table(inst, basis, b, eps, budget=budget)
+                negative_weights += any(w < 0 for ws in dp.prefix_weight for w in ws)
+                rows, choices = _reference_rows(dp)
+                for j, ref in enumerate(rows):
+                    kept = [p for p in ref if p is not None
+                            and (budget is None or F(p, dp.den) <= budget)]
+                    assert list(dp.scaled_payments[j]) == kept
+                    assert [dp.payment(j, t) for t in range(dp.t_max + 1)] == \
+                        [F(p, dp.den) for p in kept] + [None] * (dp.t_max + 1 - len(kept))
+                for t in range(len(dp.scaled_payments[-1])):
+                    assert dp.reconstruct(inst, t) == _reference_reconstruct(dp, choices, t)
+                with pytest.raises(ModelError):
+                    dp.reconstruct(inst, len(dp.scaled_payments[-1]))
+    assert negative_weights > 0  # the f-c basis produced negative shifts
+
+
+def test_fptas_matches_per_cell_reference():
+    for inst in _differential_instances():
+        for eps, budget, obj in itertools.product(
+                (F(1, 2), F(1, 4), F(1, 10)), (F(0), F(1, 4), F(1, 2), F(1)),
+                (PROFIT, REWARD, WELFARE)):
+            got = additive_fptas(inst, budget, eps, obj)
+            pair, value = _reference_fptas(inst, budget, eps, obj)
+            assert (got.contract, got.profile, got.value) == (*pair, value)
 
 
 # -- additive FPTAS -------------------------------------------------------------
