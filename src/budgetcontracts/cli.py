@@ -68,6 +68,16 @@ class SchemaError(ModelError):
 # -- instance and result documents -------------------------------------------
 
 
+def _integer(value, where: str) -> int:
+    """``value`` as an int: a JSON integer or an integer string."""
+    try:
+        if isinstance(value, (bool, float)):
+            raise TypeError(type(value).__name__)
+        return int(value)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"{where} must be an integer, got {value!r}") from exc
+
+
 def parse_instance(text: str) -> Instance:
     try:
         doc = json.loads(text)
@@ -76,22 +86,30 @@ def parse_instance(text: str) -> Instance:
     if not isinstance(doc, dict) or "reward" not in doc:
         raise SchemaError("instance document needs a 'reward' field")
     reward = doc["reward"]
+    if not isinstance(reward, dict):
+        raise SchemaError("'reward' must be an object")
+    if "actions" in doc and not isinstance(doc["actions"], list):
+        raise SchemaError("'actions' must be a list")
     if reward.get("type") == "hardness":
         inst = hardness_instance_from_spec(reward)
         if "actions" in doc and len(doc["actions"]) != inst.num_actions:
             raise SchemaError("hardness instance with mismatched action list")
+        validate_instance(inst)
         return inst
     for key in ("numAgents", "actions"):
         if key not in doc:
             raise SchemaError(f"instance document missing '{key}'")
     actions = []
     for idx, rec in enumerate(doc["actions"]):
+        if not isinstance(rec, dict):
+            raise SchemaError(f"actions[{idx}] must be an object")
         try:
-            actions.append(Action(int(rec["id"]), int(rec["owner"]),
+            actions.append(Action(_integer(rec["id"], f"actions[{idx}].id"),
+                                  _integer(rec["owner"], f"actions[{idx}].owner"),
                                   parse_rational(rec["cost"])))
         except KeyError as exc:
             raise SchemaError(f"actions[{idx}] missing {exc}") from exc
-    inst = Instance(int(doc["numAgents"]), tuple(actions),
+    inst = Instance(_integer(doc["numAgents"], "numAgents"), tuple(actions),
                     oracle_from_spec(reward))
     validate_instance(inst)
     return inst

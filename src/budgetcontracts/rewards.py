@@ -22,6 +22,7 @@ demand set at q retains, verified by exhaustive demand enumeration.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
@@ -137,6 +138,31 @@ class RewardOracle:
     def _demand(self, prices: PriceVector) -> frozenset[int]:
         raise NotImplementedError
 
+    def _table(self) -> list[Fraction]:
+        """All 2^m values in bitmask order, without counting queries.
+
+        One ``_value`` per subset here; families with structure override
+        it with a subset DP over exact integers.
+        """
+        return [self._value(mask_to_set(mask))
+                for mask in range(1 << self.num_actions)]
+
+
+def common_denominator(values: Iterable[Fraction]) -> int:
+    """The least common multiple of the values' denominators."""
+    return math.lcm(*{v.denominator for v in values})
+
+
+def scaled_ints(values: Iterable[Fraction], den: int) -> list[int]:
+    """Each value times ``den``, which every denominator divides."""
+    return [v.numerator * (den // v.denominator) for v in values]
+
+
+def _fractions(ints: list[int], den: int) -> list[Fraction]:
+    """``Fraction(k, den)`` for each k, built once per distinct k."""
+    made = {k: Fraction(k, den) for k in set(ints)}
+    return [made[k] for k in ints]
+
 
 class AdditiveOracle(RewardOracle):
     function_class = "additive"
@@ -152,6 +178,13 @@ class AdditiveOracle(RewardOracle):
     def _value(self, subset: frozenset[int]) -> Fraction:
         return sum((self.weights[a] for a in subset), ZERO)
 
+    def _table(self) -> list[Fraction]:
+        den = common_denominator(self.weights)
+        out = [0]
+        for w in scaled_ints(self.weights, den):
+            out += [v + w for v in out]
+        return _fractions(out, den)
+
 
 class UnitDemandOracle(RewardOracle):
     function_class = "gross_substitutes"
@@ -164,6 +197,13 @@ class UnitDemandOracle(RewardOracle):
 
     def _value(self, subset: frozenset[int]) -> Fraction:
         return max((self.weights[a] for a in subset), default=ZERO)
+
+    def _table(self) -> list[Fraction]:
+        den = common_denominator(self.weights)
+        out = [0]
+        for w in scaled_ints(self.weights, den):
+            out += [v if v > w else w for v in out]
+        return _fractions(out, den)
 
 
 class UniformKDemandOracle(RewardOracle):
@@ -182,6 +222,11 @@ class UniformKDemandOracle(RewardOracle):
 
     def _value(self, subset: frozenset[int]) -> Fraction:
         return min(len(subset), self.k) * self.unit_value
+
+    def _table(self) -> list[Fraction]:
+        levels = [min(c, self.k) * self.unit_value
+                  for c in range(self.num_actions + 1)]
+        return [levels[s.bit_count()] for s in range(1 << self.num_actions)]
 
 
 class AssignmentOracle(RewardOracle):
@@ -205,24 +250,45 @@ class AssignmentOracle(RewardOracle):
             raise GroundSetTooLargeError("too many assignment columns to enumerate")
         if any(v < 0 for row in self.values for v in row):
             raise OracleRangeViolationError("assignment values must be >= 0")
+        # the matching DP runs on integers over one common denominator
+        self._den = common_denominator(v for row in self.values for v in row)
+        self._scaled_values = tuple(tuple(scaled_ints(row, self._den))
+                                    for row in self.values)
         full = self._value(frozenset(range(self.num_actions)))
         if full > 1:
             raise OracleRangeViolationError(f"f(ground set) = {full} exceeds 1")
 
     def _value(self, subset: frozenset[int]) -> Fraction:
-        best = {0: ZERO}
+        best = {0: 0}
         for a in sorted(subset):
+            row = self._scaled_values[a]
             nxt = dict(best)
             for mask, val in best.items():
                 for c in range(self.num_columns):
                     if mask & (1 << c):
                         continue
-                    cand = val + self.values[a][c]
+                    cand = val + row[c]
                     key = mask | (1 << c)
-                    if cand > nxt.get(key, ZERO - 1):
+                    if cand > nxt.get(key, -1):
                         nxt[key] = cand
             best = nxt
-        return max(best.values())
+        return Fraction(max(best.values()), self._den)
+
+    def _table(self) -> list[Fraction]:
+        if self.num_columns > 3:  # one list per column subset: keep them few
+            return super()._table()
+        # best[cols][s]: the best matching of s into the columns in cols;
+        # adding action a appends the subsets that contain it
+        best = [[0] for _ in range(1 << self.num_columns)]
+        for row in self._scaled_values:
+            for cols in range(len(best)):
+                ext = list(best[cols])  # a left unmatched
+                for c, w in enumerate(row):
+                    if cols >> c & 1:  # a matched to column c
+                        ext = [x if x >= y + w else y + w
+                               for x, y in zip(ext, best[cols ^ (1 << c)])]
+                best[cols] += ext
+        return _fractions(best[-1], self._den)
 
 
 class CoverageOracle(RewardOracle):
@@ -245,6 +311,15 @@ class CoverageOracle(RewardOracle):
         for a in subset:
             covered |= self.covers[a]
         return Fraction(len(covered), self.universe_size)
+
+    def _table(self) -> list[Fraction]:
+        covered = [0]
+        for cover in self.covers:
+            bits = set_to_mask(cover)
+            covered += [c | bits for c in covered]
+        levels = [Fraction(c, self.universe_size)
+                  for c in range(self.universe_size + 1)]
+        return [levels[c.bit_count()] for c in covered]
 
 
 class ExplicitOracle(RewardOracle):
@@ -271,6 +346,9 @@ class ExplicitOracle(RewardOracle):
 
     def _value(self, subset: frozenset[int]) -> Fraction:
         return self.values[set_to_mask(subset)]
+
+    def _table(self) -> list[Fraction]:
+        return list(self.values)
 
 
 # -- demand computation ----------------------------------------------------
@@ -347,28 +425,12 @@ def gs_greedy_demand(oracle: RewardOracle, prices: PriceVector, *,
                      table: Optional[Sequence[Fraction]] = None) -> frozenset[int]:
     """Greedy demand: repeatedly add the best positive-marginal-utility item.
 
-    Ties break toward the smallest action id; the loop stops when no
+    The greedy branch of :func:`demand_with_base` with an empty base: ties
+    break toward the smallest action id, and the loop stops when no
     remaining item has strictly positive marginal utility.  Matches
     brute-force demand utility whenever the oracle is gross substitutes.
     """
-    items = _check_prices(oracle, prices)
-    chosen: set[int] = set()
-    val = lambda s: table[set_to_mask(s)] if table is not None else oracle.value(s)
-    current = val(chosen)
-    while True:
-        # ascending scan + strict improvement: ties go to the smallest id
-        best_gain = ZERO
-        best_item = None
-        for a in items:
-            if a in chosen:
-                continue
-            gain = val(chosen | {a}) - current - prices.prices[a]
-            if gain > best_gain:
-                best_gain, best_item = gain, a
-        if best_item is None:
-            return frozenset(chosen)
-        chosen.add(best_item)
-        current = val(chosen)
+    return demand_with_base(oracle, prices, (), gs=True, table=table)
 
 
 def demand_with_base(oracle: RewardOracle, prices: PriceVector,
@@ -419,11 +481,20 @@ def demand_with_base(oracle: RewardOracle, prices: PriceVector,
 
 
 def value_table(oracle: RewardOracle, *, enum_cap: int = 20) -> list[Fraction]:
-    """All 2^m values in bitmask order (one value query per subset)."""
+    """All 2^m values in bitmask order.
+
+    Counts as 2^m value queries, one per subset, and no demand queries,
+    whichever way the oracle fills it.  Most families run a subset DP on
+    exact integers: sums for additive, max for unit-demand, levels by
+    subset size for uniform-k, bit-OR of covers for coverage, and for OXS
+    with at most three columns one matching table per column subset.  An
+    explicit table is copied; the rest answer one subset at a time.
+    """
     m = oracle.num_actions
     if m > enum_cap:
         raise GroundSetTooLargeError(f"{m} actions exceed cap {enum_cap}")
-    return [oracle.value(mask_to_set(mask)) for mask in range(1 << m)]
+    oracle.value_queries += 1 << m
+    return oracle._table()
 
 
 # -- class membership testers ----------------------------------------------

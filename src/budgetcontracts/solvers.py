@@ -35,8 +35,8 @@ from budgetcontracts.core import (
 from budgetcontracts.equilibria import is_nash, min_incentivizing_contract, \
     ne_from_demand
 from budgetcontracts.objectives import Objective, PROFIT, REWARD, evaluate
-from budgetcontracts.rewards import PriceVector, demand_with_base, mask_to_set, \
-    set_to_mask, value_table
+from budgetcontracts.rewards import PriceVector, common_denominator, \
+    demand_with_base, mask_to_set, scaled_ints, set_to_mask, value_table
 
 
 class NotAnEquilibriumError(ModelError):
@@ -64,38 +64,52 @@ def _maybe_table(inst: Instance, table, cap: int = 14):
 
 
 def _submasks(mask: int) -> list[int]:
+    """Every submask of ``mask``, in ascending order."""
     out = [0]
-    sub = mask
-    while sub:
+    sub = 0
+    while sub != mask:
+        sub = (sub - mask) & mask
         out.append(sub)
-        sub = (sub - 1) & mask
     return out
 
 
 def iter_min_contracts(inst: Instance, table: Sequence[Fraction], *,
+                       within: Optional[int] = None,
                        budget: Optional[Fraction] = None):
     """Yield (profile mask, minimal incentivizing Contract) for every
     incentivizable profile, in ascending mask order.
 
-    Same bound algebra as :func:`min_incentivizing_contract`, run on
-    integers over a common denominator so profile enumeration stays cheap;
-    falls back to exact Fractions when the denominators do not fit.
-    ``budget`` prunes profiles whose partial payment already exceeds it.
+    The one implementation of the minimal-contract algebra the solvers
+    share: the per-agent bounds of :func:`min_incentivizing_contract`, run
+    on integers over a common denominator so profile enumeration stays
+    cheap.  It falls back to that Fraction function, profile by profile,
+    only when the denominators do not fit.  ``within`` (a bitmask)
+    restricts the profiles to its submasks, still in ascending order; an
+    agent owning none of its actions is then unpaid and skipped, unless
+    one of its costs is negative.  ``budget`` prunes profiles whose
+    partial payment already exceeds it.
     """
     m = inst.num_actions
     n = inst.num_agents
-    den = 1
-    for v in table:
-        den = den * v.denominator // math.gcd(den, v.denominator)
-        if den > 10 ** 24:
-            break
-    for a in range(m):
-        c = inst.cost_of[a].denominator
-        den = den * c // math.gcd(den, c)
-        if den > 10 ** 24:
-            break
+    own_masks = [set_to_mask(inst.agent_actions[i]) for i in range(n)]
+    costs = [inst.cost_of[a] for a in range(m)]
+    if within is None:
+        profiles = reads = range(1 << m)
+        agents = range(n)
+    else:
+        profiles = _submasks(within)
+        # An agent with no action in ``within`` acts in no profile; if none
+        # of its costs is negative, every deviation only adds cost, so its
+        # bounds are lo = 0 <= hi: it is never paid and never blocks.
+        agents = [i for i in range(n) if own_masks[i] & within
+                  or any(costs[a] < 0 for a in inst.agent_actions[i])]
+        # the table entries read: profiles and the agents' deviations
+        reads = set(profiles).union(
+            *(_submasks(within | own_masks[i]) for i in agents))
+    values = {k: table[k] for k in reads}
+    den = common_denominator([*values.values(), *costs])
     if den > 10 ** 24:  # unwieldy common denominator: generic path
-        for mask in range(1 << m):
+        for mask in profiles:
             profile = mask_to_set(mask)
             alpha = min_incentivizing_contract(inst, profile, table=table)
             if alpha is None or (budget is not None and alpha.total() > budget):
@@ -103,23 +117,23 @@ def iter_min_contracts(inst: Instance, table: Sequence[Fraction], *,
             yield mask, alpha
         return
 
-    f_int = [int(v * den) for v in table]
-    own_masks = [set_to_mask(inst.agent_actions[i]) for i in range(n)]
+    f_int = dict(zip(values, scaled_ints(values.values(), den)))
+    c_int = scaled_ints(costs, den)
     own_subs = [_submasks(om) for om in own_masks]
     cost_int: list[dict[int, int]] = []
-    for i in range(n):
-        by_mask = {}
-        for sub in own_subs[i]:
-            by_mask[sub] = sum(int(inst.cost_of[a] * den)
-                               for a in mask_to_set(sub))
+    for subs in own_subs:
+        by_mask = {0: 0}
+        for sub in subs[1:]:  # ascending, so sub minus its low bit is known
+            low = sub & -sub
+            by_mask[sub] = by_mask[sub ^ low] + c_int[low.bit_length() - 1]
         cost_int.append(by_mask)
 
-    for mask in range(1 << m):
-        entries = []
-        total = ZERO
+    for mask in profiles:
+        entries = [(0, 1)] * n
+        total_n, total_d = 0, 1  # the payment so far, kept off Fraction
         feasible = True
         f_s = f_int[mask]
-        for i in range(n):
+        for i in agents:
             om = own_masks[i]
             s_i = mask & om
             rest = mask & ~om
@@ -145,14 +159,40 @@ def iter_min_contracts(inst: Instance, table: Sequence[Fraction], *,
             if not feasible or (hi is not None and lo_n * hi[1] > hi[0] * lo_d):
                 feasible = False
                 break
-            alpha_i = Fraction(lo_n, lo_d)
-            total += alpha_i
-            if budget is not None and total > budget:
-                feasible = False
-                break
-            entries.append(alpha_i)
+            if budget is not None and lo_n:
+                total_n, total_d = total_n * lo_d + lo_n * total_d, total_d * lo_d
+                if total_n * budget.denominator > budget.numerator * total_d:
+                    feasible = False
+                    break
+            entries[i] = (lo_n, lo_d)
         if feasible:
-            yield mask, Contract(tuple(entries))
+            yield mask, Contract(tuple(Fraction(*e) for e in entries))
+
+
+def _full_table(inst: Instance, table, enum_cap: int) -> Sequence[Fraction]:
+    """``table``, or the oracle's value table up to ``enum_cap`` actions."""
+    table = _maybe_table(inst, table)
+    if table is None:
+        table = value_table(inst.oracle, enum_cap=enum_cap)
+    return table
+
+
+def _race(obj: Objective, inst: Instance,
+          pairs: Iterable[tuple[Contract, frozenset[int]]],
+          table: Sequence[Fraction]) -> tuple[Contract, frozenset[int], Fraction]:
+    """The first (contract, profile, value) of maximal objective value.
+
+    The zero contract with the empty profile enters first, and a later
+    pair must beat the best so far strictly.
+    """
+    best_alpha = Contract.zero(inst.num_agents)
+    best_profile: frozenset[int] = frozenset()
+    best_value = evaluate(obj, inst, best_alpha, best_profile, table=table)
+    for alpha, profile in pairs:
+        v = evaluate(obj, inst, alpha, profile, table=table)
+        if v > best_value:
+            best_alpha, best_profile, best_value = alpha, profile, v
+    return best_alpha, best_profile, best_value
 
 
 def _count_queries(inst: Instance, before: tuple[int, int]) -> tuple[int, int]:
@@ -175,20 +215,12 @@ def brute_force_opt(inst: Instance, budget: Fraction, obj: Objective, *,
     if m > enum_cap:
         raise GroundSetTooLargeError(f"{m} actions exceed cap {enum_cap}")
     before = (inst.oracle.value_queries, inst.oracle.demand_queries)
-    table = _maybe_table(inst, table)
-    if table is None:
-        table = value_table(inst.oracle, enum_cap=enum_cap)
-    best_alpha = Contract.zero(inst.num_agents)
-    best_profile: frozenset[int] = frozenset()
-    best_value = evaluate(obj, inst, best_alpha, best_profile, table=table)
-    for mask, alpha in iter_min_contracts(inst, table, budget=budget):
-        profile = mask_to_set(mask)
-        v = evaluate(obj, inst, alpha, profile, table=table)
-        if v > best_value:
-            best_alpha, best_profile, best_value = alpha, profile, v
+    table = _full_table(inst, table, enum_cap)
+    pairs = ((alpha, mask_to_set(mask))
+             for mask, alpha in iter_min_contracts(inst, table, budget=budget))
+    best = _race(obj, inst, pairs, table)
     vq, dq = _count_queries(inst, before)
-    return SolveResult(best_alpha, best_profile, best_value, "exact",
-                       str(obj), budget, vq, dq)
+    return SolveResult(*best, "exact", str(obj), budget, vq, dq)
 
 
 def max_reward_bounded_brute(inst: Instance, budget: Fraction, *,
@@ -202,9 +234,7 @@ def max_reward_bounded_brute(inst: Instance, budget: Fraction, *,
     if m > enum_cap:
         raise GroundSetTooLargeError(f"{m} actions exceed cap {enum_cap}")
     before = (inst.oracle.value_queries, inst.oracle.demand_queries)
-    table = _maybe_table(inst, table)
-    if table is None:
-        table = value_table(inst.oracle, enum_cap=enum_cap)
+    table = _full_table(inst, table, enum_cap)
     cap = Fraction(3, 4) * budget
     best_alpha = Contract.zero(inst.num_agents)
     best_profile: frozenset[int] = frozenset()
@@ -226,29 +256,33 @@ def gs_single_agent_exact(inst: Instance, agent: int, obj: Objective,
                           ) -> SolveResult:
     """Exact best single-agent pair: pay only ``agent``, who acts alone.
 
-    Desk-scale realization of the critical-point method: every subset of the
-    agent's actions is priced at its minimal incentivizing payment and the
-    feasible objective maximizer wins.
+    Desk-scale realization of the critical-point method: every subset of
+    the agent's actions is priced at its minimal incentivizing payment by
+    :func:`iter_min_contracts` restricted to those actions (the other
+    agents stay unpaid), and the objective maximizer within ``budget``
+    wins; among equal values the smallest profile mask does.  Without a
+    table, one is filled for up to ``enum_cap`` actions (2^m value
+    queries).
     """
-    own = sorted(inst.agent_actions[agent])
-    if len(own) > enum_cap:
-        raise GroundSetTooLargeError(f"agent {agent} has {len(own)} actions")
+    if len(inst.agent_actions[agent]) > enum_cap:
+        raise GroundSetTooLargeError(
+            f"agent {agent} has {len(inst.agent_actions[agent])} actions")
     before = (inst.oracle.value_queries, inst.oracle.demand_queries)
-    table = _maybe_table(inst, table)
-    best_alpha = Contract.zero(inst.num_agents)
-    best_profile: frozenset[int] = frozenset()
-    best_value = evaluate(obj, inst, best_alpha, best_profile, table=table)
-    for mask in range(1 << len(own)):
-        profile = frozenset(own[b] for b in range(len(own)) if mask & (1 << b))
-        alpha = min_incentivizing_contract(inst, profile, table=table)
-        if alpha is None or alpha[agent] > budget:
-            continue
-        v = evaluate(obj, inst, alpha, profile, table=table)
-        if v > best_value:
-            best_alpha, best_profile, best_value = alpha, profile, v
+    table = _full_table(inst, table, enum_cap)
+    best = _race(obj, inst, _single_agent_pairs(inst, agent, budget, table),
+                 table)
     vq, dq = _count_queries(inst, before)
-    return SolveResult(best_alpha, best_profile, best_value, "exact",
-                       str(obj), budget, vq, dq)
+    return SolveResult(*best, "exact", str(obj), budget, vq, dq)
+
+
+def _single_agent_pairs(inst: Instance, agent: int, budget: Fraction,
+                        table: Sequence[Fraction]
+                        ) -> list[tuple[Contract, frozenset[int]]]:
+    """(minimal contract, profile) for every subset of ``agent``'s actions
+    that a payment within ``budget`` incentivizes, in ascending mask order."""
+    own = set_to_mask(inst.agent_actions[agent])
+    return [(alpha, mask_to_set(mask)) for mask, alpha in
+            iter_min_contracts(inst, table, within=own, budget=budget)]
 
 
 def scale_costs(inst: Instance, factor: Fraction) -> Instance:
@@ -722,26 +756,27 @@ def gs_constant_factor(inst: Instance, budget: Fraction, obj: Objective, *,
         v = evaluate(obj, inst, zero, free, table=table)
         vq, dq = _count_queries(inst, before)
         return SolveResult(zero, free, v, "exact", str(obj), budget, vq, dq)
+    # one table for every stage, however large m is
+    table = _full_table(inst, table, enum_cap)
 
     scaled = scale_costs(inst, Fraction(4, 3) / budget)
     base = brute_force_opt(scaled, ONE, PROFIT, enum_cap=enum_cap, table=table)
     rescaled = (base.contract.scale(Fraction(3, 4) * budget), base.profile)
 
-    singles_reward = [gs_single_agent_exact(inst, i, REWARD, budget,
-                                            enum_cap=enum_cap, table=table)
-                      for i in range(inst.num_agents)]
-    mrb_candidates = [rescaled] + [(r.contract, r.profile) for r in singles_reward]
+    # each agent's single-agent pairs, raced for reward here and for the
+    # target objective after downsizing
+    singles = [_single_agent_pairs(inst, i, budget, table)
+               for i in range(inst.num_agents)]
+    mrb_candidates = [rescaled] + \
+        [_race(REWARD, inst, pairs, table)[:2] for pairs in singles]
     mrb_alpha, mrb_profile = max(
         mrb_candidates,
         key=lambda pair: evaluate(REWARD, inst, pair[0], pair[1], table=table))
 
     down_alpha, down_profile = downsize(inst, 6, mrb_alpha, mrb_profile,
                                         enum_cap=enum_cap, table=table)
-    singles_obj = [gs_single_agent_exact(inst, i, obj, budget,
-                                         enum_cap=enum_cap, table=table)
-                   for i in range(inst.num_agents)]
     final_candidates = [(down_alpha, down_profile)] + \
-        [(r.contract, r.profile) for r in singles_obj]
+        [_race(obj, inst, pairs, table)[:2] for pairs in singles]
     best_alpha, best_profile = max(
         final_candidates,
         key=lambda pair: evaluate(obj, inst, pair[0], pair[1], table=table))

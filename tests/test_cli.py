@@ -265,3 +265,40 @@ def test_cli_brute_rejects_budget_above_one(capsys):
                  "--budget", "3"])
     assert code == 1
     assert _error_type(capsys) == "ModelError"
+
+
+def _mutated(change):
+    doc = json.loads(MINIMAL)
+    change(doc)
+    return doc
+
+
+@pytest.mark.parametrize("doc", [
+    _mutated(lambda d: d.update(numAgents="x")),
+    _mutated(lambda d: d.update(numAgents=1.5)),
+    _mutated(lambda d: d["actions"][0].update(id="x")),
+    _mutated(lambda d: d["actions"][0].update(id=0.5)),
+    _mutated(lambda d: d["actions"][1].update(owner="x")),
+    _mutated(lambda d: d["actions"][1].update(owner=[1])),
+    _mutated(lambda d: d.update(reward=["1/2", "1/4"])),
+    _mutated(lambda d: d.update(actions={"id": 0})),
+    _mutated(lambda d: d.update(actions=None)),
+    _mutated(lambda d: d["actions"].__setitem__(1, 7)),
+    {"reward": {"type": "hardness", "n": 4, "budget": "1/2"}, "actions": 6},
+], ids=["numAgents-string", "numAgents-float", "id-string", "id-float",
+        "owner-string", "owner-list", "reward-list", "actions-object",
+        "actions-null", "action-record-number", "hardness-actions-number"])
+def test_cli_malformed_instance_is_schema_error(doc, tmp_path, capsys):
+    inst_path = tmp_path / "inst.json"
+    inst_path.write_text(json.dumps(doc))
+    assert main(["solve", "--instance", str(inst_path),
+                 "--budget", "1/2"]) == 1
+    assert _error_type(capsys) == "SchemaError"
+
+
+def test_parse_hardness_descriptor_is_validated():
+    # validation reads f(empty) and every singleton: m + 1 value queries
+    doc = json.dumps({"reward": {
+        "type": "hardness", "n": 4, "budget": "1/2", "hidden": [0, 1]}})
+    inst = parse_instance(doc)
+    assert inst.oracle.value_queries == inst.num_actions + 1

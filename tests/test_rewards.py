@@ -6,6 +6,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from budgetcontracts.core import GroundSetTooLargeError
+from budgetcontracts.generators import (
+    random_additive_instance,
+    random_coverage_instance,
+    random_explicit_monotone_instance,
+    random_gs_instance,
+    random_oxs_instance,
+    random_uniform_k_instance,
+    random_unit_demand_instance,
+)
 from budgetcontracts.hardness import HardnessOracle, bad_action, good_action
 from budgetcontracts.rewards import (
     AdditiveOracle,
@@ -22,6 +31,7 @@ from budgetcontracts.rewards import (
     is_gross_substitutes,
     is_monotone,
     is_submodular,
+    mask_to_set,
     oracle_from_spec,
     oracle_to_spec,
     value_table,
@@ -109,6 +119,50 @@ def test_hardness_demand_counts_queries():
     assert 1 <= o.value_queries <= 12
 
 
+# -- value tables ----------------------------------------------------------------
+
+
+def _per_subset(o):
+    return [o._value(mask_to_set(k)) for k in range(1 << o.num_actions)]
+
+
+def _table_oracles():
+    rng = random.Random(5)
+    for gen in (random_additive_instance, random_unit_demand_instance,
+                random_uniform_k_instance, random_oxs_instance,
+                random_coverage_instance, random_explicit_monotone_instance):
+        for _ in range(6):
+            yield gen(rng.randint(0, 10 ** 6), num_agents=2,
+                      num_actions=rng.randint(1, 10)).oracle
+    for m in (1, 4, 9):
+        weights = [F(rng.randint(0, 2), 4 * m) for _ in range(m)]
+        yield AdditiveOracle(weights[:-1] + [F(0)])  # zeros included
+        yield UnitDemandOracle(weights)
+        for k in (m, m + 2):  # the cap never binds
+            yield UniformKDemandOracle(m, k, F(1, 3 * m))
+        for cols in (1, 2, 3, 4):  # four columns take the per-subset path
+            yield AssignmentOracle([[F(rng.randint(0, 7), 7 * m * cols)
+                                     for _ in range(cols)] for _ in range(m)])
+        yield CoverageOracle(5, [rng.sample(range(5), rng.randint(0, 3))
+                                 for _ in range(m)])
+    yield hardness_oracle()
+
+
+def test_table_fills_match_per_subset_values():
+    seen = set()
+    for o in _table_oracles():
+        seen.add(type(o).__name__)
+        assert o._table() == _per_subset(o), oracle_to_spec(o)
+    assert len(seen) == 7
+
+
+def test_value_table_counts_one_value_query_per_subset():
+    for o in _table_oracles():
+        table = value_table(o)
+        assert table == _per_subset(o)
+        assert (o.value_queries, o.demand_queries) == (1 << o.num_actions, 0)
+
+
 # -- demand computations -------------------------------------------------------
 
 
@@ -168,6 +222,24 @@ def test_greedy_matches_brute_on_gs(make_oracle):
         greedy = gs_greedy_demand(o, prices, table=table)
         brute = brute_force_demand(o, prices, table=table)
         assert _utility(o, table, greedy, prices) == _utility(o, table, brute, prices)
+
+
+def test_greedy_demand_is_demand_with_empty_base():
+    rng = random.Random(13)
+    for _ in range(30):
+        o = random_gs_instance(rng.randint(0, 10 ** 6), num_agents=2,
+                               num_actions=rng.randint(1, 7)).oracle
+        prices = PriceVector.of(
+            {a: F(rng.randint(-8, 40), 64) for a in range(o.num_actions)})
+        for table in (None, value_table(o)):
+            o.reset_counters()
+            greedy = gs_greedy_demand(o, prices, table=table)
+            spent = o.value_queries
+            o.reset_counters()
+            based = demand_with_base(o, prices, (), gs=True, table=table)
+            assert greedy == based
+            assert o.value_queries == spent
+            assert (table is None) == (spent > 0)
 
 
 def test_demand_with_base_empty_base_matches_plain():

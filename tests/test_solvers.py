@@ -8,10 +8,12 @@ from budgetcontracts.core import Action, Contract, Instance, ModelError
 from budgetcontracts.equilibria import best_response, is_nash, \
     min_incentivizing_contract, ne_from_demand
 from budgetcontracts.generators import random_additive_instance, \
-    random_explicit_monotone_instance, random_gs_instance, random_oxs_instance
+    random_explicit_monotone_instance, random_gs_instance, random_oxs_instance, \
+    random_unit_demand_instance
 from budgetcontracts.hardness import HardnessParams, build_hardness, good_action
 from budgetcontracts.objectives import PROFIT, REWARD, WELFARE, evaluate
-from budgetcontracts.rewards import AdditiveOracle, value_table
+from budgetcontracts.rewards import AdditiveOracle, mask_to_set, set_to_mask, \
+    value_table
 from budgetcontracts.solvers import (
     NotAnEquilibriumError,
     additive_fptas,
@@ -20,6 +22,7 @@ from budgetcontracts.solvers import (
     downsize,
     gs_constant_factor,
     gs_single_agent_exact,
+    iter_min_contracts,
     max_reward_bounded_brute,
     scale_costs,
     single_agent_demand_breakpoints,
@@ -438,6 +441,128 @@ def test_gs_single_agent_matches_brute_when_alone():
             exact = gs_single_agent_exact(inst, 0, obj, budget)
             brute = brute_force_opt(inst, budget, obj)
             assert exact.value == brute.value
+
+
+def _reference_single_agent(inst, agent, obj, budget, table):
+    """The Fraction loop gs_single_agent_exact ran before it enumerated
+    through iter_min_contracts: every subset of the agent's sorted actions
+    priced by min_incentivizing_contract, the first strict maximizer kept."""
+    own = sorted(inst.agent_actions[agent])
+    best = Contract.zero(inst.num_agents), frozenset()
+    best_value = evaluate(obj, inst, *best, table=table)
+    for mask in range(1 << len(own)):
+        profile = frozenset(own[b] for b in range(len(own)) if mask & (1 << b))
+        alpha = min_incentivizing_contract(inst, profile, table=table)
+        if alpha is None or alpha[agent] > budget:
+            continue
+        v = evaluate(obj, inst, alpha, profile, table=table)
+        if v > best_value:
+            best, best_value = (alpha, profile), v
+    return (*best, best_value)
+
+
+def _single_agent_instances():
+    rng = random.Random(43)
+    for _ in range(6):
+        yield random_gs_instance(rng.randint(0, 10 ** 6),
+                                 num_agents=rng.randint(1, 3),
+                                 num_actions=rng.randint(2, 7))
+        yield random_explicit_monotone_instance(
+            rng.randint(0, 10 ** 6), num_agents=rng.randint(1, 3),
+            num_actions=rng.randint(2, 6))
+    for n, seed in ((2, 1), (4, 2)):
+        yield build_hardness(HardnessParams.make(n, F(1, 2), seed=seed))
+    # a negative cost (outside the validated model) lets an agent that acts
+    # in no profile block every profile: taking its zero-value action pays
+    # it 1/8, and no contract stops that deviation
+    yield Instance(2, (Action(0, 0, F(1, 8)), Action(1, 1, F(-1, 8)),
+                       Action(2, 1, F(1, 4))),
+                   AdditiveOracle([F(1, 2), F(0), F(1, 4)]))
+
+
+def test_restricted_contract_enumeration_matches_generic_operation():
+    rng = random.Random(47)
+    for inst in _single_agent_instances():
+        table = value_table(inst.oracle)
+        m = inst.num_actions
+        masks = [set_to_mask(t) for t in inst.agent_actions]
+        masks += [rng.randrange(1 << m) for _ in range(3)] + [(1 << m) - 1]
+        for within, budget in itertools.product(masks, (None, F(1, 4), F(1))):
+            got = list(iter_min_contracts(inst, table, within=within,
+                                          budget=budget))
+            expected = []
+            for mask in range(1 << m):
+                if mask & ~within:
+                    continue
+                alpha = min_incentivizing_contract(inst, mask_to_set(mask),
+                                                   table=table)
+                if alpha is not None and (budget is None
+                                          or alpha.total() <= budget):
+                    expected.append((mask, alpha))
+            assert got == expected
+
+
+def test_gs_single_agent_matches_fraction_reference():
+    rng = random.Random(53)
+    for inst in _single_agent_instances():
+        table = value_table(inst.oracle)
+        for agent, obj in itertools.product(range(inst.num_agents),
+                                            (PROFIT, REWARD, WELFARE)):
+            budget = F(rng.randint(0, 4), 4)
+            got = gs_single_agent_exact(inst, agent, obj, budget, table=table)
+            assert (got.contract, got.profile, got.value) == \
+                _reference_single_agent(inst, agent, obj, budget, table)
+            assert got.value_queries == 0
+
+
+def _reference_pipeline(inst, budget, obj):
+    """gs_constant_factor's stages with the reference single-agent loop,
+    run once per objective race."""
+    table = value_table(inst.oracle)
+    base = brute_force_opt(scale_costs(inst, F(4, 3) / budget), F(1), PROFIT,
+                           table=table)
+    rescaled = (base.contract.scale(F(3, 4) * budget), base.profile)
+
+    def singles(o):
+        return [_reference_single_agent(inst, i, o, budget, table)[:2]
+                for i in range(inst.num_agents)]
+
+    def race(o, pairs):
+        return max(pairs, key=lambda pair: evaluate(o, inst, *pair, table=table))
+
+    mrb = race(REWARD, [rescaled] + singles(REWARD))
+    down = downsize(inst, 6, *mrb, table=table)
+    best = race(obj, [down] + singles(obj))
+    return (*best, evaluate(obj, inst, *best, table=table))
+
+
+def test_gs_constant_factor_matches_reference_pipeline():
+    rng = random.Random(59)
+    for _ in range(8):
+        inst = random_gs_instance(rng.randint(0, 10 ** 6),
+                                  num_agents=rng.randint(1, 3),
+                                  num_actions=rng.randint(2, 6))
+        budget = F(rng.randint(1, 4), 4)
+        for obj in (PROFIT, REWARD, WELFARE):
+            got = gs_constant_factor(inst, budget, obj)
+            assert (got.contract, got.profile, got.value) == \
+                _reference_pipeline(inst, budget, obj)
+            assert got.value_queries == 1 << inst.num_actions
+
+
+def test_gs_constant_factor_above_table_cap_shares_one_table():
+    # m = 15 is past the size at which solvers fill a table unasked; the
+    # pipeline fills one anyway and answers every stage from it
+    inst = random_unit_demand_instance(4, num_agents=3, num_actions=15)
+    budget = F(1, 2)
+    got = gs_constant_factor(inst, budget, PROFIT)
+    assert got.value_queries == 2 ** 15
+    assert got.demand_queries == 0
+    assert got.contract.total() <= budget
+    table = value_table(inst.oracle)
+    assert is_nash(inst, got.contract, got.profile, table=table).ok
+    assert got.value == evaluate(PROFIT, inst, got.contract, got.profile,
+                                 table=table)
 
 
 def test_max_reward_bounded_zero_budget():
