@@ -25,7 +25,9 @@ from budgetcontracts.core import (
     Contract,
     Instance,
     ModelError,
+    SchemaError,
     format_rational,
+    parse_integer,
     parse_rational,
     validate_instance,
 )
@@ -61,21 +63,7 @@ from budgetcontracts.solvers import (
 )
 
 
-class SchemaError(ModelError):
-    pass
-
-
 # -- instance and result documents -------------------------------------------
-
-
-def _integer(value, where: str) -> int:
-    """``value`` as an int: a JSON integer or an integer string."""
-    try:
-        if isinstance(value, (bool, float)):
-            raise TypeError(type(value).__name__)
-        return int(value)
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"{where} must be an integer, got {value!r}") from exc
 
 
 def parse_instance(text: str) -> Instance:
@@ -104,12 +92,12 @@ def parse_instance(text: str) -> Instance:
         if not isinstance(rec, dict):
             raise SchemaError(f"actions[{idx}] must be an object")
         try:
-            actions.append(Action(_integer(rec["id"], f"actions[{idx}].id"),
-                                  _integer(rec["owner"], f"actions[{idx}].owner"),
+            actions.append(Action(parse_integer(rec["id"], f"actions[{idx}].id"),
+                                  parse_integer(rec["owner"], f"actions[{idx}].owner"),
                                   parse_rational(rec["cost"])))
         except KeyError as exc:
             raise SchemaError(f"actions[{idx}] missing {exc}") from exc
-    inst = Instance(_integer(doc["numAgents"], "numAgents"), tuple(actions),
+    inst = Instance(parse_integer(doc["numAgents"], "numAgents"), tuple(actions),
                     oracle_from_spec(reward))
     validate_instance(inst)
     return inst

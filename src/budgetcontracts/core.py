@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, TYPE_CHECKING
+from typing import Iterable, Mapping, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
     from budgetcontracts.rewards import RewardOracle
@@ -63,6 +63,37 @@ class GroundSetTooLargeError(ModelError):
 
 class RationalParseError(ModelError):
     pass
+
+
+class SchemaError(ModelError):
+    """A JSON document or descriptor without the expected shape."""
+
+
+def parse_integer(value, where: str) -> int:
+    """``value`` as an int: a JSON integer or an integer string."""
+    try:
+        if isinstance(value, (bool, float)):
+            raise TypeError(type(value).__name__)
+        return int(value)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"{where} must be an integer, got {value!r}") from exc
+
+
+def descriptor_field(spec: Mapping, key: str, kind: type = object):
+    """``spec[key]`` of a reward descriptor, or a SchemaError.
+
+    ``kind=int`` applies :func:`parse_integer`; any other ``kind`` must
+    match the value's type (``list`` for a JSON array).
+    """
+    where = f"{spec.get('type')} descriptor field {key!r}"
+    if key not in spec:
+        raise SchemaError(f"{where} is missing")
+    value = spec[key]
+    if kind is int:
+        return parse_integer(value, where)
+    if not isinstance(value, kind):
+        raise SchemaError(f"{where} must be a {kind.__name__}, got {value!r}")
+    return value
 
 
 def parse_rational(text: str | int) -> Fraction:

@@ -35,6 +35,9 @@ from budgetcontracts.core import (
     ModelError,
     ONE,
     ZERO,
+    descriptor_field,
+    parse_integer,
+    parse_rational,
 )
 from budgetcontracts.equilibria import is_nash, min_incentivizing_contract
 from budgetcontracts.objectives import PROFIT, evaluate
@@ -73,6 +76,19 @@ def good_action(n: int) -> int:
     return n + 1
 
 
+def _check_n(n: int) -> None:
+    if n <= 0 or n % 2 != 0:
+        raise OddNError(f"n must be a positive even integer, got {n}")
+
+
+def _check_setting(budget: Fraction, approx_target: Fraction) -> None:
+    """The budget and target checks that :func:`default_epsilon` relies on."""
+    if not 0 < budget < 1:
+        raise ModelError("budget must lie strictly inside (0, 1)")
+    if approx_target < 1:
+        raise ModelError("approximation target must be >= 1")
+
+
 def default_epsilon(n: int, budget: Fraction, approx_target: Fraction) -> Fraction:
     """Half the binding upper bound on epsilon, as an exact rational.
 
@@ -101,12 +117,8 @@ class HardnessParams:
     hidden: frozenset[int]
 
     def __post_init__(self) -> None:
-        if self.n <= 0 or self.n % 2 != 0:
-            raise OddNError(f"n must be a positive even integer, got {self.n}")
-        if not 0 < self.budget < 1:
-            raise ModelError("budget must lie strictly inside (0, 1)")
-        if self.approx_target < 1:
-            raise ModelError("approximation target must be >= 1")
+        _check_n(self.n)
+        _check_setting(self.budget, self.approx_target)
         if len(self.hidden) != self.n // 2 or not self.hidden <= set(range(self.n)):
             raise BadHiddenSetSizeError(
                 f"hidden set must be {self.n // 2} of the unit agents")
@@ -127,6 +139,8 @@ class HardnessParams:
              eps: Optional[Fraction] = None,
              hidden: Optional[Iterable[int]] = None,
              seed: int = 0) -> "HardnessParams":
+        _check_n(n)
+        _check_setting(budget, approx_target)
         if eps is None:
             eps = default_epsilon(n, budget, approx_target)
         if hidden is None:
@@ -150,8 +164,7 @@ class HardnessOracle(RewardOracle):
     has_native_demand = True
 
     def __init__(self, n: int, eps: Fraction, hidden: frozenset[int]):
-        if n <= 0 or n % 2 != 0:
-            raise OddNError(f"n must be a positive even integer, got {n}")
+        _check_n(n)
         if len(frozenset(hidden)) != n // 2 or not frozenset(hidden) <= set(range(n)):
             raise BadHiddenSetSizeError("hidden set must be n/2 unit agents")
         if not 0 < Fraction(eps) <= Fraction(1, n + 2):
@@ -485,22 +498,37 @@ def adversary_experiment(solver: Solver, n: int, budget: Fraction,
 # -- JSON descriptor ----------------------------------------------------------
 
 
-def hardness_oracle_from_spec(spec) -> HardnessOracle:
-    from budgetcontracts.core import parse_rational
+def _setting_from_spec(spec) -> tuple[Fraction, Fraction]:
+    """The descriptor's budget and approximation target, checked."""
+    budget = parse_rational(descriptor_field(spec, "budget"))
+    target = parse_rational(spec.get("approx_target", "1"))
+    _check_setting(budget, target)
+    return budget, target
 
-    n = int(spec["n"])
+
+def _oracle_fields(spec) -> tuple[int, Fraction, frozenset[int]]:
+    """n, eps and the hidden set of a hardness descriptor.
+
+    Without "eps" the default comes from "budget" and "approx_target";
+    without "hidden" the set is drawn from "seed" (default 0).
+    """
+    n = descriptor_field(spec, "n", int)
+    _check_n(n)
     if "eps" in spec:
         eps = parse_rational(spec["eps"])
     else:
-        budget = parse_rational(spec["budget"])
-        target = parse_rational(spec.get("approx_target", "1"))
-        eps = default_epsilon(n, budget, target)
+        eps = default_epsilon(n, *_setting_from_spec(spec))
     if "hidden" in spec:
-        hidden = frozenset(int(i) for i in spec["hidden"])
+        hidden = frozenset(parse_integer(i, "hardness hidden member")
+                           for i in descriptor_field(spec, "hidden", list))
     else:
-        hidden = frozenset(random.Random(int(spec.get("seed", 0))).sample(
-            range(n), n // 2))
-    return HardnessOracle(n, eps, hidden)
+        seed = descriptor_field(spec, "seed", int) if "seed" in spec else 0
+        hidden = frozenset(random.Random(seed).sample(range(n), n // 2))
+    return n, eps, hidden
+
+
+def hardness_oracle_from_spec(spec) -> HardnessOracle:
+    return HardnessOracle(*_oracle_fields(spec))
 
 
 def hardness_oracle_to_spec(oracle: HardnessOracle) -> dict:
@@ -512,16 +540,6 @@ def hardness_oracle_to_spec(oracle: HardnessOracle) -> dict:
 
 def hardness_instance_from_spec(spec) -> Instance:
     """Build the full instance (agents, costs, oracle) from a descriptor."""
-    from budgetcontracts.core import parse_rational
-
-    n = int(spec["n"])
-    budget = parse_rational(spec["budget"])
-    target = parse_rational(spec.get("approx_target", "1"))
-    eps = parse_rational(spec["eps"]) if "eps" in spec \
-        else default_epsilon(n, budget, target)
-    if "hidden" in spec:
-        hidden = frozenset(int(i) for i in spec["hidden"])
-    else:
-        hidden = frozenset(random.Random(int(spec.get("seed", 0))).sample(
-            range(n), n // 2))
+    n, eps, hidden = _oracle_fields(spec)
+    budget, target = _setting_from_spec(spec)
     return build_hardness(HardnessParams(n, budget, target, eps, hidden))

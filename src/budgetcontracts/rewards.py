@@ -25,14 +25,20 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from operator import gt
 from typing import Iterable, Mapping, Optional, Sequence
 
 from budgetcontracts.core import (
     GroundSetTooLargeError,
     ModelError,
     OracleRangeViolationError,
+    SchemaError,
     UnknownActionIdError,
     ZERO,
+    descriptor_field,
+    parse_integer,
+    parse_rational,
 )
 
 
@@ -158,6 +164,14 @@ def scaled_ints(values: Iterable[Fraction], den: int) -> list[int]:
     return [v.numerator * (den // v.denominator) for v in values]
 
 
+def subset_sums(weights: Iterable[int]) -> list[int]:
+    """Each subset's total weight in bitmask order, by a subset DP."""
+    out = [0]
+    for w in weights:
+        out += [v + w for v in out]
+    return out
+
+
 def _fractions(ints: list[int], den: int) -> list[Fraction]:
     """``Fraction(k, den)`` for each k, built once per distinct k."""
     made = {k: Fraction(k, den) for k in set(ints)}
@@ -180,10 +194,7 @@ class AdditiveOracle(RewardOracle):
 
     def _table(self) -> list[Fraction]:
         den = common_denominator(self.weights)
-        out = [0]
-        for w in scaled_ints(self.weights, den):
-            out += [v + w for v in out]
-        return _fractions(out, den)
+        return _fractions(subset_sums(scaled_ints(self.weights, den)), den)
 
 
 class UnitDemandOracle(RewardOracle):
@@ -323,32 +334,69 @@ class CoverageOracle(RewardOracle):
 
 
 class ExplicitOracle(RewardOracle):
-    """A full table of 2^m values in subset-bitmask order."""
+    """A full table of 2^m values in subset-bitmask order.
+
+    Validation (unless ``validate=False``) runs on integers over the
+    table's common denominator: f(empty) = 0, then every value in [0, 1]
+    and no value above that of a one-larger superset.  The first failing
+    check in mask order raises, the range check before the monotonicity
+    check at the same mask.
+    """
 
     function_class = "monotone"
 
     def __init__(self, values: Sequence[Fraction], validate: bool = True):
         size = len(values)
         m = size.bit_length() - 1
-        if size != 1 << m:
+        if size == 0 or size != 1 << m:
             raise ModelError("explicit table length must be a power of two")
         super().__init__(m)
-        self.values = tuple(Fraction(v) for v in values)
+        values = [v if isinstance(v, Fraction) else Fraction(v) for v in values]
+        den = common_denominator(values)
+        ints = scaled_ints(values, den)
+        self.values = tuple(_fractions(ints, den))
         if validate:
-            if self.values[0] != 0:
+            if ints[0] != 0:
                 raise ModelError("explicit table must have f(empty) = 0")
-            for mask, v in enumerate(self.values):
-                if not 0 <= v <= 1:
-                    raise OracleRangeViolationError(f"table value {v} outside [0, 1]")
-                for b in range(m):
-                    if not mask & (1 << b) and self.values[mask | (1 << b)] < v:
-                        raise ModelError("explicit table is not monotone")
+            if min(ints) < 0 or max(ints) > den or not _is_monotone(ints, m):
+                self._raise_first_fault(ints, den)
+
+    def _raise_first_fault(self, ints: list[int], den: int) -> None:
+        """Raise for the first range or monotonicity fault in mask order."""
+        for mask, k in enumerate(ints):
+            if not 0 <= k <= den:
+                raise OracleRangeViolationError(
+                    f"table value {self.values[mask]} outside [0, 1]")
+            for b in range(self.num_actions):
+                if not mask >> b & 1 and ints[mask | 1 << b] < k:
+                    raise ModelError("explicit table is not monotone")
 
     def _value(self, subset: frozenset[int]) -> Fraction:
         return self.values[set_to_mask(subset)]
 
     def _table(self) -> list[Fraction]:
         return list(self.values)
+
+
+def _is_monotone(ints: list[int], m: int) -> bool:
+    """Whether ints[mask] <= ints[mask | bit] for every mask and bit.
+
+    For bit b the pairs sit 2^b apart: compared in strided slices while
+    the stride is short, in contiguous blocks once the blocks are longer.
+    """
+    size = len(ints)
+    for b in range(m):
+        step = 1 << b
+        if step * step < size:
+            pairs = ((ints[r::2 * step], ints[r + step::2 * step])
+                     for r in range(step))
+        else:
+            pairs = ((ints[s:s + step], ints[s + step:s + 2 * step])
+                     for s in range(0, size, 2 * step))
+        for lo, hi in pairs:
+            if any(map(gt, lo, hi)):
+                return False
+    return True
 
 
 # -- demand computation ----------------------------------------------------
@@ -488,7 +536,9 @@ def value_table(oracle: RewardOracle, *, enum_cap: int = 20) -> list[Fraction]:
     exact integers: sums for additive, max for unit-demand, levels by
     subset size for uniform-k, bit-OR of covers for coverage, and for OXS
     with at most three columns one matching table per column subset.  An
-    explicit table is copied; the rest answer one subset at a time.
+    explicit oracle returns a copy of the table it validated on integers
+    when it was built, one Fraction object per distinct value; the rest
+    answer one subset at a time.
     """
     m = oracle.num_actions
     if m > enum_cap:
@@ -674,26 +724,55 @@ def _search_price_witness(oracle: RewardOracle, ctx: frozenset[int],
 # -- JSON descriptors --------------------------------------------------------
 
 
-def oracle_from_spec(spec: Mapping) -> RewardOracle:
-    """Build an oracle from its JSON descriptor (see module docstrings)."""
-    from budgetcontracts.core import parse_rational
+def _rationals(entries: Sequence) -> list[Fraction]:
+    """``parse_rational`` of each entry; each distinct string is parsed once.
 
+    Only strings share a parse: ints, floats and booleans each go through
+    ``parse_rational`` (a cache keyed by ``==`` would take True for 1).
+    """
+    parsed: dict[str, Fraction] = {}
+    out = []
+    for e in entries:
+        if type(e) is str:
+            v = parsed.get(e)
+            if v is None:
+                v = parsed[e] = parse_rational(e)
+        else:
+            v = parse_rational(e)
+        out.append(v)
+    return out
+
+
+def oracle_from_spec(spec: Mapping) -> RewardOracle:
+    """Build an oracle from its JSON descriptor (see module docstrings).
+
+    A descriptor with a missing or mistyped field raises ``SchemaError``;
+    integer fields take the strict rule of ``parse_integer``.
+    """
+    field = partial(descriptor_field, spec)
     kind = spec.get("type")
     if kind == "additive":
-        return AdditiveOracle([parse_rational(w) for w in spec["weights"]])
+        return AdditiveOracle(_rationals(field("weights", list)))
     if kind == "unit_demand":
-        return UnitDemandOracle([parse_rational(w) for w in spec["weights"]])
+        return UnitDemandOracle(_rationals(field("weights", list)))
     if kind == "uniform_k_demand":
-        return UniformKDemandOracle(int(spec["num_actions"]), int(spec["k"]),
-                                    parse_rational(spec["v"]))
+        return UniformKDemandOracle(field("num_actions", int), field("k", int),
+                                    parse_rational(field("v")))
     if kind == "oxs":
-        return AssignmentOracle([[parse_rational(v) for v in row]
-                                 for row in spec["values"]])
+        rows = field("values", list)
+        if not all(isinstance(row, list) for row in rows):
+            raise SchemaError("oxs descriptor rows must be lists")
+        return AssignmentOracle([_rationals(row) for row in rows])
     if kind == "coverage":
-        return CoverageOracle(int(spec["universe_size"]),
-                              [list(map(int, c)) for c in spec["covers"]])
+        covers = field("covers", list)
+        if not all(isinstance(c, list) for c in covers):
+            raise SchemaError("coverage descriptor covers must be lists")
+        return CoverageOracle(
+            field("universe_size", int),
+            [[parse_integer(e, "coverage cover member") for e in c]
+             for c in covers])
     if kind == "explicit":
-        return ExplicitOracle([parse_rational(v) for v in spec["values"]])
+        return ExplicitOracle(_rationals(field("values", list)))
     if kind == "hardness":
         from budgetcontracts.hardness import hardness_oracle_from_spec
 

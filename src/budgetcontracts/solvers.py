@@ -36,7 +36,8 @@ from budgetcontracts.equilibria import is_nash, min_incentivizing_contract, \
     ne_from_demand
 from budgetcontracts.objectives import Objective, PROFIT, REWARD, evaluate
 from budgetcontracts.rewards import PriceVector, common_denominator, \
-    demand_with_base, mask_to_set, scaled_ints, set_to_mask, value_table
+    demand_with_base, mask_to_set, scaled_ints, set_to_mask, subset_sums, \
+    value_table
 
 
 class NotAnEquilibriumError(ModelError):
@@ -514,49 +515,52 @@ def additive_fptas(inst: Instance, budget: Fraction, eps: Fraction,
 
 
 def _single_agent_lines(inst: Instance,
-                        table: Sequence[Fraction]) -> list[tuple[Fraction, Fraction, int]]:
-    """Utility lines alpha -> alpha * f(S) - c(S), one per action subset."""
-    lines = []
-    for mask in range(1 << inst.num_actions):
-        f_s = table[mask]
-        c_s = cost(inst, mask_to_set(mask))
-        lines.append((f_s, -c_s, mask))
-    return lines
+                        table: Sequence[Fraction]) -> list[tuple[int, int, int]]:
+    """Utility lines alpha -> alpha * f(S) - c(S), one per action subset.
 
-
-def _upper_envelope(lines: list[tuple[Fraction, Fraction, int]]):
-    """Upper envelope of lines; among ties prefers the larger slope.
-
-    Returns (hull, breaks): hull[i] active on (breaks[i-1], breaks[i]];
-    querying at a breakpoint picks the right-hand (larger-f) line.
+    Each line is an int triple (f(S), -c(S), mask), f and the costs scaled
+    by one common denominator; scaling by a positive number keeps both the
+    lines' order and the envelope's breakpoints.
     """
-    by_slope: dict[Fraction, tuple[Fraction, int]] = {}
+    costs = [inst.cost_of[a] for a in range(inst.num_actions)]
+    den = common_denominator([*table, *costs])
+    neg_costs = [-c for c in subset_sums(scaled_ints(costs, den))]
+    return list(zip(scaled_ints(table, den), neg_costs, range(len(table))))
+
+
+def _upper_envelope(lines: list[tuple[int, int, int]]):
+    """Upper envelope of integer lines (slope, intercept, mask).
+
+    Among equal slopes the largest intercept is kept, and among those the
+    smallest mask.  Returns (hull, breaks): hull[i] is active on
+    (breaks[i-1], breaks[i]], and querying at a breakpoint picks the
+    right-hand (larger-slope) line.  The pop test compares intersections
+    by cross-multiplying, which is exact because the slopes ascend
+    strictly; ``breaks`` are Fractions, the same whatever the lines' scale.
+    """
+    by_slope: dict[int, tuple[int, int]] = {}
     for slope, intercept, mask in sorted(lines):
         cur = by_slope.get(slope)
         if cur is None or intercept > cur[0]:
             by_slope[slope] = (intercept, mask)
-    distinct = [(s, b, m) for s, (b, m) in sorted(by_slope.items())]
-    hull: list[tuple[Fraction, Fraction, int]] = []
-    for line in distinct:
+    hull: list[tuple[int, int, int]] = []
+    for s2, (b2, mask) in sorted(by_slope.items()):
         while hull:
             s1, b1, _ = hull[-1]
-            s2, b2, _ = line
             if len(hull) == 1:
                 if b2 >= b1:
                     hull.pop()
                     continue
                 break
             s0, b0, _ = hull[-2]
-            x_new = (b0 - b2) / (s2 - s0)
-            x_old = (b0 - b1) / (s1 - s0)
-            if x_new <= x_old:
+            # line 2 meets line 0 no later than line 1 does
+            if (b0 - b2) * (s1 - s0) <= (b0 - b1) * (s2 - s0):
                 hull.pop()
                 continue
             break
-        hull.append(line)
-    breaks = []
-    for (s1, b1, _), (s2, b2, _) in zip(hull, hull[1:]):
-        breaks.append((b1 - b2) / (s2 - s1))
+        hull.append((s2, b2, mask))
+    breaks = [Fraction(b1 - b2, s2 - s1)
+              for (s1, b1, _), (s2, b2, _) in zip(hull, hull[1:])]
     return hull, breaks
 
 

@@ -1,5 +1,11 @@
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -11,9 +17,15 @@ from budgetcontracts.cli import (
     parse_pair,
     serialize_instance,
 )
-from budgetcontracts.core import RationalParseError
-from budgetcontracts.generators import random_additive_instance, random_oxs_instance
+from budgetcontracts.core import RationalParseError, SchemaError
+from budgetcontracts.generators import (
+    random_additive_instance,
+    random_coverage_instance,
+    random_explicit_monotone_instance,
+    random_oxs_instance,
+)
 from budgetcontracts.hardness import HardnessOracle
+from budgetcontracts.rewards import oracle_from_spec
 
 MINIMAL = json.dumps({
     "numAgents": 2,
@@ -296,9 +308,113 @@ def test_cli_malformed_instance_is_schema_error(doc, tmp_path, capsys):
     assert _error_type(capsys) == "SchemaError"
 
 
+def _with_reward(reward):
+    return _mutated(lambda d: d.update(reward=reward))
+
+
+@pytest.mark.parametrize("doc,error", [
+    (_with_reward({"type": "additive", "weights": 5}), "SchemaError"),
+    (_with_reward({"type": "unit_demand"}), "SchemaError"),
+    (_with_reward({"type": "explicit"}), "SchemaError"),
+    (_with_reward({"type": "explicit", "values": []}), "ModelError"),
+    (_with_reward({"type": "oxs", "values": [["1/4"], "1/2"]}), "SchemaError"),
+    (_with_reward({"type": "coverage", "universe_size": "x",
+                   "covers": [[0], [1]]}), "SchemaError"),
+    (_with_reward({"type": "coverage", "universe_size": 2,
+                   "covers": [[0], [1.0]]}), "SchemaError"),
+    (_with_reward({"type": "coverage", "universe_size": 2,
+                   "covers": [[0], 1]}), "SchemaError"),
+    (_with_reward({"type": "uniform_k_demand", "num_actions": 2, "k": 1.5,
+                   "v": "1/4"}), "SchemaError"),
+    (_with_reward({"type": "uniform_k_demand", "num_actions": 2.0, "k": 1,
+                   "v": "1/4"}), "SchemaError"),
+    ({"reward": {"type": "hardness", "n": "x", "budget": "1/2"}}, "SchemaError"),
+    ({"reward": {"type": "hardness", "n": 4, "budget": "1/2",
+                 "hidden": [0, 1.5]}}, "SchemaError"),
+    ({"reward": {"type": "hardness", "n": 4}}, "SchemaError"),
+    ({"reward": {"type": "hardness", "n": 4, "budget": "0"}}, "ModelError"),
+], ids=["additive-weights-number", "unit-demand-weights-missing",
+        "explicit-values-missing", "explicit-values-empty", "oxs-row-string",
+        "coverage-universe-string", "coverage-member-float",
+        "coverage-cover-number", "uniform-k-float", "uniform-num-actions-float",
+        "hardness-n-string", "hardness-hidden-float", "hardness-budget-missing",
+        "hardness-budget-zero"])
+def test_cli_malformed_reward_descriptor_is_domain_error(doc, error, tmp_path,
+                                                         capsys):
+    inst_path = tmp_path / "inst.json"
+    inst_path.write_text(json.dumps(doc))
+    assert main(["solve", "--instance", str(inst_path),
+                 "--budget", "1/2"]) == 1
+    assert _error_type(capsys) == error
+
+
+@pytest.mark.parametrize("n", ["0", "-2"])
+def test_cli_gap_report_rejects_nonpositive_n(n, capsys):
+    assert main(["gap-report", "--n", n]) == 1
+    assert _error_type(capsys) == "OddNError"
+
+
+def test_hardness_oracle_descriptor_rejects_string_n():
+    with pytest.raises(SchemaError):
+        oracle_from_spec({"type": "hardness", "n": "x", "eps": "1/64"})
+
+
 def test_parse_hardness_descriptor_is_validated():
     # validation reads f(empty) and every singleton: m + 1 value queries
     doc = json.dumps({"reward": {
         "type": "hardness", "n": 4, "budget": "1/2", "hidden": [0, 1]}})
     inst = parse_instance(doc)
     assert inst.oracle.value_queries == inst.num_actions + 1
+
+
+# -- golden solve outputs -------------------------------------------------------
+
+# (case id, generator, seed, agents, actions, budget, objective, extra argv);
+# explicit and coverage rewards go to the brute-force solver
+GOLDEN_CASES = [
+    ("explicit-profit", random_explicit_monotone_instance, 45, 2, 6, "1/2",
+     "profit", ()),
+    ("explicit-reward", random_explicit_monotone_instance, 46, 3, 7, "3/4",
+     "reward", ()),
+    ("explicit-welfare", random_explicit_monotone_instance, 44, 2, 8, "1/4",
+     "welfare", ()),
+    ("single-fptas-tenth", random_explicit_monotone_instance, 45, 1, 7, "1/2",
+     "profit", ("--force-solver", "single-fptas", "--eps", "1/10")),
+    ("single-fptas-quarter", random_explicit_monotone_instance, 46, 1, 9, "1",
+     "profit", ("--force-solver", "single-fptas", "--eps", "1/4")),
+    ("coverage-profit", random_coverage_instance, 56, 2, 7, "1/2", "profit", ()),
+]
+# recorded with golden_stdout before explicit tables and the single-agent
+# envelope moved to integers; any change to these bytes must be deliberate
+GOLDEN_PATH = Path(__file__).parent / "data" / "cli_golden.json"
+
+
+def golden_stdout(case, csv: bool, directory: Path) -> str:
+    """The ``solve`` stdout for one golden case, instance written to ``directory``."""
+    name, gen, seed, agents, actions, budget, objective, extra = case
+    inst_path = directory / f"{name}.json"
+    inst_path.write_text(serialize_instance(gen(seed, agents, actions)))
+    argv = ["solve", "--instance", str(inst_path), "--budget", budget,
+            "--objective", objective, *extra] + (["--csv"] if csv else [])
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("csv", [False, True], ids=["json", "csv"])
+@pytest.mark.parametrize("case", GOLDEN_CASES, ids=[c[0] for c in GOLDEN_CASES])
+def test_cli_solve_output_is_pinned(case, csv, tmp_path):
+    expected = json.loads(GOLDEN_PATH.read_text())[case[0]]["csv" if csv else "json"]
+    assert golden_stdout(case, csv, tmp_path) == expected
+
+
+def test_python_m_runs_the_cli():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-m", "budgetcontracts", "--help"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: budgetcontracts")

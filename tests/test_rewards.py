@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 from fractions import Fraction as F
@@ -5,7 +6,8 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from budgetcontracts.core import GroundSetTooLargeError
+from budgetcontracts.core import GroundSetTooLargeError, ModelError, \
+    OracleRangeViolationError, RationalParseError
 from budgetcontracts.generators import (
     random_additive_instance,
     random_coverage_instance,
@@ -404,3 +406,121 @@ def test_descriptor_roundtrip(oracle):
     assert type(back) is type(oracle)
     for s in all_subsets(oracle.num_actions):
         assert back.value(s) == oracle.value(s)
+
+
+# -- explicit-table validation -----------------------------------------------------
+
+
+def _reference_explicit_check(values):
+    """The Fraction constructor loop the integer validation replaced."""
+    size = len(values)
+    m = size.bit_length() - 1
+    if size != 1 << m:
+        raise ModelError("explicit table length must be a power of two")
+    values = tuple(F(v) for v in values)
+    if values[0] != 0:
+        raise ModelError("explicit table must have f(empty) = 0")
+    for mask, v in enumerate(values):
+        if not 0 <= v <= 1:
+            raise OracleRangeViolationError(f"table value {v} outside [0, 1]")
+        for b in range(m):
+            if not mask & (1 << b) and values[mask | (1 << b)] < v:
+                raise ModelError("explicit table is not monotone")
+    return values
+
+
+def _outcome(build, values):
+    try:
+        return "accepted", build(values)
+    except ModelError as exc:
+        return type(exc), str(exc)
+
+
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19)
+
+
+def _random_monotone_table(rng, m):
+    """Monotone values k/p over distinct primes p, scaled into [0, 1]."""
+    raw = [F(0)] * (1 << m)
+    for mask in range(1, 1 << m):
+        floor = max(raw[mask & ~(1 << b)] for b in range(m) if mask >> b & 1)
+        step = F(rng.randint(0, 3), rng.choice(PRIMES)) if rng.random() < 0.7 else 0
+        raw[mask] = floor + step
+    top = max(raw[-1], F(1)) + F(rng.randint(0, 2), rng.choice(PRIMES))
+    return [v / top for v in raw]
+
+
+def _mutations(rng, values):
+    """Single-entry faults, and a range fault plus a monotonicity fault."""
+    size = len(values)
+    p = F(1, rng.choice(PRIMES))
+
+    def changed(*edits):
+        out = list(values)
+        for mask, v in edits:
+            out[mask] = v
+        return out
+
+    a, b = rng.randrange(1, size), rng.randrange(1, size)
+    yield changed((a, values[a] - p))            # one entry lowered
+    yield changed((size - 1, F(0)))              # the full set lowered to 0
+    yield changed((a, 1 + p))                    # one above 1
+    yield changed((a, -p))                       # one below 0
+    yield changed((0, p))                        # nonzero f(empty)
+    yield changed((a, 1 + p), (b, -p))           # both faults, either order
+    yield changed((a, values[a] - p), (b, 2))
+
+
+def _explicit_tables():
+    rng = random.Random(20)
+    for t in range(60):
+        m = rng.randint(0, 8) if t >= 4 else t
+        values = _random_monotone_table(rng, m)
+        yield values
+        if m:
+            yield from _mutations(rng, values)
+
+
+def test_explicit_validation_matches_fraction_reference():
+    outcomes = collections.Counter()
+    for values in _explicit_tables():
+        got = _outcome(lambda v: ExplicitOracle(v).values, values)
+        want = _outcome(_reference_explicit_check, values)
+        assert got == want
+        if got[0] == "accepted":
+            assert all(type(v) is F for v in got[1])
+        outcomes[got[0] if got[0] != ModelError else got[1]] += 1
+    # every outcome the check can reach occurs
+    assert outcomes["accepted"] > 60
+    assert outcomes[OracleRangeViolationError] > 60
+    assert outcomes["explicit table is not monotone"] > 20
+    assert outcomes["explicit table must have f(empty) = 0"] > 20
+
+
+def test_explicit_validation_reports_first_fault_in_mask_order():
+    # mask 1 lies above 1 and mask 2 breaks monotonicity at mask 2 -> 3
+    values = [F(0), F(3, 2), F(1, 2), F(1, 3)]
+    with pytest.raises(OracleRangeViolationError, match="3/2 outside"):
+        ExplicitOracle(values)
+    # mask 0's superset 1 lies below 0: monotonicity at mask 0 comes first
+    values = [F(0), F(-1, 7), F(1, 2), F(2)]
+    with pytest.raises(ModelError, match="not monotone"):
+        ExplicitOracle(values)
+
+
+def test_explicit_unvalidated_table_and_bad_lengths():
+    values = [F(1, 10), F(-1, 3), F(5, 4), F(1, 2)]
+    assert ExplicitOracle(values, validate=False).values == tuple(values)
+    for size in (0, 3, 6):
+        with pytest.raises(ModelError, match="power of two"):
+            ExplicitOracle([F(0)] * size)
+
+
+def test_explicit_descriptor_parses_each_entry_strictly():
+    spec = {"type": "explicit", "values": ["0", "1/3", "2/6", 1]}
+    o = oracle_from_spec(spec)
+    assert o.values == (0, F(1, 3), F(1, 3), 1)
+    # True == 1 and False == 0: a parse cache keyed by == would take them
+    for bad in (True, False, 0.5, None):
+        with pytest.raises(RationalParseError):
+            oracle_from_spec({"type": "explicit", "values": [0, 1, bad, 1]})

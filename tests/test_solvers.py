@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from budgetcontracts.core import Action, Contract, Instance, ModelError
+from budgetcontracts.core import Action, Contract, Instance, ModelError, cost
 from budgetcontracts.equilibria import best_response, is_nash, \
     min_incentivizing_contract, ne_from_demand
 from budgetcontracts.generators import random_additive_instance, \
@@ -12,8 +12,8 @@ from budgetcontracts.generators import random_additive_instance, \
     random_unit_demand_instance
 from budgetcontracts.hardness import HardnessParams, build_hardness, good_action
 from budgetcontracts.objectives import PROFIT, REWARD, WELFARE, evaluate
-from budgetcontracts.rewards import AdditiveOracle, mask_to_set, set_to_mask, \
-    value_table
+from budgetcontracts.rewards import AdditiveOracle, ExplicitOracle, mask_to_set, \
+    set_to_mask, value_table
 from budgetcontracts.solvers import (
     NotAnEquilibriumError,
     additive_fptas,
@@ -359,6 +359,81 @@ def test_breakpoint_sweep_is_monotone_in_f():
             f_val = inst.oracle.value(response)
             assert f_val >= last
             last = f_val
+
+
+def _reference_lines(inst, table):
+    """The Fraction utility lines the integer ones replaced."""
+    return [(table[mask], -cost(inst, mask_to_set(mask)), mask)
+            for mask in range(1 << inst.num_actions)]
+
+
+def _reference_envelope(lines):
+    """The Fraction upper envelope the integer one replaced."""
+    by_slope = {}
+    for slope, intercept, mask in sorted(lines):
+        cur = by_slope.get(slope)
+        if cur is None or intercept > cur[0]:
+            by_slope[slope] = (intercept, mask)
+    hull = []
+    for line in [(s, b, m) for s, (b, m) in sorted(by_slope.items())]:
+        while hull:
+            s1, b1, _ = hull[-1]
+            s2, b2, _ = line
+            if len(hull) == 1:
+                if b2 >= b1:
+                    hull.pop()
+                    continue
+                break
+            s0, b0, _ = hull[-2]
+            if (b0 - b2) / (s2 - s0) <= (b0 - b1) / (s1 - s0):
+                hull.pop()
+                continue
+            break
+        hull.append(line)
+    breaks = [(b1 - b2) / (s2 - s1)
+              for (s1, b1, _), (s2, b2, _) in zip(hull, hull[1:])]
+    return hull, breaks
+
+
+def _envelope_instances():
+    """One-agent instances with zero costs, tied f values and tied slopes."""
+    rng = random.Random(31)
+    for _ in range(24):
+        m = rng.randint(1, 9)
+        levels = [0] * (1 << m)
+        for mask in range(1, 1 << m):
+            floor = max(levels[mask & ~(1 << b)] for b in range(m) if mask >> b & 1)
+            levels[mask] = floor + rng.choice((0, 0, 1, 2))  # plateaus tie f
+        top = max(levels[-1], 1) + rng.randint(0, 2)
+        costs = [rng.choice((F(0), F(1, 8), F(1, 4), F(1, 3), F(1, rng.randint(2, 17))))
+                 for _ in range(m)]
+        yield Instance(1, tuple(Action(a, 0, c) for a, c in enumerate(costs)),
+                       ExplicitOracle([F(v, top) for v in levels]))
+    # costs proportional to additive weights: every line passes through
+    # alpha = 1/2, so the pop test meets equal intersections
+    weights = [F(1, 8), F(1, 4), F(1, 16), F(1, 4), F(1, 8)]
+    yield Instance(1, tuple(Action(a, 0, w / 2) for a, w in enumerate(weights)),
+                   AdditiveOracle(weights))
+
+
+def test_integer_envelope_matches_fraction_reference(monkeypatch):
+    import budgetcontracts.solvers as solvers
+
+    for inst in _envelope_instances():
+        table = value_table(inst.oracle)
+        hull, breaks = solvers._upper_envelope(solvers._single_agent_lines(inst, table))
+        ref_hull, ref_breaks = _reference_envelope(_reference_lines(inst, table))
+        assert [h[2] for h in hull] == [h[2] for h in ref_hull]
+        assert breaks == ref_breaks
+        assert all(type(b) is F for b in breaks)
+        assert single_agent_demand_breakpoints(inst) == ref_breaks
+        for budget in (F(0), F(1, 3), F(1, 2), F(1)):
+            got = single_agent_fptas(inst, budget, F(1, 4))
+            with monkeypatch.context() as patch:
+                patch.setattr(solvers, "_single_agent_lines", _reference_lines)
+                patch.setattr(solvers, "_upper_envelope", _reference_envelope)
+                want = single_agent_fptas(inst, budget, F(1, 4))
+            assert got == want
 
 
 # -- downsizing ------------------------------------------------------------------
