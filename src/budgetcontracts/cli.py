@@ -66,11 +66,15 @@ from budgetcontracts.solvers import (
 # -- instance and result documents -------------------------------------------
 
 
-def parse_instance(text: str) -> Instance:
+def _json_document(text: str):
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid JSON: {exc}") from exc
+
+
+def parse_instance(text: str) -> Instance:
+    doc = _json_document(text)
     if not isinstance(doc, dict) or "reward" not in doc:
         raise SchemaError("instance document needs a 'reward' field")
     reward = doc["reward"]
@@ -129,13 +133,35 @@ def result_to_doc(result: SolveResult) -> dict:
 
 
 def parse_pair(text: str) -> tuple[Contract, frozenset[int]]:
-    """Read a (contract, profile) pair from a SolveResult-shaped document."""
-    doc = json.loads(text)
-    try:
-        alpha = Contract(tuple(parse_rational(a) for a in doc["contract"]))
-        profile = frozenset(int(a) for a in doc["profile"])
-    except KeyError as exc:
-        raise SchemaError(f"pair document missing {exc}") from exc
+    """Read a (contract, profile) pair from a SolveResult-shaped document.
+
+    "contract" must be a list of rationals and "profile" a list of integer
+    action ids; anything else is a SchemaError.
+    """
+    doc = _json_document(text)
+    if not isinstance(doc, dict):
+        raise SchemaError("pair document must be an object")
+    for key in ("contract", "profile"):
+        if key not in doc:
+            raise SchemaError(f"pair document missing '{key}'")
+        if not isinstance(doc[key], list):
+            raise SchemaError(f"pair document field '{key}' must be a list")
+    alpha = Contract(tuple(parse_rational(a) for a in doc["contract"]))
+    profile = frozenset(parse_integer(a, "pair profile entry")
+                        for a in doc["profile"])
+    return alpha, profile
+
+
+def _load_pair(path: str, inst: Instance) -> tuple[Contract, frozenset[int]]:
+    """The pair document at ``path``, checked against ``inst``."""
+    with open(path, "r", encoding="utf-8") as fh:
+        alpha, profile = parse_pair(fh.read())
+    if len(alpha) != inst.num_agents:
+        raise SchemaError(f"pair contract has {len(alpha)} entries for "
+                          f"{inst.num_agents} agents")
+    if not profile <= inst.ground_set:
+        raise SchemaError(f"pair profile actions {sorted(profile - inst.ground_set)} "
+                          f"are outside the ground set")
     return alpha, profile
 
 
@@ -180,6 +206,11 @@ _GENERATORS = {
 }
 
 
+# option -> (generator keyword, least value or None)
+_GENERATOR_OPTIONS = {"seed": ("seed", None), "agents": ("num_agents", 1),
+                      "actions": ("num_actions", 1)}
+
+
 def load_instance(source: str) -> Instance:
     """A path to an instance JSON, or 'gen:<kind>:seed=..,agents=..,actions=..'."""
     if source.startswith("gen:"):
@@ -190,14 +221,14 @@ def load_instance(source: str) -> Instance:
         if len(parts) > 2 and parts[2]:
             for item in parts[2].split(","):
                 key, _, value = item.partition("=")
-                if key == "seed":
-                    kwargs["seed"] = int(value)
-                elif key == "agents":
-                    kwargs["num_agents"] = int(value)
-                elif key == "actions":
-                    kwargs["num_actions"] = int(value)
-                else:
+                if key not in _GENERATOR_OPTIONS:
                     raise SchemaError(f"unknown generator option {key!r}")
+                name, least = _GENERATOR_OPTIONS[key]
+                number = parse_integer(value, f"generator option {key!r}")
+                if least is not None and number < least:
+                    raise SchemaError(
+                        f"generator option {key!r} must be >= {least}, got {number}")
+                kwargs[name] = number
         return _GENERATORS[parts[1]](**kwargs)
     with open(source, "r", encoding="utf-8") as fh:
         return parse_instance(fh.read())
@@ -207,9 +238,9 @@ def load_objective(text: str) -> Objective:
     if text in ("profit", "reward", "welfare"):
         return objective_from_spec(text)
     if text.lstrip().startswith("{"):
-        return objective_from_spec(json.loads(text))
+        return objective_from_spec(_json_document(text))
     with open(text, "r", encoding="utf-8") as fh:
-        return objective_from_spec(json.load(fh))
+        return objective_from_spec(_json_document(fh.read()))
 
 
 def _write(out: Optional[str], text: str) -> None:
@@ -302,8 +333,7 @@ def _cmd_brute(args) -> int:
 
 def _cmd_downsize(args) -> int:
     inst = load_instance(args.instance)
-    with open(args.pair, "r", encoding="utf-8") as fh:
-        alpha, profile = parse_pair(fh.read())
+    alpha, profile = _load_pair(args.pair, inst)
     new_alpha, new_profile = downsize(inst, args.m_param, alpha, profile,
                                       enum_cap=args.enum_cap)
     doc = {
@@ -318,8 +348,7 @@ def _cmd_downsize(args) -> int:
 
 def _cmd_verify_ne(args) -> int:
     inst = load_instance(args.instance)
-    with open(args.pair, "r", encoding="utf-8") as fh:
-        alpha, profile = parse_pair(fh.read())
+    alpha, profile = _load_pair(args.pair, inst)
     cert = is_nash(inst, alpha, profile, enum_cap=args.enum_cap)
     if args.out:
         doc = {
@@ -399,7 +428,8 @@ def _cmd_gap_report(args) -> int:
     budget = parse_rational(args.budget)
     target = parse_rational(args.approx_target)
     eps = parse_rational(args.eps) if args.eps else None
-    hidden = [int(x) for x in args.hidden.split(",")] if args.hidden else None
+    hidden = [parse_integer(x, "--hidden entry") for x in args.hidden.split(",")] \
+        if args.hidden else None
     params = HardnessParams.make(args.n, budget, target, eps, hidden, args.seed)
     report = verify_gap_exhaustive(params, enum_cap=args.enum_cap)
     row = {

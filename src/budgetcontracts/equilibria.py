@@ -1,17 +1,26 @@
-"""Best responses, Nash equilibria, subset stability, contract transforms.
+"""Best responses, Nash equilibria, subset stability, contract transforms,
+and the minimal-contract algebra.
 
 Equilibrium checks use weak inequalities throughout: an agent indifferent
 between the prescribed actions and a deviation counts as best-responding,
 matching the knife-edge equalities that minimal incentivizing contracts
-produce.  All functions are pure; ``table`` arguments accept a full value
-table (bitmask order) as an algorithm-side cache.
+produce.  The exhaustive checks share one walk over an agent's deviations
+(:func:`_deviations`) and differ only in utility and tie rule.  All
+functions are pure; ``table`` arguments accept a full value table (bitmask
+order) as an algorithm-side cache, and without one every value read is one
+value query (:func:`rewards.value_view`).
+
+The minimal-contract algebra is :func:`_min_payments`, the per-agent
+bounds for one profile.  :func:`iter_min_contracts` runs it over many
+profiles on integers over a common denominator;
+:func:`min_incentivizing_contract` runs it once, on the Fractions it reads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from budgetcontracts.core import (
     ActionProfile,
@@ -22,28 +31,38 @@ from budgetcontracts.core import (
     ZERO,
     cost,
 )
-from budgetcontracts.rewards import PriceVector, brute_force_demand, demand_with_base, \
-    gs_greedy_demand, set_to_mask
+from budgetcontracts.rewards import PriceVector, common_denominator, \
+    demand_with_base, lex_key, mask_to_set, scaled_ints, set_to_mask, \
+    submask_sums, submasks, value_view
 
 
-def _value_fn(inst: Instance, table: Optional[Sequence[Fraction]]):
-    if table is None:
-        return lambda s: inst.oracle.value(s)
-    return lambda s: table[set_to_mask(s)]
+def _deviations(inst: Instance, f, agent: int, s: int, *,
+                enum_cap: Optional[int] = None, shrink: bool = False):
+    """Agent ``agent``'s deviations from the profile bitmask ``s``.
 
-
-def _subsets(items: Sequence[int]):
-    n = len(items)
-    for mask in range(1 << n):
-        yield frozenset(items[b] for b in range(n) if mask & (1 << b))
+    Returns (c(S_i), walk).  The walk yields (dev, f(dev | S_-i), c(dev))
+    for every subset dev of T_i (of S_i when ``shrink``), each a bitmask,
+    in ascending mask order: the order of the subsets of the agent's
+    sorted actions.  f is read as the walk goes, so a caller that stops
+    early spares the later reads.  More than ``enum_cap`` actions to walk
+    raise before anything is read.
+    """
+    own = set_to_mask(inst.agent_actions[agent])
+    s_i = s & own
+    pool = s_i if shrink else own
+    if enum_cap is not None and pool.bit_count() > enum_cap:
+        raise GroundSetTooLargeError(f"agent {agent} has {pool.bit_count()} actions")
+    costs = submask_sums(pool, inst.cost_of)
+    rest = s & ~own
+    return costs[s_i], ((dev, f[dev | rest], c) for dev, c in costs.items())
 
 
 def agent_utility(inst: Instance, alpha: Contract, profile: Iterable[int],
                   agent: int, *, table: Optional[Sequence[Fraction]] = None) -> Fraction:
     """alpha_i * f(S) - c(S_i)."""
     s = frozenset(profile)
-    val = _value_fn(inst, table)
-    return alpha[agent] * val(s) - cost(inst, inst.agent_part(s, agent))
+    f_s = value_view(inst.oracle, table)[set_to_mask(s)]
+    return alpha[agent] * f_s - cost(inst, inst.agent_part(s, agent))
 
 
 def best_response(inst: Instance, agent: int, alpha_i: Fraction,
@@ -76,20 +95,15 @@ def best_response(inst: Instance, agent: int, alpha_i: Fraction,
         result = demand_with_base(inst.oracle, prices, s_other, gs=True,
                                   enum_cap=enum_cap, table=table)
         return result - s_other
-    items = sorted(own)
-    if len(items) > enum_cap:
-        raise GroundSetTooLargeError(f"agent {agent} has {len(items)} actions")
-    val = _value_fn(inst, table)
+    _, walk = _deviations(inst, value_view(inst.oracle, table), agent,
+                          set_to_mask(s_other), enum_cap=enum_cap)
     best = None
-    for dev in _subsets(items):
-        full = dev | s_other
-        f_full = val(full)
-        u = alpha_i * f_full - cost(inst, dev)
-        key = tuple(sorted(dev))
-        rank = (u, f_full)
-        if best is None or rank > best[0] or (rank == best[0] and key < best[1]):
-            best = (rank, key, dev)
-    return best[2]
+    for dev, f_full, c in walk:
+        rank = (alpha_i * f_full - c, f_full)
+        if best is None or rank > best[0] or (
+                rank == best[0] and lex_key(dev) < lex_key(best[1])):
+            best = (rank, dev)
+    return mask_to_set(best[1])
 
 
 @dataclass(frozen=True)
@@ -113,25 +127,22 @@ def is_nash(inst: Instance, alpha: Contract, profile: Iterable[int], *,
             table: Optional[Sequence[Fraction]] = None) -> NeCertificate:
     """Check the weak Nash condition by per-agent enumeration of deviations."""
     s = frozenset(profile)
-    val = _value_fn(inst, table)
+    mask = set_to_mask(s)
+    f = value_view(inst.oracle, table)
     utilities = []
     best_devs = []
     violator = None
     for i in range(inst.num_agents):
-        own = sorted(inst.agent_actions[i])
-        if len(own) > enum_cap:
-            raise GroundSetTooLargeError(f"agent {i} has {len(own)} actions")
-        s_i = s & inst.agent_actions[i]
-        s_other = s - s_i
-        u_i = alpha[i] * val(s) - cost(inst, s_i)
+        c_i, walk = _deviations(inst, f, i, mask, enum_cap=enum_cap)
+        u_i = alpha[i] * f[mask] - c_i
         best_u = None
-        best_set: frozenset[int] = frozenset()
-        for dev in _subsets(own):
-            u = alpha[i] * val(dev | s_other) - cost(inst, dev)
+        best_dev = 0
+        for dev, f_dev, c in walk:
+            u = alpha[i] * f_dev - c
             if best_u is None or u > best_u:
-                best_u, best_set = u, dev
+                best_u, best_dev = u, dev
         utilities.append(u_i)
-        best_devs.append((best_set, best_u))
+        best_devs.append((mask_to_set(best_dev), best_u))
         if best_u > u_i and violator is None:
             violator = i
     return NeCertificate(violator is None, s, tuple(utilities),
@@ -155,11 +166,8 @@ def ne_from_demand(inst: Instance, alpha: Contract, *, gs: Optional[bool] = None
             prices[a] = inst.cost_of[a] / alpha[i]
         else:
             excluded.add(a)
-    pv = PriceVector(prices, frozenset(excluded))
-    use_greedy = inst.oracle.is_gs_class if gs is None else gs
-    if use_greedy:
-        return gs_greedy_demand(inst.oracle, pv, table=table)
-    return brute_force_demand(inst.oracle, pv, enum_cap=enum_cap, table=table)
+    return demand_with_base(inst.oracle, PriceVector(prices, frozenset(excluded)),
+                            (), gs=gs, enum_cap=enum_cap, table=table)
 
 
 def is_subset_stable(inst: Instance, alpha: Contract, profile: Iterable[int], *,
@@ -169,15 +177,14 @@ def is_subset_stable(inst: Instance, alpha: Contract, profile: Iterable[int], *,
     Returns (ok, witness) with witness = (agent, subset) for the first
     profitable shrink found.
     """
-    s = frozenset(profile)
-    val = _value_fn(inst, table)
+    s = set_to_mask(profile)
+    f = value_view(inst.oracle, table)
     for i in range(inst.num_agents):
-        s_i = s & inst.agent_actions[i]
-        s_other = s - s_i
-        u_i = alpha[i] * val(s) - cost(inst, s_i)
-        for dev in _subsets(sorted(s_i)):
-            if alpha[i] * val(dev | s_other) - cost(inst, dev) > u_i:
-                return False, (i, dev)
+        c_i, walk = _deviations(inst, f, i, s, shrink=True)
+        u_i = alpha[i] * f[s] - c_i
+        for dev, f_dev, c in walk:
+            if alpha[i] * f_dev - c > u_i:
+                return False, (i, mask_to_set(dev))
     return True, None
 
 
@@ -212,40 +219,111 @@ def min_incentivizing_contract(inst: Instance, profile: Iterable[int], *,
     with f(S) < f(S' + S_-i) caps alpha_i from above by the same ratio;
     equal-f deviations must not be strictly cheaper.  Returns None when some
     agent's bounds cross (the profile cannot be incentivized at any payment).
+    One run of :func:`_min_payments` on the values as read: f(S) first,
+    then each agent's deviations until the profile fails, so without a
+    table it issues at most 1 + sum_i (2^|T_i| - 1) value queries.
     """
-    s = frozenset(profile)
-    val = _value_fn(inst, table)
-    f_s = val(s)
-    entries = []
-    for i in range(inst.num_agents):
-        own = sorted(inst.agent_actions[i])
-        if len(own) > enum_cap:
-            raise GroundSetTooLargeError(f"agent {i} has {len(own)} actions")
-        s_i = s & inst.agent_actions[i]
-        s_other = s - s_i
-        c_i = cost(inst, s_i)
-        lo = ZERO
-        hi: Optional[Fraction] = None
-        for dev in _subsets(own):
+    own_masks = [set_to_mask(t) for t in inst.agent_actions]
+    for i, om in enumerate(own_masks):
+        if om.bit_count() > enum_cap:
+            raise GroundSetTooLargeError(f"agent {i} has {om.bit_count()} actions")
+    own_costs = [submask_sums(om, inst.cost_of) for om in own_masks]
+    entries = _min_payments(value_view(inst.oracle, table), set_to_mask(profile),
+                            range(inst.num_agents), own_masks, own_costs, None)
+    return None if entries is None else Contract(tuple(Fraction(*e) for e in entries))
+
+
+def _min_payments(f: Mapping[int, int | Fraction], mask: int,
+                  agents: Iterable[int], own_masks: Sequence[int],
+                  own_costs: Sequence[dict], budget: Optional[Fraction]
+                  ) -> Optional[list[tuple]]:
+    """Each agent's minimal payment for the profile ``mask``, or None.
+
+    ``f[mask]`` and ``own_costs[i][dev]`` (every subset of agent i's
+    actions ``own_masks[i]``, ascending) are exact numbers on one scale:
+    ints over a common denominator or plain Fractions; each bound is a
+    ratio of their differences, so the scale cancels.  Returns one
+    (numerator, positive denominator) pair per agent, (0, 1) for agents
+    outside ``agents``.  None when an equal-f deviation is strictly
+    cheaper, when an agent's bounds cross, or when the payment so far
+    exceeds ``budget`` (payments are nonnegative).  Reads f(S) first and
+    stops at the first failure.
+    """
+    entries = [(0, 1)] * len(own_masks)
+    total_n, total_d = 0, 1  # the payment so far, kept off Fraction
+    f_s = f[mask]
+    for i in agents:
+        om = own_masks[i]
+        costs = own_costs[i]
+        s_i = mask & om
+        rest = mask & ~om
+        c_i = costs[s_i]
+        lo_n, lo_d = 0, 1
+        hi = None  # (numerator, positive denominator)
+        for dev, c in costs.items():
             if dev == s_i:
                 continue
-            delta_f = f_s - val(dev | s_other)
-            delta_c = c_i - cost(inst, dev)
-            if delta_f > 0:
-                ratio = delta_c / delta_f
-                if ratio > lo:
-                    lo = ratio
-            elif delta_f == 0:
-                if delta_c > 0:
+            df = f_s - f[rest | dev]
+            dc = c_i - c
+            if df > 0:
+                if dc > 0 and dc * lo_d > lo_n * df:
+                    lo_n, lo_d = dc, df
+            elif df == 0:
+                if dc > 0:
                     return None
-            else:
-                ratio = delta_c / delta_f
-                if hi is None or ratio < hi:
-                    hi = ratio
-        if hi is not None and lo > hi:
+            elif hi is None or dc * hi[1] > hi[0] * df:  # dc/df < hi
+                hi = (-dc, -df)
+        if hi is not None and lo_n * hi[1] > hi[0] * lo_d:
             return None
-        entries.append(lo)
-    return Contract(tuple(entries))
+        if budget is not None and lo_n:
+            total_n, total_d = total_n * lo_d + lo_n * total_d, total_d * lo_d
+            if total_n * budget.denominator > budget.numerator * total_d:
+                return None
+        entries[i] = (lo_n, lo_d)
+    return entries
+
+
+def iter_min_contracts(inst: Instance, table: Sequence[Fraction], *,
+                       within: Optional[int] = None,
+                       budget: Optional[Fraction] = None):
+    """Yield (profile mask, minimal incentivizing Contract) for every
+    incentivizable profile, in ascending mask order.
+
+    The minimal-contract algebra of :func:`min_incentivizing_contract`
+    over many profiles: :func:`_min_payments` per profile, on the table
+    entries and costs scaled to integers over one common denominator
+    (Python ints are exact at any size).  ``within`` (a bitmask) restricts
+    the profiles to its submasks, still in ascending order; an agent
+    owning none of its actions is then unpaid and skipped, unless one of
+    its costs is negative.  ``budget`` prunes profiles whose partial
+    payment already exceeds it.
+    """
+    m = inst.num_actions
+    n = inst.num_agents
+    own_masks = [set_to_mask(inst.agent_actions[i]) for i in range(n)]
+    costs = [inst.cost_of[a] for a in range(m)]
+    if within is None:
+        profiles = reads = range(1 << m)
+        agents = range(n)
+    else:
+        profiles = submasks(within)
+        # An agent with no action in ``within`` acts in no profile; if none
+        # of its costs is negative, every deviation only adds cost, so its
+        # bounds are lo = 0 <= hi: it is never paid and never blocks.
+        agents = [i for i in range(n) if own_masks[i] & within
+                  or any(costs[a] < 0 for a in inst.agent_actions[i])]
+        # the table entries read: profiles and the agents' deviations
+        reads = set(profiles).union(
+            *(submasks(within | own_masks[i]) for i in agents))
+    values = {k: table[k] for k in reads}
+    den = common_denominator([*values.values(), *costs])
+    f_int = dict(zip(values, scaled_ints(values.values(), den)))
+    c_int = scaled_ints(costs, den)
+    own_costs = [submask_sums(om, c_int) for om in own_masks]
+    for mask in profiles:
+        entries = _min_payments(f_int, mask, agents, own_masks, own_costs, budget)
+        if entries is not None:
+            yield mask, Contract(tuple(Fraction(*e) for e in entries))
 
 
 def linearize(contract: GeneralContract) -> Contract:
@@ -264,23 +342,18 @@ def is_nash_general(inst: Instance, contract: GeneralContract,
                     profile: Iterable[int], *, enum_cap: int = 20,
                     table: Optional[Sequence[Fraction]] = None) -> bool:
     """Weak Nash check under a general (success/failure payment) contract."""
-    s = frozenset(profile)
-    val = _value_fn(inst, table)
+    s = set_to_mask(profile)
+    f = value_view(inst.oracle, table)
 
-    def utility(i: int, dev: frozenset[int], s_other: frozenset[int]) -> Fraction:
-        f = val(dev | s_other)
+    def utility(i: int, f_dev: Fraction, c: Fraction) -> Fraction:
         t0 = contract.pay_on_failure[i]
         t1 = contract.pay_on_success[i]
-        return t1 * f + t0 * (1 - f) - cost(inst, dev)
+        return t1 * f_dev + t0 * (1 - f_dev) - c
 
     for i in range(inst.num_agents):
-        own = sorted(inst.agent_actions[i])
-        if len(own) > enum_cap:
-            raise GroundSetTooLargeError(f"agent {i} has {len(own)} actions")
-        s_i = s & inst.agent_actions[i]
-        s_other = s - s_i
-        u_i = utility(i, s_i, s_other)
-        for dev in _subsets(own):
-            if utility(i, dev, s_other) > u_i:
+        c_i, walk = _deviations(inst, f, i, s, enum_cap=enum_cap)
+        u_i = utility(i, f[s], c_i)
+        for _, f_dev, c in walk:
+            if utility(i, f_dev, c) > u_i:
                 return False
     return True

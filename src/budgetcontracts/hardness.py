@@ -39,13 +39,14 @@ from budgetcontracts.core import (
     parse_integer,
     parse_rational,
 )
-from budgetcontracts.equilibria import is_nash, min_incentivizing_contract
+from budgetcontracts.equilibria import is_nash, iter_min_contracts
 from budgetcontracts.objectives import PROFIT, evaluate
 from budgetcontracts.rewards import (
     PriceVector,
     RewardOracle,
     brute_force_demand,
     mask_to_set,
+    set_to_mask,
     value_table,
 )
 
@@ -180,16 +181,8 @@ class HardnessOracle(RewardOracle):
         return subset - {good_action(self.n)} == self._penalty_core
 
     def _value(self, subset: frozenset[int]) -> Fraction:
-        n, eps = self.n, self.eps
-        f1 = ZERO
-        if good_action(n) in subset:
-            f1 = HALF
-        elif bad_action(n) in subset:
-            f1 = eps
-        others = len(subset) - (1 if good_action(n) in subset else 0)
-        f2 = eps * min(others, n // 2 + 1)
-        f3 = eps / 2 if self.reveals_hidden(subset) else ZERO
-        return f1 + f2 - f3
+        penalty = self.eps / 2 if self.reveals_hidden(subset) else ZERO
+        return self.base_value(subset) - penalty
 
     def base_value(self, subset: frozenset[int]) -> Fraction:
         """The penalty-free composite (what every non-revealing query sees)."""
@@ -252,6 +245,17 @@ def build_hardness(params: HardnessParams) -> Instance:
     return Instance(n + 1, tuple(actions), oracle)
 
 
+def _pair_for_guess(setting: HardnessParams | HardnessPublicInfo,
+                    guess: Iterable[int]) -> tuple[Contract, frozenset[int]]:
+    """:func:`good_contract` as if ``guess`` were the hidden set."""
+    n, eps = setting.n, setting.eps
+    alpha = [ZERO] * (n + 1)
+    for i in guess:
+        alpha[i] = eps * eps
+    alpha[n] = setting.budget - Fraction(n, 2) * eps * eps
+    return Contract(tuple(alpha)), frozenset(guess) | {good_action(n)}
+
+
 def good_contract(params: HardnessParams) -> tuple[Contract, frozenset[int]]:
     """The one budget-exhausting pair that reaches reward 1/2.
 
@@ -259,13 +263,7 @@ def good_contract(params: HardnessParams) -> tuple[Contract, frozenset[int]]:
     special agent; the prescribed profile is the hidden set plus the good
     action.
     """
-    n, eps, budget = params.n, params.eps, params.budget
-    alpha = [ZERO] * (n + 1)
-    for i in params.hidden:
-        alpha[i] = eps * eps
-    alpha[n] = budget - Fraction(n, 2) * eps * eps
-    profile = frozenset(params.hidden) | {good_action(n)}
-    return Contract(tuple(alpha)), profile
+    return _pair_for_guess(params, params.hidden)
 
 
 @dataclass(frozen=True)
@@ -291,24 +289,20 @@ def verify_gap_exhaustive(params: HardnessParams, *, enum_cap: int = 12) -> GapR
         raise ModelError(f"n = {n} too large for exhaustive gap verification")
     inst = build_hardness(params)
     table = value_table(inst.oracle)
-    good_profile = frozenset(params.hidden) | {good_action(n)}
+    good_mask = set_to_mask(params.hidden) | 1 << good_action(n)
     bound = (Fraction(n, 2) + 2) * params.eps
     max_other = ZERO
     feasible = 0
     violations = []
-    for mask in range(1 << (n + 2)):
-        profile = mask_to_set(mask)
-        if profile == good_profile:
-            continue
-        alpha = min_incentivizing_contract(inst, profile, table=table)
-        if alpha is None or alpha.total() > params.budget:
+    for mask, _ in iter_min_contracts(inst, table, budget=params.budget):
+        if mask == good_mask:
             continue
         feasible += 1
         f_s = table[mask]
         if f_s > max_other:
             max_other = f_s
         if f_s > bound:
-            violations.append(profile)
+            violations.append(mask_to_set(mask))
     gap_ratio = ((ONE - params.budget) / 2) / bound
     return GapReport(not violations, bound, max_other, gap_ratio, feasible,
                      tuple(violations))
@@ -379,16 +373,6 @@ class OracleView:
 
 
 Solver = Callable[[OracleView, HardnessPublicInfo], tuple[Contract, frozenset[int]]]
-
-
-def _pair_for_guess(pub: HardnessPublicInfo,
-                    guess: frozenset[int]) -> tuple[Contract, frozenset[int]]:
-    n, eps = pub.n, pub.eps
-    alpha = [ZERO] * (n + 1)
-    for i in guess:
-        alpha[i] = eps * eps
-    alpha[n] = pub.budget - Fraction(n, 2) * eps * eps
-    return Contract(tuple(alpha)), frozenset(guess) | {good_action(n)}
 
 
 def make_random_guess_solver(seed: int) -> Solver:
@@ -465,9 +449,9 @@ def adversary_experiment(solver: Solver, n: int, budget: Fraction,
         inst = build_hardness(params)
         pub = HardnessPublicInfo(
             n, budget, approx_target, eps,
-            unit_cost=eps ** 3,
-            bad_cost=Fraction(3, 2) * eps * budget,
-            good_cost=HALF * (budget - Fraction(n, 2) * eps * eps),
+            unit_cost=inst.cost_of[0],
+            bad_cost=inst.cost_of[bad_action(n)],
+            good_cost=inst.cost_of[good_action(n)],
             hidden=hidden if reveal_hidden else None)
         view = OracleView(inst.oracle, query_budget)
         exceeded = False

@@ -18,14 +18,16 @@ from budgetcontracts.core import (
     Contract,
     Instance,
     ModelError,
+    SchemaError,
     ZERO,
     cost,
+    descriptor_field,
     format_rational,
     parse_rational,
     restrict_contract,
 )
 from budgetcontracts.equilibria import min_incentivizing_contract
-from budgetcontracts.rewards import set_to_mask
+from budgetcontracts.rewards import set_to_mask, value_view
 
 
 @dataclass(frozen=True)
@@ -63,7 +65,7 @@ def evaluate(obj: Objective, inst: Instance, alpha: Contract,
              profile: Iterable[int], *,
              table: Optional[Sequence[Fraction]] = None) -> Fraction:
     s = frozenset(profile)
-    f_s = table[set_to_mask(s)] if table is not None else inst.oracle.value(s)
+    f_s = value_view(inst.oracle, table)[set_to_mask(s)]
     if obj.kind == "profit":
         return (1 - alpha.total()) * f_s
     if obj.kind == "reward":
@@ -155,8 +157,8 @@ def verify_best_properties(obj: Objective, inst: Instance, *,
         keep = max(1, sample_budget // len(profiles))
         contracts = rng.sample(contracts, min(keep, len(contracts)))
 
-    val = (lambda s: table[set_to_mask(s)]) if table is not None \
-        else (lambda s: inst.oracle.value(s))
+    f = value_view(inst.oracle, table)
+    val = lambda s: f[set_to_mask(s)]
     results: dict[str, tuple[bool, Optional[tuple]]] = {}
     checks = 0
 
@@ -211,14 +213,22 @@ def verify_best_properties(obj: Objective, inst: Instance, *,
 
 
 def objective_from_spec(spec: Mapping | str) -> Objective:
+    """A name, or a descriptor {"type": ...}; a combo lists its "terms" as
+    [weight, objective] pairs.  A descriptor of the wrong shape raises
+    ``SchemaError``."""
     if isinstance(spec, str):
         return Objective(spec)
+    if not isinstance(spec, Mapping):
+        raise SchemaError(f"objective descriptor must be an object, got {spec!r}")
     kind = spec.get("type")
     if kind in ("profit", "reward", "welfare"):
         return Objective(kind)
     if kind == "combo":
+        terms = descriptor_field(spec, "terms", list)
+        if not all(isinstance(t, list) and len(t) == 2 for t in terms):
+            raise SchemaError("combo descriptor terms must be [weight, objective] pairs")
         return Objective("combo", tuple(
-            (parse_rational(w), objective_from_spec(o)) for w, o in spec["terms"]))
+            (parse_rational(w), objective_from_spec(o)) for w, o in terms))
     raise ModelError(f"unknown objective descriptor: {kind!r}")
 
 

@@ -79,12 +79,10 @@ def set_to_mask(subset: Iterable[int]) -> int:
 
 def mask_to_set(mask: int) -> frozenset[int]:
     out = []
-    i = 0
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
+    while mask:  # one step per member, lowest bit first
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return frozenset(out)
 
 
@@ -170,6 +168,39 @@ def subset_sums(weights: Iterable[int]) -> list[int]:
     for w in weights:
         out += [v + w for v in out]
     return out
+
+
+def submasks(mask: int) -> list[int]:
+    """Every submask of ``mask``, in ascending order."""
+    return subset_sums([1 << a for a in range(mask.bit_length()) if mask >> a & 1])
+
+
+def submask_sums(mask: int, weights) -> dict[int, int | Fraction]:
+    """Each submask of ``mask`` with its total weight, in ascending order.
+
+    ``weights[a]`` is action a's weight; the empty submask sums to int 0.
+    """
+    return dict(zip(submasks(mask), subset_sums(
+        [weights[a] for a in range(mask.bit_length()) if mask >> a & 1])))
+
+
+class _QueriedValues:
+    """f indexed by bitmask, one value query per read."""
+
+    __slots__ = ("oracle",)
+
+    def __init__(self, oracle: "RewardOracle"):
+        self.oracle = oracle
+
+    def __getitem__(self, mask: int) -> Fraction:
+        return self.oracle.value(mask_to_set(mask))
+
+
+def value_view(oracle: "RewardOracle",
+               table: Optional[Sequence[Fraction]] = None):
+    """f indexed by bitmask: ``table`` itself when one is given, otherwise
+    a view on ``oracle`` that spends one value query on every read."""
+    return _QueriedValues(oracle) if table is None else table
 
 
 def _fractions(ints: list[int], den: int) -> list[Fraction]:
@@ -420,52 +451,18 @@ def brute_force_demand(oracle: RewardOracle, prices: PriceVector, *,
                        table: Optional[Sequence[Fraction]] = None) -> frozenset[int]:
     """Exact demand by enumerating all subsets of the purchasable items.
 
+    The exhaustive branch of :func:`demand_with_base` with an empty base.
     Ties break toward the lexicographically smallest sorted id sequence, so
     the empty set wins any tie it is part of.  When ``table`` (a full value
     table in bitmask order) is given, values come from it and no value
     queries are issued; otherwise each subset costs one value query.
     """
-    items = _check_prices(oracle, prices)
-    if len(items) > enum_cap:
-        raise GroundSetTooLargeError(f"{len(items)} items exceed cap {enum_cap}")
-    if table is not None:
-        return _demand_from_table(table, items, prices)
-    best_u = None
-    best_key: tuple[int, ...] = ()
-    best_set: frozenset[int] = frozenset()
-    for r in range(len(items) + 1):
-        for combo in itertools.combinations(items, r):
-            s = frozenset(combo)
-            u = oracle.value(s) - prices.total(s)
-            if best_u is None or u > best_u or (u == best_u and combo < best_key):
-                best_u, best_key, best_set = u, combo, s
-    return best_set
+    return demand_with_base(oracle, prices, (), gs=False, enum_cap=enum_cap,
+                            table=table)
 
 
-def _demand_from_table(table: Sequence[Fraction], items: list[int],
-                       prices: PriceVector) -> frozenset[int]:
-    umask = set_to_mask(items)
-    psum: dict[int, Fraction] = {0: ZERO}
-    best_u = table[0]
-    best_mask = 0
-    sub = umask
-    masks = []
-    while True:
-        masks.append(sub)
-        if sub == 0:
-            break
-        sub = (sub - 1) & umask
-    for mask in sorted(masks):
-        if mask:
-            low = mask & -mask
-            psum[mask] = psum[mask ^ low] + prices.prices[low.bit_length() - 1]
-        u = table[mask] - psum[mask]
-        if u > best_u or (u == best_u and _lex_key(mask) < _lex_key(best_mask)):
-            best_u, best_mask = u, mask
-    return mask_to_set(best_mask)
-
-
-def _lex_key(mask: int) -> tuple[int, ...]:
+def lex_key(mask: int) -> tuple[int, ...]:
+    """The sorted ids of a bitmask, for lexicographic tie-breaks."""
     return tuple(sorted(mask_to_set(mask)))
 
 
@@ -489,43 +486,44 @@ def demand_with_base(oracle: RewardOracle, prices: PriceVector,
 
     Maximizes f(X | base) - p(X) over X disjoint from base and returns
     base + X.  Greedy on the marginal function when the oracle is GS
-    (f(. | base) is then GS as well), brute force otherwise.  When some
+    (f(. | base) is then GS as well).  Otherwise exhaustive: f(base + X)
+    is read once per subset X, in ascending mask order, against price sums
+    filled by a subset DP, and ties break toward the lexicographically
+    smallest sorted X (the key is only built on a tie).  When some
     globally demanded set contains ``base`` this attains global demand
     utility; in every case the result contains ``base``.
     """
     base_set = frozenset(base)
     items = _check_prices(oracle, prices, base_set)
-    use_greedy = oracle.is_gs_class if gs is None else gs
-    val = lambda s: table[set_to_mask(s)] if table is not None else oracle.value(s)
-    if use_greedy:
-        chosen = set(base_set)
-        current = val(chosen)
+    f = value_view(oracle, table)
+    chosen = set_to_mask(base_set)
+    if oracle.is_gs_class if gs is None else gs:
+        current = f[chosen]
         while True:
             best_gain = ZERO
             best_item = None
             for a in items:
-                if a in chosen:
+                if chosen >> a & 1:
                     continue
-                gain = val(chosen | {a}) - current - prices.prices[a]
+                gain = f[chosen | 1 << a] - current - prices.prices[a]
                 if gain > best_gain:
                     best_gain, best_item = gain, a
             if best_item is None:
-                return frozenset(chosen)
-            chosen.add(best_item)
-            current = val(chosen)
+                return mask_to_set(chosen)
+            chosen |= 1 << best_item
+            current = f[chosen]
     if len(items) > enum_cap:
         raise GroundSetTooLargeError(f"{len(items)} items exceed cap {enum_cap}")
-    base_val = val(base_set)
-    best_u = ZERO
-    best_key: tuple[int, ...] = ()
-    best_set = base_set
-    for r in range(len(items) + 1):
-        for combo in itertools.combinations(items, r):
-            s = frozenset(combo)
-            u = val(base_set | s) - base_val - prices.total(s)
-            if u > best_u or (u == best_u and combo < best_key):
-                best_u, best_key, best_set = u, combo, base_set | s
-    return best_set
+    subs = submasks(set_to_mask(items))
+    psums = subset_sums([prices.prices[a] for a in items])
+    best_u = f[chosen]
+    best = 0
+    for k in range(1, len(subs)):
+        mask = subs[k]
+        u = f[chosen | mask] - psums[k]
+        if u > best_u or (u == best_u and lex_key(mask) < lex_key(best)):
+            best_u, best = u, mask
+    return mask_to_set(chosen | best)
 
 
 def value_table(oracle: RewardOracle, *, enum_cap: int = 20) -> list[Fraction]:

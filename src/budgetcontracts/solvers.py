@@ -32,12 +32,12 @@ from budgetcontracts.core import (
     cost,
     restrict_contract,
 )
-from budgetcontracts.equilibria import is_nash, min_incentivizing_contract, \
+from budgetcontracts.equilibria import is_nash, iter_min_contracts, \
     ne_from_demand
 from budgetcontracts.objectives import Objective, PROFIT, REWARD, evaluate
 from budgetcontracts.rewards import PriceVector, common_denominator, \
     demand_with_base, mask_to_set, scaled_ints, set_to_mask, subset_sums, \
-    value_table
+    value_table, value_view
 
 
 class NotAnEquilibriumError(ModelError):
@@ -62,112 +62,6 @@ def _maybe_table(inst: Instance, table, cap: int = 14):
     if inst.num_actions <= cap:
         return value_table(inst.oracle)
     return None
-
-
-def _submasks(mask: int) -> list[int]:
-    """Every submask of ``mask``, in ascending order."""
-    out = [0]
-    sub = 0
-    while sub != mask:
-        sub = (sub - mask) & mask
-        out.append(sub)
-    return out
-
-
-def iter_min_contracts(inst: Instance, table: Sequence[Fraction], *,
-                       within: Optional[int] = None,
-                       budget: Optional[Fraction] = None):
-    """Yield (profile mask, minimal incentivizing Contract) for every
-    incentivizable profile, in ascending mask order.
-
-    The one implementation of the minimal-contract algebra the solvers
-    share: the per-agent bounds of :func:`min_incentivizing_contract`, run
-    on integers over a common denominator so profile enumeration stays
-    cheap.  It falls back to that Fraction function, profile by profile,
-    only when the denominators do not fit.  ``within`` (a bitmask)
-    restricts the profiles to its submasks, still in ascending order; an
-    agent owning none of its actions is then unpaid and skipped, unless
-    one of its costs is negative.  ``budget`` prunes profiles whose
-    partial payment already exceeds it.
-    """
-    m = inst.num_actions
-    n = inst.num_agents
-    own_masks = [set_to_mask(inst.agent_actions[i]) for i in range(n)]
-    costs = [inst.cost_of[a] for a in range(m)]
-    if within is None:
-        profiles = reads = range(1 << m)
-        agents = range(n)
-    else:
-        profiles = _submasks(within)
-        # An agent with no action in ``within`` acts in no profile; if none
-        # of its costs is negative, every deviation only adds cost, so its
-        # bounds are lo = 0 <= hi: it is never paid and never blocks.
-        agents = [i for i in range(n) if own_masks[i] & within
-                  or any(costs[a] < 0 for a in inst.agent_actions[i])]
-        # the table entries read: profiles and the agents' deviations
-        reads = set(profiles).union(
-            *(_submasks(within | own_masks[i]) for i in agents))
-    values = {k: table[k] for k in reads}
-    den = common_denominator([*values.values(), *costs])
-    if den > 10 ** 24:  # unwieldy common denominator: generic path
-        for mask in profiles:
-            profile = mask_to_set(mask)
-            alpha = min_incentivizing_contract(inst, profile, table=table)
-            if alpha is None or (budget is not None and alpha.total() > budget):
-                continue
-            yield mask, alpha
-        return
-
-    f_int = dict(zip(values, scaled_ints(values.values(), den)))
-    c_int = scaled_ints(costs, den)
-    own_subs = [_submasks(om) for om in own_masks]
-    cost_int: list[dict[int, int]] = []
-    for subs in own_subs:
-        by_mask = {0: 0}
-        for sub in subs[1:]:  # ascending, so sub minus its low bit is known
-            low = sub & -sub
-            by_mask[sub] = by_mask[sub ^ low] + c_int[low.bit_length() - 1]
-        cost_int.append(by_mask)
-
-    for mask in profiles:
-        entries = [(0, 1)] * n
-        total_n, total_d = 0, 1  # the payment so far, kept off Fraction
-        feasible = True
-        f_s = f_int[mask]
-        for i in agents:
-            om = own_masks[i]
-            s_i = mask & om
-            rest = mask & ~om
-            c_i = cost_int[i][s_i]
-            lo_n, lo_d = 0, 1
-            hi = None  # (numerator, positive denominator)
-            for dev in own_subs[i]:
-                if dev == s_i:
-                    continue
-                df = f_s - f_int[rest | dev]
-                dc = c_i - cost_int[i][dev]
-                if df > 0:
-                    if dc > 0 and dc * lo_d > lo_n * df:
-                        lo_n, lo_d = dc, df
-                elif df == 0:
-                    if dc > 0:
-                        feasible = False
-                        break
-                else:
-                    cand = (-dc, -df)
-                    if hi is None or cand[0] * hi[1] < hi[0] * cand[1]:
-                        hi = cand
-            if not feasible or (hi is not None and lo_n * hi[1] > hi[0] * lo_d):
-                feasible = False
-                break
-            if budget is not None and lo_n:
-                total_n, total_d = total_n * lo_d + lo_n * total_d, total_d * lo_d
-                if total_n * budget.denominator > budget.numerator * total_d:
-                    feasible = False
-                    break
-            entries[i] = (lo_n, lo_d)
-        if feasible:
-            yield mask, Contract(tuple(Fraction(*e) for e in entries))
 
 
 def _full_table(inst: Instance, table, enum_cap: int) -> Sequence[Fraction]:
@@ -385,27 +279,23 @@ def build_dp_table(inst: Instance, basis: str, b: Fraction, eps: Fraction, *,
     m = inst.num_actions
     delta = eps / m
     step = delta * b
-
-    def singleton(a: int) -> Fraction:
-        if table is not None:
-            return table[1 << a]
-        return inst.oracle.value(frozenset({a}))
+    f = value_view(inst.oracle, table)  # singletons, read per use
 
     agent_order: list[tuple[int, ...]] = []
     prefix_ratio: list[list[Fraction]] = []
     prefix_weight: list[list[int]] = []
     for i in range(n):
-        kept = [a for a in sorted(inst.agent_actions[i]) if singleton(a) > 0]
-        kept.sort(key=lambda a: (inst.cost_of[a] / singleton(a), a))
+        kept = [a for a in sorted(inst.agent_actions[i]) if f[1 << a] > 0]
+        kept.sort(key=lambda a: (inst.cost_of[a] / f[1 << a], a))
         if budget is not None:
-            kept = [a for a in kept if inst.cost_of[a] / singleton(a) <= budget]
+            kept = [a for a in kept if inst.cost_of[a] / f[1 << a] <= budget]
         agent_order.append(tuple(kept))
         ratios = [ZERO]
         weights = [0]
         acc = 0
         for a in kept:
-            ratios.append(inst.cost_of[a] / singleton(a))
-            phi = singleton(a) - inst.cost_of[a] if basis == "f-c" else singleton(a)
+            ratios.append(inst.cost_of[a] / f[1 << a])
+            phi = f[1 << a] - inst.cost_of[a] if basis == "f-c" else f[1 << a]
             acc += math.floor(phi / step)
             weights.append(acc)
         prefix_ratio.append(ratios)
@@ -475,15 +365,11 @@ def additive_fptas(inst: Instance, budget: Fraction, eps: Fraction,
     before = (inst.oracle.value_queries, inst.oracle.demand_queries)
     table = _maybe_table(inst, table)
     basis = "f-c" if obj.kind == "welfare" else "f"
-
-    def singleton(a: int) -> Fraction:
-        if table is not None:
-            return table[1 << a]
-        return inst.oracle.value(frozenset({a}))
+    f = value_view(inst.oracle, table)
 
     candidates = set()
     for a in range(inst.num_actions):
-        f_a = singleton(a)
+        f_a = f[1 << a]
         if f_a <= 0:
             continue
         b = f_a - inst.cost_of[a] if basis == "f-c" else f_a
@@ -602,18 +488,15 @@ def single_agent_fptas(inst: Instance, budget: Fraction, eps: Fraction, *,
     if table is None:
         table = value_table(inst.oracle)
 
-    full = frozenset(range(m))
     if all(inst.cost_of[a] == 0 for a in range(m)):
-        v = table[set_to_mask(full)]
         vq, dq = _count_queries(inst, before)
-        return SolveResult(Contract.of([ZERO]), full, v, "exact", "profit",
-                           budget, vq, dq)
+        return SolveResult(Contract.of([ZERO]), frozenset(range(m)), table[-1],
+                           "exact", "profit", budget, vq, dq)
     if budget == 0:
-        free = frozenset(a for a in range(m) if inst.cost_of[a] == 0)
-        v = table[set_to_mask(free)]
+        free = set_to_mask(a for a in range(m) if inst.cost_of[a] == 0)
         vq, dq = _count_queries(inst, before)
-        return SolveResult(Contract.zero(1), free, v, "exact", "profit",
-                           budget, vq, dq)
+        return SolveResult(Contract.zero(1), mask_to_set(free), table[free],
+                           "exact", "profit", budget, vq, dq)
 
     hull, breaks = _upper_envelope(_single_agent_lines(inst, table))
 
@@ -623,8 +506,8 @@ def single_agent_fptas(inst: Instance, budget: Fraction, eps: Fraction, *,
         return mask_to_set(mask), table[mask]
 
     # S-dagger maximizes B*f - c; among ties the larger f also maximizes f-c
-    s_dagger, _ = best_response_at(budget)
-    sw = table[set_to_mask(s_dagger)] - cost(inst, s_dagger)
+    s_dagger, f_dagger = best_response_at(budget)
+    sw = f_dagger - cost(inst, s_dagger)
     if sw <= 0:
         vq, dq = _count_queries(inst, before)
         return SolveResult(Contract.zero(1), frozenset(), ZERO, "exact",
@@ -690,15 +573,14 @@ def downsize(inst: Instance, m_param: int, alpha: Contract,
     p = alpha.total()
     if p == 0:
         return alpha, s
-    val = (lambda sub: table[set_to_mask(sub)]) if table is not None \
-        else (lambda sub: inst.oracle.value(sub))
-    f_s = val(s)
+    f = value_view(inst.oracle, table)
+    f_s = f[set_to_mask(s)]
     threshold = p / m_param
     share = f_s / (m_param - 1)
     big = [i for i in range(inst.num_agents) if alpha[i] > threshold]
     for i in big:
         s_i = s & inst.agent_actions[i]
-        if val(s_i) >= share:
+        if f[set_to_mask(s_i)] >= share:
             prices = PriceVector(
                 {a: inst.cost_of[a] / alpha[i] for a in inst.agent_actions[i]},
                 excluded=inst.ground_set - inst.agent_actions[i])
@@ -723,7 +605,7 @@ def downsize(inst: Instance, m_param: int, alpha: Contract,
             agent = pool.pop(0)
             group.append(agent)
             total += alpha[agent]
-        if val(group_actions(group)) >= share:
+        if f[set_to_mask(group_actions(group))] >= share:
             survivors = group
             break
     epsilon = p / (inst.num_agents * m_param)

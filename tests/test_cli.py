@@ -418,3 +418,157 @@ def test_python_m_runs_the_cli():
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage: budgetcontracts")
+
+
+# -- golden outputs of the other subcommands and the experiment scripts ---------
+
+# (case id, command lines run in order, files they write); "{dir}" stands
+# for the case's scratch directory.  Commands starting with "scripts/" run
+# as a separate Python process; only their files are pinned, because their
+# stdout names the output path.
+GOLDEN_RUNS = [
+    ("gs-unit-demand-profit",
+     [["solve", "--instance", "gen:unit_demand:seed=11,agents=3,actions=7",
+       "--budget", "1/2", "--objective", "profit"]], []),
+    ("gs-oxs-reward-csv",
+     [["solve", "--instance", "gen:oxs:seed=7,agents=4,actions=7",
+       "--budget", "3/4", "--objective", "reward", "--csv"]], []),
+    ("gs-uniform-k-welfare",
+     [["solve", "--instance", "gen:uniform_k:seed=7,agents=3,actions=6",
+       "--budget", "1/2", "--objective", "welfare"]], []),
+    ("additive-m12-profit",
+     [["solve", "--instance", "gen:additive:seed=3,agents=3,actions=12",
+       "--budget", "1/2", "--objective", "profit"]], []),
+    ("additive-m14-welfare-csv",
+     [["solve", "--instance", "gen:additive:seed=6,agents=4,actions=14",
+       "--budget", "1/2", "--objective", "welfare", "--csv"]], []),
+    ("additive-m16-profit",
+     [["solve", "--instance", "gen:additive:seed=5,agents=2,actions=16",
+       "--budget", "1/2", "--objective", "profit"]], []),
+    ("additive-m16-reward-csv",
+     [["solve", "--instance", "gen:additive:seed=5,agents=2,actions=16",
+       "--budget", "1/2", "--objective", "reward", "--csv"]], []),
+    ("downsize-gs-oxs",
+     [["brute", "--instance", "gen:oxs:seed=7,agents=4,actions=7",
+       "--budget", "3/4", "--objective", "reward", "--out", "{dir}/pair.json"],
+      ["downsize", "--instance", "gen:oxs:seed=7,agents=4,actions=7",
+       "--pair", "{dir}/pair.json", "--m-param", "3"]], ["pair.json"]),
+    ("downsize-gs-unit-demand",
+     [["brute", "--instance", "gen:unit_demand:seed=4,agents=4,actions=8",
+       "--budget", "1", "--objective", "reward", "--out", "{dir}/pair.json"],
+      ["downsize", "--instance", "gen:unit_demand:seed=4,agents=4,actions=8",
+       "--pair", "{dir}/pair.json"]], ["pair.json"]),
+    ("downsize-coverage",
+     [["brute", "--instance", "gen:coverage:seed=11,agents=4,actions=7",
+       "--budget", "3/4", "--objective", "reward", "--out", "{dir}/pair.json"],
+      ["downsize", "--instance", "gen:coverage:seed=11,agents=4,actions=7",
+       "--pair", "{dir}/pair.json", "--m-param", "3",
+       "--out", "{dir}/down.json"]], ["pair.json", "down.json"]),
+    ("verify-ne-out",
+     [["brute", "--instance", "gen:coverage:seed=11,agents=4,actions=7",
+       "--budget", "3/4", "--objective", "reward", "--out", "{dir}/pair.json"],
+      ["verify-ne", "--instance", "gen:coverage:seed=11,agents=4,actions=7",
+       "--pair", "{dir}/pair.json", "--out", "{dir}/ne.json"],
+      ["verify-ne", "--instance", "gen:coverage:seed=12,agents=4,actions=7",
+       "--pair", "{dir}/pair.json", "--out", "{dir}/ne12.json"]],
+     ["ne.json", "ne12.json"]),
+    ("verify-best",
+     [["verify-best", "--instance", "gen:additive:seed=2,agents=2,actions=4",
+       "--objective", "welfare", "--denominator", "4"],
+      ["verify-best", "--instance", "gen:coverage:seed=3,agents=2,actions=4",
+       "--objective", "profit", "--denominator", "4", "--sample-budget",
+       "400", "--seed", "5"]], []),
+    ("gap-report-good-pair",
+     [["gap-report", "--n", "6", "--budget", "1/2", "--seed", "4",
+       "--emit-good-pair", "{dir}/good.json"]], ["good.json"]),
+    ("hardness-experiment",
+     [["hardness-experiment", "--n", "6", "--budget", "1/3", "--trials", "6",
+       "--query-budget", "40", "--seed", "2", "--out", "{dir}/exp.csv",
+       "--summary", "{dir}/summary.json"]], ["exp.csv", "summary.json"]),
+    ("script-approximation-sweep",
+     [["scripts/run_approximation_sweep.py", "--instances", "2",
+       "--out", "{dir}/sweep.csv"]], ["sweep.csv"]),
+    ("script-reduction-report",
+     [["scripts/run_reduction_report.py", "--instances", "2",
+       "--out", "{dir}/reduction.csv"]], ["reduction.csv"]),
+    ("script-hardness-experiment",
+     [["scripts/run_hardness_experiment.py", "--trials", "5",
+       "--out-dir", "{dir}"]],
+     [f"{kind}_n{n}.{ext}" for n in (4, 6, 8)
+      for kind, ext in (("experiment", "csv"), ("summary", "json"))]),
+]
+REPO = Path(__file__).resolve().parent.parent
+
+
+def golden_run(case, directory: Path) -> dict:
+    """The stdout and written files of one golden run, made in ``directory``."""
+    _, commands, files = case
+    stdout = io.StringIO()
+    for command in commands:
+        argv = [arg.replace("{dir}", str(directory)) for arg in command]
+        if argv[0].startswith("scripts/"):
+            env = dict(os.environ)
+            env["PYTHONPATH"] = os.pathsep.join(
+                [str(REPO / "src")]
+                + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+            proc = subprocess.run([sys.executable, str(REPO / argv[0]), *argv[1:]],
+                                  capture_output=True, text=True, env=env,
+                                  timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            continue
+        with contextlib.redirect_stdout(stdout):
+            assert main(argv) == 0, argv
+    return {"stdout": stdout.getvalue(),
+            "files": {name: (directory / name).read_text() for name in files}}
+
+
+@pytest.mark.parametrize("case", GOLDEN_RUNS, ids=[c[0] for c in GOLDEN_RUNS])
+def test_cli_run_output_is_pinned(case, tmp_path):
+    expected = json.loads(GOLDEN_PATH.read_text())[case[0]]
+    assert golden_run(case, tmp_path) == expected
+
+
+# -- malformed pair documents and other argv/JSON inputs ------------------------
+
+PAIR_INSTANCE = "gen:additive:seed=1,agents=2,actions=3"
+
+
+@pytest.mark.parametrize("text", [
+    json.dumps({"contract": ["1/2"], "profile": [0]}),
+    json.dumps({"contract": ["0", "0", "1/4"], "profile": [0]}),
+    json.dumps({"contract": ["0", "0"], "profile": ["x"]}),
+    "{not json",
+    json.dumps({"contract": "1/2", "profile": [0]}),
+    json.dumps({"contract": ["0", "1/4"], "profile": 0}),
+    json.dumps({"contract": ["0", "1/4"], "profile": [1, 7]}),
+], ids=["contract-short", "contract-long", "profile-string-id", "not-json",
+        "contract-string", "profile-not-list", "profile-outside-ground-set"])
+def test_cli_malformed_pair_is_schema_error(text, tmp_path, capsys):
+    pair_path = tmp_path / "pair.json"
+    pair_path.write_text(text)
+    for command in ("verify-ne", "downsize"):
+        assert main([command, "--instance", PAIR_INSTANCE,
+                     "--pair", str(pair_path)]) == 1
+        assert _error_type(capsys) == "SchemaError"
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--instance", "gen:additive:seed=x", "--budget", "1/2"],
+    ["solve", "--instance", "gen:additive:seed=1,agents=0", "--budget", "1/2"],
+    ["solve", "--instance", "gen:additive:seed=1,actions=0", "--budget", "1/2"],
+    ["solve", "--instance", PAIR_INSTANCE, "--budget", "1/2",
+     "--objective", "{bad"],
+    ["solve", "--instance", PAIR_INSTANCE, "--budget", "1/2",
+     "--objective", '{"type": "combo"}'],
+    ["solve", "--instance", PAIR_INSTANCE, "--budget", "1/2",
+     "--objective", '{"type": "combo", "terms": 5}'],
+    ["solve", "--instance", PAIR_INSTANCE, "--budget", "1/2",
+     "--objective", '{"type": "combo", "terms": [["1", 5]]}'],
+    ["gap-report", "--n", "4", "--hidden", "0,x"],
+], ids=["generator-seed-string", "generator-zero-agents",
+        "generator-zero-actions", "objective-not-json", "combo-without-terms",
+        "combo-terms-number", "combo-term-objective-number",
+        "gap-report-hidden-string"])
+def test_cli_malformed_argument_is_schema_error(argv, capsys):
+    assert main(argv) == 1
+    assert _error_type(capsys) == "SchemaError"

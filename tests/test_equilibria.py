@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 from fractions import Fraction as F
@@ -5,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from budgetcontracts.core import Action, Contract, GeneralContract, Instance, \
-    restrict_contract
+    cost, restrict_contract
 from budgetcontracts.equilibria import (
     agent_utility,
     best_response,
@@ -358,3 +359,135 @@ def test_agent_utility_formula(hardness4):
     alpha, profile = good_contract(params)
     u = agent_utility(inst, alpha, profile, 4)
     assert u == alpha[4] * inst.oracle.value(profile) - inst.cost_of[good_action(4)]
+
+
+# -- the shared deviation walk against the per-checker loops it replaced ----------
+
+
+def _ordered_subsets(items):
+    """The subsets of sorted ``items`` in the order the checkers walked them."""
+    items = sorted(items)
+    for mask in range(1 << len(items)):
+        yield frozenset(items[b] for b in range(len(items)) if mask >> b & 1)
+
+
+def _reference_is_nash(inst, alpha, s, val):
+    utilities, best_devs, violator = [], [], None
+    for i in range(inst.num_agents):
+        s_i = s & inst.agent_actions[i]
+        u_i = alpha[i] * val(s) - cost(inst, s_i)
+        best_u, best_set = None, frozenset()
+        for dev in _ordered_subsets(inst.agent_actions[i]):
+            u = alpha[i] * val(dev | (s - s_i)) - cost(inst, dev)
+            if best_u is None or u > best_u:
+                best_u, best_set = u, dev
+        utilities.append(u_i)
+        best_devs.append((best_set, best_u))
+        if best_u > u_i and violator is None:
+            violator = i
+    return violator is None, s, tuple(utilities), tuple(best_devs), violator
+
+
+def _reference_is_subset_stable(inst, alpha, s, val):
+    for i in range(inst.num_agents):
+        s_i = s & inst.agent_actions[i]
+        u_i = alpha[i] * val(s) - cost(inst, s_i)
+        for dev in _ordered_subsets(s_i):
+            if alpha[i] * val(dev | (s - s_i)) - cost(inst, dev) > u_i:
+                return False, (i, dev)
+    return True, None
+
+
+def _reference_is_nash_general(inst, contract, s, val):
+    for i in range(inst.num_agents):
+        t0, t1 = contract.pay_on_failure[i], contract.pay_on_success[i]
+        s_i = s & inst.agent_actions[i]
+
+        def utility(dev):
+            f = val(dev | (s - s_i))
+            return t1 * f + t0 * (1 - f) - cost(inst, dev)
+
+        u_i = utility(s_i)
+        for dev in _ordered_subsets(inst.agent_actions[i]):
+            if utility(dev) > u_i:
+                return False
+    return True
+
+
+def _reference_best_response(inst, agent, alpha_i, s_other, val):
+    if alpha_i == 0:
+        return frozenset()
+    best = None
+    for dev in _ordered_subsets(inst.agent_actions[agent]):
+        f_full = val(dev | s_other)
+        rank = (alpha_i * f_full - cost(inst, dev), f_full)
+        key = tuple(sorted(dev))
+        if best is None or rank > best[0] or (rank == best[0] and key < best[1]):
+            best = (rank, key, dev)
+    return best[2]
+
+
+def _walk_cases(seed, count, max_actions):
+    rng = random.Random(seed)
+    for _ in range(count):
+        inst = random_gs_instance(rng.randint(0, 10 ** 6),
+                                  num_agents=rng.randint(1, 3),
+                                  num_actions=rng.randint(2, max_actions))
+        general = random_general_contract(rng.randint(0, 10 ** 6), inst.num_agents)
+        alpha = Contract(tuple(F(rng.randint(0, 4), 8)
+                               for _ in range(inst.num_agents)))
+        yield inst, alpha, general
+
+
+def _checker_pairs(inst, alpha, general, s, table):
+    """(new call, reference call) for each checker on profile ``s``."""
+    val = inst.oracle.value if table is None else \
+        (lambda sub: table[sum(1 << a for a in sub)])
+    pairs = [
+        (lambda: _cert_tuple(is_nash(inst, alpha, s, table=table)),
+         lambda: _reference_is_nash(inst, alpha, s, val)),
+        (lambda: is_subset_stable(inst, alpha, s, table=table),
+         lambda: _reference_is_subset_stable(inst, alpha, s, val)),
+        (lambda: is_nash_general(inst, general, s, table=table),
+         lambda: _reference_is_nash_general(inst, general, s, val)),
+    ]
+    for i in range(inst.num_agents):
+        rest = s - inst.agent_actions[i]
+        pairs.append((
+            lambda i=i, rest=rest: best_response(inst, i, alpha[i], rest,
+                                                 gs=False, table=table),
+            lambda i=i, rest=rest: _reference_best_response(inst, i, alpha[i],
+                                                            rest, val)))
+    return pairs
+
+
+def _cert_tuple(cert):
+    return cert.ok, cert.profile, cert.utilities, cert.best_deviations, cert.violator
+
+
+def test_deviation_walk_matches_the_reference_loops():
+    outcomes = collections.Counter()
+    for inst, alpha, general in _walk_cases(71, 16, 5):
+        table = value_table(inst.oracle)
+        for s in all_subsets(range(inst.num_actions)):
+            answers = []
+            for new, reference in _checker_pairs(inst, alpha, general, s, table):
+                answers.append(new())
+                assert answers[-1] == reference()
+            outcomes[answers[0][0], answers[1][0], answers[2]] += 1
+    assert len(outcomes) >= 4  # the checkers answer both ways
+
+
+def test_deviation_walk_reads_like_the_reference_loops():
+    # without a table every read is one value query, and the early stops of
+    # is_subset_stable and is_nash_general spare the same reads as before
+    for inst, alpha, general in _walk_cases(73, 12, 5):
+        oracle = inst.oracle
+        for s in all_subsets(range(inst.num_actions)):
+            for new, reference in _checker_pairs(inst, alpha, general, s, None):
+                before = oracle.value_queries
+                expected = reference()
+                spent = oracle.value_queries - before
+                before = oracle.value_queries
+                assert new() == expected
+                assert oracle.value_queries - before == spent

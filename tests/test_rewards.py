@@ -284,6 +284,123 @@ def test_demand_with_base_brute_cross_check():
             table[sum(1 << a for a in brute)] - paid(brute)
 
 
+def _reference_brute_demand(oracle, prices, table=None):
+    """brute_force_demand as two loops, before they became one: per-subset
+    value queries over combinations, or the table loop with low-bit price
+    sums."""
+    items = [a for a in range(oracle.num_actions) if a not in prices.excluded]
+    if table is not None:
+        return _reference_demand_from_table(table, items, prices)
+    best_u, best_key, best_set = None, (), frozenset()
+    for r in range(len(items) + 1):
+        for combo in itertools.combinations(items, r):
+            s = frozenset(combo)
+            u = oracle.value(s) - prices.total(s)
+            if best_u is None or u > best_u or (u == best_u and combo < best_key):
+                best_u, best_key, best_set = u, combo, s
+    return best_set
+
+
+def _reference_demand_from_table(table, items, prices):
+    umask = sum(1 << a for a in items)
+    key = lambda mask: tuple(sorted(mask_to_set(mask)))
+    psum = {0: F(0)}
+    best_u, best_mask = table[0], 0
+    for mask in sorted(m for m in range(umask + 1) if m & ~umask == 0):
+        if mask:
+            low = mask & -mask
+            psum[mask] = psum[mask ^ low] + prices.prices[low.bit_length() - 1]
+        u = table[mask] - psum[mask]
+        if u > best_u or (u == best_u and key(mask) < key(best_mask)):
+            best_u, best_mask = u, mask
+    return mask_to_set(best_mask)
+
+
+def _reference_based_demand(oracle, prices, base, table=None):
+    """The exhaustive branch of demand_with_base before it shared the demand
+    loop: f(base) read once more, then every X over combinations."""
+    if table is None:
+        val = oracle.value
+    else:
+        val = lambda s: table[sum(1 << a for a in s)]
+    items = [a for a in range(oracle.num_actions)
+             if a not in prices.excluded and a not in base]
+    base_val = val(base)
+    best_u, best_key, best_set = F(0), (), base
+    for r in range(len(items) + 1):
+        for combo in itertools.combinations(items, r):
+            s = frozenset(combo)
+            u = val(base | s) - base_val - prices.total(s)
+            if u > best_u or (u == best_u and combo < best_key):
+                best_u, best_key, best_set = u, combo, base | s
+    return best_set
+
+
+def _demand_cases():
+    """(oracle, prices, base) on random GS and non-GS oracles: negative
+    prices, excluded actions, nonempty bases, and prices equal to singleton
+    values or zero so that ties occur."""
+    rng = random.Random(61)
+    makers = (random_additive_instance, random_unit_demand_instance,
+              random_uniform_k_instance, random_oxs_instance,
+              random_coverage_instance, random_explicit_monotone_instance)
+    for t in range(72):
+        if t % 12 == 11:
+            oracle = hardness_oracle(4, hidden=rng.sample(range(4), 2))
+        else:
+            oracle = makers[t % 6](rng.randint(0, 10 ** 6), 1,
+                                   rng.randint(2, 7)).oracle
+        m = oracle.num_actions
+        base = frozenset(a for a in range(m) if t % 3 and rng.random() < 0.25)
+        excluded = frozenset(a for a in range(m)
+                             if a not in base and rng.random() < 0.2)
+        prices = {}
+        for a in range(m):
+            if a in excluded or (a in base and rng.random() < 0.5):
+                continue
+            kind = rng.randrange(4)
+            if kind == 0:
+                prices[a] = F(rng.randint(-8, 40), 64)
+            elif kind == 1:
+                prices[a] = oracle._value(frozenset({a}))
+            else:
+                prices[a] = F(kind - 2)  # 0 or 1
+        yield oracle, PriceVector(prices, excluded), base
+
+
+def test_demand_loop_matches_the_reference_loops():
+    ties = 0
+    for oracle, prices, base in _demand_cases():
+        table = value_table(oracle)
+        plain = PriceVector({a: p for a, p in prices.prices.items()},
+                            prices.excluded | base)
+        utilities = sorted(
+            table[sum(1 << a for a in s)] - prices.total(s - base)
+            for s in all_subsets(oracle.num_actions)
+            if not s & prices.excluded and base <= s)
+        ties += utilities[-1] == utilities[-2] if len(utilities) > 1 else 0
+        for tab in (table, None):
+            before = oracle.value_queries
+            expected = _reference_brute_demand(oracle, plain, tab)
+            spent = oracle.value_queries - before
+            before = oracle.value_queries
+            assert brute_force_demand(oracle, plain, table=tab) == expected
+            assert oracle.value_queries - before == spent
+            assert spent == (0 if tab else 1 << (oracle.num_actions
+                                                  - len(plain.excluded)))
+
+            before = oracle.value_queries
+            expected = _reference_based_demand(oracle, prices, base, tab)
+            spent = oracle.value_queries - before
+            before = oracle.value_queries
+            assert demand_with_base(oracle, prices, base, gs=False,
+                                    table=tab) == expected
+            # the shared loop no longer reads f(base) on its own
+            assert oracle.value_queries - before == (spent - 1 if tab is None
+                                                     else 0)
+    assert ties >= 20
+
+
 # -- membership testers --------------------------------------------------------
 
 

@@ -4,7 +4,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from budgetcontracts.core import Action, Contract, Instance, ModelError, cost
+from budgetcontracts.core import Action, Contract, GroundSetTooLargeError, \
+    Instance, ModelError, cost
 from budgetcontracts.equilibria import best_response, is_nash, \
     min_incentivizing_contract, ne_from_demand
 from budgetcontracts.generators import random_additive_instance, \
@@ -12,8 +13,8 @@ from budgetcontracts.generators import random_additive_instance, \
     random_unit_demand_instance
 from budgetcontracts.hardness import HardnessParams, build_hardness, good_action
 from budgetcontracts.objectives import PROFIT, REWARD, WELFARE, evaluate
-from budgetcontracts.rewards import AdditiveOracle, ExplicitOracle, mask_to_set, \
-    set_to_mask, value_table
+from budgetcontracts.rewards import AdditiveOracle, ExplicitOracle, \
+    common_denominator, mask_to_set, set_to_mask, value_table
 from budgetcontracts.solvers import (
     NotAnEquilibriumError,
     additive_fptas,
@@ -62,10 +63,46 @@ def test_brute_force_hardness_profit_floor():
     assert good_action(4) in r.profile
 
 
-def test_fast_contract_enumeration_matches_generic_operation():
-    from budgetcontracts.rewards import mask_to_set
-    from budgetcontracts.solvers import iter_min_contracts
+def _reference_min_contract(inst, profile, *, enum_cap=20, table=None):
+    """The Fraction loop min_incentivizing_contract ran before the
+    minimal-contract algebra was shared with iter_min_contracts: f read per
+    deviation of each agent's sorted actions, bounds as Fraction ratios."""
+    s = frozenset(profile)
+    if table is None:
+        val = inst.oracle.value
+    else:
+        val = lambda sub: table[set_to_mask(sub)]
+    f_s = val(s)
+    entries = []
+    for i in range(inst.num_agents):
+        own = sorted(inst.agent_actions[i])
+        if len(own) > enum_cap:
+            raise GroundSetTooLargeError(f"agent {i} has {len(own)} actions")
+        s_i = s & inst.agent_actions[i]
+        s_other = s - s_i
+        c_i = cost(inst, s_i)
+        lo = F(0)
+        hi = None
+        for mask in range(1 << len(own)):
+            dev = frozenset(own[b] for b in range(len(own)) if mask >> b & 1)
+            if dev == s_i:
+                continue
+            delta_f = f_s - val(dev | s_other)
+            delta_c = c_i - cost(inst, dev)
+            if delta_f > 0:
+                lo = max(lo, delta_c / delta_f)
+            elif delta_f == 0:
+                if delta_c > 0:
+                    return None
+            elif hi is None or delta_c / delta_f < hi:
+                hi = delta_c / delta_f
+        if hi is not None and lo > hi:
+            return None
+        entries.append(lo)
+    return Contract(tuple(entries))
 
+
+def test_fast_contract_enumeration_matches_generic_operation():
     rng = random.Random(0)
     for t in range(25):
         if t % 2:
@@ -79,12 +116,57 @@ def test_fast_contract_enumeration_matches_generic_operation():
         table = value_table(inst.oracle)
         fast = dict(iter_min_contracts(inst, table))
         for mask in range(1 << inst.num_actions):
-            generic = min_incentivizing_contract(inst, mask_to_set(mask),
-                                                 table=table)
+            profile = mask_to_set(mask)
+            generic = _reference_min_contract(inst, profile, table=table)
+            assert min_incentivizing_contract(inst, profile,
+                                              table=table) == generic
             if generic is None:
                 assert mask not in fast
             else:
                 assert fast[mask] == generic
+
+
+def test_min_contract_algebra_past_a_huge_common_denominator():
+    # values and costs over distinct primes near 10**9: the integer path
+    # runs over a common denominator above 10**24
+    primes = (1000000007, 1000000009, 1000000021, 1000000033, 998244353)
+    weights = [F(p // 5 + k, 8 * p) for k, p in enumerate(primes[:4])]
+    costs = [F(k + 1, 9 * p) for k, p in enumerate(reversed(primes))]
+    owners = (0, 1, 0, 1, 2)
+    inst = Instance(3, tuple(Action(a, owners[a], costs[a]) for a in range(5)),
+                    AdditiveOracle(weights + [F(1, primes[4])]))
+    table = value_table(inst.oracle)
+    assert common_denominator([*table, *costs]) > 10 ** 24
+    for budget in (None, F(1, 1000), F(1, 2)):
+        got = list(iter_min_contracts(inst, table, budget=budget))
+        expected = []
+        for mask in range(1 << 5):
+            alpha = _reference_min_contract(inst, mask_to_set(mask), table=table)
+            assert min_incentivizing_contract(inst, mask_to_set(mask),
+                                              table=table) == alpha
+            if alpha is not None and (budget is None or alpha.total() <= budget):
+                expected.append((mask, alpha))
+        assert got == expected
+    assert any(alpha.total() > 0 for _, alpha in got)
+
+
+def test_min_contract_without_table_reads_like_the_reference():
+    rng = random.Random(3)
+    infeasible = 0
+    for t in range(12):
+        maker = random_gs_instance if t % 2 else random_explicit_monotone_instance
+        inst = maker(rng.randint(0, 10 ** 6), num_agents=rng.randint(1, 3),
+                     num_actions=rng.randint(2, 5))
+        for mask in range(1 << inst.num_actions):
+            profile = mask_to_set(mask)
+            before = inst.oracle.value_queries
+            expected = _reference_min_contract(inst, profile)
+            spent = inst.oracle.value_queries - before
+            before = inst.oracle.value_queries
+            assert min_incentivizing_contract(inst, profile) == expected
+            assert inst.oracle.value_queries - before == spent
+            infeasible += expected is None
+    assert infeasible > 0  # early stops are compared too
 
 
 def test_brute_force_output_is_feasible_equilibrium():
@@ -521,13 +603,13 @@ def test_gs_single_agent_matches_brute_when_alone():
 def _reference_single_agent(inst, agent, obj, budget, table):
     """The Fraction loop gs_single_agent_exact ran before it enumerated
     through iter_min_contracts: every subset of the agent's sorted actions
-    priced by min_incentivizing_contract, the first strict maximizer kept."""
+    priced by _reference_min_contract, the first strict maximizer kept."""
     own = sorted(inst.agent_actions[agent])
     best = Contract.zero(inst.num_agents), frozenset()
     best_value = evaluate(obj, inst, *best, table=table)
     for mask in range(1 << len(own)):
         profile = frozenset(own[b] for b in range(len(own)) if mask & (1 << b))
-        alpha = min_incentivizing_contract(inst, profile, table=table)
+        alpha = _reference_min_contract(inst, profile, table=table)
         if alpha is None or alpha[agent] > budget:
             continue
         v = evaluate(obj, inst, alpha, profile, table=table)
@@ -569,8 +651,8 @@ def test_restricted_contract_enumeration_matches_generic_operation():
             for mask in range(1 << m):
                 if mask & ~within:
                     continue
-                alpha = min_incentivizing_contract(inst, mask_to_set(mask),
-                                                   table=table)
+                alpha = _reference_min_contract(inst, mask_to_set(mask),
+                                                table=table)
                 if alpha is not None and (budget is None
                                           or alpha.total() <= budget):
                     expected.append((mask, alpha))
