@@ -15,6 +15,7 @@ Identical (config, seed) pairs produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -458,7 +459,12 @@ def _cmd_gap_report(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process.
+
+    Parsing leaves it unchanged: no option appends to a shared default.
+    """
     parser = argparse.ArgumentParser(
         prog="budgetcontracts",
         description="Budgeted multi-agent combinatorial contract solvers")

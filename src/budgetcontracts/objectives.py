@@ -27,7 +27,7 @@ from budgetcontracts.core import (
     restrict_contract,
 )
 from budgetcontracts.equilibria import min_incentivizing_contract
-from budgetcontracts.rewards import set_to_mask, value_view
+from budgetcontracts.rewards import set_to_mask, value_table, value_view
 
 
 @dataclass(frozen=True)
@@ -131,12 +131,18 @@ def verify_best_properties(obj: Objective, inst: Instance, *,
 
     ``sample_budget`` caps the number of (contract, profile) pairs; beyond
     it the contract pool is subsampled deterministically.  The profit
-    property set assumes a subadditive f.
+    property set assumes a subadditive f.  Without ``table``, one value
+    table is filled (2^m value queries) once the arguments pass their
+    checks, and every read of f goes through it.
     """
     n = inst.num_agents
     m = inst.num_actions
     if m > 12:
         raise ModelError("verification grid needs at most 12 actions")
+    if denominator < 1:
+        raise ModelError(f"grid denominator must be >= 1, got {denominator}")
+    if table is None:
+        table = value_table(inst.oracle)
     profiles = [frozenset(c) for r in range(m + 1)
                 for c in itertools.combinations(range(m), r)]
     step = Fraction(1, denominator)

@@ -16,7 +16,7 @@ and the certified constant accounts for that.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -199,11 +199,13 @@ class DpTable:
     ``basis`` is "f" (reward) or "f-c" (welfare); x ranges over integer
     multiples t * delta * b for t = 0..t_max.  Payments are stored as
     integers over the common denominator ``den`` (exact; the hot loop stays
-    on machine integers).  Each row is nondecreasing in t and its reachable
-    columns form a prefix, so ``scaled_payments[j]`` keeps only that prefix:
-    a column past the end of a row is unreachable, never a large sentinel
-    number.  When the table is built with a budget, every row is also cut
-    after its last entry within the budget.  Nothing records the choices:
+    on machine integers).  Each row is a nondecreasing step function of t
+    whose reachable columns form a prefix, so row j is stored as its steps:
+    ``starts[j]`` ascend from 0, ``scaled_payments[j]`` holds one payment
+    per step, strictly increasing, and the row is defined on columns below
+    ``ends[j]`` (exclusive).  A column at or past the end is unreachable.
+    When the table is built with a budget, every row ends before its first
+    step that exceeds the budget.  Nothing records the choices:
     :meth:`reconstruct` re-derives each argmin from the rows.  Actions with
     zero singleton value are dropped up front.
     """
@@ -214,38 +216,42 @@ class DpTable:
     delta: Fraction
     t_max: int
     den: int
+    starts: tuple[tuple[int, ...], ...]
     scaled_payments: tuple[tuple[int, ...], ...]
+    ends: tuple[int, ...]
     agent_order: tuple[tuple[int, ...], ...]
     prefix_ratio: tuple[tuple[Fraction, ...], ...]
     prefix_weight: tuple[tuple[int, ...], ...]
 
-    @property
-    def x_values(self) -> list[Fraction]:
-        return [t * self.delta * self.b for t in range(self.t_max + 1)]
+    def _scaled(self, j: int, t: int) -> Optional[int]:
+        """Row j's payment at column t over ``den``; None past the end."""
+        if not 0 <= t < self.ends[j]:
+            return None
+        return self.scaled_payments[j][bisect_right(self.starts[j], t) - 1]
 
     def payment(self, j: int, t: int) -> Optional[Fraction]:
-        row = self.scaled_payments[j]
-        return Fraction(row[t], self.den) if t < len(row) else None
+        p = self._scaled(j, t)
+        return None if p is None else Fraction(p, self.den)
 
     def reconstruct(self, inst: Instance, t: int) -> tuple[Contract, frozenset[int]]:
         """The payment-minimal (contract, profile) behind column ``t``.
 
-        Walking down from agent n, each step takes the smallest prefix
+        Walking down from agent n, each agent takes the smallest prefix
         length whose candidate attains the entry - the tie rule of the fill.
         """
         n = inst.num_agents
-        if not 0 <= t < len(self.scaled_payments[n]):
+        if not 0 <= t < self.ends[n]:
             raise ModelError(f"column {t} is unreachable")
         alpha = [ZERO] * n
         chosen: set[int] = set()
         col = t
         for j in range(n, 0, -1):
-            prev = self.scaled_payments[j - 1]
-            target = self.scaled_payments[j][col]
+            target = self._scaled(j, col)
             for ell, (w, r) in enumerate(zip(self.prefix_weight[j - 1],
                                              self.prefix_ratio[j - 1])):
                 idx = max(col - w, 0)
-                if idx < len(prev) and prev[idx] + r * self.den == target:
+                p = self._scaled(j - 1, idx)
+                if p is not None and p + r * self.den == target:
                     break
             if ell > 0:
                 alpha[j - 1] = self.prefix_ratio[j - 1][ell]
@@ -262,15 +268,19 @@ def build_dp_table(inst: Instance, basis: str, b: Fraction, eps: Fraction, *,
     Per agent, actions sort ascending by payment ratio c_a / f({a}); a
     contract then incentivizes exactly a prefix, whose payment is the last
     prefix member's ratio.  Column arguments below zero clamp to column
-    zero.  Row j is filled one prefix at a time: the previous row, shifted
-    by the prefix weight and raised by its payment, merged in by min.
+    zero.  Row j is the previous row, shifted by each prefix weight and
+    raised by its payment, merged by pointwise min.  The merge works on
+    steps, never on columns (the dominance lists of Nemhauser and
+    Ullmann): its cost grows with the number of steps, not with t_max.
     Passing ``budget`` drops prefixes whose own ratio already exceeds it
-    and cuts every row after its last entry within it.  Payments are
+    and ends every row before its first step above it.  Payments are
     nonnegative, so this only removes entries that the budget selection
     would discard anyway.
     """
     if not 0 < eps < 1:
         raise ModelError("eps must lie in (0, 1)")
+    if budget is not None and budget < 0:
+        raise ModelError("budget must be >= 0")
     if b <= 0:
         raise ModelError("b must be > 0")
     if basis not in ("f", "f-c"):
@@ -296,7 +306,7 @@ def build_dp_table(inst: Instance, basis: str, b: Fraction, eps: Fraction, *,
         for a in kept:
             ratios.append(inst.cost_of[a] / f[1 << a])
             phi = f[1 << a] - inst.cost_of[a] if basis == "f-c" else f[1 << a]
-            acc += math.floor(phi / step)
+            acc += phi // step  # floor, on integers
             weights.append(acc)
         prefix_ratio.append(ratios)
         prefix_weight.append(weights)
@@ -310,37 +320,50 @@ def build_dp_table(inst: Instance, basis: str, b: Fraction, eps: Fraction, *,
         for r in ratios:
             den = den * r.denominator // math.gcd(den, r.denominator)
     scaled: list[list[list[int]]] = [
-        [int(r * den) for r in ratios] for ratios in prefix_ratio
+        [den // r.denominator * r.numerator for r in ratios]
+        for ratios in prefix_ratio
     ]
 
     cap = None if budget is None else budget.numerator * den // budget.denominator
-    rows: list[list[int]] = [[0]]
-    for j in range(1, n + 1):
-        prev = rows[-1]
-        row: list[int] = []
-        # one min-plus pass per prefix: row[t] = min(prev[max(t - w, 0)] + p)
-        for w, p in zip(prefix_weight[j - 1], scaled[j - 1]):
-            start = 0
-            if w > 0:
-                # columns below w all read prev[0]; the row is sorted, so
-                # that constant replaces exactly a run found by bisection
-                start = min(w, t_max + 1)
-                c = prev[0] + p
-                k = bisect_right(row, c, 0, min(start, len(row)))
-                row[k:start] = [c] * (start - k)
-            cand = [x + p for x in prev[max(-w, 0):t_max + 1 - start]]
-            ov = row[start:start + len(cand)]
-            row[start:start + len(ov)] = [x if x < y else y
-                                          for x, y in zip(ov, cand)]
-            row += cand[len(ov):]
+    end_cap = t_max + 1
+    starts: list[tuple[int, ...]] = [(0,)]
+    pays: list[tuple[int, ...]] = [(0,)]
+    ends: list[int] = [1]
+    for j in range(n):
+        # A step (e, q) offers payment q to every column below its end e,
+        # and a row's entry is the least payment offered to its column.
+        # Prefix (w, p) turns the previous row's step (e, q) into
+        # (e + w, q + p); a column argument below zero clamps to zero, so
+        # the shifted step still serves column 0 whenever e + w > 0.  The
+        # row keeps the steps that no later-ending, no dearer step covers.
+        prev = list(zip((*starts[-1][1:], ends[-1]), pays[-1]))
+        steps: list[tuple[int, int]] = []
+        for w, p in zip(prefix_weight[j], scaled[j]):
+            steps += [(-e - w, q + p) for e, q in prev if e + w > 0]
+        steps.sort()  # ends descending, then payments ascending
+        row_ends: list[int] = []
+        row_pays: list[int] = []
+        for neg_end, q in steps:
+            if not row_pays or q < row_pays[-1]:
+                row_ends.append(-neg_end)
+                row_pays.append(q)
+        row_ends.reverse()
+        row_pays.reverse()
+        # columns stop at t_max: the first step to reach it ends the row
+        k = bisect_left(row_ends, end_cap)
+        if k < len(row_ends):
+            del row_ends[k + 1:], row_pays[k + 1:]
+            row_ends[k] = end_cap
         if cap is not None:
-            # payments are nonnegative, so entries above the budget only
-            # ever feed entries above it
-            del row[bisect_right(row, cap):]
-        rows.append(row)
-    return DpTable(basis, b, eps, delta, t_max, den,
-                   tuple(tuple(r) for r in rows),
-                   tuple(agent_order),
+            # payments are nonnegative, so steps above the budget only
+            # ever feed steps above it
+            k = bisect_right(row_pays, cap)
+            del row_ends[k:], row_pays[k:]
+        starts.append((0, *row_ends[:-1]))
+        pays.append(tuple(row_pays))
+        ends.append(row_ends[-1])
+    return DpTable(basis, b, eps, delta, t_max, den, tuple(starts), tuple(pays),
+                   tuple(ends), tuple(agent_order),
                    tuple(tuple(r) for r in prefix_ratio),
                    tuple(tuple(w) for w in prefix_weight))
 
@@ -379,15 +402,19 @@ def additive_fptas(inst: Instance, budget: Fraction, eps: Fraction,
     best_alpha = Contract.zero(inst.num_agents)
     best_profile: frozenset[int] = frozenset()
     best_value = evaluate(obj, inst, best_alpha, best_profile, table=table)
+    n = inst.num_agents
     for b in sorted(candidates, reverse=True):
         dp = build_dp_table(inst, basis, b, eps, budget=budget, table=table)
         # rows end at the budget, so every column left is affordable
-        row = dp.scaled_payments[inst.num_agents]
         if obj.kind == "profit":
-            # (1 - payment) * value; ties go to the larger column
-            _, t_star = max(((dp.den - p) * t, t) for t, p in enumerate(row))
+            # (1 - payment) * value; ties go to the larger column.  On one
+            # step the payment is at most the budget, so the score peaks
+            # at the step's last column.
+            lasts = [s - 1 for s in (*dp.starts[n][1:], dp.ends[n])]
+            _, t_star = max(((dp.den - p) * t, t)
+                            for t, p in zip(lasts, dp.scaled_payments[n]))
         else:
-            t_star = len(row) - 1
+            t_star = dp.ends[n] - 1
         alpha, profile = dp.reconstruct(inst, t_star)
         v = evaluate(obj, inst, alpha, profile, table=table)
         if v > best_value:

@@ -9,7 +9,9 @@ from pathlib import Path
 
 import pytest
 
+from budgetcontracts import cli
 from budgetcontracts.cli import (
+    build_parser,
     emit_report,
     load_instance,
     main,
@@ -171,6 +173,44 @@ def test_cli_verify_best(tmp_path):
                  "--objective", "profit", "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert doc["passed"] is True
+
+
+@pytest.mark.parametrize("denominator", ["0", "-2"])
+def test_cli_verify_best_rejects_nonpositive_denominator(denominator, capsys):
+    assert main(["verify-best", "--instance", "gen:additive:seed=1,agents=2,actions=3",
+                 "--denominator", denominator]) == 1
+    err = capsys.readouterr().err
+    assert json.loads(err)["error"] == {
+        "type": "ModelError",
+        "message": f"grid denominator must be >= 1, got {denominator}"}
+
+
+def _run_verify_best(monkeypatch, source):
+    """Run verify-best on ``source`` and return the instance it loaded."""
+    loaded = []
+    real_load = cli.load_instance
+
+    def load(spec):
+        loaded.append(real_load(spec))
+        return loaded[-1]
+
+    monkeypatch.setattr(cli, "load_instance", load)
+    code = main(["verify-best", "--instance", source, "--objective", "welfare",
+                 "--denominator", "4"])
+    return code, loaded[0]
+
+
+def test_cli_verify_best_reads_f_through_one_table(monkeypatch, capsys):
+    code, inst = _run_verify_best(monkeypatch, "gen:additive:seed=2,agents=2,actions=6")
+    assert code == 0
+    assert inst.oracle.value_queries == 1 << 6
+
+
+def test_cli_verify_best_refuses_a_large_instance_before_any_query(monkeypatch, capsys):
+    code, inst = _run_verify_best(monkeypatch, "gen:additive:seed=2,agents=2,actions=13")
+    assert code == 1
+    assert _error_type(capsys) == "ModelError"
+    assert inst.oracle.value_queries == 0
 
 
 def test_cli_hardness_experiment_row_count_and_determinism(tmp_path):
@@ -409,15 +449,20 @@ def test_cli_solve_output_is_pinned(case, csv, tmp_path):
     assert golden_stdout(case, csv, tmp_path) == expected
 
 
-def test_python_m_runs_the_cli():
-    src = Path(__file__).resolve().parent.parent / "src"
+def _fresh_process(argv):
+    """(exit code, stdout, stderr) of ``python -m budgetcontracts argv``."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
-        [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    proc = subprocess.run([sys.executable, "-m", "budgetcontracts", "--help"],
+        [str(REPO / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-m", "budgetcontracts", *argv],
                           capture_output=True, text=True, env=env, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("usage: budgetcontracts")
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_python_m_runs_the_cli():
+    code, out, err = _fresh_process(["--help"])
+    assert code == 0, err
+    assert out.startswith("usage: budgetcontracts")
 
 
 # -- golden outputs of the other subcommands and the experiment scripts ---------
@@ -572,3 +617,28 @@ def test_cli_malformed_pair_is_schema_error(text, tmp_path, capsys):
 def test_cli_malformed_argument_is_schema_error(argv, capsys):
     assert main(argv) == 1
     assert _error_type(capsys) == "SchemaError"
+
+
+def _same_process(argv):
+    """(exit code, stdout, stderr) of ``main(argv)`` in this process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_cli_reuses_one_parser_across_runs(tmp_path):
+    assert build_parser() is build_parser()
+    pair_path = tmp_path / "pair.json"
+    pair_path.write_text(json.dumps({"contract": ["0", "1/4"], "profile": [1]}))
+    solve = ["solve", "--instance", PAIR_INSTANCE, "--budget", "1/2"]
+    runs = [solve,
+            ["solve", "--instance", PAIR_INSTANCE, "--no-such-flag"],
+            ["verify-ne", "--instance", PAIR_INSTANCE, "--pair", str(pair_path)],
+            solve + ["--csv"]]
+    results = [_same_process(argv) for argv in runs]
+    assert [code for code, _, _ in results] == [0, 2, 0, 0]
+    assert results == [_fresh_process(argv) for argv in runs]

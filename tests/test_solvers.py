@@ -1,5 +1,6 @@
 import itertools
 import random
+from bisect import bisect_right
 from fractions import Fraction as F
 
 import pytest
@@ -190,6 +191,8 @@ def test_dp_table_single_action_zero_column():
     assert dp.payment(0, 0) == 0
     assert dp.payment(1, 0) == 0
     assert all(dp.payment(0, t) is None for t in range(1, dp.t_max + 1))
+    with pytest.raises(ModelError):
+        build_dp_table(inst, "f", F(1, 2), F(1, 2), budget=F(-1, 2))
 
 
 def test_dp_table_matches_prefix_enumeration():
@@ -266,6 +269,66 @@ def _reference_rows(dp):
     return rows, choices
 
 
+def _dense_rows(dp, budget):
+    """The dense fill the step rows replaced: each row a list over the
+    reachable columns 0..t_max, one min-plus list pass per prefix, cut
+    after its last entry within ``budget``."""
+    t_max = dp.t_max
+    cap = None if budget is None else budget.numerator * dp.den // budget.denominator
+    rows = [[0]]
+    for weights, ratios in zip(dp.prefix_weight, dp.prefix_ratio):
+        prev = rows[-1]
+        row = []
+        for w, p in zip(weights, [int(r * dp.den) for r in ratios]):
+            start = 0
+            if w > 0:
+                start = min(w, t_max + 1)
+                c = prev[0] + p
+                k = bisect_right(row, c, 0, min(start, len(row)))
+                row[k:start] = [c] * (start - k)
+            cand = [x + p for x in prev[max(-w, 0):t_max + 1 - start]]
+            ov = row[start:start + len(cand)]
+            row[start:start + len(ov)] = [x if x < y else y
+                                          for x, y in zip(ov, cand)]
+            row += cand[len(ov):]
+        if cap is not None:
+            del row[bisect_right(row, cap):]
+        rows.append(row)
+    return rows
+
+
+def _expanded(dp, j):
+    """Row j of ``dp`` written out entry by entry, with its step invariants
+    checked on the way."""
+    starts, pays, end = dp.starts[j], dp.scaled_payments[j], dp.ends[j]
+    assert starts[0] == 0 and len(starts) == len(pays)
+    assert all(x < y for x, y in zip(starts, starts[1:])) and starts[-1] < end
+    assert all(x < y for x, y in zip(pays, pays[1:]))
+    assert end <= dp.t_max + 1
+    row = []
+    for start, stop, p in zip(starts, (*starts[1:], end), pays):
+        row += [p] * (stop - start)
+    return row
+
+
+def _check_against_references(inst, dp, budget):
+    """Step rows equal to the dense fill and to the per-cell reference, and
+    reconstruction equal to the per-cell choices at every column."""
+    rows, choices = _reference_rows(dp)
+    dense = _dense_rows(dp, budget)
+    for j, ref in enumerate(rows):
+        kept = [p for p in ref if p is not None
+                and (budget is None or F(p, dp.den) <= budget)]
+        assert _expanded(dp, j) == kept
+        assert dense[j] == kept
+        assert [dp.payment(j, t) for t in range(dp.t_max + 1)] == \
+            [F(p, dp.den) for p in kept] + [None] * (dp.t_max + 1 - len(kept))
+    for t in range(dp.ends[-1]):
+        assert dp.reconstruct(inst, t) == _reference_reconstruct(dp, choices, t)
+    with pytest.raises(ModelError):
+        dp.reconstruct(inst, dp.ends[-1])
+
+
 def _reference_reconstruct(dp, choices, t):
     alpha = [F(0)] * len(dp.agent_order)
     chosen = set()
@@ -309,10 +372,10 @@ def _reference_fptas(inst, budget, eps, obj):
     return best, best_value
 
 
-def _size_stable_additive(seed):
+def _size_stable_additive(seed, n=None, m=None):
     # cost = weight * factor below 1: every action has positive welfare
     rng = random.Random(seed)
-    n, m = rng.randint(1, 4), rng.randint(2, 9)
+    n, m = n or rng.randint(1, 4), m or rng.randint(2, 9)
     raw = [rng.randint(1, 20) for _ in range(m)]
     weights = [F(w, 2 * sum(raw)) for w in raw]
     actions = tuple(Action(a, rng.randrange(n), weights[a] * F(rng.randint(1, 31), 32))
@@ -338,18 +401,19 @@ def test_dp_table_matches_per_cell_reference():
             for b in scales[-2:]:
                 dp = build_dp_table(inst, basis, b, eps, budget=budget)
                 negative_weights += any(w < 0 for ws in dp.prefix_weight for w in ws)
-                rows, choices = _reference_rows(dp)
-                for j, ref in enumerate(rows):
-                    kept = [p for p in ref if p is not None
-                            and (budget is None or F(p, dp.den) <= budget)]
-                    assert list(dp.scaled_payments[j]) == kept
-                    assert [dp.payment(j, t) for t in range(dp.t_max + 1)] == \
-                        [F(p, dp.den) for p in kept] + [None] * (dp.t_max + 1 - len(kept))
-                for t in range(len(dp.scaled_payments[-1])):
-                    assert dp.reconstruct(inst, t) == _reference_reconstruct(dp, choices, t)
-                with pytest.raises(ModelError):
-                    dp.reconstruct(inst, len(dp.scaled_payments[-1]))
+                _check_against_references(inst, dp, budget)
     assert negative_weights > 0  # the f-c basis produced negative shifts
+
+
+def test_dp_step_rows_match_references_at_scale():
+    inst = _size_stable_additive(5, n=4, m=40)
+    top = max(inst.oracle.value(frozenset({a})) for a in range(inst.num_actions))
+    most_steps = 0
+    for basis, budget in itertools.product(("f", "f-c"), (None, F(0), F(1, 2))):
+        dp = build_dp_table(inst, basis, top, F(1, 4), budget=budget)
+        _check_against_references(inst, dp, budget)
+        most_steps = max(most_steps, len(dp.scaled_payments[-1]))
+    assert most_steps >= 10
 
 
 def test_fptas_matches_per_cell_reference():
