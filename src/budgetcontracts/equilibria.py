@@ -125,16 +125,21 @@ class NeCertificate:
 def is_nash(inst: Instance, alpha: Contract, profile: Iterable[int], *,
             enum_cap: int = 20,
             table: Optional[Sequence[Fraction]] = None) -> NeCertificate:
-    """Check the weak Nash condition by per-agent enumeration of deviations."""
+    """Check the weak Nash condition by per-agent enumeration of deviations.
+
+    f(S) is read once for all agents, so without a table the check issues
+    1 + sum_i 2^|T_i| value queries.
+    """
     s = frozenset(profile)
     mask = set_to_mask(s)
     f = value_view(inst.oracle, table)
+    f_s = f[mask]
     utilities = []
     best_devs = []
     violator = None
     for i in range(inst.num_agents):
         c_i, walk = _deviations(inst, f, i, mask, enum_cap=enum_cap)
-        u_i = alpha[i] * f[mask] - c_i
+        u_i = alpha[i] * f_s - c_i
         best_u = None
         best_dev = 0
         for dev, f_dev, c in walk:
@@ -179,9 +184,10 @@ def is_subset_stable(inst: Instance, alpha: Contract, profile: Iterable[int], *,
     """
     s = set_to_mask(profile)
     f = value_view(inst.oracle, table)
+    f_s = f[s]
     for i in range(inst.num_agents):
         c_i, walk = _deviations(inst, f, i, s, shrink=True)
-        u_i = alpha[i] * f[s] - c_i
+        u_i = alpha[i] * f_s - c_i
         for dev, f_dev, c in walk:
             if alpha[i] * f_dev - c > u_i:
                 return False, (i, mask_to_set(dev))
@@ -350,9 +356,10 @@ def is_nash_general(inst: Instance, contract: GeneralContract,
         t1 = contract.pay_on_success[i]
         return t1 * f_dev + t0 * (1 - f_dev) - c
 
+    f_s = f[s]
     for i in range(inst.num_agents):
         c_i, walk = _deviations(inst, f, i, s, enum_cap=enum_cap)
-        u_i = utility(i, f[s], c_i)
+        u_i = utility(i, f_s, c_i)
         for _, f_dev, c in walk:
             if utility(i, f_dev, c) > u_i:
                 return False

@@ -19,6 +19,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterable, Optional, Sequence
 
 from budgetcontracts.core import (
@@ -207,7 +208,12 @@ class DpTable:
     When the table is built with a budget, every row ends before its first
     step that exceeds the budget.  Nothing records the choices:
     :meth:`reconstruct` re-derives each argmin from the rows.  Actions with
-    zero singleton value are dropped up front.
+    zero singleton value are dropped up front.  Agent i's prefixes are
+    the leading actions of ``agent_order[i]``: the prefix of length ell
+    pays ``prefix_ratio[i][ell]`` (``prefix_payment[i][ell]`` over
+    ``den``) and is worth ``prefix_weight[i][ell]`` columns.  Only
+    ``prefix_weight`` and what depends on it differ between the scales b
+    of one solve.
     """
 
     basis: str
@@ -222,6 +228,7 @@ class DpTable:
     agent_order: tuple[tuple[int, ...], ...]
     prefix_ratio: tuple[tuple[Fraction, ...], ...]
     prefix_weight: tuple[tuple[int, ...], ...]
+    prefix_payment: tuple[tuple[int, ...], ...]
 
     def _scaled(self, j: int, t: int) -> Optional[int]:
         """Row j's payment at column t over ``den``; None past the end."""
@@ -247,11 +254,11 @@ class DpTable:
         col = t
         for j in range(n, 0, -1):
             target = self._scaled(j, col)
-            for ell, (w, r) in enumerate(zip(self.prefix_weight[j - 1],
-                                             self.prefix_ratio[j - 1])):
+            for ell, (w, pay) in enumerate(zip(self.prefix_weight[j - 1],
+                                               self.prefix_payment[j - 1])):
                 idx = max(col - w, 0)
                 p = self._scaled(j - 1, idx)
-                if p is not None and p + r * self.den == target:
+                if p is not None and p + pay == target:
                     break
             if ell > 0:
                 alpha[j - 1] = self.prefix_ratio[j - 1][ell]
@@ -260,22 +267,68 @@ class DpTable:
         return Contract(tuple(alpha)), frozenset(chosen)
 
 
+@dataclass(frozen=True)
+class _PrefixLayout:
+    """The scale-free part of every FPTAS table of one solve.
+
+    Per agent, the kept actions in payment order, each prefix's payment as
+    a Fraction and as an integer over ``den``, and each kept action's phi
+    (f or f - c of its singleton) as an integer over ``phi_den``.
+    """
+
+    agent_order: tuple[tuple[int, ...], ...]
+    prefix_ratio: tuple[tuple[Fraction, ...], ...]
+    den: int
+    prefix_payment: tuple[tuple[int, ...], ...]
+    phi: tuple[tuple[int, ...], ...]
+    phi_den: int
+
+    @classmethod
+    def build(cls, inst: Instance, basis: str, budget: Optional[Fraction],
+              singletons: Sequence[Fraction]) -> "_PrefixLayout":
+        """The layout from f({a}) for every action a, ``singletons[a]``."""
+        agent_order = []
+        prefix_ratio = []
+        phis = []
+        for own in inst.agent_actions:
+            ratio = {a: inst.cost_of[a] / singletons[a]
+                     for a in own if singletons[a] > 0}
+            kept = sorted(ratio, key=lambda a: (ratio[a], a))
+            if budget is not None:
+                kept = [a for a in kept if ratio[a] <= budget]
+            agent_order.append(tuple(kept))
+            prefix_ratio.append((ZERO, *(ratio[a] for a in kept)))
+            phis.append([singletons[a] - inst.cost_of[a] if basis == "f-c"
+                         else singletons[a] for a in kept])
+        den = common_denominator(r for ratios in prefix_ratio for r in ratios)
+        phi_den = common_denominator(p for ps in phis for p in ps)
+        return cls(tuple(agent_order), tuple(prefix_ratio), den,
+                   tuple(tuple(scaled_ints(ratios, den)) for ratios in prefix_ratio),
+                   tuple(tuple(scaled_ints(ps, phi_den)) for ps in phis), phi_den)
+
+
 def build_dp_table(inst: Instance, basis: str, b: Fraction, eps: Fraction, *,
                    budget: Optional[Fraction] = None,
-                   table: Optional[Sequence[Fraction]] = None) -> DpTable:
+                   table: Optional[Sequence[Fraction]] = None,
+                   layout: Optional[_PrefixLayout] = None) -> DpTable:
     """Fill the dynamic program for additive f at scale ``b``.
 
     Per agent, actions sort ascending by payment ratio c_a / f({a}); a
     contract then incentivizes exactly a prefix, whose payment is the last
-    prefix member's ratio.  Column arguments below zero clamp to column
-    zero.  Row j is the previous row, shifted by each prefix weight and
-    raised by its payment, merged by pointwise min.  The merge works on
-    steps, never on columns (the dominance lists of Nemhauser and
-    Ullmann): its cost grows with the number of steps, not with t_max.
-    Passing ``budget`` drops prefixes whose own ratio already exceeds it
-    and ends every row before its first step above it.  Payments are
-    nonnegative, so this only removes entries that the budget selection
-    would discard anyway.
+    prefix member's ratio.  Prefix weights are running sums of
+    floor(phi / (delta * b)), phi being f({a}) or f({a}) - c_a, computed on
+    integers.  Column arguments below zero clamp to column zero.  Row j is
+    the previous row, shifted by each prefix weight and raised by its
+    payment, merged by pointwise min.  The merge works on steps, never on
+    columns (the dominance lists of Nemhauser and Ullmann): its cost grows
+    with the number of steps, not with t_max.  Passing ``budget`` drops
+    prefixes whose own ratio already exceeds it and ends every row before
+    its first step above it.  Payments are nonnegative, so this only
+    removes entries that the budget selection would discard anyway.
+
+    Without ``layout`` each singleton f({a}) is read once (one value query
+    each without ``table``).  :func:`additive_fptas` passes the layout it
+    built for ``basis`` and ``budget``, and so reads nothing here.
     """
     if not 0 < eps < 1:
         raise ModelError("eps must lie in (0, 1)")
@@ -287,43 +340,23 @@ def build_dp_table(inst: Instance, basis: str, b: Fraction, eps: Fraction, *,
         raise ModelError('basis must be "f" or "f-c"')
     n = inst.num_agents
     m = inst.num_actions
-    delta = eps / m
-    step = delta * b
-    f = value_view(inst.oracle, table)  # singletons, read per use
-
-    agent_order: list[tuple[int, ...]] = []
-    prefix_ratio: list[list[Fraction]] = []
-    prefix_weight: list[list[int]] = []
-    for i in range(n):
-        kept = [a for a in sorted(inst.agent_actions[i]) if f[1 << a] > 0]
-        kept.sort(key=lambda a: (inst.cost_of[a] / f[1 << a], a))
-        if budget is not None:
-            kept = [a for a in kept if inst.cost_of[a] / f[1 << a] <= budget]
-        agent_order.append(tuple(kept))
-        ratios = [ZERO]
-        weights = [0]
-        acc = 0
-        for a in kept:
-            ratios.append(inst.cost_of[a] / f[1 << a])
-            phi = f[1 << a] - inst.cost_of[a] if basis == "f-c" else f[1 << a]
-            acc += phi // step  # floor, on integers
-            weights.append(acc)
-        prefix_ratio.append(ratios)
-        prefix_weight.append(weights)
+    if layout is None:
+        f = value_view(inst.oracle, table)
+        layout = _PrefixLayout.build(inst, basis, budget,
+                                     [f[1 << a] for a in range(m)])
+    # phi / (delta * b) = phi * m / (eps * b), over integers; // floors
+    # negative phi of the f-c basis too
+    num = m * eps.denominator * b.denominator
+    div = layout.phi_den * eps.numerator * b.numerator
+    prefix_weight = tuple(tuple(accumulate((p * num // div for p in phis),
+                                           initial=0))
+                          for phis in layout.phi)
 
     t_cap = math.ceil(Fraction(m * m) / eps)
     reachable = sum(max(w) for w in prefix_weight)
     t_max = min(t_cap, max(reachable, 0))
 
-    den = 1
-    for ratios in prefix_ratio:
-        for r in ratios:
-            den = den * r.denominator // math.gcd(den, r.denominator)
-    scaled: list[list[list[int]]] = [
-        [den // r.denominator * r.numerator for r in ratios]
-        for ratios in prefix_ratio
-    ]
-
+    den = layout.den
     cap = None if budget is None else budget.numerator * den // budget.denominator
     end_cap = t_max + 1
     starts: list[tuple[int, ...]] = [(0,)]
@@ -338,7 +371,7 @@ def build_dp_table(inst: Instance, basis: str, b: Fraction, eps: Fraction, *,
         # row keeps the steps that no later-ending, no dearer step covers.
         prev = list(zip((*starts[-1][1:], ends[-1]), pays[-1]))
         steps: list[tuple[int, int]] = []
-        for w, p in zip(prefix_weight[j], scaled[j]):
+        for w, p in zip(prefix_weight[j], layout.prefix_payment[j]):
             steps += [(-e - w, q + p) for e, q in prev if e + w > 0]
         steps.sort()  # ends descending, then payments ascending
         row_ends: list[int] = []
@@ -362,10 +395,9 @@ def build_dp_table(inst: Instance, basis: str, b: Fraction, eps: Fraction, *,
         starts.append((0, *row_ends[:-1]))
         pays.append(tuple(row_pays))
         ends.append(row_ends[-1])
-    return DpTable(basis, b, eps, delta, t_max, den, tuple(starts), tuple(pays),
-                   tuple(ends), tuple(agent_order),
-                   tuple(tuple(r) for r in prefix_ratio),
-                   tuple(tuple(w) for w in prefix_weight))
+    return DpTable(basis, b, eps, eps / m, t_max, den, tuple(starts),
+                   tuple(pays), tuple(ends), layout.agent_order,
+                   layout.prefix_ratio, prefix_weight, layout.prefix_payment)
 
 
 def additive_fptas(inst: Instance, budget: Fraction, eps: Fraction,
@@ -378,6 +410,11 @@ def additive_fptas(inst: Instance, budget: Fraction, eps: Fraction,
     table per scale, and selects the column: the largest budget-feasible
     one for reward and welfare, the (1 - payment) * value maximizer below
     it for profit.  Welfare mirrors the reward selection rule.
+
+    Each singleton f({a}) is read once, and the tables of all scales share
+    one prefix layout built from those reads.  Without ``table`` the solve
+    issues m + 1 + |scales| value queries: the singletons, then f of the
+    empty profile and of each scale's pick as the objective is evaluated.
     """
     if obj.kind not in ("profit", "reward", "welfare"):
         raise ModelError("additive FPTAS supports profit, reward, welfare")
@@ -386,13 +423,13 @@ def additive_fptas(inst: Instance, budget: Fraction, eps: Fraction,
     if not 0 < eps < 1:
         raise ModelError("eps must lie in (0, 1)")
     before = (inst.oracle.value_queries, inst.oracle.demand_queries)
-    table = _maybe_table(inst, table)
     basis = "f-c" if obj.kind == "welfare" else "f"
     f = value_view(inst.oracle, table)
+    singletons = [f[1 << a] for a in range(inst.num_actions)]
+    layout = _PrefixLayout.build(inst, basis, budget, singletons)
 
     candidates = set()
-    for a in range(inst.num_actions):
-        f_a = f[1 << a]
+    for a, f_a in enumerate(singletons):
         if f_a <= 0:
             continue
         b = f_a - inst.cost_of[a] if basis == "f-c" else f_a
@@ -404,7 +441,7 @@ def additive_fptas(inst: Instance, budget: Fraction, eps: Fraction,
     best_value = evaluate(obj, inst, best_alpha, best_profile, table=table)
     n = inst.num_agents
     for b in sorted(candidates, reverse=True):
-        dp = build_dp_table(inst, basis, b, eps, budget=budget, table=table)
+        dp = build_dp_table(inst, basis, b, eps, budget=budget, layout=layout)
         # rows end at the budget, so every column left is affordable
         if obj.kind == "profit":
             # (1 - payment) * value; ties go to the larger column.  On one

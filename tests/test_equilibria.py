@@ -373,9 +373,10 @@ def _ordered_subsets(items):
 
 def _reference_is_nash(inst, alpha, s, val):
     utilities, best_devs, violator = [], [], None
+    f_s = val(s)
     for i in range(inst.num_agents):
         s_i = s & inst.agent_actions[i]
-        u_i = alpha[i] * val(s) - cost(inst, s_i)
+        u_i = alpha[i] * f_s - cost(inst, s_i)
         best_u, best_set = None, frozenset()
         for dev in _ordered_subsets(inst.agent_actions[i]):
             u = alpha[i] * val(dev | (s - s_i)) - cost(inst, dev)
@@ -389,9 +390,10 @@ def _reference_is_nash(inst, alpha, s, val):
 
 
 def _reference_is_subset_stable(inst, alpha, s, val):
+    f_s = val(s)
     for i in range(inst.num_agents):
         s_i = s & inst.agent_actions[i]
-        u_i = alpha[i] * val(s) - cost(inst, s_i)
+        u_i = alpha[i] * f_s - cost(inst, s_i)
         for dev in _ordered_subsets(s_i):
             if alpha[i] * val(dev | (s - s_i)) - cost(inst, dev) > u_i:
                 return False, (i, dev)
@@ -399,17 +401,17 @@ def _reference_is_subset_stable(inst, alpha, s, val):
 
 
 def _reference_is_nash_general(inst, contract, s, val):
+    f_s = val(s)
     for i in range(inst.num_agents):
         t0, t1 = contract.pay_on_failure[i], contract.pay_on_success[i]
         s_i = s & inst.agent_actions[i]
 
-        def utility(dev):
-            f = val(dev | (s - s_i))
+        def utility(f, dev):
             return t1 * f + t0 * (1 - f) - cost(inst, dev)
 
-        u_i = utility(s_i)
+        u_i = utility(f_s, s_i)
         for dev in _ordered_subsets(inst.agent_actions[i]):
-            if utility(dev) > u_i:
+            if utility(val(dev | (s - s_i)), dev) > u_i:
                 return False
     return True
 
@@ -479,15 +481,20 @@ def test_deviation_walk_matches_the_reference_loops():
 
 
 def test_deviation_walk_reads_like_the_reference_loops():
-    # without a table every read is one value query, and the early stops of
-    # is_subset_stable and is_nash_general spare the same reads as before
+    # without a table every read is one value query; f(S) is read once per
+    # check, and the early stops of is_subset_stable and is_nash_general
+    # spare the same reads as the reference loops
     for inst, alpha, general in _walk_cases(73, 12, 5):
         oracle = inst.oracle
+        walk = sum(1 << len(own) for own in inst.agent_actions)
         for s in all_subsets(range(inst.num_actions)):
-            for new, reference in _checker_pairs(inst, alpha, general, s, None):
+            pairs = _checker_pairs(inst, alpha, general, s, None)
+            for k, (new, reference) in enumerate(pairs):
                 before = oracle.value_queries
                 expected = reference()
                 spent = oracle.value_queries - before
                 before = oracle.value_queries
                 assert new() == expected
                 assert oracle.value_queries - before == spent
+                if k == 0:  # is_nash: f(S), then every deviation
+                    assert spent == 1 + walk

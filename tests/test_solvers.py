@@ -1,4 +1,6 @@
+import collections
 import itertools
+import math
 import random
 from bisect import bisect_right
 from fractions import Fraction as F
@@ -424,6 +426,142 @@ def test_fptas_matches_per_cell_reference():
             got = additive_fptas(inst, budget, eps, obj)
             pair, value = _reference_fptas(inst, budget, eps, obj)
             assert (got.contract, got.profile, got.value) == (*pair, value)
+
+
+def _reference_layout(inst, basis, b, eps, budget):
+    """The per-table Fraction layout the solve-wide integer layout replaced:
+    f({a}) read per use, three cost / f divisions per action and
+    floor(phi / (delta * b)) on Fractions.  Returns (agent_order,
+    prefix_ratio, prefix_weight, t_max, den)."""
+    m = inst.num_actions
+    step = eps / m * b
+
+    def f(a):
+        return inst.oracle.value(frozenset({a}))
+
+    agent_order, prefix_ratio, prefix_weight = [], [], []
+    for i in range(inst.num_agents):
+        kept = [a for a in sorted(inst.agent_actions[i]) if f(a) > 0]
+        kept.sort(key=lambda a: (inst.cost_of[a] / f(a), a))
+        if budget is not None:
+            kept = [a for a in kept if inst.cost_of[a] / f(a) <= budget]
+        agent_order.append(tuple(kept))
+        ratios, weights, acc = [F(0)], [0], 0
+        for a in kept:
+            ratios.append(inst.cost_of[a] / f(a))
+            phi = f(a) - inst.cost_of[a] if basis == "f-c" else f(a)
+            acc += phi // step
+            weights.append(acc)
+        prefix_ratio.append(tuple(ratios))
+        prefix_weight.append(tuple(weights))
+    t_cap = math.ceil(F(m * m) / eps)
+    t_max = min(t_cap, max(sum(max(w) for w in prefix_weight), 0))
+    den = 1
+    for ratios in prefix_ratio:
+        for r in ratios:
+            den = den * r.denominator // math.gcd(den, r.denominator)
+    return tuple(agent_order), tuple(prefix_ratio), tuple(prefix_weight), t_max, den
+
+
+def _with_zero_singletons(seed):
+    # a size-stable instance plus three worthless actions that still cost
+    inst = _size_stable_additive(seed, m=6)
+    extra = tuple(Action(6 + k, k % inst.num_agents, F(k + 1, 64)) for k in range(3))
+    return Instance(inst.num_agents, inst.actions + extra,
+                    AdditiveOracle([*inst.oracle.weights, F(0), F(0), F(0)]))
+
+
+def test_dp_layout_matches_fraction_reference():
+    negative_weights = zero_singletons = 0
+    insts = [*_differential_instances(), _with_zero_singletons(2),
+             _with_zero_singletons(9)]
+    for inst in insts:
+        singles = [inst.oracle.value(frozenset({a})) for a in range(inst.num_actions)]
+        zero_singletons += singles.count(0)
+        # every scale either basis sweeps
+        scales = sorted({v for a, f_a in enumerate(singles) if f_a > 0
+                         for v in (f_a, f_a - inst.cost_of[a]) if v > 0})
+        for basis, eps, budget in itertools.product(
+                ("f", "f-c"), (F(1, 2), F(3, 10), F(1, 10), F(2, 7)),
+                (None, F(0), F(1, 4), F(1, 2), F(1))):
+            for b in scales:
+                before = inst.oracle.value_queries
+                dp = build_dp_table(inst, basis, b, eps, budget=budget)
+                # a standalone call reads each singleton once
+                assert inst.oracle.value_queries - before == inst.num_actions
+                order, ratios, weights, t_max, den = _reference_layout(
+                    inst, basis, b, eps, budget)
+                assert dp.agent_order == order
+                assert dp.prefix_ratio == ratios
+                assert dp.prefix_weight == weights
+                assert (dp.t_max, dp.den) == (t_max, den)
+                assert dp.delta == eps / inst.num_actions
+                assert dp.prefix_payment == tuple(
+                    tuple(int(r * den) for r in rs) for rs in ratios)
+                negative_weights += basis == "f-c" and any(
+                    w < 0 for ws in weights for w in ws)
+    assert negative_weights > 0  # the f-c basis floors negative phi
+    assert zero_singletons > 0
+
+
+class _LoggedAdditive(AdditiveOracle):
+    """An additive oracle that logs the mask of every value query."""
+
+    def __init__(self, weights):
+        super().__init__(weights)
+        self.log = []
+
+    def _value(self, subset):
+        self.log.append(set_to_mask(subset))
+        return super()._value(subset)
+
+
+def test_fptas_reads_each_singleton_once():
+    for m in (8, 14, 16, 40):
+        base = _size_stable_additive(m, n=3, m=m)
+        oracle = _LoggedAdditive(base.oracle.weights)
+        inst = Instance(base.num_agents, base.actions, oracle)
+        for obj in (PROFIT, REWARD, WELFARE):
+            scales = {b for a in range(m)
+                      for b in [oracle.weights[a] - inst.cost_of[a]
+                                if obj is WELFARE else oracle.weights[a]]
+                      if oracle.weights[a] > 0 and b > 0}
+            oracle.log.clear()
+            r = additive_fptas(inst, F(1, 2), F(1, 10), obj)
+            assert r.value_queries == len(oracle.log) == m + 1 + len(scales)
+            # the singletons first, each once; then f of the empty profile
+            # and of each scale's pick
+            assert collections.Counter(oracle.log[:m]) == \
+                {1 << a: 1 for a in range(m)}
+            assert oracle.log[m] == 0
+            if m <= 16:
+                table = value_table(oracle)
+                oracle.log.clear()
+                got = additive_fptas(inst, F(1, 2), F(1, 10), obj, table=table)
+                assert got.value_queries == 0 and oracle.log == []
+                assert (got.contract, got.profile, got.value) == \
+                    (r.contract, r.profile, r.value)
+
+
+def test_fptas_at_scale_is_a_budgeted_equilibrium():
+    m = 200
+    inst = _size_stable_additive(3, n=4, m=m)
+    f = inst.oracle.weights
+    budget, eps = F(1, 2), F(1, 20)
+    for obj in (PROFIT, REWARD, WELFARE):
+        scales = {f[a] - inst.cost_of[a] if obj is WELFARE else f[a]
+                  for a in range(m)}
+        r = additive_fptas(inst, budget, eps, obj)
+        assert r.value_queries == m + 1 + len(scales)
+        assert r.contract.total() <= budget and r.profile
+        # additive f: each action's marginal is its singleton, so an agent
+        # best-responds iff it takes exactly the actions alpha_i pays for
+        for a in range(m):
+            paid = r.contract[inst.owner_of[a]] * f[a]
+            if a in r.profile:
+                assert paid >= inst.cost_of[a]
+            else:
+                assert paid <= inst.cost_of[a]
 
 
 # -- additive FPTAS -------------------------------------------------------------
