@@ -308,24 +308,11 @@ def _cmd_solve(args) -> int:
             raise ModelError("the single-agent scheme maximizes profit only")
         result = single_agent_fptas(inst, budget, eps)
     elif solver == "gs-pipeline":
-        result = gs_constant_factor(inst, budget, obj, enum_cap=args.enum_cap)
+        result = gs_constant_factor(inst, budget, obj)
     else:
-        result = brute_force_opt(inst, budget, obj, enum_cap=args.enum_cap)
+        result = brute_force_opt(inst, budget, obj)
     if args.csv:
         _write(args.out, emit_report([_result_row(result, solver, eps)],
-                                     SOLVE_COLUMNS, SOLVE_RATIONALS))
-    else:
-        _write(args.out, json.dumps(result_to_doc(result), indent=2) + "\n")
-    return 0
-
-
-def _cmd_brute(args) -> int:
-    inst = load_instance(args.instance)
-    obj = load_objective(args.objective)
-    result = brute_force_opt(inst, parse_rational(args.budget), obj,
-                             enum_cap=args.enum_cap)
-    if args.csv:
-        _write(args.out, emit_report([_result_row(result, "brute", None)],
                                      SOLVE_COLUMNS, SOLVE_RATIONALS))
     else:
         _write(args.out, json.dumps(result_to_doc(result), indent=2) + "\n")
@@ -335,8 +322,7 @@ def _cmd_brute(args) -> int:
 def _cmd_downsize(args) -> int:
     inst = load_instance(args.instance)
     alpha, profile = _load_pair(args.pair, inst)
-    new_alpha, new_profile = downsize(inst, args.m_param, alpha, profile,
-                                      enum_cap=args.enum_cap)
+    new_alpha, new_profile = downsize(inst, args.m_param, alpha, profile)
     doc = {
         "contract": [format_rational(a) for a in new_alpha.alpha],
         "profile": sorted(new_profile),
@@ -350,7 +336,7 @@ def _cmd_downsize(args) -> int:
 def _cmd_verify_ne(args) -> int:
     inst = load_instance(args.instance)
     alpha, profile = _load_pair(args.pair, inst)
-    cert = is_nash(inst, alpha, profile, enum_cap=args.enum_cap)
+    cert = is_nash(inst, alpha, profile)
     if args.out:
         doc = {
             "isNash": cert.ok,
@@ -432,7 +418,7 @@ def _cmd_gap_report(args) -> int:
     hidden = [parse_integer(x, "--hidden entry") for x in args.hidden.split(",")] \
         if args.hidden else None
     params = HardnessParams.make(args.n, budget, target, eps, hidden, args.seed)
-    report = verify_gap_exhaustive(params, enum_cap=args.enum_cap)
+    report = verify_gap_exhaustive(params)
     row = {
         "n": params.n, "budget": params.budget,
         "approx_target": format_rational(params.approx_target),
@@ -475,7 +461,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--instance", required=True,
                            help="instance JSON path or gen:<kind>:opts spec")
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--enum-cap", type=int, default=20)
 
     p = sub.add_parser("solve", help="dispatch by declared function class")
     common(p)
@@ -487,12 +472,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", action="store_true")
     p.set_defaults(func=_cmd_solve)
 
-    p = sub.add_parser("brute", help="exact brute-force optimum")
+    p = sub.add_parser("brute", help="solve --force-solver brute")
     common(p)
     p.add_argument("--budget", required=True)
     p.add_argument("--objective", default="profit")
     p.add_argument("--csv", action="store_true")
-    p.set_defaults(func=_cmd_brute)
+    p.set_defaults(func=_cmd_solve, force_solver="brute", eps=None)
 
     p = sub.add_parser("downsize", help="payment-shrinking transform")
     common(p)

@@ -61,6 +61,19 @@ class GroundSetTooLargeError(ModelError):
     pass
 
 
+# The work-limit policy: the most items whose subsets one routine may walk.
+ENUM_LIMIT = 20  # value tables, demand, deviations, brute force, GS pipeline, gap
+TESTER_LIMIT = 16  # monotone/submodular testers, single-agent scheme
+GS_TESTER_LIMIT = 12  # GS tester, verify_best_properties, OXS columns
+
+
+def check_enumeration(count: int, what: str, limit: int = ENUM_LIMIT) -> None:
+    """Refuse to walk the 2^count subsets of ``count`` items above ``limit``;
+    every subset-walking routine calls this before its first value query."""
+    if count > limit:
+        raise GroundSetTooLargeError(f"{what}: {count} items exceed the limit {limit}")
+
+
 class RationalParseError(ModelError):
     pass
 

@@ -26,9 +26,9 @@ from budgetcontracts.core import (
     ActionProfile,
     Contract,
     GeneralContract,
-    GroundSetTooLargeError,
     Instance,
     ZERO,
+    check_enumeration,
     cost,
 )
 from budgetcontracts.rewards import PriceVector, common_denominator, \
@@ -36,22 +36,26 @@ from budgetcontracts.rewards import PriceVector, common_denominator, \
     submask_sums, submasks, value_view
 
 
-def _deviations(inst: Instance, f, agent: int, s: int, *,
-                enum_cap: Optional[int] = None, shrink: bool = False):
+def _check_walks(inst: Instance, within: Optional[frozenset[int]] = None) -> None:
+    """Refuse before any read if one agent's walk, over T_i or over
+    T_i & ``within``, is too long."""
+    sizes = [len(t if within is None else t & within) for t in inst.agent_actions]
+    check_enumeration(max(sizes, default=0), "one agent's deviations")
+
+
+def _deviations(inst: Instance, f, agent: int, s: int, *, shrink: bool = False):
     """Agent ``agent``'s deviations from the profile bitmask ``s``.
 
     Returns (c(S_i), walk).  The walk yields (dev, f(dev | S_-i), c(dev))
     for every subset dev of T_i (of S_i when ``shrink``), each a bitmask,
     in ascending mask order: the order of the subsets of the agent's
     sorted actions.  f is read as the walk goes, so a caller that stops
-    early spares the later reads.  More than ``enum_cap`` actions to walk
-    raise before anything is read.
+    early spares the later reads.  Callers check the walk's size with
+    :func:`_check_walks` before their first read.
     """
     own = set_to_mask(inst.agent_actions[agent])
     s_i = s & own
     pool = s_i if shrink else own
-    if enum_cap is not None and pool.bit_count() > enum_cap:
-        raise GroundSetTooLargeError(f"agent {agent} has {pool.bit_count()} actions")
     costs = submask_sums(pool, inst.cost_of)
     rest = s & ~own
     return costs[s_i], ((dev, f[dev | rest], c) for dev, c in costs.items())
@@ -67,7 +71,6 @@ def agent_utility(inst: Instance, alpha: Contract, profile: Iterable[int],
 
 def best_response(inst: Instance, agent: int, alpha_i: Fraction,
                   s_minus_i: Iterable[int], *, gs: Optional[bool] = None,
-                  enum_cap: int = 20,
                   table: Optional[Sequence[Fraction]] = None) -> frozenset[int]:
     """A utility-maximizing action set for one agent, others' actions fixed.
 
@@ -93,10 +96,11 @@ def best_response(inst: Instance, agent: int, alpha_i: Fraction,
             excluded=inst.ground_set - own - s_other,
         )
         result = demand_with_base(inst.oracle, prices, s_other, gs=True,
-                                  enum_cap=enum_cap, table=table)
+                                  table=table)
         return result - s_other
+    check_enumeration(len(own), "one agent's deviations")
     _, walk = _deviations(inst, value_view(inst.oracle, table), agent,
-                          set_to_mask(s_other), enum_cap=enum_cap)
+                          set_to_mask(s_other))
     best = None
     for dev, f_full, c in walk:
         rank = (alpha_i * f_full - c, f_full)
@@ -123,13 +127,13 @@ class NeCertificate:
 
 
 def is_nash(inst: Instance, alpha: Contract, profile: Iterable[int], *,
-            enum_cap: int = 20,
             table: Optional[Sequence[Fraction]] = None) -> NeCertificate:
     """Check the weak Nash condition by per-agent enumeration of deviations.
 
     f(S) is read once for all agents, so without a table the check issues
     1 + sum_i 2^|T_i| value queries.
     """
+    _check_walks(inst)
     s = frozenset(profile)
     mask = set_to_mask(s)
     f = value_view(inst.oracle, table)
@@ -138,7 +142,7 @@ def is_nash(inst: Instance, alpha: Contract, profile: Iterable[int], *,
     best_devs = []
     violator = None
     for i in range(inst.num_agents):
-        c_i, walk = _deviations(inst, f, i, mask, enum_cap=enum_cap)
+        c_i, walk = _deviations(inst, f, i, mask)
         u_i = alpha[i] * f_s - c_i
         best_u = None
         best_dev = 0
@@ -155,7 +159,6 @@ def is_nash(inst: Instance, alpha: Contract, profile: Iterable[int], *,
 
 
 def ne_from_demand(inst: Instance, alpha: Contract, *, gs: Optional[bool] = None,
-                   enum_cap: int = 20,
                    table: Optional[Sequence[Fraction]] = None) -> frozenset[int]:
     """An equilibrium of ``alpha`` from one demand query.
 
@@ -172,7 +175,7 @@ def ne_from_demand(inst: Instance, alpha: Contract, *, gs: Optional[bool] = None
         else:
             excluded.add(a)
     return demand_with_base(inst.oracle, PriceVector(prices, frozenset(excluded)),
-                            (), gs=gs, enum_cap=enum_cap, table=table)
+                            (), gs=gs, table=table)
 
 
 def is_subset_stable(inst: Instance, alpha: Contract, profile: Iterable[int], *,
@@ -182,6 +185,8 @@ def is_subset_stable(inst: Instance, alpha: Contract, profile: Iterable[int], *,
     Returns (ok, witness) with witness = (agent, subset) for the first
     profitable shrink found.
     """
+    profile = frozenset(profile)
+    _check_walks(inst, profile)
     s = set_to_mask(profile)
     f = value_view(inst.oracle, table)
     f_s = f[s]
@@ -200,7 +205,7 @@ def doubling_epsilon(budget: Fraction, num_agents: int) -> Fraction:
 
 
 def double_contract(inst: Instance, alpha: Contract, epsilon: Fraction, *,
-                    gs: Optional[bool] = None, enum_cap: int = 20,
+                    gs: Optional[bool] = None,
                     table: Optional[Sequence[Fraction]] = None):
     """The doubled contract 2*alpha + epsilon and one equilibrium of it.
 
@@ -210,12 +215,11 @@ def double_contract(inst: Instance, alpha: Contract, epsilon: Fraction, *,
     if epsilon <= 0:
         raise ValueError("epsilon must be > 0")
     doubled = alpha.scale(Fraction(2)).add_everyone(epsilon)
-    profile = ne_from_demand(inst, doubled, gs=gs, enum_cap=enum_cap, table=table)
+    profile = ne_from_demand(inst, doubled, gs=gs, table=table)
     return doubled, profile
 
 
 def min_incentivizing_contract(inst: Instance, profile: Iterable[int], *,
-                               enum_cap: int = 20,
                                table: Optional[Sequence[Fraction]] = None
                                ) -> Optional[Contract]:
     """The cheapest contract making ``profile`` a weak Nash equilibrium.
@@ -229,10 +233,8 @@ def min_incentivizing_contract(inst: Instance, profile: Iterable[int], *,
     then each agent's deviations until the profile fails, so without a
     table it issues at most 1 + sum_i (2^|T_i| - 1) value queries.
     """
+    _check_walks(inst)
     own_masks = [set_to_mask(t) for t in inst.agent_actions]
-    for i, om in enumerate(own_masks):
-        if om.bit_count() > enum_cap:
-            raise GroundSetTooLargeError(f"agent {i} has {om.bit_count()} actions")
     own_costs = [submask_sums(om, inst.cost_of) for om in own_masks]
     entries = _min_payments(value_view(inst.oracle, table), set_to_mask(profile),
                             range(inst.num_agents), own_masks, own_costs, None)
@@ -345,9 +347,10 @@ def linearize(contract: GeneralContract) -> Contract:
 
 
 def is_nash_general(inst: Instance, contract: GeneralContract,
-                    profile: Iterable[int], *, enum_cap: int = 20,
+                    profile: Iterable[int], *,
                     table: Optional[Sequence[Fraction]] = None) -> bool:
     """Weak Nash check under a general (success/failure payment) contract."""
+    _check_walks(inst)
     s = set_to_mask(profile)
     f = value_view(inst.oracle, table)
 
@@ -358,7 +361,7 @@ def is_nash_general(inst: Instance, contract: GeneralContract,
 
     f_s = f[s]
     for i in range(inst.num_agents):
-        c_i, walk = _deviations(inst, f, i, s, enum_cap=enum_cap)
+        c_i, walk = _deviations(inst, f, i, s)
         u_i = utility(i, f_s, c_i)
         for _, f_dev, c in walk:
             if utility(i, f_dev, c) > u_i:

@@ -11,7 +11,8 @@ import random
 from fractions import Fraction
 from typing import Optional
 
-from budgetcontracts.core import Action, Contract, GeneralContract, Instance
+from budgetcontracts.core import Action, Contract, GeneralContract, Instance, \
+    check_enumeration
 from budgetcontracts.rewards import (
     AdditiveOracle,
     AssignmentOracle,
@@ -98,6 +99,7 @@ def random_explicit_monotone_instance(seed: int, num_agents: Optional[int] = Non
     rng = random.Random(seed)
     n = num_agents if num_agents is not None else 1
     m = num_actions if num_actions is not None else rng.randint(2, 6)
+    check_enumeration(m, "explicit table")
     levels = [0] * (1 << m)
     for mask in range(1, 1 << m):
         floor = max(levels[mask & ~(1 << b)] for b in range(m) if mask & (1 << b))

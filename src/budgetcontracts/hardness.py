@@ -35,6 +35,7 @@ from budgetcontracts.core import (
     ModelError,
     ONE,
     ZERO,
+    check_enumeration,
     descriptor_field,
     parse_integer,
     parse_rational,
@@ -276,7 +277,7 @@ class GapReport:
     violations: tuple[frozenset[int], ...]
 
 
-def verify_gap_exhaustive(params: HardnessParams, *, enum_cap: int = 12) -> GapReport:
+def verify_gap_exhaustive(params: HardnessParams) -> GapReport:
     """Check that every budget-feasible non-good profile stays below the bound.
 
     Enumerates all profiles, prices each with its minimal incentivizing
@@ -285,8 +286,7 @@ def verify_gap_exhaustive(params: HardnessParams, *, enum_cap: int = 12) -> GapR
     floor (1-B)/2 against that bound.
     """
     n = params.n
-    if n > enum_cap - 2:
-        raise ModelError(f"n = {n} too large for exhaustive gap verification")
+    check_enumeration(n + 2, "gap verification")
     inst = build_hardness(params)
     table = value_table(inst.oracle)
     good_mask = set_to_mask(params.hidden) | 1 << good_action(n)
@@ -436,6 +436,8 @@ def adversary_experiment(solver: Solver, n: int, budget: Fraction,
     the approximation target reaches the good pair's profit floor (1-B)/2.
     A blown query budget records as a failed trial, not a crash.
     """
+    _check_n(n)
+    _check_setting(budget, approx_target)
     if eps is None:
         eps = default_epsilon(n, budget, approx_target)
     rng = random.Random(seed)

@@ -16,10 +16,12 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from budgetcontracts.core import (
     Contract,
+    GS_TESTER_LIMIT,
     Instance,
     ModelError,
     SchemaError,
     ZERO,
+    check_enumeration,
     cost,
     descriptor_field,
     format_rational,
@@ -137,8 +139,7 @@ def verify_best_properties(obj: Objective, inst: Instance, *,
     """
     n = inst.num_agents
     m = inst.num_actions
-    if m > 12:
-        raise ModelError("verification grid needs at most 12 actions")
+    check_enumeration(m, "verification grid", GS_TESTER_LIMIT)
     if denominator < 1:
         raise ModelError(f"grid denominator must be >= 1, got {denominator}")
     if table is None:

@@ -30,12 +30,14 @@ from operator import gt
 from typing import Iterable, Mapping, Optional, Sequence
 
 from budgetcontracts.core import (
-    GroundSetTooLargeError,
+    GS_TESTER_LIMIT,
     ModelError,
     OracleRangeViolationError,
     SchemaError,
+    TESTER_LIMIT,
     UnknownActionIdError,
     ZERO,
+    check_enumeration,
     descriptor_field,
     parse_integer,
     parse_rational,
@@ -288,8 +290,7 @@ class AssignmentOracle(RewardOracle):
         if len(cols) != 1:
             raise ModelError("all rows need the same number of columns")
         self.num_columns = cols.pop()
-        if self.num_columns > 12:
-            raise GroundSetTooLargeError("too many assignment columns to enumerate")
+        check_enumeration(self.num_columns, "assignment columns", GS_TESTER_LIMIT)
         if any(v < 0 for row in self.values for v in row):
             raise OracleRangeViolationError("assignment values must be >= 0")
         # the matching DP runs on integers over one common denominator
@@ -447,7 +448,6 @@ def _check_prices(oracle: RewardOracle, prices: PriceVector,
 
 
 def brute_force_demand(oracle: RewardOracle, prices: PriceVector, *,
-                       enum_cap: int = 20,
                        table: Optional[Sequence[Fraction]] = None) -> frozenset[int]:
     """Exact demand by enumerating all subsets of the purchasable items.
 
@@ -457,8 +457,7 @@ def brute_force_demand(oracle: RewardOracle, prices: PriceVector, *,
     table in bitmask order) is given, values come from it and no value
     queries are issued; otherwise each subset costs one value query.
     """
-    return demand_with_base(oracle, prices, (), gs=False, enum_cap=enum_cap,
-                            table=table)
+    return demand_with_base(oracle, prices, (), gs=False, table=table)
 
 
 def lex_key(mask: int) -> tuple[int, ...]:
@@ -480,7 +479,6 @@ def gs_greedy_demand(oracle: RewardOracle, prices: PriceVector, *,
 
 def demand_with_base(oracle: RewardOracle, prices: PriceVector,
                      base: Iterable[int], *, gs: Optional[bool] = None,
-                     enum_cap: int = 20,
                      table: Optional[Sequence[Fraction]] = None) -> frozenset[int]:
     """Demand constrained to contain ``base``.
 
@@ -512,8 +510,7 @@ def demand_with_base(oracle: RewardOracle, prices: PriceVector,
                 return mask_to_set(chosen)
             chosen |= 1 << best_item
             current = f[chosen]
-    if len(items) > enum_cap:
-        raise GroundSetTooLargeError(f"{len(items)} items exceed cap {enum_cap}")
+    check_enumeration(len(items), "demand items")
     subs = submasks(set_to_mask(items))
     psums = subset_sums([prices.prices[a] for a in items])
     best_u = f[chosen]
@@ -526,7 +523,7 @@ def demand_with_base(oracle: RewardOracle, prices: PriceVector,
     return mask_to_set(chosen | best)
 
 
-def value_table(oracle: RewardOracle, *, enum_cap: int = 20) -> list[Fraction]:
+def value_table(oracle: RewardOracle) -> list[Fraction]:
     """All 2^m values in bitmask order.
 
     Counts as 2^m value queries, one per subset, and no demand queries,
@@ -539,8 +536,7 @@ def value_table(oracle: RewardOracle, *, enum_cap: int = 20) -> list[Fraction]:
     answer one subset at a time.
     """
     m = oracle.num_actions
-    if m > enum_cap:
-        raise GroundSetTooLargeError(f"{m} actions exceed cap {enum_cap}")
+    check_enumeration(m, "value table")
     oracle.value_queries += 1 << m
     return oracle._table()
 
@@ -548,11 +544,10 @@ def value_table(oracle: RewardOracle, *, enum_cap: int = 20) -> list[Fraction]:
 # -- class membership testers ----------------------------------------------
 
 
-def is_monotone(oracle: RewardOracle, *, enum_cap: int = 16):
+def is_monotone(oracle: RewardOracle):
     """Exhaustive monotonicity check; returns (ok, witness (S, a) or None)."""
     m = oracle.num_actions
-    if m > enum_cap:
-        raise GroundSetTooLargeError(f"{m} actions exceed cap {enum_cap}")
+    check_enumeration(m, "monotonicity test", TESTER_LIMIT)
     table = value_table(oracle)
     for mask in range(1 << m):
         for b in range(m):
@@ -561,7 +556,7 @@ def is_monotone(oracle: RewardOracle, *, enum_cap: int = 16):
     return True, None
 
 
-def is_submodular(oracle: RewardOracle, *, enum_cap: int = 16):
+def is_submodular(oracle: RewardOracle):
     """Exhaustive diminishing-marginals check.
 
     Uses the pairwise characterization: f(a | S) >= f(a | S + b) for every S
@@ -570,8 +565,7 @@ def is_submodular(oracle: RewardOracle, *, enum_cap: int = 16):
     (S, a, b) meaning f(a | S) < f(a | S + b).
     """
     m = oracle.num_actions
-    if m > enum_cap:
-        raise GroundSetTooLargeError(f"{m} actions exceed cap {enum_cap}")
+    check_enumeration(m, "submodularity test", TESTER_LIMIT)
     table = value_table(oracle)
     for mask in range(1 << m):
         outside = [b for b in range(m) if not mask & (1 << b)]
@@ -604,7 +598,7 @@ class GsWitness:
     demand_set: Optional[frozenset[int]] = None
 
 
-def is_gross_substitutes(oracle: RewardOracle, *, enum_cap: int = 12):
+def is_gross_substitutes(oracle: RewardOracle):
     """Exact GS membership with a certified price witness on failure.
 
     Decides via the local characterization: submodularity plus, for every S
@@ -615,12 +609,11 @@ def is_gross_substitutes(oracle: RewardOracle, *, enum_cap: int = 12):
     set at q retains; the returned witness is verified by enumeration.
     """
     m = oracle.num_actions
-    if m > enum_cap:
-        raise GroundSetTooLargeError(f"{m} actions exceed cap {enum_cap}")
-    ok, wit = is_monotone(oracle, enum_cap=enum_cap)
+    check_enumeration(m, "gross-substitutes test", GS_TESTER_LIMIT)
+    ok, wit = is_monotone(oracle)
     if not ok:
         return False, GsWitness("not-monotone", wit[0], (wit[1],))
-    ok, wit = is_submodular(oracle, enum_cap=enum_cap)
+    ok, wit = is_submodular(oracle)
     if not ok:
         ctx, a, b = wit
         p, q, dset = _search_price_witness(oracle, ctx, (a, b))

@@ -25,11 +25,12 @@ from typing import Iterable, Optional, Sequence
 from budgetcontracts.core import (
     Action,
     Contract,
-    GroundSetTooLargeError,
     Instance,
     ModelError,
     ONE,
+    TESTER_LIMIT,
     ZERO,
+    check_enumeration,
     cost,
     restrict_contract,
 )
@@ -57,22 +58,6 @@ class SolveResult:
     demand_queries: int = 0
 
 
-def _maybe_table(inst: Instance, table, cap: int = 14):
-    if table is not None:
-        return table
-    if inst.num_actions <= cap:
-        return value_table(inst.oracle)
-    return None
-
-
-def _full_table(inst: Instance, table, enum_cap: int) -> Sequence[Fraction]:
-    """``table``, or the oracle's value table up to ``enum_cap`` actions."""
-    table = _maybe_table(inst, table)
-    if table is None:
-        table = value_table(inst.oracle, enum_cap=enum_cap)
-    return table
-
-
 def _race(obj: Objective, inst: Instance,
           pairs: Iterable[tuple[Contract, frozenset[int]]],
           table: Sequence[Fraction]) -> tuple[Contract, frozenset[int], Fraction]:
@@ -97,7 +82,6 @@ def _count_queries(inst: Instance, before: tuple[int, int]) -> tuple[int, int]:
 
 
 def brute_force_opt(inst: Instance, budget: Fraction, obj: Objective, *,
-                    enum_cap: int = 20,
                     table: Optional[Sequence[Fraction]] = None) -> SolveResult:
     """Exact optimum over all budget-feasible contract/equilibrium pairs.
 
@@ -107,11 +91,10 @@ def brute_force_opt(inst: Instance, budget: Fraction, obj: Objective, *,
     """
     if not 0 <= budget <= 1:
         raise ModelError("budget must lie in [0, 1]")
-    m = inst.num_actions
-    if m > enum_cap:
-        raise GroundSetTooLargeError(f"{m} actions exceed cap {enum_cap}")
+    check_enumeration(inst.num_actions, "brute force")
     before = (inst.oracle.value_queries, inst.oracle.demand_queries)
-    table = _full_table(inst, table, enum_cap)
+    if table is None:
+        table = value_table(inst.oracle)
     pairs = ((alpha, mask_to_set(mask))
              for mask, alpha in iter_min_contracts(inst, table, budget=budget))
     best = _race(obj, inst, pairs, table)
@@ -120,17 +103,15 @@ def brute_force_opt(inst: Instance, budget: Fraction, obj: Objective, *,
 
 
 def max_reward_bounded_brute(inst: Instance, budget: Fraction, *,
-                             enum_cap: int = 20,
                              table: Optional[Sequence[Fraction]] = None
                              ) -> SolveResult:
     """Exact reward maximization with the per-agent cap alpha_i <= 3B/4."""
     if not 0 <= budget <= 1:
         raise ModelError("budget must lie in [0, 1]")
-    m = inst.num_actions
-    if m > enum_cap:
-        raise GroundSetTooLargeError(f"{m} actions exceed cap {enum_cap}")
+    check_enumeration(inst.num_actions, "brute force")
     before = (inst.oracle.value_queries, inst.oracle.demand_queries)
-    table = _full_table(inst, table, enum_cap)
+    if table is None:
+        table = value_table(inst.oracle)
     cap = Fraction(3, 4) * budget
     best_alpha = Contract.zero(inst.num_agents)
     best_profile: frozenset[int] = frozenset()
@@ -147,7 +128,7 @@ def max_reward_bounded_brute(inst: Instance, budget: Fraction, *,
 
 
 def gs_single_agent_exact(inst: Instance, agent: int, obj: Objective,
-                          budget: Fraction, *, enum_cap: int = 20,
+                          budget: Fraction, *,
                           table: Optional[Sequence[Fraction]] = None
                           ) -> SolveResult:
     """Exact best single-agent pair: pay only ``agent``, who acts alone.
@@ -157,14 +138,12 @@ def gs_single_agent_exact(inst: Instance, agent: int, obj: Objective,
     :func:`iter_min_contracts` restricted to those actions (the other
     agents stay unpaid), and the objective maximizer within ``budget``
     wins; among equal values the smallest profile mask does.  Without a
-    table, one is filled for up to ``enum_cap`` actions (2^m value
-    queries).
+    table, one is filled (2^m value queries).
     """
-    if len(inst.agent_actions[agent]) > enum_cap:
-        raise GroundSetTooLargeError(
-            f"agent {agent} has {len(inst.agent_actions[agent])} actions")
+    check_enumeration(len(inst.agent_actions[agent]), "one agent's profiles")
     before = (inst.oracle.value_queries, inst.oracle.demand_queries)
-    table = _full_table(inst, table, enum_cap)
+    if table is None:
+        table = value_table(inst.oracle)
     best = _race(obj, inst, _single_agent_pairs(inst, agent, budget, table),
                  table)
     vq, dq = _count_queries(inst, before)
@@ -514,20 +493,17 @@ def _upper_envelope(lines: list[tuple[int, int, int]]):
     return hull, breaks
 
 
-def single_agent_demand_breakpoints(inst: Instance, *,
-                                    enum_cap: int = 16) -> list[Fraction]:
+def single_agent_demand_breakpoints(inst: Instance) -> list[Fraction]:
     """Payment levels at which the single agent's best response changes."""
     if inst.num_agents != 1:
         raise ModelError("single-agent analysis needs exactly one agent")
-    if inst.num_actions > enum_cap:
-        raise GroundSetTooLargeError("too many actions to enumerate")
+    check_enumeration(inst.num_actions, "single-agent envelope", TESTER_LIMIT)
     table = value_table(inst.oracle)
     _, breaks = _upper_envelope(_single_agent_lines(inst, table))
     return breaks
 
 
 def single_agent_fptas(inst: Instance, budget: Fraction, eps: Fraction, *,
-                       enum_cap: int = 16,
                        table: Optional[Sequence[Fraction]] = None) -> SolveResult:
     """Profit FPTAS for one agent with monotone f under budget B <= 1.
 
@@ -546,8 +522,7 @@ def single_agent_fptas(inst: Instance, budget: Fraction, eps: Fraction, *,
     if not 0 < eps < 1:
         raise ModelError("eps must lie in (0, 1)")
     m = inst.num_actions
-    if m > enum_cap:
-        raise GroundSetTooLargeError(f"{m} actions exceed cap {enum_cap}")
+    check_enumeration(m, "single-agent scheme", TESTER_LIMIT)
     before = (inst.oracle.value_queries, inst.oracle.demand_queries)
     if table is None:
         table = value_table(inst.oracle)
@@ -612,7 +587,6 @@ def single_agent_fptas(inst: Instance, budget: Fraction, eps: Fraction, *,
 
 def downsize(inst: Instance, m_param: int, alpha: Contract,
              profile: Iterable[int], *, gs: Optional[bool] = None,
-             enum_cap: int = 20,
              table: Optional[Sequence[Fraction]] = None
              ) -> tuple[Contract, frozenset[int]]:
     """Shrink total payment while keeping a 1/(2M-2) fraction of the reward.
@@ -629,8 +603,7 @@ def downsize(inst: Instance, m_param: int, alpha: Contract,
     if m_param < 3:
         raise ModelError("M must be an integer >= 3")
     s = frozenset(profile)
-    table = _maybe_table(inst, table)
-    cert = is_nash(inst, alpha, s, enum_cap=enum_cap, table=table)
+    cert = is_nash(inst, alpha, s, table=table)
     if not cert.ok:
         raise NotAnEquilibriumError(
             f"agent {cert.violator} prefers a deviation under the input contract")
@@ -649,7 +622,7 @@ def downsize(inst: Instance, m_param: int, alpha: Contract,
                 {a: inst.cost_of[a] / alpha[i] for a in inst.agent_actions[i]},
                 excluded=inst.ground_set - inst.agent_actions[i])
             s_prime = demand_with_base(inst.oracle, prices, s_i, gs=gs,
-                                       enum_cap=enum_cap, table=table)
+                                       table=table)
             return restrict_contract(alpha, {i}), s_prime
 
     def group_actions(agents: list[int]) -> frozenset[int]:
@@ -675,13 +648,11 @@ def downsize(inst: Instance, m_param: int, alpha: Contract,
     epsilon = p / (inst.num_agents * m_param)
     new_alpha = restrict_contract(alpha, survivors).scale(Fraction(2)) \
         .add_everyone(epsilon)
-    s_prime = ne_from_demand(inst, new_alpha, gs=gs, enum_cap=enum_cap,
-                             table=table)
+    s_prime = ne_from_demand(inst, new_alpha, gs=gs, table=table)
     return new_alpha, s_prime
 
 
 def gs_constant_factor(inst: Instance, budget: Fraction, obj: Objective, *,
-                       enum_cap: int = 20,
                        table: Optional[Sequence[Fraction]] = None,
                        force: bool = False) -> SolveResult:
     """Constant-factor approximation for gross-substitutes rewards.
@@ -699,18 +670,18 @@ def gs_constant_factor(inst: Instance, budget: Fraction, obj: Objective, *,
     if not 0 <= budget <= 1:
         raise ModelError("budget must lie in [0, 1]")
     before = (inst.oracle.value_queries, inst.oracle.demand_queries)
-    table = _maybe_table(inst, table)
     if budget == 0:
         free = frozenset(a for a in inst.ground_set if inst.cost_of[a] == 0)
         zero = Contract.zero(inst.num_agents)
         v = evaluate(obj, inst, zero, free, table=table)
         vq, dq = _count_queries(inst, before)
         return SolveResult(zero, free, v, "exact", str(obj), budget, vq, dq)
-    # one table for every stage, however large m is
-    table = _full_table(inst, table, enum_cap)
+    check_enumeration(inst.num_actions, "GS pipeline")
+    if table is None:  # one table for every stage
+        table = value_table(inst.oracle)
 
     scaled = scale_costs(inst, Fraction(4, 3) / budget)
-    base = brute_force_opt(scaled, ONE, PROFIT, enum_cap=enum_cap, table=table)
+    base = brute_force_opt(scaled, ONE, PROFIT, table=table)
     rescaled = (base.contract.scale(Fraction(3, 4) * budget), base.profile)
 
     # each agent's single-agent pairs, raced for reward here and for the
@@ -724,7 +695,7 @@ def gs_constant_factor(inst: Instance, budget: Fraction, obj: Objective, *,
         key=lambda pair: evaluate(REWARD, inst, pair[0], pair[1], table=table))
 
     down_alpha, down_profile = downsize(inst, 6, mrb_alpha, mrb_profile,
-                                        enum_cap=enum_cap, table=table)
+                                        table=table)
     final_candidates = [(down_alpha, down_profile)] + \
         [_race(obj, inst, pairs, table)[:2] for pairs in singles]
     best_alpha, best_profile = max(

@@ -184,8 +184,8 @@ def test_criterion_04_hardness_structure():
             params = HardnessParams.make(n, budget,
                                          hidden=range(0, n, 2))
             inst = build_hardness(params)
-            assert is_monotone(inst.oracle, enum_cap=n + 2)[0]
-            assert is_submodular(inst.oracle, enum_cap=n + 2)[0]
+            assert is_monotone(inst.oracle)[0]
+            assert is_submodular(inst.oracle)[0]
             alpha, profile = good_contract(params)
             assert alpha.total() == budget
             assert is_nash(inst, alpha, profile).ok

@@ -209,7 +209,7 @@ def test_cli_verify_best_reads_f_through_one_table(monkeypatch, capsys):
 def test_cli_verify_best_refuses_a_large_instance_before_any_query(monkeypatch, capsys):
     code, inst = _run_verify_best(monkeypatch, "gen:additive:seed=2,agents=2,actions=13")
     assert code == 1
-    assert _error_type(capsys) == "ModelError"
+    assert _error_type(capsys) == "GroundSetTooLargeError"
     assert inst.oracle.value_queries == 0
 
 

@@ -186,10 +186,9 @@ def test_brute_demand_additive_example():
 
 
 def test_brute_demand_cap():
-    o = UniformKDemandOracle(6, 2, F(1, 8))
+    o = UniformKDemandOracle(21, 2, F(1, 8))
     with pytest.raises(GroundSetTooLargeError):
-        brute_force_demand(o, PriceVector.of({a: F(1) for a in range(6)}),
-                           enum_cap=4)
+        brute_force_demand(o, PriceVector.of({a: F(1) for a in range(21)}))
 
 
 def test_greedy_demand_high_prices_empty():
