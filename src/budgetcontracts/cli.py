@@ -27,6 +27,7 @@ from budgetcontracts.core import (
     Instance,
     ModelError,
     SchemaError,
+    check_enumeration,
     format_rational,
     parse_integer,
     parse_rational,
@@ -417,6 +418,8 @@ def _cmd_gap_report(args) -> int:
     eps = parse_rational(args.eps) if args.eps else None
     hidden = [parse_integer(x, "--hidden entry") for x in args.hidden.split(",")] \
         if args.hidden else None
+    # refuse before the family is built: a huge n allocates O(n) first
+    check_enumeration(args.n + 2, "gap verification")
     params = HardnessParams.make(args.n, budget, target, eps, hidden, args.seed)
     report = verify_gap_exhaustive(params)
     row = {

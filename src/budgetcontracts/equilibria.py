@@ -10,17 +10,26 @@ functions are pure; ``table`` arguments accept a full value table (bitmask
 order) as an algorithm-side cache, and without one every value read is one
 value query (:func:`rewards.value_view`).
 
-The minimal-contract algebra is :func:`_min_payments`, the per-agent
-bounds for one profile.  :func:`iter_min_contracts` runs it over many
-profiles on integers over a common denominator;
-:func:`min_incentivizing_contract` runs it once, on the Fractions it reads.
+The minimal-contract algebra is :func:`_min_payment`, one agent's bounds
+for one profile.  :func:`min_incentivizing_contract` runs it per agent on
+the Fractions it reads, against every deviation.  :func:`iter_min_contracts`
+prices all profiles at once, agent by agent, on integers: against a fixed
+rest R = S - T_i, agent i's deviations are the lines
+alpha * f(R + d) - c(d), and S_i is kept exactly where its line is on their
+upper envelope.  When d' costs no more than d and is worth no less, the
+bound from d' implies the bound from d at every alpha >= 0, so only S_i's
+neighbours on the envelope bind: the one before it sets the payment, and
+it is what :func:`_min_payment` sees.  A line that touches the envelope
+in a single point, where its lower and upper bounds meet (lo = hi),
+stays admissible.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from itertools import groupby
+from typing import Iterable, Optional, Sequence
 
 from budgetcontracts.core import (
     ActionProfile,
@@ -31,9 +40,9 @@ from budgetcontracts.core import (
     check_enumeration,
     cost,
 )
-from budgetcontracts.rewards import PriceVector, common_denominator, \
-    demand_with_base, lex_key, mask_to_set, scaled_ints, set_to_mask, \
-    submask_sums, submasks, value_view
+from budgetcontracts.rewards import PriceVector, ValueTable, \
+    common_denominator, demand_with_base, lex_key, mask_to_set, scaled_ints, \
+    set_to_mask, submask_sums, submasks, value_view
 
 
 def _check_walks(inst: Instance, within: Optional[frozenset[int]] = None) -> None:
@@ -229,66 +238,124 @@ def min_incentivizing_contract(inst: Instance, profile: Iterable[int], *,
     with f(S) < f(S' + S_-i) caps alpha_i from above by the same ratio;
     equal-f deviations must not be strictly cheaper.  Returns None when some
     agent's bounds cross (the profile cannot be incentivized at any payment).
-    One run of :func:`_min_payments` on the values as read: f(S) first,
-    then each agent's deviations until the profile fails, so without a
-    table it issues at most 1 + sum_i (2^|T_i| - 1) value queries.
+    :func:`_min_payment` on the values as read: f(S) first, then each
+    agent's deviations in ascending mask order until the profile fails, so
+    without a table it issues at most 1 + sum_i (2^|T_i| - 1) value queries.
     """
     _check_walks(inst)
     own_masks = [set_to_mask(t) for t in inst.agent_actions]
     own_costs = [submask_sums(om, inst.cost_of) for om in own_masks]
-    entries = _min_payments(value_view(inst.oracle, table), set_to_mask(profile),
-                            range(inst.num_agents), own_masks, own_costs, None)
-    return None if entries is None else Contract(tuple(Fraction(*e) for e in entries))
-
-
-def _min_payments(f: Mapping[int, int | Fraction], mask: int,
-                  agents: Iterable[int], own_masks: Sequence[int],
-                  own_costs: Sequence[dict], budget: Optional[Fraction]
-                  ) -> Optional[list[tuple]]:
-    """Each agent's minimal payment for the profile ``mask``, or None.
-
-    ``f[mask]`` and ``own_costs[i][dev]`` (every subset of agent i's
-    actions ``own_masks[i]``, ascending) are exact numbers on one scale:
-    ints over a common denominator or plain Fractions; each bound is a
-    ratio of their differences, so the scale cancels.  Returns one
-    (numerator, positive denominator) pair per agent, (0, 1) for agents
-    outside ``agents``.  None when an equal-f deviation is strictly
-    cheaper, when an agent's bounds cross, or when the payment so far
-    exceeds ``budget`` (payments are nonnegative).  Reads f(S) first and
-    stops at the first failure.
-    """
-    entries = [(0, 1)] * len(own_masks)
-    total_n, total_d = 0, 1  # the payment so far, kept off Fraction
+    f = value_view(inst.oracle, table)
+    mask = set_to_mask(profile)
     f_s = f[mask]
-    for i in agents:
-        om = own_masks[i]
-        costs = own_costs[i]
-        s_i = mask & om
-        rest = mask & ~om
-        c_i = costs[s_i]
-        lo_n, lo_d = 0, 1
-        hi = None  # (numerator, positive denominator)
-        for dev, c in costs.items():
-            if dev == s_i:
-                continue
-            df = f_s - f[rest | dev]
-            dc = c_i - c
-            if df > 0:
-                if dc > 0 and dc * lo_d > lo_n * df:
-                    lo_n, lo_d = dc, df
-            elif df == 0:
-                if dc > 0:
-                    return None
-            elif hi is None or dc * hi[1] > hi[0] * df:  # dc/df < hi
-                hi = (-dc, -df)
-        if hi is not None and lo_n * hi[1] > hi[0] * lo_d:
+    entries = []
+    for om, costs in zip(own_masks, own_costs):
+        s_i, rest = mask & om, mask & ~om
+        walk = ((f[rest | dev], c) for dev, c in costs.items() if dev != s_i)
+        pay = _min_payment(f_s, costs[s_i], walk)
+        if pay is None:
             return None
-        if budget is not None and lo_n:
-            total_n, total_d = total_n * lo_d + lo_n * total_d, total_d * lo_d
-            if total_n * budget.denominator > budget.numerator * total_d:
+        entries.append(Fraction(*pay))
+    return Contract(tuple(entries))
+
+
+def _min_payment(f_s, c_i, deviations: Iterable[tuple]) -> Optional[tuple]:
+    """One agent's minimal payment for keeping its part S_i of a profile.
+
+    ``f_s`` is f(S), ``c_i`` is c(S_i), and ``deviations`` yields
+    (f(S' + S_-i), c(S')) for the deviations S' to bound against.  Values
+    are exact numbers on one scale and costs on one scale (ints over a
+    common denominator, or plain Fractions).  Returns the payment as a
+    (cost difference, positive value difference) pair, (0, 1) when
+    unpaid, or None when an equal-f deviation is strictly cheaper or the
+    bounds cross.  Stops at the first failure, so a lazy ``deviations``
+    spares the later reads.
+    """
+    lo_n, lo_d = 0, 1
+    hi = None  # (numerator, positive denominator)
+    for f_dev, c in deviations:
+        df = f_s - f_dev
+        dc = c_i - c
+        if df > 0:
+            if dc > 0 and dc * lo_d > lo_n * df:
+                lo_n, lo_d = dc, df
+        elif df == 0:
+            if dc > 0:
                 return None
-        entries[i] = (lo_n, lo_d)
-    return entries
+        elif hi is None or dc * hi[1] > hi[0] * df:  # dc/df < hi
+            hi = (-dc, -df)
+    if hi is not None and lo_n * hi[1] > hi[0] * lo_d:
+        return None
+    return lo_n, lo_d
+
+
+def _envelope_payments(vals: Sequence[int], costs: Sequence[int],
+                       ends: Sequence[int]) -> list[tuple[int, tuple]]:
+    """The deviations an agent can be kept on against one rest, with their
+    payments.
+
+    ``costs`` ascend; ``vals[k]`` is f(R + d_k) for the k-th deviation d_k
+    and ``ends[k]`` the end of the run of deviations costing what d_k
+    costs.  Returns (k, payment) for every d_k whose line
+    alpha * vals[k] - costs[k] is on the upper envelope somewhere on
+    alpha >= 0, the payment being the left end of that stretch: the
+    whole cheapest run at 0, then each envelope line and its exact
+    duplicates, priced by :func:`_min_payment` against the envelope line
+    before it.  One pass over the deviations finds the staircase, and a
+    monotone stack over it the envelope.
+    """
+    hull: list[int] = []
+    top = None
+    for k, v in enumerate(vals):
+        if top is not None and v <= top:
+            continue  # a cheaper deviation is worth at least as much
+        top = v
+        c = costs[k]
+        if hull and costs[hull[-1]] == c:  # same cost, now worth less
+            hull.pop()
+        while len(hull) > 1:
+            p, t = hull[-2], hull[-1]
+            # t's stretch would end before it starts; a stretch of length
+            # zero (all three lines meet in one point) keeps t
+            if (c - costs[p]) * (vals[t] - vals[p]) \
+                    < (costs[t] - costs[p]) * (v - vals[p]):
+                hull.pop()
+            else:
+                break
+        hull.append(k)
+    out = [(k, (0, 1)) for k in range(ends[0])]
+    for p, h in zip(hull, hull[1:]):
+        # the envelope neighbour before h bounds it from below; the one
+        # after caps it no lower, as the stack kept h
+        pay = _min_payment(vals[h], costs[h], ((vals[p], costs[p]),))
+        if ends[h] == h + 1:
+            out.append((h, pay))
+        else:
+            out += [(k, pay) for k in range(h, ends[h]) if vals[k] == vals[h]]
+    return out
+
+
+def _agent_payments(f: Sequence[int], own: int, c_int: Sequence[int],
+                    masks: Iterable[int]) -> dict[int, tuple]:
+    """The minimal payment of the agent owning ``own`` for each profile
+    it can be kept on, keyed by profile mask, over the rests of ``masks``.
+
+    One pass of :func:`_envelope_payments` per rest R = S - T_i, so each
+    deviation value f(R + d) is read once per rest.  The keys may include
+    profiles outside ``masks`` that share a rest with one inside.
+    """
+    costs = submask_sums(own, c_int)
+    devs = sorted(costs, key=costs.__getitem__)  # ties stay in mask order
+    by_cost = [costs[d] for d in devs]
+    ends = []
+    for _, run in groupby(range(len(devs)), by_cost.__getitem__):
+        run = list(run)
+        ends += [run[-1] + 1] * len(run)
+    pay = {}
+    for rest in {mask & ~own for mask in masks}:
+        for k, p in _envelope_payments([f[rest | d] for d in devs], by_cost, ends):
+            pay[rest | devs[k]] = p
+    return pay
 
 
 def iter_min_contracts(inst: Instance, table: Sequence[Fraction], *,
@@ -297,41 +364,64 @@ def iter_min_contracts(inst: Instance, table: Sequence[Fraction], *,
     """Yield (profile mask, minimal incentivizing Contract) for every
     incentivizable profile, in ascending mask order.
 
-    The minimal-contract algebra of :func:`min_incentivizing_contract`
-    over many profiles: :func:`_min_payments` per profile, on the table
-    entries and costs scaled to integers over one common denominator
-    (Python ints are exact at any size).  ``within`` (a bitmask) restricts
-    the profiles to its submasks, still in ascending order; an agent
-    owning none of its actions is then unpaid and skipped, unless one of
-    its costs is negative.  ``budget`` prunes profiles whose partial
-    payment already exceeds it.
+    The contracts of :func:`min_incentivizing_contract`, found agent by
+    agent from upper envelopes.  Against a fixed rest R = S - T_i, agent
+    i's utility from deviation d is the line alpha * f(R + d) - c(d), and
+    S_i is kept at alpha exactly where its line is on the upper envelope
+    of all 2^|T_i| lines; the minimal payment is the left end of that
+    stretch on alpha >= 0.  A deviation d' costing no more and worth no
+    less than d bounds alpha at least as tightly as d does at every
+    alpha >= 0, so only the staircase of deviations whose f strictly
+    rises with cost matters, and of it only the envelope neighbours of
+    S_i bind; :func:`_min_payment` prices S_i against the one before it.
+    A line touching the envelope in a single point (its bounds meet,
+    lo = hi) stays admissible.  Each agent reads f(R + d) once per rest of the profiles
+    still standing, at most n * 2^m table reads in all, where pricing each
+    profile alone reads 2^m * sum_i 2^|T_i|.
+
+    Values are ints over one denominator (a :class:`ValueTable`'s own, so
+    its entries are not rescaled) and costs ints over theirs; a payment
+    becomes a Fraction once, when its contract is yielded.  ``within`` (a
+    bitmask) restricts the profiles to its submasks; an agent owning none
+    of its actions is then unpaid and skipped, unless one of its costs is
+    negative.  ``budget`` drops profiles whose payments sum above it.
     """
-    m = inst.num_actions
-    n = inst.num_agents
-    own_masks = [set_to_mask(inst.agent_actions[i]) for i in range(n)]
+    m, n = inst.num_actions, inst.num_agents
+    own_masks = [set_to_mask(t) for t in inst.agent_actions]
     costs = [inst.cost_of[a] for a in range(m)]
-    if within is None:
-        profiles = reads = range(1 << m)
-        agents = range(n)
+    c_den = common_denominator(costs)
+    c_int = scaled_ints(costs, c_den)
+    span = (1 << m) - 1 if within is None else within
+    # An agent with no action in ``span`` acts in no profile; if none of
+    # its costs is negative, every deviation only adds cost, so its bounds
+    # are lo = 0 <= hi: it is never paid and never blocks.
+    agents = [i for i in range(n) if own_masks[i] & span
+              or any(c_int[a] < 0 for a in inst.agent_actions[i])]
+    if isinstance(table, ValueTable):
+        f, f_den = table.ints, table.den
     else:
-        profiles = submasks(within)
-        # An agent with no action in ``within`` acts in no profile; if none
-        # of its costs is negative, every deviation only adds cost, so its
-        # bounds are lo = 0 <= hi: it is never paid and never blocks.
-        agents = [i for i in range(n) if own_masks[i] & within
-                  or any(costs[a] < 0 for a in inst.agent_actions[i])]
-        # the table entries read: profiles and the agents' deviations
-        reads = set(profiles).union(
-            *(submasks(within | own_masks[i]) for i in agents))
-    values = {k: table[k] for k in reads}
-    den = common_denominator([*values.values(), *costs])
-    f_int = dict(zip(values, scaled_ints(values.values(), den)))
-    c_int = scaled_ints(costs, den)
-    own_costs = [submask_sums(om, c_int) for om in own_masks]
-    for mask in profiles:
-        entries = _min_payments(f_int, mask, agents, own_masks, own_costs, budget)
-        if entries is not None:
-            yield mask, Contract(tuple(Fraction(*e) for e in entries))
+        f_den = common_denominator(table)
+        f = scaled_ints(table, f_den)
+    masks = range(1 << m) if within is None else submasks(within)
+    # a payment (dc, df) is alpha_i = dc * f_den / (df * c_den); payments
+    # are nonnegative, so none of a budget-feasible profile exceeds cap
+    if budget is not None:
+        cap_n, cap_d = (budget * Fraction(c_den, f_den)).as_integer_ratio()
+    pays = []
+    for i in agents:
+        pay = _agent_payments(f, own_masks[i], c_int, masks)
+        if budget is not None:
+            pay = {k: p for k, p in pay.items() if p[0] * cap_d <= cap_n * p[1]}
+        masks = [mask for mask in masks if mask in pay]
+        pays.append(pay)
+    for mask in masks:
+        alpha = [ZERO] * n
+        for i, pay in zip(agents, pays):
+            dc, df = pay[mask]
+            if dc:
+                alpha[i] = Fraction(dc * f_den, df * c_den)
+        if budget is None or sum(alpha, ZERO) <= budget:
+            yield mask, Contract(tuple(alpha))
 
 
 def linearize(contract: GeneralContract) -> Contract:

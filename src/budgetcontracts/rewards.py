@@ -205,10 +205,28 @@ def value_view(oracle: "RewardOracle",
     return _QueriedValues(oracle) if table is None else table
 
 
-def _fractions(ints: list[int], den: int) -> list[Fraction]:
+class ValueTable(list):
+    """A value table that also carries its integer form.
+
+    A plain list of Fractions in bitmask order, plus ``ints`` and ``den``
+    with ``self[mask] == Fraction(ints[mask], den)`` for every mask.  The
+    families that fill their tables on integers hand that form over, so
+    an integer consumer skips the common denominator and the rescaling.
+    Neither part is copied, so neither may be mutated.
+    """
+
+    __slots__ = ("ints", "den")
+
+    def __init__(self, values: Iterable[Fraction], ints: list[int], den: int):
+        super().__init__(values)
+        self.ints = ints
+        self.den = den
+
+
+def _fractions(ints: list[int], den: int) -> ValueTable:
     """``Fraction(k, den)`` for each k, built once per distinct k."""
     made = {k: Fraction(k, den) for k in set(ints)}
-    return [made[k] for k in ints]
+    return ValueTable(map(made.__getitem__, ints), ints, den)
 
 
 class AdditiveOracle(RewardOracle):
@@ -268,9 +286,11 @@ class UniformKDemandOracle(RewardOracle):
         return min(len(subset), self.k) * self.unit_value
 
     def _table(self) -> list[Fraction]:
-        levels = [min(c, self.k) * self.unit_value
-                  for c in range(self.num_actions + 1)]
-        return [levels[s.bit_count()] for s in range(1 << self.num_actions)]
+        v = self.unit_value
+        m = self.num_actions
+        levels = [min(c, self.k) * v.numerator for c in range(m + 1)]
+        return _fractions([levels[s.bit_count()] for s in range(1 << m)],
+                          v.denominator)
 
 
 class AssignmentOracle(RewardOracle):
@@ -360,9 +380,7 @@ class CoverageOracle(RewardOracle):
         for cover in self.covers:
             bits = set_to_mask(cover)
             covered += [c | bits for c in covered]
-        levels = [Fraction(c, self.universe_size)
-                  for c in range(self.universe_size + 1)]
-        return [levels[c.bit_count()] for c in covered]
+        return _fractions([c.bit_count() for c in covered], self.universe_size)
 
 
 class ExplicitOracle(RewardOracle):
@@ -386,6 +404,7 @@ class ExplicitOracle(RewardOracle):
         values = [v if isinstance(v, Fraction) else Fraction(v) for v in values]
         den = common_denominator(values)
         ints = scaled_ints(values, den)
+        self._ints, self._den = ints, den
         self.values = tuple(_fractions(ints, den))
         if validate:
             if ints[0] != 0:
@@ -407,7 +426,7 @@ class ExplicitOracle(RewardOracle):
         return self.values[set_to_mask(subset)]
 
     def _table(self) -> list[Fraction]:
-        return list(self.values)
+        return ValueTable(self.values, self._ints, self._den)
 
 
 def _is_monotone(ints: list[int], m: int) -> bool:
@@ -534,6 +553,13 @@ def value_table(oracle: RewardOracle) -> list[Fraction]:
     explicit oracle returns a copy of the table it validated on integers
     when it was built, one Fraction object per distinct value; the rest
     answer one subset at a time.
+
+    The integer families return a :class:`ValueTable`: the Fractions plus
+    the integers they were made from over one denominator (the weights'
+    lcm for additive, unit-demand and OXS, the unit value's denominator
+    for uniform-k, the universe size for coverage's bit-counts, the
+    explicit table's validated lcm).  The subset-at-a-time families
+    return a plain list, and every consumer accepts both.
     """
     m = oracle.num_actions
     check_enumeration(m, "value table")

@@ -394,6 +394,15 @@ def test_cli_gap_report_rejects_nonpositive_n(n, capsys):
     assert _error_type(capsys) == "OddNError"
 
 
+def test_cli_gap_report_refuses_huge_n_before_building(monkeypatch, capsys):
+    def build(*args, **kwargs):
+        raise AssertionError("the hardness family was built")
+
+    monkeypatch.setattr(cli.HardnessParams, "make", build)
+    assert main(["gap-report", "--n", "2000000"]) == 1
+    assert _error_type(capsys) == "GroundSetTooLargeError"
+
+
 def test_hardness_oracle_descriptor_rejects_string_n():
     with pytest.raises(SchemaError):
         oracle_from_spec({"type": "hardness", "n": "x", "eps": "1/64"})

@@ -27,6 +27,7 @@ from budgetcontracts.rewards import (
     PriceVector,
     UniformKDemandOracle,
     UnitDemandOracle,
+    ValueTable,
     brute_force_demand,
     demand_with_base,
     gs_greedy_demand,
@@ -152,10 +153,16 @@ def _table_oracles():
 
 def test_table_fills_match_per_subset_values():
     seen = set()
+    integer = set()
     for o in _table_oracles():
         seen.add(type(o).__name__)
-        assert o._table() == _per_subset(o), oracle_to_spec(o)
+        table = o._table()
+        assert table == _per_subset(o), oracle_to_spec(o)
+        if isinstance(table, ValueTable):  # its integer form says the same
+            integer.add(type(o).__name__)
+            assert [F(k, table.den) for k in table.ints] == table
     assert len(seen) == 7
+    assert seen - integer == {"HardnessOracle"}
 
 
 def test_value_table_counts_one_value_query_per_subset():

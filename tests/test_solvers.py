@@ -172,6 +172,58 @@ def test_min_contract_without_table_reads_like_the_reference():
     assert infeasible > 0  # early stops are compared too
 
 
+def _tied_line_instances():
+    """Instances whose deviation lines tie, cross and meet in one point."""
+    rng = random.Random(59)
+    levels = [F(0), F(1, 8), F(1, 4), F(1, 3), F(1, 2), F(3, 4)]
+    costs = [F(-1, 6), F(0), F(0), F(1, 12), F(1, 12), F(1, 6), F(1, 4)]
+    for _ in range(40):
+        n, m = rng.randint(1, 3), rng.randint(1, 6)
+        actions = tuple(Action(a, rng.randrange(n), rng.choice(costs))
+                        for a in range(m))
+        # any table, monotone or not, with equal values and equal costs
+        values = [rng.choice(levels) for _ in range(1 << m)]
+        yield Instance(n, actions, ExplicitOracle(values, validate=False))
+    # the degenerate pencil: with costs w/3 every line
+    # alpha * (f(R) + w(d)) - w(d)/3 passes through alpha = 1/3
+    w = [F(k, 36) for k in (1, 2, 3, 5, 8, 4)]
+    for n in (1, 2):
+        yield Instance(n, tuple(Action(a, a % n, w[a] / 3) for a in range(6)),
+                       AdditiveOracle(w))
+    # {0}'s line alpha/4 - 1/12 meets the envelope only at alpha = 1/3,
+    # where the lines of {} and {0, 1} cross
+    yield Instance(1, (Action(0, 0, F(1, 12)), Action(1, 0, F(1, 12))),
+                   ExplicitOracle([F(0), F(1, 4), F(0), F(1, 2)]))
+
+
+def test_envelope_contracts_match_the_reference():
+    rng = random.Random(61)
+    for inst in _tied_line_instances():
+        table = value_table(inst.oracle)
+        m = inst.num_actions
+        reference = {mask: _reference_min_contract(inst, mask_to_set(mask),
+                                                   table=table)
+                     for mask in range(1 << m)}
+        withins = (None, rng.randrange(1 << m),
+                   set_to_mask(inst.agent_actions[0]))
+        for tab, within, budget in itertools.product(
+                (table, list(table)), withins, (None, F(0), F(1, 3), F(1))):
+            got = list(iter_min_contracts(inst, tab, within=within,
+                                          budget=budget))
+            expected = [(mask, alpha) for mask, alpha in reference.items()
+                        if alpha is not None
+                        and (within is None or not mask & ~within)
+                        and (budget is None or alpha.total() <= budget)]
+            assert got == expected
+    *_, pencil, _, touch = _tied_line_instances()
+    got = dict(iter_min_contracts(pencil, value_table(pencil.oracle)))
+    assert got == {mask: Contract((F(1, 3) if mask else F(0),))
+                   for mask in range(64)}
+    got = dict(iter_min_contracts(touch, value_table(touch.oracle)))
+    assert got == {0b00: Contract((F(0),)), 0b01: Contract((F(1, 3),)),
+                   0b11: Contract((F(1, 3),))}
+
+
 def test_brute_force_output_is_feasible_equilibrium():
     rng = random.Random(2)
     for _ in range(10):
