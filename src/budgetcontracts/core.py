@@ -65,6 +65,9 @@ class GroundSetTooLargeError(ModelError):
 ENUM_LIMIT = 20  # value tables, demand, deviations, brute force, GS pipeline, gap
 TESTER_LIMIT = 16  # monotone/submodular testers, single-agent scheme
 GS_TESTER_LIMIT = 12  # GS tester, verify_best_properties, OXS columns
+# The most unit agents of the hardness family: 1/C(n, n/2), printed as
+# baselineProb, stays below Python's 4300-digit int-to-text limit.
+HARDNESS_N_LIMIT = 10000
 
 
 def check_enumeration(count: int, what: str, limit: int = ENUM_LIMIT) -> None:
@@ -175,12 +178,6 @@ class Instance:
             raise UnknownAgentIdError(f"agent {agent} out of range")
         return frozenset(profile) & self.agent_actions[agent]
 
-    def others_part(self, profile: Iterable[int], agent: int) -> frozenset[int]:
-        """S_{-i}: the actions of ``profile`` owned by everyone else."""
-        if not 0 <= agent < self.num_agents:
-            raise UnknownAgentIdError(f"agent {agent} out of range")
-        return frozenset(profile) - self.agent_actions[agent]
-
 
 @dataclass(frozen=True)
 class Contract:
@@ -208,9 +205,6 @@ class Contract:
 
     def total(self) -> Fraction:
         return sum(self.alpha, ZERO)
-
-    def budget_feasible(self, budget: Fraction) -> bool:
-        return self.total() <= budget
 
     def scale(self, factor: Fraction) -> "Contract":
         return Contract(tuple(a * factor for a in self.alpha))

@@ -21,7 +21,9 @@ bound from d' implies the bound from d at every alpha >= 0, so only S_i's
 neighbours on the envelope bind: the one before it sets the payment, and
 it is what :func:`_min_payment` sees.  A line that touches the envelope
 in a single point, where its lower and upper bounds meet (lo = hi),
-stays admissible.
+stays admissible.  The same envelope with R = empty is a one-agent
+instance's best-response hull (:func:`single_agent_hull`), which the
+single-agent scheme in :mod:`solvers` reads.
 """
 
 from __future__ import annotations
@@ -358,6 +360,45 @@ def _agent_payments(f: Sequence[int], own: int, c_int: Sequence[int],
     return pay
 
 
+def _integer_form(inst: Instance, table: Sequence[Fraction]
+                  ) -> tuple[Sequence[int], int, list[int], int]:
+    """(f, f_den, c, c_den): the table and the action costs as ints, each
+    over its own common denominator.  A :class:`ValueTable` hands over
+    its integer form as it is; a plain list is rescaled."""
+    costs = [inst.cost_of[a] for a in range(inst.num_actions)]
+    c_den = common_denominator(costs)
+    if isinstance(table, ValueTable):
+        f, f_den = table.ints, table.den
+    else:
+        f_den = common_denominator(table)
+        f = scaled_ints(table, f_den)
+    return f, f_den, scaled_ints(costs, c_den), c_den
+
+
+def single_agent_hull(inst: Instance, table: Sequence[Fraction]
+                      ) -> tuple[list[int], list[Fraction]]:
+    """The upper envelope of the lines alpha * f(S) - c(S) of a one-agent
+    instance, as (hull, breaks): :func:`_agent_payments` with R = empty.
+
+    Of the sets sharing a left end there, the largest f, then the smallest
+    mask, stays, so a set touching the envelope in one point gives way to
+    the line after it.  ``hull`` lists the masks by left end and ``breaks``
+    the positive left ends: hull[i] is active on (breaks[i-1], breaks[i]],
+    and hull[bisect_right(breaks, alpha)] is the best response at alpha,
+    the larger f winning at a breakpoint.
+    """
+    f, f_den, c_int, c_den = _integer_form(inst, table)
+    best: dict[Fraction, int] = {}
+    for mask, (dc, df) in _agent_payments(f, (1 << inst.num_actions) - 1,
+                                          c_int, [0]).items():
+        alpha = Fraction(dc * f_den, df * c_den)
+        kept = best.get(alpha)
+        if kept is None or (f[mask], -mask) > (f[kept], -kept):
+            best[alpha] = mask
+    ends = sorted(best)
+    return [best[alpha] for alpha in ends], ends[1:]
+
+
 def iter_min_contracts(inst: Instance, table: Sequence[Fraction], *,
                        within: Optional[int] = None,
                        budget: Optional[Fraction] = None):
@@ -388,20 +429,13 @@ def iter_min_contracts(inst: Instance, table: Sequence[Fraction], *,
     """
     m, n = inst.num_actions, inst.num_agents
     own_masks = [set_to_mask(t) for t in inst.agent_actions]
-    costs = [inst.cost_of[a] for a in range(m)]
-    c_den = common_denominator(costs)
-    c_int = scaled_ints(costs, c_den)
+    f, f_den, c_int, c_den = _integer_form(inst, table)
     span = (1 << m) - 1 if within is None else within
     # An agent with no action in ``span`` acts in no profile; if none of
     # its costs is negative, every deviation only adds cost, so its bounds
     # are lo = 0 <= hi: it is never paid and never blocks.
     agents = [i for i in range(n) if own_masks[i] & span
               or any(c_int[a] < 0 for a in inst.agent_actions[i])]
-    if isinstance(table, ValueTable):
-        f, f_den = table.ints, table.den
-    else:
-        f_den = common_denominator(table)
-        f = scaled_ints(table, f_den)
     masks = range(1 << m) if within is None else submasks(within)
     # a payment (dc, df) is alpha_i = dc * f_den / (df * c_den); payments
     # are nonnegative, so none of a budget-feasible profile exceeds cap

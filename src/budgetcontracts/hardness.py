@@ -31,6 +31,8 @@ from typing import Callable, Iterable, Optional
 from budgetcontracts.core import (
     Action,
     Contract,
+    GroundSetTooLargeError,
+    HARDNESS_N_LIMIT,
     Instance,
     ModelError,
     ONE,
@@ -81,6 +83,9 @@ def good_action(n: int) -> int:
 def _check_n(n: int) -> None:
     if n <= 0 or n % 2 != 0:
         raise OddNError(f"n must be a positive even integer, got {n}")
+    if n > HARDNESS_N_LIMIT:
+        raise GroundSetTooLargeError(
+            f"hardness family: n = {n} exceeds the limit {HARDNESS_N_LIMIT}")
 
 
 def _check_setting(budget: Fraction, approx_target: Fraction) -> None:

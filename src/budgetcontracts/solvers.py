@@ -11,6 +11,10 @@ The poly-time structure of the algorithms is preserved at desk scale; the
 external poly-time base solver the reduction pipeline would call for
 Max-Profit(1) is stood in for by the exact brute-force oracle (gamma = 1),
 and the certified constant accounts for that.
+
+No envelope is built here: brute force and the exact single-agent solvers
+price profiles with :func:`equilibria.iter_min_contracts`, and the
+single-agent scheme reads its hull from :func:`equilibria.single_agent_hull`.
 """
 
 from __future__ import annotations
@@ -35,11 +39,11 @@ from budgetcontracts.core import (
     restrict_contract,
 )
 from budgetcontracts.equilibria import is_nash, iter_min_contracts, \
-    ne_from_demand
+    ne_from_demand, single_agent_hull
 from budgetcontracts.objectives import Objective, PROFIT, REWARD, evaluate
 from budgetcontracts.rewards import PriceVector, common_denominator, \
-    demand_with_base, mask_to_set, scaled_ints, set_to_mask, subset_sums, \
-    value_table, value_view
+    demand_with_base, mask_to_set, scaled_ints, set_to_mask, value_table, \
+    value_view
 
 
 class NotAnEquilibriumError(ModelError):
@@ -76,6 +80,11 @@ def _race(obj: Objective, inst: Instance,
     return best_alpha, best_profile, best_value
 
 
+def _check_budget(budget: Fraction) -> None:
+    if not 0 <= budget <= 1:
+        raise ModelError("budget must lie in [0, 1]")
+
+
 def _count_queries(inst: Instance, before: tuple[int, int]) -> tuple[int, int]:
     return (inst.oracle.value_queries - before[0],
             inst.oracle.demand_queries - before[1])
@@ -89,42 +98,35 @@ def brute_force_opt(inst: Instance, budget: Fraction, obj: Objective, *,
     contract, keeps the budget-feasible ones and returns the objective
     maximizer.  Ground truth for everything else in this module.
     """
-    if not 0 <= budget <= 1:
-        raise ModelError("budget must lie in [0, 1]")
-    check_enumeration(inst.num_actions, "brute force")
-    before = (inst.oracle.value_queries, inst.oracle.demand_queries)
-    if table is None:
-        table = value_table(inst.oracle)
-    pairs = ((alpha, mask_to_set(mask))
-             for mask, alpha in iter_min_contracts(inst, table, budget=budget))
-    best = _race(obj, inst, pairs, table)
-    vq, dq = _count_queries(inst, before)
-    return SolveResult(*best, "exact", str(obj), budget, vq, dq)
+    return _brute(inst, budget, obj, str(obj), table)
 
 
 def max_reward_bounded_brute(inst: Instance, budget: Fraction, *,
                              table: Optional[Sequence[Fraction]] = None
                              ) -> SolveResult:
-    """Exact reward maximization with the per-agent cap alpha_i <= 3B/4."""
-    if not 0 <= budget <= 1:
-        raise ModelError("budget must lie in [0, 1]")
+    """Exact reward maximization with the per-agent cap alpha_i <= 3B/4:
+    :func:`brute_force_opt` for reward over the minimal contracts whose
+    every entry respects the cap."""
+    return _brute(inst, budget, REWARD, "reward-bounded", table,
+                  Fraction(3, 4) * budget)
+
+
+def _brute(inst: Instance, budget: Fraction, obj: Objective, label: str,
+           table: Optional[Sequence[Fraction]],
+           cap: Optional[Fraction] = None) -> SolveResult:
+    """The :func:`_race` for ``obj`` over every budget-feasible minimal
+    contract, and with ``cap`` over those paying no agent above it."""
+    _check_budget(budget)
     check_enumeration(inst.num_actions, "brute force")
     before = (inst.oracle.value_queries, inst.oracle.demand_queries)
     if table is None:
         table = value_table(inst.oracle)
-    cap = Fraction(3, 4) * budget
-    best_alpha = Contract.zero(inst.num_agents)
-    best_profile: frozenset[int] = frozenset()
-    best_value = ZERO
-    for mask, alpha in iter_min_contracts(inst, table, budget=budget):
-        if any(a > cap for a in alpha.alpha):
-            continue
-        v = table[mask]
-        if v > best_value:
-            best_alpha, best_profile, best_value = alpha, mask_to_set(mask), v
+    pairs = ((alpha, mask_to_set(mask))
+             for mask, alpha in iter_min_contracts(inst, table, budget=budget)
+             if cap is None or all(a <= cap for a in alpha.alpha))
+    best = _race(obj, inst, pairs, table)
     vq, dq = _count_queries(inst, before)
-    return SolveResult(best_alpha, best_profile, best_value, "exact",
-                       "reward-bounded", budget, vq, dq)
+    return SolveResult(*best, "exact", label, budget, vq, dq)
 
 
 def gs_single_agent_exact(inst: Instance, agent: int, obj: Objective,
@@ -140,6 +142,7 @@ def gs_single_agent_exact(inst: Instance, agent: int, obj: Objective,
     wins; among equal values the smallest profile mask does.  Without a
     table, one is filled (2^m value queries).
     """
+    _check_budget(budget)
     check_enumeration(len(inst.agent_actions[agent]), "one agent's profiles")
     before = (inst.oracle.value_queries, inst.oracle.demand_queries)
     if table is None:
@@ -397,8 +400,7 @@ def additive_fptas(inst: Instance, budget: Fraction, eps: Fraction,
     """
     if obj.kind not in ("profit", "reward", "welfare"):
         raise ModelError("additive FPTAS supports profit, reward, welfare")
-    if not 0 <= budget <= 1:
-        raise ModelError("budget must lie in [0, 1]")
+    _check_budget(budget)
     if not 0 < eps < 1:
         raise ModelError("eps must lie in (0, 1)")
     before = (inst.oracle.value_queries, inst.oracle.demand_queries)
@@ -443,63 +445,13 @@ def additive_fptas(inst: Instance, budget: Fraction, eps: Fraction,
 # -- single-agent FPTAS ------------------------------------------------------
 
 
-def _single_agent_lines(inst: Instance,
-                        table: Sequence[Fraction]) -> list[tuple[int, int, int]]:
-    """Utility lines alpha -> alpha * f(S) - c(S), one per action subset.
-
-    Each line is an int triple (f(S), -c(S), mask), f and the costs scaled
-    by one common denominator; scaling by a positive number keeps both the
-    lines' order and the envelope's breakpoints.
-    """
-    costs = [inst.cost_of[a] for a in range(inst.num_actions)]
-    den = common_denominator([*table, *costs])
-    neg_costs = [-c for c in subset_sums(scaled_ints(costs, den))]
-    return list(zip(scaled_ints(table, den), neg_costs, range(len(table))))
-
-
-def _upper_envelope(lines: list[tuple[int, int, int]]):
-    """Upper envelope of integer lines (slope, intercept, mask).
-
-    Among equal slopes the largest intercept is kept, and among those the
-    smallest mask.  Returns (hull, breaks): hull[i] is active on
-    (breaks[i-1], breaks[i]], and querying at a breakpoint picks the
-    right-hand (larger-slope) line.  The pop test compares intersections
-    by cross-multiplying, which is exact because the slopes ascend
-    strictly; ``breaks`` are Fractions, the same whatever the lines' scale.
-    """
-    by_slope: dict[int, tuple[int, int]] = {}
-    for slope, intercept, mask in sorted(lines):
-        cur = by_slope.get(slope)
-        if cur is None or intercept > cur[0]:
-            by_slope[slope] = (intercept, mask)
-    hull: list[tuple[int, int, int]] = []
-    for s2, (b2, mask) in sorted(by_slope.items()):
-        while hull:
-            s1, b1, _ = hull[-1]
-            if len(hull) == 1:
-                if b2 >= b1:
-                    hull.pop()
-                    continue
-                break
-            s0, b0, _ = hull[-2]
-            # line 2 meets line 0 no later than line 1 does
-            if (b0 - b2) * (s1 - s0) <= (b0 - b1) * (s2 - s0):
-                hull.pop()
-                continue
-            break
-        hull.append((s2, b2, mask))
-    breaks = [Fraction(b1 - b2, s2 - s1)
-              for (s1, b1, _), (s2, b2, _) in zip(hull, hull[1:])]
-    return hull, breaks
-
-
 def single_agent_demand_breakpoints(inst: Instance) -> list[Fraction]:
     """Payment levels at which the single agent's best response changes."""
     if inst.num_agents != 1:
         raise ModelError("single-agent analysis needs exactly one agent")
     check_enumeration(inst.num_actions, "single-agent envelope", TESTER_LIMIT)
     table = value_table(inst.oracle)
-    _, breaks = _upper_envelope(_single_agent_lines(inst, table))
+    _, breaks = single_agent_hull(inst, table)
     return breaks
 
 
@@ -517,8 +469,7 @@ def single_agent_fptas(inst: Instance, budget: Fraction, eps: Fraction, *,
     """
     if inst.num_agents != 1:
         raise ModelError("single-agent FPTAS needs exactly one agent")
-    if not 0 <= budget <= 1:
-        raise ModelError("budget must lie in [0, 1]")
+    _check_budget(budget)
     if not 0 < eps < 1:
         raise ModelError("eps must lie in (0, 1)")
     m = inst.num_actions
@@ -537,11 +488,10 @@ def single_agent_fptas(inst: Instance, budget: Fraction, eps: Fraction, *,
         return SolveResult(Contract.zero(1), mask_to_set(free), table[free],
                            "exact", "profit", budget, vq, dq)
 
-    hull, breaks = _upper_envelope(_single_agent_lines(inst, table))
+    hull, breaks = single_agent_hull(inst, table)
 
     def best_response_at(alpha: Fraction) -> tuple[frozenset[int], Fraction]:
-        idx = bisect_right(breaks, alpha)
-        _, _, mask = hull[idx]
+        mask = hull[bisect_right(breaks, alpha)]
         return mask_to_set(mask), table[mask]
 
     # S-dagger maximizes B*f - c; among ties the larger f also maximizes f-c
@@ -667,8 +617,7 @@ def gs_constant_factor(inst: Instance, budget: Fraction, obj: Objective, *,
     """
     if not (force or inst.oracle.is_gs_class):
         raise ModelError("oracle not declared gross substitutes (use force=True)")
-    if not 0 <= budget <= 1:
-        raise ModelError("budget must lie in [0, 1]")
+    _check_budget(budget)
     before = (inst.oracle.value_queries, inst.oracle.demand_queries)
     if budget == 0:
         free = frozenset(a for a in inst.ground_set if inst.cost_of[a] == 0)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from budgetcontracts import cli
+from budgetcontracts import cli, hardness
 from budgetcontracts.cli import (
     build_parser,
     emit_report,
@@ -19,7 +19,7 @@ from budgetcontracts.cli import (
     parse_pair,
     serialize_instance,
 )
-from budgetcontracts.core import RationalParseError, SchemaError
+from budgetcontracts.core import HARDNESS_N_LIMIT, RationalParseError, SchemaError
 from budgetcontracts.generators import (
     random_additive_instance,
     random_coverage_instance,
@@ -401,6 +401,24 @@ def test_cli_gap_report_refuses_huge_n_before_building(monkeypatch, capsys):
     monkeypatch.setattr(cli.HardnessParams, "make", build)
     assert main(["gap-report", "--n", "2000000"]) == 1
     assert _error_type(capsys) == "GroundSetTooLargeError"
+
+
+def test_cli_hardness_experiment_refuses_n_above_the_limit(tmp_path, monkeypatch,
+                                                           capsys):
+    # at the limit 1/C(n, n/2) still prints as baselineProb
+    summary = tmp_path / "summary.json"
+    assert main(["hardness-experiment", "--n", str(HARDNESS_N_LIMIT),
+                 "--trials", "0", "--out", str(tmp_path / "exp.csv"),
+                 "--summary", str(summary)]) == 0
+    assert json.loads(summary.read_text())["baselineProb"].startswith("1/")
+
+    def build(*args, **kwargs):
+        raise AssertionError("the hardness family was built")
+
+    monkeypatch.setattr(hardness, "build_hardness", build)
+    for n in (HARDNESS_N_LIMIT + 2, 20000):
+        assert main(["hardness-experiment", "--n", str(n), "--trials", "1"]) == 1
+        assert _error_type(capsys) == "GroundSetTooLargeError"
 
 
 def test_hardness_oracle_descriptor_rejects_string_n():

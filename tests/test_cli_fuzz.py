@@ -15,6 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from budgetcontracts.cli import main
+from budgetcontracts.core import HARDNESS_N_LIMIT
 
 ACTIONS = [{"id": a, "owner": a % 2, "cost": c}
            for a, c in enumerate(["1/8", "1/4", "0", "1/16"])]
@@ -118,7 +119,8 @@ OPTIONS = {
     "--pair": ["{dir}/pair.json", "{dir}/bad-pair.json", "{dir}/missing.json"],
     "--m-param": INTEGERS, "--denominator": ["-1", "0", "1", "2", "x"],
     "--sample-budget": INTEGERS, "--seed": INTEGERS,
-    "--n": ["-2", "0", "1", "2", "3", "4", "6", "20", "40", "x"],
+    "--n": ["-2", "0", "1", "2", "3", "4", "6", "20", "40",
+            str(HARDNESS_N_LIMIT + 2), "x"],
     "--approx-target": ["1", "2", "1/2", "0", "x"],
     "--trials": ["0", "1", "3", "-1", "x"], "--query-budget": INTEGERS,
     "--summary": OUTS, "--hidden": ["0,1", "0", "0,x", "", "9,9", "-1,0"],

@@ -10,7 +10,7 @@ import pytest
 from budgetcontracts.core import Action, Contract, GroundSetTooLargeError, \
     Instance, ModelError, cost
 from budgetcontracts.equilibria import best_response, is_nash, \
-    min_incentivizing_contract, ne_from_demand
+    min_incentivizing_contract, ne_from_demand, single_agent_hull
 from budgetcontracts.generators import random_additive_instance, \
     random_explicit_monotone_instance, random_gs_instance, random_oxs_instance, \
     random_unit_demand_instance
@@ -750,6 +750,27 @@ def _envelope_instances():
     weights = [F(1, 8), F(1, 4), F(1, 16), F(1, 4), F(1, 8)]
     yield Instance(1, tuple(Action(a, 0, w / 2) for a, w in enumerate(weights)),
                    AdditiveOracle(weights))
+    # exact (cost, value) duplicates: equal weights at equal costs give
+    # several sets per line, on and off the envelope, and a free action
+    # duplicates every line
+    weights = [F(1, 8), F(1, 8), F(1, 4), F(1, 4), F(0)]
+    costs = [F(1, 16), F(1, 16), F(1, 4), F(1, 4), F(0)]
+    yield Instance(1, tuple(Action(a, 0, c) for a, c in enumerate(costs)),
+                   AdditiveOracle(weights))
+    # negative costs, with duplicates, on monotone and non-monotone tables
+    for _ in range(12):
+        m = rng.randint(1, 6)
+        costs = [rng.choice((F(-1, 4), F(-1, 8), F(0), F(1, 8), F(1, 4)))
+                 for _ in range(m)]
+        values = [F(0)] + [F(rng.randint(0, 4), 4) for _ in range(1, 1 << m)]
+        yield Instance(1, tuple(Action(a, 0, c) for a, c in enumerate(costs)),
+                       ExplicitOracle(values, validate=False))
+
+
+def _reference_hull(inst, table):
+    """The masks and breakpoints of the Fraction reference envelope."""
+    hull, breaks = _reference_envelope(_reference_lines(inst, table))
+    return [h[2] for h in hull], breaks
 
 
 def test_integer_envelope_matches_fraction_reference(monkeypatch):
@@ -757,19 +778,21 @@ def test_integer_envelope_matches_fraction_reference(monkeypatch):
 
     for inst in _envelope_instances():
         table = value_table(inst.oracle)
-        hull, breaks = solvers._upper_envelope(solvers._single_agent_lines(inst, table))
-        ref_hull, ref_breaks = _reference_envelope(_reference_lines(inst, table))
-        assert [h[2] for h in hull] == [h[2] for h in ref_hull]
-        assert breaks == ref_breaks
+        hull, breaks = single_agent_hull(inst, table)
+        assert (hull, breaks) == _reference_hull(inst, table)
+        assert single_agent_hull(inst, list(table)) == (hull, breaks)
         assert all(type(b) is F for b in breaks)
-        assert single_agent_demand_breakpoints(inst) == ref_breaks
+        assert single_agent_demand_breakpoints(inst) == breaks
         for budget in (F(0), F(1, 3), F(1, 2), F(1)):
             got = single_agent_fptas(inst, budget, F(1, 4))
             with monkeypatch.context() as patch:
-                patch.setattr(solvers, "_single_agent_lines", _reference_lines)
-                patch.setattr(solvers, "_upper_envelope", _reference_envelope)
+                patch.setattr(solvers, "single_agent_hull", _reference_hull)
                 want = single_agent_fptas(inst, budget, F(1, 4))
             assert got == want
+            if got.factor != "exact":  # the sweep: at a breakpoint the
+                # right-hand line, the larger f, is the best response
+                alpha = got.contract[0]
+                assert set_to_mask(got.profile) == hull[bisect_right(breaks, alpha)]
 
 
 # -- downsizing ------------------------------------------------------------------
@@ -989,6 +1012,61 @@ def test_max_reward_bounded_respects_cap():
     assert capped.value == 0
     uncapped = brute_force_opt(inst, F(1, 2), REWARD)
     assert uncapped.value == F(1, 2)
+
+
+def _reference_reward_bounded(inst, budget, table):
+    """The hand-written loop max_reward_bounded_brute ran before it became
+    a race over the capped minimal contracts."""
+    cap = F(3, 4) * budget
+    best_alpha = Contract.zero(inst.num_agents)
+    best_profile = frozenset()
+    best_value = F(0)
+    for mask, alpha in iter_min_contracts(inst, table, budget=budget):
+        if any(a > cap for a in alpha.alpha):
+            continue
+        v = table[mask]
+        if v > best_value:
+            best_alpha, best_profile, best_value = alpha, mask_to_set(mask), v
+    return best_alpha, best_profile, best_value
+
+
+def test_max_reward_bounded_matches_the_reference_loop():
+    rng = random.Random(67)
+    makers = (random_gs_instance, random_explicit_monotone_instance,
+              random_additive_instance, random_unit_demand_instance)
+    capped = 0
+    for t in range(16):
+        inst = makers[t % 4](rng.randint(0, 10 ** 6), num_agents=rng.randint(1, 3),
+                             num_actions=rng.randint(1, 6))
+        table = value_table(inst.oracle)
+        for budget in (F(0), F(1, 4), F(1, 2), F(1)):
+            got = max_reward_bounded_brute(inst, budget, table=table)
+            assert (got.contract, got.profile, got.value) == \
+                _reference_reward_bounded(inst, budget, table)
+            assert (got.factor, got.objective, got.budget) == \
+                ("exact", "reward-bounded", budget)
+            capped += got.value < brute_force_opt(inst, budget, REWARD,
+                                                  table=table).value
+    assert capped > 0  # the cap binds on some instances
+
+
+SOLVER_ENTRY_POINTS = {
+    "brute_force_opt": lambda inst, b: brute_force_opt(inst, b, PROFIT),
+    "max_reward_bounded_brute": lambda inst, b: max_reward_bounded_brute(inst, b),
+    "gs_single_agent_exact": lambda inst, b: gs_single_agent_exact(inst, 0, PROFIT, b),
+    "additive_fptas": lambda inst, b: additive_fptas(inst, b, F(1, 4), PROFIT),
+    "single_agent_fptas": lambda inst, b: single_agent_fptas(inst, b, F(1, 4)),
+    "gs_constant_factor": lambda inst, b: gs_constant_factor(inst, b, PROFIT),
+}
+
+
+@pytest.mark.parametrize("budget", [F(-1), F(3)])
+@pytest.mark.parametrize("solver", sorted(SOLVER_ENTRY_POINTS))
+def test_every_solver_refuses_a_budget_outside_the_unit_interval(solver, budget):
+    inst = Instance(1, (Action(0, 0, F(1, 8)), Action(1, 0, F(1, 4))),
+                    AdditiveOracle([F(1, 4), F(1, 2)]))
+    with pytest.raises(ModelError, match=r"budget must lie in \[0, 1\]"):
+        SOLVER_ENTRY_POINTS[solver](inst, budget)
 
 
 def test_max_reward_bounded_hardness_upper_bound():
