@@ -383,9 +383,10 @@ def single_agent_hull(inst: Instance, table: Sequence[Fraction]
     Of the sets sharing a left end there, the largest f, then the smallest
     mask, stays, so a set touching the envelope in one point gives way to
     the line after it.  ``hull`` lists the masks by left end and ``breaks``
-    the positive left ends: hull[i] is active on (breaks[i-1], breaks[i]],
-    and hull[bisect_right(breaks, alpha)] is the best response at alpha,
-    the larger f winning at a breakpoint.
+    the positive left ends: hull[i] is on the envelope over
+    [breaks[i-1], breaks[i]], and hull[bisect_right(breaks, alpha)] is the
+    best response at alpha, the larger f winning at a breakpoint, so
+    hull[i] is the one chosen on [breaks[i-1], breaks[i]).
     """
     f, f_den, c_int, c_den = _integer_form(inst, table)
     best: dict[Fraction, int] = {}

@@ -391,6 +391,10 @@ class ExplicitOracle(RewardOracle):
     and no value above that of a one-larger superset.  The first failing
     check in mask order raises, the range check before the monotonicity
     check at the same mask.
+
+    Each distinct entry object (keyed by ``id``; ``_rationals`` hands out
+    one per distinct string) is converted and scaled once, then mapped
+    over the 2^m entries.  Equal values share one stored Fraction.
     """
 
     function_class = "monotone"
@@ -401,15 +405,18 @@ class ExplicitOracle(RewardOracle):
         if size == 0 or size != 1 << m:
             raise ModelError("explicit table length must be a power of two")
         super().__init__(m)
-        values = [v if isinstance(v, Fraction) else Fraction(v) for v in values]
-        den = common_denominator(values)
-        ints = scaled_ints(values, den)
+        ids = list(map(id, values))
+        exact = {i: Fraction(v) for i, v in dict(zip(ids, values)).items()}
+        den = common_denominator(exact.values())
+        int_of = dict(zip(exact, scaled_ints(exact.values(), den)))
+        made = {k: Fraction(k, den) for k in set(int_of.values())}
+        ints = list(map(int_of.__getitem__, ids))
         self._ints, self._den = ints, den
-        self.values = tuple(_fractions(ints, den))
+        self.values = tuple(map(made.__getitem__, ints))
         if validate:
             if ints[0] != 0:
                 raise ModelError("explicit table must have f(empty) = 0")
-            if min(ints) < 0 or max(ints) > den or not _is_monotone(ints, m):
+            if min(made) < 0 or max(made) > den or not _is_monotone(ints, m):
                 self._raise_first_fault(ints, den)
 
     def _raise_first_fault(self, ints: list[int], den: int) -> None:

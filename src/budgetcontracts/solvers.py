@@ -67,17 +67,24 @@ def _race(obj: Objective, inst: Instance,
           table: Sequence[Fraction]) -> tuple[Contract, frozenset[int], Fraction]:
     """The first (contract, profile, value) of maximal objective value.
 
-    The zero contract with the empty profile enters first, and a later
-    pair must beat the best so far strictly.
+    The zero contract with its best response (:func:`_zero_pair`) enters
+    first, and a later pair must beat the best so far strictly.
     """
-    best_alpha = Contract.zero(inst.num_agents)
-    best_profile: frozenset[int] = frozenset()
+    best_alpha, best_profile = _zero_pair(inst)
     best_value = evaluate(obj, inst, best_alpha, best_profile, table=table)
     for alpha, profile in pairs:
         v = evaluate(obj, inst, alpha, profile, table=table)
         if v > best_value:
             best_alpha, best_profile, best_value = alpha, profile, v
     return best_alpha, best_profile, best_value
+
+
+def _zero_pair(inst: Instance) -> tuple[Contract, frozenset[int]]:
+    """The zero contract with its best response, every negative-cost action
+    (none in a validated instance): an equilibrium whatever f is.  The
+    sign is read off each cost's numerator, without a Fraction compare."""
+    return Contract.zero(inst.num_agents), \
+        frozenset(a.action_id for a in inst.actions if a.cost.numerator < 0)
 
 
 def _check_budget(budget: Fraction) -> None:
@@ -396,7 +403,8 @@ def additive_fptas(inst: Instance, budget: Fraction, eps: Fraction,
     Each singleton f({a}) is read once, and the tables of all scales share
     one prefix layout built from those reads.  Without ``table`` the solve
     issues m + 1 + |scales| value queries: the singletons, then f of the
-    empty profile and of each scale's pick as the objective is evaluated.
+    unpaid profile (:func:`_zero_pair`) and of each scale's pick as the
+    objective is evaluated.
     """
     if obj.kind not in ("profit", "reward", "welfare"):
         raise ModelError("additive FPTAS supports profit, reward, welfare")
@@ -417,8 +425,7 @@ def additive_fptas(inst: Instance, budget: Fraction, eps: Fraction,
         if b > 0:
             candidates.add(b)
 
-    best_alpha = Contract.zero(inst.num_agents)
-    best_profile: frozenset[int] = frozenset()
+    best_alpha, best_profile = _zero_pair(inst)
     best_value = evaluate(obj, inst, best_alpha, best_profile, table=table)
     n = inst.num_agents
     for b in sorted(candidates, reverse=True):
@@ -455,17 +462,39 @@ def single_agent_demand_breakpoints(inst: Instance) -> list[Fraction]:
     return breaks
 
 
+def _first_grid_index(eps: Fraction, bound: Fraction, lo: int, hi: int) -> int:
+    """The least k in [lo, hi) with (1-eps)^k <= bound, or hi if none is.
+
+    A binary search on ints: with eps = p/q and bound = num/den each probe
+    tests (q-p)^k * den <= num * q^k, building its two powers on demand.
+    """
+    p, q = eps.numerator, eps.denominator
+    num, den = bound.numerator, bound.denominator
+    return lo + bisect_left(range(lo, hi), True,
+                            key=lambda k: pow(q - p, k) * den <= num * pow(q, k))
+
+
 def single_agent_fptas(inst: Instance, budget: Fraction, eps: Fraction, *,
                        table: Optional[Sequence[Fraction]] = None) -> SolveResult:
     """Profit FPTAS for one agent with monotone f under budget B <= 1.
 
     Computes the welfare benchmark from a demand query at prices c_a / B,
     then sweeps the geometric payment grid
-    alpha_{j,k} = min(B, 1 - (1-eps)^(k+1) * SW / (c_j + SW)) over actions j
-    with positive cost and k below ceil(log_{1/(1-eps)} m 2^m), keeping the
-    most profitable best response.  Best responses resolve ties toward the
-    larger f, which also pins SW exactly.  All-zero costs degenerate to the
-    full action set at alpha = 0.
+    alpha_{j,k} = min(B, 1 - (1-eps)^k * SW / (c_j + SW)) over actions j
+    with positive cost and k from 1 to the least k_count with
+    (1-eps)^k_count <= 1/(m 2^m), keeping the most profitable best
+    response; the first grid point wins a tie.  Best responses resolve
+    ties toward the larger f, which also pins SW exactly.  All-zero costs
+    degenerate to the full action set at alpha = 0.
+
+    The sweep prices one grid point per hull stretch per cost, not every
+    point.  For one c_j, alpha_{j,k} rises strictly with k until it is
+    clipped at B, and the best response only changes at the hull's
+    breakpoints.  Within one stretch [breaks[i-1], breaks[i]) f is fixed
+    and not negative, so the profit (1 - alpha) * f never rises, and no
+    later point of the stretch can beat its first one strictly.  The
+    first grid point past each breakpoint comes from an exact integer
+    search (:func:`_first_grid_index`).
     """
     if inst.num_agents != 1:
         raise ModelError("single-agent FPTAS needs exactly one agent")
@@ -483,53 +512,46 @@ def single_agent_fptas(inst: Instance, budget: Fraction, eps: Fraction, *,
         return SolveResult(Contract.of([ZERO]), frozenset(range(m)), table[-1],
                            "exact", "profit", budget, vq, dq)
     if budget == 0:
-        free = set_to_mask(a for a in range(m) if inst.cost_of[a] == 0)
+        free = set_to_mask(a for a in range(m) if inst.cost_of[a] <= 0)
         vq, dq = _count_queries(inst, before)
         return SolveResult(Contract.zero(1), mask_to_set(free), table[free],
                            "exact", "profit", budget, vq, dq)
 
     hull, breaks = single_agent_hull(inst, table)
-
-    def best_response_at(alpha: Fraction) -> tuple[frozenset[int], Fraction]:
-        mask = hull[bisect_right(breaks, alpha)]
-        return mask_to_set(mask), table[mask]
-
     # S-dagger maximizes B*f - c; among ties the larger f also maximizes f-c
-    s_dagger, f_dagger = best_response_at(budget)
-    sw = f_dagger - cost(inst, s_dagger)
+    s_dagger = hull[bisect_right(breaks, budget)]
+    sw = table[s_dagger] - cost(inst, mask_to_set(s_dagger))
     if sw <= 0:
         vq, dq = _count_queries(inst, before)
         return SolveResult(Contract.zero(1), frozenset(), ZERO, "exact",
                            "profit", budget, vq, dq)
 
-    target = Fraction(m * (1 << m))
-    k_count = 0
-    acc = ONE
-    limit = 1 / target
-    while acc > limit:
-        acc *= (1 - eps)
-        k_count += 1
+    # (1-eps)^k <= e^(-eps k) < 2^-L < 1/(m 2^m) once eps k >= L, the bit
+    # length of m 2^m, so k_count is at most ceil(L / eps)
+    target = m << m
+    bits = target.bit_length()
+    k_count = _first_grid_index(eps, Fraction(1, target), 0,
+                                -(-bits * eps.denominator // eps.numerator))
 
     # zero-payment baseline: the agent still performs its free actions
-    best_alpha = ZERO
-    best_set, f_zero = best_response_at(ZERO)
-    best_profit = f_zero
-    seen: set[Fraction] = {ZERO}
+    best_alpha, best_mask = ZERO, hull[0]
+    best_profit = table[best_mask]
     for c_j in sorted({inst.cost_of[a] for a in range(m) if inst.cost_of[a] > 0}):
-        shrink = ONE
-        for _ in range(k_count):
-            shrink *= (1 - eps)
-            alpha = min(budget, 1 - shrink * sw / (c_j + sw))
-            if alpha in seen:
-                continue
-            seen.add(alpha)
-            s_alpha, f_alpha = best_response_at(alpha)
-            profit = (1 - alpha) * f_alpha
+        share = sw / (c_j + sw)
+        k = 1
+        while k <= k_count:
+            alpha = min(budget, 1 - (1 - eps) ** k * share)
+            i = bisect_right(breaks, alpha)
+            profit = (1 - alpha) * table[hull[i]]
             if profit > best_profit:
-                best_alpha, best_set, best_profit = alpha, s_alpha, profit
+                best_alpha, best_mask, best_profit = alpha, hull[i], profit
+            if i == len(breaks) or breaks[i] > budget:
+                break  # the grid stays in this stretch
+            k = _first_grid_index(eps, (1 - breaks[i]) / share, k + 1,
+                                  k_count + 1)
     vq, dq = _count_queries(inst, before)
-    return SolveResult(Contract.of([best_alpha]), best_set, best_profit,
-                       1 / (1 - eps), "profit", budget, vq, dq)
+    return SolveResult(Contract.of([best_alpha]), mask_to_set(best_mask),
+                       best_profit, 1 / (1 - eps), "profit", budget, vq, dq)
 
 
 # -- downsizing and the GS pipeline ------------------------------------------
@@ -620,7 +642,7 @@ def gs_constant_factor(inst: Instance, budget: Fraction, obj: Objective, *,
     _check_budget(budget)
     before = (inst.oracle.value_queries, inst.oracle.demand_queries)
     if budget == 0:
-        free = frozenset(a for a in inst.ground_set if inst.cost_of[a] == 0)
+        free = frozenset(a for a in inst.ground_set if inst.cost_of[a] <= 0)
         zero = Contract.zero(inst.num_agents)
         v = evaluate(obj, inst, zero, free, table=table)
         vq, dq = _count_queries(inst, before)

@@ -388,6 +388,42 @@ def test_cli_malformed_reward_descriptor_is_domain_error(doc, error, tmp_path,
     assert _error_type(capsys) == error
 
 
+def _solve_explicit(tmp_path, values):
+    inst_path = tmp_path / "explicit.json"
+    inst_path.write_text(json.dumps({
+        "numAgents": 1,
+        "actions": [{"id": 0, "owner": 0, "cost": "1/8"},
+                    {"id": 1, "owner": 0, "cost": "1/4"}],
+        "reward": {"type": "explicit", "values": values}}))
+    return main(["solve", "--instance", str(inst_path), "--budget", "1/2"])
+
+
+@pytest.mark.parametrize("values,error,message", [
+    (["0", "x/3", "1/2", "1/0"], "RationalParseError", "'x/3'"),
+    (["0", "1/0", "1/2", "x/3"], "RationalParseError", "'1/0'"),
+    ([0, True, 1, 1], "RationalParseError", "True"),
+    ([0, 1, 1, 0], "ModelError", "not monotone"),
+    ([0, 2, 1, 2], "OracleRangeViolationError", "outside"),
+], ids=["first-malformed-x", "first-malformed-zero-den", "true",
+        "int-not-monotone", "int-above-one"])
+def test_cli_explicit_entry_errors(values, error, message, tmp_path, capsys):
+    assert _solve_explicit(tmp_path, values) == 1
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == error and message in err["message"]
+
+
+def test_cli_explicit_entries_parse_by_value(tmp_path, capsys):
+    # 1 is taken where true is not; "2/4" is the level "1/2"; an all-int
+    # table validates
+    outputs = []
+    for values in (["0", "1/2", "1/2", "1"], ["0", "1/2", "2/4", 1],
+                   ["0", "2/4", "1/2", "1/1"]):
+        assert _solve_explicit(tmp_path, values) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert _solve_explicit(tmp_path, [0, 1, 1, 1]) == 0
+
+
 @pytest.mark.parametrize("n", ["0", "-2"])
 def test_cli_gap_report_rejects_nonpositive_n(n, capsys):
     assert main(["gap-report", "--n", n]) == 1

@@ -647,3 +647,29 @@ def test_explicit_descriptor_parses_each_entry_strictly():
     for bad in (True, False, 0.5, None):
         with pytest.raises(RationalParseError):
             oracle_from_spec({"type": "explicit", "values": [0, 1, bad, 1]})
+
+
+def test_explicit_descriptor_edge_entries():
+    # of two malformed strings, the first in entry order is reported
+    spec = {"type": "explicit", "values": ["0", "1/2", "x/3", "1/0"]}
+    with pytest.raises(RationalParseError, match="'x/3'"):
+        oracle_from_spec(spec)
+    spec["values"][1:3] = ["1/0", "x/3"]
+    with pytest.raises(RationalParseError, match="'1/0'"):
+        oracle_from_spec(spec)
+    # true is refused where 1 is taken
+    with pytest.raises(RationalParseError, match="True"):
+        oracle_from_spec({"type": "explicit", "values": [0, 1, True, 1]})
+    assert oracle_from_spec(
+        {"type": "explicit", "values": [0, 1, 1, 1]}).values == (0, 1, 1, 1)
+    # "1/2" and "2/4" are one level: one stored Fraction, one integer
+    o = oracle_from_spec({"type": "explicit", "values": ["0", "1/2", "2/4", "1"]})
+    assert o.values[1] is o.values[2]
+    table = value_table(o)
+    assert table.ints == [0, 1, 1, 2] and table.den == 2
+    assert list(table) == [0, F(1, 2), F(1, 2), 1]
+    # an all-int table is validated like any other
+    for values, error in (([0, 1, 1, 0], "not monotone"),
+                          ([0, 2, 1, 2], "outside"), ([1, 1, 1, 1], "empty")):
+        with pytest.raises(ModelError, match=error):
+            oracle_from_spec({"type": "explicit", "values": values})

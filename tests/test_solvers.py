@@ -66,6 +66,21 @@ def test_brute_force_hardness_profit_floor():
     assert good_action(4) in r.profile
 
 
+def test_zero_contract_seed_is_an_equilibrium():
+    # unpaid, the agent still takes its negative-cost action, so the zero
+    # contract with the empty profile is no equilibrium
+    inst = Instance(1, (Action(0, 0, F(-1, 4)),), ExplicitOracle([F(0), F(0)]))
+    results = [brute_force_opt(inst, F(1, 2), PROFIT),
+               max_reward_bounded_brute(inst, F(1, 2)),
+               gs_single_agent_exact(inst, 0, PROFIT, F(1, 2)),
+               additive_fptas(inst, F(1, 2), F(1, 4), PROFIT),
+               single_agent_fptas(inst, F(0), F(1, 4)),
+               gs_constant_factor(inst, F(0), PROFIT, force=True)]
+    for r in results:
+        assert r.contract.total() == 0 and r.profile == frozenset({0})
+        assert is_nash(inst, r.contract, r.profile).ok
+
+
 def _reference_min_contract(inst, profile, *, enum_cap=20, table=None):
     """The Fraction loop min_incentivizing_contract ran before the
     minimal-contract algebra was shared with iter_min_contracts: f read per
@@ -795,6 +810,125 @@ def test_integer_envelope_matches_fraction_reference(monkeypatch):
                 assert set_to_mask(got.profile) == hull[bisect_right(breaks, alpha)]
 
 
+def _reference_sweep(inst, budget, eps):
+    """The per-grid-point Fraction sweep the stretch-wise one replaced:
+    every grid point alpha_{j,k} priced once, k_count from a Fraction
+    loop.  Returns the result single_agent_fptas reports on its sweep
+    path, or None when an exact early exit applies."""
+    m = inst.num_actions
+    before = inst.oracle.value_queries
+    table = value_table(inst.oracle)
+    costs = [inst.cost_of[a] for a in range(m)]
+    if all(c == 0 for c in costs) or budget == 0:
+        return None
+    hull, breaks = single_agent_hull(inst, table)
+
+    def best_response_at(alpha):
+        mask = hull[bisect_right(breaks, alpha)]
+        return mask_to_set(mask), table[mask]
+
+    s_dagger, f_dagger = best_response_at(budget)
+    sw = f_dagger - cost(inst, s_dagger)
+    if sw <= 0:
+        return None
+    k_count, acc, limit = 0, F(1), F(1, m * (1 << m))
+    while acc > limit:
+        acc *= 1 - eps
+        k_count += 1
+    best_alpha = F(0)
+    best_set, best_profit = best_response_at(F(0))
+    seen = {F(0)}
+    for c_j in sorted({c for c in costs if c > 0}):
+        shrink = F(1)
+        for _ in range(k_count):
+            shrink *= 1 - eps
+            alpha = min(budget, 1 - shrink * sw / (c_j + sw))
+            if alpha in seen:
+                continue
+            seen.add(alpha)
+            s_alpha, f_alpha = best_response_at(alpha)
+            profit = (1 - alpha) * f_alpha
+            if profit > best_profit:
+                best_alpha, best_set, best_profit = alpha, s_alpha, profit
+    return (Contract.of([best_alpha]), best_set, best_profit, 1 / (1 - eps),
+            inst.oracle.value_queries - before)
+
+
+def _one_agent_table(rng, m, costs):
+    """A random monotone one-agent explicit instance with the given costs."""
+    levels = [0] * (1 << m)
+    for mask in range(1, 1 << m):
+        floor = max(levels[mask & ~(1 << b)] for b in range(m) if mask >> b & 1)
+        levels[mask] = floor + rng.choice((0, 1, 2, 3, 5))
+    top = max(levels[-1], 1) + rng.randint(0, 3)
+    return Instance(1, tuple(Action(a, 0, c) for a, c in enumerate(costs)),
+                    ExplicitOracle([F(v, top) for v in levels]))
+
+
+def _sweep_result(inst, budget, eps):
+    inst.oracle.reset_counters()
+    got = single_agent_fptas(inst, budget, eps)
+    return (got.contract, got.profile, got.value, got.factor, got.value_queries)
+
+
+def test_stretch_sweep_matches_per_point_reference():
+    rng = random.Random(61)
+    swept = collections.Counter()
+    for t in range(600):
+        family = t % 3
+        if family == 0:  # few distinct costs
+            m = rng.randint(2, 11) if t % 8 == 0 else rng.randint(2, 7)
+            costs = [F(rng.randint(0, 16), 64) for _ in range(m)]
+        elif family == 1:  # many distinct costs: a grid per action
+            m = rng.randint(2, 11) if t % 8 == 1 else rng.randint(2, 7)
+            costs = [F(rng.randint(0, 120), 997) for _ in range(m)]
+        else:  # coarse costs: grid points land on breakpoints and budgets
+            m = rng.randint(2, 4)
+            den = rng.choice((4, 8, 16, 32))
+            costs = [F(rng.randint(0, den), 2 * den) for _ in range(m)]
+        inst = _one_agent_table(rng, m, costs)
+        _, breaks = single_agent_hull(inst, value_table(inst.oracle))
+        budget = rng.choice([F(0), F(1), F(1, 4), F(1, 2), F(3, 4),
+                             F(rng.randint(1, 99), 100)]
+                            + [b for b in breaks if b <= 1] * 3)
+        eps = rng.choice((F(1, 2), F(1, 4), F(1, 10), F(1, 20)))
+        want = _reference_sweep(inst, budget, eps)
+        if want is None:  # an exact early exit, shared by both
+            assert single_agent_fptas(inst, budget, eps).factor == "exact"
+        else:
+            swept[family] += 1
+            assert _sweep_result(inst, budget, eps) == want
+    assert min(swept.values()) > 80
+
+
+def test_stretch_sweep_takes_a_grid_point_on_a_breakpoint():
+    # the hull turns at 5/8, and for c_j = 3/16 the grid point k = 2 is
+    # 1 - (3/4)^2 * 2/3 = 5/8 exactly: the larger f wins there
+    inst = Instance(1, (Action(0, 0, F(7, 16)), Action(1, 0, F(3, 16))),
+                    ExplicitOracle([F(0), F(1, 2), F(0), F(1)]))
+    assert single_agent_hull(inst, value_table(inst.oracle))[1] == [F(5, 8)]
+    want = _reference_sweep(inst, F(1), F(1, 4))
+    assert want[:3] == (Contract.of([F(5, 8)]), frozenset({0, 1}), F(3, 8))
+    assert _sweep_result(inst, F(1), F(1, 4)) == want
+
+
+def test_stretch_sweep_at_small_eps():
+    import time
+
+    rng = random.Random(67)
+    inst = _one_agent_table(rng, 11, [F(rng.randint(1, 60), 997)
+                                      for _ in range(11)])
+    want = _reference_sweep(inst, F(1, 2), F(1, 100))
+    assert want is not None
+    assert _sweep_result(inst, F(1, 2), F(1, 100)) == want
+    # about 3000 grid points per cost: the per-point sweep took seconds
+    start = time.process_time()
+    got = single_agent_fptas(inst, F(1, 2), F(1, 300))
+    assert time.process_time() - start < 1
+    assert got.contract.total() <= F(1, 2)
+    assert is_nash(inst, got.contract, got.profile).ok
+
+
 # -- downsizing ------------------------------------------------------------------
 
 
@@ -880,9 +1014,12 @@ def test_gs_single_agent_matches_brute_when_alone():
 def _reference_single_agent(inst, agent, obj, budget, table):
     """The Fraction loop gs_single_agent_exact ran before it enumerated
     through iter_min_contracts: every subset of the agent's sorted actions
-    priced by _reference_min_contract, the first strict maximizer kept."""
+    priced by _reference_min_contract, the first strict maximizer kept.
+    The race starts from the zero contract with its best response, every
+    negative-cost action (the empty profile when no cost is negative)."""
     own = sorted(inst.agent_actions[agent])
-    best = Contract.zero(inst.num_agents), frozenset()
+    best = Contract.zero(inst.num_agents), \
+        frozenset(a for a in inst.ground_set if inst.cost_of[a] < 0)
     best_value = evaluate(obj, inst, *best, table=table)
     for mask in range(1 << len(own)):
         profile = frozenset(own[b] for b in range(len(own)) if mask & (1 << b))
