@@ -16,6 +16,7 @@ concurrent tasks; the operations here are pure functions.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, TYPE_CHECKING
@@ -127,8 +128,13 @@ def parse_rational(text: str | int) -> Fraction:
 
 
 def format_rational(value: Fraction) -> str:
-    """Serialize a rational as a "p/q" string (integers stay bare)."""
-    return str(value)
+    """Serialize a rational as a "p/q" string (integers stay bare); a part
+    over CPython's int-to-text digit limit raises ``ModelError``."""
+    try:
+        return str(value)
+    except ValueError as exc:
+        raise ModelError("rational too long to print: more than "
+                         f"{sys.get_int_max_str_digits()} digits") from exc
 
 
 @dataclass(frozen=True)

@@ -180,26 +180,30 @@ class HardnessOracle(RewardOracle):
         self.n = n
         self.eps = Fraction(eps)
         self._hidden = frozenset(hidden)
-        self._penalty_core = self._hidden | {bad_action(n)}
+        self._good = 1 << good_action(n)
+        # the revealing queries: hidden + bad, with or without the good action
+        self._revealing = self._good | 1 << bad_action(n) | set_to_mask(self._hidden)
 
-    def reveals_hidden(self, subset: frozenset[int]) -> bool:
+    def reveals_hidden(self, subset: Iterable[int]) -> bool:
         """Queries on which the oracle differs from the penalty-free one."""
-        return subset - {good_action(self.n)} == self._penalty_core
+        return self._reveals(set_to_mask(subset))
 
-    def _value(self, subset: frozenset[int]) -> Fraction:
-        penalty = self.eps / 2 if self.reveals_hidden(subset) else ZERO
-        return self.base_value(subset) - penalty
-
-    def base_value(self, subset: frozenset[int]) -> Fraction:
+    def base_value(self, subset: Iterable[int]) -> Fraction:
         """The penalty-free composite (what every non-revealing query sees)."""
+        return self._base_value(set_to_mask(subset))
+
+    def _reveals(self, mask: int) -> bool:
+        return mask | self._good == self._revealing
+
+    def _base_value(self, mask: int) -> Fraction:
         n, eps = self.n, self.eps
-        f1 = ZERO
-        if good_action(n) in subset:
-            f1 = HALF
-        elif bad_action(n) in subset:
-            f1 = eps
-        others = len(subset) - (1 if good_action(n) in subset else 0)
-        return f1 + eps * min(others, n // 2 + 1)
+        good, bad = mask >> good_action(n) & 1, mask >> bad_action(n) & 1
+        f1 = HALF if good else eps if bad else ZERO
+        return f1 + eps * min(mask.bit_count() - good, n // 2 + 1)
+
+    def _value(self, mask: int) -> Fraction:
+        value = self._base_value(mask)
+        return value - self.eps / 2 if self._reveals(mask) else value
 
     def _demand(self, prices: PriceVector) -> frozenset[int]:
         return hardness_demand(self, prices)
@@ -229,16 +233,10 @@ def hardness_demand(oracle: HardnessOracle, prices: PriceVector) -> frozenset[in
             if special not in prices.prices:
                 raise ModelError(f"action {special} neither priced nor excluded")
             special_options += [opt | {special} for opt in list(special_options)]
-    best_u = None
-    best: frozenset[int] = frozenset()
-    candidates = sorted(
-        {u | sp for u in unit_options for sp in special_options},
-        key=lambda s: tuple(sorted(s)))
-    for cand in candidates:
-        u = oracle.value(cand) - prices.total(cand)
-        if best_u is None or u > best_u:
-            best_u, best = u, cand
-    return best
+    candidates = sorted({u | sp for u in unit_options for sp in special_options},
+                        key=lambda s: tuple(sorted(s)))
+    # the first candidate of the highest utility, one value query each
+    return max(candidates, key=lambda s: oracle.value(s) - prices.total(s))
 
 
 def build_hardness(params: HardnessParams) -> Instance:
@@ -323,13 +321,9 @@ def indistinguishability_check(params: HardnessParams,
     revealing query cannot tell the instances apart.
     """
     oracle = HardnessOracle(params.n, params.eps, params.hidden)
-    for q in queries:
-        s = frozenset(q)
-        if oracle.reveals_hidden(s):
-            continue
-        if oracle._value(s) != oracle.base_value(s):
-            return False
-    return True
+    return all(oracle._reveals(mask)
+               or oracle._value(mask) == oracle._base_value(mask)
+               for mask in map(set_to_mask, queries))
 
 
 # -- adversarial experiment ---------------------------------------------------
@@ -422,10 +416,6 @@ class ExperimentReport:
     mean_approx_fraction: Fraction
     records: tuple[TrialRecord, ...] = field(repr=False)
 
-    @property
-    def success_rate(self) -> Fraction:
-        return Fraction(self.successes, self.trials) if self.trials else ZERO
-
 
 def adversary_experiment(solver: Solver, n: int, budget: Fraction,
                          approx_target: Fraction, trials: int,
@@ -443,6 +433,9 @@ def adversary_experiment(solver: Solver, n: int, budget: Fraction,
     """
     _check_n(n)
     _check_setting(budget, approx_target)
+    for name, count in (("trials", trials), ("query budget", query_budget)):
+        if count < 0:
+            raise ModelError(f"{name} must be >= 0, got {count}")
     if eps is None:
         eps = default_epsilon(n, budget, approx_target)
     rng = random.Random(seed)

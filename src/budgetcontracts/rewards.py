@@ -6,6 +6,10 @@ increment per call; a simulated demand reports the value queries it spends).
 Counters are the only mutable state; confine each oracle to one task at a
 time or give each task its own oracle.
 
+Subsets travel as bitmasks (bit a set when action a is in S).  Each family
+implements one hook, ``_value(mask)``; ``oracle[mask]`` is the one counted
+lazy read, and ``value(subset)`` converts a set of ids once and reads it.
+
 Price vectors may contain negative entries, and may mark actions as excluded
 (unpurchasable) instead of pricing them; exclusion plays the role of an
 infinite price while keeping all arithmetic exact and total.
@@ -61,13 +65,6 @@ class PriceVector:
         return PriceVector({int(a): Fraction(p) for a, p in prices.items()},
                            frozenset(excluded))
 
-    @staticmethod
-    def uniform(actions: Iterable[int], price: Fraction) -> "PriceVector":
-        return PriceVector({a: price for a in actions})
-
-    def price(self, action: int) -> Fraction:
-        return self.prices[action]
-
     def total(self, subset: Iterable[int]) -> Fraction:
         return sum((self.prices[a] for a in subset), ZERO)
 
@@ -79,17 +76,25 @@ def set_to_mask(subset: Iterable[int]) -> int:
     return mask
 
 
-def mask_to_set(mask: int) -> frozenset[int]:
+def _set_bits(mask: int) -> list[int]:
+    """The members of a nonnegative bitmask, ascending: one step per member."""
     out = []
-    while mask:  # one step per member, lowest bit first
+    while mask:
         low = mask & -mask
         out.append(low.bit_length() - 1)
         mask ^= low
-    return frozenset(out)
+    return out
+
+
+def mask_to_set(mask: int) -> frozenset[int]:
+    return frozenset(_set_bits(mask))
 
 
 class RewardOracle:
-    """Base value-query interface; subclasses implement ``_value``.
+    """Base value-query interface; subclasses implement ``_value(mask)``.
+
+    ``oracle[mask]`` is one counted value query on the subset whose bits
+    are set in ``mask``; ``value(subset)`` asks the same of a set of ids.
 
     ``function_class`` declares the strongest class the construction
     guarantees ("additive", "gross_substitutes", "submodular", "monotone").
@@ -106,13 +111,21 @@ class RewardOracle:
 
     # -- queries ---------------------------------------------------------
 
+    def __getitem__(self, mask: int) -> Fraction:
+        """f of the subset ``mask`` encodes; one value query."""
+        if mask < 0 or mask.bit_length() > self.num_actions:
+            raise UnknownActionIdError(
+                f"bitmask outside the ground set of {self.num_actions} actions")
+        self.value_queries += 1
+        return self._value(mask)
+
     def value(self, subset: Iterable[int]) -> Fraction:
-        s = frozenset(subset)
-        for a in s:
+        mask = 0
+        for a in subset:
             if not 0 <= a < self.num_actions:
                 raise UnknownActionIdError(f"action {a} outside ground set")
-        self.value_queries += 1
-        return self._value(s)
+            mask |= 1 << a
+        return self[mask]
 
     def marginal(self, action: int, subset: Iterable[int]) -> Fraction:
         """f({action} | subset) = f(subset + action) - f(subset)."""
@@ -138,7 +151,7 @@ class RewardOracle:
 
     # -- to be provided by subclasses -------------------------------------
 
-    def _value(self, subset: frozenset[int]) -> Fraction:
+    def _value(self, mask: int) -> Fraction:
         raise NotImplementedError
 
     def _demand(self, prices: PriceVector) -> frozenset[int]:
@@ -150,8 +163,7 @@ class RewardOracle:
         One ``_value`` per subset here; families with structure override
         it with a subset DP over exact integers.
         """
-        return [self._value(mask_to_set(mask))
-                for mask in range(1 << self.num_actions)]
+        return list(map(self._value, range(1 << self.num_actions)))
 
 
 def common_denominator(values: Iterable[Fraction]) -> int:
@@ -174,7 +186,7 @@ def subset_sums(weights: Iterable[int]) -> list[int]:
 
 def submasks(mask: int) -> list[int]:
     """Every submask of ``mask``, in ascending order."""
-    return subset_sums([1 << a for a in range(mask.bit_length()) if mask >> a & 1])
+    return subset_sums([1 << a for a in _set_bits(mask)])
 
 
 def submask_sums(mask: int, weights) -> dict[int, int | Fraction]:
@@ -183,26 +195,14 @@ def submask_sums(mask: int, weights) -> dict[int, int | Fraction]:
     ``weights[a]`` is action a's weight; the empty submask sums to int 0.
     """
     return dict(zip(submasks(mask), subset_sums(
-        [weights[a] for a in range(mask.bit_length()) if mask >> a & 1])))
+        [weights[a] for a in _set_bits(mask)])))
 
 
-class _QueriedValues:
-    """f indexed by bitmask, one value query per read."""
-
-    __slots__ = ("oracle",)
-
-    def __init__(self, oracle: "RewardOracle"):
-        self.oracle = oracle
-
-    def __getitem__(self, mask: int) -> Fraction:
-        return self.oracle.value(mask_to_set(mask))
-
-
-def value_view(oracle: "RewardOracle",
+def value_view(oracle: RewardOracle,
                table: Optional[Sequence[Fraction]] = None):
     """f indexed by bitmask: ``table`` itself when one is given, otherwise
-    a view on ``oracle`` that spends one value query on every read."""
-    return _QueriedValues(oracle) if table is None else table
+    the oracle, which spends one value query on every read."""
+    return oracle if table is None else table
 
 
 class ValueTable(list):
@@ -240,8 +240,8 @@ class AdditiveOracle(RewardOracle):
         if sum(self.weights, ZERO) > 1:
             raise OracleRangeViolationError("additive weights must sum to <= 1")
 
-    def _value(self, subset: frozenset[int]) -> Fraction:
-        return sum((self.weights[a] for a in subset), ZERO)
+    def _value(self, mask: int) -> Fraction:
+        return sum(map(self.weights.__getitem__, _set_bits(mask)), ZERO)
 
     def _table(self) -> list[Fraction]:
         den = common_denominator(self.weights)
@@ -257,8 +257,8 @@ class UnitDemandOracle(RewardOracle):
         if any(not 0 <= w <= 1 for w in self.weights):
             raise OracleRangeViolationError("unit-demand weights must lie in [0, 1]")
 
-    def _value(self, subset: frozenset[int]) -> Fraction:
-        return max((self.weights[a] for a in subset), default=ZERO)
+    def _value(self, mask: int) -> Fraction:
+        return max(map(self.weights.__getitem__, _set_bits(mask)), default=ZERO)
 
     def _table(self) -> list[Fraction]:
         den = common_denominator(self.weights)
@@ -282,8 +282,8 @@ class UniformKDemandOracle(RewardOracle):
         if not 0 <= self.unit_value * min(k, num_actions) <= 1:
             raise OracleRangeViolationError("k * unit_value must lie in [0, 1]")
 
-    def _value(self, subset: frozenset[int]) -> Fraction:
-        return min(len(subset), self.k) * self.unit_value
+    def _value(self, mask: int) -> Fraction:
+        return min(mask.bit_count(), self.k) * self.unit_value
 
     def _table(self) -> list[Fraction]:
         v = self.unit_value
@@ -317,23 +317,18 @@ class AssignmentOracle(RewardOracle):
         self._den = common_denominator(v for row in self.values for v in row)
         self._scaled_values = tuple(tuple(scaled_ints(row, self._den))
                                     for row in self.values)
-        full = self._value(frozenset(range(self.num_actions)))
+        full = self._value((1 << self.num_actions) - 1)
         if full > 1:
             raise OracleRangeViolationError(f"f(ground set) = {full} exceeds 1")
 
-    def _value(self, subset: frozenset[int]) -> Fraction:
-        best = {0: 0}
-        for a in sorted(subset):
-            row = self._scaled_values[a]
+    def _value(self, mask: int) -> Fraction:
+        best = {0: 0}  # column set -> best matching of the actions walked
+        for a in _set_bits(mask):
             nxt = dict(best)
-            for mask, val in best.items():
-                for c in range(self.num_columns):
-                    if mask & (1 << c):
-                        continue
-                    cand = val + row[c]
-                    key = mask | (1 << c)
-                    if cand > nxt.get(key, -1):
-                        nxt[key] = cand
+            for cols, val in best.items():
+                for c, w in enumerate(self._scaled_values[a]):
+                    if not cols >> c & 1 and val + w > nxt.get(cols | 1 << c, -1):
+                        nxt[cols | 1 << c] = val + w
             best = nxt
         return Fraction(max(best.values()), self._den)
 
@@ -368,17 +363,17 @@ class CoverageOracle(RewardOracle):
         for c in self.covers:
             if any(not 0 <= e < universe_size for e in c):
                 raise ModelError("cover element outside universe")
+        self._cover_masks = tuple(map(set_to_mask, self.covers))
 
-    def _value(self, subset: frozenset[int]) -> Fraction:
-        covered: set[int] = set()
-        for a in subset:
-            covered |= self.covers[a]
-        return Fraction(len(covered), self.universe_size)
+    def _value(self, mask: int) -> Fraction:
+        covered = 0
+        for a in _set_bits(mask):
+            covered |= self._cover_masks[a]
+        return Fraction(covered.bit_count(), self.universe_size)
 
     def _table(self) -> list[Fraction]:
         covered = [0]
-        for cover in self.covers:
-            bits = set_to_mask(cover)
+        for bits in self._cover_masks:
             covered += [c | bits for c in covered]
         return _fractions([c.bit_count() for c in covered], self.universe_size)
 
@@ -429,8 +424,8 @@ class ExplicitOracle(RewardOracle):
                 if not mask >> b & 1 and ints[mask | 1 << b] < k:
                     raise ModelError("explicit table is not monotone")
 
-    def _value(self, subset: frozenset[int]) -> Fraction:
-        return self.values[set_to_mask(subset)]
+    def _value(self, mask: int) -> Fraction:
+        return self.values[mask]
 
     def _table(self) -> list[Fraction]:
         return ValueTable(self.values, self._ints, self._den)
@@ -488,7 +483,7 @@ def brute_force_demand(oracle: RewardOracle, prices: PriceVector, *,
 
 def lex_key(mask: int) -> tuple[int, ...]:
     """The sorted ids of a bitmask, for lexicographic tie-breaks."""
-    return tuple(sorted(mask_to_set(mask)))
+    return tuple(_set_bits(mask))
 
 
 def gs_greedy_demand(oracle: RewardOracle, prices: PriceVector, *,

@@ -396,7 +396,7 @@ def test_criterion_10_adversarial_experiment():
         oracle = HardnessOracle(params.n, params.eps, params.hidden)
         ground = range(n_small + 2)
         for s in all_subsets(ground):
-            differs = oracle._value(s) != oracle.base_value(s)
+            differs = oracle.value(s) != oracle.base_value(s)
             if differs != oracle.reveals_hidden(s):
                 indist_ok = False
 

@@ -457,6 +457,46 @@ def test_cli_hardness_experiment_refuses_n_above_the_limit(tmp_path, monkeypatch
         assert _error_type(capsys) == "GroundSetTooLargeError"
 
 
+def test_cli_hardness_experiment_trial_at_the_limit_is_fast(tmp_path):
+    # each lazy read of f costs O(n) bit operations, not a frozenset
+    import time
+
+    out = tmp_path / "exp.csv"
+    start = time.process_time()
+    assert main(["hardness-experiment", "--n", str(HARDNESS_N_LIMIT),
+                 "--trials", "1", "--out", str(out)]) == 0
+    assert time.process_time() - start < 10
+    assert len(out.read_text().splitlines()) == 2
+
+
+@pytest.mark.parametrize("flag, value", [("--trials", "-2"),
+                                         ("--query-budget", "-3")])
+def test_cli_hardness_experiment_rejects_a_negative_count(flag, value, tmp_path,
+                                                         monkeypatch, capsys):
+    def build(*args, **kwargs):
+        raise AssertionError("the hardness family was built")
+
+    monkeypatch.setattr(hardness, "build_hardness", build)
+    summary = tmp_path / "summary.json"
+    assert main(["hardness-experiment", "--n", "4", flag, value,
+                 "--summary", str(summary)]) == 1
+    assert _error_type(capsys) == "ModelError"
+    assert not summary.exists()
+
+
+def test_cli_rational_too_long_to_print_is_domain_error(capsys):
+    # the winning payment of the single-agent scheme at eps 1/3000 has a
+    # numerator of more than 4300 digits
+    assert main(["solve", "--instance", "gen:explicit:seed=7,agents=1,actions=10",
+                 "--budget", "1", "--force-solver", "single-fptas",
+                 "--eps", "1/3000"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)["error"]
+    assert error["type"] == "ModelError"
+    assert error["message"].startswith("rational too long to print")
+
+
 def test_hardness_oracle_descriptor_rejects_string_n():
     with pytest.raises(SchemaError):
         oracle_from_spec({"type": "hardness", "n": "x", "eps": "1/64"})

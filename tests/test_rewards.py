@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from budgetcontracts.core import GroundSetTooLargeError, ModelError, \
-    OracleRangeViolationError, RationalParseError
+    OracleRangeViolationError, RationalParseError, UnknownActionIdError
 from budgetcontracts.generators import (
     random_additive_instance,
     random_coverage_instance,
@@ -34,10 +34,16 @@ from budgetcontracts.rewards import (
     is_gross_substitutes,
     is_monotone,
     is_submodular,
+    lex_key,
     mask_to_set,
     oracle_from_spec,
     oracle_to_spec,
+    set_to_mask,
+    submask_sums,
+    submasks,
+    subset_sums,
     value_table,
+    value_view,
 )
 
 EPS = F(1, 32)
@@ -126,7 +132,7 @@ def test_hardness_demand_counts_queries():
 
 
 def _per_subset(o):
-    return [o._value(mask_to_set(k)) for k in range(1 << o.num_actions)]
+    return [o._value(k) for k in range(1 << o.num_actions)]
 
 
 def _table_oracles():
@@ -170,6 +176,152 @@ def test_value_table_counts_one_value_query_per_subset():
         table = value_table(o)
         assert table == _per_subset(o)
         assert (o.value_queries, o.demand_queries) == (1 << o.num_actions, 0)
+
+
+# -- the bitmask hook against the frozenset formulas ----------------------------
+
+
+def _reference_value(o, s):
+    """Each family's f(s) as ``_value`` computed it on a frozenset."""
+    if isinstance(o, AdditiveOracle):
+        return sum((o.weights[a] for a in s), F(0))
+    if isinstance(o, UnitDemandOracle):
+        return max((o.weights[a] for a in s), default=F(0))
+    if isinstance(o, UniformKDemandOracle):
+        return min(len(s), o.k) * o.unit_value
+    if isinstance(o, AssignmentOracle):
+        best = {0: F(0)}
+        for a in sorted(s):
+            nxt = dict(best)
+            for cols, val in best.items():
+                for c, w in enumerate(o.values[a]):
+                    if not cols & (1 << c) and val + w > nxt.get(cols | 1 << c, -1):
+                        nxt[cols | 1 << c] = val + w
+            best = nxt
+        return max(best.values())
+    if isinstance(o, CoverageOracle):
+        covered = set()
+        for a in s:
+            covered |= o.covers[a]
+        return F(len(covered), o.universe_size)
+    if isinstance(o, ExplicitOracle):
+        return o.values[sum(1 << a for a in s)]
+    assert isinstance(o, HardnessOracle)
+    return _reference_base_value(o, s) - (
+        o.eps / 2 if _reference_reveals(o, s) else 0)
+
+
+def _reference_reveals(o, s):
+    return s - {good_action(o.n)} == o._hidden | {bad_action(o.n)}
+
+
+def _reference_base_value(o, s):
+    n, eps = o.n, o.eps
+    f1 = F(1, 2) if good_action(n) in s else eps if bad_action(n) in s else F(0)
+    others = len(s) - (1 if good_action(n) in s else 0)
+    return f1 + eps * min(others, n // 2 + 1)
+
+
+def _check_hook(o, subsets):
+    """value(s) and the oracle read by bitmask both equal the reference,
+    one value query each."""
+    view = value_view(o)
+    assert view is o
+    before = o.value_queries
+    for k, s in enumerate(subsets, 1):
+        want = _reference_value(o, s)
+        assert o.value(s) == want, (type(o).__name__, sorted(s))
+        assert view[set_to_mask(s)] == want, (type(o).__name__, sorted(s))
+        assert (o.value_queries - before, o.demand_queries) == (2 * k, 0)
+        if isinstance(o, HardnessOracle):
+            assert o.base_value(s) == _reference_base_value(o, s)
+            assert o.reveals_hidden(s) == _reference_reveals(o, s)
+
+
+def test_mask_hook_matches_frozenset_formulas_on_every_subset():
+    seen = set()
+    oracles = [o for o in _table_oracles() if o.num_actions <= 8]
+    oracles.append(hardness_oracle(6, hidden=(1, 3, 4)))
+    for o in oracles:
+        seen.add(type(o).__name__)
+        subsets = list(all_subsets(o.num_actions))
+        _check_hook(o, subsets)
+        assert value_table(o) == [_reference_value(o, mask_to_set(k))
+                                  for k in range(1 << o.num_actions)]
+    assert len(seen) == 7
+
+
+def _random_subsets(rng, m, count):
+    yield frozenset()
+    yield frozenset(range(m))
+    for _ in range(count):
+        yield frozenset(rng.sample(range(m), rng.randint(1, m)))
+
+
+def test_mask_hook_matches_frozenset_formulas_at_m_200():
+    rng = random.Random(13)
+    m = 200
+    oracles = [
+        AdditiveOracle([F(rng.randint(0, 5), 1000) for _ in range(m)]),
+        UnitDemandOracle([F(rng.randint(0, 100), 100) for _ in range(m)]),
+        UniformKDemandOracle(m, 17, F(1, 17)),
+        AssignmentOracle([[F(rng.randint(0, 9), 30) for _ in range(3)]
+                          for _ in range(m)]),
+        CoverageOracle(50, [rng.sample(range(50), rng.randint(0, 4))
+                            for _ in range(m)]),
+    ]
+    for o in oracles:
+        _check_hook(o, list(_random_subsets(rng, m, 40)))
+
+
+def test_mask_hook_matches_frozenset_formulas_on_hardness_n_2000():
+    rng = random.Random(17)
+    n = 2000
+    hidden = frozenset(rng.sample(range(n), n // 2))
+    o = HardnessOracle(n, F(1, 8 * n), hidden)
+    bad, good = bad_action(n), good_action(n)
+    subsets = list(_random_subsets(rng, n + 2, 30)) + [
+        hidden | {bad}, hidden | {bad, good}, hidden | {good}, hidden,
+        frozenset({good}), frozenset({bad}), frozenset({bad, good}),
+        (hidden - {min(hidden)}) | {bad}]
+    _check_hook(o, subsets)
+    assert sum(o.reveals_hidden(s) for s in subsets) == 2
+
+
+def test_mask_outside_the_ground_set_is_refused_before_counting():
+    for o in (AdditiveOracle([F(1, 4), F(1, 2)]), hardness_oracle(),
+              ExplicitOracle([F(0), F(1, 2)])):
+        m = o.num_actions
+        for mask in (-1, -(1 << m), 1 << m, (1 << m) | 1, 1 << (m + 70)):
+            with pytest.raises(UnknownActionIdError):
+                value_view(o)[mask]
+        with pytest.raises(UnknownActionIdError):
+            o.value({m})
+        assert o.value_queries == 0
+        assert value_view(o)[(1 << m) - 1] == o.value(range(m))
+
+
+def _scan_members(mask):
+    """The members of ``mask`` by a scan over every bit position."""
+    return [a for a in range(mask.bit_length()) if mask >> a & 1]
+
+
+def test_submask_walks_match_the_bit_position_scan():
+    rng = random.Random(19)
+    weights = {}
+    for _ in range(300):
+        members = rng.sample(range(4000), rng.randint(0, 6))
+        mask = set_to_mask(members)
+        for a in members:
+            weights.setdefault(a, F(rng.randint(-3, 9), rng.randint(1, 7)))
+        scanned = _scan_members(mask)
+        assert mask_to_set(mask) == frozenset(scanned)
+        assert lex_key(mask) == tuple(scanned)
+        want = subset_sums([1 << a for a in scanned])
+        assert submasks(mask) == want
+        got = submask_sums(mask, weights)
+        assert list(got.items()) == list(zip(
+            want, subset_sums([weights[a] for a in scanned])))
 
 
 # -- demand computations -------------------------------------------------------
@@ -368,7 +520,7 @@ def _demand_cases():
             if kind == 0:
                 prices[a] = F(rng.randint(-8, 40), 64)
             elif kind == 1:
-                prices[a] = oracle._value(frozenset({a}))
+                prices[a] = oracle._value(1 << a)
             else:
                 prices[a] = F(kind - 2)  # 0 or 1
         yield oracle, PriceVector(prices, excluded), base

@@ -578,9 +578,9 @@ class _LoggedAdditive(AdditiveOracle):
         super().__init__(weights)
         self.log = []
 
-    def _value(self, subset):
-        self.log.append(set_to_mask(subset))
-        return super()._value(subset)
+    def _value(self, mask):
+        self.log.append(mask)
+        return super()._value(mask)
 
 
 def test_fptas_reads_each_singleton_once():
