@@ -15,7 +15,7 @@ from fractions import Fraction
 from budgetcontracts.cli import emit_report
 from budgetcontracts.generators import random_additive_instance
 from budgetcontracts.objectives import PROFIT, REWARD, WELFARE
-from budgetcontracts.rewards import value_table
+from budgetcontracts.rewards import with_table
 from budgetcontracts.solvers import additive_fptas, brute_force_opt
 
 COLUMNS = ["seed", "objective", "budget", "eps", "solver_value", "opt_value",
@@ -36,12 +36,12 @@ def main() -> int:
     for i in range(args.instances):
         seed = args.seed + i
         inst = random_additive_instance(seed)
-        table = value_table(inst.oracle)
+        inst = with_table(inst)
         budget = BUDGETS[i % 4]
         for obj in (PROFIT, REWARD, WELFARE):
-            opt = brute_force_opt(inst, budget, obj, table=table).value
+            opt = brute_force_opt(inst, budget, obj).value
             for eps in (Fraction(1, 4), Fraction(1, 10)):
-                got = additive_fptas(inst, budget, eps, obj, table=table)
+                got = additive_fptas(inst, budget, eps, obj)
                 ratio = opt / got.value if got.value > 0 else Fraction(1)
                 rows.append({
                     "seed": seed, "objective": obj.kind, "budget": budget,

@@ -21,7 +21,7 @@ from budgetcontracts.generators import (
     random_unit_demand_instance,
 )
 from budgetcontracts.objectives import PROFIT, REWARD, WELFARE
-from budgetcontracts.rewards import value_table
+from budgetcontracts.rewards import with_table
 from budgetcontracts.solvers import (
     brute_force_opt,
     gs_constant_factor,
@@ -54,14 +54,13 @@ def main() -> int:
         family, maker = MAKERS[i % 4]
         seed = args.seed + i
         inst = maker(seed, num_agents=2 + i % 2, num_actions=3 + i % 5)
-        table = value_table(inst.oracle)
+        inst = with_table(inst)
         budget = BUDGETS[i % 4]
         obj = objectives[i % 3]
-        got = gs_constant_factor(inst, budget, obj, table=table)
-        opt = brute_force_opt(inst, budget, obj, table=table).value
-        mrb = max_reward_bounded_brute(inst, budget, table=table).value
-        single = max(gs_single_agent_exact(inst, j, obj, budget,
-                                           table=table).value
+        got = gs_constant_factor(inst, budget, obj)
+        opt = brute_force_opt(inst, budget, obj).value
+        mrb = max_reward_bounded_brute(inst, budget).value
+        single = max(gs_single_agent_exact(inst, j, obj, budget).value
                      for j in range(inst.num_agents))
         rows.append({
             "seed": seed, "family": family, "objective": obj.kind,

@@ -19,7 +19,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, TYPE_CHECKING
+from typing import Iterable, Mapping, Optional, Sequence, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
     from budgetcontracts.rewards import RewardOracle
@@ -151,12 +151,17 @@ class Instance:
     """A contract-design instance: agents, owned actions, reward oracle.
 
     ``agent_actions[i]`` is agent ``i``'s action set T_i; ``ground_set`` is
-    the disjoint union of all of them.
+    the disjoint union of all of them.  ``table``, when present, holds all
+    2^m values of f in bitmask order (``rewards.with_table`` fills it), and
+    ``f`` reads through it; without one every read of ``f`` is one counted
+    value query on the oracle.
     """
 
     num_agents: int
     actions: tuple[Action, ...]
     oracle: "RewardOracle"
+    table: Optional[Sequence[Fraction]] = field(default=None, repr=False,
+                                                compare=False)
     owner_of: dict[int, int] = field(init=False, repr=False, compare=False)
     cost_of: dict[int, Fraction] = field(init=False, repr=False, compare=False)
     agent_actions: tuple[frozenset[int], ...] = field(init=False, repr=False, compare=False)
@@ -177,6 +182,24 @@ class Instance:
     @property
     def num_actions(self) -> int:
         return len(self.actions)
+
+    @property
+    def f(self):
+        """f indexed by bitmask: the table, or else the counted oracle."""
+        return self.oracle if self.table is None else self.table
+
+    def mask_of(self, profile: Iterable[int]) -> int:
+        """The bitmask of a profile; UnknownActionIdError outside 0..m-1."""
+        mask = 0
+        try:
+            for a in profile:
+                mask |= 1 << a
+        except ValueError:  # a negative id
+            mask = -1
+        if mask >> len(self.actions):  # negative, or a bit at m or above
+            bad = min(a for a in profile if not 0 <= a < len(self.actions))
+            raise UnknownActionIdError(f"action {bad} outside ground set")
+        return mask
 
     def agent_part(self, profile: Iterable[int], agent: int) -> frozenset[int]:
         """S_i: the actions of ``profile`` owned by ``agent``."""

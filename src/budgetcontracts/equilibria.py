@@ -6,9 +6,11 @@ between the prescribed actions and a deviation counts as best-responding,
 matching the knife-edge equalities that minimal incentivizing contracts
 produce.  The exhaustive checks share one walk over an agent's deviations
 (:func:`_deviations`) and differ only in utility and tie rule.  All
-functions are pure; ``table`` arguments accept a full value table (bitmask
-order) as an algorithm-side cache, and without one every value read is one
-value query (:func:`rewards.value_view`).
+functions are pure and read f through ``Instance.f``: the instance's value
+table when it carries one (:func:`rewards.with_table`), and otherwise the
+oracle, one value query per read.  A profile becomes a bitmask once, at
+the entry point (``Instance.mask_of``), where an id outside the ground set
+raises ``UnknownActionIdError``.
 
 The minimal-contract algebra is :func:`_min_payment`, one agent's bounds
 for one profile.  :func:`min_incentivizing_contract` runs it per agent on
@@ -38,13 +40,14 @@ from budgetcontracts.core import (
     Contract,
     GeneralContract,
     Instance,
+    ModelError,
     ZERO,
     check_enumeration,
     cost,
 )
 from budgetcontracts.rewards import PriceVector, ValueTable, \
     common_denominator, demand_with_base, lex_key, mask_to_set, scaled_ints, \
-    set_to_mask, submask_sums, submasks, value_view
+    set_to_mask, submask_sums, submasks
 
 
 def _check_walks(inst: Instance, within: Optional[frozenset[int]] = None) -> None:
@@ -54,7 +57,7 @@ def _check_walks(inst: Instance, within: Optional[frozenset[int]] = None) -> Non
     check_enumeration(max(sizes, default=0), "one agent's deviations")
 
 
-def _deviations(inst: Instance, f, agent: int, s: int, *, shrink: bool = False):
+def _deviations(inst: Instance, agent: int, s: int, *, shrink: bool = False):
     """Agent ``agent``'s deviations from the profile bitmask ``s``.
 
     Returns (c(S_i), walk).  The walk yields (dev, f(dev | S_-i), c(dev))
@@ -69,20 +72,21 @@ def _deviations(inst: Instance, f, agent: int, s: int, *, shrink: bool = False):
     pool = s_i if shrink else own
     costs = submask_sums(pool, inst.cost_of)
     rest = s & ~own
+    f = inst.f
     return costs[s_i], ((dev, f[dev | rest], c) for dev, c in costs.items())
 
 
 def agent_utility(inst: Instance, alpha: Contract, profile: Iterable[int],
-                  agent: int, *, table: Optional[Sequence[Fraction]] = None) -> Fraction:
+                  agent: int) -> Fraction:
     """alpha_i * f(S) - c(S_i)."""
     s = frozenset(profile)
-    f_s = value_view(inst.oracle, table)[set_to_mask(s)]
+    f_s = inst.f[inst.mask_of(s)]
     return alpha[agent] * f_s - cost(inst, inst.agent_part(s, agent))
 
 
 def best_response(inst: Instance, agent: int, alpha_i: Fraction,
-                  s_minus_i: Iterable[int], *, gs: Optional[bool] = None,
-                  table: Optional[Sequence[Fraction]] = None) -> frozenset[int]:
+                  s_minus_i: Iterable[int], *,
+                  gs: Optional[bool] = None) -> frozenset[int]:
     """A utility-maximizing action set for one agent, others' actions fixed.
 
     For alpha_i > 0 this is a demand computation over the agent's own
@@ -95,6 +99,7 @@ def best_response(inst: Instance, agent: int, alpha_i: Fraction,
     is the empty set (the agent is indifferent among all zero-cost sets).
     """
     s_other = frozenset(s_minus_i)
+    other = inst.mask_of(s_other)
     own = inst.agent_actions[agent]
     if s_other & own:
         raise ValueError("s_minus_i intersects the agent's own actions")
@@ -107,11 +112,10 @@ def best_response(inst: Instance, agent: int, alpha_i: Fraction,
             excluded=inst.ground_set - own - s_other,
         )
         result = demand_with_base(inst.oracle, prices, s_other, gs=True,
-                                  table=table)
+                                  table=inst.table)
         return result - s_other
     check_enumeration(len(own), "one agent's deviations")
-    _, walk = _deviations(inst, value_view(inst.oracle, table), agent,
-                          set_to_mask(s_other))
+    _, walk = _deviations(inst, agent, other)
     best = None
     for dev, f_full, c in walk:
         rank = (alpha_i * f_full - c, f_full)
@@ -137,8 +141,8 @@ class NeCertificate:
     violator: Optional[int] = None
 
 
-def is_nash(inst: Instance, alpha: Contract, profile: Iterable[int], *,
-            table: Optional[Sequence[Fraction]] = None) -> NeCertificate:
+def is_nash(inst: Instance, alpha: Contract,
+            profile: Iterable[int]) -> NeCertificate:
     """Check the weak Nash condition by per-agent enumeration of deviations.
 
     f(S) is read once for all agents, so without a table the check issues
@@ -146,14 +150,13 @@ def is_nash(inst: Instance, alpha: Contract, profile: Iterable[int], *,
     """
     _check_walks(inst)
     s = frozenset(profile)
-    mask = set_to_mask(s)
-    f = value_view(inst.oracle, table)
-    f_s = f[mask]
+    mask = inst.mask_of(s)
+    f_s = inst.f[mask]
     utilities = []
     best_devs = []
     violator = None
     for i in range(inst.num_agents):
-        c_i, walk = _deviations(inst, f, i, mask)
+        c_i, walk = _deviations(inst, i, mask)
         u_i = alpha[i] * f_s - c_i
         best_u = None
         best_dev = 0
@@ -169,8 +172,8 @@ def is_nash(inst: Instance, alpha: Contract, profile: Iterable[int], *,
                          tuple(best_devs), violator)
 
 
-def ne_from_demand(inst: Instance, alpha: Contract, *, gs: Optional[bool] = None,
-                   table: Optional[Sequence[Fraction]] = None) -> frozenset[int]:
+def ne_from_demand(inst: Instance, alpha: Contract, *,
+                   gs: Optional[bool] = None) -> frozenset[int]:
     """An equilibrium of ``alpha`` from one demand query.
 
     Prices each action at c_a / alpha_i for its owner i and excludes the
@@ -186,23 +189,21 @@ def ne_from_demand(inst: Instance, alpha: Contract, *, gs: Optional[bool] = None
         else:
             excluded.add(a)
     return demand_with_base(inst.oracle, PriceVector(prices, frozenset(excluded)),
-                            (), gs=gs, table=table)
+                            (), gs=gs, table=inst.table)
 
 
-def is_subset_stable(inst: Instance, alpha: Contract, profile: Iterable[int], *,
-                     table: Optional[Sequence[Fraction]] = None):
+def is_subset_stable(inst: Instance, alpha: Contract, profile: Iterable[int]):
     """Check stability against own-subset deviations only.
 
     Returns (ok, witness) with witness = (agent, subset) for the first
     profitable shrink found.
     """
     profile = frozenset(profile)
+    s = inst.mask_of(profile)
     _check_walks(inst, profile)
-    s = set_to_mask(profile)
-    f = value_view(inst.oracle, table)
-    f_s = f[s]
+    f_s = inst.f[s]
     for i in range(inst.num_agents):
-        c_i, walk = _deviations(inst, f, i, s, shrink=True)
+        c_i, walk = _deviations(inst, i, s, shrink=True)
         u_i = alpha[i] * f_s - c_i
         for dev, f_dev, c in walk:
             if alpha[i] * f_dev - c > u_i:
@@ -216,8 +217,7 @@ def doubling_epsilon(budget: Fraction, num_agents: int) -> Fraction:
 
 
 def double_contract(inst: Instance, alpha: Contract, epsilon: Fraction, *,
-                    gs: Optional[bool] = None,
-                    table: Optional[Sequence[Fraction]] = None):
+                    gs: Optional[bool] = None):
     """The doubled contract 2*alpha + epsilon and one equilibrium of it.
 
     For submodular f and a subset-stable (alpha, S), every equilibrium of
@@ -226,12 +226,11 @@ def double_contract(inst: Instance, alpha: Contract, epsilon: Fraction, *,
     if epsilon <= 0:
         raise ValueError("epsilon must be > 0")
     doubled = alpha.scale(Fraction(2)).add_everyone(epsilon)
-    profile = ne_from_demand(inst, doubled, gs=gs, table=table)
+    profile = ne_from_demand(inst, doubled, gs=gs)
     return doubled, profile
 
 
-def min_incentivizing_contract(inst: Instance, profile: Iterable[int], *,
-                               table: Optional[Sequence[Fraction]] = None
+def min_incentivizing_contract(inst: Instance, profile: Iterable[int]
                                ) -> Optional[Contract]:
     """The cheapest contract making ``profile`` a weak Nash equilibrium.
 
@@ -244,11 +243,11 @@ def min_incentivizing_contract(inst: Instance, profile: Iterable[int], *,
     agent's deviations in ascending mask order until the profile fails, so
     without a table it issues at most 1 + sum_i (2^|T_i| - 1) value queries.
     """
+    mask = inst.mask_of(frozenset(profile))
     _check_walks(inst)
     own_masks = [set_to_mask(t) for t in inst.agent_actions]
     own_costs = [submask_sums(om, inst.cost_of) for om in own_masks]
-    f = value_view(inst.oracle, table)
-    mask = set_to_mask(profile)
+    f = inst.f
     f_s = f[mask]
     entries = []
     for om, costs in zip(own_masks, own_costs):
@@ -360,11 +359,15 @@ def _agent_payments(f: Sequence[int], own: int, c_int: Sequence[int],
     return pay
 
 
-def _integer_form(inst: Instance, table: Sequence[Fraction]
-                  ) -> tuple[Sequence[int], int, list[int], int]:
-    """(f, f_den, c, c_den): the table and the action costs as ints, each
-    over its own common denominator.  A :class:`ValueTable` hands over
-    its integer form as it is; a plain list is rescaled."""
+def _integer_form(inst: Instance) -> tuple[Sequence[int], int, list[int], int]:
+    """(f, f_den, c, c_den): the instance's value table and the action
+    costs as ints, each over its own common denominator.  A
+    :class:`ValueTable` hands over its integer form as it is; a plain list
+    is rescaled."""
+    table = inst.table
+    if table is None:
+        raise ModelError("no value table on the instance: fill it with "
+                         "rewards.with_table")
     costs = [inst.cost_of[a] for a in range(inst.num_actions)]
     c_den = common_denominator(costs)
     if isinstance(table, ValueTable):
@@ -375,10 +378,10 @@ def _integer_form(inst: Instance, table: Sequence[Fraction]
     return f, f_den, scaled_ints(costs, c_den), c_den
 
 
-def single_agent_hull(inst: Instance, table: Sequence[Fraction]
-                      ) -> tuple[list[int], list[Fraction]]:
+def single_agent_hull(inst: Instance) -> tuple[list[int], list[Fraction]]:
     """The upper envelope of the lines alpha * f(S) - c(S) of a one-agent
-    instance, as (hull, breaks): :func:`_agent_payments` with R = empty.
+    instance carrying its value table, as (hull, breaks):
+    :func:`_agent_payments` with R = empty.
 
     Of the sets sharing a left end there, the largest f, then the smallest
     mask, stays, so a set touching the envelope in one point gives way to
@@ -388,7 +391,7 @@ def single_agent_hull(inst: Instance, table: Sequence[Fraction]
     best response at alpha, the larger f winning at a breakpoint, so
     hull[i] is the one chosen on [breaks[i-1], breaks[i]).
     """
-    f, f_den, c_int, c_den = _integer_form(inst, table)
+    f, f_den, c_int, c_den = _integer_form(inst)
     best: dict[Fraction, int] = {}
     for mask, (dc, df) in _agent_payments(f, (1 << inst.num_actions) - 1,
                                           c_int, [0]).items():
@@ -400,11 +403,11 @@ def single_agent_hull(inst: Instance, table: Sequence[Fraction]
     return [best[alpha] for alpha in ends], ends[1:]
 
 
-def iter_min_contracts(inst: Instance, table: Sequence[Fraction], *,
-                       within: Optional[int] = None,
+def iter_min_contracts(inst: Instance, *, within: Optional[int] = None,
                        budget: Optional[Fraction] = None):
     """Yield (profile mask, minimal incentivizing Contract) for every
-    incentivizable profile, in ascending mask order.
+    incentivizable profile of an instance carrying its value table, in
+    ascending mask order.
 
     The contracts of :func:`min_incentivizing_contract`, found agent by
     agent from upper envelopes.  Against a fixed rest R = S - T_i, agent
@@ -417,9 +420,9 @@ def iter_min_contracts(inst: Instance, table: Sequence[Fraction], *,
     rises with cost matters, and of it only the envelope neighbours of
     S_i bind; :func:`_min_payment` prices S_i against the one before it.
     A line touching the envelope in a single point (its bounds meet,
-    lo = hi) stays admissible.  Each agent reads f(R + d) once per rest of the profiles
-    still standing, at most n * 2^m table reads in all, where pricing each
-    profile alone reads 2^m * sum_i 2^|T_i|.
+    lo = hi) stays admissible.  Each agent reads f(R + d) once per rest of
+    the profiles still standing, at most n * 2^m table reads in all, where
+    pricing each profile alone reads 2^m * sum_i 2^|T_i|.
 
     Values are ints over one denominator (a :class:`ValueTable`'s own, so
     its entries are not rescaled) and costs ints over theirs; a payment
@@ -430,7 +433,7 @@ def iter_min_contracts(inst: Instance, table: Sequence[Fraction], *,
     """
     m, n = inst.num_actions, inst.num_agents
     own_masks = [set_to_mask(t) for t in inst.agent_actions]
-    f, f_den, c_int, c_den = _integer_form(inst, table)
+    f, f_den, c_int, c_den = _integer_form(inst)
     span = (1 << m) - 1 if within is None else within
     # An agent with no action in ``span`` acts in no profile; if none of
     # its costs is negative, every deviation only adds cost, so its bounds
@@ -472,21 +475,19 @@ def linearize(contract: GeneralContract) -> Contract:
 
 
 def is_nash_general(inst: Instance, contract: GeneralContract,
-                    profile: Iterable[int], *,
-                    table: Optional[Sequence[Fraction]] = None) -> bool:
+                    profile: Iterable[int]) -> bool:
     """Weak Nash check under a general (success/failure payment) contract."""
+    s = inst.mask_of(frozenset(profile))
     _check_walks(inst)
-    s = set_to_mask(profile)
-    f = value_view(inst.oracle, table)
 
     def utility(i: int, f_dev: Fraction, c: Fraction) -> Fraction:
         t0 = contract.pay_on_failure[i]
         t1 = contract.pay_on_success[i]
         return t1 * f_dev + t0 * (1 - f_dev) - c
 
-    f_s = f[s]
+    f_s = inst.f[s]
     for i in range(inst.num_agents):
-        c_i, walk = _deviations(inst, f, i, s)
+        c_i, walk = _deviations(inst, i, s)
         u_i = utility(i, f_s, c_i)
         for _, f_dev, c in walk:
             if utility(i, f_dev, c) > u_i:

@@ -11,7 +11,7 @@ import random
 from fractions import Fraction
 from typing import Optional
 
-from budgetcontracts.core import Action, Contract, GeneralContract, Instance, \
+from budgetcontracts.core import Action, GeneralContract, Instance, \
     check_enumeration
 from budgetcontracts.rewards import (
     AdditiveOracle,
@@ -124,16 +124,6 @@ def random_gs_instance(seed: int, num_agents: Optional[int] = None,
     rng = random.Random(seed)
     gen = GS_GENERATORS[rng.randrange(len(GS_GENERATORS))]
     return gen(rng.randint(0, 2 ** 30), num_agents, num_actions)
-
-
-def random_contract(seed: int, num_agents: int,
-                    total_cap: Fraction = Fraction(1)) -> Contract:
-    rng = random.Random(seed)
-    raw = [Fraction(rng.randint(0, 16), 64) for _ in range(num_agents)]
-    total = sum(raw, Fraction(0))
-    if total > total_cap and total > 0:
-        raw = [a * total_cap / total for a in raw]
-    return Contract(tuple(raw))
 
 
 def random_general_contract(seed: int, num_agents: int) -> GeneralContract:

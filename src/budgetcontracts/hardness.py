@@ -50,7 +50,7 @@ from budgetcontracts.rewards import (
     brute_force_demand,
     mask_to_set,
     set_to_mask,
-    value_table,
+    with_table,
 )
 
 HALF = Fraction(1, 2)
@@ -290,18 +290,17 @@ def verify_gap_exhaustive(params: HardnessParams) -> GapReport:
     """
     n = params.n
     check_enumeration(n + 2, "gap verification")
-    inst = build_hardness(params)
-    table = value_table(inst.oracle)
+    inst = with_table(build_hardness(params))
     good_mask = set_to_mask(params.hidden) | 1 << good_action(n)
     bound = (Fraction(n, 2) + 2) * params.eps
     max_other = ZERO
     feasible = 0
     violations = []
-    for mask, _ in iter_min_contracts(inst, table, budget=params.budget):
+    for mask, _ in iter_min_contracts(inst, budget=params.budget):
         if mask == good_mask:
             continue
         feasible += 1
-        f_s = table[mask]
+        f_s = inst.table[mask]
         if f_s > max_other:
             max_other = f_s
         if f_s > bound:

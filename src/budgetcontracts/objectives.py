@@ -12,7 +12,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional
 
 from budgetcontracts.core import (
     Contract,
@@ -29,7 +29,7 @@ from budgetcontracts.core import (
     restrict_contract,
 )
 from budgetcontracts.equilibria import min_incentivizing_contract
-from budgetcontracts.rewards import set_to_mask, value_table, value_view
+from budgetcontracts.rewards import set_to_mask, with_table
 
 
 @dataclass(frozen=True)
@@ -64,18 +64,16 @@ def combo(*terms: tuple[Fraction | str | int, Objective]) -> Objective:
 
 
 def evaluate(obj: Objective, inst: Instance, alpha: Contract,
-             profile: Iterable[int], *,
-             table: Optional[Sequence[Fraction]] = None) -> Fraction:
+             profile: Iterable[int]) -> Fraction:
     s = frozenset(profile)
-    f_s = value_view(inst.oracle, table)[set_to_mask(s)]
+    f_s = inst.f[inst.mask_of(s)]
     if obj.kind == "profit":
         return (1 - alpha.total()) * f_s
     if obj.kind == "reward":
         return f_s
     if obj.kind == "welfare":
         return f_s - cost(inst, s)
-    return sum((w * evaluate(o, inst, alpha, s, table=table) for w, o in obj.terms),
-               ZERO)
+    return sum((w * evaluate(o, inst, alpha, s) for w, o in obj.terms), ZERO)
 
 
 @dataclass(frozen=True)
@@ -108,9 +106,7 @@ def participation_holds(inst: Instance, alpha: Contract, s: frozenset, val) -> b
 def verify_best_properties(obj: Objective, inst: Instance, *,
                            denominator: int = 8,
                            sample_budget: Optional[int] = None,
-                           seed: int = 0,
-                           table: Optional[Sequence[Fraction]] = None
-                           ) -> BestPropertyReport:
+                           seed: int = 0) -> BestPropertyReport:
     """Falsification harness for the four BEST-objective properties.
 
     Checks, over an alpha grid (per-agent multiples of 1/denominator plus
@@ -131,31 +127,35 @@ def verify_best_properties(obj: Objective, inst: Instance, *,
     costless counterexample like an unpaid agent forced into a costly
     action is outside every use the guarantees make.
 
-    ``sample_budget`` caps the number of (contract, profile) pairs; beyond
-    it the contract pool is subsampled deterministically.  The profit
-    property set assumes a subadditive f.  Without ``table``, one value
-    table is filled (2^m value queries) once the arguments pass their
-    checks, and every read of f goes through it.
+    ``sample_budget`` (at least 1) caps the number of (contract, profile)
+    pairs; beyond it the contract pool is subsampled deterministically.
+    The profit property set assumes a subadditive f.  The instance's value
+    table is filled (2^m value queries, none if it carries one) once the
+    arguments pass their checks, and every read of f goes through it.
+    Above 4096 grid contracts, 4096 are drawn one level at a time, so the
+    grid itself is never built.
     """
     n = inst.num_agents
     m = inst.num_actions
     check_enumeration(m, "verification grid", GS_TESTER_LIMIT)
     if denominator < 1:
         raise ModelError(f"grid denominator must be >= 1, got {denominator}")
-    if table is None:
-        table = value_table(inst.oracle)
+    if sample_budget is not None and sample_budget < 1:
+        raise ModelError(f"sample budget must be >= 1, got {sample_budget}")
+    inst = with_table(inst)
     profiles = [frozenset(c) for r in range(m + 1)
                 for c in itertools.combinations(range(m), r)]
     step = Fraction(1, denominator)
-    levels = [Fraction(k, denominator) for k in range(denominator + 1)]
     if (denominator + 1) ** n <= 4096:
+        levels = [Fraction(k, denominator) for k in range(denominator + 1)]
         contracts = [Contract(t) for t in itertools.product(levels, repeat=n)]
     else:
         rng = random.Random(seed)
-        contracts = [Contract(tuple(rng.choice(levels) for _ in range(n)))
+        contracts = [Contract(tuple(Fraction(rng.randrange(denominator + 1),
+                                             denominator) for _ in range(n)))
                      for _ in range(4096)]
     for s in profiles:
-        extra = min_incentivizing_contract(inst, s, table=table)
+        extra = min_incentivizing_contract(inst, s)
         if extra is not None:
             contracts.append(extra)
     contracts = [c for c in contracts if c.total() <= 1]
@@ -164,37 +164,30 @@ def verify_best_properties(obj: Objective, inst: Instance, *,
         keep = max(1, sample_budget // len(profiles))
         contracts = rng.sample(contracts, min(keep, len(contracts)))
 
-    f = value_view(inst.oracle, table)
+    f = inst.table
     val = lambda s: f[set_to_mask(s)]
-    results: dict[str, tuple[bool, Optional[tuple]]] = {}
+    # each property keeps its first counterexample and is not checked again
+    results: dict[str, tuple[bool, Optional[tuple]]] = dict.fromkeys(
+        ("sandwich", "decompose", "monotone-S", "antitone-alpha"), (True, None))
     checks = 0
-
-    def fail(name: str, info: tuple) -> None:
-        if name not in results or results[name][0]:
-            results[name] = (False, info)
-
-    results["sandwich"] = (True, None)
-    results["decompose"] = (True, None)
-    results["monotone-S"] = (True, None)
-    results["antitone-alpha"] = (True, None)
 
     for alpha in contracts:
         for s in profiles:
             if not participation_holds(inst, alpha, s, val):
                 continue
             checks += 1
-            phi = evaluate(obj, inst, alpha, s, table=table)
+            phi = evaluate(obj, inst, alpha, s)
             f_s = val(s)
             profit = (1 - alpha.total()) * f_s
             if results["sandwich"][0] and not (profit <= phi <= f_s):
-                fail("sandwich", (alpha, s))
+                results["sandwich"] = (False, (alpha, s))
             if results["decompose"][0]:
                 for i in range(n):
                     s_i = s & inst.agent_actions[i]
                     rhs = val(s - s_i) + evaluate(
-                        obj, inst, restrict_contract(alpha, {i}), s_i, table=table)
+                        obj, inst, restrict_contract(alpha, {i}), s_i)
                     if phi > rhs:
-                        fail("decompose", (alpha, s, i))
+                        results["decompose"] = (False, (alpha, s, i))
                         break
             if results["monotone-S"][0]:
                 for a in range(m):
@@ -203,8 +196,8 @@ def verify_best_properties(obj: Objective, inst: Instance, *,
                     incentive = alpha[inst.owner_of[a]] * (val(s | {a}) - f_s)
                     if incentive < inst.cost_of[a]:
                         continue
-                    if phi > evaluate(obj, inst, alpha, s | {a}, table=table):
-                        fail("monotone-S", (alpha, s, a))
+                    if phi > evaluate(obj, inst, alpha, s | {a}):
+                        results["monotone-S"] = (False, (alpha, s, a))
                         break
             if results["antitone-alpha"][0]:
                 for i in range(n):
@@ -212,8 +205,8 @@ def verify_best_properties(obj: Objective, inst: Instance, *,
                         x + step if j == i else x for j, x in enumerate(alpha.alpha)))
                     if bumped.total() > 1:
                         continue
-                    if evaluate(obj, inst, bumped, s, table=table) > phi:
-                        fail("antitone-alpha", (alpha, s, i))
+                    if evaluate(obj, inst, bumped, s) > phi:
+                        results["antitone-alpha"] = (False, (alpha, s, i))
                         break
     passed = all(ok for ok, _ in results.values())
     return BestPropertyReport(passed, checks, results)

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
 from operator import gt
@@ -35,6 +35,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from budgetcontracts.core import (
     GS_TESTER_LIMIT,
+    Instance,
     ModelError,
     OracleRangeViolationError,
     SchemaError,
@@ -196,13 +197,6 @@ def submask_sums(mask: int, weights) -> dict[int, int | Fraction]:
     """
     return dict(zip(submasks(mask), subset_sums(
         [weights[a] for a in _set_bits(mask)])))
-
-
-def value_view(oracle: RewardOracle,
-               table: Optional[Sequence[Fraction]] = None):
-    """f indexed by bitmask: ``table`` itself when one is given, otherwise
-    the oracle, which spends one value query on every read."""
-    return oracle if table is None else table
 
 
 class ValueTable(list):
@@ -514,7 +508,7 @@ def demand_with_base(oracle: RewardOracle, prices: PriceVector,
     """
     base_set = frozenset(base)
     items = _check_prices(oracle, prices, base_set)
-    f = value_view(oracle, table)
+    f = oracle if table is None else table
     chosen = set_to_mask(base_set)
     if oracle.is_gs_class if gs is None else gs:
         current = f[chosen]
@@ -561,12 +555,22 @@ def value_table(oracle: RewardOracle) -> list[Fraction]:
     lcm for additive, unit-demand and OXS, the unit value's denominator
     for uniform-k, the universe size for coverage's bit-counts, the
     explicit table's validated lcm).  The subset-at-a-time families
-    return a plain list, and every consumer accepts both.
+    return a plain list.  An instance carries its table
+    (:func:`with_table`), and every reader of ``Instance.f`` and
+    ``Instance.table`` accepts both forms.
     """
     m = oracle.num_actions
     check_enumeration(m, "value table")
     oracle.value_queries += 1 << m
     return oracle._table()
+
+
+def with_table(inst: Instance) -> Instance:
+    """``inst`` carrying its value table: 2^m value queries the first time,
+    none when the instance already carries one."""
+    if inst.table is not None:
+        return inst
+    return replace(inst, table=value_table(inst.oracle))
 
 
 # -- class membership testers ----------------------------------------------

@@ -42,8 +42,7 @@ from budgetcontracts.equilibria import is_nash, iter_min_contracts, \
     ne_from_demand, single_agent_hull
 from budgetcontracts.objectives import Objective, PROFIT, REWARD, evaluate
 from budgetcontracts.rewards import PriceVector, common_denominator, \
-    demand_with_base, mask_to_set, scaled_ints, set_to_mask, value_table, \
-    value_view
+    demand_with_base, mask_to_set, scaled_ints, set_to_mask, with_table
 
 
 class NotAnEquilibriumError(ModelError):
@@ -63,17 +62,17 @@ class SolveResult:
 
 
 def _race(obj: Objective, inst: Instance,
-          pairs: Iterable[tuple[Contract, frozenset[int]]],
-          table: Sequence[Fraction]) -> tuple[Contract, frozenset[int], Fraction]:
+          pairs: Iterable[tuple[Contract, frozenset[int]]]
+          ) -> tuple[Contract, frozenset[int], Fraction]:
     """The first (contract, profile, value) of maximal objective value.
 
     The zero contract with its best response (:func:`_zero_pair`) enters
     first, and a later pair must beat the best so far strictly.
     """
     best_alpha, best_profile = _zero_pair(inst)
-    best_value = evaluate(obj, inst, best_alpha, best_profile, table=table)
+    best_value = evaluate(obj, inst, best_alpha, best_profile)
     for alpha, profile in pairs:
-        v = evaluate(obj, inst, alpha, profile, table=table)
+        v = evaluate(obj, inst, alpha, profile)
         if v > best_value:
             best_alpha, best_profile, best_value = alpha, profile, v
     return best_alpha, best_profile, best_value
@@ -97,86 +96,79 @@ def _count_queries(inst: Instance, before: tuple[int, int]) -> tuple[int, int]:
             inst.oracle.demand_queries - before[1])
 
 
-def brute_force_opt(inst: Instance, budget: Fraction, obj: Objective, *,
-                    table: Optional[Sequence[Fraction]] = None) -> SolveResult:
+def brute_force_opt(inst: Instance, budget: Fraction, obj: Objective
+                    ) -> SolveResult:
     """Exact optimum over all budget-feasible contract/equilibrium pairs.
 
     Enumerates every profile, prices it with its minimal incentivizing
     contract, keeps the budget-feasible ones and returns the objective
     maximizer.  Ground truth for everything else in this module.
     """
-    return _brute(inst, budget, obj, str(obj), table)
+    return _brute(inst, budget, obj, str(obj))
 
 
-def max_reward_bounded_brute(inst: Instance, budget: Fraction, *,
-                             table: Optional[Sequence[Fraction]] = None
-                             ) -> SolveResult:
+def max_reward_bounded_brute(inst: Instance, budget: Fraction) -> SolveResult:
     """Exact reward maximization with the per-agent cap alpha_i <= 3B/4:
     :func:`brute_force_opt` for reward over the minimal contracts whose
     every entry respects the cap."""
-    return _brute(inst, budget, REWARD, "reward-bounded", table,
+    return _brute(inst, budget, REWARD, "reward-bounded",
                   Fraction(3, 4) * budget)
 
 
 def _brute(inst: Instance, budget: Fraction, obj: Objective, label: str,
-           table: Optional[Sequence[Fraction]],
            cap: Optional[Fraction] = None) -> SolveResult:
     """The :func:`_race` for ``obj`` over every budget-feasible minimal
     contract, and with ``cap`` over those paying no agent above it."""
     _check_budget(budget)
     check_enumeration(inst.num_actions, "brute force")
     before = (inst.oracle.value_queries, inst.oracle.demand_queries)
-    if table is None:
-        table = value_table(inst.oracle)
+    inst = with_table(inst)
     pairs = ((alpha, mask_to_set(mask))
-             for mask, alpha in iter_min_contracts(inst, table, budget=budget)
+             for mask, alpha in iter_min_contracts(inst, budget=budget)
              if cap is None or all(a <= cap for a in alpha.alpha))
-    best = _race(obj, inst, pairs, table)
+    best = _race(obj, inst, pairs)
     vq, dq = _count_queries(inst, before)
     return SolveResult(*best, "exact", label, budget, vq, dq)
 
 
 def gs_single_agent_exact(inst: Instance, agent: int, obj: Objective,
-                          budget: Fraction, *,
-                          table: Optional[Sequence[Fraction]] = None
-                          ) -> SolveResult:
+                          budget: Fraction) -> SolveResult:
     """Exact best single-agent pair: pay only ``agent``, who acts alone.
 
     Desk-scale realization of the critical-point method: every subset of
     the agent's actions is priced at its minimal incentivizing payment by
     :func:`iter_min_contracts` restricted to those actions (the other
     agents stay unpaid), and the objective maximizer within ``budget``
-    wins; among equal values the smallest profile mask does.  Without a
-    table, one is filled (2^m value queries).
+    wins; among equal values the smallest profile mask does.  The
+    instance's value table is filled (2^m value queries) unless it
+    carries one.
     """
     _check_budget(budget)
     check_enumeration(len(inst.agent_actions[agent]), "one agent's profiles")
     before = (inst.oracle.value_queries, inst.oracle.demand_queries)
-    if table is None:
-        table = value_table(inst.oracle)
-    best = _race(obj, inst, _single_agent_pairs(inst, agent, budget, table),
-                 table)
+    inst = with_table(inst)
+    best = _race(obj, inst, _single_agent_pairs(inst, agent, budget))
     vq, dq = _count_queries(inst, before)
     return SolveResult(*best, "exact", str(obj), budget, vq, dq)
 
 
-def _single_agent_pairs(inst: Instance, agent: int, budget: Fraction,
-                        table: Sequence[Fraction]
+def _single_agent_pairs(inst: Instance, agent: int, budget: Fraction
                         ) -> list[tuple[Contract, frozenset[int]]]:
     """(minimal contract, profile) for every subset of ``agent``'s actions
     that a payment within ``budget`` incentivizes, in ascending mask order."""
     own = set_to_mask(inst.agent_actions[agent])
     return [(alpha, mask_to_set(mask)) for mask, alpha in
-            iter_min_contracts(inst, table, within=own, budget=budget)]
+            iter_min_contracts(inst, within=own, budget=budget)]
 
 
 def scale_costs(inst: Instance, factor: Fraction) -> Instance:
-    """The same instance with every action cost multiplied by ``factor``."""
+    """The same instance, value table included, with every action cost
+    multiplied by ``factor``."""
     if factor <= 0:
         raise ModelError("cost scale factor must be > 0")
     actions = tuple(Action(a.action_id, a.owner, a.cost * factor)
                     for a in inst.actions)
-    return Instance(inst.num_agents, actions, inst.oracle)
+    return Instance(inst.num_agents, actions, inst.oracle, inst.table)
 
 
 # -- additive FPTAS ----------------------------------------------------------
@@ -298,7 +290,6 @@ class _PrefixLayout:
 
 def build_dp_table(inst: Instance, basis: str, b: Fraction, eps: Fraction, *,
                    budget: Optional[Fraction] = None,
-                   table: Optional[Sequence[Fraction]] = None,
                    layout: Optional[_PrefixLayout] = None) -> DpTable:
     """Fill the dynamic program for additive f at scale ``b``.
 
@@ -316,8 +307,9 @@ def build_dp_table(inst: Instance, basis: str, b: Fraction, eps: Fraction, *,
     removes entries that the budget selection would discard anyway.
 
     Without ``layout`` each singleton f({a}) is read once (one value query
-    each without ``table``).  :func:`additive_fptas` passes the layout it
-    built for ``basis`` and ``budget``, and so reads nothing here.
+    each on an instance without a table).  :func:`additive_fptas` passes
+    the layout it built for ``basis`` and ``budget``, and so reads nothing
+    here.
     """
     if not 0 < eps < 1:
         raise ModelError("eps must lie in (0, 1)")
@@ -330,7 +322,7 @@ def build_dp_table(inst: Instance, basis: str, b: Fraction, eps: Fraction, *,
     n = inst.num_agents
     m = inst.num_actions
     if layout is None:
-        f = value_view(inst.oracle, table)
+        f = inst.f
         layout = _PrefixLayout.build(inst, basis, budget,
                                      [f[1 << a] for a in range(m)])
     # phi / (delta * b) = phi * m / (eps * b), over integers; // floors
@@ -390,8 +382,7 @@ def build_dp_table(inst: Instance, basis: str, b: Fraction, eps: Fraction, *,
 
 
 def additive_fptas(inst: Instance, budget: Fraction, eps: Fraction,
-                   obj: Objective, *,
-                   table: Optional[Sequence[Fraction]] = None) -> SolveResult:
+                   obj: Objective) -> SolveResult:
     """(1-eps)-approximation for additive f under any budget in [0, 1].
 
     Sweeps the scale b over every candidate singleton value (f singletons
@@ -401,10 +392,10 @@ def additive_fptas(inst: Instance, budget: Fraction, eps: Fraction,
     it for profit.  Welfare mirrors the reward selection rule.
 
     Each singleton f({a}) is read once, and the tables of all scales share
-    one prefix layout built from those reads.  Without ``table`` the solve
-    issues m + 1 + |scales| value queries: the singletons, then f of the
-    unpaid profile (:func:`_zero_pair`) and of each scale's pick as the
-    objective is evaluated.
+    one prefix layout built from those reads.  On an instance without a
+    table the solve issues m + 1 + |scales| value queries: the singletons,
+    then f of the unpaid profile (:func:`_zero_pair`) and of each scale's
+    pick as the objective is evaluated.
     """
     if obj.kind not in ("profit", "reward", "welfare"):
         raise ModelError("additive FPTAS supports profit, reward, welfare")
@@ -413,7 +404,7 @@ def additive_fptas(inst: Instance, budget: Fraction, eps: Fraction,
         raise ModelError("eps must lie in (0, 1)")
     before = (inst.oracle.value_queries, inst.oracle.demand_queries)
     basis = "f-c" if obj.kind == "welfare" else "f"
-    f = value_view(inst.oracle, table)
+    f = inst.f
     singletons = [f[1 << a] for a in range(inst.num_actions)]
     layout = _PrefixLayout.build(inst, basis, budget, singletons)
 
@@ -426,7 +417,7 @@ def additive_fptas(inst: Instance, budget: Fraction, eps: Fraction,
             candidates.add(b)
 
     best_alpha, best_profile = _zero_pair(inst)
-    best_value = evaluate(obj, inst, best_alpha, best_profile, table=table)
+    best_value = evaluate(obj, inst, best_alpha, best_profile)
     n = inst.num_agents
     for b in sorted(candidates, reverse=True):
         dp = build_dp_table(inst, basis, b, eps, budget=budget, layout=layout)
@@ -441,7 +432,7 @@ def additive_fptas(inst: Instance, budget: Fraction, eps: Fraction,
         else:
             t_star = dp.ends[n] - 1
         alpha, profile = dp.reconstruct(inst, t_star)
-        v = evaluate(obj, inst, alpha, profile, table=table)
+        v = evaluate(obj, inst, alpha, profile)
         if v > best_value:
             best_alpha, best_profile, best_value = alpha, profile, v
     vq, dq = _count_queries(inst, before)
@@ -457,8 +448,7 @@ def single_agent_demand_breakpoints(inst: Instance) -> list[Fraction]:
     if inst.num_agents != 1:
         raise ModelError("single-agent analysis needs exactly one agent")
     check_enumeration(inst.num_actions, "single-agent envelope", TESTER_LIMIT)
-    table = value_table(inst.oracle)
-    _, breaks = single_agent_hull(inst, table)
+    _, breaks = single_agent_hull(with_table(inst))
     return breaks
 
 
@@ -474,8 +464,8 @@ def _first_grid_index(eps: Fraction, bound: Fraction, lo: int, hi: int) -> int:
                             key=lambda k: pow(q - p, k) * den <= num * pow(q, k))
 
 
-def single_agent_fptas(inst: Instance, budget: Fraction, eps: Fraction, *,
-                       table: Optional[Sequence[Fraction]] = None) -> SolveResult:
+def single_agent_fptas(inst: Instance, budget: Fraction,
+                       eps: Fraction) -> SolveResult:
     """Profit FPTAS for one agent with monotone f under budget B <= 1.
 
     Computes the welfare benchmark from a demand query at prices c_a / B,
@@ -504,8 +494,8 @@ def single_agent_fptas(inst: Instance, budget: Fraction, eps: Fraction, *,
     m = inst.num_actions
     check_enumeration(m, "single-agent scheme", TESTER_LIMIT)
     before = (inst.oracle.value_queries, inst.oracle.demand_queries)
-    if table is None:
-        table = value_table(inst.oracle)
+    inst = with_table(inst)
+    table = inst.table
 
     if all(inst.cost_of[a] == 0 for a in range(m)):
         vq, dq = _count_queries(inst, before)
@@ -517,7 +507,7 @@ def single_agent_fptas(inst: Instance, budget: Fraction, eps: Fraction, *,
         return SolveResult(Contract.zero(1), mask_to_set(free), table[free],
                            "exact", "profit", budget, vq, dq)
 
-    hull, breaks = single_agent_hull(inst, table)
+    hull, breaks = single_agent_hull(inst)
     # S-dagger maximizes B*f - c; among ties the larger f also maximizes f-c
     s_dagger = hull[bisect_right(breaks, budget)]
     sw = table[s_dagger] - cost(inst, mask_to_set(s_dagger))
@@ -558,8 +548,7 @@ def single_agent_fptas(inst: Instance, budget: Fraction, eps: Fraction, *,
 
 
 def downsize(inst: Instance, m_param: int, alpha: Contract,
-             profile: Iterable[int], *, gs: Optional[bool] = None,
-             table: Optional[Sequence[Fraction]] = None
+             profile: Iterable[int], *, gs: Optional[bool] = None
              ) -> tuple[Contract, frozenset[int]]:
     """Shrink total payment while keeping a 1/(2M-2) fraction of the reward.
 
@@ -575,14 +564,14 @@ def downsize(inst: Instance, m_param: int, alpha: Contract,
     if m_param < 3:
         raise ModelError("M must be an integer >= 3")
     s = frozenset(profile)
-    cert = is_nash(inst, alpha, s, table=table)
+    cert = is_nash(inst, alpha, s)
     if not cert.ok:
         raise NotAnEquilibriumError(
             f"agent {cert.violator} prefers a deviation under the input contract")
     p = alpha.total()
     if p == 0:
         return alpha, s
-    f = value_view(inst.oracle, table)
+    f = inst.f
     f_s = f[set_to_mask(s)]
     threshold = p / m_param
     share = f_s / (m_param - 1)
@@ -594,7 +583,7 @@ def downsize(inst: Instance, m_param: int, alpha: Contract,
                 {a: inst.cost_of[a] / alpha[i] for a in inst.agent_actions[i]},
                 excluded=inst.ground_set - inst.agent_actions[i])
             s_prime = demand_with_base(inst.oracle, prices, s_i, gs=gs,
-                                       table=table)
+                                       table=inst.table)
             return restrict_contract(alpha, {i}), s_prime
 
     def group_actions(agents: list[int]) -> frozenset[int]:
@@ -620,12 +609,11 @@ def downsize(inst: Instance, m_param: int, alpha: Contract,
     epsilon = p / (inst.num_agents * m_param)
     new_alpha = restrict_contract(alpha, survivors).scale(Fraction(2)) \
         .add_everyone(epsilon)
-    s_prime = ne_from_demand(inst, new_alpha, gs=gs, table=table)
+    s_prime = ne_from_demand(inst, new_alpha, gs=gs)
     return new_alpha, s_prime
 
 
 def gs_constant_factor(inst: Instance, budget: Fraction, obj: Objective, *,
-                       table: Optional[Sequence[Fraction]] = None,
                        force: bool = False) -> SolveResult:
     """Constant-factor approximation for gross-substitutes rewards.
 
@@ -635,7 +623,8 @@ def gs_constant_factor(inst: Instance, budget: Fraction, obj: Objective, *,
     reward-bounded candidate, (c) downsize the winner with M = 6 and race
     the result against the exact single-agent solutions for the target
     objective.  With the exact base solver the certified factor is
-    120 * 50 + 1 = 6001, independent of instance size.
+    120 * 50 + 1 = 6001, independent of instance size.  Every stage reads
+    the one value table filled here, unless the budget is 0.
     """
     if not (force or inst.oracle.is_gs_class):
         raise ModelError("oracle not declared gross substitutes (use force=True)")
@@ -644,35 +633,31 @@ def gs_constant_factor(inst: Instance, budget: Fraction, obj: Objective, *,
     if budget == 0:
         free = frozenset(a for a in inst.ground_set if inst.cost_of[a] <= 0)
         zero = Contract.zero(inst.num_agents)
-        v = evaluate(obj, inst, zero, free, table=table)
+        v = evaluate(obj, inst, zero, free)
         vq, dq = _count_queries(inst, before)
         return SolveResult(zero, free, v, "exact", str(obj), budget, vq, dq)
     check_enumeration(inst.num_actions, "GS pipeline")
-    if table is None:  # one table for every stage
-        table = value_table(inst.oracle)
+    inst = with_table(inst)  # one table for every stage
 
     scaled = scale_costs(inst, Fraction(4, 3) / budget)
-    base = brute_force_opt(scaled, ONE, PROFIT, table=table)
+    base = brute_force_opt(scaled, ONE, PROFIT)
     rescaled = (base.contract.scale(Fraction(3, 4) * budget), base.profile)
 
     # each agent's single-agent pairs, raced for reward here and for the
     # target objective after downsizing
-    singles = [_single_agent_pairs(inst, i, budget, table)
+    singles = [_single_agent_pairs(inst, i, budget)
                for i in range(inst.num_agents)]
     mrb_candidates = [rescaled] + \
-        [_race(REWARD, inst, pairs, table)[:2] for pairs in singles]
+        [_race(REWARD, inst, pairs)[:2] for pairs in singles]
     mrb_alpha, mrb_profile = max(
-        mrb_candidates,
-        key=lambda pair: evaluate(REWARD, inst, pair[0], pair[1], table=table))
+        mrb_candidates, key=lambda pair: evaluate(REWARD, inst, *pair))
 
-    down_alpha, down_profile = downsize(inst, 6, mrb_alpha, mrb_profile,
-                                        table=table)
+    down_alpha, down_profile = downsize(inst, 6, mrb_alpha, mrb_profile)
     final_candidates = [(down_alpha, down_profile)] + \
-        [_race(obj, inst, pairs, table)[:2] for pairs in singles]
+        [_race(obj, inst, pairs)[:2] for pairs in singles]
     best_alpha, best_profile = max(
-        final_candidates,
-        key=lambda pair: evaluate(obj, inst, pair[0], pair[1], table=table))
-    value = evaluate(obj, inst, best_alpha, best_profile, table=table)
+        final_candidates, key=lambda pair: evaluate(obj, inst, *pair))
+    value = evaluate(obj, inst, best_alpha, best_profile)
     vq, dq = _count_queries(inst, before)
     return SolveResult(best_alpha, best_profile, value, Fraction(6001),
                        str(obj), budget, vq, dq)

@@ -44,7 +44,7 @@ from budgetcontracts.rewards import (
     gs_greedy_demand,
     is_monotone,
     is_submodular,
-    value_table,
+    with_table,
 )
 from budgetcontracts.solvers import (
     additive_fptas,
@@ -76,12 +76,12 @@ def test_criterion_01_additive_fptas():
     cases = 0
     for i in range(200):
         inst = random_additive_instance(9000 + i)
-        table = value_table(inst.oracle)
+        inst = with_table(inst)
         budget = BUDGET_POOL[i % 4]
         for obj in (PROFIT, REWARD, WELFARE):
-            opt = brute_force_opt(inst, budget, obj, table=table).value
+            opt = brute_force_opt(inst, budget, obj).value
             for eps in (F(1, 4), F(1, 10), F(1, 20)):
-                got = additive_fptas(inst, budget, eps, obj, table=table)
+                got = additive_fptas(inst, budget, eps, obj)
                 cases += 1
                 if got.value < (1 - eps) * opt or got.contract.total() > budget:
                     failures += 1
@@ -102,14 +102,15 @@ def test_criterion_02_single_agent_fptas():
         inst = random_explicit_monotone_instance(17000 + i, num_agents=1,
                                                  num_actions=m)
         budget = [F(1, 3), F(1, 2), F(3, 4), F(1)][i % 4]
-        table = value_table(inst.oracle)
+        inst = with_table(inst)
+        table = inst.table
         # independent optimum and welfare benchmark from profile enumeration
         opt = F(0)
         opt_alpha = F(0)
         opt_profile = frozenset()
         sw = F(0)
         for profile in all_subsets(range(m)):
-            alpha = min_incentivizing_contract(inst, profile, table=table)
+            alpha = min_incentivizing_contract(inst, profile)
             if alpha is None or alpha[0] > budget:
                 continue
             profit = (1 - alpha[0]) * table[sum(1 << a for a in profile)]
@@ -120,7 +121,7 @@ def test_criterion_02_single_agent_fptas():
             if welfare > sw:
                 sw = welfare
         for eps in (F(1, 4), F(1, 10)):
-            got = single_agent_fptas(inst, budget, eps, table=table)
+            got = single_agent_fptas(inst, budget, eps)
             cases += 1
             if got.value < (1 - eps) * opt or got.contract.total() > budget:
                 failures += 1
@@ -145,7 +146,7 @@ def test_criterion_03_downsizing():
     for i in range(100):
         inst = makers[i % 3](21000 + i, num_agents=2 + i % 3,
                              num_actions=4 + i % 7)
-        table = value_table(inst.oracle)
+        inst = with_table(inst)
         rng = random.Random(31000 + i)
         contracts = [Contract.of([F(k, 4)] * inst.num_agents)
                      for k in (1, 2, 3)]
@@ -153,16 +154,15 @@ def test_criterion_03_downsizing():
                                    for _ in range(inst.num_agents)])
                       for _ in range(2)]
         for alpha in contracts:
-            profile = ne_from_demand(inst, alpha, table=table)
+            profile = ne_from_demand(inst, alpha)
             for m_param in (3, 6, 14):
                 runs += 1
                 new_alpha, new_profile = downsize(inst, m_param, alpha,
-                                                  profile, table=table)
+                                                  profile)
                 f_old = inst.oracle.value(profile)
                 f_new = inst.oracle.value(new_profile)
                 ok = (2 * m_param - 2) * f_new >= f_old
-                ok = ok and is_nash(inst, new_alpha, new_profile,
-                                    table=table).ok
+                ok = ok and is_nash(inst, new_alpha, new_profile).ok
                 small = m_param * new_alpha.total() <= 5 * alpha.total()
                 single = any(
                     new_alpha.alpha == tuple(
@@ -206,7 +206,8 @@ def test_criterion_05_demand_simulation():
         for budget in (F(1, 4), F(1, 2)):
             params = HardnessParams.make(n, budget, hidden=range(n // 2))
             inst = build_hardness(params)
-            table = value_table(inst.oracle)
+            inst = with_table(inst)
+            table = inst.table
             rng = random.Random(1000 * n + int(budget * 4))
             for _ in range(1000):
                 pv = PriceVector.of({a: F(rng.randint(-8, 96), 64)
@@ -231,11 +232,12 @@ def test_criterion_06_best_response_monotonicity():
     ]
     checks = 0
     for inst in corpus:
-        table = value_table(inst.oracle)
+        inst = with_table(inst)
+        table = inst.table
         levels = [F(k, 8) for k in range(9)]
         for alphas in itertools.product(levels, repeat=inst.num_agents):
             alpha = Contract(alphas)
-            profile = ne_from_demand(inst, alpha, table=table)
+            profile = ne_from_demand(inst, alpha)
             for i in range(inst.num_agents):
                 if alpha[i] == 0:
                     continue
@@ -282,16 +284,16 @@ def test_criterion_07_reduction_pipeline():
     for i in range(50):
         inst = makers[i % 4](61000 + i, num_agents=2 + i % 2,
                              num_actions=3 + i % 5)
-        table = value_table(inst.oracle)
+        inst = with_table(inst)
         budget = BUDGET_POOL[i % 4]
         obj = objectives[i % 3]
-        got = gs_constant_factor(inst, budget, obj, table=table)
-        opt = brute_force_opt(inst, budget, obj, table=table).value
+        got = gs_constant_factor(inst, budget, obj)
+        opt = brute_force_opt(inst, budget, obj).value
         if 6001 * got.value < opt:
             failures += 1
-        mrb = max_reward_bounded_brute(inst, budget, table=table).value
+        mrb = max_reward_bounded_brute(inst, budget).value
         best_single = max(
-            gs_single_agent_exact(inst, j, obj, budget, table=table).value
+            gs_single_agent_exact(inst, j, obj, budget).value
             for j in range(inst.num_agents))
         if opt > 2 * mrb + best_single:
             failures += 1
@@ -312,7 +314,8 @@ def test_criterion_08_oracle_equivalences():
     mismatches = 0
     for variant, maker in enumerate(makers):
         inst = maker(71000 + variant, num_agents=2, num_actions=6)
-        table = value_table(inst.oracle)
+        inst = with_table(inst)
+        table = inst.table
         rng = random.Random(81000 + variant)
         for _ in range(500):
             pv = PriceVector.of({a: F(rng.randint(-16, 80), 64)
@@ -329,25 +332,24 @@ def test_criterion_08_oracle_equivalences():
         inst = random_gs_instance(rng.randint(0, 10 ** 6),
                                   num_agents=rng.randint(1, 4),
                                   num_actions=rng.randint(2, 8))
-        table = value_table(inst.oracle)
+        inst = with_table(inst)
         alpha = Contract.of([F(rng.randint(0, 16), 16)
                              for _ in range(inst.num_agents)])
-        profile = ne_from_demand(inst, alpha, table=table)
-        ne_failures += not is_nash(inst, alpha, profile, table=table).ok
+        profile = ne_from_demand(inst, alpha)
+        ne_failures += not is_nash(inst, alpha, profile).ok
     # linearization keeps every enumerated equilibrium of a general contract
     lin_failures = 0
     preserved = 0
     for i in range(50):
         inst = random_gs_instance(101000 + i, num_agents=2 + i % 2,
                                   num_actions=3 + i % 3)
-        table = value_table(inst.oracle)
+        inst = with_table(inst)
         t = random_general_contract(111000 + i, inst.num_agents)
         alpha = linearize(t)
         for profile in all_subsets(range(inst.num_actions)):
-            if is_nash_general(inst, t, profile, table=table):
+            if is_nash_general(inst, t, profile):
                 preserved += 1
-                lin_failures += not is_nash(inst, alpha, profile,
-                                            table=table).ok
+                lin_failures += not is_nash(inst, alpha, profile).ok
     verdict(8, mismatches == 0 and ne_failures == 0 and lin_failures == 0,
             f"2000 greedy-vs-brute demand utilities equal; 60 demand "
             f"equilibria verified; {preserved} general-contract equilibria "
@@ -366,9 +368,9 @@ def test_criterion_09_best_verifier():
     checks = 0
     for i in range(50):
         inst = makers[i % 5](121000 + i, num_agents=2, num_actions=3 + i % 2)
-        table = value_table(inst.oracle)
+        inst = with_table(inst)
         for obj in objectives:
-            report = verify_best_properties(obj, inst, table=table)
+            report = verify_best_properties(obj, inst)
             checks += report.checks
             if not report.passed:
                 failures += 1

@@ -1,0 +1,64 @@
+"""The benchmark harness in ``perfbench/`` still binds to the package.
+
+Its tracer wraps package functions by name and its workloads call the
+package directly, so a renamed function or a dropped keyword would only
+show up as failed benchmark operations.  The harness files are read, never
+written or imported as a package.
+"""
+
+import contextlib
+import io
+import types
+from pathlib import Path
+
+from budgetcontracts import cli
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+SOLVES = {
+    "solvers.additive_fptas":
+        ["--instance", "gen:additive:seed=1,agents=2,actions=5"],
+    "solvers.brute_force_opt":
+        ["--instance", "gen:explicit:seed=1,agents=2,actions=4",
+         "--force-solver", "brute"],
+    "solvers.single_agent_fptas":
+        ["--instance", "gen:explicit:seed=2,agents=1,actions=4",
+         "--force-solver", "single-fptas"],
+    "solvers.gs_constant_factor":
+        ["--instance", "gen:unit_demand:seed=3,agents=2,actions=4",
+         "--force-solver", "gs-pipeline"],
+}
+
+
+def _harness_module(name):
+    """``perfbench/<name>.py`` as a module, without caching its bytecode."""
+    path = PERFBENCH / f"{name}.py"
+    module = types.ModuleType(name)
+    module.__file__ = str(path)
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"),
+         module.__dict__)
+    return module
+
+
+def test_benchmark_tracer_and_workloads_bind_to_the_package(tmp_path):
+    bench_trace = _harness_module("bench_trace")
+    bench_workloads = _harness_module("bench_workloads")
+    tracer = bench_trace.Tracer()  # resolves every traced name
+    assert set(SOLVES) == set(bench_trace.SOLVERS)
+    demand = bench_workloads.HardnessDemand(1, tmp_path)
+    ops = demand.build(1)
+    tracer.install()
+    try:
+        for target, argv in SOLVES.items():
+            before = tracer.stats[target].calls
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main(["solve", "--budget", "1/2", *argv])
+            assert code == 0, target
+            assert tracer.stats[target].calls - before == 1, target
+        code, out = demand.run(ops[0])
+    finally:
+        tracer.remove()
+    assert code == 0 and '"exhaustive"' in out
+    for name in ("hardness.hardness_demand", "rewards.brute_force_demand"):
+        assert tracer.stats[name].calls == 1, name
+    assert tracer.stats["solvers.iter_min_contracts"].yields > 0

@@ -2,14 +2,16 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
+import time
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
-from budgetcontracts import cli, hardness
+from budgetcontracts import cli, hardness, objectives
 from budgetcontracts.cli import (
     build_parser,
     emit_report,
@@ -19,7 +21,8 @@ from budgetcontracts.cli import (
     parse_pair,
     serialize_instance,
 )
-from budgetcontracts.core import HARDNESS_N_LIMIT, RationalParseError, SchemaError
+from budgetcontracts.core import HARDNESS_N_LIMIT, Contract, RationalParseError, \
+    SchemaError
 from budgetcontracts.generators import (
     random_additive_instance,
     random_coverage_instance,
@@ -183,6 +186,43 @@ def test_cli_verify_best_rejects_nonpositive_denominator(denominator, capsys):
     assert json.loads(err)["error"] == {
         "type": "ModelError",
         "message": f"grid denominator must be >= 1, got {denominator}"}
+
+
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_cli_verify_best_rejects_a_sample_budget_below_one(budget, capsys):
+    assert main(["verify-best", "--instance", "gen:explicit:seed=1,agents=2,actions=3",
+                 "--sample-budget", budget]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == {
+        "type": "ModelError",
+        "message": f"sample budget must be >= 1, got {budget}"}
+
+
+def test_cli_verify_best_samples_a_huge_grid_without_building_it(capsys):
+    # (d + 1)^2 grid contracts at d = 10^8: the sampled path draws 4096 of
+    # them level by level and never lists the d + 1 levels
+    start = time.process_time()
+    assert main(["verify-best", "--instance", "gen:explicit:seed=1,agents=2,actions=3",
+                 "--objective", "profit", "--denominator", "100000000"]) == 0
+    assert time.process_time() - start < 10
+    assert json.loads(capsys.readouterr().out)["passed"] is True
+
+
+def test_verify_best_sampled_pool_is_the_pool_drawn_from_the_level_list(monkeypatch):
+    made = []
+
+    class Recorded(Contract):
+        def __post_init__(self):
+            super().__post_init__()
+            made.append(self.alpha)
+
+    monkeypatch.setattr(objectives, "Contract", Recorded)
+    inst = load_instance("gen:explicit:seed=1,agents=2,actions=3")
+    objectives.verify_best_properties(objectives.PROFIT, inst, denominator=5000,
+                                      sample_budget=8, seed=3)
+    rng = random.Random(3)
+    levels = [F(k, 5000) for k in range(5001)]
+    assert made[:4096] == [tuple(rng.choice(levels) for _ in range(2))
+                           for _ in range(4096)]
 
 
 def _run_verify_best(monkeypatch, source):

@@ -27,7 +27,7 @@ from budgetcontracts.rewards import (
     ExplicitOracle,
     PriceVector,
     demand_with_base,
-    value_table,
+    with_table,
 )
 
 EPS = F(1, 32)
@@ -131,9 +131,9 @@ def test_ne_from_demand_always_nash_on_random_gs():
                                   num_actions=rng.randint(2, 6))
         alpha = Contract.of([F(rng.randint(0, 8), 8)
                              for _ in range(inst.num_agents)])
-        table = value_table(inst.oracle)
-        profile = ne_from_demand(inst, alpha, table=table)
-        assert is_nash(inst, alpha, profile, table=table).ok
+        inst = with_table(inst)
+        profile = ne_from_demand(inst, alpha)
+        assert is_nash(inst, alpha, profile).ok
 
 
 # -- subset stability and doubling ----------------------------------------------
@@ -177,15 +177,15 @@ def test_double_contract_halves_reward_at_worst():
         inst = random_gs_instance(rng.randint(0, 10 ** 6),
                                   num_agents=rng.randint(1, 3),
                                   num_actions=rng.randint(2, 6))
-        table = value_table(inst.oracle)
+        inst = with_table(inst)
         alpha = Contract.of([F(rng.randint(0, 4), 8)
                              for _ in range(inst.num_agents)])
-        profile = ne_from_demand(inst, alpha, table=table)
-        ok, _ = is_subset_stable(inst, alpha, profile, table=table)
+        profile = ne_from_demand(inst, alpha)
+        ok, _ = is_subset_stable(inst, alpha, profile)
         assert ok
         eps = doubling_epsilon(F(1, 2), inst.num_agents)
-        doubled, new_profile = double_contract(inst, alpha, eps, table=table)
-        assert is_nash(inst, doubled, new_profile, table=table).ok
+        doubled, new_profile = double_contract(inst, alpha, eps)
+        assert is_nash(inst, doubled, new_profile).ok
         assert 2 * inst.oracle.value(new_profile) >= inst.oracle.value(profile)
         kept += bool(profile)
     assert kept > 0  # the loop saw nontrivial equilibria
@@ -245,11 +245,11 @@ def test_min_contract_feasible_implies_nash():
         inst = random_gs_instance(rng.randint(0, 10 ** 6),
                                   num_agents=rng.randint(1, 3),
                                   num_actions=rng.randint(2, 5))
-        table = value_table(inst.oracle)
+        inst = with_table(inst)
         for profile in all_subsets(range(inst.num_actions)):
-            alpha = min_incentivizing_contract(inst, profile, table=table)
+            alpha = min_incentivizing_contract(inst, profile)
             if alpha is not None:
-                assert is_nash(inst, alpha, profile, table=table).ok
+                assert is_nash(inst, alpha, profile).ok
                 checked += 1
     assert checked > 50
 
@@ -263,16 +263,15 @@ def test_restricted_contract_keeps_subset_stability():
         inst = random_gs_instance(rng.randint(0, 10 ** 6),
                                   num_agents=rng.randint(2, 3),
                                   num_actions=rng.randint(2, 6))
-        table = value_table(inst.oracle)
+        inst = with_table(inst)
         alpha = Contract.of([F(rng.randint(0, 8), 16)
                              for _ in range(inst.num_agents)])
-        profile = ne_from_demand(inst, alpha, table=table)
+        profile = ne_from_demand(inst, alpha)
         for group in all_subsets(range(inst.num_agents)):
             cut_alpha = restrict_contract(alpha, group)
             cut_profile = frozenset(
                 a for a in profile if inst.owner_of[a] in group)
-            ok, witness = is_subset_stable(inst, cut_alpha, cut_profile,
-                                           table=table)
+            ok, witness = is_subset_stable(inst, cut_alpha, cut_profile)
             assert ok, (trial, group, witness)
 
 
@@ -284,11 +283,12 @@ def test_best_response_monotone_on_gs_instances():
     for trial in range(6):
         inst = random_gs_instance(rng.randint(0, 10 ** 6),
                                   num_agents=2, num_actions=rng.randint(3, 6))
-        table = value_table(inst.oracle)
+        inst = with_table(inst)
+        table = inst.table
         for k0 in range(0, 9, 2):
             for k1 in range(0, 9, 2):
                 alpha = Contract.of([F(k0, 8), F(k1, 8)])
-                profile = ne_from_demand(inst, alpha, table=table)
+                profile = ne_from_demand(inst, alpha)
                 for i in range(2):
                     if alpha[i] == 0:
                         continue
@@ -344,12 +344,12 @@ def test_linearize_preserves_enumerated_equilibria():
         inst = random_gs_instance(rng.randint(0, 10 ** 6),
                                   num_agents=rng.randint(1, 3),
                                   num_actions=rng.randint(2, 5))
-        table = value_table(inst.oracle)
+        inst = with_table(inst)
         t = random_general_contract(rng.randint(0, 10 ** 6), inst.num_agents)
         alpha = linearize(t)
         for profile in all_subsets(range(inst.num_actions)):
-            if is_nash_general(inst, t, profile, table=table):
-                assert is_nash(inst, alpha, profile, table=table).ok
+            if is_nash_general(inst, t, profile):
+                assert is_nash(inst, alpha, profile).ok
                 preserved += 1
     assert preserved > 20
 
@@ -441,23 +441,24 @@ def _walk_cases(seed, count, max_actions):
         yield inst, alpha, general
 
 
-def _checker_pairs(inst, alpha, general, s, table):
+def _checker_pairs(inst, alpha, general, s):
     """(new call, reference call) for each checker on profile ``s``."""
+    table = inst.table
     val = inst.oracle.value if table is None else \
         (lambda sub: table[sum(1 << a for a in sub)])
     pairs = [
-        (lambda: _cert_tuple(is_nash(inst, alpha, s, table=table)),
+        (lambda: _cert_tuple(is_nash(inst, alpha, s)),
          lambda: _reference_is_nash(inst, alpha, s, val)),
-        (lambda: is_subset_stable(inst, alpha, s, table=table),
+        (lambda: is_subset_stable(inst, alpha, s),
          lambda: _reference_is_subset_stable(inst, alpha, s, val)),
-        (lambda: is_nash_general(inst, general, s, table=table),
+        (lambda: is_nash_general(inst, general, s),
          lambda: _reference_is_nash_general(inst, general, s, val)),
     ]
     for i in range(inst.num_agents):
         rest = s - inst.agent_actions[i]
         pairs.append((
             lambda i=i, rest=rest: best_response(inst, i, alpha[i], rest,
-                                                 gs=False, table=table),
+                                                 gs=False),
             lambda i=i, rest=rest: _reference_best_response(inst, i, alpha[i],
                                                             rest, val)))
     return pairs
@@ -470,10 +471,10 @@ def _cert_tuple(cert):
 def test_deviation_walk_matches_the_reference_loops():
     outcomes = collections.Counter()
     for inst, alpha, general in _walk_cases(71, 16, 5):
-        table = value_table(inst.oracle)
+        inst = with_table(inst)
         for s in all_subsets(range(inst.num_actions)):
             answers = []
-            for new, reference in _checker_pairs(inst, alpha, general, s, table):
+            for new, reference in _checker_pairs(inst, alpha, general, s):
                 answers.append(new())
                 assert answers[-1] == reference()
             outcomes[answers[0][0], answers[1][0], answers[2]] += 1
@@ -488,7 +489,7 @@ def test_deviation_walk_reads_like_the_reference_loops():
         oracle = inst.oracle
         walk = sum(1 << len(own) for own in inst.agent_actions)
         for s in all_subsets(range(inst.num_actions)):
-            pairs = _checker_pairs(inst, alpha, general, s, None)
+            pairs = _checker_pairs(inst, alpha, general, s)
             for k, (new, reference) in enumerate(pairs):
                 before = oracle.value_queries
                 expected = reference()

@@ -27,7 +27,7 @@ from budgetcontracts.hardness import (
     verify_gap_exhaustive,
 )
 from budgetcontracts.objectives import PROFIT, evaluate
-from budgetcontracts.rewards import PriceVector, brute_force_demand, value_table
+from budgetcontracts.rewards import PriceVector, brute_force_demand, with_table
 
 
 def params4(eps=None, budget=F(1, 2)):
@@ -99,7 +99,8 @@ def test_hardness_demand_negative_on_revealing_set():
     for a in (0, 1, bad_action(4)):
         prices[a] = F(-1)
     pv = PriceVector.of(prices)
-    table = value_table(inst.oracle)
+    inst = with_table(inst)
+    table = inst.table
     sim = hardness_demand(inst.oracle, pv)
     brute = brute_force_demand(inst.oracle, pv, table=table)
     u = lambda s: table[sum(1 << a for a in s)] - pv.total(s)
@@ -110,7 +111,8 @@ def test_hardness_demand_negative_on_revealing_set():
 def test_hardness_demand_matches_brute_force(n, budget):
     params = HardnessParams.make(n, budget, hidden=range(n // 2))
     inst = build_hardness(params)
-    table = value_table(inst.oracle)
+    inst = with_table(inst)
+    table = inst.table
     rng = random.Random(100 + n)
     for _ in range(150):
         pv = PriceVector.of({a: F(rng.randint(-4, 80), 64)

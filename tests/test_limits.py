@@ -25,7 +25,7 @@ from budgetcontracts.hardness import HardnessParams, verify_gap_exhaustive
 from budgetcontracts.objectives import PROFIT, REWARD, verify_best_properties
 from budgetcontracts.rewards import AssignmentOracle, PriceVector, \
     brute_force_demand, is_gross_substitutes, is_monotone, is_submodular, \
-    value_table
+    value_table, with_table
 from budgetcontracts.solvers import brute_force_opt, downsize, \
     gs_constant_factor, gs_single_agent_exact, max_reward_bounded_brute, \
     single_agent_demand_breakpoints, single_agent_fptas
@@ -134,9 +134,8 @@ def test_downsize_without_a_table_reads_f_lazily():
         return random_unit_demand_instance(4, num_agents=4, num_actions=8)
 
     pair = brute_force_opt(fresh(), F(1), REWARD)
-    tabled = fresh()
-    expected = downsize(tabled, 6, pair.contract, pair.profile,
-                        table=value_table(tabled.oracle))
+    tabled = with_table(fresh())
+    expected = downsize(tabled, 6, pair.contract, pair.profile)
     lazy = fresh()
     assert downsize(lazy, 6, pair.contract, pair.profile) == expected
     assert 0 < lazy.oracle.value_queries < 1 << lazy.num_actions

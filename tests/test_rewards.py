@@ -6,8 +6,9 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from budgetcontracts.core import GroundSetTooLargeError, ModelError, \
-    OracleRangeViolationError, RationalParseError, UnknownActionIdError
+from budgetcontracts.core import Action, GroundSetTooLargeError, Instance, \
+    ModelError, OracleRangeViolationError, RationalParseError, \
+    UnknownActionIdError
 from budgetcontracts.generators import (
     random_additive_instance,
     random_coverage_instance,
@@ -43,7 +44,6 @@ from budgetcontracts.rewards import (
     submasks,
     subset_sums,
     value_table,
-    value_view,
 )
 
 EPS = F(1, 32)
@@ -222,10 +222,16 @@ def _reference_base_value(o, s):
     return f1 + eps * min(others, n // 2 + 1)
 
 
+def _lazy_f(o):
+    """f of a one-agent instance over ``o`` that carries no table."""
+    return Instance(1, tuple(Action(a, 0, F(0)) for a in range(o.num_actions)),
+                    o).f
+
+
 def _check_hook(o, subsets):
     """value(s) and the oracle read by bitmask both equal the reference,
     one value query each."""
-    view = value_view(o)
+    view = _lazy_f(o)
     assert view is o
     before = o.value_queries
     for k, s in enumerate(subsets, 1):
@@ -294,11 +300,11 @@ def test_mask_outside_the_ground_set_is_refused_before_counting():
         m = o.num_actions
         for mask in (-1, -(1 << m), 1 << m, (1 << m) | 1, 1 << (m + 70)):
             with pytest.raises(UnknownActionIdError):
-                value_view(o)[mask]
+                _lazy_f(o)[mask]
         with pytest.raises(UnknownActionIdError):
             o.value({m})
         assert o.value_queries == 0
-        assert value_view(o)[(1 << m) - 1] == o.value(range(m))
+        assert _lazy_f(o)[(1 << m) - 1] == o.value(range(m))
 
 
 def _scan_members(mask):

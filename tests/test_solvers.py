@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 from bisect import bisect_right
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -17,7 +18,7 @@ from budgetcontracts.generators import random_additive_instance, \
 from budgetcontracts.hardness import HardnessParams, build_hardness, good_action
 from budgetcontracts.objectives import PROFIT, REWARD, WELFARE, evaluate
 from budgetcontracts.rewards import AdditiveOracle, ExplicitOracle, \
-    common_denominator, mask_to_set, set_to_mask, value_table
+    common_denominator, mask_to_set, set_to_mask, with_table
 from budgetcontracts.solvers import (
     NotAnEquilibriumError,
     additive_fptas,
@@ -131,13 +132,13 @@ def test_fast_contract_enumeration_matches_generic_operation():
             inst = random_explicit_monotone_instance(
                 rng.randint(0, 10 ** 7), num_agents=rng.randint(1, 3),
                 num_actions=rng.randint(2, 5))
-        table = value_table(inst.oracle)
-        fast = dict(iter_min_contracts(inst, table))
+        inst = with_table(inst)
+        table = inst.table
+        fast = dict(iter_min_contracts(inst))
         for mask in range(1 << inst.num_actions):
             profile = mask_to_set(mask)
             generic = _reference_min_contract(inst, profile, table=table)
-            assert min_incentivizing_contract(inst, profile,
-                                              table=table) == generic
+            assert min_incentivizing_contract(inst, profile) == generic
             if generic is None:
                 assert mask not in fast
             else:
@@ -153,15 +154,15 @@ def test_min_contract_algebra_past_a_huge_common_denominator():
     owners = (0, 1, 0, 1, 2)
     inst = Instance(3, tuple(Action(a, owners[a], costs[a]) for a in range(5)),
                     AdditiveOracle(weights + [F(1, primes[4])]))
-    table = value_table(inst.oracle)
+    inst = with_table(inst)
+    table = inst.table
     assert common_denominator([*table, *costs]) > 10 ** 24
     for budget in (None, F(1, 1000), F(1, 2)):
-        got = list(iter_min_contracts(inst, table, budget=budget))
+        got = list(iter_min_contracts(inst, budget=budget))
         expected = []
         for mask in range(1 << 5):
             alpha = _reference_min_contract(inst, mask_to_set(mask), table=table)
-            assert min_incentivizing_contract(inst, mask_to_set(mask),
-                                              table=table) == alpha
+            assert min_incentivizing_contract(inst, mask_to_set(mask)) == alpha
             if alpha is not None and (budget is None or alpha.total() <= budget):
                 expected.append((mask, alpha))
         assert got == expected
@@ -214,7 +215,8 @@ def _tied_line_instances():
 def test_envelope_contracts_match_the_reference():
     rng = random.Random(61)
     for inst in _tied_line_instances():
-        table = value_table(inst.oracle)
+        inst = with_table(inst)
+        table = inst.table
         m = inst.num_actions
         reference = {mask: _reference_min_contract(inst, mask_to_set(mask),
                                                    table=table)
@@ -222,19 +224,19 @@ def test_envelope_contracts_match_the_reference():
         withins = (None, rng.randrange(1 << m),
                    set_to_mask(inst.agent_actions[0]))
         for tab, within, budget in itertools.product(
-                (table, list(table)), withins, (None, F(0), F(1, 3), F(1))):
-            got = list(iter_min_contracts(inst, tab, within=within,
-                                          budget=budget))
+                (inst, replace(inst, table=list(table))), withins,
+                (None, F(0), F(1, 3), F(1))):
+            got = list(iter_min_contracts(tab, within=within, budget=budget))
             expected = [(mask, alpha) for mask, alpha in reference.items()
                         if alpha is not None
                         and (within is None or not mask & ~within)
                         and (budget is None or alpha.total() <= budget)]
             assert got == expected
     *_, pencil, _, touch = _tied_line_instances()
-    got = dict(iter_min_contracts(pencil, value_table(pencil.oracle)))
+    got = dict(iter_min_contracts(with_table(pencil)))
     assert got == {mask: Contract((F(1, 3) if mask else F(0),))
                    for mask in range(64)}
-    got = dict(iter_min_contracts(touch, value_table(touch.oracle)))
+    got = dict(iter_min_contracts(with_table(touch)))
     assert got == {0b00: Contract((F(0),)), 0b01: Contract((F(1, 3),)),
                    0b11: Contract((F(1, 3),))}
 
@@ -288,9 +290,9 @@ def test_dp_table_monotone_rows():
     rng = random.Random(3)
     for _ in range(10):
         inst = random_additive_instance(rng.randint(0, 10 ** 6))
-        table = value_table(inst.oracle)
+        inst = with_table(inst)
         for basis in ("f", "f-c"):
-            dp = build_dp_table(inst, basis, F(1, 4), F(1, 4), table=table)
+            dp = build_dp_table(inst, basis, F(1, 4), F(1, 4))
             row = [dp.payment(inst.num_agents, t) for t in range(dp.t_max + 1)]
             seen = [p for p in row if p is not None]
             assert all(x <= y for x, y in zip(seen, seen[1:]))
@@ -303,14 +305,14 @@ def test_dp_reconstruction_matches_table_payment():
     rng = random.Random(5)
     for _ in range(10):
         inst = random_additive_instance(rng.randint(0, 10 ** 6), num_agents=2)
-        table = value_table(inst.oracle)
-        dp = build_dp_table(inst, "f", F(1, 2), F(1, 4), table=table)
+        inst = with_table(inst)
+        dp = build_dp_table(inst, "f", F(1, 2), F(1, 4))
         for t in range(dp.t_max + 1):
             if dp.payment(inst.num_agents, t) is None:
                 continue
             alpha, profile = dp.reconstruct(inst, t)
             assert alpha.total() == dp.payment(inst.num_agents, t)
-            assert is_nash(inst, alpha, profile, table=table).ok
+            assert is_nash(inst, alpha, profile).ok
 
 
 def _reference_rows(dp):
@@ -602,9 +604,9 @@ def test_fptas_reads_each_singleton_once():
                 {1 << a: 1 for a in range(m)}
             assert oracle.log[m] == 0
             if m <= 16:
-                table = value_table(oracle)
+                tabled = with_table(inst)
                 oracle.log.clear()
-                got = additive_fptas(inst, F(1, 2), F(1, 10), obj, table=table)
+                got = additive_fptas(tabled, F(1, 2), F(1, 10), obj)
                 assert got.value_queries == 0 and oracle.log == []
                 assert (got.contract, got.profile, got.value) == \
                     (r.contract, r.profile, r.value)
@@ -647,15 +649,15 @@ def test_fptas_within_guarantee_small():
     for _ in range(15):
         inst = random_additive_instance(rng.randint(0, 10 ** 6), num_agents=2,
                                         num_actions=4)
-        table = value_table(inst.oracle)
+        inst = with_table(inst)
         budget = F(rng.randint(1, 4), 4)
         eps = F(1, 10)
         for obj in (PROFIT, REWARD, WELFARE):
-            opt = brute_force_opt(inst, budget, obj, table=table)
-            got = additive_fptas(inst, budget, eps, obj, table=table)
+            opt = brute_force_opt(inst, budget, obj)
+            got = additive_fptas(inst, budget, eps, obj)
             assert got.value >= (1 - eps) * opt.value
             assert got.contract.total() <= budget
-            assert is_nash(inst, got.contract, got.profile, table=table).ok
+            assert is_nash(inst, got.contract, got.profile).ok
 
 
 # -- single-agent FPTAS ----------------------------------------------------------
@@ -782,9 +784,9 @@ def _envelope_instances():
                        ExplicitOracle(values, validate=False))
 
 
-def _reference_hull(inst, table):
+def _reference_hull(inst):
     """The masks and breakpoints of the Fraction reference envelope."""
-    hull, breaks = _reference_envelope(_reference_lines(inst, table))
+    hull, breaks = _reference_envelope(_reference_lines(inst, inst.table))
     return [h[2] for h in hull], breaks
 
 
@@ -792,10 +794,11 @@ def test_integer_envelope_matches_fraction_reference(monkeypatch):
     import budgetcontracts.solvers as solvers
 
     for inst in _envelope_instances():
-        table = value_table(inst.oracle)
-        hull, breaks = single_agent_hull(inst, table)
-        assert (hull, breaks) == _reference_hull(inst, table)
-        assert single_agent_hull(inst, list(table)) == (hull, breaks)
+        inst = with_table(inst)
+        table = inst.table
+        hull, breaks = single_agent_hull(inst)
+        assert (hull, breaks) == _reference_hull(inst)
+        assert single_agent_hull(replace(inst, table=list(table))) == (hull, breaks)
         assert all(type(b) is F for b in breaks)
         assert single_agent_demand_breakpoints(inst) == breaks
         for budget in (F(0), F(1, 3), F(1, 2), F(1)):
@@ -817,11 +820,12 @@ def _reference_sweep(inst, budget, eps):
     path, or None when an exact early exit applies."""
     m = inst.num_actions
     before = inst.oracle.value_queries
-    table = value_table(inst.oracle)
+    inst = with_table(inst)
+    table = inst.table
     costs = [inst.cost_of[a] for a in range(m)]
     if all(c == 0 for c in costs) or budget == 0:
         return None
-    hull, breaks = single_agent_hull(inst, table)
+    hull, breaks = single_agent_hull(inst)
 
     def best_response_at(alpha):
         mask = hull[bisect_right(breaks, alpha)]
@@ -887,7 +891,7 @@ def test_stretch_sweep_matches_per_point_reference():
             den = rng.choice((4, 8, 16, 32))
             costs = [F(rng.randint(0, den), 2 * den) for _ in range(m)]
         inst = _one_agent_table(rng, m, costs)
-        _, breaks = single_agent_hull(inst, value_table(inst.oracle))
+        _, breaks = single_agent_hull(with_table(inst))
         budget = rng.choice([F(0), F(1), F(1, 4), F(1, 2), F(3, 4),
                              F(rng.randint(1, 99), 100)]
                             + [b for b in breaks if b <= 1] * 3)
@@ -906,7 +910,7 @@ def test_stretch_sweep_takes_a_grid_point_on_a_breakpoint():
     # 1 - (3/4)^2 * 2/3 = 5/8 exactly: the larger f wins there
     inst = Instance(1, (Action(0, 0, F(7, 16)), Action(1, 0, F(3, 16))),
                     ExplicitOracle([F(0), F(1, 2), F(0), F(1)]))
-    assert single_agent_hull(inst, value_table(inst.oracle))[1] == [F(5, 8)]
+    assert single_agent_hull(with_table(inst))[1] == [F(5, 8)]
     want = _reference_sweep(inst, F(1), F(1, 4))
     assert want[:3] == (Contract.of([F(5, 8)]), frozenset({0, 1}), F(3, 8))
     assert _sweep_result(inst, F(1), F(1, 4)) == want
@@ -946,12 +950,12 @@ def test_downsize_empty_profile_trivial():
     assert new_profile == frozenset() and new_alpha.total() == 0
 
 
-def _check_downsize_guarantees(inst, m_param, alpha, profile, table):
-    new_alpha, new_profile = downsize(inst, m_param, alpha, profile, table=table)
+def _check_downsize_guarantees(inst, m_param, alpha, profile):
+    new_alpha, new_profile = downsize(inst, m_param, alpha, profile)
     f_old = inst.oracle.value(profile)
     f_new = inst.oracle.value(new_profile)
     assert (2 * m_param - 2) * f_new >= f_old
-    assert is_nash(inst, new_alpha, new_profile, table=table).ok
+    assert is_nash(inst, new_alpha, new_profile).ok
     small_payment = m_param * new_alpha.total() <= 5 * alpha.total()
     single = any(
         new_alpha.alpha == tuple(alpha[j] if j == i else F(0)
@@ -968,20 +972,20 @@ def test_downsize_guarantees_across_m_values():
         inst = random_gs_instance(rng.randint(0, 10 ** 6),
                                   num_agents=rng.randint(2, 4),
                                   num_actions=rng.randint(3, 6))
-        table = value_table(inst.oracle)
+        inst = with_table(inst)
         alpha = Contract.of([F(rng.randint(0, 6), 8)
                              for _ in range(inst.num_agents)])
-        profile = ne_from_demand(inst, alpha, table=table)
+        profile = ne_from_demand(inst, alpha)
         for m_param in (3, 6, 14):
-            _check_downsize_guarantees(inst, m_param, alpha, profile, table)
+            _check_downsize_guarantees(inst, m_param, alpha, profile)
 
 
 def test_downsize_oxs_m6_dichotomy():
     inst = random_oxs_instance(23, num_agents=3, num_actions=6)
-    table = value_table(inst.oracle)
+    inst = with_table(inst)
     alpha = Contract.of([F(1, 4), F(1, 8), F(1, 2)])
-    profile = ne_from_demand(inst, alpha, table=table)
-    _check_downsize_guarantees(inst, 6, alpha, profile, table)
+    profile = ne_from_demand(inst, alpha)
+    _check_downsize_guarantees(inst, 6, alpha, profile)
 
 
 # -- single-agent exact and reward-bounded solvers --------------------------------
@@ -1020,13 +1024,13 @@ def _reference_single_agent(inst, agent, obj, budget, table):
     own = sorted(inst.agent_actions[agent])
     best = Contract.zero(inst.num_agents), \
         frozenset(a for a in inst.ground_set if inst.cost_of[a] < 0)
-    best_value = evaluate(obj, inst, *best, table=table)
+    best_value = evaluate(obj, inst, *best)
     for mask in range(1 << len(own)):
         profile = frozenset(own[b] for b in range(len(own)) if mask & (1 << b))
         alpha = _reference_min_contract(inst, profile, table=table)
         if alpha is None or alpha[agent] > budget:
             continue
-        v = evaluate(obj, inst, alpha, profile, table=table)
+        v = evaluate(obj, inst, alpha, profile)
         if v > best_value:
             best, best_value = (alpha, profile), v
     return (*best, best_value)
@@ -1054,13 +1058,13 @@ def _single_agent_instances():
 def test_restricted_contract_enumeration_matches_generic_operation():
     rng = random.Random(47)
     for inst in _single_agent_instances():
-        table = value_table(inst.oracle)
+        inst = with_table(inst)
+        table = inst.table
         m = inst.num_actions
         masks = [set_to_mask(t) for t in inst.agent_actions]
         masks += [rng.randrange(1 << m) for _ in range(3)] + [(1 << m) - 1]
         for within, budget in itertools.product(masks, (None, F(1, 4), F(1))):
-            got = list(iter_min_contracts(inst, table, within=within,
-                                          budget=budget))
+            got = list(iter_min_contracts(inst, within=within, budget=budget))
             expected = []
             for mask in range(1 << m):
                 if mask & ~within:
@@ -1076,11 +1080,12 @@ def test_restricted_contract_enumeration_matches_generic_operation():
 def test_gs_single_agent_matches_fraction_reference():
     rng = random.Random(53)
     for inst in _single_agent_instances():
-        table = value_table(inst.oracle)
+        inst = with_table(inst)
+        table = inst.table
         for agent, obj in itertools.product(range(inst.num_agents),
                                             (PROFIT, REWARD, WELFARE)):
             budget = F(rng.randint(0, 4), 4)
-            got = gs_single_agent_exact(inst, agent, obj, budget, table=table)
+            got = gs_single_agent_exact(inst, agent, obj, budget)
             assert (got.contract, got.profile, got.value) == \
                 _reference_single_agent(inst, agent, obj, budget, table)
             assert got.value_queries == 0
@@ -1089,9 +1094,9 @@ def test_gs_single_agent_matches_fraction_reference():
 def _reference_pipeline(inst, budget, obj):
     """gs_constant_factor's stages with the reference single-agent loop,
     run once per objective race."""
-    table = value_table(inst.oracle)
-    base = brute_force_opt(scale_costs(inst, F(4, 3) / budget), F(1), PROFIT,
-                           table=table)
+    inst = with_table(inst)
+    table = inst.table
+    base = brute_force_opt(scale_costs(inst, F(4, 3) / budget), F(1), PROFIT)
     rescaled = (base.contract.scale(F(3, 4) * budget), base.profile)
 
     def singles(o):
@@ -1099,12 +1104,12 @@ def _reference_pipeline(inst, budget, obj):
                 for i in range(inst.num_agents)]
 
     def race(o, pairs):
-        return max(pairs, key=lambda pair: evaluate(o, inst, *pair, table=table))
+        return max(pairs, key=lambda pair: evaluate(o, inst, *pair))
 
     mrb = race(REWARD, [rescaled] + singles(REWARD))
-    down = downsize(inst, 6, *mrb, table=table)
+    down = downsize(inst, 6, *mrb)
     best = race(obj, [down] + singles(obj))
-    return (*best, evaluate(obj, inst, *best, table=table))
+    return (*best, evaluate(obj, inst, *best))
 
 
 def test_gs_constant_factor_matches_reference_pipeline():
@@ -1130,10 +1135,9 @@ def test_gs_constant_factor_above_table_cap_shares_one_table():
     assert got.value_queries == 2 ** 15
     assert got.demand_queries == 0
     assert got.contract.total() <= budget
-    table = value_table(inst.oracle)
-    assert is_nash(inst, got.contract, got.profile, table=table).ok
-    assert got.value == evaluate(PROFIT, inst, got.contract, got.profile,
-                                 table=table)
+    inst = with_table(inst)
+    assert is_nash(inst, got.contract, got.profile).ok
+    assert got.value == evaluate(PROFIT, inst, got.contract, got.profile)
 
 
 def test_max_reward_bounded_zero_budget():
@@ -1158,7 +1162,7 @@ def _reference_reward_bounded(inst, budget, table):
     best_alpha = Contract.zero(inst.num_agents)
     best_profile = frozenset()
     best_value = F(0)
-    for mask, alpha in iter_min_contracts(inst, table, budget=budget):
+    for mask, alpha in iter_min_contracts(inst, budget=budget):
         if any(a > cap for a in alpha.alpha):
             continue
         v = table[mask]
@@ -1175,15 +1179,15 @@ def test_max_reward_bounded_matches_the_reference_loop():
     for t in range(16):
         inst = makers[t % 4](rng.randint(0, 10 ** 6), num_agents=rng.randint(1, 3),
                              num_actions=rng.randint(1, 6))
-        table = value_table(inst.oracle)
+        inst = with_table(inst)
+        table = inst.table
         for budget in (F(0), F(1, 4), F(1, 2), F(1)):
-            got = max_reward_bounded_brute(inst, budget, table=table)
+            got = max_reward_bounded_brute(inst, budget)
             assert (got.contract, got.profile, got.value) == \
                 _reference_reward_bounded(inst, budget, table)
             assert (got.factor, got.objective, got.budget) == \
                 ("exact", "reward-bounded", budget)
-            capped += got.value < brute_force_opt(inst, budget, REWARD,
-                                                  table=table).value
+            capped += got.value < brute_force_opt(inst, budget, REWARD).value
     assert capped > 0  # the cap binds on some instances
 
 
@@ -1270,12 +1274,12 @@ def test_decomposition_inequality_spot():
     for _ in range(6):
         inst = random_gs_instance(rng.randint(0, 10 ** 6), num_agents=2,
                                   num_actions=4)
-        table = value_table(inst.oracle)
+        inst = with_table(inst)
         budget = F(rng.randint(1, 4), 4)
         for obj in (PROFIT, REWARD):
-            opt = brute_force_opt(inst, budget, obj, table=table).value
-            mrb = max_reward_bounded_brute(inst, budget, table=table).value
+            opt = brute_force_opt(inst, budget, obj).value
+            mrb = max_reward_bounded_brute(inst, budget).value
             best_single = max(
-                gs_single_agent_exact(inst, i, obj, budget, table=table).value
+                gs_single_agent_exact(inst, i, obj, budget).value
                 for i in range(inst.num_agents))
             assert opt <= 2 * mrb + best_single
