@@ -89,15 +89,17 @@ def best_response(inst: Instance, agent: int, alpha_i: Fraction,
                   gs: Optional[bool] = None) -> frozenset[int]:
     """A utility-maximizing action set for one agent, others' actions fixed.
 
-    For alpha_i > 0 this is a demand computation over the agent's own
-    actions at prices c_a / alpha_i, on top of the fixed outside actions:
-    greedy when the oracle is gross substitutes, exhaustive otherwise.  The
-    exhaustive path resolves utility ties toward the larger reward (the
-    agent breaks indifference in the principal's favor, which is what makes
-    knife-edge minimal contracts come out as prescribed), then toward the
-    lexicographically smallest set.  At alpha_i = 0 the canonical response
-    is the empty set (the agent is indifferent among all zero-cost sets).
+    For alpha_i > 0 on a gross-substitutes oracle this is
+    :func:`ne_from_demand` paying only ``agent``, on the base S_-i.  The
+    exhaustive walk (other oracles, or ``gs=False``) resolves utility ties
+    toward the larger reward (the agent breaks indifference in the
+    principal's favor, which is what makes knife-edge minimal contracts
+    come out as prescribed), then toward the lexicographically smallest
+    set.  At alpha_i = 0 the canonical response is the empty set (the
+    agent is indifferent among all zero-cost sets); alpha_i < 0 raises.
     """
+    if alpha_i < 0:
+        raise ModelError("payment must be >= 0")
     s_other = frozenset(s_minus_i)
     other = inst.mask_of(s_other)
     own = inst.agent_actions[agent]
@@ -105,15 +107,10 @@ def best_response(inst: Instance, agent: int, alpha_i: Fraction,
         raise ValueError("s_minus_i intersects the agent's own actions")
     if alpha_i == 0:
         return frozenset()
-    use_greedy = inst.oracle.is_gs_class if gs is None else gs
-    if use_greedy:
-        prices = PriceVector(
-            {a: inst.cost_of[a] / alpha_i for a in own},
-            excluded=inst.ground_set - own - s_other,
-        )
-        result = demand_with_base(inst.oracle, prices, s_other, gs=True,
-                                  table=inst.table)
-        return result - s_other
+    if inst.oracle.is_gs_class if gs is None else gs:
+        only = Contract(tuple(alpha_i if j == agent else ZERO
+                              for j in range(inst.num_agents)))
+        return ne_from_demand(inst, only, s_other, gs=True) - s_other
     check_enumeration(len(own), "one agent's deviations")
     _, walk = _deviations(inst, agent, other)
     best = None
@@ -172,24 +169,19 @@ def is_nash(inst: Instance, alpha: Contract,
                          tuple(best_devs), violator)
 
 
-def ne_from_demand(inst: Instance, alpha: Contract, *,
-                   gs: Optional[bool] = None) -> frozenset[int]:
-    """An equilibrium of ``alpha`` from one demand query.
+def ne_from_demand(inst: Instance, alpha: Contract, base: Iterable[int] = (),
+                   *, gs: Optional[bool] = None) -> frozenset[int]:
+    """An equilibrium of ``alpha`` from one demand query, containing ``base``.
 
-    Prices each action at c_a / alpha_i for its owner i and excludes the
-    actions of zero-payment agents; any demand set at these prices is a
-    Nash equilibrium of ``alpha``.
+    The one step from a contract to prices: an action of paid agent i
+    costs c_a / alpha_i, unpaid agents' actions are excluded, and ``base``
+    is forced in (:func:`demand_with_base`).  With an empty base, any
+    demand set at these prices is a Nash equilibrium of ``alpha``.
     """
-    prices: dict[int, Fraction] = {}
-    excluded = set()
-    for a in sorted(inst.ground_set):
-        i = inst.owner_of[a]
-        if alpha[i] > 0:
-            prices[a] = inst.cost_of[a] / alpha[i]
-        else:
-            excluded.add(a)
-    return demand_with_base(inst.oracle, PriceVector(prices, frozenset(excluded)),
-                            (), gs=gs, table=inst.table)
+    pay = {a: alpha[inst.owner_of[a]] for a in inst.ground_set}
+    prices = PriceVector({a: inst.cost_of[a] / p for a, p in pay.items() if p > 0},
+                         frozenset(a for a, p in pay.items() if p <= 0))
+    return demand_with_base(inst.oracle, prices, base, gs=gs, table=inst.table)
 
 
 def is_subset_stable(inst: Instance, alpha: Contract, profile: Iterable[int]):
@@ -216,8 +208,7 @@ def doubling_epsilon(budget: Fraction, num_agents: int) -> Fraction:
     return Fraction(budget, 4 * num_agents)
 
 
-def double_contract(inst: Instance, alpha: Contract, epsilon: Fraction, *,
-                    gs: Optional[bool] = None):
+def double_contract(inst: Instance, alpha: Contract, epsilon: Fraction):
     """The doubled contract 2*alpha + epsilon and one equilibrium of it.
 
     For submodular f and a subset-stable (alpha, S), every equilibrium of
@@ -226,7 +217,7 @@ def double_contract(inst: Instance, alpha: Contract, epsilon: Fraction, *,
     if epsilon <= 0:
         raise ValueError("epsilon must be > 0")
     doubled = alpha.scale(Fraction(2)).add_everyone(epsilon)
-    profile = ne_from_demand(inst, doubled, gs=gs)
+    profile = ne_from_demand(inst, doubled)
     return doubled, profile
 
 

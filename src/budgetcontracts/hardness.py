@@ -115,6 +115,14 @@ def default_epsilon(n: int, budget: Fraction, approx_target: Fraction) -> Fracti
     return eps
 
 
+def _hidden_set(ids: Iterable[int]) -> frozenset[int]:
+    """``ids`` as a set; a repeated id raises rather than shrinking it."""
+    ids = list(ids)
+    if len(set(ids)) < len(ids):
+        raise BadHiddenSetSizeError(f"hidden set repeats an agent id: {ids}")
+    return frozenset(ids)
+
+
 @dataclass(frozen=True)
 class HardnessParams:
     n: int
@@ -152,7 +160,7 @@ class HardnessParams:
             eps = default_epsilon(n, budget, approx_target)
         if hidden is None:
             hidden = random.Random(seed).sample(range(n), n // 2)
-        return HardnessParams(n, budget, approx_target, eps, frozenset(hidden))
+        return HardnessParams(n, budget, approx_target, eps, _hidden_set(hidden))
 
 
 class HardnessOracle(RewardOracle):
@@ -502,8 +510,8 @@ def _oracle_fields(spec) -> tuple[int, Fraction, frozenset[int]]:
     else:
         eps = default_epsilon(n, *_setting_from_spec(spec))
     if "hidden" in spec:
-        hidden = frozenset(parse_integer(i, "hardness hidden member")
-                           for i in descriptor_field(spec, "hidden", list))
+        hidden = _hidden_set(parse_integer(i, "hardness hidden member")
+                             for i in descriptor_field(spec, "hidden", list))
     else:
         seed = descriptor_field(spec, "seed", int) if "seed" in spec else 0
         hidden = frozenset(random.Random(seed).sample(range(n), n // 2))

@@ -48,6 +48,10 @@ class Objective:
             if sum((w for w, _ in self.terms), ZERO) != 1:
                 raise ModelError("combo weights must sum to exactly 1")
 
+    def reads_cost(self) -> bool:
+        """Whether the value depends on c(S): a welfare term somewhere."""
+        return self.kind == "welfare" or any(o.reads_cost() for _, o in self.terms)
+
     def __str__(self) -> str:
         if self.kind != "combo":
             return self.kind
@@ -65,15 +69,22 @@ def combo(*terms: tuple[Fraction | str | int, Objective]) -> Objective:
 
 def evaluate(obj: Objective, inst: Instance, alpha: Contract,
              profile: Iterable[int]) -> Fraction:
+    """obj at (alpha, S): f(S) read once, c(S) summed once if needed."""
     s = frozenset(profile)
     f_s = inst.f[inst.mask_of(s)]
+    c_s = cost(inst, s) if obj.reads_cost() else ZERO
+    return _on_values(obj, alpha, f_s, c_s)
+
+
+def _on_values(obj: Objective, alpha: Contract, f_s: Fraction,
+               c_s: Fraction) -> Fraction:
     if obj.kind == "profit":
         return (1 - alpha.total()) * f_s
     if obj.kind == "reward":
         return f_s
     if obj.kind == "welfare":
-        return f_s - cost(inst, s)
-    return sum((w * evaluate(o, inst, alpha, s) for w, o in obj.terms), ZERO)
+        return f_s - c_s
+    return sum((w * _on_values(o, alpha, f_s, c_s) for w, o in obj.terms), ZERO)
 
 
 @dataclass(frozen=True)

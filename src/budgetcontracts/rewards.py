@@ -3,8 +3,9 @@
 Every oracle answers exact value queries f(S) in [0, 1] over a ground set of
 actions 0..m-1 and keeps separate counters for value and demand queries (one
 increment per call; a simulated demand reports the value queries it spends).
-Counters are the only mutable state; confine each oracle to one task at a
-time or give each task its own oracle.
+Counters are the only mutable state and only grow, so what a call spent is
+their difference across it.  Confine each oracle to one task at a time or
+give each task its own oracle.
 
 Subsets travel as bitmasks (bit a set when action a is in S).  Each family
 implements one hook, ``_value(mask)``; ``oracle[mask]`` is the one counted
@@ -141,10 +142,6 @@ class RewardOracle:
             raise ModelError(f"{type(self).__name__} has no native demand oracle")
         self.demand_queries += 1
         return self._demand(prices)
-
-    def reset_counters(self) -> None:
-        self.value_queries = 0
-        self.demand_queries = 0
 
     @property
     def is_gs_class(self) -> bool:

@@ -15,13 +15,16 @@ and the certified constant accounts for that.
 No envelope is built here: brute force and the exact single-agent solvers
 price profiles with :func:`equilibria.iter_min_contracts`, and the
 single-agent scheme reads its hull from :func:`equilibria.single_agent_hull`.
+Nor are prices built: downsizing calls :func:`equilibria.ne_from_demand`,
+and :func:`_counted` alone reads the query counts.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import accumulate
 from typing import Iterable, Optional, Sequence
@@ -41,8 +44,8 @@ from budgetcontracts.core import (
 from budgetcontracts.equilibria import is_nash, iter_min_contracts, \
     ne_from_demand, single_agent_hull
 from budgetcontracts.objectives import Objective, PROFIT, REWARD, evaluate
-from budgetcontracts.rewards import PriceVector, common_denominator, \
-    demand_with_base, mask_to_set, scaled_ints, set_to_mask, with_table
+from budgetcontracts.rewards import common_denominator, mask_to_set, \
+    scaled_ints, set_to_mask, with_table
 
 
 class NotAnEquilibriumError(ModelError):
@@ -91,9 +94,17 @@ def _check_budget(budget: Fraction) -> None:
         raise ModelError("budget must lie in [0, 1]")
 
 
-def _count_queries(inst: Instance, before: tuple[int, int]) -> tuple[int, int]:
-    return (inst.oracle.value_queries - before[0],
-            inst.oracle.demand_queries - before[1])
+def _counted(solver):
+    """``solver`` reporting, on every exit, the value and demand queries
+    its instance's oracle took during the call."""
+    @functools.wraps(solver)
+    def counted(inst: Instance, *args, **kwargs) -> SolveResult:
+        oracle = inst.oracle
+        vq, dq = oracle.value_queries, oracle.demand_queries
+        result = solver(inst, *args, **kwargs)
+        return replace(result, value_queries=oracle.value_queries - vq,
+                       demand_queries=oracle.demand_queries - dq)
+    return counted
 
 
 def brute_force_opt(inst: Instance, budget: Fraction, obj: Objective
@@ -115,22 +126,21 @@ def max_reward_bounded_brute(inst: Instance, budget: Fraction) -> SolveResult:
                   Fraction(3, 4) * budget)
 
 
+@_counted
 def _brute(inst: Instance, budget: Fraction, obj: Objective, label: str,
            cap: Optional[Fraction] = None) -> SolveResult:
     """The :func:`_race` for ``obj`` over every budget-feasible minimal
     contract, and with ``cap`` over those paying no agent above it."""
     _check_budget(budget)
     check_enumeration(inst.num_actions, "brute force")
-    before = (inst.oracle.value_queries, inst.oracle.demand_queries)
     inst = with_table(inst)
     pairs = ((alpha, mask_to_set(mask))
              for mask, alpha in iter_min_contracts(inst, budget=budget)
              if cap is None or all(a <= cap for a in alpha.alpha))
-    best = _race(obj, inst, pairs)
-    vq, dq = _count_queries(inst, before)
-    return SolveResult(*best, "exact", label, budget, vq, dq)
+    return SolveResult(*_race(obj, inst, pairs), "exact", label, budget)
 
 
+@_counted
 def gs_single_agent_exact(inst: Instance, agent: int, obj: Objective,
                           budget: Fraction) -> SolveResult:
     """Exact best single-agent pair: pay only ``agent``, who acts alone.
@@ -145,11 +155,9 @@ def gs_single_agent_exact(inst: Instance, agent: int, obj: Objective,
     """
     _check_budget(budget)
     check_enumeration(len(inst.agent_actions[agent]), "one agent's profiles")
-    before = (inst.oracle.value_queries, inst.oracle.demand_queries)
     inst = with_table(inst)
     best = _race(obj, inst, _single_agent_pairs(inst, agent, budget))
-    vq, dq = _count_queries(inst, before)
-    return SolveResult(*best, "exact", str(obj), budget, vq, dq)
+    return SolveResult(*best, "exact", str(obj), budget)
 
 
 def _single_agent_pairs(inst: Instance, agent: int, budget: Fraction
@@ -381,6 +389,7 @@ def build_dp_table(inst: Instance, basis: str, b: Fraction, eps: Fraction, *,
                    layout.prefix_ratio, prefix_weight, layout.prefix_payment)
 
 
+@_counted
 def additive_fptas(inst: Instance, budget: Fraction, eps: Fraction,
                    obj: Objective) -> SolveResult:
     """(1-eps)-approximation for additive f under any budget in [0, 1].
@@ -402,7 +411,6 @@ def additive_fptas(inst: Instance, budget: Fraction, eps: Fraction,
     _check_budget(budget)
     if not 0 < eps < 1:
         raise ModelError("eps must lie in (0, 1)")
-    before = (inst.oracle.value_queries, inst.oracle.demand_queries)
     basis = "f-c" if obj.kind == "welfare" else "f"
     f = inst.f
     singletons = [f[1 << a] for a in range(inst.num_actions)]
@@ -435,9 +443,8 @@ def additive_fptas(inst: Instance, budget: Fraction, eps: Fraction,
         v = evaluate(obj, inst, alpha, profile)
         if v > best_value:
             best_alpha, best_profile, best_value = alpha, profile, v
-    vq, dq = _count_queries(inst, before)
     return SolveResult(best_alpha, best_profile, best_value,
-                       1 / (1 - eps), str(obj), budget, vq, dq)
+                       1 / (1 - eps), str(obj), budget)
 
 
 # -- single-agent FPTAS ------------------------------------------------------
@@ -464,6 +471,7 @@ def _first_grid_index(eps: Fraction, bound: Fraction, lo: int, hi: int) -> int:
                             key=lambda k: pow(q - p, k) * den <= num * pow(q, k))
 
 
+@_counted
 def single_agent_fptas(inst: Instance, budget: Fraction,
                        eps: Fraction) -> SolveResult:
     """Profit FPTAS for one agent with monotone f under budget B <= 1.
@@ -493,28 +501,24 @@ def single_agent_fptas(inst: Instance, budget: Fraction,
         raise ModelError("eps must lie in (0, 1)")
     m = inst.num_actions
     check_enumeration(m, "single-agent scheme", TESTER_LIMIT)
-    before = (inst.oracle.value_queries, inst.oracle.demand_queries)
     inst = with_table(inst)
     table = inst.table
 
     if all(inst.cost_of[a] == 0 for a in range(m)):
-        vq, dq = _count_queries(inst, before)
         return SolveResult(Contract.of([ZERO]), frozenset(range(m)), table[-1],
-                           "exact", "profit", budget, vq, dq)
+                           "exact", "profit", budget)
     if budget == 0:
         free = set_to_mask(a for a in range(m) if inst.cost_of[a] <= 0)
-        vq, dq = _count_queries(inst, before)
         return SolveResult(Contract.zero(1), mask_to_set(free), table[free],
-                           "exact", "profit", budget, vq, dq)
+                           "exact", "profit", budget)
 
     hull, breaks = single_agent_hull(inst)
     # S-dagger maximizes B*f - c; among ties the larger f also maximizes f-c
     s_dagger = hull[bisect_right(breaks, budget)]
     sw = table[s_dagger] - cost(inst, mask_to_set(s_dagger))
     if sw <= 0:
-        vq, dq = _count_queries(inst, before)
         return SolveResult(Contract.zero(1), frozenset(), ZERO, "exact",
-                           "profit", budget, vq, dq)
+                           "profit", budget)
 
     # (1-eps)^k <= e^(-eps k) < 2^-L < 1/(m 2^m) once eps k >= L, the bit
     # length of m 2^m, so k_count is at most ceil(L / eps)
@@ -539,27 +543,26 @@ def single_agent_fptas(inst: Instance, budget: Fraction,
                 break  # the grid stays in this stretch
             k = _first_grid_index(eps, (1 - breaks[i]) / share, k + 1,
                                   k_count + 1)
-    vq, dq = _count_queries(inst, before)
     return SolveResult(Contract.of([best_alpha]), mask_to_set(best_mask),
-                       best_profit, 1 / (1 - eps), "profit", budget, vq, dq)
+                       best_profit, 1 / (1 - eps), "profit", budget)
 
 
 # -- downsizing and the GS pipeline ------------------------------------------
 
 
 def downsize(inst: Instance, m_param: int, alpha: Contract,
-             profile: Iterable[int], *, gs: Optional[bool] = None
-             ) -> tuple[Contract, frozenset[int]]:
+             profile: Iterable[int]) -> tuple[Contract, frozenset[int]]:
     """Shrink total payment while keeping a 1/(2M-2) fraction of the reward.
 
     Implements the grouping transform: agents paid more than p/M are
-    checked for the single-agent exit (their equilibrium actions extended
-    through a demand query over their own actions); otherwise agents pack
-    greedily into payment-bounded groups until a group alone carries a
-    1/(M-1) reward share, and the surviving group's doubled-plus-epsilon
-    contract is re-equilibrated through one demand query.  f on a group of
-    agents means f of the union of their equilibrium actions.  A zero-
-    payment input is returned unchanged (its guarantees hold trivially).
+    checked for the single-agent exit (paid alone, their equilibrium
+    actions are the base of one :func:`equilibria.ne_from_demand`);
+    otherwise agents pack greedily into payment-bounded groups until a
+    group alone carries a 1/(M-1) reward share, and the surviving group's
+    doubled-plus-epsilon contract is re-equilibrated the same way, with no
+    base.  f on a group of agents means f of the union of their
+    equilibrium actions.  A zero-payment input is returned unchanged (its guarantees
+    hold trivially).
     """
     if m_param < 3:
         raise ModelError("M must be an integer >= 3")
@@ -579,12 +582,8 @@ def downsize(inst: Instance, m_param: int, alpha: Contract,
     for i in big:
         s_i = s & inst.agent_actions[i]
         if f[set_to_mask(s_i)] >= share:
-            prices = PriceVector(
-                {a: inst.cost_of[a] / alpha[i] for a in inst.agent_actions[i]},
-                excluded=inst.ground_set - inst.agent_actions[i])
-            s_prime = demand_with_base(inst.oracle, prices, s_i, gs=gs,
-                                       table=inst.table)
-            return restrict_contract(alpha, {i}), s_prime
+            only = restrict_contract(alpha, {i})
+            return only, ne_from_demand(inst, only, s_i)
 
     def group_actions(agents: list[int]) -> frozenset[int]:
         out: set[int] = set()
@@ -609,10 +608,10 @@ def downsize(inst: Instance, m_param: int, alpha: Contract,
     epsilon = p / (inst.num_agents * m_param)
     new_alpha = restrict_contract(alpha, survivors).scale(Fraction(2)) \
         .add_everyone(epsilon)
-    s_prime = ne_from_demand(inst, new_alpha, gs=gs)
-    return new_alpha, s_prime
+    return new_alpha, ne_from_demand(inst, new_alpha)
 
 
+@_counted
 def gs_constant_factor(inst: Instance, budget: Fraction, obj: Objective, *,
                        force: bool = False) -> SolveResult:
     """Constant-factor approximation for gross-substitutes rewards.
@@ -629,13 +628,11 @@ def gs_constant_factor(inst: Instance, budget: Fraction, obj: Objective, *,
     if not (force or inst.oracle.is_gs_class):
         raise ModelError("oracle not declared gross substitutes (use force=True)")
     _check_budget(budget)
-    before = (inst.oracle.value_queries, inst.oracle.demand_queries)
     if budget == 0:
         free = frozenset(a for a in inst.ground_set if inst.cost_of[a] <= 0)
         zero = Contract.zero(inst.num_agents)
-        v = evaluate(obj, inst, zero, free)
-        vq, dq = _count_queries(inst, before)
-        return SolveResult(zero, free, v, "exact", str(obj), budget, vq, dq)
+        return SolveResult(zero, free, evaluate(obj, inst, zero, free),
+                           "exact", str(obj), budget)
     check_enumeration(inst.num_actions, "GS pipeline")
     inst = with_table(inst)  # one table for every stage
 
@@ -649,15 +646,10 @@ def gs_constant_factor(inst: Instance, budget: Fraction, obj: Objective, *,
                for i in range(inst.num_agents)]
     mrb_candidates = [rescaled] + \
         [_race(REWARD, inst, pairs)[:2] for pairs in singles]
-    mrb_alpha, mrb_profile = max(
-        mrb_candidates, key=lambda pair: evaluate(REWARD, inst, *pair))
+    mrb = max(mrb_candidates, key=lambda pair: evaluate(REWARD, inst, *pair))
 
-    down_alpha, down_profile = downsize(inst, 6, mrb_alpha, mrb_profile)
-    final_candidates = [(down_alpha, down_profile)] + \
+    final_candidates = [downsize(inst, 6, *mrb)] + \
         [_race(obj, inst, pairs)[:2] for pairs in singles]
-    best_alpha, best_profile = max(
-        final_candidates, key=lambda pair: evaluate(obj, inst, *pair))
-    value = evaluate(obj, inst, best_alpha, best_profile)
-    vq, dq = _count_queries(inst, before)
-    return SolveResult(best_alpha, best_profile, value, Fraction(6001),
-                       str(obj), budget, vq, dq)
+    best = max(final_candidates, key=lambda pair: evaluate(obj, inst, *pair))
+    return SolveResult(*best, evaluate(obj, inst, *best), Fraction(6001),
+                       str(obj), budget)

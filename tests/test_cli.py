@@ -785,3 +785,31 @@ def test_cli_reuses_one_parser_across_runs(tmp_path):
     results = [_same_process(argv) for argv in runs]
     assert [code for code, _, _ in results] == [0, 2, 0, 0]
     assert results == [_fresh_process(argv) for argv in runs]
+
+
+def test_cli_combo_solve_at_budget_zero_reads_f_once(capsys):
+    for objective in ('{"type": "combo", "terms": [["1/2", "profit"], '
+                      '["1/2", "reward"]]}',
+                      '{"type": "combo", "terms": [["1/3", "profit"], '
+                      '["1/3", "reward"], ["1/3", "welfare"]]}'):
+        assert main(["solve", "--instance",
+                     "gen:unit_demand:seed=3,agents=3,actions=6",
+                     "--budget", "0", "--objective", objective]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["valueQueries"], doc["demandQueries"]) == (1, 0)
+
+
+def test_cli_gap_report_rejects_a_repeated_hidden_id(tmp_path, capsys):
+    out = tmp_path / "gap.csv"
+    assert main(["gap-report", "--n", "4", "--hidden", "0,1,1,1",
+                 "--out", str(out)]) == 1
+    assert _error_type(capsys) == "BadHiddenSetSizeError"
+    assert not out.exists()
+
+
+def test_cli_hardness_descriptor_rejects_a_repeated_hidden_id(tmp_path, capsys):
+    inst_path = tmp_path / "inst.json"
+    inst_path.write_text(json.dumps({"reward": {
+        "type": "hardness", "n": 4, "budget": "1/2", "hidden": [0, 1, 1]}}))
+    assert main(["solve", "--instance", str(inst_path), "--budget", "1/2"]) == 1
+    assert _error_type(capsys) == "BadHiddenSetSizeError"

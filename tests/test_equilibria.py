@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from budgetcontracts.core import Action, Contract, GeneralContract, Instance, \
-    cost, restrict_contract
+    ModelError, cost, restrict_contract
 from budgetcontracts.equilibria import (
     agent_utility,
     best_response,
@@ -19,7 +19,8 @@ from budgetcontracts.equilibria import (
     min_incentivizing_contract,
     ne_from_demand,
 )
-from budgetcontracts.generators import random_general_contract, random_gs_instance
+from budgetcontracts.generators import random_explicit_monotone_instance, \
+    random_general_contract, random_gs_instance, random_unit_demand_instance
 from budgetcontracts.hardness import HardnessParams, bad_action, build_hardness, \
     good_action, good_contract
 from budgetcontracts.rewards import (
@@ -499,3 +500,34 @@ def test_deviation_walk_reads_like_the_reference_loops():
                 assert oracle.value_queries - before == spent
                 if k == 0:  # is_nash: f(S), then every deviation
                     assert spent == 1 + walk
+
+
+@pytest.mark.parametrize("inst", [
+    random_unit_demand_instance(3, num_agents=1, num_actions=4),
+    random_explicit_monotone_instance(3, num_agents=1, num_actions=4),
+], ids=["gs", "explicit"])
+def test_best_response_rejects_a_negative_payment(inst):
+    for gs in (None, True, False):
+        with pytest.raises(ModelError):
+            best_response(inst, 0, F(-1, 2), (), gs=gs)
+
+
+def test_ne_from_demand_with_base_is_demand_at_contract_prices():
+    rng = random.Random(29)
+    for t in range(80):
+        make = random_gs_instance if t % 2 else random_explicit_monotone_instance
+        inst = make(rng.randint(0, 10 ** 6), num_agents=rng.randint(1, 3),
+                    num_actions=rng.randint(1, 6))
+        alpha = Contract(tuple(rng.choice((F(0), F(rng.randint(1, 16), 16)))
+                               for _ in range(inst.num_agents)))
+        base = frozenset(a for a in inst.ground_set if rng.random() < 0.3)
+        paid = {a for a in inst.ground_set if alpha[inst.owner_of[a]] > 0}
+        prices = PriceVector(
+            {a: inst.cost_of[a] / alpha[inst.owner_of[a]] for a in paid},
+            inst.ground_set - paid)
+        for tabled in (inst, with_table(inst)):
+            for gs in (None, False):
+                want = demand_with_base(inst.oracle, prices, base, gs=gs,
+                                        table=tabled.table)
+                assert ne_from_demand(tabled, alpha, base, gs=gs) == want
+                assert base <= want

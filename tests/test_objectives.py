@@ -131,3 +131,22 @@ def test_objective_descriptor_roundtrip():
     for obj in objs:
         back = objective_from_spec(objective_to_spec(obj))
         assert back == obj
+
+
+def test_combo_reads_f_once_on_a_lazy_instance():
+    inst = random_coverage_instance(5, num_agents=2, num_actions=5)
+    alpha = Contract.of([F(1, 8), F(1, 4)])
+    profile = frozenset({0, 2, 3})
+    profit, reward, welfare = (evaluate(o, inst, alpha, profile)
+                               for o in (PROFIT, REWARD, WELFARE))
+    nested = combo((F(1, 2), WELFARE), (F(1, 2), PROFIT))
+    for obj, want in [
+            (combo((F(1), REWARD)), reward),
+            (combo((F(1, 2), PROFIT), (F(1, 2), REWARD)), (profit + reward) / 2),
+            (combo((F(1, 4), PROFIT), (F(1, 4), REWARD), (F(1, 2), WELFARE)),
+             (profit + reward + 2 * welfare) / 4),
+            (combo((F(1, 2), WELFARE), (F(1, 2), nested)),
+             (3 * welfare + profit) / 4)]:
+        before = inst.oracle.value_queries
+        assert evaluate(obj, inst, alpha, profile) == want
+        assert inst.oracle.value_queries - before == 1

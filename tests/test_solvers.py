@@ -18,7 +18,7 @@ from budgetcontracts.generators import random_additive_instance, \
 from budgetcontracts.hardness import HardnessParams, build_hardness, good_action
 from budgetcontracts.objectives import PROFIT, REWARD, WELFARE, evaluate
 from budgetcontracts.rewards import AdditiveOracle, ExplicitOracle, \
-    common_denominator, mask_to_set, set_to_mask, with_table
+    PriceVector, common_denominator, mask_to_set, set_to_mask, with_table
 from budgetcontracts.solvers import (
     NotAnEquilibriumError,
     additive_fptas,
@@ -870,7 +870,6 @@ def _one_agent_table(rng, m, costs):
 
 
 def _sweep_result(inst, budget, eps):
-    inst.oracle.reset_counters()
     got = single_agent_fptas(inst, budget, eps)
     return (got.contract, got.profile, got.value, got.factor, got.value_queries)
 
@@ -1283,3 +1282,88 @@ def test_decomposition_inequality_spot():
                 gs_single_agent_exact(inst, i, obj, budget).value
                 for i in range(inst.num_agents))
             assert opt <= 2 * mrb + best_single
+
+
+# -- query counts ------------------------------------------------------------------
+
+
+def _free_prices(inst):
+    """Every action at price 0: a demand query any native oracle answers."""
+    return PriceVector({a: F(0) for a in inst.ground_set})
+
+
+def _zero_cost_one_agent():
+    return Instance(1, (Action(0, 0, F(0)), Action(1, 0, F(0))),
+                    ExplicitOracle([F(0), F(1, 2), F(1, 4), F(3, 4)]))
+
+
+def _costly_one_agent():
+    # B * f - c < 0 for the only action at B = 1/2: the welfare exit
+    return Instance(1, (Action(0, 0, F(3, 4)),), ExplicitOracle([F(0), F(1, 2)]))
+
+
+# (case id, instance, solve, the exit the solve must take)
+QUERY_COUNT_CASES = [
+    ("single-fptas-zero-costs", _zero_cost_one_agent,
+     lambda i: single_agent_fptas(i, F(1, 2), F(1, 4)),
+     lambda r: r.factor == "exact" and r.profile == {0, 1}),
+    ("single-fptas-budget-0",
+     lambda: random_explicit_monotone_instance(2, num_agents=1, num_actions=4),
+     lambda i: single_agent_fptas(i, F(0), F(1, 4)),
+     lambda r: r.factor == "exact" and r.budget == 0),
+    ("single-fptas-welfare", _costly_one_agent,
+     lambda i: single_agent_fptas(i, F(1, 2), F(1, 4)),
+     lambda r: r.factor == "exact" and r.profile == frozenset()),
+    ("single-fptas-sweep",
+     lambda: Instance(1, (Action(0, 0, F(7, 16)), Action(1, 0, F(3, 16))),
+                      ExplicitOracle([F(0), F(1, 2), F(0), F(1)])),
+     lambda i: single_agent_fptas(i, F(1), F(1, 4)),
+     lambda r: r.factor == F(4, 3)),
+    ("gs-budget-0",
+     lambda: random_unit_demand_instance(3, num_agents=3, num_actions=6),
+     lambda i: gs_constant_factor(i, F(0), PROFIT),
+     lambda r: r.factor == "exact"),
+    ("gs-pipeline",
+     lambda: random_unit_demand_instance(3, num_agents=2, num_actions=5),
+     lambda i: gs_constant_factor(i, F(1, 2), WELFARE),
+     lambda r: r.factor == 6001),
+    ("brute",
+     lambda: build_hardness(HardnessParams.make(2, F(1, 2), seed=5)),
+     lambda i: brute_force_opt(i, F(1, 2), PROFIT),
+     lambda r: r.objective == "profit"),
+    ("reward-bounded-brute",
+     lambda: random_explicit_monotone_instance(4, num_agents=2, num_actions=4),
+     lambda i: max_reward_bounded_brute(i, F(1, 2)),
+     lambda r: r.objective == "reward-bounded"),
+    ("additive-fptas",
+     lambda: random_additive_instance(6, num_agents=2, num_actions=6),
+     lambda i: additive_fptas(i, F(1, 2), F(1, 4), REWARD),
+     lambda r: r.factor == F(4, 3)),
+    ("gs-single-agent-exact",
+     lambda: random_oxs_instance(7, num_agents=2, num_actions=5),
+     lambda i: gs_single_agent_exact(i, 1, PROFIT, F(1, 2)),
+     lambda r: r.factor == "exact"),
+]
+
+
+@pytest.mark.parametrize("make,solve,took_exit",
+                         [case[1:] for case in QUERY_COUNT_CASES],
+                         ids=[case[0] for case in QUERY_COUNT_CASES])
+def test_reported_queries_are_the_oracle_counter_delta(make, solve, took_exit):
+    for tabled in (False, True):
+        inst = make()
+        if tabled:
+            inst = with_table(inst)
+        oracle = inst.oracle
+        oracle.value(frozenset())  # counters that do not start at zero
+        if oracle.has_native_demand:
+            oracle.demand(_free_prices(inst))
+        vq, dq = oracle.value_queries, oracle.demand_queries
+        got = solve(inst)
+        assert took_exit(got)
+        assert got.value_queries == oracle.value_queries - vq
+        assert got.demand_queries == oracle.demand_queries - dq
+        if tabled:
+            assert got.value_queries == 0
+        else:
+            assert got.value_queries > 0
