@@ -23,16 +23,19 @@ bound from d' implies the bound from d at every alpha >= 0, so only S_i's
 neighbours on the envelope bind: the one before it sets the payment, and
 it is what :func:`_min_payment` sees.  A line that touches the envelope
 in a single point, where its lower and upper bounds meet (lo = hi),
-stays admissible.  The same envelope with R = empty is a one-agent
-instance's best-response hull (:func:`single_agent_hull`), which the
-single-agent scheme in :mod:`solvers` reads.
+stays admissible.  The agent owning the most actions of the profiles'
+span T goes first, ties by index: its pass walks 2^(|T| - |T_max|) rests,
+reading 2^|T| values, and the agents after it price only the profiles
+kept so far.  The same envelope with R = empty is a one-agent instance's
+best-response hull (:func:`single_agent_hull`), which the single-agent
+scheme in :mod:`solvers` reads.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby
 from typing import Iterable, Optional, Sequence
 
 from budgetcontracts.core import (
@@ -281,72 +284,56 @@ def _min_payment(f_s, c_i, deviations: Iterable[tuple]) -> Optional[tuple]:
     return lo_n, lo_d
 
 
-def _envelope_payments(vals: Sequence[int], costs: Sequence[int],
-                       ends: Sequence[int]) -> list[tuple[int, tuple]]:
-    """The deviations an agent can be kept on against one rest, with their
-    payments.
-
-    ``costs`` ascend; ``vals[k]`` is f(R + d_k) for the k-th deviation d_k
-    and ``ends[k]`` the end of the run of deviations costing what d_k
-    costs.  Returns (k, payment) for every d_k whose line
-    alpha * vals[k] - costs[k] is on the upper envelope somewhere on
-    alpha >= 0, the payment being the left end of that stretch: the
-    whole cheapest run at 0, then each envelope line and its exact
-    duplicates, priced by :func:`_min_payment` against the envelope line
-    before it.  One pass over the deviations finds the staircase, and a
-    monotone stack over it the envelope.
-    """
-    hull: list[int] = []
-    top = None
-    for k, v in enumerate(vals):
-        if top is not None and v <= top:
-            continue  # a cheaper deviation is worth at least as much
-        top = v
-        c = costs[k]
-        if hull and costs[hull[-1]] == c:  # same cost, now worth less
-            hull.pop()
-        while len(hull) > 1:
-            p, t = hull[-2], hull[-1]
-            # t's stretch would end before it starts; a stretch of length
-            # zero (all three lines meet in one point) keeps t
-            if (c - costs[p]) * (vals[t] - vals[p]) \
-                    < (costs[t] - costs[p]) * (v - vals[p]):
-                hull.pop()
-            else:
-                break
-        hull.append(k)
-    out = [(k, (0, 1)) for k in range(ends[0])]
-    for p, h in zip(hull, hull[1:]):
-        # the envelope neighbour before h bounds it from below; the one
-        # after caps it no lower, as the stack kept h
-        pay = _min_payment(vals[h], costs[h], ((vals[p], costs[p]),))
-        if ends[h] == h + 1:
-            out.append((h, pay))
-        else:
-            out += [(k, pay) for k in range(h, ends[h]) if vals[k] == vals[h]]
-    return out
-
-
 def _agent_payments(f: Sequence[int], own: int, c_int: Sequence[int],
-                    masks: Iterable[int]) -> dict[int, tuple]:
+                    rests: Iterable[int]) -> dict[int, tuple]:
     """The minimal payment of the agent owning ``own`` for each profile
-    it can be kept on, keyed by profile mask, over the rests of ``masks``.
+    it can be kept on, keyed by profile mask, over the distinct ``rests``.
 
-    One pass of :func:`_envelope_payments` per rest R = S - T_i, so each
-    deviation value f(R + d) is read once per rest.  The keys may include
-    profiles outside ``masks`` that share a rest with one inside.
+    Per rest R, one loop reads f(R + d) for the deviations d in ascending
+    cost, keeps the staircase (each worth more than every cheaper one) and
+    runs a monotone stack over it for the upper envelope.  Kept are the
+    cheapest run at 0, then each envelope line and its exact duplicates,
+    priced by :func:`_min_payment` against the envelope line before it.
     """
     costs = submask_sums(own, c_int)
     devs = sorted(costs, key=costs.__getitem__)  # ties stay in mask order
     by_cost = [costs[d] for d in devs]
-    ends = []
-    for _, run in groupby(range(len(devs)), by_cost.__getitem__):
-        run = list(run)
-        ends += [run[-1] + 1] * len(run)
+    ends = [bisect_right(by_cost, c) for c in by_cost]  # cost runs' ends
+    cheapest = devs[:ends[0]]
     pay = {}
-    for rest in {mask & ~own for mask in masks}:
-        for k, p in _envelope_payments([f[rest | d] for d in devs], by_cost, ends):
-            pay[rest | devs[k]] = p
+    for rest in rests:
+        vals = [f[rest | d] for d in devs]
+        hull = [0]
+        top = vals[0]
+        for k in range(1, len(vals)):
+            v = vals[k]
+            if v <= top:
+                continue  # a cheaper deviation is worth at least as much
+            top, c = v, by_cost[k]
+            if by_cost[hull[-1]] == c:  # same cost, now worth less
+                hull.pop()
+            while len(hull) > 1:
+                p, t = hull[-2], hull[-1]
+                # t's stretch would end before it starts; a stretch of
+                # length zero (all three lines meet in one point) keeps t
+                if (c - by_cost[p]) * (vals[t] - vals[p]) \
+                        < (by_cost[t] - by_cost[p]) * (v - vals[p]):
+                    hull.pop()
+                else:
+                    break
+            hull.append(k)
+        for d in cheapest:
+            pay[rest | d] = (0, 1)
+        for p, h in zip(hull, hull[1:]):
+            # the envelope neighbour before h bounds it from below; the
+            # one after caps it no lower, as the stack kept h
+            p_h = _min_payment(vals[h], by_cost[h], ((vals[p], by_cost[p]),))
+            if ends[h] == h + 1:
+                pay[rest | devs[h]] = p_h
+            else:
+                for k in range(h, ends[h]):
+                    if vals[k] == vals[h]:
+                        pay[rest | devs[k]] = p_h
     return pay
 
 
@@ -411,9 +398,13 @@ def iter_min_contracts(inst: Instance, *, within: Optional[int] = None,
     rises with cost matters, and of it only the envelope neighbours of
     S_i bind; :func:`_min_payment` prices S_i against the one before it.
     A line touching the envelope in a single point (its bounds meet,
-    lo = hi) stays admissible.  Each agent reads f(R + d) once per rest of
-    the profiles still standing, at most n * 2^m table reads in all, where
-    pricing each profile alone reads 2^m * sum_i 2^|T_i|.
+    lo = hi) stays admissible.  The agents go in descending order of their
+    actions in the span T (all m actions, or ``within``), ties by index:
+    the first, owning T_max, walks 2^(|T| - |T_max & T|) rests of 2^|T_max|
+    reads each (2^|T| reads when T_max lies in T), and each later one reads
+    f(R + d) once per rest of the profiles still standing, at most n * 2^m
+    table reads in all, where pricing each profile alone reads
+    2^|T| * sum_i 2^|T_i|.
 
     Values are ints over one denominator (a :class:`ValueTable`'s own, so
     its entries are not rescaled) and costs ints over theirs; a payment
@@ -429,21 +420,26 @@ def iter_min_contracts(inst: Instance, *, within: Optional[int] = None,
     # An agent with no action in ``span`` acts in no profile; if none of
     # its costs is negative, every deviation only adds cost, so its bounds
     # are lo = 0 <= hi: it is never paid and never blocks.
-    agents = [i for i in range(n) if own_masks[i] & span
-              or any(c_int[a] < 0 for a in inst.agent_actions[i])]
-    masks = range(1 << m) if within is None else submasks(within)
+    agents = sorted((i for i in range(n) if own_masks[i] & span
+                     or any(c_int[a] < 0 for a in inst.agent_actions[i])),
+                    key=lambda i: -(own_masks[i] & span).bit_count())
     # a payment (dc, df) is alpha_i = dc * f_den / (df * c_den); payments
     # are nonnegative, so none of a budget-feasible profile exceeds cap
     if budget is not None:
         cap_n, cap_d = (budget * Fraction(c_den, f_den)).as_integer_ratio()
+    kept = None  # the profiles in ``span`` every agent so far is kept on
     pays = []
     for i in agents:
-        pay = _agent_payments(f, own_masks[i], c_int, masks)
+        own = own_masks[i]
+        rests = (submasks(span & ~own) if kept is None
+                 else {mask & ~own for mask in kept})
+        pay = _agent_payments(f, own, c_int, rests)
         if budget is not None:
             pay = {k: p for k, p in pay.items() if p[0] * cap_d <= cap_n * p[1]}
-        masks = [mask for mask in masks if mask in pay]
+        kept = (sorted(k for k in pay if not k & ~span) if kept is None
+                else [mask for mask in kept if mask in pay])
         pays.append(pay)
-    for mask in masks:
+    for mask in submasks(span) if kept is None else kept:
         alpha = [ZERO] * n
         for i, pay in zip(agents, pays):
             dc, df = pay[mask]

@@ -191,6 +191,7 @@ class HardnessOracle(RewardOracle):
         self._good = 1 << good_action(n)
         # the revealing queries: hidden + bad, with or without the good action
         self._revealing = self._good | 1 << bad_action(n) | set_to_mask(self._hidden)
+        self._levels = {}  # (good, bad, capped count) -> level, made once
 
     def reveals_hidden(self, subset: Iterable[int]) -> bool:
         """Queries on which the oracle differs from the penalty-free one."""
@@ -206,8 +207,12 @@ class HardnessOracle(RewardOracle):
     def _base_value(self, mask: int) -> Fraction:
         n, eps = self.n, self.eps
         good, bad = mask >> good_action(n) & 1, mask >> bad_action(n) & 1
-        f1 = HALF if good else eps if bad else ZERO
-        return f1 + eps * min(mask.bit_count() - good, n // 2 + 1)
+        key = (good, bad, min(mask.bit_count() - good, n // 2 + 1))
+        level = self._levels.get(key)
+        if level is None:
+            f1 = HALF if good else eps if bad else ZERO
+            level = self._levels[key] = f1 + eps * key[2]
+        return level
 
     def _value(self, mask: int) -> Fraction:
         value = self._base_value(mask)

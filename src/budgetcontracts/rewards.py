@@ -747,20 +747,18 @@ def _search_price_witness(oracle: RewardOracle, ctx: frozenset[int],
 def _rationals(entries: Sequence) -> list[Fraction]:
     """``parse_rational`` of each entry; each distinct string is parsed once.
 
-    Only strings share a parse: ints, floats and booleans each go through
-    ``parse_rational`` (a cache keyed by ``==`` would take True for 1).
+    Only an all-string list shares parses: otherwise each entry goes
+    through ``parse_rational``, since a cache keyed by ``==`` would take
+    True for 1, and an unhashable entry is rejected there as malformed.
     """
-    parsed: dict[str, Fraction] = {}
-    out = []
-    for e in entries:
-        if type(e) is str:
-            v = parsed.get(e)
-            if v is None:
-                v = parsed[e] = parse_rational(e)
-        else:
-            v = parse_rational(e)
-        out.append(v)
-    return out
+    try:
+        distinct = dict.fromkeys(entries)
+    except TypeError:  # an unhashable entry
+        distinct = None
+    if distinct is None or not all(type(e) is str for e in distinct):
+        return [parse_rational(e) for e in entries]
+    parsed = {e: parse_rational(e) for e in distinct}
+    return list(map(parsed.__getitem__, entries))
 
 
 def oracle_from_spec(spec: Mapping) -> RewardOracle:

@@ -442,10 +442,15 @@ def _solve_explicit(tmp_path, values):
     (["0", "x/3", "1/2", "1/0"], "RationalParseError", "'x/3'"),
     (["0", "1/0", "1/2", "x/3"], "RationalParseError", "'1/0'"),
     ([0, True, 1, 1], "RationalParseError", "True"),
+    ([0, 1, True, 1], "RationalParseError", "True"),
+    (["0", "1", True, "1"], "RationalParseError", "True"),
+    (["0", ["1/2"], "1/2", "1"], "RationalParseError", "['1/2']"),
+    (["0", "1/2", {"v": "1/2"}, "1"], "RationalParseError", "{'v': '1/2'}"),
     ([0, 1, 1, 0], "ModelError", "not monotone"),
     ([0, 2, 1, 2], "OracleRangeViolationError", "outside"),
 ], ids=["first-malformed-x", "first-malformed-zero-den", "true",
-        "int-not-monotone", "int-above-one"])
+        "true-after-int-one", "true-after-string-one", "unhashable-list",
+        "unhashable-object", "int-not-monotone", "int-above-one"])
 def test_cli_explicit_entry_errors(values, error, message, tmp_path, capsys):
     assert _solve_explicit(tmp_path, values) == 1
     err = json.loads(capsys.readouterr().err)["error"]

@@ -8,6 +8,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from budgetcontracts import equilibria
 from budgetcontracts.core import Action, Contract, GroundSetTooLargeError, \
     Instance, ModelError, cost
 from budgetcontracts.equilibria import best_response, is_nash, \
@@ -212,9 +213,27 @@ def _tied_line_instances():
                    ExplicitOracle([F(0), F(1, 4), F(0), F(1, 2)]))
 
 
+def _lopsided_instances():
+    """Agents of very different sizes: one owns 1 action, another m - 2,
+    a third the last action, at a negative cost on every other instance,
+    and a fourth owns none."""
+    rng = random.Random(67)
+    for t in range(10):
+        m = rng.randint(4, 7)
+        owners = [0] + [1] * (m - 2) + [2]
+        rng.shuffle(owners)
+        costs = [F(rng.randint(0, 6), 24) for _ in range(m)]
+        if t % 2:
+            costs[owners.index(2)] = F(-1, 12)
+        table = random_explicit_monotone_instance(
+            rng.randint(0, 10 ** 6), num_agents=1, num_actions=m).oracle
+        yield Instance(4, tuple(Action(a, owners[a], costs[a])
+                                for a in range(m)), table)
+
+
 def test_envelope_contracts_match_the_reference():
     rng = random.Random(61)
-    for inst in _tied_line_instances():
+    for inst in itertools.chain(_tied_line_instances(), _lopsided_instances()):
         inst = with_table(inst)
         table = inst.table
         m = inst.num_actions
@@ -239,6 +258,32 @@ def test_envelope_contracts_match_the_reference():
     got = dict(iter_min_contracts(with_table(touch)))
     assert got == {0b00: Contract((F(0),)), 0b01: Contract((F(1, 3),)),
                    0b11: Contract((F(1, 3),))}
+
+
+def test_min_contracts_price_the_largest_agent_first(monkeypatch):
+    calls = []
+    kernel = equilibria._agent_payments
+
+    def recording(f, own, c_int, rests):
+        calls.append(own)
+        return kernel(f, own, c_int, rests)
+
+    monkeypatch.setattr(equilibria, "_agent_payments", recording)
+    # agent 0 owns action 2, agent 1 actions 0, 1, 4 and 5, agent 2
+    # action 3 at a negative cost, agent 3 none
+    owners, costs = (1, 1, 0, 2, 1, 1), (1, 2, 1, -1, 3, 1)
+    inst = with_table(Instance(4, tuple(Action(a, owners[a], F(costs[a], 24))
+                                        for a in range(6)),
+                               AdditiveOracle([F(1, 8)] * 6)))
+    for within, order in ((None, [0b110011, 0b000100, 0b001000]),
+                          # in ``within`` agents 0 and 1 own one action each
+                          # and tie; agent 2 owns none but is priced last
+                          (0b000101, [0b000100, 0b110011, 0b001000]),
+                          (0b110111, [0b110011, 0b000100, 0b001000]),
+                          (0b001000, [0b001000])):
+        calls.clear()
+        list(iter_min_contracts(inst, within=within))
+        assert calls == order, within
 
 
 def test_brute_force_output_is_feasible_equilibrium():
