@@ -16,6 +16,7 @@ concurrent tasks; the operations here are pure functions.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -215,7 +216,7 @@ class Contract:
     alpha: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        if any(a < 0 for a in self.alpha):
+        if any(a.numerator < 0 for a in self.alpha):
             raise ModelError("contract entries must be >= 0")
 
     @staticmethod
@@ -233,7 +234,8 @@ class Contract:
         return len(self.alpha)
 
     def total(self) -> Fraction:
-        return sum(self.alpha, ZERO)
+        den = math.lcm(*(a.denominator for a in self.alpha))
+        return Fraction(sum(a.numerator * (den // a.denominator) for a in self.alpha), den)
 
     def scale(self, factor: Fraction) -> "Contract":
         return Contract(tuple(a * factor for a in self.alpha))

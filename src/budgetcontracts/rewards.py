@@ -28,11 +28,13 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
+from array import array
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
-from operator import gt
-from typing import Iterable, Mapping, Optional, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from budgetcontracts.core import (
     GS_TESTER_LIMIT,
@@ -372,41 +374,62 @@ class CoverageOracle(RewardOracle):
 class ExplicitOracle(RewardOracle):
     """A full table of 2^m values in subset-bitmask order.
 
-    Validation (unless ``validate=False``) runs on integers over the
-    table's common denominator: f(empty) = 0, then every value in [0, 1]
-    and no value above that of a one-larger superset.  The first failing
-    check in mask order raises, the range check before the monotonicity
-    check at the same mask.
-
-    Each distinct entry object (keyed by ``id``; ``_rationals`` hands out
-    one per distinct string) is converted and scaled once, then mapped
-    over the 2^m entries.  Equal values share one stored Fraction.
+    Entries are grouped (by object identity; a descriptor's by string),
+    and each group gets once its Fraction, its int over the common
+    denominator and that int's rank among the distinct ints; the ranks,
+    mapped over the 2^m entries, index the ints and the stored values.
+    Validation (unless ``validate=False``): f(empty) = 0 first, then the
+    range on the ints and monotonicity on the ranks packed into one int
+    (:func:`_ranks_monotone`).  The first failing check in mask order
+    raises, the range check before the monotonicity check at one mask.
     """
 
     function_class = "monotone"
 
     def __init__(self, values: Sequence[Fraction], validate: bool = True):
-        size = len(values)
+        ids = list(map(id, values))
+        exact = {i: Fraction(v) for i, v in dict(zip(ids, values)).items()}
+        self._fill(ids, exact, validate)
+
+    @classmethod
+    def _from_entries(cls, entries: list) -> "ExplicitOracle":
+        """Parse each distinct string once; other lists entry by entry, since
+        grouping by == takes True for 1 and unhashable entries are errors."""
+        try:
+            distinct = dict.fromkeys(entries)
+        except TypeError:  # an unhashable entry
+            distinct = None
+        if distinct is None or not all(type(e) is str for e in distinct):
+            return cls(list(map(parse_rational, entries)))
+        oracle = cls.__new__(cls)
+        oracle._fill(entries, {e: parse_rational(e) for e in distinct}, True)
+        return oracle
+
+    def _fill(self, keys: list, exact: dict, validate: bool) -> None:
+        """Fill the table from each entry's key and each key's Fraction."""
+        size = len(keys)
         m = size.bit_length() - 1
         if size == 0 or size != 1 << m:
             raise ModelError("explicit table length must be a power of two")
         super().__init__(m)
-        ids = list(map(id, values))
-        exact = {i: Fraction(v) for i, v in dict(zip(ids, values)).items()}
         den = common_denominator(exact.values())
-        int_of = dict(zip(exact, scaled_ints(exact.values(), den)))
-        made = {k: Fraction(k, den) for k in set(int_of.values())}
-        ints = list(map(int_of.__getitem__, ids))
+        scaled = scaled_ints(exact.values(), den)
+        made = dict(zip(scaled, exact.values()))  # one Fraction per level
+        levels = sorted(made)
+        rank = dict(zip(levels, range(len(levels))))
+        ranks = _picker(keys)(dict(zip(exact, map(rank.__getitem__, scaled))))
+        pick = _picker(ranks)
+        ints = list(pick(levels))
         self._ints, self._den = ints, den
-        self.values = tuple(map(made.__getitem__, ints))
-        if validate:
-            if ints[0] != 0:
-                raise ModelError("explicit table must have f(empty) = 0")
-            if min(made) < 0 or max(made) > den or not _is_monotone(ints, m):
-                self._raise_first_fault(ints, den)
+        self.values = pick([made[k] for k in levels])
+        if validate and (ints[0] != 0 or levels[0] < 0 or levels[-1] > den
+                         or not _ranks_monotone(ranks, len(levels))):
+            self._raise_first_fault(ints, den)
 
     def _raise_first_fault(self, ints: list[int], den: int) -> None:
-        """Raise for the first range or monotonicity fault in mask order."""
+        """Raise for f(empty) != 0, else the first fault in mask order."""
+        if ints[0] != 0:
+            raise ModelError("explicit table must have f(empty) = 0")
         for mask, k in enumerate(ints):
             if not 0 <= k <= den:
                 raise OracleRangeViolationError(
@@ -422,24 +445,36 @@ class ExplicitOracle(RewardOracle):
         return ValueTable(self.values, self._ints, self._den)
 
 
-def _is_monotone(ints: list[int], m: int) -> bool:
-    """Whether ints[mask] <= ints[mask | bit] for every mask and bit.
+def _picker(indices: Sequence) -> Callable[[Sequence], tuple]:
+    """``t -> tuple(t[i] for i in indices)`` in one C-level call."""
+    pick = itemgetter(*indices)
+    return pick if len(indices) > 1 else lambda t: (pick(t),)
 
-    For bit b the pairs sit 2^b apart: compared in strided slices while
-    the stride is short, in contiguous blocks once the blocks are longer.
+
+def _ranks_monotone(ranks: Sequence[int], levels: int) -> bool:
+    """Whether ranks[mask] <= ranks[mask | 1 << b] for every mask and bit b.
+
+    Mask i's rank fills field i of one int P, the fields as wide as the
+    narrowest array item whose top (guard) bit no rank reaches.  With G
+    every guard, field i of ``(P >> 2^b fields | G) - P`` is guard +
+    rank[i + 2^b] - rank[i]: no borrow, and the guard stays iff the pair
+    is in order.  Bit b passes when G_b, the guards of masks without b
+    (a repeated byte pattern, like G), all stay.
     """
-    size = len(ints)
-    for b in range(m):
+    packed = next(array(tc, ranks) for tc in "BHIQ"
+                  if levels <= 1 << 8 * array(tc).itemsize - 1)
+    if sys.byteorder == "big":
+        packed.byteswap()
+    width, size = packed.itemsize, len(ranks)
+    guard = bytes(width - 1) + b"\x80"
+    p = int.from_bytes(packed.tobytes(), "little")
+    guards = int.from_bytes(guard * size, "little")
+    for b in range(size.bit_length() - 1):
         step = 1 << b
-        if step * step < size:
-            pairs = ((ints[r::2 * step], ints[r + step::2 * step])
-                     for r in range(step))
-        else:
-            pairs = ((ints[s:s + step], ints[s + step:s + 2 * step])
-                     for s in range(0, size, 2 * step))
-        for lo, hi in pairs:
-            if any(map(gt, lo, hi)):
-                return False
+        g_b = int.from_bytes((guard * step + bytes(width * step))
+                             * (size >> b + 1), "little")
+        if ((p >> 8 * width * step | guards) - p) & g_b != g_b:
+            return False
     return True
 
 
@@ -543,9 +578,9 @@ def value_table(oracle: RewardOracle) -> list[Fraction]:
     exact integers: sums for additive, max for unit-demand, levels by
     subset size for uniform-k, bit-OR of covers for coverage, and for OXS
     with at most three columns one matching table per column subset.  An
-    explicit oracle returns a copy of the table it validated on integers
-    when it was built, one Fraction object per distinct value; the rest
-    answer one subset at a time.
+    explicit oracle returns a copy of its table (grouped entries ranked on
+    ints, the ranks packed into guarded fields for the monotonicity check)
+    with one Fraction per distinct value; the rest answer one at a time.
 
     The integer families return a :class:`ValueTable`: the Fractions plus
     the integers they were made from over one denominator (the weights'
@@ -744,23 +779,6 @@ def _search_price_witness(oracle: RewardOracle, ctx: frozenset[int],
 # -- JSON descriptors --------------------------------------------------------
 
 
-def _rationals(entries: Sequence) -> list[Fraction]:
-    """``parse_rational`` of each entry; each distinct string is parsed once.
-
-    Only an all-string list shares parses: otherwise each entry goes
-    through ``parse_rational``, since a cache keyed by ``==`` would take
-    True for 1, and an unhashable entry is rejected there as malformed.
-    """
-    try:
-        distinct = dict.fromkeys(entries)
-    except TypeError:  # an unhashable entry
-        distinct = None
-    if distinct is None or not all(type(e) is str for e in distinct):
-        return [parse_rational(e) for e in entries]
-    parsed = {e: parse_rational(e) for e in distinct}
-    return list(map(parsed.__getitem__, entries))
-
-
 def oracle_from_spec(spec: Mapping) -> RewardOracle:
     """Build an oracle from its JSON descriptor (see module docstrings).
 
@@ -770,9 +788,9 @@ def oracle_from_spec(spec: Mapping) -> RewardOracle:
     field = partial(descriptor_field, spec)
     kind = spec.get("type")
     if kind == "additive":
-        return AdditiveOracle(_rationals(field("weights", list)))
+        return AdditiveOracle(list(map(parse_rational, field("weights", list))))
     if kind == "unit_demand":
-        return UnitDemandOracle(_rationals(field("weights", list)))
+        return UnitDemandOracle(list(map(parse_rational, field("weights", list))))
     if kind == "uniform_k_demand":
         return UniformKDemandOracle(field("num_actions", int), field("k", int),
                                     parse_rational(field("v")))
@@ -780,7 +798,7 @@ def oracle_from_spec(spec: Mapping) -> RewardOracle:
         rows = field("values", list)
         if not all(isinstance(row, list) for row in rows):
             raise SchemaError("oxs descriptor rows must be lists")
-        return AssignmentOracle([_rationals(row) for row in rows])
+        return AssignmentOracle([list(map(parse_rational, row)) for row in rows])
     if kind == "coverage":
         covers = field("covers", list)
         if not all(isinstance(c, list) for c in covers):
@@ -790,7 +808,7 @@ def oracle_from_spec(spec: Mapping) -> RewardOracle:
             [[parse_integer(e, "coverage cover member") for e in c]
              for c in covers])
     if kind == "explicit":
-        return ExplicitOracle(_rationals(field("values", list)))
+        return ExplicitOracle._from_entries(field("values", list))
     if kind == "hardness":
         from budgetcontracts.hardness import hardness_oracle_from_spec
 

@@ -457,6 +457,21 @@ def test_cli_explicit_entry_errors(values, error, message, tmp_path, capsys):
     assert err["type"] == error and message in err["message"]
 
 
+@pytest.mark.parametrize("spec", ["seed=4,agents=2,actions=6",
+                                  "seed=9,agents=1,actions=8"])
+def test_cli_explicit_reload_solves_byte_identically(spec, tmp_path, capsys):
+    # the generator builds its table from Fractions, the reload from the
+    # descriptor's strings: one table, one output
+    source = f"gen:explicit:{spec}"
+    inst_path = tmp_path / "inst.json"
+    inst_path.write_text(serialize_instance(load_instance(source)))
+    outputs = []
+    for where in (source, str(inst_path)):
+        assert main(["solve", "--instance", where, "--budget", "1/2"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
 def test_cli_explicit_entries_parse_by_value(tmp_path, capsys):
     # 1 is taken where true is not; "2/4" is the level "1/2"; an all-int
     # table validates

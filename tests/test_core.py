@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -9,6 +10,7 @@ from budgetcontracts.core import (
     Contract,
     DuplicateActionIdError,
     Instance,
+    ModelError,
     NegativeCostError,
     NonzeroEmptyValueError,
     RationalParseError,
@@ -84,6 +86,24 @@ def test_cost_partition_additivity():
     parts = sum((cost(inst, inst.agent_part(profile, i))
                  for i in range(inst.num_agents)), F(0))
     assert parts == cost(inst, profile)
+
+
+def test_contract_total_over_one_denominator():
+    rng = random.Random(5)
+    cases = [
+        Contract.of(["1/2", "1/3", "2/7", "0", "5/12"]),  # mixed denominators
+        Contract.zero(3),
+        Contract(()),
+        Contract.of([rng.randint(0, 9) * F(1, rng.choice((2, 3, 5, 8, 9, 49)))
+                     for _ in range(10001)]),
+    ]
+    for alpha in cases:
+        total = alpha.total()
+        assert type(total) is F and total == sum(alpha.alpha, F(0))
+    assert cases[0].total() == F(43, 28)
+    assert str(cases[1].total()) == str(cases[2].total()) == "0"
+    with pytest.raises(ModelError, match=">= 0"):
+        Contract.of(["1/2", "-1/3"])
 
 
 def test_restrict_contract_cases():

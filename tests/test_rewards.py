@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from budgetcontracts.core import Action, GroundSetTooLargeError, Instance, \
     ModelError, OracleRangeViolationError, RationalParseError, \
-    UnknownActionIdError
+    UnknownActionIdError, format_rational
 from budgetcontracts.generators import (
     random_additive_instance,
     random_coverage_instance,
@@ -29,6 +29,7 @@ from budgetcontracts.rewards import (
     UniformKDemandOracle,
     UnitDemandOracle,
     ValueTable,
+    _ranks_monotone,
     brute_force_demand,
     demand_with_base,
     gs_greedy_demand,
@@ -776,6 +777,105 @@ def test_explicit_validation_matches_fraction_reference():
     assert outcomes[OracleRangeViolationError] > 60
     assert outcomes["explicit table is not monotone"] > 20
     assert outcomes["explicit table must have f(empty) = 0"] > 20
+
+
+def _descriptor_of(values):
+    return {"type": "explicit", "values": [format_rational(v) for v in values]}
+
+
+def _parts(oracle):
+    return oracle.values, oracle._ints, oracle._den
+
+
+def test_explicit_entry_points_agree():
+    # the descriptor (grouped by string) and the Fraction list (grouped by
+    # identity) give one table, or one error, on every corpus table
+    for values in _explicit_tables():
+        got = _outcome(lambda v: _parts(oracle_from_spec(_descriptor_of(v))),
+                       values)
+        assert got == _outcome(lambda v: _parts(ExplicitOracle(v)), values)
+
+
+def _reference_ranks_monotone(ranks):
+    m = len(ranks).bit_length() - 1
+    return all(ranks[i] <= ranks[i | 1 << b] for b in range(m)
+               for i in range(len(ranks)) if not i >> b & 1)
+
+
+def _one_fault_table(m, mask, b):
+    """A monotone table but for f(mask) > f(mask + b), its only fault.
+
+    Additive with weight 1 on b and 4 elsewhere, over 4m; f(mask) is
+    raised by 2, which passes b's weight and no other.
+    """
+    weight = [1 if a == b else 4 for a in range(m)]
+    ints = subset_sums(weight)
+    ints[mask] += 2
+    return [F(k, 4 * m) for k in ints]
+
+
+def test_packed_check_matches_the_testers_on_random_tables():
+    rng = random.Random(17)
+    tables = [[F(0)], [F(0), F(1)], [F(0), F(0)]]
+    for _ in range(40):
+        m = rng.randint(1, 8)
+        values = _random_monotone_table(rng, m)
+        tables.append(values)
+        tables.extend(_mutations(rng, values))
+    seen = collections.Counter()
+    for values in tables:
+        o = ExplicitOracle(values, validate=False)
+        levels = sorted(set(o._ints))
+        ranks = [levels.index(k) for k in o._ints]
+        ok = _ranks_monotone(ranks, len(levels))
+        assert ok == is_monotone(o)[0] == _reference_ranks_monotone(ranks)
+        assert _outcome(ExplicitOracle, values)[0] == \
+            _outcome(_reference_explicit_check, values)[0]
+        seen[ok] += 1
+    assert seen[True] > 30 and seen[False] > 30
+
+
+@pytest.mark.parametrize("m", [2, 5, 8])
+def test_packed_check_finds_a_single_fault_at_every_bit(m):
+    # f(empty) = 0 leaves mask 0 no monotonicity fault without a range fault
+    for b in range(m):
+        without = [mask for mask in range(1, 1 << m) if not mask >> b & 1]
+        for mask in {without[0], without[len(without) // 2], without[-1]}:
+            values = _one_fault_table(m, mask, b)
+            o = ExplicitOracle(values, validate=False)
+            assert is_monotone(o) == (False, (mask_to_set(mask), b))
+            assert not _ranks_monotone(o._ints, max(o._ints) + 1)
+            got = _outcome(ExplicitOracle, values)
+            assert got == _outcome(_reference_explicit_check, values)
+            assert got[1] == "explicit table is not monotone"
+
+
+@pytest.mark.parametrize("m,levels", [(8, 128), (8, 129), (15, 32768),
+                                      (16, 32769)])
+def test_packed_check_field_widths_and_guard_bits(m, levels):
+    # 128 and 32768 ranks fill one- and two-byte fields below the guard
+    # bit; one more rank takes the next width.  The extreme ranks sit
+    # next to each other in both orders.
+    size = 1 << m
+    rising = [i * levels >> m for i in range(size)]
+    assert len(set(rising)) == levels
+    assert _ranks_monotone(rising, levels)
+    top = [0] * (size - 1) + [levels - 1]
+    assert _ranks_monotone(top, levels)
+    for mask in (0, 1, size // 2 - 1):
+        for hi in (0, levels - 2):
+            ranks = list(rising)
+            ranks[mask] = levels - 1
+            ranks[mask | size >> 1] = hi
+            assert _ranks_monotone(ranks, levels) is \
+                _reference_ranks_monotone(ranks) is False
+    if m == 8:  # through the oracle, against both testers
+        values = [F(r, levels - 1) for r in rising]
+        assert ExplicitOracle(values).values == tuple(values)
+        assert is_monotone(ExplicitOracle(values))[0]
+        values[3], values[7] = values[7], values[3]
+        assert _outcome(ExplicitOracle, values) == \
+            _outcome(_reference_explicit_check, values)
 
 
 def test_explicit_validation_reports_first_fault_in_mask_order():
