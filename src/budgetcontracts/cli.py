@@ -6,8 +6,9 @@ Instance documents look like
      "actions": [{"id": 0, "owner": 0, "cost": "1/4"}, ...],
      "reward": {"type": "additive", "weights": ["1/2", "1/4", ...]}}
 
-with rationals serialized as "p/q" strings.  A reward descriptor of type
-"hardness" may omit numAgents/actions (they are derived).  Exit codes:
+with rationals serialized as "p/q" strings; numAgents may not exceed the
+number of actions.  A reward descriptor of type "hardness" may omit
+numAgents/actions (they are derived).  Exit codes:
 0 ok, 1 domain error (machine-readable JSON on stderr), 2 usage error.
 Identical (config, seed) pairs produce byte-identical outputs.
 """
@@ -103,8 +104,10 @@ def parse_instance(text: str) -> Instance:
                                   parse_rational(rec["cost"])))
         except KeyError as exc:
             raise SchemaError(f"actions[{idx}] missing {exc}") from exc
-    inst = Instance(parse_integer(doc["numAgents"], "numAgents"), tuple(actions),
-                    oracle_from_spec(reward))
+    num_agents = parse_integer(doc["numAgents"], "numAgents")
+    if num_agents > len(actions):  # an agent past the m-th owns nothing
+        raise SchemaError(f"numAgents {num_agents} above {len(actions)} actions")
+    inst = Instance(num_agents, tuple(actions), oracle_from_spec(reward))
     validate_instance(inst)
     return inst
 

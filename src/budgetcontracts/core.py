@@ -20,10 +20,11 @@ import math
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
-    from budgetcontracts.rewards import RewardOracle
+    from budgetcontracts.rewards import RewardOracle, ValueTable
 
 ActionProfile = frozenset[int]
 
@@ -151,34 +152,47 @@ class Action:
 class Instance:
     """A contract-design instance: agents, owned actions, reward oracle.
 
-    ``agent_actions[i]`` is agent ``i``'s action set T_i; ``ground_set`` is
-    the disjoint union of all of them.  ``table``, when present, holds all
-    2^m values of f in bitmask order (``rewards.with_table`` fills it), and
-    ``f`` reads through it; without one every read of ``f`` is one counted
+    ``agent_actions[i]`` is agent ``i``'s action set T_i and
+    ``agent_masks[i]`` its bitmask; ``ground_set`` is the disjoint union of
+    all of them.  ``table``, when present, is the oracle's
+    ``rewards.ValueTable`` (``rewards.with_table`` fills it), and ``f``
+    reads its ``values``; without one every read of ``f`` is one counted
     value query on the oracle.
     """
 
     num_agents: int
     actions: tuple[Action, ...]
     oracle: "RewardOracle"
-    table: Optional[Sequence[Fraction]] = field(default=None, repr=False,
-                                                compare=False)
+    table: Optional["ValueTable"] = field(default=None, repr=False,
+                                          compare=False)
     owner_of: dict[int, int] = field(init=False, repr=False, compare=False)
     cost_of: dict[int, Fraction] = field(init=False, repr=False, compare=False)
     agent_actions: tuple[frozenset[int], ...] = field(init=False, repr=False, compare=False)
+    agent_masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
     ground_set: frozenset[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         owner = {a.action_id: a.owner for a in self.actions}
         costs = {a.action_id: a.cost for a in self.actions}
         per_agent: list[set[int]] = [set() for _ in range(self.num_agents)]
+        masks = [0] * self.num_agents
         for a in self.actions:
             if 0 <= a.owner < self.num_agents:
                 per_agent[a.owner].add(a.action_id)
+                if 0 <= a.action_id < len(self.actions):
+                    masks[a.owner] |= 1 << a.action_id
         object.__setattr__(self, "owner_of", owner)
         object.__setattr__(self, "cost_of", costs)
         object.__setattr__(self, "agent_actions", tuple(frozenset(s) for s in per_agent))
+        object.__setattr__(self, "agent_masks", tuple(masks))
         object.__setattr__(self, "ground_set", frozenset(owner))
+
+    @cached_property
+    def int_costs(self) -> tuple[list[int], int]:
+        """(costs, den): action a costs ``Fraction(costs[a], den)``, den the lcm."""
+        costs = [self.cost_of[a] for a in range(len(self.actions))]
+        den = math.lcm(*(c.denominator for c in costs))
+        return [c.numerator * (den // c.denominator) for c in costs], den
 
     @property
     def num_actions(self) -> int:
@@ -186,8 +200,8 @@ class Instance:
 
     @property
     def f(self):
-        """f indexed by bitmask: the table, or else the counted oracle."""
-        return self.oracle if self.table is None else self.table
+        """f by bitmask: the table's values, or else the counted oracle."""
+        return self.oracle if self.table is None else self.table.values
 
     def mask_of(self, profile: Iterable[int]) -> int:
         """The bitmask of a profile; UnknownActionIdError outside 0..m-1."""

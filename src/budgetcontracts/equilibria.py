@@ -15,8 +15,9 @@ raises ``UnknownActionIdError``.
 The minimal-contract algebra is :func:`_min_payment`, one agent's bounds
 for one profile.  :func:`min_incentivizing_contract` runs it per agent on
 the Fractions it reads, against every deviation.  :func:`iter_min_contracts`
-prices all profiles at once, agent by agent, on integers: against a fixed
-rest R = S - T_i, agent i's deviations are the lines
+prices all profiles at once, agent by agent, on the ints that the
+instance's ``rewards.ValueTable`` and ``Instance.int_costs`` carry:
+against a fixed rest R = S - T_i, agent i's deviations are the lines
 alpha * f(R + d) - c(d), and S_i is kept exactly where its line is on their
 upper envelope.  When d' costs no more than d and is worth no less, the
 bound from d' implies the bound from d at every alpha >= 0, so only S_i's
@@ -48,9 +49,8 @@ from budgetcontracts.core import (
     check_enumeration,
     cost,
 )
-from budgetcontracts.rewards import PriceVector, ValueTable, \
-    common_denominator, demand_with_base, lex_key, mask_to_set, scaled_ints, \
-    set_to_mask, submask_sums, submasks
+from budgetcontracts.rewards import PriceVector, demand_with_base, \
+    lex_key, mask_to_set, submask_sums, submasks
 
 
 def _check_walks(inst: Instance, within: Optional[frozenset[int]] = None) -> None:
@@ -70,7 +70,7 @@ def _deviations(inst: Instance, agent: int, s: int, *, shrink: bool = False):
     early spares the later reads.  Callers check the walk's size with
     :func:`_check_walks` before their first read.
     """
-    own = set_to_mask(inst.agent_actions[agent])
+    own = inst.agent_masks[agent]
     s_i = s & own
     pool = s_i if shrink else own
     costs = submask_sums(pool, inst.cost_of)
@@ -184,7 +184,7 @@ def ne_from_demand(inst: Instance, alpha: Contract, base: Iterable[int] = (),
     pay = {a: alpha[inst.owner_of[a]] for a in inst.ground_set}
     prices = PriceVector({a: inst.cost_of[a] / p for a, p in pay.items() if p > 0},
                          frozenset(a for a, p in pay.items() if p <= 0))
-    return demand_with_base(inst.oracle, prices, base, gs=gs, table=inst.table)
+    return demand_with_base(inst.oracle, prices, base, gs=gs, table=inst.f)
 
 
 def is_subset_stable(inst: Instance, alpha: Contract, profile: Iterable[int]):
@@ -239,12 +239,11 @@ def min_incentivizing_contract(inst: Instance, profile: Iterable[int]
     """
     mask = inst.mask_of(frozenset(profile))
     _check_walks(inst)
-    own_masks = [set_to_mask(t) for t in inst.agent_actions]
-    own_costs = [submask_sums(om, inst.cost_of) for om in own_masks]
+    own_costs = [submask_sums(om, inst.cost_of) for om in inst.agent_masks]
     f = inst.f
     f_s = f[mask]
     entries = []
-    for om, costs in zip(own_masks, own_costs):
+    for om, costs in zip(inst.agent_masks, own_costs):
         s_i, rest = mask & om, mask & ~om
         walk = ((f[rest | dev], c) for dev, c in costs.items() if dev != s_i)
         pay = _min_payment(f_s, costs[s_i], walk)
@@ -337,23 +336,12 @@ def _agent_payments(f: Sequence[int], own: int, c_int: Sequence[int],
     return pay
 
 
-def _integer_form(inst: Instance) -> tuple[Sequence[int], int, list[int], int]:
-    """(f, f_den, c, c_den): the instance's value table and the action
-    costs as ints, each over its own common denominator.  A
-    :class:`ValueTable` hands over its integer form as it is; a plain list
-    is rescaled."""
-    table = inst.table
-    if table is None:
+def _table_ints(inst: Instance) -> tuple[list[int], int]:
+    """(ints, den) of the instance's value table; ModelError without one."""
+    if inst.table is None:
         raise ModelError("no value table on the instance: fill it with "
                          "rewards.with_table")
-    costs = [inst.cost_of[a] for a in range(inst.num_actions)]
-    c_den = common_denominator(costs)
-    if isinstance(table, ValueTable):
-        f, f_den = table.ints, table.den
-    else:
-        f_den = common_denominator(table)
-        f = scaled_ints(table, f_den)
-    return f, f_den, scaled_ints(costs, c_den), c_den
+    return inst.table.ints, inst.table.den
 
 
 def single_agent_hull(inst: Instance) -> tuple[list[int], list[Fraction]]:
@@ -369,7 +357,8 @@ def single_agent_hull(inst: Instance) -> tuple[list[int], list[Fraction]]:
     best response at alpha, the larger f winning at a breakpoint, so
     hull[i] is the one chosen on [breaks[i-1], breaks[i]).
     """
-    f, f_den, c_int, c_den = _integer_form(inst)
+    f, f_den = _table_ints(inst)
+    c_int, c_den = inst.int_costs
     best: dict[Fraction, int] = {}
     for mask, (dc, df) in _agent_payments(f, (1 << inst.num_actions) - 1,
                                           c_int, [0]).items():
@@ -406,16 +395,17 @@ def iter_min_contracts(inst: Instance, *, within: Optional[int] = None,
     table reads in all, where pricing each profile alone reads
     2^|T| * sum_i 2^|T_i|.
 
-    Values are ints over one denominator (a :class:`ValueTable`'s own, so
-    its entries are not rescaled) and costs ints over theirs; a payment
-    becomes a Fraction once, when its contract is yielded.  ``within`` (a
-    bitmask) restricts the profiles to its submasks; an agent owning none
-    of its actions is then unpaid and skipped, unless one of its costs is
-    negative.  ``budget`` drops profiles whose payments sum above it.
+    Values are the table's ints as filled and costs ``Instance.int_costs``;
+    a payment becomes a Fraction once, when its contract is yielded.
+    ``within`` (a bitmask) restricts the profiles to its submasks; an agent
+    owning none of its actions is then unpaid and skipped, unless one of
+    its costs is negative.  ``budget`` drops profiles whose payments sum
+    above it.
     """
     m, n = inst.num_actions, inst.num_agents
-    own_masks = [set_to_mask(t) for t in inst.agent_actions]
-    f, f_den, c_int, c_den = _integer_form(inst)
+    own_masks = inst.agent_masks
+    f, f_den = _table_ints(inst)
+    c_int, c_den = inst.int_costs
     span = (1 << m) - 1 if within is None else within
     # An agent with no action in ``span`` acts in no profile; if none of
     # its costs is negative, every deviation only adds cost, so its bounds

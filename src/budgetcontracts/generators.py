@@ -105,9 +105,9 @@ def random_explicit_monotone_instance(seed: int, num_agents: Optional[int] = Non
         floor = max(levels[mask & ~(1 << b)] for b in range(m) if mask & (1 << b))
         levels[mask] = floor + rng.randint(0, 4)
     top = max(levels[-1], 1) + rng.randint(0, 3)
-    values = [Fraction(v, top) for v in levels]
+    made = {v: Fraction(v, top) for v in set(levels)}  # one per level
     return _assemble(n, _random_owners(rng, m, n), _random_costs(rng, m),
-                     ExplicitOracle(values))
+                     ExplicitOracle(list(map(made.__getitem__, levels))))
 
 
 GS_GENERATORS = (

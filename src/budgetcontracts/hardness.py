@@ -313,7 +313,7 @@ def verify_gap_exhaustive(params: HardnessParams) -> GapReport:
         if mask == good_mask:
             continue
         feasible += 1
-        f_s = inst.table[mask]
+        f_s = inst.f[mask]
         if f_s > max_other:
             max_other = f_s
         if f_s > bound:

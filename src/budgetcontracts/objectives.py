@@ -28,7 +28,7 @@ from budgetcontracts.core import (
     parse_rational,
     restrict_contract,
 )
-from budgetcontracts.equilibria import min_incentivizing_contract
+from budgetcontracts.equilibria import iter_min_contracts
 from budgetcontracts.rewards import set_to_mask, with_table
 
 
@@ -102,14 +102,13 @@ class BestPropertyReport:
         return None
 
 
-def participation_holds(inst: Instance, alpha: Contract, s: frozenset, val) -> bool:
+def participation_holds(inst: Instance, alpha: Contract, s: frozenset) -> bool:
     """Every agent weakly prefers its prescribed actions to quitting."""
-    f_s = val(s)
-    for i in range(inst.num_agents):
+    f, mask = inst.f, inst.mask_of(s)
+    f_s = f[mask]
+    for i, own in enumerate(inst.agent_masks):
         s_i = s & inst.agent_actions[i]
-        if not s_i:
-            continue
-        if alpha[i] * f_s - cost(inst, s_i) < alpha[i] * val(s - s_i):
+        if s_i and alpha[i] * f_s - cost(inst, s_i) < alpha[i] * f[mask & ~own]:
             return False
     return True
 
@@ -121,7 +120,9 @@ def verify_best_properties(obj: Objective, inst: Instance, *,
     """Falsification harness for the four BEST-objective properties.
 
     Checks, over an alpha grid (per-agent multiples of 1/denominator plus
-    every minimal incentivizing contract) and all profiles:
+    every minimal incentivizing contract, priced in one
+    :func:`equilibria.iter_min_contracts` pass and pooled in the profiles'
+    size-then-combination order) and all profiles:
 
     1. sandwich:   profit <= objective <= reward,
     2. decompose:  obj(alpha, S) <= f(S_-i) + obj(alpha|_i, S_i),
@@ -156,6 +157,7 @@ def verify_best_properties(obj: Objective, inst: Instance, *,
     inst = with_table(inst)
     profiles = [frozenset(c) for r in range(m + 1)
                 for c in itertools.combinations(range(m), r)]
+    masks = list(map(set_to_mask, profiles))
     step = Fraction(1, denominator)
     if (denominator + 1) ** n <= 4096:
         levels = [Fraction(k, denominator) for k in range(denominator + 1)]
@@ -165,37 +167,35 @@ def verify_best_properties(obj: Objective, inst: Instance, *,
         contracts = [Contract(tuple(Fraction(rng.randrange(denominator + 1),
                                              denominator) for _ in range(n)))
                      for _ in range(4096)]
-    for s in profiles:
-        extra = min_incentivizing_contract(inst, s)
-        if extra is not None:
-            contracts.append(extra)
+    # pooled in the profiles' order, which rng.sample below reads
+    priced = dict(iter_min_contracts(inst))
+    contracts += [priced[mask] for mask in masks if mask in priced]
     contracts = [c for c in contracts if c.total() <= 1]
     if sample_budget is not None and len(contracts) * len(profiles) > sample_budget:
         rng = random.Random(seed + 1)
         keep = max(1, sample_budget // len(profiles))
         contracts = rng.sample(contracts, min(keep, len(contracts)))
 
-    f = inst.table
-    val = lambda s: f[set_to_mask(s)]
+    f = inst.f
     # each property keeps its first counterexample and is not checked again
     results: dict[str, tuple[bool, Optional[tuple]]] = dict.fromkeys(
         ("sandwich", "decompose", "monotone-S", "antitone-alpha"), (True, None))
     checks = 0
 
     for alpha in contracts:
-        for s in profiles:
-            if not participation_holds(inst, alpha, s, val):
+        for s, mask in zip(profiles, masks):
+            if not participation_holds(inst, alpha, s):
                 continue
             checks += 1
             phi = evaluate(obj, inst, alpha, s)
-            f_s = val(s)
+            f_s = f[mask]
             profit = (1 - alpha.total()) * f_s
             if results["sandwich"][0] and not (profit <= phi <= f_s):
                 results["sandwich"] = (False, (alpha, s))
             if results["decompose"][0]:
                 for i in range(n):
                     s_i = s & inst.agent_actions[i]
-                    rhs = val(s - s_i) + evaluate(
+                    rhs = f[mask & ~inst.agent_masks[i]] + evaluate(
                         obj, inst, restrict_contract(alpha, {i}), s_i)
                     if phi > rhs:
                         results["decompose"] = (False, (alpha, s, i))
@@ -204,7 +204,7 @@ def verify_best_properties(obj: Objective, inst: Instance, *,
                 for a in range(m):
                     if a in s:
                         continue
-                    incentive = alpha[inst.owner_of[a]] * (val(s | {a}) - f_s)
+                    incentive = alpha[inst.owner_of[a]] * (f[mask | 1 << a] - f_s)
                     if incentive < inst.cost_of[a]:
                         continue
                     if phi > evaluate(obj, inst, alpha, s | {a}):

@@ -10,6 +10,8 @@ give each task its own oracle.
 Subsets travel as bitmasks (bit a set when action a is in S).  Each family
 implements one hook, ``_value(mask)``; ``oracle[mask]`` is the one counted
 lazy read, and ``value(subset)`` converts a set of ids once and reads it.
+A filled table is one :class:`ValueTable`: the 2^m Fractions with their
+ints over one denominator, which :func:`with_table` puts on an instance.
 
 Price vectors may contain negative entries, and may mark actions as excluded
 (unpurchasable) instead of pricing them; exclusion plays the role of an
@@ -157,13 +159,16 @@ class RewardOracle:
     def _demand(self, prices: PriceVector) -> frozenset[int]:
         raise NotImplementedError
 
-    def _table(self) -> list[Fraction]:
+    def _table(self) -> ValueTable:
         """All 2^m values in bitmask order, without counting queries.
 
-        One ``_value`` per subset here; families with structure override
-        it with a subset DP over exact integers.
+        One ``_value`` per subset here, then their ints over the values'
+        lcm; families with structure override it with a subset DP over
+        exact integers.
         """
-        return list(map(self._value, range(1 << self.num_actions)))
+        values = list(map(self._value, range(1 << self.num_actions)))
+        den = common_denominator(values)
+        return ValueTable(values, scaled_ints(values, den), den)
 
 
 def common_denominator(values: Iterable[Fraction]) -> int:
@@ -198,28 +203,23 @@ def submask_sums(mask: int, weights) -> dict[int, int | Fraction]:
         [weights[a] for a in _set_bits(mask)])))
 
 
-class ValueTable(list):
-    """A value table that also carries its integer form.
+@dataclass(frozen=True)
+class ValueTable:
+    """All 2^m values of f in bitmask order, with their integer form:
+    ``values`` is a plain list of Fractions, and ``values[mask] ==
+    Fraction(ints[mask], den)`` for every mask.  Every family fills both
+    once (:meth:`RewardOracle._table`); neither list is copied, so neither
+    may be mutated."""
 
-    A plain list of Fractions in bitmask order, plus ``ints`` and ``den``
-    with ``self[mask] == Fraction(ints[mask], den)`` for every mask.  The
-    families that fill their tables on integers hand that form over, so
-    an integer consumer skips the common denominator and the rescaling.
-    Neither part is copied, so neither may be mutated.
-    """
-
-    __slots__ = ("ints", "den")
-
-    def __init__(self, values: Iterable[Fraction], ints: list[int], den: int):
-        super().__init__(values)
-        self.ints = ints
-        self.den = den
+    values: list[Fraction]
+    ints: list[int]
+    den: int
 
 
 def _fractions(ints: list[int], den: int) -> ValueTable:
-    """``Fraction(k, den)`` for each k, built once per distinct k."""
+    """The table of ``Fraction(k, den)`` for each k, built once per k."""
     made = {k: Fraction(k, den) for k in set(ints)}
-    return ValueTable(map(made.__getitem__, ints), ints, den)
+    return ValueTable(list(map(made.__getitem__, ints)), ints, den)
 
 
 class AdditiveOracle(RewardOracle):
@@ -236,7 +236,7 @@ class AdditiveOracle(RewardOracle):
     def _value(self, mask: int) -> Fraction:
         return sum(map(self.weights.__getitem__, _set_bits(mask)), ZERO)
 
-    def _table(self) -> list[Fraction]:
+    def _table(self) -> ValueTable:
         den = common_denominator(self.weights)
         return _fractions(subset_sums(scaled_ints(self.weights, den)), den)
 
@@ -253,7 +253,7 @@ class UnitDemandOracle(RewardOracle):
     def _value(self, mask: int) -> Fraction:
         return max(map(self.weights.__getitem__, _set_bits(mask)), default=ZERO)
 
-    def _table(self) -> list[Fraction]:
+    def _table(self) -> ValueTable:
         den = common_denominator(self.weights)
         out = [0]
         for w in scaled_ints(self.weights, den):
@@ -278,7 +278,7 @@ class UniformKDemandOracle(RewardOracle):
     def _value(self, mask: int) -> Fraction:
         return min(mask.bit_count(), self.k) * self.unit_value
 
-    def _table(self) -> list[Fraction]:
+    def _table(self) -> ValueTable:
         v = self.unit_value
         m = self.num_actions
         levels = [min(c, self.k) * v.numerator for c in range(m + 1)]
@@ -325,7 +325,7 @@ class AssignmentOracle(RewardOracle):
             best = nxt
         return Fraction(max(best.values()), self._den)
 
-    def _table(self) -> list[Fraction]:
+    def _table(self) -> ValueTable:
         if self.num_columns > 3:  # one list per column subset: keep them few
             return super()._table()
         # best[cols][s]: the best matching of s into the columns in cols;
@@ -364,7 +364,7 @@ class CoverageOracle(RewardOracle):
             covered |= self._cover_masks[a]
         return Fraction(covered.bit_count(), self.universe_size)
 
-    def _table(self) -> list[Fraction]:
+    def _table(self) -> ValueTable:
         covered = [0]
         for bits in self._cover_masks:
             covered += [c | bits for c in covered]
@@ -441,8 +441,8 @@ class ExplicitOracle(RewardOracle):
     def _value(self, mask: int) -> Fraction:
         return self.values[mask]
 
-    def _table(self) -> list[Fraction]:
-        return ValueTable(self.values, self._ints, self._den)
+    def _table(self) -> ValueTable:
+        return ValueTable(list(self.values), self._ints, self._den)
 
 
 def _picker(indices: Sequence) -> Callable[[Sequence], tuple]:
@@ -571,38 +571,30 @@ def demand_with_base(oracle: RewardOracle, prices: PriceVector,
 
 
 def value_table(oracle: RewardOracle) -> list[Fraction]:
-    """All 2^m values in bitmask order.
+    """All 2^m values in bitmask order as a plain list: the ``values`` of
+    the oracle's :class:`ValueTable`, counted as 2^m value queries."""
+    return _filled_table(oracle).values
 
-    Counts as 2^m value queries, one per subset, and no demand queries,
-    whichever way the oracle fills it.  Most families run a subset DP on
-    exact integers: sums for additive, max for unit-demand, levels by
-    subset size for uniform-k, bit-OR of covers for coverage, and for OXS
-    with at most three columns one matching table per column subset.  An
-    explicit oracle returns a copy of its table (grouped entries ranked on
-    ints, the ranks packed into guarded fields for the monotonicity check)
-    with one Fraction per distinct value; the rest answer one at a time.
 
-    The integer families return a :class:`ValueTable`: the Fractions plus
-    the integers they were made from over one denominator (the weights'
-    lcm for additive, unit-demand and OXS, the unit value's denominator
-    for uniform-k, the universe size for coverage's bit-counts, the
-    explicit table's validated lcm).  The subset-at-a-time families
-    return a plain list.  An instance carries its table
-    (:func:`with_table`), and every reader of ``Instance.f`` and
-    ``Instance.table`` accepts both forms.
-    """
-    m = oracle.num_actions
-    check_enumeration(m, "value table")
-    oracle.value_queries += 1 << m
+def _filled_table(oracle: RewardOracle) -> ValueTable:
+    """The oracle's :class:`ValueTable`, counted as 2^m value queries (one
+    per subset) and no demand queries.  Families with structure fill it on
+    exact ints by a subset DP: additive (sums), unit-demand (max), uniform-k
+    (levels by size), coverage (bit-OR of covers), OXS with at most three
+    columns; an explicit oracle hands over a copy of its Fractions with its
+    validated ints; the rest read one ``_value`` per subset."""
+    check_enumeration(oracle.num_actions, "value table")
+    oracle.value_queries += 1 << oracle.num_actions
     return oracle._table()
 
 
 def with_table(inst: Instance) -> Instance:
-    """``inst`` carrying its value table: 2^m value queries the first time,
-    none when the instance already carries one."""
+    """``inst`` carrying its :class:`ValueTable`, which ``Instance.f`` then
+    reads: 2^m value queries the first time, none when the instance
+    already carries one."""
     if inst.table is not None:
         return inst
-    return replace(inst, table=value_table(inst.oracle))
+    return replace(inst, table=_filled_table(inst.oracle))
 
 
 # -- class membership testers ----------------------------------------------

@@ -164,9 +164,9 @@ def _single_agent_pairs(inst: Instance, agent: int, budget: Fraction
                         ) -> list[tuple[Contract, frozenset[int]]]:
     """(minimal contract, profile) for every subset of ``agent``'s actions
     that a payment within ``budget`` incentivizes, in ascending mask order."""
-    own = set_to_mask(inst.agent_actions[agent])
     return [(alpha, mask_to_set(mask)) for mask, alpha in
-            iter_min_contracts(inst, within=own, budget=budget)]
+            iter_min_contracts(inst, within=inst.agent_masks[agent],
+                               budget=budget)]
 
 
 def scale_costs(inst: Instance, factor: Fraction) -> Instance:
@@ -502,7 +502,7 @@ def single_agent_fptas(inst: Instance, budget: Fraction,
     m = inst.num_actions
     check_enumeration(m, "single-agent scheme", TESTER_LIMIT)
     inst = with_table(inst)
-    table = inst.table
+    table = inst.f
 
     if all(inst.cost_of[a] == 0 for a in range(m)):
         return SolveResult(Contract.of([ZERO]), frozenset(range(m)), table[-1],

@@ -103,7 +103,7 @@ def test_criterion_02_single_agent_fptas():
                                                  num_actions=m)
         budget = [F(1, 3), F(1, 2), F(3, 4), F(1)][i % 4]
         inst = with_table(inst)
-        table = inst.table
+        table = inst.f
         # independent optimum and welfare benchmark from profile enumeration
         opt = F(0)
         opt_alpha = F(0)
@@ -207,7 +207,7 @@ def test_criterion_05_demand_simulation():
             params = HardnessParams.make(n, budget, hidden=range(n // 2))
             inst = build_hardness(params)
             inst = with_table(inst)
-            table = inst.table
+            table = inst.f
             rng = random.Random(1000 * n + int(budget * 4))
             for _ in range(1000):
                 pv = PriceVector.of({a: F(rng.randint(-8, 96), 64)
@@ -233,7 +233,7 @@ def test_criterion_06_best_response_monotonicity():
     checks = 0
     for inst in corpus:
         inst = with_table(inst)
-        table = inst.table
+        table = inst.f
         levels = [F(k, 8) for k in range(9)]
         for alphas in itertools.product(levels, repeat=inst.num_agents):
             alpha = Contract(alphas)
@@ -315,7 +315,7 @@ def test_criterion_08_oracle_equivalences():
     for variant, maker in enumerate(makers):
         inst = maker(71000 + variant, num_agents=2, num_actions=6)
         inst = with_table(inst)
-        table = inst.table
+        table = inst.f
         rng = random.Random(81000 + variant)
         for _ in range(500):
             pv = PriceVector.of({a: F(rng.randint(-16, 80), 64)

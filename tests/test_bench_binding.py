@@ -47,6 +47,8 @@ def test_benchmark_tracer_and_workloads_bind_to_the_package(tmp_path):
     assert set(SOLVES) == set(bench_trace.SOLVERS)
     demand = bench_workloads.HardnessDemand(1, tmp_path)
     ops = demand.build(1)
+    # HardnessDemand hands value_table's result to brute_force_demand
+    assert all(type(table) is list for table in demand.tables)
     tracer.install()
     try:
         for target, argv in SOLVES.items():

@@ -388,6 +388,21 @@ def test_cli_malformed_instance_is_schema_error(doc, tmp_path, capsys):
     assert _error_type(capsys) == "SchemaError"
 
 
+def test_cli_refuses_more_agents_than_actions(tmp_path, capsys):
+    # refused before the instance allocates one action set per agent
+    inst_path = tmp_path / "inst.json"
+    inst_path.write_text(json.dumps({
+        "numAgents": 300000,
+        "actions": [{"id": 0, "owner": 0, "cost": "1/8"}],
+        "reward": {"type": "additive", "weights": ["1/2"]}}))
+    assert main(["solve", "--instance", str(inst_path),
+                 "--budget", "1/2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)["error"]
+    assert err["type"] == "SchemaError" and "300000" in err["message"]
+
+
 def _with_reward(reward):
     return _mutated(lambda d: d.update(reward=reward))
 

@@ -47,6 +47,15 @@ def test_validate_duplicate_id():
         validate_instance(inst)
 
 
+def test_ids_outside_0_to_m_set_no_mask_bit_and_fail_validation():
+    # the agent masks take bits 0..m-1 only: a huge id allocates nothing
+    for bad in (-1, 1, 10 ** 18):
+        inst = Instance(1, (Action(bad, 0, F(0)),), AdditiveOracle([F(1, 4)]))
+        assert inst.agent_masks == (0,)
+        with pytest.raises(DuplicateActionIdError):
+            validate_instance(inst)
+
+
 def test_validate_nonzero_empty_value():
     class Shifted(ExplicitOracle):
         def __init__(self):

@@ -285,7 +285,7 @@ def test_best_response_monotone_on_gs_instances():
         inst = random_gs_instance(rng.randint(0, 10 ** 6),
                                   num_agents=2, num_actions=rng.randint(3, 6))
         inst = with_table(inst)
-        table = inst.table
+        table = inst.f
         for k0 in range(0, 9, 2):
             for k1 in range(0, 9, 2):
                 alpha = Contract.of([F(k0, 8), F(k1, 8)])
@@ -444,7 +444,7 @@ def _walk_cases(seed, count, max_actions):
 
 def _checker_pairs(inst, alpha, general, s):
     """(new call, reference call) for each checker on profile ``s``."""
-    table = inst.table
+    table = inst.f
     val = inst.oracle.value if table is None else \
         (lambda sub: table[sum(1 << a for a in sub)])
     pairs = [
@@ -528,6 +528,6 @@ def test_ne_from_demand_with_base_is_demand_at_contract_prices():
         for tabled in (inst, with_table(inst)):
             for gs in (None, False):
                 want = demand_with_base(inst.oracle, prices, base, gs=gs,
-                                        table=tabled.table)
+                                        table=tabled.f)
                 assert ne_from_demand(tabled, alpha, base, gs=gs) == want
                 assert base <= want

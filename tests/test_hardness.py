@@ -100,7 +100,7 @@ def test_hardness_demand_negative_on_revealing_set():
         prices[a] = F(-1)
     pv = PriceVector.of(prices)
     inst = with_table(inst)
-    table = inst.table
+    table = inst.f
     sim = hardness_demand(inst.oracle, pv)
     brute = brute_force_demand(inst.oracle, pv, table=table)
     u = lambda s: table[sum(1 << a for a in s)] - pv.total(s)
@@ -112,7 +112,7 @@ def test_hardness_demand_matches_brute_force(n, budget):
     params = HardnessParams.make(n, budget, hidden=range(n // 2))
     inst = build_hardness(params)
     inst = with_table(inst)
-    table = inst.table
+    table = inst.f
     rng = random.Random(100 + n)
     for _ in range(150):
         pv = PriceVector.of({a: F(rng.randint(-4, 80), 64)

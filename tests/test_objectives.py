@@ -78,7 +78,7 @@ def test_sandwich_on_participation_feasible_pairs():
     for _ in range(200):
         alpha = Contract.of([F(rng.randint(0, 4), 8) for _ in range(2)])
         profile = frozenset(a for a in range(2) if rng.random() < 0.5)
-        if not participation_holds(inst, alpha, profile, inst.oracle.value):
+        if not participation_holds(inst, alpha, profile):
             continue
         checked += 1
         lo = evaluate(PROFIT, inst, alpha, profile)

@@ -19,7 +19,8 @@ from budgetcontracts.generators import random_additive_instance, \
 from budgetcontracts.hardness import HardnessParams, build_hardness, good_action
 from budgetcontracts.objectives import PROFIT, REWARD, WELFARE, evaluate
 from budgetcontracts.rewards import AdditiveOracle, ExplicitOracle, \
-    PriceVector, common_denominator, mask_to_set, set_to_mask, with_table
+    PriceVector, ValueTable, common_denominator, mask_to_set, set_to_mask, \
+    with_table
 from budgetcontracts.solvers import (
     NotAnEquilibriumError,
     additive_fptas,
@@ -122,6 +123,14 @@ def _reference_min_contract(inst, profile, *, enum_cap=20, table=None):
     return Contract(tuple(entries))
 
 
+def _rescaled(inst):
+    """``inst`` with its table's ints over three times their denominator:
+    the integer readers depend on the ratio alone."""
+    t = inst.table
+    return replace(inst, table=ValueTable(t.values, [3 * k for k in t.ints],
+                                          3 * t.den))
+
+
 def test_fast_contract_enumeration_matches_generic_operation():
     rng = random.Random(0)
     for t in range(25):
@@ -134,7 +143,7 @@ def test_fast_contract_enumeration_matches_generic_operation():
                 rng.randint(0, 10 ** 7), num_agents=rng.randint(1, 3),
                 num_actions=rng.randint(2, 5))
         inst = with_table(inst)
-        table = inst.table
+        table = inst.f
         fast = dict(iter_min_contracts(inst))
         for mask in range(1 << inst.num_actions):
             profile = mask_to_set(mask)
@@ -156,7 +165,7 @@ def test_min_contract_algebra_past_a_huge_common_denominator():
     inst = Instance(3, tuple(Action(a, owners[a], costs[a]) for a in range(5)),
                     AdditiveOracle(weights + [F(1, primes[4])]))
     inst = with_table(inst)
-    table = inst.table
+    table = inst.f
     assert common_denominator([*table, *costs]) > 10 ** 24
     for budget in (None, F(1, 1000), F(1, 2)):
         got = list(iter_min_contracts(inst, budget=budget))
@@ -235,7 +244,7 @@ def test_envelope_contracts_match_the_reference():
     rng = random.Random(61)
     for inst in itertools.chain(_tied_line_instances(), _lopsided_instances()):
         inst = with_table(inst)
-        table = inst.table
+        table = inst.f
         m = inst.num_actions
         reference = {mask: _reference_min_contract(inst, mask_to_set(mask),
                                                    table=table)
@@ -243,7 +252,7 @@ def test_envelope_contracts_match_the_reference():
         withins = (None, rng.randrange(1 << m),
                    set_to_mask(inst.agent_actions[0]))
         for tab, within, budget in itertools.product(
-                (inst, replace(inst, table=list(table))), withins,
+                (inst, _rescaled(inst)), withins,
                 (None, F(0), F(1, 3), F(1))):
             got = list(iter_min_contracts(tab, within=within, budget=budget))
             expected = [(mask, alpha) for mask, alpha in reference.items()
@@ -831,7 +840,7 @@ def _envelope_instances():
 
 def _reference_hull(inst):
     """The masks and breakpoints of the Fraction reference envelope."""
-    hull, breaks = _reference_envelope(_reference_lines(inst, inst.table))
+    hull, breaks = _reference_envelope(_reference_lines(inst, inst.f))
     return [h[2] for h in hull], breaks
 
 
@@ -840,10 +849,9 @@ def test_integer_envelope_matches_fraction_reference(monkeypatch):
 
     for inst in _envelope_instances():
         inst = with_table(inst)
-        table = inst.table
         hull, breaks = single_agent_hull(inst)
         assert (hull, breaks) == _reference_hull(inst)
-        assert single_agent_hull(replace(inst, table=list(table))) == (hull, breaks)
+        assert single_agent_hull(_rescaled(inst)) == (hull, breaks)
         assert all(type(b) is F for b in breaks)
         assert single_agent_demand_breakpoints(inst) == breaks
         for budget in (F(0), F(1, 3), F(1, 2), F(1)):
@@ -866,7 +874,7 @@ def _reference_sweep(inst, budget, eps):
     m = inst.num_actions
     before = inst.oracle.value_queries
     inst = with_table(inst)
-    table = inst.table
+    table = inst.f
     costs = [inst.cost_of[a] for a in range(m)]
     if all(c == 0 for c in costs) or budget == 0:
         return None
@@ -1103,7 +1111,7 @@ def test_restricted_contract_enumeration_matches_generic_operation():
     rng = random.Random(47)
     for inst in _single_agent_instances():
         inst = with_table(inst)
-        table = inst.table
+        table = inst.f
         m = inst.num_actions
         masks = [set_to_mask(t) for t in inst.agent_actions]
         masks += [rng.randrange(1 << m) for _ in range(3)] + [(1 << m) - 1]
@@ -1125,7 +1133,7 @@ def test_gs_single_agent_matches_fraction_reference():
     rng = random.Random(53)
     for inst in _single_agent_instances():
         inst = with_table(inst)
-        table = inst.table
+        table = inst.f
         for agent, obj in itertools.product(range(inst.num_agents),
                                             (PROFIT, REWARD, WELFARE)):
             budget = F(rng.randint(0, 4), 4)
@@ -1139,7 +1147,7 @@ def _reference_pipeline(inst, budget, obj):
     """gs_constant_factor's stages with the reference single-agent loop,
     run once per objective race."""
     inst = with_table(inst)
-    table = inst.table
+    table = inst.f
     base = brute_force_opt(scale_costs(inst, F(4, 3) / budget), F(1), PROFIT)
     rescaled = (base.contract.scale(F(3, 4) * budget), base.profile)
 
@@ -1224,7 +1232,7 @@ def test_max_reward_bounded_matches_the_reference_loop():
         inst = makers[t % 4](rng.randint(0, 10 ** 6), num_agents=rng.randint(1, 3),
                              num_actions=rng.randint(1, 6))
         inst = with_table(inst)
-        table = inst.table
+        table = inst.f
         for budget in (F(0), F(1, 4), F(1, 2), F(1)):
             got = max_reward_bounded_brute(inst, budget)
             assert (got.contract, got.profile, got.value) == \

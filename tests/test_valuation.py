@@ -3,13 +3,14 @@ the same instance without one give the same answers, and only the lazy one
 spends value queries after the fill."""
 
 import dataclasses
+import json
 import random
 from fractions import Fraction as F
 
 import pytest
 
 from budgetcontracts.core import Contract, ModelError, UnknownActionIdError
-from budgetcontracts.cli import load_instance
+from budgetcontracts.cli import load_instance, parse_instance
 from budgetcontracts.equilibria import agent_utility, best_response, \
     double_contract, is_nash, is_nash_general, is_subset_stable, \
     iter_min_contracts, min_incentivizing_contract, ne_from_demand, \
@@ -21,7 +22,7 @@ from budgetcontracts.generators import random_additive_instance, \
 from budgetcontracts.hardness import HardnessParams, build_hardness
 from budgetcontracts.objectives import PROFIT, REWARD, WELFARE, evaluate, \
     verify_best_properties
-from budgetcontracts.rewards import with_table
+from budgetcontracts.rewards import ValueTable, with_table
 from budgetcontracts.solvers import SolveResult, additive_fptas, \
     brute_force_opt, build_dp_table, downsize, gs_constant_factor, \
     gs_single_agent_exact, max_reward_bounded_brute, scale_costs, \
@@ -151,13 +152,62 @@ def test_with_table_fills_once_and_scale_costs_keeps_the_table():
     assert inst.oracle.value_queries == 1 << 5
     assert with_table(tabled) is tabled
     assert inst.oracle.value_queries == 1 << 5
-    assert tabled.f is tabled.table
+    assert tabled.f is tabled.table.values
     assert tabled == inst  # the table is a cache, not part of the instance
     scaled = scale_costs(tabled, F(3, 2))
     assert scaled.table is tabled.table
     assert scaled.cost_of[0] == F(3, 2) * inst.cost_of[0]
     assert with_table(scaled) is scaled
     assert inst.oracle.value_queries == 1 << 5
+
+
+def _oxs_document(columns: int) -> str:
+    rows = [[f"{(a + c) % 3}/{9 * columns}" for c in range(columns)]
+            for a in range(5)]
+    return json.dumps({
+        "numAgents": 2,
+        "actions": [{"id": a, "owner": a % 2, "cost": f"{a}/16"}
+                    for a in range(5)],
+        "reward": {"type": "oxs", "values": rows}})
+
+
+RECORD_SOURCES = {
+    **{kind: f"gen:{kind}:seed=4,agents=2,actions=5"
+       for kind in ("additive", "unit_demand", "uniform_k", "oxs", "coverage",
+                    "explicit")},
+    "oxs-four-columns": _oxs_document(4),
+    "hardness": json.dumps({"reward": {"type": "hardness", "n": 4,
+                                       "budget": "1/2", "hidden": [1, 2]}}),
+}
+
+
+@pytest.mark.parametrize("family", sorted(RECORD_SOURCES))
+def test_with_table_fills_one_record_per_instance(family):
+    source = RECORD_SOURCES[family]
+    inst = (load_instance(source) if source.startswith("gen:")
+            else parse_instance(source))
+    m = inst.num_actions
+    before = inst.oracle.value_queries
+    tabled = with_table(inst)
+    table = tabled.table
+    assert type(table) is ValueTable and type(table.values) is list
+    assert inst.oracle.value_queries - before == 1 << m
+    assert len(table.values) == len(table.ints) == 1 << m
+    assert all(table.values[mask] == F(table.ints[mask], table.den)
+               for mask in range(1 << m))
+    assert table.values == [inst.oracle._value(mask) for mask in range(1 << m)]
+    assert with_table(tabled) is tabled and tabled.f is table.values
+    assert inst.oracle.value_queries - before == 1 << m
+
+
+def test_hardness_min_contracts_agree_with_the_per_profile_algebra():
+    # the hidden-set family fills its table one subset at a time
+    inst = with_table(build_hardness(HardnessParams.make(4, F(1, 2), seed=3)))
+    fast = dict(iter_min_contracts(inst))
+    for mask in range(1 << inst.num_actions):
+        profile = {a for a in range(inst.num_actions) if mask >> a & 1}
+        assert fast.get(mask) == min_incentivizing_contract(inst, profile)
+    assert any(alpha.total() > 0 for alpha in fast.values())
 
 
 def test_table_readers_refuse_a_lazy_instance():
