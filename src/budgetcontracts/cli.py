@@ -105,6 +105,8 @@ def parse_instance(text: str) -> Instance:
         except KeyError as exc:
             raise SchemaError(f"actions[{idx}] missing {exc}") from exc
     num_agents = parse_integer(doc["numAgents"], "numAgents")
+    if num_agents < 1:
+        raise SchemaError(f"numAgents {num_agents} below 1")
     if num_agents > len(actions):  # an agent past the m-th owns nothing
         raise SchemaError(f"numAgents {num_agents} above {len(actions)} actions")
     inst = Instance(num_agents, tuple(actions), oracle_from_spec(reward))

@@ -21,7 +21,7 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, Optional, Sequence, TYPE_CHECKING
+from typing import Iterable, Mapping, Optional, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
     from budgetcontracts.rewards import RewardOracle, ValueTable
@@ -194,6 +194,21 @@ class Instance:
         den = math.lcm(*(c.denominator for c in costs))
         return [c.numerator * (den // c.denominator) for c in costs], den
 
+    @cached_property
+    def agent_cost_sums(self) -> tuple[dict[int, int], ...]:
+        """Per agent, each submask of its actions with its cost in
+        ``int_costs`` (over the same den), in ascending mask order."""
+        from budgetcontracts.rewards import submask_sums
+        c_int, _ = self.int_costs
+        return tuple(submask_sums(own, c_int) for own in self.agent_masks)
+
+    @property
+    def scaled_f(self):
+        """(f by bitmask, den) with f(S) = f[S] / den: the table's ints over
+        its den, or else the counted oracle over 1."""
+        return (self.oracle, 1) if self.table is None \
+            else (self.table.ints, self.table.den)
+
     @property
     def num_actions(self) -> int:
         return len(self.actions)
@@ -278,9 +293,12 @@ class GeneralContract:
 def validate_instance(inst: Instance) -> None:
     """Check every structural invariant; raise a specific error otherwise.
 
-    Verifies: unique contiguous action ids, owners in range, costs >= 0,
-    f(empty) = 0, and every singleton oracle value inside [0, 1].
+    Verifies: at least one agent, unique contiguous action ids, owners in
+    range, costs >= 0, f(empty) = 0, and every singleton oracle value
+    inside [0, 1].
     """
+    if inst.num_agents <= 0:
+        raise ModelError("need at least one agent")
     seen: set[int] = set()
     for a in inst.actions:
         if a.action_id in seen:
@@ -292,8 +310,6 @@ def validate_instance(inst: Instance) -> None:
             raise NegativeCostError(f"action {a.action_id} has cost {a.cost} < 0")
     if seen != set(range(len(inst.actions))):
         raise DuplicateActionIdError("action ids must be exactly 0..m-1")
-    if inst.num_agents <= 0:
-        raise ModelError("need at least one agent")
     if inst.oracle.num_actions != len(inst.actions):
         raise ModelError(
             f"oracle covers {inst.oracle.num_actions} actions, "

@@ -4,19 +4,32 @@ and the minimal-contract algebra.
 Equilibrium checks use weak inequalities throughout: an agent indifferent
 between the prescribed actions and a deviation counts as best-responding,
 matching the knife-edge equalities that minimal incentivizing contracts
-produce.  The exhaustive checks share one walk over an agent's deviations
-(:func:`_deviations`) and differ only in utility and tie rule.  All
-functions are pure and read f through ``Instance.f``: the instance's value
-table when it carries one (:func:`rewards.with_table`), and otherwise the
-oracle, one value query per read.  A profile becomes a bitmask once, at
-the entry point (``Instance.mask_of``), where an id outside the ground set
-raises ``UnknownActionIdError``.
+produce.  All functions are pure and read f by bitmask: the instance's
+value table when it carries one (:func:`rewards.with_table`), and
+otherwise the oracle, one value query per read.  A profile becomes a
+bitmask once, at the entry point (``Instance.mask_of``), where an id
+outside the ground set raises ``UnknownActionIdError``.
+
+The exhaustive checks share one walk over an agent's deviations
+(:func:`_deviations`) and differ only in utility and tie rule.  The walk
+is one integer kernel: f(X) = F(X) / f_den with (F, f_den) from
+``Instance.scaled_f`` (the table's ints over its den, or without a table
+the oracle's Fractions over 1, one query per read), and c(X) =
+C(X) / c_den with C from ``Instance.agent_cost_sums``, each agent's
+subset-cost sums on ``Instance.int_costs``, built once per instance on
+first use (the shrink walk of :func:`is_subset_stable` sums S_i's
+subsets alone).  For alpha_i = p/q a utility is compared as
+p * c_den * F - q * f_den * C, so :func:`is_nash`,
+:func:`is_subset_stable` and :func:`best_response` decide on ints on a
+tabled instance, and a certificate's utilities become Fractions once per
+agent.
 
 The minimal-contract algebra is :func:`_min_payment`, one agent's bounds
 for one profile.  :func:`min_incentivizing_contract` runs it per agent on
-the Fractions it reads, against every deviation.  :func:`iter_min_contracts`
-prices all profiles at once, agent by agent, on the ints that the
-instance's ``rewards.ValueTable`` and ``Instance.int_costs`` carry:
+the same scaled values and cost sums, against every deviation, and makes
+each entry a Fraction once.  :func:`iter_min_contracts`
+prices all profiles at once, agent by agent, on the table's ints and
+the cost sums, and tests the budget on the integer payment pairs:
 against a fixed rest R = S - T_i, agent i's deviations are the lines
 alpha * f(R + d) - c(d), and S_i is kept exactly where its line is on their
 upper envelope.  When d' costs no more than d and is worth no less, the
@@ -61,21 +74,22 @@ def _check_walks(inst: Instance, within: Optional[frozenset[int]] = None) -> Non
 
 
 def _deviations(inst: Instance, agent: int, s: int, *, shrink: bool = False):
-    """Agent ``agent``'s deviations from the profile bitmask ``s``.
+    """Agent ``agent``'s deviations from the profile bitmask ``s``, scaled.
 
-    Returns (c(S_i), walk).  The walk yields (dev, f(dev | S_-i), c(dev))
+    Returns (C(S_i), walk).  The walk yields (dev, F(dev | S_-i), C(dev))
     for every subset dev of T_i (of S_i when ``shrink``), each a bitmask,
     in ascending mask order: the order of the subsets of the agent's
-    sorted actions.  f is read as the walk goes, so a caller that stops
-    early spares the later reads.  Callers check the walk's size with
+    sorted actions.  F and C are f and c scaled as the module docstring
+    says.  f is read as the walk goes, so a caller that stops early spares
+    the later reads.  Callers check the walk's size with
     :func:`_check_walks` before their first read.
     """
     own = inst.agent_masks[agent]
     s_i = s & own
-    pool = s_i if shrink else own
-    costs = submask_sums(pool, inst.cost_of)
+    costs = submask_sums(s_i, inst.int_costs[0]) if shrink \
+        else inst.agent_cost_sums[agent]
     rest = s & ~own
-    f = inst.f
+    f, _ = inst.scaled_f
     return costs[s_i], ((dev, f[dev | rest], c) for dev, c in costs.items())
 
 
@@ -116,9 +130,11 @@ def best_response(inst: Instance, agent: int, alpha_i: Fraction,
         return ne_from_demand(inst, only, s_other, gs=True) - s_other
     check_enumeration(len(own), "one agent's deviations")
     _, walk = _deviations(inst, agent, other)
+    pc = alpha_i.numerator * inst.int_costs[1]
+    qf = alpha_i.denominator * inst.scaled_f[1]
     best = None
     for dev, f_full, c in walk:
-        rank = (alpha_i * f_full - c, f_full)
+        rank = (pc * f_full - qf * c, f_full)
         if best is None or rank > best[0] or (
                 rank == best[0] and lex_key(dev) < lex_key(best[1])):
             best = (rank, dev)
@@ -146,26 +162,31 @@ def is_nash(inst: Instance, alpha: Contract,
     """Check the weak Nash condition by per-agent enumeration of deviations.
 
     f(S) is read once for all agents, so without a table the check issues
-    1 + sum_i 2^|T_i| value queries.
+    1 + sum_i 2^|T_i| value queries.  Utilities are compared scaled, and
+    become Fractions once per agent, for the certificate.
     """
     _check_walks(inst)
     s = frozenset(profile)
     mask = inst.mask_of(s)
-    f_s = inst.f[mask]
+    f, f_den = inst.scaled_f
+    c_den = inst.int_costs[1]
+    f_s = f[mask]
     utilities = []
     best_devs = []
     violator = None
     for i in range(inst.num_agents):
         c_i, walk = _deviations(inst, i, mask)
-        u_i = alpha[i] * f_s - c_i
+        pc, qf = alpha[i].numerator * c_den, alpha[i].denominator * f_den
+        u_i = pc * f_s - qf * c_i
         best_u = None
         best_dev = 0
         for dev, f_dev, c in walk:
-            u = alpha[i] * f_dev - c
+            u = pc * f_dev - qf * c
             if best_u is None or u > best_u:
                 best_u, best_dev = u, dev
-        utilities.append(u_i)
-        best_devs.append((mask_to_set(best_dev), best_u))
+        scale = qf * c_den
+        utilities.append(Fraction(u_i, scale))
+        best_devs.append((mask_to_set(best_dev), Fraction(best_u, scale)))
         if best_u > u_i and violator is None:
             violator = i
     return NeCertificate(violator is None, s, tuple(utilities),
@@ -196,12 +217,15 @@ def is_subset_stable(inst: Instance, alpha: Contract, profile: Iterable[int]):
     profile = frozenset(profile)
     s = inst.mask_of(profile)
     _check_walks(inst, profile)
-    f_s = inst.f[s]
+    f, f_den = inst.scaled_f
+    c_den = inst.int_costs[1]
+    f_s = f[s]
     for i in range(inst.num_agents):
         c_i, walk = _deviations(inst, i, s, shrink=True)
-        u_i = alpha[i] * f_s - c_i
+        pc, qf = alpha[i].numerator * c_den, alpha[i].denominator * f_den
+        u_i = pc * f_s - qf * c_i
         for dev, f_dev, c in walk:
-            if alpha[i] * f_dev - c > u_i:
+            if pc * f_dev - qf * c > u_i:
                 return False, (i, mask_to_set(dev))
     return True, None
 
@@ -233,23 +257,25 @@ def min_incentivizing_contract(inst: Instance, profile: Iterable[int]
     with f(S) < f(S' + S_-i) caps alpha_i from above by the same ratio;
     equal-f deviations must not be strictly cheaper.  Returns None when some
     agent's bounds cross (the profile cannot be incentivized at any payment).
-    :func:`_min_payment` on the values as read: f(S) first, then each
-    agent's deviations in ascending mask order until the profile fails, so
-    without a table it issues at most 1 + sum_i (2^|T_i| - 1) value queries.
+    :func:`_min_payment` on the scaled values as read and the cost sums:
+    f(S) first, then each agent's deviations in ascending mask order until
+    the profile fails, so without a table it issues at most
+    1 + sum_i (2^|T_i| - 1) value queries.
     """
     mask = inst.mask_of(frozenset(profile))
     _check_walks(inst)
-    own_costs = [submask_sums(om, inst.cost_of) for om in inst.agent_masks]
-    f = inst.f
+    f, f_den = inst.scaled_f
+    c_den = inst.int_costs[1]
     f_s = f[mask]
     entries = []
-    for om, costs in zip(inst.agent_masks, own_costs):
+    for om, costs in zip(inst.agent_masks, inst.agent_cost_sums):
         s_i, rest = mask & om, mask & ~om
         walk = ((f[rest | dev], c) for dev, c in costs.items() if dev != s_i)
         pay = _min_payment(f_s, costs[s_i], walk)
         if pay is None:
             return None
-        entries.append(Fraction(*pay))
+        dc, df = pay
+        entries.append(Fraction(dc * f_den, df * c_den))
     return Contract(tuple(entries))
 
 
@@ -283,10 +309,11 @@ def _min_payment(f_s, c_i, deviations: Iterable[tuple]) -> Optional[tuple]:
     return lo_n, lo_d
 
 
-def _agent_payments(f: Sequence[int], own: int, c_int: Sequence[int],
+def _agent_payments(f: Sequence[int], costs: dict[int, int],
                     rests: Iterable[int]) -> dict[int, tuple]:
-    """The minimal payment of the agent owning ``own`` for each profile
-    it can be kept on, keyed by profile mask, over the distinct ``rests``.
+    """The minimal payment of one agent for each profile it can be kept
+    on, keyed by profile mask, over the distinct ``rests``; ``costs`` maps
+    each submask of its actions to its cost (``Instance.agent_cost_sums``).
 
     Per rest R, one loop reads f(R + d) for the deviations d in ascending
     cost, keeps the staircase (each worth more than every cheaper one) and
@@ -294,7 +321,6 @@ def _agent_payments(f: Sequence[int], own: int, c_int: Sequence[int],
     cheapest run at 0, then each envelope line and its exact duplicates,
     priced by :func:`_min_payment` against the envelope line before it.
     """
-    costs = submask_sums(own, c_int)
     devs = sorted(costs, key=costs.__getitem__)  # ties stay in mask order
     by_cost = [costs[d] for d in devs]
     ends = [bisect_right(by_cost, c) for c in by_cost]  # cost runs' ends
@@ -358,10 +384,10 @@ def single_agent_hull(inst: Instance) -> tuple[list[int], list[Fraction]]:
     hull[i] is the one chosen on [breaks[i-1], breaks[i]).
     """
     f, f_den = _table_ints(inst)
-    c_int, c_den = inst.int_costs
+    c_den = inst.int_costs[1]
     best: dict[Fraction, int] = {}
-    for mask, (dc, df) in _agent_payments(f, (1 << inst.num_actions) - 1,
-                                          c_int, [0]).items():
+    for mask, (dc, df) in _agent_payments(f, inst.agent_cost_sums[0],
+                                          [0]).items():
         alpha = Fraction(dc * f_den, df * c_den)
         kept = best.get(alpha)
         if kept is None or (f[mask], -mask) > (f[kept], -kept):
@@ -395,8 +421,10 @@ def iter_min_contracts(inst: Instance, *, within: Optional[int] = None,
     table reads in all, where pricing each profile alone reads
     2^|T| * sum_i 2^|T_i|.
 
-    Values are the table's ints as filled and costs ``Instance.int_costs``;
-    a payment becomes a Fraction once, when its contract is yielded.
+    Values are the table's ints as filled and costs each agent's
+    ``Instance.agent_cost_sums``; the budget is tested on the payment
+    pairs, and a payment becomes a Fraction once, when its contract is
+    yielded.
     ``within`` (a bitmask) restricts the profiles to its submasks; an agent
     owning none of its actions is then unpaid and skipped, unless one of
     its costs is negative.  ``budget`` drops profiles whose payments sum
@@ -423,20 +451,26 @@ def iter_min_contracts(inst: Instance, *, within: Optional[int] = None,
         own = own_masks[i]
         rests = (submasks(span & ~own) if kept is None
                  else {mask & ~own for mask in kept})
-        pay = _agent_payments(f, own, c_int, rests)
+        pay = _agent_payments(f, inst.agent_cost_sums[i], rests)
         if budget is not None:
             pay = {k: p for k, p in pay.items() if p[0] * cap_d <= cap_n * p[1]}
         kept = (sorted(k for k in pay if not k & ~span) if kept is None
                 else [mask for mask in kept if mask in pay])
         pays.append(pay)
     for mask in submasks(span) if kept is None else kept:
-        alpha = [ZERO] * n
+        paid = []
+        num, den = 0, 1  # sum of the paid dc / df
         for i, pay in zip(agents, pays):
             dc, df = pay[mask]
             if dc:
-                alpha[i] = Fraction(dc * f_den, df * c_den)
-        if budget is None or sum(alpha, ZERO) <= budget:
-            yield mask, Contract(tuple(alpha))
+                paid.append((i, dc, df))
+                num, den = num * df + dc * den, den * df
+        if budget is not None and num * cap_d > cap_n * den:
+            continue
+        alpha = [ZERO] * n
+        for i, dc, df in paid:
+            alpha[i] = Fraction(dc * f_den, df * c_den)
+        yield mask, Contract(tuple(alpha))
 
 
 def linearize(contract: GeneralContract) -> Contract:
@@ -457,12 +491,15 @@ def is_nash_general(inst: Instance, contract: GeneralContract,
     s = inst.mask_of(frozenset(profile))
     _check_walks(inst)
 
-    def utility(i: int, f_dev: Fraction, c: Fraction) -> Fraction:
+    f, f_den = inst.scaled_f
+    c_den = inst.int_costs[1]
+
+    def utility(i: int, f_dev, c) -> Fraction:  # times f_den * c_den
         t0 = contract.pay_on_failure[i]
         t1 = contract.pay_on_success[i]
-        return t1 * f_dev + t0 * (1 - f_dev) - c
+        return (t1 * f_dev + t0 * (f_den - f_dev)) * c_den - c * f_den
 
-    f_s = inst.f[s]
+    f_s = f[s]
     for i in range(inst.num_agents):
         c_i, walk = _deviations(inst, i, s)
         u_i = utility(i, f_s, c_i)

@@ -73,18 +73,19 @@ def evaluate(obj: Objective, inst: Instance, alpha: Contract,
     s = frozenset(profile)
     f_s = inst.f[inst.mask_of(s)]
     c_s = cost(inst, s) if obj.reads_cost() else ZERO
-    return _on_values(obj, alpha, f_s, c_s)
+    return value_at(obj, alpha, f_s, c_s)
 
 
-def _on_values(obj: Objective, alpha: Contract, f_s: Fraction,
-               c_s: Fraction) -> Fraction:
+def value_at(obj: Objective, alpha: Contract, f_s: Fraction,
+             c_s: Fraction) -> Fraction:
+    """obj at (alpha, S) from f(S) and c(S); c(S) is read only by welfare."""
     if obj.kind == "profit":
         return (1 - alpha.total()) * f_s
     if obj.kind == "reward":
         return f_s
     if obj.kind == "welfare":
         return f_s - c_s
-    return sum((w * _on_values(o, alpha, f_s, c_s) for w, o in obj.terms), ZERO)
+    return sum((w * value_at(o, alpha, f_s, c_s) for w, o in obj.terms), ZERO)
 
 
 @dataclass(frozen=True)
@@ -103,12 +104,22 @@ class BestPropertyReport:
 
 
 def participation_holds(inst: Instance, alpha: Contract, s: frozenset) -> bool:
-    """Every agent weakly prefers its prescribed actions to quitting."""
-    f, mask = inst.f, inst.mask_of(s)
+    """Every agent weakly prefers its prescribed actions to quitting:
+    alpha_i * (f(S) - f(S - T_i)) >= c(S_i) for each agent acting in S.
+
+    For alpha_i = p/q this is p * c_den * (F_S - F_{S - T_i}) >=
+    q * f_den * C(S_i), on ``Instance.scaled_f`` and
+    ``Instance.agent_cost_sums`` (ints on a tabled instance).
+    """
+    f, f_den = inst.scaled_f
+    c_den = inst.int_costs[1]
+    mask = inst.mask_of(s)
     f_s = f[mask]
-    for i, own in enumerate(inst.agent_masks):
-        s_i = s & inst.agent_actions[i]
-        if s_i and alpha[i] * f_s - cost(inst, s_i) < alpha[i] * f[mask & ~own]:
+    for i, (own, costs) in enumerate(zip(inst.agent_masks,
+                                         inst.agent_cost_sums)):
+        s_i = mask & own
+        if s_i and alpha[i].numerator * c_den * (f_s - f[mask & ~own]) \
+                < alpha[i].denominator * f_den * costs[s_i]:
             return False
     return True
 

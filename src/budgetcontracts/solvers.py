@@ -43,7 +43,8 @@ from budgetcontracts.core import (
 )
 from budgetcontracts.equilibria import is_nash, iter_min_contracts, \
     ne_from_demand, single_agent_hull
-from budgetcontracts.objectives import Objective, PROFIT, REWARD, evaluate
+from budgetcontracts.objectives import Objective, PROFIT, REWARD, evaluate, \
+    value_at
 from budgetcontracts.rewards import common_denominator, mask_to_set, \
     scaled_ints, set_to_mask, with_table
 
@@ -64,21 +65,35 @@ class SolveResult:
     demand_queries: int = 0
 
 
-def _race(obj: Objective, inst: Instance,
-          pairs: Iterable[tuple[Contract, frozenset[int]]]
+def _race(obj: Objective, inst: Instance, pairs: Iterable[tuple[int, Contract]]
           ) -> tuple[Contract, frozenset[int], Fraction]:
-    """The first (contract, profile, value) of maximal objective value.
+    """The first (contract, profile, value) of maximal objective value over
+    ``pairs`` of (profile mask, contract), on an instance carrying its table.
 
-    The zero contract with its best response (:func:`_zero_pair`) enters
-    first, and a later pair must beat the best so far strictly.
+    f(S) is read by mask, and c(S) is summed from the agents' cost sums
+    only when the objective reads cost; the profile becomes a frozenset
+    for the winner only.  The zero contract with its best response
+    (:func:`_zero_pair`) enters first, and a later pair must beat the
+    best so far strictly.
     """
-    best_alpha, best_profile = _zero_pair(inst)
-    best_value = evaluate(obj, inst, best_alpha, best_profile)
-    for alpha, profile in pairs:
-        v = evaluate(obj, inst, alpha, profile)
+    f = inst.f
+    c_den = inst.int_costs[1]
+    parts = tuple(zip(inst.agent_masks, inst.agent_cost_sums)) \
+        if obj.reads_cost() else ()
+
+    def value(mask: int, alpha: Contract) -> Fraction:
+        c_s = Fraction(sum(costs[mask & own] for own, costs in parts),
+                       c_den) if parts else ZERO
+        return value_at(obj, alpha, f[mask], c_s)
+
+    best_alpha, zero_profile = _zero_pair(inst)
+    best_mask = set_to_mask(zero_profile)
+    best_value = value(best_mask, best_alpha)
+    for mask, alpha in pairs:
+        v = value(mask, alpha)
         if v > best_value:
-            best_alpha, best_profile, best_value = alpha, profile, v
-    return best_alpha, best_profile, best_value
+            best_mask, best_alpha, best_value = mask, alpha, v
+    return best_alpha, mask_to_set(best_mask), best_value
 
 
 def _zero_pair(inst: Instance) -> tuple[Contract, frozenset[int]]:
@@ -134,7 +149,7 @@ def _brute(inst: Instance, budget: Fraction, obj: Objective, label: str,
     _check_budget(budget)
     check_enumeration(inst.num_actions, "brute force")
     inst = with_table(inst)
-    pairs = ((alpha, mask_to_set(mask))
+    pairs = ((mask, alpha)
              for mask, alpha in iter_min_contracts(inst, budget=budget)
              if cap is None or all(a <= cap for a in alpha.alpha))
     return SolveResult(*_race(obj, inst, pairs), "exact", label, budget)
@@ -161,12 +176,12 @@ def gs_single_agent_exact(inst: Instance, agent: int, obj: Objective,
 
 
 def _single_agent_pairs(inst: Instance, agent: int, budget: Fraction
-                        ) -> list[tuple[Contract, frozenset[int]]]:
-    """(minimal contract, profile) for every subset of ``agent``'s actions
-    that a payment within ``budget`` incentivizes, in ascending mask order."""
-    return [(alpha, mask_to_set(mask)) for mask, alpha in
-            iter_min_contracts(inst, within=inst.agent_masks[agent],
-                               budget=budget)]
+                        ) -> list[tuple[int, Contract]]:
+    """(profile mask, minimal contract) for every subset of ``agent``'s
+    actions that a payment within ``budget`` incentivizes, in ascending
+    mask order."""
+    return list(iter_min_contracts(inst, within=inst.agent_masks[agent],
+                                   budget=budget))
 
 
 def scale_costs(inst: Instance, factor: Fraction) -> Instance:

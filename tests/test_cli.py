@@ -403,6 +403,22 @@ def test_cli_refuses_more_agents_than_actions(tmp_path, capsys):
     assert err["type"] == "SchemaError" and "300000" in err["message"]
 
 
+@pytest.mark.parametrize("num_agents", [0, -1, "-3"])
+def test_cli_refuses_fewer_than_one_agent(tmp_path, capsys, num_agents):
+    inst_path = tmp_path / "inst.json"
+    inst_path.write_text(json.dumps({
+        "numAgents": num_agents,
+        "actions": [{"id": 0, "owner": 0, "cost": "1/8"}],
+        "reward": {"type": "additive", "weights": ["1/2"]}}))
+    assert main(["solve", "--instance", str(inst_path),
+                 "--budget", "1/2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)["error"]
+    assert err == {"type": "SchemaError",
+                   "message": f"numAgents {int(num_agents)} below 1"}
+
+
 def _with_reward(reward):
     return _mutated(lambda d: d.update(reward=reward))
 

@@ -56,6 +56,14 @@ def test_ids_outside_0_to_m_set_no_mask_bit_and_fail_validation():
             validate_instance(inst)
 
 
+def test_validate_checks_the_agent_count_first():
+    # with no agent every owner is unknown; the count is what is wrong
+    for n in (0, -2):
+        inst = Instance(n, (Action(0, 0, F(0)),), AdditiveOracle([F(1, 4)]))
+        with pytest.raises(ModelError, match="need at least one agent"):
+            validate_instance(inst)
+
+
 def test_validate_nonzero_empty_value():
     class Shifted(ExplicitOracle):
         def __init__(self):

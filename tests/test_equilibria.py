@@ -19,8 +19,9 @@ from budgetcontracts.equilibria import (
     min_incentivizing_contract,
     ne_from_demand,
 )
-from budgetcontracts.generators import random_explicit_monotone_instance, \
-    random_general_contract, random_gs_instance, random_unit_demand_instance
+from budgetcontracts.generators import random_coverage_instance, \
+    random_explicit_monotone_instance, random_general_contract, \
+    random_gs_instance, random_unit_demand_instance
 from budgetcontracts.hardness import HardnessParams, bad_action, build_hardness, \
     good_action, good_contract
 from budgetcontracts.rewards import (
@@ -469,16 +470,42 @@ def _cert_tuple(cert):
     return cert.ok, cert.profile, cert.utilities, cert.best_deviations, cert.violator
 
 
+UNLIKE = (F(0), F(1, 7), F(2, 9), F(5, 11))
+
+
+def _wide_walk_cases(seed, count, max_actions):
+    """GS, explicit and coverage instances under contracts over unlike
+    denominators, then one instance built directly with a negative cost."""
+    rng = random.Random(seed)
+    makers = (random_gs_instance, random_explicit_monotone_instance,
+              random_coverage_instance)
+    for t in range(count):
+        inst = makers[t % 3](rng.randint(0, 10 ** 6),
+                             num_agents=rng.randint(1, 3),
+                             num_actions=rng.randint(2, max_actions))
+        general = random_general_contract(rng.randint(0, 10 ** 6), inst.num_agents)
+        alpha = Contract(tuple(rng.choice(UNLIKE) for _ in range(inst.num_agents)))
+        yield inst, alpha, general
+    # never validated: action 1 pays its owner to take it
+    inst = Instance(2, (Action(0, 0, F(1, 6)), Action(1, 0, F(-1, 10)),
+                        Action(2, 1, F(2, 15)), Action(3, 1, F(0))),
+                    AdditiveOracle([F(1, 5), F(1, 7), F(1, 3), F(1, 9)]))
+    for alpha in itertools.product(UNLIKE, repeat=2):
+        general = random_general_contract(rng.randint(0, 10 ** 6), 2)
+        yield inst, Contract(alpha), general
+
+
 def test_deviation_walk_matches_the_reference_loops():
+    # on the table's ints and on the oracle's Fractions alike
     outcomes = collections.Counter()
-    for inst, alpha, general in _walk_cases(71, 16, 5):
-        inst = with_table(inst)
-        for s in all_subsets(range(inst.num_actions)):
-            answers = []
-            for new, reference in _checker_pairs(inst, alpha, general, s):
-                answers.append(new())
-                assert answers[-1] == reference()
-            outcomes[answers[0][0], answers[1][0], answers[2]] += 1
+    for case, alpha, general in _wide_walk_cases(71, 24, 5):
+        for inst in (case, with_table(case)):
+            for s in all_subsets(range(inst.num_actions)):
+                answers = []
+                for new, reference in _checker_pairs(inst, alpha, general, s):
+                    answers.append(new())
+                    assert answers[-1] == reference()
+                outcomes[answers[0][0], answers[1][0], answers[2]] += 1
     assert len(outcomes) >= 4  # the checkers answer both ways
 
 

@@ -1,9 +1,11 @@
+import collections
+import itertools
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from budgetcontracts.core import Action, Contract, Instance, ModelError
+from budgetcontracts.core import Action, Contract, Instance, ModelError, cost
 from budgetcontracts.generators import random_coverage_instance
 from budgetcontracts.hardness import HardnessParams, build_hardness, good_contract
 from budgetcontracts.objectives import (
@@ -16,7 +18,7 @@ from budgetcontracts.objectives import (
     objective_to_spec,
     verify_best_properties,
 )
-from budgetcontracts.rewards import AdditiveOracle
+from budgetcontracts.rewards import AdditiveOracle, with_table
 
 
 def small_instance():
@@ -86,6 +88,36 @@ def test_sandwich_on_participation_feasible_pairs():
         for obj in objs:
             assert lo <= evaluate(obj, inst, alpha, profile) <= hi
     assert checked > 20
+
+
+def test_participation_matches_the_fraction_reference():
+    from budgetcontracts.objectives import participation_holds
+
+    # costs 2/9 of the weights: at alpha_i = 2/9 every agent is indifferent
+    w = [F(1, 5), F(1, 7), F(1, 3), F(1, 9)]
+    pencil = Instance(2, tuple(Action(a, a % 2, w[a] * F(2, 9)) for a in range(4)),
+                      AdditiveOracle(w))
+    rng = random.Random(5)
+    cases = [pencil] + [random_coverage_instance(rng.randint(0, 10 ** 6),
+                                                 num_agents=2, num_actions=4)
+                        for _ in range(3)]
+    levels = (F(0), F(1, 7), F(2, 9), F(5, 11))
+    verdicts = collections.Counter()
+    for inst in cases:
+        for tabled in (inst, with_table(inst)):
+            for alpha in itertools.product(levels, repeat=2):
+                alpha = Contract(alpha)
+                for r in range(5):
+                    for s in map(frozenset, itertools.combinations(range(4), r)):
+                        f_s = inst.oracle.value(s)
+                        want = True
+                        for i, own in enumerate(inst.agent_actions):
+                            gain = alpha[i] * (f_s - inst.oracle.value(s - own))
+                            if s & own and gain <= cost(inst, s & own):
+                                verdicts[gain == cost(inst, s & own)] += 1
+                                want = want and gain == cost(inst, s & own)
+                        assert participation_holds(tabled, alpha, s) == want
+    assert verdicts[True] > 0 and verdicts[False] > 0
 
 
 def test_verifier_reward_passes():

@@ -17,7 +17,8 @@ from budgetcontracts.generators import random_additive_instance, \
     random_explicit_monotone_instance, random_gs_instance, random_oxs_instance, \
     random_unit_demand_instance
 from budgetcontracts.hardness import HardnessParams, build_hardness, good_action
-from budgetcontracts.objectives import PROFIT, REWARD, WELFARE, evaluate
+from budgetcontracts.objectives import PROFIT, REWARD, WELFARE, combo, \
+    evaluate
 from budgetcontracts.rewards import AdditiveOracle, ExplicitOracle, \
     PriceVector, ValueTable, common_denominator, mask_to_set, set_to_mask, \
     with_table
@@ -273,9 +274,9 @@ def test_min_contracts_price_the_largest_agent_first(monkeypatch):
     calls = []
     kernel = equilibria._agent_payments
 
-    def recording(f, own, c_int, rests):
-        calls.append(own)
-        return kernel(f, own, c_int, rests)
+    def recording(f, costs, rests):
+        calls.append(max(costs))  # the agent's own mask
+        return kernel(f, costs, rests)
 
     monkeypatch.setattr(equilibria, "_agent_payments", recording)
     # agent 0 owns action 2, agent 1 actions 0, 1, 4 and 5, agent 2
@@ -293,6 +294,66 @@ def test_min_contracts_price_the_largest_agent_first(monkeypatch):
         calls.clear()
         list(iter_min_contracts(inst, within=within))
         assert calls == order, within
+
+
+def _reference_race(obj, inst, pairs):
+    """The race on (mask, contract) pairs with one evaluate per pair."""
+    best_alpha = Contract.zero(inst.num_agents)
+    best_profile = frozenset(a for a in inst.ground_set if inst.cost_of[a] < 0)
+    best_value = evaluate(obj, inst, best_alpha, best_profile)
+    for mask, alpha in pairs:
+        v = evaluate(obj, inst, alpha, mask_to_set(mask))
+        if v > best_value:
+            best_alpha, best_profile, best_value = alpha, mask_to_set(mask), v
+    return best_alpha, best_profile, best_value
+
+
+def _reference_gs(inst, budget, obj):
+    """gs_constant_factor's stages, every race by :func:`_reference_race`."""
+    inst = with_table(inst)
+    scaled = scale_costs(inst, F(4, 3) / budget)
+    base = _reference_race(PROFIT, scaled, iter_min_contracts(scaled, budget=F(1)))
+    rescaled = (base[0].scale(F(3, 4) * budget), base[1])
+    singles = [list(iter_min_contracts(inst, within=own, budget=budget))
+               for own in inst.agent_masks]
+    mrb = max([rescaled] + [_reference_race(REWARD, inst, p)[:2] for p in singles],
+              key=lambda pair: evaluate(REWARD, inst, *pair))
+    final = [downsize(inst, 6, *mrb)] + \
+        [_reference_race(obj, inst, p)[:2] for p in singles]
+    best = max(final, key=lambda pair: evaluate(obj, inst, *pair))
+    return best[0], best[1], evaluate(obj, inst, *best)
+
+
+RACE_OBJECTIVES = (PROFIT, REWARD, WELFARE,
+                   combo((F(1, 3), WELFARE), (F(2, 3), PROFIT)))
+
+
+def test_races_match_a_reference_race_over_every_pair():
+    rng = random.Random(61)
+    instances = list(_tied_line_instances())[::3] + [
+        random_gs_instance(rng.randint(0, 10 ** 6), num_agents=rng.randint(1, 3),
+                           num_actions=rng.randint(2, 6)) for _ in range(6)]
+    tied = 0
+    for inst in instances:
+        tabled = with_table(inst)
+        for obj in RACE_OBJECTIVES:
+            for budget in (F(1, 4), F(2, 3), F(1)):
+                pairs = list(iter_min_contracts(tabled, budget=budget))
+                want = _reference_race(obj, tabled, pairs)
+                got = brute_force_opt(inst, budget, obj)
+                assert (got.contract, got.profile, got.value) == want
+                values = [evaluate(obj, tabled, a, mask_to_set(mask))
+                          for mask, a in pairs]
+                tied += values.count(want[2]) > 1
+                for agent, own in enumerate(tabled.agent_masks):
+                    want = _reference_race(obj, tabled, iter_min_contracts(
+                        tabled, within=own, budget=budget))
+                    got = gs_single_agent_exact(inst, agent, obj, budget)
+                    assert (got.contract, got.profile, got.value) == want
+                got = gs_constant_factor(inst, budget, obj, force=True)
+                assert (got.contract, got.profile, got.value) == \
+                    _reference_gs(inst, budget, obj)
+    assert tied > 20  # equal values keep the first pair
 
 
 def test_brute_force_output_is_feasible_equilibrium():
