@@ -129,6 +129,13 @@ def parse_rational(text: str | int) -> Fraction:
         raise RationalParseError(f"not a valid rational: {text!r}") from exc
 
 
+def exact_rational(value) -> Fraction:
+    """``value`` as an exact rational for a library constructor: a Fraction
+    as it is, else by the rule of :func:`parse_rational`, so a float or a
+    bool raises ``RationalParseError``."""
+    return value if isinstance(value, Fraction) else parse_rational(value)
+
+
 def format_rational(value: Fraction) -> str:
     """Serialize a rational as a "p/q" string (integers stay bare); a part
     over CPython's int-to-text digit limit raises ``ModelError``."""
@@ -202,6 +209,13 @@ class Instance:
         c_int, _ = self.int_costs
         return tuple(submask_sums(own, c_int) for own in self.agent_masks)
 
+    @cached_property
+    def agent_cost_runs(self) -> tuple[tuple[list[int], list[int], list[int]], ...]:
+        """Per agent, its :attr:`agent_cost_sums` ordered by cost, built once
+        per instance (:func:`rewards.cost_runs`)."""
+        from budgetcontracts.rewards import cost_runs
+        return tuple(map(cost_runs, self.agent_cost_sums))
+
     @property
     def scaled_f(self):
         """(f by bitmask, den) with f(S) = f[S] / den: the table's ints over
@@ -254,7 +268,7 @@ class Contract:
 
     @staticmethod
     def of(values: Iterable[Fraction | int | str]) -> "Contract":
-        return Contract(tuple(Fraction(v) for v in values))
+        return Contract(tuple(map(exact_rational, values)))
 
     def __getitem__(self, agent: int) -> Fraction:
         return self.alpha[agent]
@@ -295,7 +309,8 @@ def validate_instance(inst: Instance) -> None:
 
     Verifies: at least one agent, unique contiguous action ids, owners in
     range, costs >= 0, f(empty) = 0, and every singleton oracle value
-    inside [0, 1].
+    inside [0, 1].  The oracle is read by mask, and signs and ranges are
+    tested on numerators and denominators.
     """
     if inst.num_agents <= 0:
         raise ModelError("need at least one agent")
@@ -306,7 +321,7 @@ def validate_instance(inst: Instance) -> None:
         seen.add(a.action_id)
         if not 0 <= a.owner < inst.num_agents:
             raise UnknownAgentIdError(f"action {a.action_id} owned by unknown agent {a.owner}")
-        if a.cost < 0:
+        if a.cost.numerator < 0:
             raise NegativeCostError(f"action {a.action_id} has cost {a.cost} < 0")
     if seen != set(range(len(inst.actions))):
         raise DuplicateActionIdError("action ids must be exactly 0..m-1")
@@ -314,12 +329,13 @@ def validate_instance(inst: Instance) -> None:
         raise ModelError(
             f"oracle covers {inst.oracle.num_actions} actions, "
             f"instance has {len(inst.actions)}")
-    empty = inst.oracle.value(frozenset())
-    if empty != 0:
+    oracle = inst.oracle
+    empty = oracle[0]
+    if empty.numerator:
         raise NonzeroEmptyValueError(f"f(empty set) = {empty}, expected 0")
     for a in inst.actions:
-        v = inst.oracle.value(frozenset({a.action_id}))
-        if not (0 <= v <= 1):
+        v = oracle[1 << a.action_id]
+        if not 0 <= v.numerator <= v.denominator:
             raise OracleRangeViolationError(f"f({{{a.action_id}}}) = {v} outside [0, 1]")
 
 

@@ -29,7 +29,8 @@ for one profile.  :func:`min_incentivizing_contract` runs it per agent on
 the same scaled values and cost sums, against every deviation, and makes
 each entry a Fraction once.  :func:`iter_min_contracts`
 prices all profiles at once, agent by agent, on the table's ints and
-the cost sums, and tests the budget on the integer payment pairs:
+the cost sums in cost order (``Instance.agent_cost_runs``, sorted once
+per instance), and tests the budget on the integer payment pairs:
 against a fixed rest R = S - T_i, agent i's deviations are the lines
 alpha * f(R + d) - c(d), and S_i is kept exactly where its line is on their
 upper envelope.  When d' costs no more than d and is worth no less, the
@@ -47,7 +48,6 @@ scheme in :mod:`solvers` reads.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -309,11 +309,13 @@ def _min_payment(f_s, c_i, deviations: Iterable[tuple]) -> Optional[tuple]:
     return lo_n, lo_d
 
 
-def _agent_payments(f: Sequence[int], costs: dict[int, int],
+def _agent_payments(f: Sequence[int], runs: tuple[list[int], list[int],
+                                                    list[int]],
                     rests: Iterable[int]) -> dict[int, tuple]:
     """The minimal payment of one agent for each profile it can be kept
-    on, keyed by profile mask, over the distinct ``rests``; ``costs`` maps
-    each submask of its actions to its cost (``Instance.agent_cost_sums``).
+    on, keyed by profile mask, over the distinct ``rests``; ``runs`` is the
+    agent's entry of ``Instance.agent_cost_runs``: the submasks of its
+    actions in ascending cost, their costs and the ends of the cost runs.
 
     Per rest R, one loop reads f(R + d) for the deviations d in ascending
     cost, keeps the staircase (each worth more than every cheaper one) and
@@ -321,9 +323,7 @@ def _agent_payments(f: Sequence[int], costs: dict[int, int],
     cheapest run at 0, then each envelope line and its exact duplicates,
     priced by :func:`_min_payment` against the envelope line before it.
     """
-    devs = sorted(costs, key=costs.__getitem__)  # ties stay in mask order
-    by_cost = [costs[d] for d in devs]
-    ends = [bisect_right(by_cost, c) for c in by_cost]  # cost runs' ends
+    devs, by_cost, ends = runs
     cheapest = devs[:ends[0]]
     pay = {}
     for rest in rests:
@@ -386,7 +386,7 @@ def single_agent_hull(inst: Instance) -> tuple[list[int], list[Fraction]]:
     f, f_den = _table_ints(inst)
     c_den = inst.int_costs[1]
     best: dict[Fraction, int] = {}
-    for mask, (dc, df) in _agent_payments(f, inst.agent_cost_sums[0],
+    for mask, (dc, df) in _agent_payments(f, inst.agent_cost_runs[0],
                                           [0]).items():
         alpha = Fraction(dc * f_den, df * c_den)
         kept = best.get(alpha)
@@ -422,9 +422,9 @@ def iter_min_contracts(inst: Instance, *, within: Optional[int] = None,
     2^|T| * sum_i 2^|T_i|.
 
     Values are the table's ints as filled and costs each agent's
-    ``Instance.agent_cost_sums``; the budget is tested on the payment
-    pairs, and a payment becomes a Fraction once, when its contract is
-    yielded.
+    ``Instance.agent_cost_runs``, sorted once per instance; the budget is
+    tested on the payment pairs, and a payment becomes a Fraction once,
+    when its contract is yielded.
     ``within`` (a bitmask) restricts the profiles to its submasks; an agent
     owning none of its actions is then unpaid and skipped, unless one of
     its costs is negative.  ``budget`` drops profiles whose payments sum
@@ -451,7 +451,7 @@ def iter_min_contracts(inst: Instance, *, within: Optional[int] = None,
         own = own_masks[i]
         rests = (submasks(span & ~own) if kept is None
                  else {mask & ~own for mask in kept})
-        pay = _agent_payments(f, inst.agent_cost_sums[i], rests)
+        pay = _agent_payments(f, inst.agent_cost_runs[i], rests)
         if budget is not None:
             pay = {k: p for k, p in pay.items() if p[0] * cap_d <= cap_n * p[1]}
         kept = (sorted(k for k in pay if not k & ~span) if kept is None

@@ -32,6 +32,7 @@ import itertools
 import math
 import sys
 from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
@@ -49,6 +50,7 @@ from budgetcontracts.core import (
     ZERO,
     check_enumeration,
     descriptor_field,
+    exact_rational,
     parse_integer,
     parse_rational,
 )
@@ -68,7 +70,7 @@ class PriceVector:
     @staticmethod
     def of(prices: Mapping[int, Fraction | int | str],
            excluded: Iterable[int] = ()) -> "PriceVector":
-        return PriceVector({int(a): Fraction(p) for a, p in prices.items()},
+        return PriceVector({int(a): exact_rational(p) for a, p in prices.items()},
                            frozenset(excluded))
 
     def total(self, subset: Iterable[int]) -> Fraction:
@@ -203,6 +205,15 @@ def submask_sums(mask: int, weights) -> dict[int, int | Fraction]:
         [weights[a] for a in _set_bits(mask)])))
 
 
+def cost_runs(costs: dict[int, int]) -> tuple[list[int], list[int], list[int]]:
+    """The keys of ``costs`` (submask -> cost) in ascending cost, ties in
+    mask order; their costs; and for each, the end (exclusive) of its run
+    of equal costs."""
+    order = sorted(costs, key=costs.__getitem__)
+    by_cost = [costs[d] for d in order]
+    return order, by_cost, [bisect_right(by_cost, c) for c in by_cost]
+
+
 @dataclass(frozen=True)
 class ValueTable:
     """All 2^m values of f in bitmask order, with their integer form:
@@ -223,30 +234,39 @@ def _fractions(ints: list[int], den: int) -> ValueTable:
 
 
 class AdditiveOracle(RewardOracle):
+    """f(S) = the sum of the weights of the actions in S.
+
+    The weights are kept as ints over their common denominator as well: a
+    read sums ints and builds one Fraction, and the table is a subset DP
+    on the ints.
+    """
+
     function_class = "additive"
 
-    def __init__(self, weights: Sequence[Fraction]):
+    def __init__(self, weights: Sequence[Fraction | int | str]):
         super().__init__(len(weights))
-        self.weights = tuple(Fraction(w) for w in weights)
-        if any(w < 0 for w in self.weights):
+        self.weights = tuple(map(exact_rational, weights))
+        self._den = common_denominator(self.weights)
+        self._ints = scaled_ints(self.weights, self._den)
+        if any(w < 0 for w in self._ints):
             raise OracleRangeViolationError("additive weights must be >= 0")
-        if sum(self.weights, ZERO) > 1:
+        if sum(self._ints) > self._den:
             raise OracleRangeViolationError("additive weights must sum to <= 1")
 
     def _value(self, mask: int) -> Fraction:
-        return sum(map(self.weights.__getitem__, _set_bits(mask)), ZERO)
+        return Fraction(sum(map(self._ints.__getitem__, _set_bits(mask))),
+                        self._den)
 
     def _table(self) -> ValueTable:
-        den = common_denominator(self.weights)
-        return _fractions(subset_sums(scaled_ints(self.weights, den)), den)
+        return _fractions(subset_sums(self._ints), self._den)
 
 
 class UnitDemandOracle(RewardOracle):
     function_class = "gross_substitutes"
 
-    def __init__(self, weights: Sequence[Fraction]):
+    def __init__(self, weights: Sequence[Fraction | int | str]):
         super().__init__(len(weights))
-        self.weights = tuple(Fraction(w) for w in weights)
+        self.weights = tuple(map(exact_rational, weights))
         if any(not 0 <= w <= 1 for w in self.weights):
             raise OracleRangeViolationError("unit-demand weights must lie in [0, 1]")
 
@@ -266,12 +286,13 @@ class UniformKDemandOracle(RewardOracle):
 
     function_class = "gross_substitutes"
 
-    def __init__(self, num_actions: int, k: int, unit_value: Fraction):
+    def __init__(self, num_actions: int, k: int,
+                 unit_value: Fraction | int | str):
         super().__init__(num_actions)
-        if k < 1:
-            raise ModelError("k must be >= 1")
+        if type(k) is not int or k < 1:
+            raise ModelError(f"k must be an int >= 1, got {k!r}")
         self.k = k
-        self.unit_value = Fraction(unit_value)
+        self.unit_value = exact_rational(unit_value)
         if not 0 <= self.unit_value * min(k, num_actions) <= 1:
             raise OracleRangeViolationError("k * unit_value must lie in [0, 1]")
 
@@ -296,9 +317,9 @@ class AssignmentOracle(RewardOracle):
 
     function_class = "gross_substitutes"
 
-    def __init__(self, values: Sequence[Sequence[Fraction]]):
+    def __init__(self, values: Sequence[Sequence[Fraction | int | str]]):
         super().__init__(len(values))
-        self.values = tuple(tuple(Fraction(v) for v in row) for row in values)
+        self.values = tuple(tuple(map(exact_rational, row)) for row in values)
         cols = {len(row) for row in self.values}
         if len(cols) != 1:
             raise ModelError("all rows need the same number of columns")

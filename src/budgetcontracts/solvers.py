@@ -24,9 +24,10 @@ from __future__ import annotations
 import functools
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import accumulate
+from operator import or_
 from typing import Iterable, Optional, Sequence
 
 from budgetcontracts.core import (
@@ -198,11 +199,101 @@ def scale_costs(inst: Instance, factor: Fraction) -> Instance:
 
 
 @dataclass(frozen=True)
+class _PrefixLayout:
+    """The scale-free part of every FPTAS table of one solve, on integers.
+
+    Built once per solve from one read of each singleton f({a}).  Per
+    agent: the kept actions in payment order (``agent_order``); each
+    prefix's payment, the ratio c_a / f({a}) of its last action, as an int
+    over ``den`` (``prefix_payment``); each prefix's actions as a bitmask
+    and their cost as an int over ``Instance.int_costs``' den
+    (``prefix_mask``, ``prefix_cost``); and each kept action's phi (f or
+    f - c of its singleton) as an int over ``phi_den``.  ``scales`` are the
+    sweep's scales b, descending: every distinct positive phi of an action
+    with f({a}) > 0.  The arguments are checked here, and ``t_cap`` and
+    ``cap``, the most a table entry may pay over ``den`` (the budget's, or
+    without one the sum of every agent's dearest prefix), computed once for
+    every table of the solve.
+    """
+
+    basis: str
+    eps: Fraction
+    num_actions: int
+    agent_order: tuple[tuple[int, ...], ...]
+    den: int
+    prefix_payment: tuple[tuple[int, ...], ...]
+    prefix_mask: tuple[tuple[int, ...], ...]
+    prefix_cost: tuple[tuple[int, ...], ...]
+    phi: tuple[tuple[int, ...], ...]
+    phi_den: int
+    scales: tuple[Fraction, ...]
+    t_cap: int
+    cap: int
+
+    @classmethod
+    def build(cls, inst: Instance, basis: str, eps: Fraction,
+              budget: Optional[Fraction]) -> "_PrefixLayout":
+        """Check the arguments, then read f({a}) once for every action a,
+        in ascending order (one value query each without a table)."""
+        if not 0 < eps < 1:
+            raise ModelError("eps must lie in (0, 1)")
+        if budget is not None and budget < 0:
+            raise ModelError("budget must be >= 0")
+        if basis not in ("f", "f-c"):
+            raise ModelError('basis must be "f" or "f-c"')
+        m = inst.num_actions
+        f = inst.f
+        singletons = [f[1 << a] for a in range(m)]
+        f_den = common_denominator(singletons)
+        f_int = scaled_ints(singletons, f_den)
+        c_int, c_den = inst.int_costs
+        if basis == "f":
+            phi_den, phi = f_den, f_int
+        else:
+            phi_den = f_den * c_den
+            phi = [x * c_den - c * f_den for x, c in zip(f_int, c_int)]
+        # the ratio c_a / f({a}) as a reduced pair (p, q), q > 0
+        ratio = {}
+        for a in range(m):
+            if f_int[a] > 0:
+                p, q = c_int[a] * f_den, f_int[a] * c_den
+                g = math.gcd(p, q)
+                ratio[a] = p // g, q // g
+        lcm = math.lcm(*(q for _, q in ratio.values()))
+        agent_order = []
+        for own in inst.agent_actions:
+            kept = sorted((ratio[a][0] * (lcm // ratio[a][1]), a)
+                          for a in own if a in ratio)
+            agent_order.append(tuple(
+                a for _, a in kept if budget is None
+                or ratio[a][0] * budget.denominator
+                <= budget.numerator * ratio[a][1]))
+        den = math.lcm(*(ratio[a][1] for kept in agent_order for a in kept))
+        prefix_payment = tuple(
+            (0, *(ratio[a][0] * (den // ratio[a][1]) for a in kept))
+            for kept in agent_order)
+        return cls(
+            basis, eps, m, tuple(agent_order), den, prefix_payment,
+            tuple(tuple(accumulate((1 << a for a in kept), or_, initial=0))
+                  for kept in agent_order),
+            tuple(tuple(accumulate((c_int[a] for a in kept), initial=0))
+                  for kept in agent_order),
+            tuple(tuple(phi[a] for a in kept) for kept in agent_order),
+            phi_den,
+            tuple(Fraction(v, phi_den) for v in sorted(
+                {phi[a] for a in ratio if phi[a] > 0}, reverse=True)),
+            -(-m * m * eps.denominator // eps.numerator),
+            sum(pays[-1] for pays in prefix_payment) if budget is None
+            else budget.numerator * den // budget.denominator)
+
+
+@dataclass(frozen=True)
 class DpTable:
     """Minimal-payment table A(j, x) for incentivizing discretized value x.
 
-    ``basis`` is "f" (reward) or "f-c" (welfare); x ranges over integer
-    multiples t * delta * b for t = 0..t_max.  Payments are stored as
+    x ranges over integer multiples t * delta * b for t = 0..t_max, with
+    delta = eps / m; the basis ("f" for reward, "f-c" for welfare), eps and
+    the prefixes come from the solve's ``layout``.  Payments are stored as
     integers over the common denominator ``den`` (exact; the hot loop stays
     on machine integers).  Each row is a nondecreasing step function of t
     whose reachable columns form a prefix, so row j is stored as its steps:
@@ -211,28 +302,37 @@ class DpTable:
     ``ends[j]`` (exclusive).  A column at or past the end is unreachable.
     When the table is built with a budget, every row ends before its first
     step that exceeds the budget.  Nothing records the choices:
-    :meth:`reconstruct` re-derives each argmin from the rows.  Actions with
+    :meth:`choices` re-derives each argmin from the rows.  Actions with
     zero singleton value are dropped up front.  Agent i's prefixes are
     the leading actions of ``agent_order[i]``: the prefix of length ell
-    pays ``prefix_ratio[i][ell]`` (``prefix_payment[i][ell]`` over
-    ``den``) and is worth ``prefix_weight[i][ell]`` columns.  Only
-    ``prefix_weight`` and what depends on it differ between the scales b
-    of one solve.
+    pays ``prefix_payment[i][ell]`` over ``den`` and is worth
+    ``prefix_weight[i][ell]`` columns.  Only ``b``, ``prefix_weight`` and
+    what depends on them differ between the scales of one solve.
     """
 
-    basis: str
     b: Fraction
-    eps: Fraction
-    delta: Fraction
     t_max: int
-    den: int
     starts: tuple[tuple[int, ...], ...]
     scaled_payments: tuple[tuple[int, ...], ...]
     ends: tuple[int, ...]
-    agent_order: tuple[tuple[int, ...], ...]
-    prefix_ratio: tuple[tuple[Fraction, ...], ...]
     prefix_weight: tuple[tuple[int, ...], ...]
-    prefix_payment: tuple[tuple[int, ...], ...]
+    layout: _PrefixLayout = field(repr=False)
+
+    basis = property(lambda self: self.layout.basis)
+    eps = property(lambda self: self.layout.eps)
+    den = property(lambda self: self.layout.den)
+    agent_order = property(lambda self: self.layout.agent_order)
+    prefix_payment = property(lambda self: self.layout.prefix_payment)
+
+    @property
+    def delta(self) -> Fraction:
+        return self.eps / self.layout.num_actions
+
+    @functools.cached_property
+    def prefix_ratio(self) -> tuple[tuple[Fraction, ...], ...]:
+        """Each prefix's payment as a Fraction."""
+        return tuple(tuple(Fraction(p, self.den) for p in pays)
+                     for pays in self.prefix_payment)
 
     def _scaled(self, j: int, t: int) -> Optional[int]:
         """Row j's payment at column t over ``den``; None past the end."""
@@ -244,71 +344,44 @@ class DpTable:
         p = self._scaled(j, t)
         return None if p is None else Fraction(p, self.den)
 
-    def reconstruct(self, inst: Instance, t: int) -> tuple[Contract, frozenset[int]]:
-        """The payment-minimal (contract, profile) behind column ``t``.
+    def choices(self, t: int) -> list[int]:
+        """Each agent's prefix length behind the payment-minimal entry at
+        column ``t``.
 
         Walking down from agent n, each agent takes the smallest prefix
         length whose candidate attains the entry - the tie rule of the fill.
         """
-        n = inst.num_agents
-        if not 0 <= t < self.ends[n]:
+        n = len(self.ends) - 1
+        target = self._scaled(n, t)
+        if target is None:
             raise ModelError(f"column {t} is unreachable")
-        alpha = [ZERO] * n
-        chosen: set[int] = set()
+        ells = [0] * n
         col = t
-        for j in range(n, 0, -1):
-            target = self._scaled(j, col)
-            for ell, (w, pay) in enumerate(zip(self.prefix_weight[j - 1],
-                                               self.prefix_payment[j - 1])):
-                idx = max(col - w, 0)
-                p = self._scaled(j - 1, idx)
-                if p is not None and p + pay == target:
-                    break
-            if ell > 0:
-                alpha[j - 1] = self.prefix_ratio[j - 1][ell]
-                chosen.update(self.agent_order[j - 1][:ell])
-            col = idx
-        return Contract(tuple(alpha)), frozenset(chosen)
+        for j in range(n - 1, -1, -1):
+            # row j's entry at col - w plus the payment of prefix ell
+            starts, pays, end = self.starts[j], self.scaled_payments[j], \
+                self.ends[j]
+            for ell, (w, pay) in enumerate(zip(self.prefix_weight[j],
+                                               self.layout.prefix_payment[j])):
+                idx = col - w if col > w else 0
+                if idx < end:
+                    p = pays[bisect_right(starts, idx) - 1]
+                    if p + pay == target:
+                        break
+            ells[j] = ell
+            col, target = idx, p
+        return ells
 
-
-@dataclass(frozen=True)
-class _PrefixLayout:
-    """The scale-free part of every FPTAS table of one solve.
-
-    Per agent, the kept actions in payment order, each prefix's payment as
-    a Fraction and as an integer over ``den``, and each kept action's phi
-    (f or f - c of its singleton) as an integer over ``phi_den``.
-    """
-
-    agent_order: tuple[tuple[int, ...], ...]
-    prefix_ratio: tuple[tuple[Fraction, ...], ...]
-    den: int
-    prefix_payment: tuple[tuple[int, ...], ...]
-    phi: tuple[tuple[int, ...], ...]
-    phi_den: int
-
-    @classmethod
-    def build(cls, inst: Instance, basis: str, budget: Optional[Fraction],
-              singletons: Sequence[Fraction]) -> "_PrefixLayout":
-        """The layout from f({a}) for every action a, ``singletons[a]``."""
-        agent_order = []
-        prefix_ratio = []
-        phis = []
-        for own in inst.agent_actions:
-            ratio = {a: inst.cost_of[a] / singletons[a]
-                     for a in own if singletons[a] > 0}
-            kept = sorted(ratio, key=lambda a: (ratio[a], a))
-            if budget is not None:
-                kept = [a for a in kept if ratio[a] <= budget]
-            agent_order.append(tuple(kept))
-            prefix_ratio.append((ZERO, *(ratio[a] for a in kept)))
-            phis.append([singletons[a] - inst.cost_of[a] if basis == "f-c"
-                         else singletons[a] for a in kept])
-        den = common_denominator(r for ratios in prefix_ratio for r in ratios)
-        phi_den = common_denominator(p for ps in phis for p in ps)
-        return cls(tuple(agent_order), tuple(prefix_ratio), den,
-                   tuple(tuple(scaled_ints(ratios, den)) for ratios in prefix_ratio),
-                   tuple(tuple(scaled_ints(ps, phi_den)) for ps in phis), phi_den)
+    def reconstruct(self, inst: Instance, t: int) -> tuple[Contract, frozenset[int]]:
+        """The payment-minimal (contract, profile) behind column ``t``:
+        :meth:`choices` as a contract and a set of actions."""
+        mask = 0
+        alpha = [ZERO] * inst.num_agents
+        for i, ell in enumerate(self.choices(t)):
+            if ell:
+                alpha[i] = Fraction(self.prefix_payment[i][ell], self.den)
+                mask |= self.layout.prefix_mask[i][ell]
+        return Contract(tuple(alpha)), mask_to_set(mask)
 
 
 def build_dp_table(inst: Instance, basis: str, b: Fraction, eps: Fraction, *,
@@ -329,57 +402,52 @@ def build_dp_table(inst: Instance, basis: str, b: Fraction, eps: Fraction, *,
     its first step above it.  Payments are nonnegative, so this only
     removes entries that the budget selection would discard anyway.
 
-    Without ``layout`` each singleton f({a}) is read once (one value query
-    each on an instance without a table).  :func:`additive_fptas` passes
-    the layout it built for ``basis`` and ``budget``, and so reads nothing
-    here.
+    Without ``layout`` the arguments are checked and each singleton f({a})
+    is read once (one value query each on an instance without a table).
+    :func:`additive_fptas` passes the :class:`_PrefixLayout` it built, with
+    the same ``basis``, ``eps`` and ``budget``, once for every scale: the
+    fill then reads and checks nothing, and works on ints only.
     """
-    if not 0 < eps < 1:
-        raise ModelError("eps must lie in (0, 1)")
-    if budget is not None and budget < 0:
-        raise ModelError("budget must be >= 0")
-    if b <= 0:
-        raise ModelError("b must be > 0")
-    if basis not in ("f", "f-c"):
-        raise ModelError('basis must be "f" or "f-c"')
-    n = inst.num_agents
-    m = inst.num_actions
     if layout is None:
-        f = inst.f
-        layout = _PrefixLayout.build(inst, basis, budget,
-                                     [f[1 << a] for a in range(m)])
+        if b <= 0:
+            raise ModelError("b must be > 0")
+        layout = _PrefixLayout.build(inst, basis, eps, budget)
     # phi / (delta * b) = phi * m / (eps * b), over integers; // floors
     # negative phi of the f-c basis too
-    num = m * eps.denominator * b.denominator
+    eps = layout.eps
+    num = layout.num_actions * eps.denominator * b.denominator
     div = layout.phi_den * eps.numerator * b.numerator
     prefix_weight = tuple(tuple(accumulate((p * num // div for p in phis),
                                            initial=0))
                           for phis in layout.phi)
+    t_max = min(layout.t_cap, max(sum(map(max, prefix_weight)), 0))
 
-    t_cap = math.ceil(Fraction(m * m) / eps)
-    reachable = sum(max(w) for w in prefix_weight)
-    t_max = min(t_cap, max(reachable, 0))
-
-    den = layout.den
-    cap = None if budget is None else budget.numerator * den // budget.denominator
+    cap = layout.cap
     end_cap = t_max + 1
     starts: list[tuple[int, ...]] = [(0,)]
     pays: list[tuple[int, ...]] = [(0,)]
     ends: list[int] = [1]
-    for j in range(n):
+    row_ends, row_pays = [1], [0]  # the previous row's step ends and pays
+    for weights, payments in zip(prefix_weight, layout.prefix_payment):
         # A step (e, q) offers payment q to every column below its end e,
         # and a row's entry is the least payment offered to its column.
         # Prefix (w, p) turns the previous row's step (e, q) into
         # (e + w, q + p); a column argument below zero clamps to zero, so
         # the shifted step still serves column 0 whenever e + w > 0.  The
         # row keeps the steps that no later-ending, no dearer step covers.
-        prev = list(zip((*starts[-1][1:], ends[-1]), pays[-1]))
+        # Only steps within the cap are made: a step within it is only
+        # ever covered by steps within it, so the row is the same as if
+        # the steps above the cap were cut after the merge.
+        prev = list(zip(row_ends, row_pays))
         steps: list[tuple[int, int]] = []
-        for w, p in zip(prefix_weight[j], layout.prefix_payment[j]):
-            steps += [(-e - w, q + p) for e, q in prev if e + w > 0]
+        for w, p in zip(weights, payments):
+            # the previous row's ends and pays both ascend
+            lo = bisect_right(row_ends, -w)
+            hi = bisect_right(row_pays, cap - p)
+            steps += [(-e - w, q + p) for e, q in prev[lo:hi]]
         steps.sort()  # ends descending, then payments ascending
-        row_ends: list[int] = []
-        row_pays: list[int] = []
+        row_ends = []
+        row_pays = []
         for neg_end, q in steps:
             if not row_pays or q < row_pays[-1]:
                 row_ends.append(-neg_end)
@@ -391,17 +459,11 @@ def build_dp_table(inst: Instance, basis: str, b: Fraction, eps: Fraction, *,
         if k < len(row_ends):
             del row_ends[k + 1:], row_pays[k + 1:]
             row_ends[k] = end_cap
-        if cap is not None:
-            # payments are nonnegative, so steps above the budget only
-            # ever feed steps above it
-            k = bisect_right(row_pays, cap)
-            del row_ends[k:], row_pays[k:]
         starts.append((0, *row_ends[:-1]))
         pays.append(tuple(row_pays))
         ends.append(row_ends[-1])
-    return DpTable(basis, b, eps, eps / m, t_max, den, tuple(starts),
-                   tuple(pays), tuple(ends), layout.agent_order,
-                   layout.prefix_ratio, prefix_weight, layout.prefix_payment)
+    return DpTable(b, t_max, tuple(starts), tuple(pays), tuple(ends),
+                   prefix_weight, layout)
 
 
 @_counted
@@ -410,39 +472,38 @@ def additive_fptas(inst: Instance, budget: Fraction, eps: Fraction,
     """(1-eps)-approximation for additive f under any budget in [0, 1].
 
     Sweeps the scale b over every candidate singleton value (f singletons
-    for profit and reward, f-c singletons for welfare), fills the payment
-    table per scale, and selects the column: the largest budget-feasible
-    one for reward and welfare, the (1 - payment) * value maximizer below
-    it for profit.  Welfare mirrors the reward selection rule.
+    for profit and reward, f-c singletons for welfare), descending, fills
+    the payment table per scale, and selects the column: the largest
+    budget-feasible one for reward and welfare, the (1 - payment) * value
+    maximizer below it for profit.  Welfare mirrors the reward selection
+    rule.  A later scale's pick must beat the best so far strictly, the
+    unpaid profile (:func:`_zero_pair`) entering first.
 
-    Each singleton f({a}) is read once, and the tables of all scales share
-    one prefix layout built from those reads.  On an instance without a
-    table the solve issues m + 1 + |scales| value queries: the singletons,
-    then f of the unpaid profile (:func:`_zero_pair`) and of each scale's
-    pick as the objective is evaluated.
+    The sweep runs on integers.  Each singleton f({a}) is read once, and
+    the tables of all scales share one :class:`_PrefixLayout` built from
+    those reads.  A pick is valued from one read of f at its mask, with
+    the table's integer payment for profit or the prefixes' integer costs
+    for welfare; only the winner becomes a contract and a set of actions.
+    On an instance without a table the solve issues m + 1 + |scales| value
+    queries: the singletons in ascending order, then f of the unpaid
+    profile, then f of each scale's pick.
     """
     if obj.kind not in ("profit", "reward", "welfare"):
         raise ModelError("additive FPTAS supports profit, reward, welfare")
     _check_budget(budget)
-    if not 0 < eps < 1:
-        raise ModelError("eps must lie in (0, 1)")
     basis = "f-c" if obj.kind == "welfare" else "f"
+    layout = _PrefixLayout.build(inst, basis, eps, budget)
+
+    zero_alpha, zero_profile = _zero_pair(inst)
+    zero_value = evaluate(obj, inst, zero_alpha, zero_profile)
+    # the best value so far as num / den, and its table and column
+    top_num, top_den = zero_value.numerator, zero_value.denominator
+    best = None
     f = inst.f
-    singletons = [f[1 << a] for a in range(inst.num_actions)]
-    layout = _PrefixLayout.build(inst, basis, budget, singletons)
-
-    candidates = set()
-    for a, f_a in enumerate(singletons):
-        if f_a <= 0:
-            continue
-        b = f_a - inst.cost_of[a] if basis == "f-c" else f_a
-        if b > 0:
-            candidates.add(b)
-
-    best_alpha, best_profile = _zero_pair(inst)
-    best_value = evaluate(obj, inst, best_alpha, best_profile)
     n = inst.num_agents
-    for b in sorted(candidates, reverse=True):
+    den = layout.den
+    c_den = inst.int_costs[1]
+    for b in layout.scales:
         dp = build_dp_table(inst, basis, b, eps, budget=budget, layout=layout)
         # rows end at the budget, so every column left is affordable
         if obj.kind == "profit":
@@ -450,16 +511,29 @@ def additive_fptas(inst: Instance, budget: Fraction, eps: Fraction,
             # step the payment is at most the budget, so the score peaks
             # at the step's last column.
             lasts = [s - 1 for s in (*dp.starts[n][1:], dp.ends[n])]
-            _, t_star = max(((dp.den - p) * t, t)
-                            for t, p in zip(lasts, dp.scaled_payments[n]))
+            _, t_star, pay = max(((den - p) * t, t, p) for t, p in
+                                 zip(lasts, dp.scaled_payments[n]))
         else:
             t_star = dp.ends[n] - 1
-        alpha, profile = dp.reconstruct(inst, t_star)
-        v = evaluate(obj, inst, alpha, profile)
-        if v > best_value:
-            best_alpha, best_profile, best_value = alpha, profile, v
-    return SolveResult(best_alpha, best_profile, best_value,
-                       1 / (1 - eps), str(obj), budget)
+        mask = c_s = 0
+        for i, ell in enumerate(dp.choices(t_star)):
+            mask |= layout.prefix_mask[i][ell]
+            c_s += layout.prefix_cost[i][ell]
+        f_s = f[mask]
+        v_num, v_den = f_s.numerator, f_s.denominator
+        if obj.kind == "profit":
+            v_num, v_den = (den - pay) * v_num, den * v_den
+        elif obj.kind == "welfare":
+            v_num, v_den = v_num * c_den - c_s * v_den, v_den * c_den
+        if v_num * top_den > top_num * v_den:
+            top_num, top_den, best = v_num, v_den, (dp, t_star)
+    if best is None:
+        return SolveResult(zero_alpha, zero_profile, zero_value,
+                           1 / (1 - eps), str(obj), budget)
+    dp, t_star = best
+    return SolveResult(*dp.reconstruct(inst, t_star),
+                       Fraction(top_num, top_den), 1 / (1 - eps), str(obj),
+                       budget)
 
 
 # -- single-agent FPTAS ------------------------------------------------------

@@ -9,9 +9,11 @@ written or imported as a package.
 import contextlib
 import io
 import types
+from fractions import Fraction
 from pathlib import Path
 
 from budgetcontracts import cli
+from budgetcontracts.solvers import build_dp_table
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -64,3 +66,13 @@ def test_benchmark_tracer_and_workloads_bind_to_the_package(tmp_path):
     for name in ("hardness.hardness_demand", "rewards.brute_force_demand"):
         assert tracer.stats[name].calls == 1, name
     assert tracer.stats["solvers.iter_min_contracts"].yields > 0
+    # the additive solve (profit, eps 1/10) fills one traced DP table per
+    # scale, each counted by the tracer's cell formula
+    inst = cli.load_instance(SOLVES["solvers.additive_fptas"][1])
+    scales = {w for w in inst.oracle.weights if w > 0}
+    dp = tracer.stats["solvers.build_dp_table"]
+    assert dp.calls == len(scales) > 1
+    cells = [bench_trace._dp_cells(None, build_dp_table(
+        inst, "f", b, Fraction(1, 10), budget=Fraction(1, 2)), None)
+        for b in scales]
+    assert dp.count == sum(cells) and min(cells) > 0

@@ -123,6 +123,13 @@ def test_contract_total_over_one_denominator():
         Contract.of(["1/2", "-1/3"])
 
 
+def test_contract_of_rejects_floats_and_bools():
+    assert Contract.of([F(1, 2), 1, "1/3"]).alpha == (F(1, 2), 1, F(1, 3))
+    for bad in ([0.5], [F(1, 2), True]):
+        with pytest.raises(RationalParseError):
+            Contract.of(bad)
+
+
 def test_restrict_contract_cases():
     alpha = Contract.of([F(1, 4), F(1, 4)])
     assert restrict_contract(alpha, {1}).alpha == (F(0), F(1, 4))

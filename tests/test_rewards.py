@@ -112,6 +112,49 @@ def test_assignment_oracle_is_max_matching():
     assert o.value({0}) == F(1, 2)
 
 
+# Library constructors take exact rationals only: a float or a bool raises,
+# as parse_rational does for JSON, instead of turning into a binary
+# fraction or into 1 and 0.
+
+
+def test_additive_oracle_rejects_floats_and_bools():
+    assert AdditiveOracle([0, "1/4", F(1, 8)]).weights == (0, F(1, 4), F(1, 8))
+    for bad in ([True, False], [F(1, 4), 0.1]):
+        with pytest.raises(RationalParseError):
+            AdditiveOracle(bad)
+
+
+def test_unit_demand_oracle_rejects_floats_and_bools():
+    assert UnitDemandOracle(["1/2", 0]).weights == (F(1, 2), 0)
+    for bad in ([True], [0.5]):
+        with pytest.raises(RationalParseError):
+            UnitDemandOracle(bad)
+
+
+def test_uniform_k_demand_oracle_rejects_floats_and_bools():
+    assert UniformKDemandOracle(3, 2, "1/4").unit_value == F(1, 4)
+    for unit in (0.25, True):
+        with pytest.raises(RationalParseError):
+            UniformKDemandOracle(3, 1, unit)
+    for k in (2.0, True):
+        with pytest.raises(ModelError, match="k must be an int"):
+            UniformKDemandOracle(3, k, F(1, 4))
+
+
+def test_assignment_oracle_rejects_floats_and_bools():
+    assert AssignmentOracle([["1/2"], [0]]).values == ((F(1, 2),), (0,))
+    for bad in ([[0.5]], [[F(1, 4)], [True]]):
+        with pytest.raises(RationalParseError):
+            AssignmentOracle(bad)
+
+
+def test_price_vector_rejects_floats_and_bools():
+    assert PriceVector.of({0: "1/3", 1: -1}).prices == {0: F(1, 3), 1: -1}
+    for bad in ({0: 0.5}, {0: F(1, 2), 1: False}):
+        with pytest.raises(RationalParseError):
+            PriceVector.of(bad)
+
+
 def test_query_counter_increments_once_per_call():
     o = AdditiveOracle([F(1, 4), F(1, 2)])
     o.value({0})

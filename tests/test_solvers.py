@@ -1,4 +1,5 @@
 import collections
+import functools
 import itertools
 import math
 import random
@@ -274,9 +275,9 @@ def test_min_contracts_price_the_largest_agent_first(monkeypatch):
     calls = []
     kernel = equilibria._agent_payments
 
-    def recording(f, costs, rests):
-        calls.append(max(costs))  # the agent's own mask
-        return kernel(f, costs, rests)
+    def recording(f, runs, rests):
+        calls.append(max(runs[0]))  # the agent's own mask
+        return kernel(f, runs, rests)
 
     monkeypatch.setattr(equilibria, "_agent_payments", recording)
     # agent 0 owns action 2, agent 1 actions 0, 1, 4 and 5, agent 2
@@ -294,6 +295,33 @@ def test_min_contracts_price_the_largest_agent_first(monkeypatch):
         calls.clear()
         list(iter_min_contracts(inst, within=within))
         assert calls == order, within
+
+
+def test_cost_runs_are_sorted_once_per_instance(monkeypatch):
+    from budgetcontracts import rewards
+
+    sorts = []
+    cost_runs = rewards.cost_runs
+
+    def counting(costs):
+        sorts.append(max(costs))  # the agent's own mask
+        return cost_runs(costs)
+
+    monkeypatch.setattr(rewards, "cost_runs", counting)
+    inst = with_table(random_unit_demand_instance(4, num_agents=3,
+                                                  num_actions=7))
+    for budget in (None, F(1, 2), F(1, 4)):
+        list(iter_min_contracts(inst, budget=budget))
+    for i in range(inst.num_agents):
+        list(iter_min_contracts(inst, within=inst.agent_masks[i]))
+    assert sorted(sorts) == sorted(inst.agent_masks)
+    # the GS pipeline's cost-scaled copy is a second instance: one more
+    # sort per agent, however many passes the pipeline makes
+    sorts.clear()
+    gs_constant_factor(random_unit_demand_instance(5, num_agents=3,
+                                                   num_actions=7),
+                       F(1, 2), PROFIT)
+    assert len(sorts) == 2 * 3
 
 
 def _reference_race(obj, inst, pairs):
@@ -526,8 +554,31 @@ def _reference_reconstruct(dp, choices, t):
     return Contract(tuple(alpha)), frozenset(chosen)
 
 
-def _reference_fptas(inst, budget, eps, obj):
-    """additive_fptas with the reference fill and the scan-based selection."""
+def _argmin_walk(dp, rows, t):
+    """The pair behind column t of the dense ``rows``: walking down from
+    agent n, each agent takes the first prefix of least candidate."""
+    ratios = dp.prefix_ratio
+    alpha = [F(0)] * len(dp.agent_order)
+    chosen = set()
+    for j in range(len(dp.agent_order), 0, -1):
+        prev = rows[j - 1]
+        best = None
+        for ell, (w, r) in enumerate(zip(dp.prefix_weight[j - 1], ratios[j - 1])):
+            idx = max(t - w, 0)
+            if idx < len(prev) and (best is None or prev[idx] + r * dp.den < best[0]):
+                best = prev[idx] + r * dp.den, ell, idx
+        _, ell, t = best
+        if ell > 0:
+            alpha[j - 1] = ratios[j - 1][ell]
+            chosen.update(dp.agent_order[j - 1][:ell])
+    return Contract(tuple(alpha)), frozenset(chosen)
+
+
+def _reference_picks(inst, budget, eps, obj, *, dense=False):
+    """Each scale's (contract, profile) pick, by descending scale, from a
+    reference fill and the scan-based selection: the per-cell rows and
+    choices, or with ``dense`` the dense rows and an argmin walk down them
+    (fast enough for m = 40 at eps = 1/20)."""
     basis = "f-c" if obj is WELFARE else "f"
     scales = set()
     for a in range(inst.num_actions):
@@ -535,23 +586,32 @@ def _reference_fptas(inst, budget, eps, obj):
         b = f_a - inst.cost_of[a] if basis == "f-c" else f_a
         if f_a > 0 and b > 0:
             scales.add(b)
-    best = Contract.zero(inst.num_agents), frozenset()
-    best_value = evaluate(obj, inst, *best)
     for b in sorted(scales, reverse=True):
         dp = build_dp_table(inst, basis, b, eps, budget=budget)
-        rows, choices = _reference_rows(dp)
-        row = rows[-1]
+        if dense:
+            rows = _dense_rows(dp, budget)
+            pick = functools.partial(_argmin_walk, dp, rows)
+        else:
+            rows, choices = _reference_rows(dp)
+            pick = functools.partial(_reference_reconstruct, dp, choices)
+        row, den = rows[-1], dp.den
+        top, scale = budget.numerator * den, budget.denominator
         affordable = [t for t, p in enumerate(row)
-                      if p is not None and F(p, dp.den) <= budget]
-        if not affordable:
-            continue
-        t_bar = t_star = max(affordable)
+                      if p is not None and p * scale <= top]
+        t_star = max(affordable)  # column 0 pays nothing
         if obj is PROFIT:
-            best_score = -1
-            for t in range(t_bar + 1):
-                if row[t] is not None and (dp.den - row[t]) * t >= best_score:
-                    best_score, t_star = (dp.den - row[t]) * t, t
-        pair = _reference_reconstruct(dp, choices, t_star)
+            # the best (1 - payment) * t, the later column on a tie
+            _, t_star = max(((den - p) * t, t)
+                            for t, p in enumerate(row[:t_star + 1])
+                            if p is not None)
+        yield pick(t_star)
+
+
+def _reference_fptas(inst, budget, eps, obj, *, dense=False):
+    """additive_fptas on :func:`_reference_picks`, each pick evaluated."""
+    best = Contract.zero(inst.num_agents), frozenset()
+    best_value = evaluate(obj, inst, *best)
+    for pair in _reference_picks(inst, budget, eps, obj, dense=dense):
         v = evaluate(obj, inst, *pair)
         if v > best_value:
             best, best_value = pair, v
@@ -612,6 +672,36 @@ def test_fptas_matches_per_cell_reference():
             assert (got.contract, got.profile, got.value) == (*pair, value)
 
 
+def test_integer_sweep_matches_reference_with_and_without_table():
+    """The integer sweep against the reference sweep, on instances up to
+    m = 40, solved on the oracle and, up to m = 14, on the value table;
+    some actions are worth less than they cost (negative phi on the f-c
+    basis, never a scale)."""
+    negative_phi = 0
+    budgets = (F(0), F(1, 4), F(1, 2), F(1))
+    cases = [(inst, budgets) for inst in (*_differential_instances(),
+                                          *_tied_picks(),
+                                          _with_zero_singletons(4),
+                                          _size_stable_additive(7, n=3, m=14))]
+    # at m = 40 the reference's dense rows grow with the budget; budget
+    # 1/2 there is pinned scale by scale in the read-order test below
+    cases.append((_size_stable_additive(5, n=4, m=40), (F(0), F(1, 4))))
+    for inst, budgets in cases:
+        solved = [inst, with_table(inst)] if inst.num_actions <= 14 else [inst]
+        for eps, budget, obj in itertools.product(
+                (F(1, 2), F(1, 10), F(1, 20)), budgets,
+                (PROFIT, REWARD, WELFARE)):
+            pair, value = _reference_fptas(inst, budget, eps, obj, dense=True)
+            for one in solved:
+                got = additive_fptas(one, budget, eps, obj)
+                assert (got.contract, got.profile, got.value) == (*pair, value)
+                assert got.contract.total() <= budget
+                assert (got.value_queries == 0) == (one.table is not None)
+        negative_phi += any(inst.oracle.weights[a] < inst.cost_of[a]
+                            for a in range(inst.num_actions))
+    assert negative_phi > 0
+
+
 def _reference_layout(inst, basis, b, eps, budget):
     """The per-table Fraction layout the solve-wide integer layout replaced:
     f({a}) read per use, three cost / f divisions per action and
@@ -645,6 +735,20 @@ def _reference_layout(inst, basis, b, eps, budget):
         for r in ratios:
             den = den * r.denominator // math.gcd(den, r.denominator)
     return tuple(agent_order), tuple(prefix_ratio), tuple(prefix_weight), t_max, den
+
+
+def _tied_picks():
+    """Instances where a scale's pick only ties the best so far, which the
+    earlier pick keeps: profit 0 at budget 1 against the unpaid profile,
+    and two profit scales whose picks are both worth 1/4."""
+    def additive(owners, weights, costs):
+        return Instance(max(owners) + 1,
+                        tuple(Action(a, i, F(c)) for a, (i, c)
+                              in enumerate(zip(owners, costs))),
+                        AdditiveOracle([F(w) for w in weights]))
+    return (additive((0, 1, 0), ("1/4", 0, "1/8"), ("1/4", "3/16", "1/4")),
+            additive((0,) * 5, (0, "1/8", "3/8", 0, 0),
+                     ("1/4", "1/16", "1/8", "1/16", "1/16")))
 
 
 def _with_zero_singletons(seed):
@@ -714,10 +818,13 @@ def test_fptas_reads_each_singleton_once():
             r = additive_fptas(inst, F(1, 2), F(1, 10), obj)
             assert r.value_queries == len(oracle.log) == m + 1 + len(scales)
             # the singletons first, each once; then f of the empty profile
-            # and of each scale's pick
+            # and of each scale's pick, by descending scale
             assert collections.Counter(oracle.log[:m]) == \
                 {1 << a: 1 for a in range(m)}
             assert oracle.log[m] == 0
+            assert oracle.log[m + 1:] == [
+                set_to_mask(profile) for _, profile in _reference_picks(
+                    base, F(1, 2), F(1, 10), obj, dense=True)]
             if m <= 16:
                 tabled = with_table(inst)
                 oracle.log.clear()
