@@ -527,13 +527,11 @@ def additive_fptas(inst: Instance, budget: Fraction, eps: Fraction,
             v_num, v_den = v_num * c_den - c_s * v_den, v_den * c_den
         if v_num * top_den > top_num * v_den:
             top_num, top_den, best = v_num, v_den, (dp, t_star)
-    if best is None:
-        return SolveResult(zero_alpha, zero_profile, zero_value,
-                           1 / (1 - eps), str(obj), budget)
-    dp, t_star = best
-    return SolveResult(*dp.reconstruct(inst, t_star),
-                       Fraction(top_num, top_den), 1 / (1 - eps), str(obj),
-                       budget)
+    pair, value = (zero_alpha, zero_profile), zero_value
+    if best is not None:
+        pair, value = best[0].reconstruct(inst, best[1]), \
+            Fraction(top_num, top_den)
+    return SolveResult(*pair, value, 1 / (1 - eps), str(obj), budget)
 
 
 # -- single-agent FPTAS ------------------------------------------------------
