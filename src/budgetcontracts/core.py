@@ -119,11 +119,18 @@ def parse_rational(text: str | int) -> Fraction:
     """Parse a "p/q" (or plain integer) string into an exact rational.
 
     A JSON integer is taken exactly; anything else that is not a string,
-    floats and booleans included, is rejected.
+    floats and booleans included, is rejected.  A plain "p" or "p/q" of
+    ASCII digits, p maybe negative, is read by ``int``; any other string
+    by ``Fraction``'s parser, which also takes "+", spaces, underscores,
+    non-ASCII digits, decimals and exponents.
     """
     if type(text) is int:
         return Fraction(text)
     try:
+        num, slash, den = text.partition("/")
+        if text.isascii() and num.removeprefix("-").isdigit() and (
+                den.isdigit() or not slash):
+            return Fraction(int(num), int(den) if slash else 1)
         return Fraction(text.strip())
     except (AttributeError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise RationalParseError(f"not a valid rational: {text!r}") from exc

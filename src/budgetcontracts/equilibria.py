@@ -35,15 +35,16 @@ against a fixed rest R = S - T_i, agent i's deviations are the lines
 alpha * f(R + d) - c(d), and S_i is kept exactly where its line is on their
 upper envelope.  When d' costs no more than d and is worth no less, the
 bound from d' implies the bound from d at every alpha >= 0, so only S_i's
-neighbours on the envelope bind: the one before it sets the payment, and
-it is what :func:`_min_payment` sees.  A line that touches the envelope
-in a single point, where its lower and upper bounds meet (lo = hi),
-stays admissible.  The agent owning the most actions of the profiles'
-span T goes first, ties by index: its pass walks 2^(|T| - |T_max|) rests,
-reading 2^|T| values, and the agents after it price only the profiles
-kept so far.  The same envelope with R = empty is a one-agent instance's
-best-response hull (:func:`single_agent_hull`), which the single-agent
-scheme in :mod:`solvers` reads.
+neighbours on the envelope bind: the one before it, cheaper and worth
+less, sets the payment, (cost rise, value rise) read off the two lines.
+A line touching the envelope in a single point, where its lower and
+upper bounds meet (lo = hi), stays admissible.  The agent owning the
+most actions of the profiles' span T goes first, ties by index: its
+pass walks 2^(|T| - |T_max|) rests, reading 2^|T| values, and the
+agents after it price only the profiles kept so far.  The same envelope
+with R = empty is a one-agent instance's best-response hull
+(:func:`single_agent_hull`), which the single-agent scheme in
+:mod:`solvers` reads.
 """
 
 from __future__ import annotations
@@ -320,8 +321,9 @@ def _agent_payments(f: Sequence[int], runs: tuple[list[int], list[int],
     Per rest R, one loop reads f(R + d) for the deviations d in ascending
     cost, keeps the staircase (each worth more than every cheaper one) and
     runs a monotone stack over it for the upper envelope.  Kept are the
-    cheapest run at 0, then each envelope line and its exact duplicates,
-    priced by :func:`_min_payment` against the envelope line before it.
+    cheapest run at 0, then each envelope line h and its exact duplicates,
+    priced as (c(h) - c(p), f(R + h) - f(R + p)) from the line p before
+    it, which is cheaper and worth less (what :func:`_min_payment` gives).
     """
     devs, by_cost, ends = runs
     cheapest = devs[:ends[0]]
@@ -350,9 +352,9 @@ def _agent_payments(f: Sequence[int], runs: tuple[list[int], list[int],
         for d in cheapest:
             pay[rest | d] = (0, 1)
         for p, h in zip(hull, hull[1:]):
-            # the envelope neighbour before h bounds it from below; the
-            # one after caps it no lower, as the stack kept h
-            p_h = _min_payment(vals[h], by_cost[h], ((vals[p], by_cost[p]),))
+            # p, cheaper and worth less, bounds h from below; the line
+            # after h caps it no lower, as the stack kept h
+            p_h = (by_cost[h] - by_cost[p], vals[h] - vals[p])
             if ends[h] == h + 1:
                 pay[rest | devs[h]] = p_h
             else:
@@ -411,7 +413,7 @@ def iter_min_contracts(inst: Instance, *, within: Optional[int] = None,
     less than d bounds alpha at least as tightly as d does at every
     alpha >= 0, so only the staircase of deviations whose f strictly
     rises with cost matters, and of it only the envelope neighbours of
-    S_i bind; :func:`_min_payment` prices S_i against the one before it.
+    S_i bind: the one before it sets the payment, read off the two lines.
     A line touching the envelope in a single point (its bounds meet,
     lo = hi) stays admissible.  The agents go in descending order of their
     actions in the span T (all m actions, or ``within``), ties by index:

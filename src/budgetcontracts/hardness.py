@@ -47,7 +47,6 @@ from budgetcontracts.objectives import PROFIT, evaluate
 from budgetcontracts.rewards import (
     PriceVector,
     RewardOracle,
-    brute_force_demand,
     mask_to_set,
     set_to_mask,
     with_table,
@@ -172,7 +171,8 @@ class HardnessOracle(RewardOracle):
     crossed with the four special-action options, spending at most twelve
     value queries.  That recipe is exact for the nonnegative prices the
     model produces; with more than n/2 + 1 negatively priced unit actions
-    it would under-buy, so that regime falls back to brute force.
+    it would under-buy; there a demanded set buys all of them and no
+    positive unit, which leaves at most eight candidates.
     """
 
     function_class = "submodular"
@@ -193,18 +193,12 @@ class HardnessOracle(RewardOracle):
         self._revealing = self._good | 1 << bad_action(n) | set_to_mask(self._hidden)
         self._levels = {}  # (good, bad, capped count) -> level, made once
 
-    def reveals_hidden(self, subset: Iterable[int]) -> bool:
-        """Queries on which the oracle differs from the penalty-free one."""
-        return self._reveals(set_to_mask(subset))
-
-    def base_value(self, subset: Iterable[int]) -> Fraction:
-        """The penalty-free composite (what every non-revealing query sees)."""
-        return self._base_value(set_to_mask(subset))
-
     def _reveals(self, mask: int) -> bool:
+        """Queries on which the oracle differs from the penalty-free one."""
         return mask | self._good == self._revealing
 
     def _base_value(self, mask: int) -> Fraction:
+        """The penalty-free composite (what every non-revealing query sees)."""
         n, eps = self.n, self.eps
         good, bad = mask >> good_action(n) & 1, mask >> bad_action(n) & 1
         key = (good, bad, min(mask.bit_count() - good, n // 2 + 1))
@@ -229,17 +223,22 @@ def hardness_demand(oracle: HardnessOracle, prices: PriceVector) -> frozenset[in
     for a in units:
         if a not in prices.prices:
             raise ModelError(f"unit action {a} neither priced nor excluded")
-    negatives = sum(1 for a in units if prices.prices[a] < 0)
-    if negatives > n // 2 + 1:
-        return brute_force_demand(oracle, prices)
-    order = sorted(units, key=lambda a: (prices.prices[a], a))
-    k = sum(1 for a in order if prices.prices[a] < eps)
-    tau = min(k, n // 2 + 1)
-    unit_options = {frozenset(order[:tau])}
-    if tau >= 1:
-        unit_options.add(frozenset(order[:tau - 1]))
-    if tau >= 2:
-        unit_options.add(frozenset(order[:tau - 2]) | {order[tau - 1]})
+    negative = [a for a in units if prices.prices[a] < 0]
+    if len(negative) > n // 2 + 1:
+        # they saturate the capped count; the lexicographic rule buys the
+        # zero-priced units below the demanded set's largest item
+        zero = [a for a in units if prices.prices[a] == 0]
+        unit_options = {frozenset(negative + zero), frozenset(
+            negative + [a for a in zero if a < negative[-1]])}
+    else:
+        order = sorted(units, key=lambda a: (prices.prices[a], a))
+        k = sum(1 for a in order if prices.prices[a] < eps)
+        tau = min(k, n // 2 + 1)
+        unit_options = {frozenset(order[:tau])}
+        if tau >= 1:
+            unit_options.add(frozenset(order[:tau - 1]))
+        if tau >= 2:
+            unit_options.add(frozenset(order[:tau - 2]) | {order[tau - 1]})
     special_options = [frozenset()]
     for special in (good_action(n), bad_action(n)):
         if special not in prices.excluded:

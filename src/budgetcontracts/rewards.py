@@ -32,10 +32,9 @@ import itertools
 import math
 import sys
 from array import array
-from bisect import bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
@@ -208,10 +207,12 @@ def submask_sums(mask: int, weights) -> dict[int, int | Fraction]:
 def cost_runs(costs: dict[int, int]) -> tuple[list[int], list[int], list[int]]:
     """The keys of ``costs`` (submask -> cost) in ascending cost, ties in
     mask order; their costs; and for each, the end (exclusive) of its run
-    of equal costs."""
+    of equal costs, found in one pass: numbering the sorted costs from 1,
+    the last number a cost gets is the end of its run."""
     order = sorted(costs, key=costs.__getitem__)
-    by_cost = [costs[d] for d in order]
-    return order, by_cost, [bisect_right(by_cost, c) for c in by_cost]
+    by_cost = list(map(costs.__getitem__, order))
+    end = dict(zip(by_cost, range(1, len(by_cost) + 1)))
+    return order, by_cost, list(map(end.__getitem__, by_cost))
 
 
 @dataclass(frozen=True)
@@ -389,7 +390,7 @@ class CoverageOracle(RewardOracle):
         covered = [0]
         for bits in self._cover_masks:
             covered += [c | bits for c in covered]
-        return _fractions([c.bit_count() for c in covered], self.universe_size)
+        return _fractions(list(map(int.bit_count, covered)), self.universe_size)
 
 
 class ExplicitOracle(RewardOracle):
@@ -472,6 +473,16 @@ def _picker(indices: Sequence) -> Callable[[Sequence], tuple]:
     return pick if len(indices) > 1 else lambda t: (pick(t),)
 
 
+@lru_cache(maxsize=8)
+def _guard_masks(width: int, size: int) -> tuple[int, ...]:
+    """G, then each G_b, of :func:`_ranks_monotone` for the field sizes."""
+    guard = bytes(width - 1) + b"\x80"
+    return (int.from_bytes(guard * size, "little"),
+            *(int.from_bytes((guard * (1 << b) + bytes(width << b))
+                             * (size >> b + 1), "little")
+              for b in range(size.bit_length() - 1)))
+
+
 def _ranks_monotone(ranks: Sequence[int], levels: int) -> bool:
     """Whether ranks[mask] <= ranks[mask | 1 << b] for every mask and bit b.
 
@@ -480,23 +491,19 @@ def _ranks_monotone(ranks: Sequence[int], levels: int) -> bool:
     every guard, field i of ``(P >> 2^b fields | G) - P`` is guard +
     rank[i + 2^b] - rank[i]: no borrow, and the guard stays iff the pair
     is in order.  Bit b passes when G_b, the guards of masks without b
-    (a repeated byte pattern, like G), all stay.
+    (a repeated byte pattern, like G), all stay.  The masks are cached
+    for 8 sizes of up to 8 KB of fields (about 1 MB), else built per call.
     """
     packed = next(array(tc, ranks) for tc in "BHIQ"
                   if levels <= 1 << 8 * array(tc).itemsize - 1)
     if sys.byteorder == "big":
         packed.byteswap()
     width, size = packed.itemsize, len(ranks)
-    guard = bytes(width - 1) + b"\x80"
+    masks = _guard_masks if width * size <= 1 << 13 else _guard_masks.__wrapped__
+    guards, *g = masks(width, size)
     p = int.from_bytes(packed.tobytes(), "little")
-    guards = int.from_bytes(guard * size, "little")
-    for b in range(size.bit_length() - 1):
-        step = 1 << b
-        g_b = int.from_bytes((guard * step + bytes(width * step))
-                             * (size >> b + 1), "little")
-        if ((p >> 8 * width * step | guards) - p) & g_b != g_b:
-            return False
-    return True
+    return all(((p >> (8 * width << b) | guards) - p) & g_b == g_b
+               for b, g_b in enumerate(g))
 
 
 # -- demand computation ----------------------------------------------------

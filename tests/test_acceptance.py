@@ -44,6 +44,7 @@ from budgetcontracts.rewards import (
     gs_greedy_demand,
     is_monotone,
     is_submodular,
+    set_to_mask,
     with_table,
 )
 from budgetcontracts.solvers import (
@@ -398,8 +399,9 @@ def test_criterion_10_adversarial_experiment():
         oracle = HardnessOracle(params.n, params.eps, params.hidden)
         ground = range(n_small + 2)
         for s in all_subsets(ground):
-            differs = oracle.value(s) != oracle.base_value(s)
-            if differs != oracle.reveals_hidden(s):
+            mask = set_to_mask(s)
+            differs = oracle.value(s) != oracle._base_value(mask)
+            if differs != oracle._reveals(mask):
                 indist_ok = False
 
     # query counters move by exactly one per call

@@ -159,6 +159,56 @@ def test_rational_parse_errors():
         parse_rational("not-a-number")
 
 
+def _fraction_or_none(text):
+    """What ``Fraction`` makes of the stripped text, None when it fails."""
+    try:
+        return F(text.strip())
+    except (AttributeError, TypeError, ValueError, ZeroDivisionError):
+        return None
+
+
+def _check_parse(text):
+    want = _fraction_or_none(text)
+    if want is None:
+        with pytest.raises(RationalParseError) as err:
+            parse_rational(text)
+        assert str(err.value) == f"not a valid rational: {text!r}"
+    else:
+        got = parse_rational(text)
+        assert type(got) is F and got == want, text
+
+
+_DIGITS = st.one_of(
+    st.text("0123456789", max_size=6), st.text("01_", max_size=5),
+    st.text("09\u0663\u07c3\u00b2", max_size=3),  # Arabic-Indic, NKo, ²
+    st.sampled_from(["0", "000", "1" * 4300, "9" * 4301, "7" * 5000]))
+_PARTS = (st.sampled_from(["", " ", "\t", "\n", "\u2003"]),
+          st.sampled_from(["", "-", "+", "--", "-+"]), _DIGITS,
+          st.sampled_from(["", ".", ".5", "e3", "E-2", ".25e1"]),
+          st.sampled_from(["", "/", "/", "/ ", " /", "//", "/-", "/+"]),
+          _DIGITS, st.sampled_from(["", "", " ", "e1", ".0"]))
+
+
+_PLAIN = (st.sampled_from(["", "-"]), st.text("0123456789", min_size=1),
+          st.sampled_from(["", "/"]), st.text("0123456789", min_size=1))
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(st.one_of(st.tuples(*_PLAIN), st.tuples(*_PARTS)).map("".join))
+def test_parse_rational_agrees_with_fraction(text):
+    _check_parse(text)
+
+
+def test_parse_rational_named_cases():
+    for text in ("3/4", "-3/4", "007/010", "-0", "0/5", "12", "+3/4",
+                 " 3/4 ", "1_0/3", "\u0663/4", "1e3", "1.5", "3/ 4", "3/0",
+                 "3/00", "-/4", "3/", "/4", "-", "", "3/4/5", "--3",
+                 "1" * 5000, "1/" + "2" * 5000, "1" * 4300 + "/7",
+                 True, 1.0, None, b"3/4"):
+        _check_parse(text)
+    assert parse_rational(7) == 7 and parse_rational(-2) == -2
+
+
 def test_rational_json_roundtrip_bit_exact():
     values = [F(-7, 3), F(0), F(355, 113), F(1, 2 ** 40)]
     blob = json.dumps([format_rational(v) for v in values])

@@ -27,7 +27,8 @@ from budgetcontracts.hardness import (
     verify_gap_exhaustive,
 )
 from budgetcontracts.objectives import PROFIT, evaluate
-from budgetcontracts.rewards import PriceVector, brute_force_demand, with_table
+from budgetcontracts.rewards import PriceVector, brute_force_demand, set_to_mask, \
+    with_table
 
 
 def params4(eps=None, budget=F(1, 2)):
@@ -125,12 +126,45 @@ def test_hardness_demand_matches_brute_force(n, budget):
 
 def test_hardness_demand_falls_back_when_very_negative():
     # more than n/2 + 1 negative unit prices: the prefix recipe would
-    # under-buy, so the oracle answers by brute force instead
+    # under-buy, so the oracle buys every negative unit instead
     params = params4()
     inst = build_hardness(params)
     pv = PriceVector.of({a: F(-1) for a in range(6)})
     got = hardness_demand(inst.oracle, pv)
     assert got == frozenset(range(6))
+
+
+def test_very_negative_demand_is_brute_force_demand_at_every_n():
+    # the same set as brute force, tie rule included: zero-priced and
+    # equally priced units, excluded items, and special prices at their
+    # ties (bad at 0 or eps, good at 0 or 1/2)
+    rng = random.Random(21)
+    for n in range(4, 17, 2):
+        params = HardnessParams.make(n, F(1, 2), seed=n)
+        inst = with_table(build_hardness(params))
+        bad, good = bad_action(n), good_action(n)
+        for trial in range(1 if n >= 14 else 16):
+            negative = rng.sample(range(n), rng.randint(n // 2 + 2, n))
+            prices = {a: F(rng.choice((0, 0, 1, 3)), 8) for a in range(n)}
+            prices.update({a: F(rng.choice((-2, -1, -1)), 8) for a in negative})
+            prices[bad] = rng.choice((F(0), params.eps, F(-1, 8), F(1, 8)))
+            prices[good] = rng.choice((F(1, 2), F(0), F(1, 4), F(1)))
+            free = [a for a in prices if a not in negative]
+            excluded = rng.sample(free, rng.randint(0, min(2, len(free))))
+            pv = PriceVector.of(prices, excluded)
+            before = inst.oracle.value_queries
+            got = hardness_demand(inst.oracle, pv)
+            assert inst.oracle.value_queries - before <= 8
+            assert got == brute_force_demand(inst.oracle, pv, table=inst.f), \
+                (n, trial)
+
+
+def test_very_negative_demand_at_n_30_returns_a_set():
+    params = HardnessParams.make(30, F(1, 2), seed=3)
+    oracle = HardnessOracle(params.n, params.eps, params.hidden)
+    view = OracleView(oracle, query_budget=1)
+    got = view.demand(PriceVector.of({a: F(-1) for a in range(32)}))
+    assert got == frozenset(range(32))
 
 
 # -- the good pair and the gap ----------------------------------------------------
@@ -199,7 +233,8 @@ def test_indistinguishability_exact_difference():
     params = params4()
     oracle = HardnessOracle(4, params.eps, params.hidden)
     revealing = frozenset({0, 1, bad_action(4)})
-    assert oracle.base_value(revealing) - oracle.value(revealing) == params.eps / 2
+    assert oracle._base_value(set_to_mask(revealing)) - oracle.value(revealing) \
+        == params.eps / 2
     assert indistinguishability_check(params, [])
     assert indistinguishability_check(params, [revealing])  # exempted set
 
@@ -210,7 +245,8 @@ def test_indistinguishability_exhaustive_small():
     all_sets = [frozenset(c) for r in range(7)
                 for c in itertools.combinations(range(6), r)]
     assert indistinguishability_check(params, all_sets)
-    differing = [s for s in all_sets if oracle.value(s) != oracle.base_value(s)]
+    differing = [s for s in all_sets
+                 if oracle.value(s) != oracle._base_value(set_to_mask(s))]
     assert differing == sorted(
         [frozenset({0, 1, 4}), frozenset({0, 1, 4, 5})], key=sorted)
 

@@ -1,6 +1,7 @@
 import collections
 import itertools
 import random
+from bisect import bisect_right
 from fractions import Fraction as F
 
 import pytest
@@ -29,8 +30,10 @@ from budgetcontracts.rewards import (
     UniformKDemandOracle,
     UnitDemandOracle,
     ValueTable,
+    _guard_masks,
     _ranks_monotone,
     brute_force_demand,
+    cost_runs,
     demand_with_base,
     gs_greedy_demand,
     is_gross_substitutes,
@@ -282,8 +285,9 @@ def _check_hook(o, subsets):
         assert view[set_to_mask(s)] == want, (type(o).__name__, sorted(s))
         assert (o.value_queries - before, o.demand_queries) == (2 * k, 0)
         if isinstance(o, HardnessOracle):
-            assert o.base_value(s) == _reference_base_value(o, s)
-            assert o.reveals_hidden(s) == _reference_reveals(o, s)
+            mask = set_to_mask(s)
+            assert o._base_value(mask) == _reference_base_value(o, s)
+            assert o._reveals(mask) == _reference_reveals(o, s)
 
 
 def test_mask_hook_matches_frozenset_formulas_on_every_subset():
@@ -333,7 +337,7 @@ def test_mask_hook_matches_frozenset_formulas_on_hardness_n_2000():
         frozenset({good}), frozenset({bad}), frozenset({bad, good}),
         (hidden - {min(hidden)}) | {bad}]
     _check_hook(o, subsets)
-    assert sum(o.reveals_hidden(s) for s in subsets) == 2
+    assert sum(map(o._reveals, map(set_to_mask, subsets))) == 2
 
 
 def test_mask_outside_the_ground_set_is_refused_before_counting():
@@ -370,6 +374,28 @@ def test_submask_walks_match_the_bit_position_scan():
         got = submask_sums(mask, weights)
         assert list(got.items()) == list(zip(
             want, subset_sums([weights[a] for a in scanned])))
+
+
+def _reference_cost_runs(costs):
+    """The run ends by one binary search per entry."""
+    order = sorted(costs, key=costs.__getitem__)
+    by_cost = [costs[d] for d in order]
+    return order, by_cost, [bisect_right(by_cost, c) for c in by_cost]
+
+
+def test_cost_runs_match_the_bisect_reference():
+    rng = random.Random(23)
+    cases = [{0: 0}, {5: -3}, {0: 0, 1: 0, 2: 0, 3: 0}]
+    for m in (1, 2, 3, 6, 11):
+        for spread in (1, 4, 10 ** 9):  # many ties, some, almost none
+            weights = [rng.randint(-spread, spread) for _ in range(m)]
+            cases.append(submask_sums((1 << m) - 1, weights))
+    for _ in range(20):  # keys out of mask order, ties by insertion order
+        keys = rng.sample(range(1 << 11), rng.randint(1, 300))
+        cases.append({k: rng.randint(-3, 3) for k in keys})
+    assert len(cases[-21]) == 1 << 11
+    for costs in cases:
+        assert cost_runs(costs) == _reference_cost_runs(costs)
 
 
 # -- demand computations -------------------------------------------------------
@@ -917,6 +943,19 @@ def test_packed_check_field_widths_and_guard_bits(m, levels):
         values[3], values[7] = values[7], values[3]
         assert _outcome(ExplicitOracle, values) == \
             _outcome(_reference_explicit_check, values)
+
+
+def test_guard_masks_are_cached_for_small_tables_only():
+    _guard_masks.cache_clear()
+    for m in range(14):  # ranks 0..2^m - 1: fields of 1, then 2 bytes
+        assert _ranks_monotone(range(1 << m), 1 << m)
+        assert _ranks_monotone(range(1 << m), 1 << m)  # from the cache
+    # 2^13 two-byte fields take 16 KB: built per call, not kept
+    info = _guard_masks.cache_info()
+    assert (info.maxsize, info.currsize, info.hits) == (8, 8, 13)
+    # the largest kept entry, 14 masks of 8 KB: 8 entries stay under 1 MB
+    largest = sum((g.bit_length() + 7) // 8 for g in _guard_masks(1, 1 << 13))
+    assert 8 * largest < 1 << 20
 
 
 def test_explicit_validation_reports_first_fault_in_mask_order():
