@@ -35,7 +35,6 @@ from budgetcontracts.core import (
     Contract,
     Instance,
     ModelError,
-    ONE,
     TESTER_LIMIT,
     ZERO,
     check_enumeration,
@@ -172,17 +171,9 @@ def gs_single_agent_exact(inst: Instance, agent: int, obj: Objective,
     _check_budget(budget)
     check_enumeration(len(inst.agent_actions[agent]), "one agent's profiles")
     inst = with_table(inst)
-    best = _race(obj, inst, _single_agent_pairs(inst, agent, budget))
+    best = _race(obj, inst, iter_min_contracts(
+        inst, within=inst.agent_masks[agent], budget=budget))
     return SolveResult(*best, "exact", str(obj), budget)
-
-
-def _single_agent_pairs(inst: Instance, agent: int, budget: Fraction
-                        ) -> list[tuple[int, Contract]]:
-    """(profile mask, minimal contract) for every subset of ``agent``'s
-    actions that a payment within ``budget`` incentivizes, in ascending
-    mask order."""
-    return list(iter_min_contracts(inst, within=inst.agent_masks[agent],
-                                   budget=budget))
 
 
 def scale_costs(inst: Instance, factor: Fraction) -> Instance:
@@ -698,19 +689,32 @@ def downsize(inst: Instance, m_param: int, alpha: Contract,
     return new_alpha, ne_from_demand(inst, new_alpha)
 
 
+def _scaled_profit_base(inst: Instance, pairs: Sequence[tuple[int, Contract]],
+                        budget: Fraction) -> tuple[Contract, frozenset[int]]:
+    """The pipeline's base: the profit optimum at budget 1 with costs scaled
+    by k = 4/(3B), rescaled by 3B/4.  Those costs scale each minimal
+    contract by k and keep every comparison and tie, so it is the race over
+    the budget-B ``pairs`` paying at most 3B/4, each scaled by k."""
+    cap = Fraction(3, 4) * budget
+    k = 1 / cap
+    best, profile, _ = _race(PROFIT, inst, ((mask, alpha.scale(k))
+                             for mask, alpha in pairs if alpha.total() <= cap))
+    return best.scale(cap), profile
+
+
 @_counted
 def gs_constant_factor(inst: Instance, budget: Fraction, obj: Objective, *,
                        force: bool = False) -> SolveResult:
     """Constant-factor approximation for gross-substitutes rewards.
 
-    Pipeline: (a) solve profit maximization at budget 1 on the instance
-    with costs scaled by (4/3)(1/B), (b) rescale that contract by 3B/4 and
-    race it against the exact single-agent solutions for reward to get a
-    reward-bounded candidate, (c) downsize the winner with M = 6 and race
-    the result against the exact single-agent solutions for the target
-    objective.  With the exact base solver the certified factor is
-    120 * 50 + 1 = 6001, independent of instance size.  Every stage reads
-    the one value table filled here, unless the budget is 0.
+    Pipeline: (a) the profit optimum at budget 1 with costs scaled by
+    (4/3)(1/B) (:func:`_scaled_profit_base`), (b) that contract rescaled by
+    3B/4 raced against the exact single-agent solutions for reward, (c)
+    the winner downsized with M = 6 raced against them for the target
+    objective; with the exact base solver the certified factor is
+    120 * 50 + 1 = 6001.  Unless B = 0, every stage reads the one value
+    table filled here and the one list of budget-B minimal contracts; agent
+    i's single-agent pairs are those whose profiles lie in its actions T_i.
     """
     if not (force or inst.oracle.is_gs_class):
         raise ModelError("oracle not declared gross substitutes (use force=True)")
@@ -722,21 +726,17 @@ def gs_constant_factor(inst: Instance, budget: Fraction, obj: Objective, *,
                            "exact", str(obj), budget)
     check_enumeration(inst.num_actions, "GS pipeline")
     inst = with_table(inst)  # one table for every stage
-
-    scaled = scale_costs(inst, Fraction(4, 3) / budget)
-    base = brute_force_opt(scaled, ONE, PROFIT)
-    rescaled = (base.contract.scale(Fraction(3, 4) * budget), base.profile)
-
-    # each agent's single-agent pairs, raced for reward here and for the
-    # target objective after downsizing
-    singles = [_single_agent_pairs(inst, i, budget)
-               for i in range(inst.num_agents)]
+    pairs = list(iter_min_contracts(inst, budget=budget))
+    rescaled = _scaled_profit_base(inst, pairs, budget)
+    # each agent's pairs, raced for reward, then for obj after downsizing
+    singles = [[(mask, alpha) for mask, alpha in pairs if not mask & ~own]
+               for own in inst.agent_masks]
     mrb_candidates = [rescaled] + \
-        [_race(REWARD, inst, pairs)[:2] for pairs in singles]
+        [_race(REWARD, inst, own)[:2] for own in singles]
     mrb = max(mrb_candidates, key=lambda pair: evaluate(REWARD, inst, *pair))
 
     final_candidates = [downsize(inst, 6, *mrb)] + \
-        [_race(obj, inst, pairs)[:2] for pairs in singles]
+        [_race(obj, inst, own)[:2] for own in singles]
     best = max(final_candidates, key=lambda pair: evaluate(obj, inst, *pair))
     return SolveResult(*best, evaluate(obj, inst, *best), Fraction(6001),
                        str(obj), budget)

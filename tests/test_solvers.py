@@ -8,6 +8,8 @@ from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, \
+    strategies as st
 
 from budgetcontracts import equilibria
 from budgetcontracts.core import Action, Contract, GroundSetTooLargeError, \
@@ -20,9 +22,9 @@ from budgetcontracts.generators import random_additive_instance, \
 from budgetcontracts.hardness import HardnessParams, build_hardness, good_action
 from budgetcontracts.objectives import PROFIT, REWARD, WELFARE, combo, \
     evaluate
-from budgetcontracts.rewards import AdditiveOracle, ExplicitOracle, \
-    PriceVector, ValueTable, common_denominator, mask_to_set, set_to_mask, \
-    with_table
+from budgetcontracts.rewards import AdditiveOracle, AssignmentOracle, \
+    ExplicitOracle, PriceVector, UniformKDemandOracle, UnitDemandOracle, \
+    ValueTable, common_denominator, mask_to_set, set_to_mask, with_table
 from budgetcontracts.solvers import (
     NotAnEquilibriumError,
     additive_fptas,
@@ -315,13 +317,13 @@ def test_cost_runs_are_sorted_once_per_instance(monkeypatch):
     for i in range(inst.num_agents):
         list(iter_min_contracts(inst, within=inst.agent_masks[i]))
     assert sorted(sorts) == sorted(inst.agent_masks)
-    # the GS pipeline's cost-scaled copy is a second instance: one more
-    # sort per agent, however many passes the pipeline makes
+    # the GS pipeline prices every stage on its one instance: one sort
+    # per agent
     sorts.clear()
     gs_constant_factor(random_unit_demand_instance(5, num_agents=3,
                                                    num_actions=7),
                        F(1, 2), PROFIT)
-    assert len(sorts) == 2 * 3
+    assert len(sorts) == 3
 
 
 def _reference_race(obj, inst, pairs):
@@ -382,6 +384,78 @@ def test_races_match_a_reference_race_over_every_pair():
                 assert (got.contract, got.profile, got.value) == \
                     _reference_gs(inst, budget, obj)
     assert tied > 20  # equal values keep the first pair
+
+
+def test_gs_pipeline_enumerates_minimal_contracts_once(monkeypatch):
+    from budgetcontracts import solvers
+
+    calls = collections.Counter()
+
+    def counting(name):
+        kernel = getattr(solvers, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return kernel(*args, **kwargs)
+        monkeypatch.setattr(solvers, name, counted)
+
+    for name in ("iter_min_contracts", "scale_costs", "brute_force_opt"):
+        counting(name)
+    inst = random_unit_demand_instance(6, num_agents=3, num_actions=6)
+    for budget, enumerations in ((F(1, 2), 1), (F(1), 1), (F(0), 0)):
+        calls.clear()
+        gs_constant_factor(inst, budget, REWARD)
+        assert calls == collections.Counter(iter_min_contracts=enumerations)
+
+
+# the cost levels repeat, so actions tie; zero costs are among them
+_COSTS = st.sampled_from([F(0), F(0), F(1, 16), F(1, 8), F(1, 8), F(1, 4)])
+_WEIGHTS = st.sampled_from([F(0), F(1, 8), F(1, 4), F(1, 4), F(1, 2), F(1)])
+
+
+@st.composite
+def _small_gs_instances(draw):
+    """Unit-demand, uniform-k, OXS or additive rewards on m <= 7 actions
+    of 1 to 3 agents, owners drawn freely (an agent may own none)."""
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 7))
+    owners = draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m))
+    costs = draw(st.lists(_COSTS, min_size=m, max_size=m))
+    weights = st.lists(_WEIGHTS, min_size=m, max_size=m)
+    family = draw(st.sampled_from(["unit", "uniform", "oxs", "additive"]))
+    if family == "unit":
+        oracle = UnitDemandOracle(draw(weights))
+    elif family == "uniform":
+        k = draw(st.integers(1, m))
+        oracle = UniformKDemandOracle(m, k, draw(_WEIGHTS) / k)
+    elif family == "oxs":  # two columns, each worth at most 1/2
+        oracle = AssignmentOracle([[w / 2 for w in draw(st.lists(
+            _WEIGHTS, min_size=2, max_size=2))] for _ in range(m)])
+    else:
+        oracle = AdditiveOracle([w / 8 for w in draw(weights)])
+    return Instance(n, tuple(Action(a, owners[a], costs[a])
+                             for a in range(m)), oracle)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_small_gs_instances())
+# agent 1 owns no action; actions 0 and 2 tie, action 1 costs nothing
+@example(Instance(3, (Action(0, 0, F(1, 8)), Action(1, 2, F(0)),
+                      Action(2, 0, F(1, 8))),
+                  UnitDemandOracle([F(1, 2), F(1, 4), F(1, 2)])))
+# unvalidated, agent 1's action at a negative cost and f({1}) < 0: at B = 1,
+# without its 3B/4 cap the base's profit race would pick {0, 1} at
+# alpha_0 = 1 over the unpaid {1}
+@example(Instance(2, (Action(0, 0, F(1, 4)), Action(1, 1, F(-1, 6))),
+                  ExplicitOracle([F(0), F(-1, 4), F(-1, 8), F(1, 8)],
+                                 validate=False)))
+def test_gs_pipeline_matches_the_per_stage_reference(inst):
+    for budget in (F(1, 4), F(1, 2), F(2, 3), F(3, 4), F(1)):
+        for obj in RACE_OBJECTIVES:
+            got = gs_constant_factor(inst, budget, obj, force=True)
+            assert (got.contract, got.profile, got.value) == \
+                _reference_gs(inst, budget, obj)
 
 
 def test_brute_force_output_is_feasible_equilibrium():
