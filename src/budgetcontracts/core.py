@@ -225,10 +225,11 @@ class Instance:
 
     @property
     def scaled_f(self):
-        """(f by bitmask, den) with f(S) = f[S] / den: the table's ints over
-        its den, or else the counted oracle over 1."""
-        return (self.oracle, 1) if self.table is None \
-            else (self.table.ints, self.table.den)
+        """(F, den) with f(S) = F(S) / den for a bitmask S: the table's ints
+        over its den, or else the oracle's counted integer read
+        (``RewardOracle.read``) over the oracle's den."""
+        return (self.oracle.read, self.oracle.den) if self.table is None \
+            else (self.table.ints.__getitem__, self.table.den)
 
     @property
     def num_actions(self) -> int:
@@ -316,8 +317,7 @@ def validate_instance(inst: Instance) -> None:
 
     Verifies: at least one agent, unique contiguous action ids, owners in
     range, costs >= 0, f(empty) = 0, and every singleton oracle value
-    inside [0, 1].  The oracle is read by mask, and signs and ranges are
-    tested on numerators and denominators.
+    inside [0, 1].  The oracle is read by mask as ints over its den.
     """
     if inst.num_agents <= 0:
         raise ModelError("need at least one agent")
@@ -337,13 +337,15 @@ def validate_instance(inst: Instance) -> None:
             f"oracle covers {inst.oracle.num_actions} actions, "
             f"instance has {len(inst.actions)}")
     oracle = inst.oracle
-    empty = oracle[0]
-    if empty.numerator:
-        raise NonzeroEmptyValueError(f"f(empty set) = {empty}, expected 0")
+    empty = oracle.read(0)
+    if empty:
+        raise NonzeroEmptyValueError(
+            f"f(empty set) = {Fraction(empty, oracle.den)}, expected 0")
     for a in inst.actions:
-        v = oracle[1 << a.action_id]
-        if not 0 <= v.numerator <= v.denominator:
-            raise OracleRangeViolationError(f"f({{{a.action_id}}}) = {v} outside [0, 1]")
+        v = oracle.read(1 << a.action_id)
+        if not 0 <= v <= oracle.den:
+            raise OracleRangeViolationError(
+                f"f({{{a.action_id}}}) = {Fraction(v, oracle.den)} outside [0, 1]")
 
 
 def cost(inst: Instance, profile: Iterable[int]) -> Fraction:

@@ -14,14 +14,14 @@ The exhaustive checks share one walk over an agent's deviations
 (:func:`_deviations`) and differ only in utility and tie rule.  The walk
 is one integer kernel: f(X) = F(X) / f_den with (F, f_den) from
 ``Instance.scaled_f`` (the table's ints over its den, or without a table
-the oracle's Fractions over 1, one query per read), and c(X) =
+the oracle's counted integer read over its den), and c(X) =
 C(X) / c_den with C from ``Instance.agent_cost_sums``, each agent's
 subset-cost sums on ``Instance.int_costs``, built once per instance on
 first use (the shrink walk of :func:`is_subset_stable` sums S_i's
 subsets alone).  For alpha_i = p/q a utility is compared as
 p * c_den * F - q * f_den * C, so :func:`is_nash`,
-:func:`is_subset_stable` and :func:`best_response` decide on ints on a
-tabled instance, and a certificate's utilities become Fractions once per
+:func:`is_subset_stable` and :func:`best_response` decide on ints with or
+without a table, and a certificate's utilities become Fractions once per
 agent.
 
 The minimal-contract algebra is :func:`_min_payment`, one agent's bounds
@@ -91,7 +91,8 @@ def _deviations(inst: Instance, agent: int, s: int, *, shrink: bool = False):
         else inst.agent_cost_sums[agent]
     rest = s & ~own
     f, _ = inst.scaled_f
-    return costs[s_i], ((dev, f[dev | rest], c) for dev, c in costs.items())
+    return costs[s_i], zip(costs, map(f, [dev | rest for dev in costs]),
+                           costs.values())
 
 
 def agent_utility(inst: Instance, alpha: Contract, profile: Iterable[int],
@@ -171,7 +172,7 @@ def is_nash(inst: Instance, alpha: Contract,
     mask = inst.mask_of(s)
     f, f_den = inst.scaled_f
     c_den = inst.int_costs[1]
-    f_s = f[mask]
+    f_s = f(mask)
     utilities = []
     best_devs = []
     violator = None
@@ -220,7 +221,7 @@ def is_subset_stable(inst: Instance, alpha: Contract, profile: Iterable[int]):
     _check_walks(inst, profile)
     f, f_den = inst.scaled_f
     c_den = inst.int_costs[1]
-    f_s = f[s]
+    f_s = f(s)
     for i in range(inst.num_agents):
         c_i, walk = _deviations(inst, i, s, shrink=True)
         pc, qf = alpha[i].numerator * c_den, alpha[i].denominator * f_den
@@ -267,11 +268,11 @@ def min_incentivizing_contract(inst: Instance, profile: Iterable[int]
     _check_walks(inst)
     f, f_den = inst.scaled_f
     c_den = inst.int_costs[1]
-    f_s = f[mask]
+    f_s = f(mask)
     entries = []
     for om, costs in zip(inst.agent_masks, inst.agent_cost_sums):
         s_i, rest = mask & om, mask & ~om
-        walk = ((f[rest | dev], c) for dev, c in costs.items() if dev != s_i)
+        walk = ((f(rest | dev), c) for dev, c in costs.items() if dev != s_i)
         pay = _min_payment(f_s, costs[s_i], walk)
         if pay is None:
             return None
@@ -285,12 +286,11 @@ def _min_payment(f_s, c_i, deviations: Iterable[tuple]) -> Optional[tuple]:
 
     ``f_s`` is f(S), ``c_i`` is c(S_i), and ``deviations`` yields
     (f(S' + S_-i), c(S')) for the deviations S' to bound against.  Values
-    are exact numbers on one scale and costs on one scale (ints over a
-    common denominator, or plain Fractions).  Returns the payment as a
-    (cost difference, positive value difference) pair, (0, 1) when
-    unpaid, or None when an equal-f deviation is strictly cheaper or the
-    bounds cross.  Stops at the first failure, so a lazy ``deviations``
-    spares the later reads.
+    are ints over one denominator and costs ints over another.  Returns
+    the payment as a (cost difference, positive value difference) pair,
+    (0, 1) when unpaid, or None when an equal-f deviation is strictly
+    cheaper or the bounds cross.  Stops at the first failure, so a lazy
+    ``deviations`` spares the later reads.
     """
     lo_n, lo_d = 0, 1
     hi = None  # (numerator, positive denominator)
@@ -501,7 +501,7 @@ def is_nash_general(inst: Instance, contract: GeneralContract,
         t1 = contract.pay_on_success[i]
         return (t1 * f_dev + t0 * (f_den - f_dev)) * c_den - c * f_den
 
-    f_s = f[s]
+    f_s = f(s)
     for i in range(inst.num_agents):
         c_i, walk = _deviations(inst, i, s)
         u_i = utility(i, f_s, c_i)

@@ -39,6 +39,7 @@ from budgetcontracts.core import (
     ZERO,
     check_enumeration,
     descriptor_field,
+    exact_rational,
     parse_integer,
     parse_rational,
 )
@@ -131,6 +132,8 @@ class HardnessParams:
     hidden: frozenset[int]
 
     def __post_init__(self) -> None:
+        for name in ("budget", "approx_target", "eps"):
+            object.__setattr__(self, name, exact_rational(getattr(self, name)))
         _check_n(self.n)
         _check_setting(self.budget, self.approx_target)
         if len(self.hidden) != self.n // 2 or not self.hidden <= set(range(self.n)):
@@ -154,6 +157,7 @@ class HardnessParams:
              hidden: Optional[Iterable[int]] = None,
              seed: int = 0) -> "HardnessParams":
         _check_n(n)
+        budget, approx_target = map(exact_rational, (budget, approx_target))
         _check_setting(budget, approx_target)
         if eps is None:
             eps = default_epsilon(n, budget, approx_target)
@@ -173,6 +177,10 @@ class HardnessOracle(RewardOracle):
     model produces; with more than n/2 + 1 negatively priced unit actions
     it would under-buy; there a demanded set buys all of them and no
     positive unit, which leaves at most eight candidates.
+
+    For eps = p/q the values 1/2, eps and the eps/2 penalty are q, 2p and
+    p over ``den`` = 2q, so every value is an int over ``den`` in closed
+    form.
     """
 
     function_class = "submodular"
@@ -182,35 +190,37 @@ class HardnessOracle(RewardOracle):
         _check_n(n)
         if len(frozenset(hidden)) != n // 2 or not frozenset(hidden) <= set(range(n)):
             raise BadHiddenSetSizeError("hidden set must be n/2 unit agents")
-        if not 0 < Fraction(eps) <= Fraction(1, n + 2):
+        eps = exact_rational(eps)
+        if not 0 < eps <= Fraction(1, n + 2):
             raise InvalidEpsilonError("eps must lie in (0, 1/(n+2)]")
         super().__init__(n + 2)
         self.n = n
-        self.eps = Fraction(eps)
+        self.eps = eps
+        self.den = 2 * eps.denominator
         self._hidden = frozenset(hidden)
         self._good = 1 << good_action(n)
         # the revealing queries: hidden + bad, with or without the good action
         self._revealing = self._good | 1 << bad_action(n) | set_to_mask(self._hidden)
-        self._levels = {}  # (good, bad, capped count) -> level, made once
 
     def _reveals(self, mask: int) -> bool:
         """Queries on which the oracle differs from the penalty-free one."""
         return mask | self._good == self._revealing
 
-    def _base_value(self, mask: int) -> Fraction:
-        """The penalty-free composite (what every non-revealing query sees)."""
-        n, eps = self.n, self.eps
+    def _base_int(self, mask: int) -> int:
+        """The penalty-free composite (what every non-revealing query sees),
+        times ``den``."""
+        n, p, q = self.n, self.eps.numerator, self.eps.denominator
         good, bad = mask >> good_action(n) & 1, mask >> bad_action(n) & 1
-        key = (good, bad, min(mask.bit_count() - good, n // 2 + 1))
-        level = self._levels.get(key)
-        if level is None:
-            f1 = HALF if good else eps if bad else ZERO
-            level = self._levels[key] = f1 + eps * key[2]
-        return level
+        f1 = q if good else 2 * p if bad else 0
+        return f1 + 2 * p * min(mask.bit_count() - good, n // 2 + 1)
 
-    def _value(self, mask: int) -> Fraction:
-        value = self._base_value(mask)
-        return value - self.eps / 2 if self._reveals(mask) else value
+    def _base_value(self, mask: int) -> Fraction:
+        """:meth:`_base_int` as a Fraction."""
+        return Fraction(self._base_int(mask), self.den)
+
+    def _int(self, mask: int) -> int:
+        value = self._base_int(mask)
+        return value - self.eps.numerator if self._reveals(mask) else value
 
     def _demand(self, prices: PriceVector) -> frozenset[int]:
         return hardness_demand(self, prices)
@@ -333,7 +343,7 @@ def indistinguishability_check(params: HardnessParams,
     """
     oracle = HardnessOracle(params.n, params.eps, params.hidden)
     return all(oracle._reveals(mask)
-               or oracle._value(mask) == oracle._base_value(mask)
+               or oracle._int(mask) == oracle._base_int(mask)
                for mask in map(set_to_mask, queries))
 
 

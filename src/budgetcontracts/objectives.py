@@ -108,17 +108,17 @@ def participation_holds(inst: Instance, alpha: Contract, s: frozenset) -> bool:
     alpha_i * (f(S) - f(S - T_i)) >= c(S_i) for each agent acting in S.
 
     For alpha_i = p/q this is p * c_den * (F_S - F_{S - T_i}) >=
-    q * f_den * C(S_i), on ``Instance.scaled_f`` and
-    ``Instance.agent_cost_sums`` (ints on a tabled instance).
+    q * f_den * C(S_i), on the ints of ``Instance.scaled_f`` and
+    ``Instance.agent_cost_sums``.
     """
     f, f_den = inst.scaled_f
     c_den = inst.int_costs[1]
     mask = inst.mask_of(s)
-    f_s = f[mask]
+    f_s = f(mask)
     for i, (own, costs) in enumerate(zip(inst.agent_masks,
                                          inst.agent_cost_sums)):
         s_i = mask & own
-        if s_i and alpha[i].numerator * c_den * (f_s - f[mask & ~own]) \
+        if s_i and alpha[i].numerator * c_den * (f_s - f(mask & ~own)) \
                 < alpha[i].denominator * f_den * costs[s_i]:
             return False
     return True

@@ -8,10 +8,12 @@ their difference across it.  Confine each oracle to one task at a time or
 give each task its own oracle.
 
 Subsets travel as bitmasks (bit a set when action a is in S).  Each family
-implements one hook, ``_value(mask)``; ``oracle[mask]`` is the one counted
-lazy read, and ``value(subset)`` converts a set of ids once and reads it.
-A filled table is one :class:`ValueTable`: the 2^m Fractions with their
-ints over one denominator, which :func:`with_table` puts on an instance.
+fixes one denominator ``den`` and implements one hook, ``_int(mask)``, which
+is f(S) * den as an int; ``oracle.read(mask)`` is the one counted read,
+``oracle[mask]`` is that read over ``den`` as a Fraction, and
+``value(subset)`` converts a set of ids once and reads it.  A filled table
+is one :class:`ValueTable`: the 2^m Fractions with their ints over ``den``,
+which :func:`with_table` puts on an instance.
 
 Price vectors may contain negative entries, and may mark actions as excluded
 (unpurchasable) instead of pricing them; exclusion plays the role of an
@@ -98,10 +100,12 @@ def mask_to_set(mask: int) -> frozenset[int]:
 
 
 class RewardOracle:
-    """Base value-query interface; subclasses implement ``_value(mask)``.
+    """Base value-query interface; subclasses set ``den`` and implement
+    ``_int(mask)``, f of the subset ``mask`` encodes times ``den``.
 
-    ``oracle[mask]`` is one counted value query on the subset whose bits
-    are set in ``mask``; ``value(subset)`` asks the same of a set of ids.
+    ``read(mask)`` is one counted value query on the subset whose bits are
+    set in ``mask``, as that int; ``oracle[mask]`` is the same query as a
+    Fraction, and ``value(subset)`` asks it of a set of ids.
 
     ``function_class`` declares the strongest class the construction
     guarantees ("additive", "gross_substitutes", "submodular", "monotone").
@@ -118,13 +122,17 @@ class RewardOracle:
 
     # -- queries ---------------------------------------------------------
 
-    def __getitem__(self, mask: int) -> Fraction:
-        """f of the subset ``mask`` encodes; one value query."""
+    def read(self, mask: int) -> int:
+        """f of the subset ``mask`` encodes, times ``den``; one value query."""
         if mask < 0 or mask.bit_length() > self.num_actions:
             raise UnknownActionIdError(
                 f"bitmask outside the ground set of {self.num_actions} actions")
         self.value_queries += 1
-        return self._value(mask)
+        return self._int(mask)
+
+    def __getitem__(self, mask: int) -> Fraction:
+        """f of the subset ``mask`` encodes; one value query."""
+        return Fraction(self.read(mask), self.den)
 
     def value(self, subset: Iterable[int]) -> Fraction:
         mask = 0
@@ -154,7 +162,7 @@ class RewardOracle:
 
     # -- to be provided by subclasses -------------------------------------
 
-    def _value(self, mask: int) -> Fraction:
+    def _int(self, mask: int) -> int:
         raise NotImplementedError
 
     def _demand(self, prices: PriceVector) -> frozenset[int]:
@@ -163,13 +171,11 @@ class RewardOracle:
     def _table(self) -> ValueTable:
         """All 2^m values in bitmask order, without counting queries.
 
-        One ``_value`` per subset here, then their ints over the values'
-        lcm; families with structure override it with a subset DP over
-        exact integers.
+        One ``_int`` per subset here; families with structure override it
+        with a subset DP over the same ints.
         """
-        values = list(map(self._value, range(1 << self.num_actions)))
-        den = common_denominator(values)
-        return ValueTable(values, scaled_ints(values, den), den)
+        return _fractions(list(map(self._int, range(1 << self.num_actions))),
+                          self.den)
 
 
 def common_denominator(values: Iterable[Fraction]) -> int:
@@ -237,9 +243,8 @@ def _fractions(ints: list[int], den: int) -> ValueTable:
 class AdditiveOracle(RewardOracle):
     """f(S) = the sum of the weights of the actions in S.
 
-    The weights are kept as ints over their common denominator as well: a
-    read sums ints and builds one Fraction, and the table is a subset DP
-    on the ints.
+    The weights are kept as ints over their common denominator ``den``: a
+    read sums ints, and the table is a subset DP on them.
     """
 
     function_class = "additive"
@@ -247,19 +252,18 @@ class AdditiveOracle(RewardOracle):
     def __init__(self, weights: Sequence[Fraction | int | str]):
         super().__init__(len(weights))
         self.weights = tuple(map(exact_rational, weights))
-        self._den = common_denominator(self.weights)
-        self._ints = scaled_ints(self.weights, self._den)
+        self.den = common_denominator(self.weights)
+        self._ints = scaled_ints(self.weights, self.den)
         if any(w < 0 for w in self._ints):
             raise OracleRangeViolationError("additive weights must be >= 0")
-        if sum(self._ints) > self._den:
+        if sum(self._ints) > self.den:
             raise OracleRangeViolationError("additive weights must sum to <= 1")
 
-    def _value(self, mask: int) -> Fraction:
-        return Fraction(sum(map(self._ints.__getitem__, _set_bits(mask))),
-                        self._den)
+    def _int(self, mask: int) -> int:
+        return sum(map(self._ints.__getitem__, _set_bits(mask)))
 
     def _table(self) -> ValueTable:
-        return _fractions(subset_sums(self._ints), self._den)
+        return _fractions(subset_sums(self._ints), self.den)
 
 
 class UnitDemandOracle(RewardOracle):
@@ -268,18 +272,19 @@ class UnitDemandOracle(RewardOracle):
     def __init__(self, weights: Sequence[Fraction | int | str]):
         super().__init__(len(weights))
         self.weights = tuple(map(exact_rational, weights))
-        if any(not 0 <= w <= 1 for w in self.weights):
+        self.den = common_denominator(self.weights)
+        self._ints = scaled_ints(self.weights, self.den)
+        if any(not 0 <= w <= self.den for w in self._ints):
             raise OracleRangeViolationError("unit-demand weights must lie in [0, 1]")
 
-    def _value(self, mask: int) -> Fraction:
-        return max(map(self.weights.__getitem__, _set_bits(mask)), default=ZERO)
+    def _int(self, mask: int) -> int:
+        return max(map(self._ints.__getitem__, _set_bits(mask)), default=0)
 
     def _table(self) -> ValueTable:
-        den = common_denominator(self.weights)
         out = [0]
-        for w in scaled_ints(self.weights, den):
+        for w in self._ints:
             out += [v if v > w else w for v in out]
-        return _fractions(out, den)
+        return _fractions(out, self.den)
 
 
 class UniformKDemandOracle(RewardOracle):
@@ -294,18 +299,19 @@ class UniformKDemandOracle(RewardOracle):
             raise ModelError(f"k must be an int >= 1, got {k!r}")
         self.k = k
         self.unit_value = exact_rational(unit_value)
+        self.den = self.unit_value.denominator
         if not 0 <= self.unit_value * min(k, num_actions) <= 1:
             raise OracleRangeViolationError("k * unit_value must lie in [0, 1]")
 
-    def _value(self, mask: int) -> Fraction:
-        return min(mask.bit_count(), self.k) * self.unit_value
+    def _int(self, mask: int) -> int:
+        return min(mask.bit_count(), self.k) * self.unit_value.numerator
 
     def _table(self) -> ValueTable:
-        v = self.unit_value
         m = self.num_actions
-        levels = [min(c, self.k) * v.numerator for c in range(m + 1)]
+        levels = [min(c, self.k) * self.unit_value.numerator
+                  for c in range(m + 1)]
         return _fractions([levels[s.bit_count()] for s in range(1 << m)],
-                          v.denominator)
+                          self.den)
 
 
 class AssignmentOracle(RewardOracle):
@@ -329,14 +335,15 @@ class AssignmentOracle(RewardOracle):
         if any(v < 0 for row in self.values for v in row):
             raise OracleRangeViolationError("assignment values must be >= 0")
         # the matching DP runs on integers over one common denominator
-        self._den = common_denominator(v for row in self.values for v in row)
-        self._scaled_values = tuple(tuple(scaled_ints(row, self._den))
+        self.den = common_denominator(v for row in self.values for v in row)
+        self._scaled_values = tuple(tuple(scaled_ints(row, self.den))
                                     for row in self.values)
-        full = self._value((1 << self.num_actions) - 1)
-        if full > 1:
-            raise OracleRangeViolationError(f"f(ground set) = {full} exceeds 1")
+        full = self._int((1 << self.num_actions) - 1)
+        if full > self.den:
+            raise OracleRangeViolationError(
+                f"f(ground set) = {Fraction(full, self.den)} exceeds 1")
 
-    def _value(self, mask: int) -> Fraction:
+    def _int(self, mask: int) -> int:
         best = {0: 0}  # column set -> best matching of the actions walked
         for a in _set_bits(mask):
             nxt = dict(best)
@@ -345,7 +352,7 @@ class AssignmentOracle(RewardOracle):
                     if not cols >> c & 1 and val + w > nxt.get(cols | 1 << c, -1):
                         nxt[cols | 1 << c] = val + w
             best = nxt
-        return Fraction(max(best.values()), self._den)
+        return max(best.values())
 
     def _table(self) -> ValueTable:
         if self.num_columns > 3:  # one list per column subset: keep them few
@@ -361,7 +368,7 @@ class AssignmentOracle(RewardOracle):
                         ext = [x if x >= y + w else y + w
                                for x, y in zip(ext, best[cols ^ (1 << c)])]
                 best[cols] += ext
-        return _fractions(best[-1], self._den)
+        return _fractions(best[-1], self.den)
 
 
 class CoverageOracle(RewardOracle):
@@ -373,24 +380,24 @@ class CoverageOracle(RewardOracle):
         super().__init__(len(covers))
         if universe_size < 1:
             raise ModelError("universe must be nonempty")
-        self.universe_size = universe_size
+        self.universe_size = self.den = universe_size
         self.covers = tuple(frozenset(c) for c in covers)
         for c in self.covers:
             if any(not 0 <= e < universe_size for e in c):
                 raise ModelError("cover element outside universe")
         self._cover_masks = tuple(map(set_to_mask, self.covers))
 
-    def _value(self, mask: int) -> Fraction:
+    def _int(self, mask: int) -> int:
         covered = 0
         for a in _set_bits(mask):
             covered |= self._cover_masks[a]
-        return Fraction(covered.bit_count(), self.universe_size)
+        return covered.bit_count()
 
     def _table(self) -> ValueTable:
         covered = [0]
         for bits in self._cover_masks:
             covered += [c | bits for c in covered]
-        return _fractions(list(map(int.bit_count, covered)), self.universe_size)
+        return _fractions(list(map(int.bit_count, covered)), self.den)
 
 
 class ExplicitOracle(RewardOracle):
@@ -410,7 +417,7 @@ class ExplicitOracle(RewardOracle):
 
     def __init__(self, values: Sequence[Fraction], validate: bool = True):
         ids = list(map(id, values))
-        exact = {i: Fraction(v) for i, v in dict(zip(ids, values)).items()}
+        exact = {i: exact_rational(v) for i, v in dict(zip(ids, values)).items()}
         self._fill(ids, exact, validate)
 
     @classmethod
@@ -442,7 +449,7 @@ class ExplicitOracle(RewardOracle):
         ranks = _picker(keys)(dict(zip(exact, map(rank.__getitem__, scaled))))
         pick = _picker(ranks)
         ints = list(pick(levels))
-        self._ints, self._den = ints, den
+        self._ints, self.den = ints, den
         self.values = pick([made[k] for k in levels])
         if validate and (ints[0] != 0 or levels[0] < 0 or levels[-1] > den
                          or not _ranks_monotone(ranks, len(levels))):
@@ -460,11 +467,11 @@ class ExplicitOracle(RewardOracle):
                 if not mask >> b & 1 and ints[mask | 1 << b] < k:
                     raise ModelError("explicit table is not monotone")
 
-    def _value(self, mask: int) -> Fraction:
-        return self.values[mask]
+    def _int(self, mask: int) -> int:
+        return self._ints[mask]
 
     def _table(self) -> ValueTable:
-        return ValueTable(list(self.values), self._ints, self._den)
+        return ValueTable(list(self.values), self._ints, self.den)
 
 
 def _picker(indices: Sequence) -> Callable[[Sequence], tuple]:
@@ -610,7 +617,7 @@ def _filled_table(oracle: RewardOracle) -> ValueTable:
     exact ints by a subset DP: additive (sums), unit-demand (max), uniform-k
     (levels by size), coverage (bit-OR of covers), OXS with at most three
     columns; an explicit oracle hands over a copy of its Fractions with its
-    validated ints; the rest read one ``_value`` per subset."""
+    validated ints; the rest read one ``_int`` per subset."""
     check_enumeration(oracle.num_actions, "value table")
     oracle.value_queries += 1 << oracle.num_actions
     return oracle._table()

@@ -45,8 +45,7 @@ from budgetcontracts.equilibria import is_nash, iter_min_contracts, \
     ne_from_demand, single_agent_hull
 from budgetcontracts.objectives import Objective, PROFIT, REWARD, evaluate, \
     value_at
-from budgetcontracts.rewards import common_denominator, mask_to_set, \
-    scaled_ints, set_to_mask, with_table
+from budgetcontracts.rewards import mask_to_set, set_to_mask, with_table
 
 
 class NotAnEquilibriumError(ModelError):
@@ -233,10 +232,8 @@ class _PrefixLayout:
         if basis not in ("f", "f-c"):
             raise ModelError('basis must be "f" or "f-c"')
         m = inst.num_actions
-        f = inst.f
-        singletons = [f[1 << a] for a in range(m)]
-        f_den = common_denominator(singletons)
-        f_int = scaled_ints(singletons, f_den)
+        f, f_den = inst.scaled_f
+        f_int = [f(1 << a) for a in range(m)]
         c_int, c_den = inst.int_costs
         if basis == "f":
             phi_den, phi = f_den, f_int
@@ -285,8 +282,8 @@ class DpTable:
     x ranges over integer multiples t * delta * b for t = 0..t_max, with
     delta = eps / m; the basis ("f" for reward, "f-c" for welfare), eps and
     the prefixes come from the solve's ``layout``.  Payments are stored as
-    integers over the common denominator ``den`` (exact; the hot loop stays
-    on machine integers).  Each row is a nondecreasing step function of t
+    integers over the layout's ``den`` (exact; the hot loop stays on
+    machine integers).  Each row is a nondecreasing step function of t
     whose reachable columns form a prefix, so row j is stored as its steps:
     ``starts[j]`` ascend from 0, ``scaled_payments[j]`` holds one payment
     per step, strictly increasing, and the row is defined on columns below
@@ -295,8 +292,8 @@ class DpTable:
     step that exceeds the budget.  Nothing records the choices:
     :meth:`choices` re-derives each argmin from the rows.  Actions with
     zero singleton value are dropped up front.  Agent i's prefixes are
-    the leading actions of ``agent_order[i]``: the prefix of length ell
-    pays ``prefix_payment[i][ell]`` over ``den`` and is worth
+    the leading actions of the layout's ``agent_order[i]``: the prefix of
+    length ell pays ``prefix_payment[i][ell]`` over ``den`` and is worth
     ``prefix_weight[i][ell]`` columns.  Only ``b``, ``prefix_weight`` and
     what depends on them differ between the scales of one solve.
     """
@@ -309,31 +306,12 @@ class DpTable:
     prefix_weight: tuple[tuple[int, ...], ...]
     layout: _PrefixLayout = field(repr=False)
 
-    basis = property(lambda self: self.layout.basis)
-    eps = property(lambda self: self.layout.eps)
-    den = property(lambda self: self.layout.den)
-    agent_order = property(lambda self: self.layout.agent_order)
-    prefix_payment = property(lambda self: self.layout.prefix_payment)
-
-    @property
-    def delta(self) -> Fraction:
-        return self.eps / self.layout.num_actions
-
-    @functools.cached_property
-    def prefix_ratio(self) -> tuple[tuple[Fraction, ...], ...]:
-        """Each prefix's payment as a Fraction."""
-        return tuple(tuple(Fraction(p, self.den) for p in pays)
-                     for pays in self.prefix_payment)
-
     def _scaled(self, j: int, t: int) -> Optional[int]:
-        """Row j's payment at column t over ``den``; None past the end."""
+        """Row j's payment at column t over the layout's den; None past
+        the end."""
         if not 0 <= t < self.ends[j]:
             return None
         return self.scaled_payments[j][bisect_right(self.starts[j], t) - 1]
-
-    def payment(self, j: int, t: int) -> Optional[Fraction]:
-        p = self._scaled(j, t)
-        return None if p is None else Fraction(p, self.den)
 
     def choices(self, t: int) -> list[int]:
         """Each agent's prefix length behind the payment-minimal entry at
@@ -366,12 +344,13 @@ class DpTable:
     def reconstruct(self, inst: Instance, t: int) -> tuple[Contract, frozenset[int]]:
         """The payment-minimal (contract, profile) behind column ``t``:
         :meth:`choices` as a contract and a set of actions."""
+        layout = self.layout
         mask = 0
         alpha = [ZERO] * inst.num_agents
         for i, ell in enumerate(self.choices(t)):
             if ell:
-                alpha[i] = Fraction(self.prefix_payment[i][ell], self.den)
-                mask |= self.layout.prefix_mask[i][ell]
+                alpha[i] = Fraction(layout.prefix_payment[i][ell], layout.den)
+                mask |= layout.prefix_mask[i][ell]
         return Contract(tuple(alpha)), mask_to_set(mask)
 
 
@@ -490,7 +469,7 @@ def additive_fptas(inst: Instance, budget: Fraction, eps: Fraction,
     # the best value so far as num / den, and its table and column
     top_num, top_den = zero_value.numerator, zero_value.denominator
     best = None
-    f = inst.f
+    f, f_den = inst.scaled_f
     n = inst.num_agents
     den = layout.den
     c_den = inst.int_costs[1]
@@ -510,8 +489,7 @@ def additive_fptas(inst: Instance, budget: Fraction, eps: Fraction,
         for i, ell in enumerate(dp.choices(t_star)):
             mask |= layout.prefix_mask[i][ell]
             c_s += layout.prefix_cost[i][ell]
-        f_s = f[mask]
-        v_num, v_den = f_s.numerator, f_s.denominator
+        v_num, v_den = f(mask), f_den
         if obj.kind == "profit":
             v_num, v_den = (den - pay) * v_num, den * v_den
         elif obj.kind == "welfare":
@@ -526,15 +504,6 @@ def additive_fptas(inst: Instance, budget: Fraction, eps: Fraction,
 
 
 # -- single-agent FPTAS ------------------------------------------------------
-
-
-def single_agent_demand_breakpoints(inst: Instance) -> list[Fraction]:
-    """Payment levels at which the single agent's best response changes."""
-    if inst.num_agents != 1:
-        raise ModelError("single-agent analysis needs exactly one agent")
-    check_enumeration(inst.num_actions, "single-agent envelope", TESTER_LIMIT)
-    _, breaks = single_agent_hull(with_table(inst))
-    return breaks
 
 
 def _first_grid_index(eps: Fraction, bound: Fraction, lo: int, hi: int) -> int:

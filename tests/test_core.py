@@ -137,7 +137,7 @@ def test_restrict_contract_cases():
     assert restrict_contract(alpha, {0, 1}) == alpha
 
 
-@settings(deadline=None)
+@settings(deadline=None, derandomize=True, database=None)
 @given(st.sets(st.integers(min_value=0, max_value=3)),
        st.lists(st.fractions(min_value=0, max_value=1), min_size=4, max_size=4))
 def test_restrict_contract_idempotent(group, values):
@@ -146,7 +146,7 @@ def test_restrict_contract_idempotent(group, values):
     assert restrict_contract(once, group) == once
 
 
-@settings(deadline=None)
+@settings(deadline=None, derandomize=True, database=None)
 @given(st.fractions())
 def test_rational_roundtrip(q):
     assert parse_rational(format_rational(q)) == q

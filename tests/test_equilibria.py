@@ -22,8 +22,8 @@ from budgetcontracts.equilibria import (
 from budgetcontracts.generators import random_coverage_instance, \
     random_explicit_monotone_instance, random_general_contract, \
     random_gs_instance, random_unit_demand_instance
-from budgetcontracts.hardness import HardnessParams, bad_action, build_hardness, \
-    good_action, good_contract
+from budgetcontracts.hardness import HardnessParams, _pair_for_guess, \
+    bad_action, build_hardness, good_action, good_contract
 from budgetcontracts.rewards import (
     AdditiveOracle,
     ExplicitOracle,
@@ -496,7 +496,7 @@ def _wide_walk_cases(seed, count, max_actions):
 
 
 def test_deviation_walk_matches_the_reference_loops():
-    # on the table's ints and on the oracle's Fractions alike
+    # on the table's ints and on the oracle's counted integer reads alike
     outcomes = collections.Counter()
     for case, alpha, general in _wide_walk_cases(71, 24, 5):
         for inst in (case, with_table(case)):
@@ -527,6 +527,29 @@ def test_deviation_walk_reads_like_the_reference_loops():
                 assert oracle.value_queries - before == spent
                 if k == 0:  # is_nash: f(S), then every deviation
                     assert spent == 1 + walk
+
+
+def test_untabled_is_nash_matches_the_reference_at_n_200():
+    # no table reaches 2^202 subsets, so is_nash reads the oracle's ints:
+    # f(S), then two deviations per unit agent and four for the special one
+    params = HardnessParams.make(200, F(1, 2))
+    inst = build_hardness(params)
+    n = params.n
+    hidden = sorted(params.hidden)
+    others = sorted(set(range(n)) - params.hidden)
+    guesses = [params.hidden, frozenset(others),
+               frozenset(hidden[1:] + others[:1]),
+               frozenset(random.Random(7).sample(range(n), n // 2))]
+    verdicts = []
+    for guess in guesses:
+        alpha, profile = _pair_for_guess(params, guess)
+        before = inst.oracle.value_queries
+        cert = is_nash(inst, alpha, profile)
+        assert inst.oracle.value_queries - before == 1 + 2 * n + 4
+        assert _cert_tuple(cert) == _reference_is_nash(
+            inst, alpha, profile, inst.oracle.value)
+        verdicts.append(cert.ok)
+    assert verdicts == [True, False, False, False]
 
 
 @pytest.mark.parametrize("inst", [

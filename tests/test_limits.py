@@ -28,7 +28,7 @@ from budgetcontracts.rewards import AssignmentOracle, PriceVector, \
     value_table, with_table
 from budgetcontracts.solvers import brute_force_opt, downsize, \
     gs_constant_factor, gs_single_agent_exact, max_reward_bounded_brute, \
-    single_agent_demand_breakpoints, single_agent_fptas
+    single_agent_fptas
 
 HALF = F(1, 2)
 PAY = Contract.of([HALF])
@@ -58,8 +58,6 @@ GUARDED = [
      lambda inst: is_subset_stable(inst, PAY, inst.ground_set)),
     ("single_agent_fptas", TESTER_LIMIT,
      lambda inst: single_agent_fptas(inst, HALF, F(1, 10))),
-    ("single_agent_demand_breakpoints", TESTER_LIMIT,
-     single_agent_demand_breakpoints),
     ("is_monotone", TESTER_LIMIT, lambda inst: is_monotone(inst.oracle)),
     ("is_submodular", TESTER_LIMIT, lambda inst: is_submodular(inst.oracle)),
     ("is_gross_substitutes", GS_TESTER_LIMIT,

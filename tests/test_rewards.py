@@ -1,5 +1,6 @@
 import collections
 import itertools
+import math
 import random
 from bisect import bisect_right
 from fractions import Fraction as F
@@ -19,7 +20,8 @@ from budgetcontracts.generators import (
     random_uniform_k_instance,
     random_unit_demand_instance,
 )
-from budgetcontracts.hardness import HardnessOracle, bad_action, good_action
+from budgetcontracts.hardness import HardnessOracle, HardnessParams, \
+    bad_action, good_action
 from budgetcontracts.rewards import (
     AdditiveOracle,
     AssignmentOracle,
@@ -151,6 +153,32 @@ def test_assignment_oracle_rejects_floats_and_bools():
             AssignmentOracle(bad)
 
 
+def test_explicit_oracle_rejects_floats_and_bools():
+    assert ExplicitOracle([0, "1/2", F(1, 2), 1]).values == (0, F(1, 2),
+                                                            F(1, 2), 1)
+    for bad in ([0, 0.3, 0.5, True], [F(0), F(1, 2), F(1, 2), True]):
+        with pytest.raises(RationalParseError):
+            ExplicitOracle(bad)
+
+
+def test_hardness_oracle_rejects_floats_and_bools():
+    assert HardnessOracle(4, "1/8", frozenset({0, 1})).eps == F(1, 8)
+    for eps in (0.1, True):
+        with pytest.raises(RationalParseError):
+            HardnessOracle(4, eps, frozenset({0, 1}))
+
+
+def test_hardness_params_reject_floats_and_bools():
+    params = HardnessParams.make(4, "1/2", eps=F(1, 64))
+    assert (params.budget, params.approx_target) == (F(1, 2), 1)
+    for kwargs in ({"budget": 0.5}, {"budget": F(1, 2), "eps": 0.01},
+                   {"budget": F(1, 2), "approx_target": True}):
+        with pytest.raises(RationalParseError):
+            HardnessParams.make(4, **kwargs)
+    with pytest.raises(RationalParseError):
+        HardnessParams(4, F(1, 2), F(1), 0.01, frozenset({0, 1}))
+
+
 def test_price_vector_rejects_floats_and_bools():
     assert PriceVector.of({0: "1/3", 1: -1}).prices == {0: F(1, 3), 1: -1}
     for bad in ({0: 0.5}, {0: F(1, 2), 1: False}):
@@ -179,7 +207,7 @@ def test_hardness_demand_counts_queries():
 
 
 def _per_subset(o):
-    return [o._value(k) for k in range(1 << o.num_actions)]
+    return [F(o._int(k), o.den) for k in range(1 << o.num_actions)]
 
 
 def _table_oracles():
@@ -227,7 +255,7 @@ def test_value_table_counts_one_value_query_per_subset():
 
 
 def _reference_value(o, s):
-    """Each family's f(s) as ``_value`` computed it on a frozenset."""
+    """Each family's f(s), computed on a frozenset."""
     if isinstance(o, AdditiveOracle):
         return sum((o.weights[a] for a in s), F(0))
     if isinstance(o, UnitDemandOracle):
@@ -267,6 +295,22 @@ def _reference_base_value(o, s):
     return f1 + eps * min(others, n // 2 + 1)
 
 
+def _documented_den(o):
+    """Each family's ``den`` as its class documents it."""
+    if isinstance(o, (AdditiveOracle, UnitDemandOracle)):
+        return math.lcm(*(w.denominator for w in o.weights))
+    if isinstance(o, AssignmentOracle):
+        return math.lcm(*(v.denominator for row in o.values for v in row))
+    if isinstance(o, UniformKDemandOracle):
+        return o.unit_value.denominator
+    if isinstance(o, CoverageOracle):
+        return o.universe_size
+    if isinstance(o, ExplicitOracle):
+        return math.lcm(*(v.denominator for v in o.values))
+    assert isinstance(o, HardnessOracle)
+    return 2 * o.eps.denominator
+
+
 def _lazy_f(o):
     """f of a one-agent instance over ``o`` that carries no table."""
     return Instance(1, tuple(Action(a, 0, F(0)) for a in range(o.num_actions)),
@@ -275,25 +319,28 @@ def _lazy_f(o):
 
 def _check_hook(o, subsets):
     """value(s) and the oracle read by bitmask both equal the reference,
-    one value query each."""
+    one value query each; the integer hook is the reference times the
+    family's documented ``den``, and counts nothing."""
     view = _lazy_f(o)
     assert view is o
+    assert o.den == _documented_den(o), type(o).__name__
     before = o.value_queries
     for k, s in enumerate(subsets, 1):
         want = _reference_value(o, s)
+        mask = set_to_mask(s)
         assert o.value(s) == want, (type(o).__name__, sorted(s))
-        assert view[set_to_mask(s)] == want, (type(o).__name__, sorted(s))
+        assert view[mask] == want, (type(o).__name__, sorted(s))
+        assert o._int(mask) == want * o.den, (type(o).__name__, sorted(s))
         assert (o.value_queries - before, o.demand_queries) == (2 * k, 0)
         if isinstance(o, HardnessOracle):
-            mask = set_to_mask(s)
             assert o._base_value(mask) == _reference_base_value(o, s)
             assert o._reveals(mask) == _reference_reveals(o, s)
 
 
 def test_mask_hook_matches_frozenset_formulas_on_every_subset():
     seen = set()
-    oracles = [o for o in _table_oracles() if o.num_actions <= 8]
-    oracles.append(hardness_oracle(6, hidden=(1, 3, 4)))
+    oracles = [o for o in _table_oracles() if o.num_actions <= 10]
+    oracles.append(hardness_oracle(8, hidden=(1, 3, 4, 6), eps=F(3, 40)))
     for o in oracles:
         seen.add(type(o).__name__)
         subsets = list(all_subsets(o.num_actions))
@@ -330,14 +377,16 @@ def test_mask_hook_matches_frozenset_formulas_on_hardness_n_2000():
     rng = random.Random(17)
     n = 2000
     hidden = frozenset(rng.sample(range(n), n // 2))
-    o = HardnessOracle(n, F(1, 8 * n), hidden)
     bad, good = bad_action(n), good_action(n)
     subsets = list(_random_subsets(rng, n + 2, 30)) + [
         hidden | {bad}, hidden | {bad, good}, hidden | {good}, hidden,
         frozenset({good}), frozenset({bad}), frozenset({bad, good}),
         (hidden - {min(hidden)}) | {bad}]
-    _check_hook(o, subsets)
-    assert sum(map(o._reveals, map(set_to_mask, subsets))) == 2
+    # eps = p/q reads q, 2p and p over den = 2q; p = 3 keeps them apart
+    for eps in (F(1, 8 * n), F(3, 8 * n + 1)):
+        o = HardnessOracle(n, eps, hidden)
+        _check_hook(o, subsets)
+        assert sum(map(o._reveals, map(set_to_mask, subsets))) == 2
 
 
 def test_mask_outside_the_ground_set_is_refused_before_counting():
@@ -594,7 +643,7 @@ def _demand_cases():
             if kind == 0:
                 prices[a] = F(rng.randint(-8, 40), 64)
             elif kind == 1:
-                prices[a] = oracle._value(1 << a)
+                prices[a] = F(oracle._int(1 << a), oracle.den)
             else:
                 prices[a] = F(kind - 2)  # 0 or 1
         yield oracle, PriceVector(prices, excluded), base
@@ -729,7 +778,7 @@ def test_gs_membership_supermodular_negative_with_witness():
     _check_gs_witness(o, witness)
 
 
-@settings(deadline=None, max_examples=25)
+@settings(deadline=None, max_examples=25, derandomize=True, database=None)
 @given(st.lists(st.fractions(min_value=0, max_value=F(1, 4)), min_size=2,
                 max_size=4))
 def test_additive_oracle_monotone_property(weights):
@@ -851,7 +900,7 @@ def _descriptor_of(values):
 
 
 def _parts(oracle):
-    return oracle.values, oracle._ints, oracle._den
+    return oracle.values, oracle._ints, oracle.den
 
 
 def test_explicit_entry_points_agree():

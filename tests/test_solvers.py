@@ -36,7 +36,6 @@ from budgetcontracts.solvers import (
     iter_min_contracts,
     max_reward_bounded_brute,
     scale_costs,
-    single_agent_demand_breakpoints,
     single_agent_fptas,
 )
 
@@ -473,12 +472,24 @@ def test_brute_force_output_is_feasible_equilibrium():
 # -- discretized payment table ------------------------------------------------
 
 
+def _payment(dp, j, t):
+    """Row j's payment at column t as a Fraction; None past the row's end."""
+    p = dp._scaled(j, t)
+    return None if p is None else F(p, dp.layout.den)
+
+
+def _prefix_ratio(dp):
+    """Each prefix's payment as a Fraction."""
+    return tuple(tuple(F(p, dp.layout.den) for p in pays)
+                 for pays in dp.layout.prefix_payment)
+
+
 def test_dp_table_single_action_zero_column():
     inst = Instance(1, (Action(0, 0, F(1, 8)),), AdditiveOracle([F(1, 2)]))
     dp = build_dp_table(inst, "f", F(1, 2), F(1, 2))
-    assert dp.payment(0, 0) == 0
-    assert dp.payment(1, 0) == 0
-    assert all(dp.payment(0, t) is None for t in range(1, dp.t_max + 1))
+    assert _payment(dp, 0, 0) == 0
+    assert _payment(dp, 1, 0) == 0
+    assert all(_payment(dp, 0, t) is None for t in range(1, dp.t_max + 1))
     with pytest.raises(ModelError):
         build_dp_table(inst, "f", F(1, 2), F(1, 2), budget=F(-1, 2))
 
@@ -490,7 +501,8 @@ def test_dp_table_matches_prefix_enumeration():
     inst = Instance(1, (Action(0, 0, F(1, 8)), Action(1, 0, F(1, 4))),
                     AdditiveOracle([F(1, 2), F(1, 2)]))
     dp = build_dp_table(inst, "f", F(1, 2), F(1, 2))
-    assert dp.delta * dp.b == F(1, 8)  # delta = eps/|T| = 1/4, b = 1/2
+    # delta = eps/|T| = 1/4, b = 1/2
+    assert dp.layout.eps / dp.layout.num_actions * dp.b == F(1, 8)
     expected = {}
     for t in range(dp.t_max + 1):
         # cheapest prefix whose discretized weight reaches t steps
@@ -500,7 +512,7 @@ def test_dp_table_matches_prefix_enumeration():
                 best = ratio
         expected[t] = best
     for t in range(dp.t_max + 1):
-        assert dp.payment(1, t) == expected[t]
+        assert _payment(dp, 1, t) == expected[t]
 
 
 def test_dp_table_monotone_rows():
@@ -510,7 +522,7 @@ def test_dp_table_monotone_rows():
         inst = with_table(inst)
         for basis in ("f", "f-c"):
             dp = build_dp_table(inst, basis, F(1, 4), F(1, 4))
-            row = [dp.payment(inst.num_agents, t) for t in range(dp.t_max + 1)]
+            row = [_payment(dp, inst.num_agents, t) for t in range(dp.t_max + 1)]
             seen = [p for p in row if p is not None]
             assert all(x <= y for x, y in zip(seen, seen[1:]))
             # None entries only at the top end
@@ -525,10 +537,10 @@ def test_dp_reconstruction_matches_table_payment():
         inst = with_table(inst)
         dp = build_dp_table(inst, "f", F(1, 2), F(1, 4))
         for t in range(dp.t_max + 1):
-            if dp.payment(inst.num_agents, t) is None:
+            if _payment(dp, inst.num_agents, t) is None:
                 continue
             alpha, profile = dp.reconstruct(inst, t)
-            assert alpha.total() == dp.payment(inst.num_agents, t)
+            assert alpha.total() == _payment(dp, inst.num_agents, t)
             assert is_nash(inst, alpha, profile).ok
 
 
@@ -539,9 +551,9 @@ def _reference_rows(dp):
     t_max = dp.t_max
     rows = [[0] + [None] * t_max]
     choices = [[None] * (t_max + 1)]
-    for weights, ratios in zip(dp.prefix_weight, dp.prefix_ratio):
+    for weights, ratios in zip(dp.prefix_weight, _prefix_ratio(dp)):
         prev = rows[-1]
-        pay = [int(r * dp.den) for r in ratios]
+        pay = [int(r * dp.layout.den) for r in ratios]
         row = [None] * (t_max + 1)
         ch = [None] * (t_max + 1)
         for t in range(t_max + 1):
@@ -562,12 +574,13 @@ def _dense_rows(dp, budget):
     reachable columns 0..t_max, one min-plus list pass per prefix, cut
     after its last entry within ``budget``."""
     t_max = dp.t_max
-    cap = None if budget is None else budget.numerator * dp.den // budget.denominator
+    den = dp.layout.den
+    cap = None if budget is None else budget.numerator * den // budget.denominator
     rows = [[0]]
-    for weights, ratios in zip(dp.prefix_weight, dp.prefix_ratio):
+    for weights, ratios in zip(dp.prefix_weight, _prefix_ratio(dp)):
         prev = rows[-1]
         row = []
-        for w, p in zip(weights, [int(r * dp.den) for r in ratios]):
+        for w, p in zip(weights, [int(r * den) for r in ratios]):
             start = 0
             if w > 0:
                 start = min(w, t_max + 1)
@@ -606,11 +619,12 @@ def _check_against_references(inst, dp, budget):
     dense = _dense_rows(dp, budget)
     for j, ref in enumerate(rows):
         kept = [p for p in ref if p is not None
-                and (budget is None or F(p, dp.den) <= budget)]
+                and (budget is None or F(p, dp.layout.den) <= budget)]
         assert _expanded(dp, j) == kept
         assert dense[j] == kept
-        assert [dp.payment(j, t) for t in range(dp.t_max + 1)] == \
-            [F(p, dp.den) for p in kept] + [None] * (dp.t_max + 1 - len(kept))
+        assert [_payment(dp, j, t) for t in range(dp.t_max + 1)] == \
+            [F(p, dp.layout.den) for p in kept] \
+            + [None] * (dp.t_max + 1 - len(kept))
     for t in range(dp.ends[-1]):
         assert dp.reconstruct(inst, t) == _reference_reconstruct(dp, choices, t)
     with pytest.raises(ModelError):
@@ -618,33 +632,34 @@ def _check_against_references(inst, dp, budget):
 
 
 def _reference_reconstruct(dp, choices, t):
-    alpha = [F(0)] * len(dp.agent_order)
+    ratios = _prefix_ratio(dp)
+    alpha = [F(0)] * len(dp.layout.agent_order)
     chosen = set()
-    for j in range(len(dp.agent_order), 0, -1):
+    for j in range(len(dp.layout.agent_order), 0, -1):
         ell, t = choices[j][t]
         if ell > 0:
-            alpha[j - 1] = dp.prefix_ratio[j - 1][ell]
-            chosen.update(dp.agent_order[j - 1][:ell])
+            alpha[j - 1] = ratios[j - 1][ell]
+            chosen.update(dp.layout.agent_order[j - 1][:ell])
     return Contract(tuple(alpha)), frozenset(chosen)
 
 
 def _argmin_walk(dp, rows, t):
     """The pair behind column t of the dense ``rows``: walking down from
     agent n, each agent takes the first prefix of least candidate."""
-    ratios = dp.prefix_ratio
-    alpha = [F(0)] * len(dp.agent_order)
+    ratios, den = _prefix_ratio(dp), dp.layout.den
+    alpha = [F(0)] * len(dp.layout.agent_order)
     chosen = set()
-    for j in range(len(dp.agent_order), 0, -1):
+    for j in range(len(dp.layout.agent_order), 0, -1):
         prev = rows[j - 1]
         best = None
         for ell, (w, r) in enumerate(zip(dp.prefix_weight[j - 1], ratios[j - 1])):
             idx = max(t - w, 0)
-            if idx < len(prev) and (best is None or prev[idx] + r * dp.den < best[0]):
-                best = prev[idx] + r * dp.den, ell, idx
+            if idx < len(prev) and (best is None or prev[idx] + r * den < best[0]):
+                best = prev[idx] + r * den, ell, idx
         _, ell, t = best
         if ell > 0:
             alpha[j - 1] = ratios[j - 1][ell]
-            chosen.update(dp.agent_order[j - 1][:ell])
+            chosen.update(dp.layout.agent_order[j - 1][:ell])
     return Contract(tuple(alpha)), frozenset(chosen)
 
 
@@ -668,7 +683,7 @@ def _reference_picks(inst, budget, eps, obj, *, dense=False):
         else:
             rows, choices = _reference_rows(dp)
             pick = functools.partial(_reference_reconstruct, dp, choices)
-        row, den = rows[-1], dp.den
+        row, den = rows[-1], dp.layout.den
         top, scale = budget.numerator * den, budget.denominator
         affordable = [t for t, p in enumerate(row)
                       if p is not None and p * scale <= top]
@@ -853,12 +868,13 @@ def test_dp_layout_matches_fraction_reference():
                 assert inst.oracle.value_queries - before == inst.num_actions
                 order, ratios, weights, t_max, den = _reference_layout(
                     inst, basis, b, eps, budget)
-                assert dp.agent_order == order
-                assert dp.prefix_ratio == ratios
+                assert dp.layout.agent_order == order
+                assert _prefix_ratio(dp) == ratios
                 assert dp.prefix_weight == weights
-                assert (dp.t_max, dp.den) == (t_max, den)
-                assert dp.delta == eps / inst.num_actions
-                assert dp.prefix_payment == tuple(
+                assert (dp.t_max, dp.layout.den) == (t_max, den)
+                assert dp.layout.eps / dp.layout.num_actions \
+                    == eps / inst.num_actions
+                assert dp.layout.prefix_payment == tuple(
                     tuple(int(r * den) for r in rs) for rs in ratios)
                 negative_weights += basis == "f-c" and any(
                     w < 0 for ws in weights for w in ws)
@@ -873,9 +889,9 @@ class _LoggedAdditive(AdditiveOracle):
         super().__init__(weights)
         self.log = []
 
-    def _value(self, mask):
+    def _int(self, mask):
         self.log.append(mask)
-        return super()._value(mask)
+        return super()._int(mask)
 
 
 def test_fptas_reads_each_singleton_once():
@@ -998,7 +1014,7 @@ def test_breakpoint_sweep_is_monotone_in_f():
     for _ in range(8):
         inst = random_explicit_monotone_instance(rng.randint(0, 10 ** 6),
                                                  num_actions=4)
-        breaks = single_agent_demand_breakpoints(inst)
+        breaks = single_agent_hull(with_table(inst))[1]
         probes = sorted(set([F(0), F(1)] + breaks))
         last = F(-1)
         for alpha in probes:
@@ -1095,7 +1111,6 @@ def test_integer_envelope_matches_fraction_reference(monkeypatch):
         assert (hull, breaks) == _reference_hull(inst)
         assert single_agent_hull(_rescaled(inst)) == (hull, breaks)
         assert all(type(b) is F for b in breaks)
-        assert single_agent_demand_breakpoints(inst) == breaks
         for budget in (F(0), F(1, 3), F(1, 2), F(1)):
             got = single_agent_fptas(inst, budget, F(1, 4))
             with monkeypatch.context() as patch:

@@ -26,7 +26,7 @@ from budgetcontracts.rewards import ValueTable, with_table
 from budgetcontracts.solvers import SolveResult, additive_fptas, \
     brute_force_opt, build_dp_table, downsize, gs_constant_factor, \
     gs_single_agent_exact, max_reward_bounded_brute, scale_costs, \
-    single_agent_demand_breakpoints, single_agent_fptas
+    single_agent_fptas
 
 MAKERS = (random_additive_instance, random_unit_demand_instance,
           random_uniform_k_instance, random_oxs_instance,
@@ -97,8 +97,6 @@ def _calls(inst, rng):
     if n == 1:
         calls.append(("single_agent_fptas",
                       lambda i: single_agent_fptas(i, budget, F(1, 4))))
-        calls.append(("single_agent_demand_breakpoints",
-                      single_agent_demand_breakpoints))
     return calls
 
 
@@ -195,7 +193,8 @@ def test_with_table_fills_one_record_per_instance(family):
     assert len(table.values) == len(table.ints) == 1 << m
     assert all(table.values[mask] == F(table.ints[mask], table.den)
                for mask in range(1 << m))
-    assert table.values == [inst.oracle._value(mask) for mask in range(1 << m)]
+    assert table.values == [F(inst.oracle._int(mask), inst.oracle.den)
+                            for mask in range(1 << m)]
     assert with_table(tabled) is tabled and tabled.f is table.values
     assert inst.oracle.value_queries - before == 1 << m
 
