@@ -76,6 +76,14 @@ def _json_document(text: str):
         raise SchemaError(f"invalid JSON: {exc}") from exc
 
 
+def _check_agent_count(num_agents: int, num_actions: int) -> None:
+    """The document rule on numAgents: at least 1, at most the actions."""
+    if num_agents < 1:
+        raise SchemaError(f"numAgents {num_agents} below 1")
+    if num_agents > num_actions:  # an agent past the m-th owns nothing
+        raise SchemaError(f"numAgents {num_agents} above {num_actions} actions")
+
+
 def parse_instance(text: str) -> Instance:
     doc = _json_document(text)
     if not isinstance(doc, dict) or "reward" not in doc:
@@ -105,10 +113,7 @@ def parse_instance(text: str) -> Instance:
         except KeyError as exc:
             raise SchemaError(f"actions[{idx}] missing {exc}") from exc
     num_agents = parse_integer(doc["numAgents"], "numAgents")
-    if num_agents < 1:
-        raise SchemaError(f"numAgents {num_agents} below 1")
-    if num_agents > len(actions):  # an agent past the m-th owns nothing
-        raise SchemaError(f"numAgents {num_agents} above {len(actions)} actions")
+    _check_agent_count(num_agents, len(actions))
     inst = Instance(num_agents, tuple(actions), oracle_from_spec(reward))
     validate_instance(inst)
     return inst
@@ -236,7 +241,10 @@ def load_instance(source: str) -> Instance:
                     raise SchemaError(
                         f"generator option {key!r} must be >= {least}, got {number}")
                 kwargs[name] = number
-        return _GENERATORS[parts[1]](**kwargs)
+        inst = _GENERATORS[parts[1]](**kwargs)
+        # held to the document rule, so its document loads back
+        _check_agent_count(inst.num_agents, inst.num_actions)
+        return inst
     with open(source, "r", encoding="utf-8") as fh:
         return parse_instance(fh.read())
 

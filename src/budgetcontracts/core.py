@@ -297,12 +297,16 @@ class Contract:
 
 @dataclass(frozen=True)
 class GeneralContract:
-    """Per-agent payments on failure and on success (both nonnegative)."""
+    """Per-agent payments on failure and on success (both nonnegative), each
+    an exact rational as :func:`exact_rational` takes it."""
 
     pay_on_failure: tuple[Fraction, ...]
     pay_on_success: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
+        for name in ("pay_on_failure", "pay_on_success"):
+            object.__setattr__(self, name,
+                               tuple(map(exact_rational, getattr(self, name))))
         if len(self.pay_on_failure) != len(self.pay_on_success):
             raise ModelError("payment tuples must have equal length")
         if any(t < 0 for t in self.pay_on_failure) or any(t < 0 for t in self.pay_on_success):

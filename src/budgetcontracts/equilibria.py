@@ -25,26 +25,9 @@ without a table, and a certificate's utilities become Fractions once per
 agent.
 
 The minimal-contract algebra is :func:`_min_payment`, one agent's bounds
-for one profile.  :func:`min_incentivizing_contract` runs it per agent on
-the same scaled values and cost sums, against every deviation, and makes
-each entry a Fraction once.  :func:`iter_min_contracts`
-prices all profiles at once, agent by agent, on the table's ints and
-the cost sums in cost order (``Instance.agent_cost_runs``, sorted once
-per instance), and tests the budget on the integer payment pairs:
-against a fixed rest R = S - T_i, agent i's deviations are the lines
-alpha * f(R + d) - c(d), and S_i is kept exactly where its line is on their
-upper envelope.  When d' costs no more than d and is worth no less, the
-bound from d' implies the bound from d at every alpha >= 0, so only S_i's
-neighbours on the envelope bind: the one before it, cheaper and worth
-less, sets the payment, (cost rise, value rise) read off the two lines.
-A line touching the envelope in a single point, where its lower and
-upper bounds meet (lo = hi), stays admissible.  The agent owning the
-most actions of the profiles' span T goes first, ties by index: its
-pass walks 2^(|T| - |T_max|) rests, reading 2^|T| values, and the
-agents after it price only the profiles kept so far.  The same envelope
-with R = empty is a one-agent instance's best-response hull
-(:func:`single_agent_hull`), which the single-agent scheme in
-:mod:`solvers` reads.
+for one profile, which :func:`min_incentivizing_contract` runs per agent.
+:func:`iter_min_contracts` and :func:`single_agent_hull` read the same
+payments off upper envelopes (:func:`_agent_payments`).
 """
 
 from __future__ import annotations

@@ -24,8 +24,8 @@ from budgetcontracts.core import (
     check_enumeration,
     cost,
     descriptor_field,
+    exact_rational,
     format_rational,
-    parse_rational,
     restrict_contract,
 )
 from budgetcontracts.equilibria import iter_min_contracts
@@ -41,6 +41,8 @@ class Objective:
         if self.kind not in ("profit", "reward", "welfare", "combo"):
             raise ModelError(f"unknown objective kind {self.kind!r}")
         if self.kind == "combo":
+            object.__setattr__(self, "terms", tuple(
+                (exact_rational(w), o) for w, o in self.terms))
             if not self.terms:
                 raise ModelError("combo objective needs at least one term")
             if any(w <= 0 for w, _ in self.terms):
@@ -64,7 +66,9 @@ WELFARE = Objective("welfare")
 
 
 def combo(*terms: tuple[Fraction | str | int, Objective]) -> Objective:
-    return Objective("combo", tuple((Fraction(w), o) for w, o in terms))
+    """A convex combination; each weight is an exact rational, a "p/q"
+    string or an int (a float or a bool raises ``RationalParseError``)."""
+    return Objective("combo", terms)
 
 
 def evaluate(obj: Objective, inst: Instance, alpha: Contract,
@@ -250,7 +254,7 @@ def objective_from_spec(spec: Mapping | str) -> Objective:
         if not all(isinstance(t, list) and len(t) == 2 for t in terms):
             raise SchemaError("combo descriptor terms must be [weight, objective] pairs")
         return Objective("combo", tuple(
-            (parse_rational(w), objective_from_spec(o)) for w, o in terms))
+            (w, objective_from_spec(o)) for w, o in terms))
     raise ModelError(f"unknown objective descriptor: {kind!r}")
 
 

@@ -15,8 +15,9 @@ and the certified constant accounts for that.
 No envelope is built here: brute force and the exact single-agent solvers
 price profiles with :func:`equilibria.iter_min_contracts`, and the
 single-agent scheme reads its hull from :func:`equilibria.single_agent_hull`.
-Nor are prices built: downsizing calls :func:`equilibria.ne_from_demand`,
-and :func:`_counted` alone reads the query counts.
+Nor are prices built: downsizing calls :func:`equilibria.ne_from_demand`
+and :func:`equilibria.double_contract`, and :func:`_counted` alone reads
+the query counts.
 """
 
 from __future__ import annotations
@@ -26,12 +27,11 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from itertools import accumulate
-from operator import or_
+from itertools import accumulate, chain
+from operator import itemgetter, or_
 from typing import Iterable, Optional, Sequence
 
 from budgetcontracts.core import (
-    Action,
     Contract,
     Instance,
     ModelError,
@@ -41,10 +41,9 @@ from budgetcontracts.core import (
     cost,
     restrict_contract,
 )
-from budgetcontracts.equilibria import is_nash, iter_min_contracts, \
-    ne_from_demand, single_agent_hull
-from budgetcontracts.objectives import Objective, PROFIT, REWARD, evaluate, \
-    value_at
+from budgetcontracts.equilibria import double_contract, is_nash, \
+    iter_min_contracts, ne_from_demand, single_agent_hull
+from budgetcontracts.objectives import Objective, REWARD, evaluate, value_at
 from budgetcontracts.rewards import mask_to_set, set_to_mask, with_table
 
 
@@ -72,8 +71,8 @@ def _race(obj: Objective, inst: Instance, pairs: Iterable[tuple[int, Contract]]
     f(S) is read by mask, and c(S) is summed from the agents' cost sums
     only when the objective reads cost; the profile becomes a frozenset
     for the winner only.  The zero contract with its best response
-    (:func:`_zero_pair`) enters first, and a later pair must beat the
-    best so far strictly.
+    (:func:`_zero_pair`) enters first, and ``max`` keeps the first pair of
+    maximal value, so a later pair must beat the best so far strictly.
     """
     f = inst.f
     c_den = inst.int_costs[1]
@@ -85,22 +84,19 @@ def _race(obj: Objective, inst: Instance, pairs: Iterable[tuple[int, Contract]]
                        c_den) if parts else ZERO
         return value_at(obj, alpha, f[mask], c_s)
 
-    best_alpha, zero_profile = _zero_pair(inst)
-    best_mask = set_to_mask(zero_profile)
-    best_value = value(best_mask, best_alpha)
-    for mask, alpha in pairs:
-        v = value(mask, alpha)
-        if v > best_value:
-            best_mask, best_alpha, best_value = mask, alpha, v
-    return best_alpha, mask_to_set(best_mask), best_value
+    v, mask, alpha = max(((value(mask, alpha), mask, alpha)
+                          for mask, alpha in chain([_zero_pair(inst)], pairs)),
+                         key=itemgetter(0))
+    return alpha, mask_to_set(mask), v
 
 
-def _zero_pair(inst: Instance) -> tuple[Contract, frozenset[int]]:
-    """The zero contract with its best response, every negative-cost action
-    (none in a validated instance): an equilibrium whatever f is.  The
-    sign is read off each cost's numerator, without a Fraction compare."""
-    return Contract.zero(inst.num_agents), \
-        frozenset(a.action_id for a in inst.actions if a.cost.numerator < 0)
+def _zero_pair(inst: Instance) -> tuple[int, Contract]:
+    """(profile mask, contract): the zero contract with its best response,
+    every negative-cost action (none in a validated instance), an
+    equilibrium whatever f is.  The sign is read off each cost's
+    numerator, without a Fraction compare."""
+    return set_to_mask(a.action_id for a in inst.actions
+                       if a.cost.numerator < 0), Contract.zero(inst.num_agents)
 
 
 def _check_budget(budget: Fraction) -> None:
@@ -173,16 +169,6 @@ def gs_single_agent_exact(inst: Instance, agent: int, obj: Objective,
     best = _race(obj, inst, iter_min_contracts(
         inst, within=inst.agent_masks[agent], budget=budget))
     return SolveResult(*best, "exact", str(obj), budget)
-
-
-def scale_costs(inst: Instance, factor: Fraction) -> Instance:
-    """The same instance, value table included, with every action cost
-    multiplied by ``factor``."""
-    if factor <= 0:
-        raise ModelError("cost scale factor must be > 0")
-    actions = tuple(Action(a.action_id, a.owner, a.cost * factor)
-                    for a in inst.actions)
-    return Instance(inst.num_agents, actions, inst.oracle, inst.table)
 
 
 # -- additive FPTAS ----------------------------------------------------------
@@ -464,7 +450,8 @@ def additive_fptas(inst: Instance, budget: Fraction, eps: Fraction,
     basis = "f-c" if obj.kind == "welfare" else "f"
     layout = _PrefixLayout.build(inst, basis, eps, budget)
 
-    zero_alpha, zero_profile = _zero_pair(inst)
+    zero_mask, zero_alpha = _zero_pair(inst)
+    zero_profile = mask_to_set(zero_mask)
     zero_value = evaluate(obj, inst, zero_alpha, zero_profile)
     # the best value so far as num / den, and its table and column
     top_num, top_den = zero_value.numerator, zero_value.denominator
@@ -606,10 +593,10 @@ def downsize(inst: Instance, m_param: int, alpha: Contract,
     actions are the base of one :func:`equilibria.ne_from_demand`);
     otherwise agents pack greedily into payment-bounded groups until a
     group alone carries a 1/(M-1) reward share, and the surviving group's
-    doubled-plus-epsilon contract is re-equilibrated the same way, with no
-    base.  f on a group of agents means f of the union of their
-    equilibrium actions.  A zero-payment input is returned unchanged (its guarantees
-    hold trivially).
+    contract goes through :func:`equilibria.double_contract` with epsilon
+    p/(nM).  f on a group of agents is read at the profile's bitmask cut
+    to the group's ``Instance.agent_masks``.  A zero-payment input is
+    returned unchanged (its guarantees hold trivially).
     """
     if m_param < 3:
         raise ModelError("M must be an integer >= 3")
@@ -622,22 +609,15 @@ def downsize(inst: Instance, m_param: int, alpha: Contract,
     if p == 0:
         return alpha, s
     f = inst.f
-    f_s = f[set_to_mask(s)]
+    mask = inst.mask_of(s)
+    own = inst.agent_masks
     threshold = p / m_param
-    share = f_s / (m_param - 1)
+    share = f[mask] / (m_param - 1)
     big = [i for i in range(inst.num_agents) if alpha[i] > threshold]
     for i in big:
-        s_i = s & inst.agent_actions[i]
-        if f[set_to_mask(s_i)] >= share:
+        if f[mask & own[i]] >= share:
             only = restrict_contract(alpha, {i})
-            return only, ne_from_demand(inst, only, s_i)
-
-    def group_actions(agents: list[int]) -> frozenset[int]:
-        out: set[int] = set()
-        for i in agents:
-            out |= s & inst.agent_actions[i]
-        return frozenset(out)
-
+            return only, ne_from_demand(inst, only, mask_to_set(mask & own[i]))
     pool = [i for i in range(inst.num_agents) if i not in big]
     survivors = pool  # alias: whatever remains after carving groups out
     for _ in range(max(0, m_param - len(big) - 2)):
@@ -649,26 +629,32 @@ def downsize(inst: Instance, m_param: int, alpha: Contract,
             agent = pool.pop(0)
             group.append(agent)
             total += alpha[agent]
-        if f[set_to_mask(group_actions(group))] >= share:
+        # the agents' masks are disjoint, so their sum is their union
+        if f[mask & sum(own[i] for i in group)] >= share:
             survivors = group
             break
-    epsilon = p / (inst.num_agents * m_param)
-    new_alpha = restrict_contract(alpha, survivors).scale(Fraction(2)) \
-        .add_everyone(epsilon)
-    return new_alpha, ne_from_demand(inst, new_alpha)
+    return double_contract(inst, restrict_contract(alpha, survivors),
+                           p / (inst.num_agents * m_param))
 
 
 def _scaled_profit_base(inst: Instance, pairs: Sequence[tuple[int, Contract]],
-                        budget: Fraction) -> tuple[Contract, frozenset[int]]:
-    """The pipeline's base: the profit optimum at budget 1 with costs scaled
-    by k = 4/(3B), rescaled by 3B/4.  Those costs scale each minimal
-    contract by k and keep every comparison and tie, so it is the race over
-    the budget-B ``pairs`` paying at most 3B/4, each scaled by k."""
+                        budget: Fraction
+                        ) -> tuple[Contract, frozenset[int], Fraction]:
+    """The pipeline's base and its reward f(S): the profit optimum at
+    budget 1 with costs scaled by k = 4/(3B), rescaled by 3B/4.
+
+    Those costs scale each minimal contract by k, so the base is a budget-B
+    pair paying t <= 3B/4, and its scaled profit (1 - k t) f(S) is
+    k (3B/4 - t) f(S).  It is thus the first of ``pairs`` of maximal
+    (3B/4 - t) f(S), the zero pair (:func:`_zero_pair`) entering first and
+    a later pair winning only strictly; rescaled, its contract is its own.
+    """
     cap = Fraction(3, 4) * budget
-    k = 1 / cap
-    best, profile, _ = _race(PROFIT, inst, ((mask, alpha.scale(k))
-                             for mask, alpha in pairs if alpha.total() <= cap))
-    return best.scale(cap), profile
+    f = inst.f
+    _, mask, alpha = max((((cap - t) * f[mask], mask, alpha)
+                          for mask, alpha in chain([_zero_pair(inst)], pairs)
+                          if (t := alpha.total()) <= cap), key=itemgetter(0))
+    return alpha, mask_to_set(mask), f[mask]
 
 
 @_counted
@@ -677,13 +663,16 @@ def gs_constant_factor(inst: Instance, budget: Fraction, obj: Objective, *,
     """Constant-factor approximation for gross-substitutes rewards.
 
     Pipeline: (a) the profit optimum at budget 1 with costs scaled by
-    (4/3)(1/B) (:func:`_scaled_profit_base`), (b) that contract rescaled by
-    3B/4 raced against the exact single-agent solutions for reward, (c)
-    the winner downsized with M = 6 raced against them for the target
-    objective; with the exact base solver the certified factor is
-    120 * 50 + 1 = 6001.  Unless B = 0, every stage reads the one value
-    table filled here and the one list of budget-B minimal contracts; agent
-    i's single-agent pairs are those whose profiles lie in its actions T_i.
+    (4/3)(1/B), rescaled by 3B/4 (:func:`_scaled_profit_base`), (b) raced
+    against the exact single-agent solutions for reward, (c) the winner
+    downsized with M = 6 raced against them for the target objective; with
+    the exact base solver the certified factor is 120 * 50 + 1 = 6001.
+    Unless B = 0, every stage is a pick over the one list of budget-B
+    minimal contracts, read off the one value table filled here: agent i's
+    single-agent pairs are those whose profiles lie in its actions T_i.
+    Each stage keeps its first pick of maximal value, valued as the pick
+    found it: only the downsized pair is valued anew, by
+    :func:`objectives.evaluate`.
     """
     if not (force or inst.oracle.is_gs_class):
         raise ModelError("oracle not declared gross substitutes (use force=True)")
@@ -696,16 +685,14 @@ def gs_constant_factor(inst: Instance, budget: Fraction, obj: Objective, *,
     check_enumeration(inst.num_actions, "GS pipeline")
     inst = with_table(inst)  # one table for every stage
     pairs = list(iter_min_contracts(inst, budget=budget))
-    rescaled = _scaled_profit_base(inst, pairs, budget)
-    # each agent's pairs, raced for reward, then for obj after downsizing
     singles = [[(mask, alpha) for mask, alpha in pairs if not mask & ~own]
                for own in inst.agent_masks]
-    mrb_candidates = [rescaled] + \
-        [_race(REWARD, inst, own)[:2] for own in singles]
-    mrb = max(mrb_candidates, key=lambda pair: evaluate(REWARD, inst, *pair))
-
-    final_candidates = [downsize(inst, 6, *mrb)] + \
-        [_race(obj, inst, own)[:2] for own in singles]
-    best = max(final_candidates, key=lambda pair: evaluate(obj, inst, *pair))
-    return SolveResult(*best, evaluate(obj, inst, *best), Fraction(6001),
-                       str(obj), budget)
+    # each stage races (contract, profile, value) picks; max keeps the first
+    mrb = max([_scaled_profit_base(inst, pairs, budget)]
+              + [_race(REWARD, inst, own) for own in singles],
+              key=itemgetter(2))
+    down = downsize(inst, 6, *mrb[:2])
+    best = max([(*down, evaluate(obj, inst, *down))]
+               + [_race(obj, inst, own) for own in singles],
+               key=itemgetter(2))
+    return SolveResult(*best, Fraction(6001), str(obj), budget)

@@ -665,6 +665,8 @@ def test_python_m_runs_the_cli():
 # for the case's scratch directory.  Commands starting with "scripts/" run
 # as a separate Python process; only their files are pinned, because their
 # stdout names the output path.
+COMBO_SPEC = ('{"type":"combo","terms":[["1/3",{"type":"welfare"}],'
+              '["2/3",{"type":"profit"}]]}')
 GOLDEN_RUNS = [
     ("gs-unit-demand-profit",
      [["solve", "--instance", "gen:unit_demand:seed=11,agents=3,actions=7",
@@ -675,6 +677,17 @@ GOLDEN_RUNS = [
     ("gs-uniform-k-welfare",
      [["solve", "--instance", "gen:uniform_k:seed=7,agents=3,actions=6",
        "--budget", "1/2", "--objective", "welfare"]], []),
+    # a combo through the pipeline at B = 1: the winner pays 35/48 to one
+    # agent
+    ("gs-uniform-k-combo-budget-1",
+     [["solve", "--instance", "gen:uniform_k:seed=5,agents=3,actions=8",
+       "--budget", "1", "--objective", COMBO_SPEC]], []),
+    ("gs-oxs-combo-budget-1-csv",
+     [["solve", "--instance", "gen:oxs:seed=7,agents=3,actions=8",
+       "--budget", "1", "--objective", COMBO_SPEC, "--csv"]], []),
+    ("gs-oxs-welfare-budget-0",
+     [["solve", "--instance", "gen:oxs:seed=2,agents=3,actions=5",
+       "--budget", "0", "--objective", "welfare"]], []),
     ("additive-m12-profit",
      [["solve", "--instance", "gen:additive:seed=3,agents=3,actions=12",
        "--budget", "1/2", "--objective", "profit"]], []),
@@ -703,6 +716,19 @@ GOLDEN_RUNS = [
       ["downsize", "--instance", "gen:coverage:seed=11,agents=4,actions=7",
        "--pair", "{dir}/pair.json", "--m-param", "3",
        "--out", "{dir}/down.json"]], ["pair.json", "down.json"]),
+    # M = 14 reaches the grouping: the payment falls from 25/128 to 5/128
+    ("downsize-coverage-m14",
+     [["brute", "--instance", "gen:coverage:seed=3,agents=4,actions=8",
+       "--budget", "1", "--objective", "reward", "--out", "{dir}/pair.json"],
+      ["downsize", "--instance", "gen:coverage:seed=3,agents=4,actions=8",
+       "--pair", "{dir}/pair.json", "--m-param", "14"]], ["pair.json"]),
+    # agent 4 is paid above p/M but cannot exit alone: the rest is doubled
+    # plus epsilon, 1/16 -> 11/72 for agent 1
+    ("downsize-coverage-doubled",
+     [["brute", "--instance", "gen:coverage:seed=14,agents=6,actions=8",
+       "--budget", "1/2", "--objective", "reward", "--out", "{dir}/pair.json"],
+      ["downsize", "--instance", "gen:coverage:seed=14,agents=6,actions=8",
+       "--pair", "{dir}/pair.json", "--m-param", "3"]], ["pair.json"]),
     ("verify-ne-out",
      [["brute", "--instance", "gen:coverage:seed=11,agents=4,actions=7",
        "--budget", "3/4", "--objective", "reward", "--out", "{dir}/pair.json"],
@@ -811,6 +837,26 @@ def test_cli_malformed_pair_is_schema_error(text, tmp_path, capsys):
 def test_cli_malformed_argument_is_schema_error(argv, capsys):
     assert main(argv) == 1
     assert _error_type(capsys) == "SchemaError"
+
+
+@pytest.mark.parametrize("spec, message", [
+    # the generator's own defaults: 4 agents on 2 actions
+    ("gen:additive:seed=25", "numAgents 4 above 2 actions"),
+    ("gen:additive:seed=1,agents=5,actions=3", "numAgents 5 above 3 actions"),
+])
+def test_cli_generator_spec_is_held_to_the_document_rule(spec, message, capsys):
+    assert main(["solve", "--instance", spec, "--budget", "1/2"]) == 1
+    assert json.loads(capsys.readouterr().err) == \
+        {"error": {"type": "SchemaError", "message": message}}
+
+
+@pytest.mark.parametrize("spec", [
+    "gen:additive:seed=3,agents=2,actions=6", "gen:coverage:seed=3",
+    "gen:oxs:seed=7,agents=3,actions=3", "gen:explicit:seed=2",
+    "gen:gs:seed=9,agents=1,actions=1", "gen:unit_demand:seed=0"])
+def test_cli_generator_spec_reloads_from_its_document(spec):
+    text = serialize_instance(load_instance(spec))
+    assert serialize_instance(parse_instance(text)) == text
 
 
 def _same_process(argv):

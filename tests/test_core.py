@@ -9,6 +9,7 @@ from budgetcontracts.core import (
     Action,
     Contract,
     DuplicateActionIdError,
+    GeneralContract,
     Instance,
     ModelError,
     NegativeCostError,
@@ -22,6 +23,8 @@ from budgetcontracts.core import (
     validate_instance,
 )
 from budgetcontracts.hardness import HardnessParams, build_hardness, good_action
+from budgetcontracts.objectives import PROFIT, REWARD, WELFARE, Objective, \
+    combo
 from budgetcontracts.rewards import AdditiveOracle, ExplicitOracle
 
 
@@ -128,6 +131,30 @@ def test_contract_of_rejects_floats_and_bools():
     for bad in ([0.5], [F(1, 2), True]):
         with pytest.raises(RationalParseError):
             Contract.of(bad)
+
+
+def test_objective_rejects_float_and_bool_weights():
+    assert combo(("1/3", WELFARE), (F(2, 3), PROFIT)).terms == \
+        ((F(1, 3), WELFARE), (F(2, 3), PROFIT))
+    assert Objective("combo", ((1, REWARD),)).terms == ((F(1), REWARD),)
+    # Objective checks its weights, so combo() is covered too
+    for terms in (((0.5, PROFIT), (0.5, REWARD)), ((0.5, PROFIT), (0.5, WELFARE)),
+                  ((True, PROFIT),)):
+        with pytest.raises(RationalParseError):
+            Objective("combo", terms)
+        with pytest.raises(RationalParseError):
+            combo(*terms)
+
+
+def test_general_contract_rejects_floats_and_bools():
+    t = GeneralContract((0, "1/4"), (F(1, 2), 1))
+    assert t.pay_on_failure == (F(0), F(1, 4))
+    assert t.pay_on_success == (F(1, 2), F(1))
+    for failure, success in (((0.1, F(0)), (F(1, 2), F(1, 2))),
+                             ((F(0), F(0)), (F(3, 5), True)),
+                             ((0.1, 0.0), (0.6, True))):
+        with pytest.raises(RationalParseError):
+            GeneralContract(failure, success)
 
 
 def test_restrict_contract_cases():

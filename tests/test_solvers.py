@@ -11,14 +11,14 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, \
     strategies as st
 
-from budgetcontracts import equilibria
+from budgetcontracts import equilibria, solvers
 from budgetcontracts.core import Action, Contract, GroundSetTooLargeError, \
-    Instance, ModelError, cost
+    Instance, ModelError, cost, restrict_contract
 from budgetcontracts.equilibria import best_response, is_nash, \
     min_incentivizing_contract, ne_from_demand, single_agent_hull
 from budgetcontracts.generators import random_additive_instance, \
-    random_explicit_monotone_instance, random_gs_instance, random_oxs_instance, \
-    random_unit_demand_instance
+    random_coverage_instance, random_explicit_monotone_instance, \
+    random_gs_instance, random_oxs_instance, random_unit_demand_instance
 from budgetcontracts.hardness import HardnessParams, build_hardness, good_action
 from budgetcontracts.objectives import PROFIT, REWARD, WELFARE, combo, \
     evaluate
@@ -35,7 +35,6 @@ from budgetcontracts.solvers import (
     gs_single_agent_exact,
     iter_min_contracts,
     max_reward_bounded_brute,
-    scale_costs,
     single_agent_fptas,
 )
 
@@ -337,10 +336,17 @@ def _reference_race(obj, inst, pairs):
     return best_alpha, best_profile, best_value
 
 
+def _scaled_costs(inst, factor):
+    """``inst``, value table included, with every action cost times
+    ``factor``."""
+    return replace(inst, actions=tuple(replace(a, cost=a.cost * factor)
+                                       for a in inst.actions))
+
+
 def _reference_gs(inst, budget, obj):
     """gs_constant_factor's stages, every race by :func:`_reference_race`."""
     inst = with_table(inst)
-    scaled = scale_costs(inst, F(4, 3) / budget)
+    scaled = _scaled_costs(inst, F(4, 3) / budget)
     base = _reference_race(PROFIT, scaled, iter_min_contracts(scaled, budget=F(1)))
     rescaled = (base[0].scale(F(3, 4) * budget), base[1])
     singles = [list(iter_min_contracts(inst, within=own, budget=budget))
@@ -386,8 +392,6 @@ def test_races_match_a_reference_race_over_every_pair():
 
 
 def test_gs_pipeline_enumerates_minimal_contracts_once(monkeypatch):
-    from budgetcontracts import solvers
-
     calls = collections.Counter()
 
     def counting(name):
@@ -398,13 +402,41 @@ def test_gs_pipeline_enumerates_minimal_contracts_once(monkeypatch):
             return kernel(*args, **kwargs)
         monkeypatch.setattr(solvers, name, counted)
 
-    for name in ("iter_min_contracts", "scale_costs", "brute_force_opt"):
+    for name in ("iter_min_contracts", "brute_force_opt", "evaluate"):
         counting(name)
     inst = random_unit_demand_instance(6, num_agents=3, num_actions=6)
     for budget, enumerations in ((F(1, 2), 1), (F(1), 1), (F(0), 0)):
-        calls.clear()
-        gs_constant_factor(inst, budget, REWARD)
-        assert calls == collections.Counter(iter_min_contracts=enumerations)
+        for obj in RACE_OBJECTIVES:
+            calls.clear()
+            gs_constant_factor(inst, budget, obj)
+            # the stages keep their picks' values: only the downsized
+            # pair (at B = 0 the zero pair) is valued again
+            assert calls == collections.Counter(
+                iter_min_contracts=enumerations, evaluate=1)
+
+
+def test_profit_base_is_the_rescaled_optimum_at_scaled_costs():
+    rng = random.Random(71)
+    instances = list(_tied_line_instances()) + [
+        random_gs_instance(rng.randint(0, 10 ** 6), num_agents=rng.randint(1, 3),
+                           num_actions=rng.randint(2, 6)) for _ in range(12)]
+    tied = 0
+    for inst in map(with_table, instances):
+        f = inst.f
+        zero = set_to_mask(a for a in inst.ground_set if inst.cost_of[a] < 0)
+        for budget in (F(1, 4), F(2, 3), F(1)):
+            cap = F(3, 4) * budget
+            pairs = list(iter_min_contracts(inst, budget=budget))
+            want = brute_force_opt(_scaled_costs(inst, 1 / cap), F(1), PROFIT)
+            alpha, profile, reward = solvers._scaled_profit_base(inst, pairs,
+                                                                 budget)
+            assert (alpha, profile) == (want.contract.scale(cap), want.profile)
+            assert reward == f[set_to_mask(profile)]
+            assert want.value * cap == (cap - alpha.total()) * reward
+            values = [cap * f[zero]] + [(cap - a.total()) * f[mask]
+                                        for mask, a in pairs if a.total() <= cap]
+            tied += values.count(max(values)) > 1
+    assert tied > 20  # equal values keep the first pair
 
 
 # the cost levels repeat, so actions tie; zero costs are among them
@@ -1297,6 +1329,76 @@ def test_downsize_oxs_m6_dichotomy():
     _check_downsize_guarantees(inst, 6, alpha, profile)
 
 
+def _reference_downsize(inst, m_param, alpha, profile):
+    """:func:`downsize` on frozensets: a group's actions are the union of
+    its agents' parts of the profile, and the survivors' contract is
+    doubled plus epsilon in place."""
+    if m_param < 3:
+        raise ModelError("M must be an integer >= 3")
+    s = frozenset(profile)
+    cert = is_nash(inst, alpha, s)
+    if not cert.ok:
+        raise NotAnEquilibriumError(f"agent {cert.violator} deviates")
+    p = alpha.total()
+    if p == 0:
+        return alpha, s
+    f = inst.f
+    threshold = p / m_param
+    share = f[set_to_mask(s)] / (m_param - 1)
+    big = [i for i in range(inst.num_agents) if alpha[i] > threshold]
+    for i in big:
+        s_i = s & inst.agent_actions[i]
+        if f[set_to_mask(s_i)] >= share:
+            only = restrict_contract(alpha, {i})
+            return only, ne_from_demand(inst, only, s_i)
+    pool = [i for i in range(inst.num_agents) if i not in big]
+    survivors = pool
+    for _ in range(max(0, m_param - len(big) - 2)):
+        if not pool:
+            break
+        group = []
+        total = F(0)
+        while pool and total <= threshold:
+            group.append(pool.pop(0))
+            total += alpha[group[-1]]
+        union = frozenset().union(*(s & inst.agent_actions[i] for i in group))
+        if f[set_to_mask(union)] >= share:
+            survivors = group
+            break
+    new_alpha = restrict_contract(alpha, survivors).scale(F(2)) \
+        .add_everyone(p / (inst.num_agents * m_param))
+    return new_alpha, ne_from_demand(inst, new_alpha)
+
+
+def test_downsize_matches_the_frozenset_reference():
+    rng = random.Random(73)
+    exits = collections.Counter()
+    # coverage seed 14 with six agents reaches the doubled contract
+    specs = [(random_coverage_instance, 14, 6, 8)] + [
+        (random_coverage_instance if k % 2 else random_gs_instance,
+         rng.randint(0, 10 ** 6), rng.randint(2, 6), rng.randint(3, 8))
+        for k in range(24)]
+    for maker, seed, n, m in specs:
+        pairs = [(r.contract, r.profile) for r in (
+            brute_force_opt(maker(seed, n, m), budget, obj) for budget, obj in
+            ((F(1), REWARD), (F(1, 2), REWARD), (F(1), PROFIT)))]
+        # and an equilibrium of a contract paying every agent something
+        alpha = Contract.of([F(rng.randint(1, 6), 8 * n) for _ in range(n)])
+        pairs.append((alpha, ne_from_demand(maker(seed, n, m), alpha)))
+        for pair in pairs:
+            for m_param in (3, 6, 14):
+                got = []
+                for run in (downsize, _reference_downsize):
+                    inst = maker(seed, n, m)  # untabled: every read counts
+                    before = inst.oracle.value_queries
+                    got.append((*run(inst, m_param, *pair),
+                                inst.oracle.value_queries - before))
+                assert got[0] == got[1]
+                paid = sum(a > 0 for a in got[0][0].alpha)
+                exits["doubled" if paid == n else paid] += 1
+    assert exits["doubled"] > 10 and exits[1] and exits[0]
+
+
 # -- single-agent exact and reward-bounded solvers --------------------------------
 
 
@@ -1405,7 +1507,7 @@ def _reference_pipeline(inst, budget, obj):
     run once per objective race."""
     inst = with_table(inst)
     table = inst.f
-    base = brute_force_opt(scale_costs(inst, F(4, 3) / budget), F(1), PROFIT)
+    base = brute_force_opt(_scaled_costs(inst, F(4, 3) / budget), F(1), PROFIT)
     rescaled = (base.contract.scale(F(3, 4) * budget), base.profile)
 
     def singles(o):
@@ -1525,14 +1627,6 @@ def test_max_reward_bounded_hardness_upper_bound():
     r = max_reward_bounded_brute(inst, F(1, 2))
     assert r.value <= (F(4, 2) + 2) * params.eps
     assert good_action(4) not in r.profile
-
-
-def test_scale_costs():
-    inst = Instance(1, (Action(0, 0, F(1, 4)),), AdditiveOracle([F(1, 2)]))
-    assert scale_costs(inst, F(1)).cost_of[0] == F(1, 4)
-    assert scale_costs(inst, F(2)).cost_of[0] == F(1, 2)
-    factor = F(4, 3) * (F(1) / F(1, 2))
-    assert factor == F(8, 3)
 
 
 # -- constant-factor pipeline ------------------------------------------------------

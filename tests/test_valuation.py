@@ -25,7 +25,7 @@ from budgetcontracts.objectives import PROFIT, REWARD, WELFARE, evaluate, \
 from budgetcontracts.rewards import ValueTable, with_table
 from budgetcontracts.solvers import SolveResult, additive_fptas, \
     brute_force_opt, build_dp_table, downsize, gs_constant_factor, \
-    gs_single_agent_exact, max_reward_bounded_brute, scale_costs, \
+    gs_single_agent_exact, max_reward_bounded_brute, \
     single_agent_fptas
 
 MAKERS = (random_additive_instance, random_unit_demand_instance,
@@ -143,7 +143,7 @@ def test_lazy_instance_keeps_its_documented_query_counts():
                 inst.num_actions + 1 + len(scales)
 
 
-def test_with_table_fills_once_and_scale_costs_keeps_the_table():
+def test_with_table_fills_once():
     inst = random_unit_demand_instance(7, num_agents=2, num_actions=5)
     assert inst.table is None and inst.f is inst.oracle
     tabled = with_table(inst)
@@ -152,11 +152,6 @@ def test_with_table_fills_once_and_scale_costs_keeps_the_table():
     assert inst.oracle.value_queries == 1 << 5
     assert tabled.f is tabled.table.values
     assert tabled == inst  # the table is a cache, not part of the instance
-    scaled = scale_costs(tabled, F(3, 2))
-    assert scaled.table is tabled.table
-    assert scaled.cost_of[0] == F(3, 2) * inst.cost_of[0]
-    assert with_table(scaled) is scaled
-    assert inst.oracle.value_queries == 1 << 5
 
 
 def _oxs_document(columns: int) -> str:
