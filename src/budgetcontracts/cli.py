@@ -241,8 +241,11 @@ def load_instance(source: str) -> Instance:
                     raise SchemaError(
                         f"generator option {key!r} must be >= {least}, got {number}")
                 kwargs[name] = number
+        # held to the document rule, so its document loads back; refused
+        # before generating when the spec names both counts
+        if {"num_agents", "num_actions"} <= kwargs.keys():
+            _check_agent_count(kwargs["num_agents"], kwargs["num_actions"])
         inst = _GENERATORS[parts[1]](**kwargs)
-        # held to the document rule, so its document loads back
         _check_agent_count(inst.num_agents, inst.num_actions)
         return inst
     with open(source, "r", encoding="utf-8") as fh:

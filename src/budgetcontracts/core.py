@@ -21,10 +21,10 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, Optional, TYPE_CHECKING
+from typing import Iterable, Mapping, Optional, Sequence, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
-    from budgetcontracts.rewards import RewardOracle, ValueTable
+    from budgetcontracts.rewards import RewardOracle
 
 ActionProfile = frozenset[int]
 
@@ -143,6 +143,12 @@ def exact_rational(value) -> Fraction:
     return value if isinstance(value, Fraction) else parse_rational(value)
 
 
+def as_fractions(ints: Sequence[int], den: int) -> list[Fraction]:
+    """``[Fraction(k, den) for k in ints]``, one Fraction per distinct k."""
+    made = {k: Fraction(k, den) for k in set(ints)}
+    return list(map(made.__getitem__, ints))
+
+
 def format_rational(value: Fraction) -> str:
     """Serialize a rational as a "p/q" string (integers stay bare); a part
     over CPython's int-to-text digit limit raises ``ModelError``."""
@@ -168,17 +174,16 @@ class Instance:
 
     ``agent_actions[i]`` is agent ``i``'s action set T_i and
     ``agent_masks[i]`` its bitmask; ``ground_set`` is the disjoint union of
-    all of them.  ``table``, when present, is the oracle's
-    ``rewards.ValueTable`` (``rewards.with_table`` fills it), and ``f``
-    reads its ``values``; without one every read of ``f`` is one counted
-    value query on the oracle.
+    all of them.  ``table``, when present, is f * ``oracle.den`` as a
+    plain list of ints in bitmask order (``rewards.with_table`` fills it);
+    ``scaled_f`` reads it, and without one the oracle's counted read.
     """
 
     num_agents: int
     actions: tuple[Action, ...]
     oracle: "RewardOracle"
-    table: Optional["ValueTable"] = field(default=None, repr=False,
-                                          compare=False)
+    table: Optional[list[int]] = field(default=None, repr=False,
+                                       compare=False)
     owner_of: dict[int, int] = field(init=False, repr=False, compare=False)
     cost_of: dict[int, Fraction] = field(init=False, repr=False, compare=False)
     agent_actions: tuple[frozenset[int], ...] = field(init=False, repr=False, compare=False)
@@ -225,20 +230,22 @@ class Instance:
 
     @property
     def scaled_f(self):
-        """(F, den) with f(S) = F(S) / den for a bitmask S: the table's ints
-        over its den, or else the oracle's counted integer read
-        (``RewardOracle.read``) over the oracle's den."""
-        return (self.oracle.read, self.oracle.den) if self.table is None \
-            else (self.table.ints.__getitem__, self.table.den)
+        """(F, den) with f(S) = F(S) / den for a bitmask S: the table's
+        ints, or else the oracle's counted integer read
+        (``RewardOracle.read``), over the oracle's den."""
+        return (self.oracle.read if self.table is None
+                else self.table.__getitem__), self.oracle.den
 
     @property
     def num_actions(self) -> int:
         return len(self.actions)
 
-    @property
+    @cached_property
     def f(self):
-        """f by bitmask: the table's values, or else the counted oracle."""
-        return self.oracle if self.table is None else self.table.values
+        """f by bitmask as Fractions: the table's, made once on first use
+        (:func:`as_fractions`), or else the counted oracle."""
+        return self.oracle if self.table is None \
+            else as_fractions(self.table, self.oracle.den)
 
     def mask_of(self, profile: Iterable[int]) -> int:
         """The bitmask of a profile; UnknownActionIdError outside 0..m-1."""

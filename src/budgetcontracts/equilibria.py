@@ -13,8 +13,8 @@ outside the ground set raises ``UnknownActionIdError``.
 The exhaustive checks share one walk over an agent's deviations
 (:func:`_deviations`) and differ only in utility and tie rule.  The walk
 is one integer kernel: f(X) = F(X) / f_den with (F, f_den) from
-``Instance.scaled_f`` (the table's ints over its den, or without a table
-the oracle's counted integer read over its den), and c(X) =
+``Instance.scaled_f`` (the table's ints, or without a table the oracle's
+counted integer read, over the oracle's den), and c(X) =
 C(X) / c_den with C from ``Instance.agent_cost_sums``, each agent's
 subset-cost sums on ``Instance.int_costs``, built once per instance on
 first use (the shrink walk of :func:`is_subset_stable` sums S_i's
@@ -348,11 +348,11 @@ def _agent_payments(f: Sequence[int], runs: tuple[list[int], list[int],
 
 
 def _table_ints(inst: Instance) -> tuple[list[int], int]:
-    """(ints, den) of the instance's value table; ModelError without one."""
+    """(table, oracle den) of the instance; ModelError without a table."""
     if inst.table is None:
         raise ModelError("no value table on the instance: fill it with "
                          "rewards.with_table")
-    return inst.table.ints, inst.table.den
+    return inst.table, inst.oracle.den
 
 
 def single_agent_hull(inst: Instance) -> tuple[list[int], list[Fraction]]:

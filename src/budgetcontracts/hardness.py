@@ -315,21 +315,22 @@ def verify_gap_exhaustive(params: HardnessParams) -> GapReport:
     inst = with_table(build_hardness(params))
     good_mask = set_to_mask(params.hidden) | 1 << good_action(n)
     bound = (Fraction(n, 2) + 2) * params.eps
-    max_other = ZERO
+    f, f_den = inst.scaled_f  # f(S) > bound iff F(S) * q > p * f_den
+    p, q = bound.as_integer_ratio()
+    max_other = 0
     feasible = 0
     violations = []
     for mask, _ in iter_min_contracts(inst, budget=params.budget):
         if mask == good_mask:
             continue
         feasible += 1
-        f_s = inst.f[mask]
-        if f_s > max_other:
-            max_other = f_s
-        if f_s > bound:
+        f_s = f(mask)
+        max_other = max(max_other, f_s)
+        if f_s * q > p * f_den:
             violations.append(mask_to_set(mask))
     gap_ratio = ((ONE - params.budget) / 2) / bound
-    return GapReport(not violations, bound, max_other, gap_ratio, feasible,
-                     tuple(violations))
+    return GapReport(not violations, bound, Fraction(max_other, f_den),
+                     gap_ratio, feasible, tuple(violations))
 
 
 def indistinguishability_check(params: HardnessParams,

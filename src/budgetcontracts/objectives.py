@@ -80,9 +80,10 @@ def evaluate(obj: Objective, inst: Instance, alpha: Contract,
     return value_at(obj, alpha, f_s, c_s)
 
 
-def value_at(obj: Objective, alpha: Contract, f_s: Fraction,
-             c_s: Fraction) -> Fraction:
-    """obj at (alpha, S) from f(S) and c(S); c(S) is read only by welfare."""
+def value_at(obj: Objective, alpha: Contract, f_s, c_s):
+    """obj at (alpha, S) from f(S) and c(S); c(S) is read only by welfare.
+    Linear in (f(S), c(S)): both times one positive scale give the value
+    times it."""
     if obj.kind == "profit":
         return (1 - alpha.total()) * f_s
     if obj.kind == "reward":

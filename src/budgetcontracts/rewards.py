@@ -12,8 +12,8 @@ fixes one denominator ``den`` and implements one hook, ``_int(mask)``, which
 is f(S) * den as an int; ``oracle.read(mask)`` is the one counted read,
 ``oracle[mask]`` is that read over ``den`` as a Fraction, and
 ``value(subset)`` converts a set of ids once and reads it.  A filled table
-is one :class:`ValueTable`: the 2^m Fractions with their ints over ``den``,
-which :func:`with_table` puts on an instance.
+is the 2^m ints over ``den`` as one plain list in bitmask order, which
+:func:`with_table` puts on an instance.
 
 Price vectors may contain negative entries, and may mark actions as excluded
 (unpurchasable) instead of pricing them; exclusion plays the role of an
@@ -49,6 +49,7 @@ from budgetcontracts.core import (
     TESTER_LIMIT,
     UnknownActionIdError,
     ZERO,
+    as_fractions,
     check_enumeration,
     descriptor_field,
     exact_rational,
@@ -168,14 +169,10 @@ class RewardOracle:
     def _demand(self, prices: PriceVector) -> frozenset[int]:
         raise NotImplementedError
 
-    def _table(self) -> ValueTable:
-        """All 2^m values in bitmask order, without counting queries.
-
-        One ``_int`` per subset here; families with structure override it
-        with a subset DP over the same ints.
-        """
-        return _fractions(list(map(self._int, range(1 << self.num_actions))),
-                          self.den)
+    def _table(self) -> list[int]:
+        """All 2^m values times ``den`` in bitmask order, uncounted: one
+        ``_int`` per subset here, a subset DP in families with structure."""
+        return list(map(self._int, range(1 << self.num_actions)))
 
 
 def common_denominator(values: Iterable[Fraction]) -> int:
@@ -221,25 +218,6 @@ def cost_runs(costs: dict[int, int]) -> tuple[list[int], list[int], list[int]]:
     return order, by_cost, list(map(end.__getitem__, by_cost))
 
 
-@dataclass(frozen=True)
-class ValueTable:
-    """All 2^m values of f in bitmask order, with their integer form:
-    ``values`` is a plain list of Fractions, and ``values[mask] ==
-    Fraction(ints[mask], den)`` for every mask.  Every family fills both
-    once (:meth:`RewardOracle._table`); neither list is copied, so neither
-    may be mutated."""
-
-    values: list[Fraction]
-    ints: list[int]
-    den: int
-
-
-def _fractions(ints: list[int], den: int) -> ValueTable:
-    """The table of ``Fraction(k, den)`` for each k, built once per k."""
-    made = {k: Fraction(k, den) for k in set(ints)}
-    return ValueTable(list(map(made.__getitem__, ints)), ints, den)
-
-
 class AdditiveOracle(RewardOracle):
     """f(S) = the sum of the weights of the actions in S.
 
@@ -262,8 +240,8 @@ class AdditiveOracle(RewardOracle):
     def _int(self, mask: int) -> int:
         return sum(map(self._ints.__getitem__, _set_bits(mask)))
 
-    def _table(self) -> ValueTable:
-        return _fractions(subset_sums(self._ints), self.den)
+    def _table(self) -> list[int]:
+        return subset_sums(self._ints)
 
 
 class UnitDemandOracle(RewardOracle):
@@ -280,11 +258,11 @@ class UnitDemandOracle(RewardOracle):
     def _int(self, mask: int) -> int:
         return max(map(self._ints.__getitem__, _set_bits(mask)), default=0)
 
-    def _table(self) -> ValueTable:
+    def _table(self) -> list[int]:
         out = [0]
         for w in self._ints:
             out += [v if v > w else w for v in out]
-        return _fractions(out, self.den)
+        return out
 
 
 class UniformKDemandOracle(RewardOracle):
@@ -306,12 +284,11 @@ class UniformKDemandOracle(RewardOracle):
     def _int(self, mask: int) -> int:
         return min(mask.bit_count(), self.k) * self.unit_value.numerator
 
-    def _table(self) -> ValueTable:
+    def _table(self) -> list[int]:
         m = self.num_actions
         levels = [min(c, self.k) * self.unit_value.numerator
                   for c in range(m + 1)]
-        return _fractions([levels[s.bit_count()] for s in range(1 << m)],
-                          self.den)
+        return [levels[s.bit_count()] for s in range(1 << m)]
 
 
 class AssignmentOracle(RewardOracle):
@@ -354,7 +331,7 @@ class AssignmentOracle(RewardOracle):
             best = nxt
         return max(best.values())
 
-    def _table(self) -> ValueTable:
+    def _table(self) -> list[int]:
         if self.num_columns > 3:  # one list per column subset: keep them few
             return super()._table()
         # best[cols][s]: the best matching of s into the columns in cols;
@@ -368,7 +345,7 @@ class AssignmentOracle(RewardOracle):
                         ext = [x if x >= y + w else y + w
                                for x, y in zip(ext, best[cols ^ (1 << c)])]
                 best[cols] += ext
-        return _fractions(best[-1], self.den)
+        return best[-1]
 
 
 class CoverageOracle(RewardOracle):
@@ -393,11 +370,11 @@ class CoverageOracle(RewardOracle):
             covered |= self._cover_masks[a]
         return covered.bit_count()
 
-    def _table(self) -> ValueTable:
+    def _table(self) -> list[int]:
         covered = [0]
         for bits in self._cover_masks:
             covered += [c | bits for c in covered]
-        return _fractions(list(map(int.bit_count, covered)), self.den)
+        return list(map(int.bit_count, covered))
 
 
 class ExplicitOracle(RewardOracle):
@@ -470,8 +447,8 @@ class ExplicitOracle(RewardOracle):
     def _int(self, mask: int) -> int:
         return self._ints[mask]
 
-    def _table(self) -> ValueTable:
-        return ValueTable(list(self.values), self._ints, self.den)
+    def _table(self) -> list[int]:
+        return self._ints
 
 
 def _picker(indices: Sequence) -> Callable[[Sequence], tuple]:
@@ -606,27 +583,28 @@ def demand_with_base(oracle: RewardOracle, prices: PriceVector,
 
 
 def value_table(oracle: RewardOracle) -> list[Fraction]:
-    """All 2^m values in bitmask order as a plain list: the ``values`` of
-    the oracle's :class:`ValueTable`, counted as 2^m value queries."""
-    return _filled_table(oracle).values
+    """All 2^m values in bitmask order as a plain list of Fractions
+    (:func:`core.as_fractions` of the filled ints), counted as 2^m value
+    queries."""
+    return as_fractions(_filled_table(oracle), oracle.den)
 
 
-def _filled_table(oracle: RewardOracle) -> ValueTable:
-    """The oracle's :class:`ValueTable`, counted as 2^m value queries (one
-    per subset) and no demand queries.  Families with structure fill it on
-    exact ints by a subset DP: additive (sums), unit-demand (max), uniform-k
-    (levels by size), coverage (bit-OR of covers), OXS with at most three
-    columns; an explicit oracle hands over a copy of its Fractions with its
-    validated ints; the rest read one ``_int`` per subset."""
+def _filled_table(oracle: RewardOracle) -> list[int]:
+    """The 2^m values times ``oracle.den`` in bitmask order, counted as 2^m
+    value queries (one per subset) and no demand queries.  Families with
+    structure fill it by a subset DP: additive (sums), unit-demand (max),
+    uniform-k (levels by size), coverage (bit-OR of covers), OXS with at
+    most three columns; an explicit oracle hands over its validated ints,
+    uncopied and never mutated; the rest read one ``_int`` per subset."""
     check_enumeration(oracle.num_actions, "value table")
     oracle.value_queries += 1 << oracle.num_actions
     return oracle._table()
 
 
 def with_table(inst: Instance) -> Instance:
-    """``inst`` carrying its :class:`ValueTable`, which ``Instance.f`` then
-    reads: 2^m value queries the first time, none when the instance
-    already carries one."""
+    """``inst`` carrying its value table (:func:`_filled_table`), which
+    ``Instance.scaled_f`` then reads: 2^m value queries the first time,
+    none when the instance already carries one."""
     if inst.table is not None:
         return inst
     return replace(inst, table=_filled_table(inst.oracle))
@@ -639,7 +617,7 @@ def is_monotone(oracle: RewardOracle):
     """Exhaustive monotonicity check; returns (ok, witness (S, a) or None)."""
     m = oracle.num_actions
     check_enumeration(m, "monotonicity test", TESTER_LIMIT)
-    table = value_table(oracle)
+    table = _filled_table(oracle)
     for mask in range(1 << m):
         for b in range(m):
             if not mask & (1 << b) and table[mask | (1 << b)] < table[mask]:
@@ -657,7 +635,7 @@ def is_submodular(oracle: RewardOracle):
     """
     m = oracle.num_actions
     check_enumeration(m, "submodularity test", TESTER_LIMIT)
-    table = value_table(oracle)
+    table = _filled_table(oracle)
     for mask in range(1 << m):
         outside = [b for b in range(m) if not mask & (1 << b)]
         for a in outside:
@@ -709,7 +687,7 @@ def is_gross_substitutes(oracle: RewardOracle):
         ctx, a, b = wit
         p, q, dset = _search_price_witness(oracle, ctx, (a, b))
         return False, GsWitness("not-submodular", ctx, (a, b), p, q, dset)
-    table = value_table(oracle)
+    table = _filled_table(oracle)
     for mask in range(1 << m):
         outside = [x for x in range(m) if not mask & (1 << x)]
         for a, b, c in itertools.combinations(outside, 3):

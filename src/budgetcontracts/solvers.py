@@ -68,26 +68,27 @@ def _race(obj: Objective, inst: Instance, pairs: Iterable[tuple[int, Contract]]
     """The first (contract, profile, value) of maximal objective value over
     ``pairs`` of (profile mask, contract), on an instance carrying its table.
 
-    f(S) is read by mask, and c(S) is summed from the agents' cost sums
-    only when the objective reads cost; the profile becomes a frozenset
-    for the winner only.  The zero contract with its best response
+    The objective is linear in (f, c), so it races F(S) * c_den and, if it
+    reads cost, C(S) * f_den (``Instance.scaled_f``, the agents' cost
+    sums); the winner alone is divided by f_den * c_den and becomes a
+    frozenset.  The zero contract with its best response
     (:func:`_zero_pair`) enters first, and ``max`` keeps the first pair of
     maximal value, so a later pair must beat the best so far strictly.
     """
-    f = inst.f
+    f, f_den = inst.scaled_f
     c_den = inst.int_costs[1]
     parts = tuple(zip(inst.agent_masks, inst.agent_cost_sums)) \
         if obj.reads_cost() else ()
 
-    def value(mask: int, alpha: Contract) -> Fraction:
-        c_s = Fraction(sum(costs[mask & own] for own, costs in parts),
-                       c_den) if parts else ZERO
-        return value_at(obj, alpha, f[mask], c_s)
+    def value(mask: int, alpha: Contract):
+        c_s = sum(costs[mask & own] for own, costs in parts) * f_den \
+            if parts else 0
+        return value_at(obj, alpha, f(mask) * c_den, c_s)
 
     v, mask, alpha = max(((value(mask, alpha), mask, alpha)
                           for mask, alpha in chain([_zero_pair(inst)], pairs)),
                          key=itemgetter(0))
-    return alpha, mask_to_set(mask), v
+    return alpha, mask_to_set(mask), Fraction(v, f_den * c_den)
 
 
 def _zero_pair(inst: Instance) -> tuple[int, Contract]:
@@ -536,20 +537,21 @@ def single_agent_fptas(inst: Instance, budget: Fraction,
     m = inst.num_actions
     check_enumeration(m, "single-agent scheme", TESTER_LIMIT)
     inst = with_table(inst)
-    table = inst.f
+    f, f_den = inst.scaled_f
 
     if all(inst.cost_of[a] == 0 for a in range(m)):
-        return SolveResult(Contract.of([ZERO]), frozenset(range(m)), table[-1],
-                           "exact", "profit", budget)
+        return SolveResult(Contract.of([ZERO]), frozenset(range(m)),
+                           Fraction(f((1 << m) - 1), f_den), "exact", "profit",
+                           budget)
     if budget == 0:
         free = set_to_mask(a for a in range(m) if inst.cost_of[a] <= 0)
-        return SolveResult(Contract.zero(1), mask_to_set(free), table[free],
-                           "exact", "profit", budget)
+        return SolveResult(Contract.zero(1), mask_to_set(free),
+                           Fraction(f(free), f_den), "exact", "profit", budget)
 
     hull, breaks = single_agent_hull(inst)
     # S-dagger maximizes B*f - c; among ties the larger f also maximizes f-c
     s_dagger = hull[bisect_right(breaks, budget)]
-    sw = table[s_dagger] - cost(inst, mask_to_set(s_dagger))
+    sw = Fraction(f(s_dagger), f_den) - cost(inst, mask_to_set(s_dagger))
     if sw <= 0:
         return SolveResult(Contract.zero(1), frozenset(), ZERO, "exact",
                            "profit", budget)
@@ -562,15 +564,16 @@ def single_agent_fptas(inst: Instance, budget: Fraction,
                                 -(-bits * eps.denominator // eps.numerator))
 
     # zero-payment baseline: the agent still performs its free actions
+    # (profits are kept times f_den)
     best_alpha, best_mask = ZERO, hull[0]
-    best_profit = table[best_mask]
+    best_profit = f(best_mask)
     for c_j in sorted({inst.cost_of[a] for a in range(m) if inst.cost_of[a] > 0}):
         share = sw / (c_j + sw)
         k = 1
         while k <= k_count:
             alpha = min(budget, 1 - (1 - eps) ** k * share)
             i = bisect_right(breaks, alpha)
-            profit = (1 - alpha) * table[hull[i]]
+            profit = (1 - alpha) * f(hull[i])
             if profit > best_profit:
                 best_alpha, best_mask, best_profit = alpha, hull[i], profit
             if i == len(breaks) or breaks[i] > budget:
@@ -578,7 +581,8 @@ def single_agent_fptas(inst: Instance, budget: Fraction,
             k = _first_grid_index(eps, (1 - breaks[i]) / share, k + 1,
                                   k_count + 1)
     return SolveResult(Contract.of([best_alpha]), mask_to_set(best_mask),
-                       best_profit, 1 / (1 - eps), "profit", budget)
+                       Fraction(best_profit, f_den), 1 / (1 - eps), "profit",
+                       budget)
 
 
 # -- downsizing and the GS pipeline ------------------------------------------
@@ -608,14 +612,14 @@ def downsize(inst: Instance, m_param: int, alpha: Contract,
     p = alpha.total()
     if p == 0:
         return alpha, s
-    f = inst.f
+    f, _ = inst.scaled_f
     mask = inst.mask_of(s)
     own = inst.agent_masks
     threshold = p / m_param
-    share = f[mask] / (m_param - 1)
+    f_s = f(mask)  # a part keeps its share when F(part) * (M - 1) >= F(S)
     big = [i for i in range(inst.num_agents) if alpha[i] > threshold]
     for i in big:
-        if f[mask & own[i]] >= share:
+        if f(mask & own[i]) * (m_param - 1) >= f_s:
             only = restrict_contract(alpha, {i})
             return only, ne_from_demand(inst, only, mask_to_set(mask & own[i]))
     pool = [i for i in range(inst.num_agents) if i not in big]
@@ -630,7 +634,7 @@ def downsize(inst: Instance, m_param: int, alpha: Contract,
             group.append(agent)
             total += alpha[agent]
         # the agents' masks are disjoint, so their sum is their union
-        if f[mask & sum(own[i] for i in group)] >= share:
+        if f(mask & sum(own[i] for i in group)) * (m_param - 1) >= f_s:
             survivors = group
             break
     return double_contract(inst, restrict_contract(alpha, survivors),
@@ -650,11 +654,11 @@ def _scaled_profit_base(inst: Instance, pairs: Sequence[tuple[int, Contract]],
     a later pair winning only strictly; rescaled, its contract is its own.
     """
     cap = Fraction(3, 4) * budget
-    f = inst.f
-    _, mask, alpha = max((((cap - t) * f[mask], mask, alpha)
+    f, f_den = inst.scaled_f
+    _, mask, alpha = max((((cap - t) * f(mask), mask, alpha)
                           for mask, alpha in chain([_zero_pair(inst)], pairs)
                           if (t := alpha.total()) <= cap), key=itemgetter(0))
-    return alpha, mask_to_set(mask), f[mask]
+    return alpha, mask_to_set(mask), Fraction(f(mask), f_den)
 
 
 @_counted

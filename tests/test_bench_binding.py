@@ -13,6 +13,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from budgetcontracts import cli
+from budgetcontracts.rewards import value_table, with_table
 from budgetcontracts.solvers import build_dp_table
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -66,6 +67,15 @@ def test_benchmark_tracer_and_workloads_bind_to_the_package(tmp_path):
     for name in ("hardness.hardness_demand", "rewards.brute_force_demand"):
         assert tracer.stats[name].calls == 1, name
     assert tracer.stats["solvers.iter_min_contracts"].yields > 0
+    # value_table stays a plain list of Fractions, the instance's f; the
+    # table an instance carries is a plain list of ints over the oracle's den
+    for inst, table in zip(demand.instances, demand.tables):
+        tabled = with_table(inst)
+        assert type(table) is list and table == value_table(inst.oracle)
+        assert all(type(v) is Fraction for v in table) and table == tabled.f
+        assert type(tabled.table) is list
+        assert all(type(k) is int for k in tabled.table)
+        assert table == [Fraction(k, inst.oracle.den) for k in tabled.table]
     # the additive solve (profit, eps 1/10) fills one traced DP table per
     # scale, each counted by the tracer's cell formula
     inst = cli.load_instance(SOLVES["solvers.additive_fptas"][1])

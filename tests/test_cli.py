@@ -850,6 +850,19 @@ def test_cli_generator_spec_is_held_to_the_document_rule(spec, message, capsys):
         {"error": {"type": "SchemaError", "message": message}}
 
 
+def test_cli_generator_spec_naming_both_counts_is_refused_before_generating(
+        monkeypatch, capsys):
+    calls = []
+    monkeypatch.setitem(cli._GENERATORS, "explicit",
+                        lambda **kwargs: calls.append(kwargs))
+    argv = ["solve", "--instance", "gen:explicit:seed=1,agents=21,actions=20",
+            "--budget", "1/2"]
+    assert main(argv) == 1
+    assert json.loads(capsys.readouterr().err) == {"error": {
+        "type": "SchemaError", "message": "numAgents 21 above 20 actions"}}
+    assert calls == []
+
+
 @pytest.mark.parametrize("spec", [
     "gen:additive:seed=3,agents=2,actions=6", "gen:coverage:seed=3",
     "gen:oxs:seed=7,agents=3,actions=3", "gen:explicit:seed=2",

@@ -28,12 +28,13 @@ from budgetcontracts.rewards import (
     CoverageOracle,
     ElementAlreadyPresentError,
     ExplicitOracle,
+    GsWitness,
     PriceVector,
     UniformKDemandOracle,
     UnitDemandOracle,
-    ValueTable,
     _guard_masks,
     _ranks_monotone,
+    _search_price_witness,
     brute_force_demand,
     cost_runs,
     demand_with_base,
@@ -237,10 +238,9 @@ def test_table_fills_match_per_subset_values():
     for o in _table_oracles():
         seen.add(type(o).__name__)
         table = o._table()
-        assert type(table) is ValueTable and type(table.values) is list
-        assert table.values == _per_subset(o), oracle_to_spec(o)
-        # its integer form says the same
-        assert [F(k, table.den) for k in table.ints] == table.values
+        assert type(table) is list
+        assert table == [o._int(k) for k in range(1 << o.num_actions)], \
+            oracle_to_spec(o)
     assert len(seen) == 7
 
 
@@ -778,6 +778,89 @@ def test_gs_membership_supermodular_negative_with_witness():
     _check_gs_witness(o, witness)
 
 
+def _reference_testers(oracle):
+    """is_monotone, is_submodular and is_gross_substitutes as loops over
+    the Fraction table of ``value_table``, which counts the same queries."""
+    m = oracle.num_actions
+
+    def monotone():
+        table = value_table(oracle)
+        for mask in range(1 << m):
+            for b in range(m):
+                if not mask >> b & 1 and table[mask | 1 << b] < table[mask]:
+                    return False, (mask_to_set(mask), b)
+        return True, None
+
+    def submodular():
+        table = value_table(oracle)
+        for mask in range(1 << m):
+            outside = [b for b in range(m) if not mask >> b & 1]
+            for a in outside:
+                gain_a = table[mask | 1 << a] - table[mask]
+                for b in outside:
+                    with_b = mask | 1 << b
+                    if b != a and \
+                            table[with_b | 1 << a] - table[with_b] > gain_a:
+                        return False, (mask_to_set(mask), a, b)
+        return True, None
+
+    def gross_substitutes():
+        ok, wit = monotone()
+        if not ok:
+            return False, GsWitness("not-monotone", wit[0], (wit[1],))
+        ok, wit = submodular()
+        if not ok:
+            ctx, a, b = wit
+            return False, GsWitness("not-submodular", ctx, (a, b),
+                                    *_search_price_witness(oracle, ctx, (a, b)))
+        t = value_table(oracle)
+        for mask in range(1 << m):
+            outside = [x for x in range(m) if not mask >> x & 1]
+            for a, b, c in itertools.combinations(outside, 3):
+                for x, y, z in ((a, b, c), (a, c, b), (b, c, a)):
+                    sx, sy, sz = mask | 1 << x, mask | 1 << y, mask | 1 << z
+                    lhs = t[sx | sy] + t[sz]
+                    if lhs > t[sx | sz] + t[sy] and lhs > t[sy | sz] + t[sx]:
+                        ctx = mask_to_set(mask)
+                        return False, GsWitness(
+                            "exchange", ctx, (x, y, z),
+                            *_search_price_witness(oracle, ctx, (x, y, z)))
+        return True, None
+
+    return monotone, submodular, gross_substitutes
+
+
+def test_class_testers_on_the_int_table_match_a_fraction_reference():
+    rng = random.Random(25)
+    tables = []
+    for _ in range(25):
+        m, d = rng.randint(1, 5), rng.randint(1, 7)
+        raw = [F(rng.randint(-1, d), d) for _ in range(1 << m)]
+        mono = list(raw)  # the least monotone table above raw
+        for b in range(m):
+            for mask in range(1 << m):
+                if mask >> b & 1:
+                    mono[mask] = max(mono[mask], mono[mask ^ 1 << b])
+        unit = UnitDemandOracle([F(rng.randint(0, d), d) for _ in range(m)])
+        tables += [raw, mono, value_table(unit)]
+    for _ in range(6):  # submodular, some failing the exchange condition
+        d = rng.randint(2, 7)
+        tables.append(value_table(CoverageOracle(d, [
+            rng.sample(range(d), rng.randint(0, d)) for _ in range(4)])))
+    seen = collections.Counter()
+    for values in tables:
+        got = ExplicitOracle(values, validate=False)
+        ref = ExplicitOracle(values, validate=False)
+        for tester, reference in zip(
+                (is_monotone, is_submodular, is_gross_substitutes),
+                _reference_testers(ref)):
+            outcome = tester(got)
+            assert outcome == reference(), values
+            assert got.value_queries == ref.value_queries
+        seen["gs" if outcome[0] else outcome[1].kind] += 1
+    assert set(seen) == {"gs", "not-monotone", "not-submodular", "exchange"}
+
+
 @settings(deadline=None, max_examples=25, derandomize=True, database=None)
 @given(st.lists(st.fractions(min_value=0, max_value=F(1, 4)), min_size=2,
                 max_size=4))
@@ -1052,9 +1135,8 @@ def test_explicit_descriptor_edge_entries():
     # "1/2" and "2/4" are one level: one stored Fraction, one integer
     o = oracle_from_spec({"type": "explicit", "values": ["0", "1/2", "2/4", "1"]})
     assert o.values[1] is o.values[2]
-    table = o._table()
-    assert table.ints == [0, 1, 1, 2] and table.den == 2
-    assert table.values == [0, F(1, 2), F(1, 2), 1]
+    assert o._table() == [o._int(k) for k in range(4)] == [0, 1, 1, 2]
+    assert o.den == 2 and value_table(o) == [0, F(1, 2), F(1, 2), 1]
     # an all-int table is validated like any other
     for values, error in (([0, 1, 1, 0], "not monotone"),
                           ([0, 2, 1, 2], "outside"), ([1, 1, 1, 1], "empty")):

@@ -23,8 +23,8 @@ from budgetcontracts.hardness import HardnessParams, build_hardness, good_action
 from budgetcontracts.objectives import PROFIT, REWARD, WELFARE, combo, \
     evaluate
 from budgetcontracts.rewards import AdditiveOracle, AssignmentOracle, \
-    ExplicitOracle, PriceVector, UniformKDemandOracle, UnitDemandOracle, \
-    ValueTable, common_denominator, mask_to_set, set_to_mask, with_table
+    ExplicitOracle, PriceVector, RewardOracle, UniformKDemandOracle, \
+    UnitDemandOracle, common_denominator, mask_to_set, set_to_mask, with_table
 from budgetcontracts.solvers import (
     NotAnEquilibriumError,
     additive_fptas,
@@ -125,12 +125,22 @@ def _reference_min_contract(inst, profile, *, enum_cap=20, table=None):
     return Contract(tuple(entries))
 
 
+class _Tripled(RewardOracle):
+    """``oracle``'s f with every integer read and its den tripled."""
+
+    def __init__(self, oracle):
+        super().__init__(oracle.num_actions)
+        self.inner, self.den = oracle, 3 * oracle.den
+        self.function_class = oracle.function_class
+
+    def _int(self, mask):
+        return 3 * self.inner._int(mask)
+
+
 def _rescaled(inst):
-    """``inst`` with its table's ints over three times their denominator:
-    the integer readers depend on the ratio alone."""
-    t = inst.table
-    return replace(inst, table=ValueTable(t.values, [3 * k for k in t.ints],
-                                          3 * t.den))
+    """``inst`` tabled on its oracle with ints and den tripled: the integer
+    readers depend on the ratio alone."""
+    return with_table(replace(inst, oracle=_Tripled(inst.oracle), table=None))
 
 
 def test_fast_contract_enumeration_matches_generic_operation():

@@ -22,7 +22,7 @@ from budgetcontracts.generators import random_additive_instance, \
 from budgetcontracts.hardness import HardnessParams, build_hardness
 from budgetcontracts.objectives import PROFIT, REWARD, WELFARE, evaluate, \
     verify_best_properties
-from budgetcontracts.rewards import ValueTable, with_table
+from budgetcontracts.rewards import with_table
 from budgetcontracts.solvers import SolveResult, additive_fptas, \
     brute_force_opt, build_dp_table, downsize, gs_constant_factor, \
     gs_single_agent_exact, max_reward_bounded_brute, \
@@ -150,7 +150,8 @@ def test_with_table_fills_once():
     assert inst.oracle.value_queries == 1 << 5
     assert with_table(tabled) is tabled
     assert inst.oracle.value_queries == 1 << 5
-    assert tabled.f is tabled.table.values
+    assert type(tabled.table) is list and tabled.f is tabled.f  # made once
+    assert tabled.f == [F(k, inst.oracle.den) for k in tabled.table]
     assert tabled == inst  # the table is a cache, not part of the instance
 
 
@@ -183,15 +184,47 @@ def test_with_table_fills_one_record_per_instance(family):
     before = inst.oracle.value_queries
     tabled = with_table(inst)
     table = tabled.table
-    assert type(table) is ValueTable and type(table.values) is list
+    assert type(table) is list and all(type(k) is int for k in table)
     assert inst.oracle.value_queries - before == 1 << m
-    assert len(table.values) == len(table.ints) == 1 << m
-    assert all(table.values[mask] == F(table.ints[mask], table.den)
+    assert table == [inst.oracle._int(mask) for mask in range(1 << m)]
+    assert all(tabled.f[mask] == F(table[mask], inst.oracle.den)
                for mask in range(1 << m))
-    assert table.values == [F(inst.oracle._int(mask), inst.oracle.den)
-                            for mask in range(1 << m)]
-    assert with_table(tabled) is tabled and tabled.f is table.values
+    assert with_table(tabled) is tabled and with_table(tabled).table is table
     assert inst.oracle.value_queries - before == 1 << m
+
+
+@pytest.mark.parametrize("family", sorted(RECORD_SOURCES))
+def test_solver_stages_never_build_the_fraction_view(family):
+    # the stages compare f on the table's ints; Instance.f is the Fraction
+    # view, made on first use, which none of them asks for
+    source = RECORD_SOURCES[family]
+    inst = (load_instance(source) if source.startswith("gen:")
+            else parse_instance(source))
+    one = dataclasses.replace(inst, num_agents=1, actions=tuple(
+        dataclasses.replace(a, owner=0) for a in inst.actions))
+    tabled, one = with_table(inst), with_table(one)
+    for budget in (F(0), F(1, 3), F(1)):
+        for obj in (PROFIT, REWARD, WELFARE):
+            brute_force_opt(tabled, budget, obj)
+            gs_single_agent_exact(tabled, 0, obj, budget)
+        max_reward_bounded_brute(tabled, budget)
+        single_agent_fptas(one, budget, F(1, 4))
+    assert "f" not in tabled.__dict__ and "f" not in one.__dict__
+
+
+def test_gap_verifier_never_builds_the_fraction_view(monkeypatch):
+    import budgetcontracts.hardness as hardness
+
+    filled = []
+
+    def keep(inst):
+        filled.append(with_table(inst))
+        return filled[-1]
+
+    monkeypatch.setattr(hardness, "with_table", keep)
+    assert hardness.verify_gap_exhaustive(
+        HardnessParams.make(4, F(1, 2), seed=3)).ok
+    assert len(filled) == 1 and "f" not in filled[0].__dict__
 
 
 def test_hardness_min_contracts_agree_with_the_per_profile_algebra():
