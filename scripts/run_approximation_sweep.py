@@ -25,6 +25,14 @@ RATIONALS = ["budget", "eps", "solver_value", "opt_value", "ratio",
 BUDGETS = [Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1)]
 
 
+def ratio_of(opt: Fraction, value: Fraction) -> Fraction | str:
+    """OPT / value; 1 for 0 / 0, and an empty cell when the solver gets
+    nothing of a positive OPT, where no finite factor holds."""
+    if value > 0:
+        return opt / value
+    return Fraction(1) if opt == value == 0 else ""
+
+
 def main() -> int:
     parser = argparse.ArgumentParser()
     parser.add_argument("--instances", type=int, default=100)
@@ -42,17 +50,19 @@ def main() -> int:
             opt = brute_force_opt(inst, budget, obj).value
             for eps in (Fraction(1, 4), Fraction(1, 10)):
                 got = additive_fptas(inst, budget, eps, obj)
-                ratio = opt / got.value if got.value > 0 else Fraction(1)
                 rows.append({
                     "seed": seed, "objective": obj.kind, "budget": budget,
                     "eps": eps, "solver_value": got.value, "opt_value": opt,
-                    "ratio": ratio, "certificate": 1 / (1 - eps),
+                    "ratio": ratio_of(opt, got.value),
+                    "certificate": 1 / (1 - eps),
                 })
     text = emit_report(rows, COLUMNS, RATIONALS)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(text)
-    worst = max((r["ratio"] for r in rows), default=Fraction(1))
-    print(f"{len(rows)} rows -> {args.out}; worst observed ratio {float(worst):.4f}")
+    ratios = [r["ratio"] for r in rows if r["ratio"] != ""]
+    worst = max(ratios, default=Fraction(1))
+    print(f"{len(rows)} rows -> {args.out}; worst observed ratio {float(worst):.4f}; "
+          f"no finite ratio (solver 0, OPT > 0) on {len(rows) - len(ratios)} rows")
     return 0
 
 

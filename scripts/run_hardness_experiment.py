@@ -24,6 +24,8 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out-dir", default="hardness_out")
     args = parser.parse_args()
+    if args.trials < 1:
+        parser.error(f"--trials must be at least 1, got {args.trials}")
 
     out_dir = pathlib.Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

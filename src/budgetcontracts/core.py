@@ -260,12 +260,6 @@ class Instance:
             raise UnknownActionIdError(f"action {bad} outside ground set")
         return mask
 
-    def agent_part(self, profile: Iterable[int], agent: int) -> frozenset[int]:
-        """S_i: the actions of ``profile`` owned by ``agent``."""
-        if not 0 <= agent < self.num_agents:
-            raise UnknownAgentIdError(f"agent {agent} out of range")
-        return frozenset(profile) & self.agent_actions[agent]
-
 
 @dataclass(frozen=True)
 class Contract:

@@ -1,5 +1,5 @@
-"""Best responses, Nash equilibria, subset stability, contract transforms,
-and the minimal-contract algebra.
+"""Best responses, Nash equilibria, contract transforms, and the
+minimal-contract algebra.
 
 Equilibrium checks use weak inequalities throughout: an agent indifferent
 between the prescribed actions and a deviation counts as best-responding,
@@ -17,12 +17,10 @@ is one integer kernel: f(X) = F(X) / f_den with (F, f_den) from
 counted integer read, over the oracle's den), and c(X) =
 C(X) / c_den with C from ``Instance.agent_cost_sums``, each agent's
 subset-cost sums on ``Instance.int_costs``, built once per instance on
-first use (the shrink walk of :func:`is_subset_stable` sums S_i's
-subsets alone).  For alpha_i = p/q a utility is compared as
-p * c_den * F - q * f_den * C, so :func:`is_nash`,
-:func:`is_subset_stable` and :func:`best_response` decide on ints with or
-without a table, and a certificate's utilities become Fractions once per
-agent.
+first use.  For alpha_i = p/q a utility is compared as
+p * c_den * F - q * f_den * C, so :func:`is_nash` and
+:func:`best_response` decide on ints with or without a table, and a
+certificate's utilities become Fractions once per agent.
 
 The minimal-contract algebra is :func:`_min_payment`, one agent's bounds
 for one profile, which :func:`min_incentivizing_contract` runs per agent.
@@ -44,46 +42,33 @@ from budgetcontracts.core import (
     ModelError,
     ZERO,
     check_enumeration,
-    cost,
 )
 from budgetcontracts.rewards import PriceVector, demand_with_base, \
-    lex_key, mask_to_set, submask_sums, submasks
+    lex_key, mask_to_set, submasks
 
 
-def _check_walks(inst: Instance, within: Optional[frozenset[int]] = None) -> None:
-    """Refuse before any read if one agent's walk, over T_i or over
-    T_i & ``within``, is too long."""
-    sizes = [len(t if within is None else t & within) for t in inst.agent_actions]
-    check_enumeration(max(sizes, default=0), "one agent's deviations")
+def _check_walks(inst: Instance) -> None:
+    """Refuse before any read if one agent's walk over T_i is too long."""
+    check_enumeration(max(map(len, inst.agent_actions), default=0),
+                      "one agent's deviations")
 
 
-def _deviations(inst: Instance, agent: int, s: int, *, shrink: bool = False):
+def _deviations(inst: Instance, agent: int, s: int):
     """Agent ``agent``'s deviations from the profile bitmask ``s``, scaled.
 
     Returns (C(S_i), walk).  The walk yields (dev, F(dev | S_-i), C(dev))
-    for every subset dev of T_i (of S_i when ``shrink``), each a bitmask,
-    in ascending mask order: the order of the subsets of the agent's
-    sorted actions.  F and C are f and c scaled as the module docstring
-    says.  f is read as the walk goes, so a caller that stops early spares
-    the later reads.  Callers check the walk's size with
-    :func:`_check_walks` before their first read.
+    for every subset dev of T_i, each a bitmask, in ascending mask order:
+    the order of the subsets of the agent's sorted actions.  F and C are f
+    and c scaled as the module docstring says.  f is read as the walk goes,
+    so a caller that stops early spares the later reads.  Callers check
+    the walk's size with :func:`_check_walks` before their first read.
     """
     own = inst.agent_masks[agent]
-    s_i = s & own
-    costs = submask_sums(s_i, inst.int_costs[0]) if shrink \
-        else inst.agent_cost_sums[agent]
+    costs = inst.agent_cost_sums[agent]
     rest = s & ~own
     f, _ = inst.scaled_f
-    return costs[s_i], zip(costs, map(f, [dev | rest for dev in costs]),
-                           costs.values())
-
-
-def agent_utility(inst: Instance, alpha: Contract, profile: Iterable[int],
-                  agent: int) -> Fraction:
-    """alpha_i * f(S) - c(S_i)."""
-    s = frozenset(profile)
-    f_s = inst.f[inst.mask_of(s)]
-    return alpha[agent] * f_s - cost(inst, inst.agent_part(s, agent))
+    return costs[s & own], zip(costs, map(f, [dev | rest for dev in costs]),
+                               costs.values())
 
 
 def best_response(inst: Instance, agent: int, alpha_i: Fraction,
@@ -191,33 +176,6 @@ def ne_from_demand(inst: Instance, alpha: Contract, base: Iterable[int] = (),
     prices = PriceVector({a: inst.cost_of[a] / p for a, p in pay.items() if p > 0},
                          frozenset(a for a, p in pay.items() if p <= 0))
     return demand_with_base(inst.oracle, prices, base, gs=gs, table=inst.f)
-
-
-def is_subset_stable(inst: Instance, alpha: Contract, profile: Iterable[int]):
-    """Check stability against own-subset deviations only.
-
-    Returns (ok, witness) with witness = (agent, subset) for the first
-    profitable shrink found.
-    """
-    profile = frozenset(profile)
-    s = inst.mask_of(profile)
-    _check_walks(inst, profile)
-    f, f_den = inst.scaled_f
-    c_den = inst.int_costs[1]
-    f_s = f(s)
-    for i in range(inst.num_agents):
-        c_i, walk = _deviations(inst, i, s, shrink=True)
-        pc, qf = alpha[i].numerator * c_den, alpha[i].denominator * f_den
-        u_i = pc * f_s - qf * c_i
-        for dev, f_dev, c in walk:
-            if pc * f_dev - qf * c > u_i:
-                return False, (i, mask_to_set(dev))
-    return True, None
-
-
-def doubling_epsilon(budget: Fraction, num_agents: int) -> Fraction:
-    """Default per-agent bump for the doubling transform: B / (4n)."""
-    return Fraction(budget, 4 * num_agents)
 
 
 def double_contract(inst: Instance, alpha: Contract, epsilon: Fraction):

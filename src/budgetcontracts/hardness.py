@@ -333,21 +333,6 @@ def verify_gap_exhaustive(params: HardnessParams) -> GapReport:
                      gap_ratio, feasible, tuple(violations))
 
 
-def indistinguishability_check(params: HardnessParams,
-                               queries: Iterable[Iterable[int]]) -> bool:
-    """True iff every non-revealing query sees the penalty-free value.
-
-    A query reveals the hidden set exactly when, ignoring the good action,
-    it equals hidden+bad; any other query answers identically on the real
-    oracle and on the penalty-free composite, so a solver that never asks a
-    revealing query cannot tell the instances apart.
-    """
-    oracle = HardnessOracle(params.n, params.eps, params.hidden)
-    return all(oracle._reveals(mask)
-               or oracle._int(mask) == oracle._base_int(mask)
-               for mask in map(set_to_mask, queries))
-
-
 # -- adversarial experiment ---------------------------------------------------
 
 
@@ -362,7 +347,6 @@ class HardnessPublicInfo:
     unit_cost: Fraction
     bad_cost: Fraction
     good_cost: Fraction
-    hidden: Optional[frozenset[int]] = None  # populated only in sanity mode
 
 
 class OracleView:
@@ -407,13 +391,6 @@ def make_random_guess_solver(seed: int) -> Solver:
     return solver
 
 
-def cheating_solver(view: OracleView, pub: HardnessPublicInfo):
-    """Harness sanity check: reads the hidden set handed over out-of-band."""
-    if pub.hidden is None:
-        raise ModelError("cheating solver needs reveal_hidden=True")
-    return _pair_for_guess(pub, pub.hidden)
-
-
 @dataclass(frozen=True)
 class TrialRecord:
     trial: int
@@ -442,8 +419,7 @@ class ExperimentReport:
 def adversary_experiment(solver: Solver, n: int, budget: Fraction,
                          approx_target: Fraction, trials: int,
                          query_budget: int, seed: int, *,
-                         eps: Optional[Fraction] = None,
-                         reveal_hidden: bool = False) -> ExperimentReport:
+                         eps: Optional[Fraction] = None) -> ExperimentReport:
     """Run the hidden-set game: can the solver find the good equilibrium?
 
     Per trial, draws the hidden set uniformly among the (n choose n/2)
@@ -473,8 +449,7 @@ def adversary_experiment(solver: Solver, n: int, budget: Fraction,
             n, budget, approx_target, eps,
             unit_cost=inst.cost_of[0],
             bad_cost=inst.cost_of[bad_action(n)],
-            good_cost=inst.cost_of[good_action(n)],
-            hidden=hidden if reveal_hidden else None)
+            good_cost=inst.cost_of[good_action(n)])
         view = OracleView(inst.oracle, query_budget)
         exceeded = False
         try:

@@ -22,14 +22,13 @@ from budgetcontracts.core import (
     SchemaError,
     ZERO,
     check_enumeration,
-    cost,
     descriptor_field,
     exact_rational,
     format_rational,
     restrict_contract,
 )
 from budgetcontracts.equilibria import iter_min_contracts
-from budgetcontracts.rewards import set_to_mask, with_table
+from budgetcontracts.rewards import set_to_mask, subset_sums, with_table
 
 
 @dataclass(frozen=True)
@@ -73,11 +72,14 @@ def combo(*terms: tuple[Fraction | str | int, Objective]) -> Objective:
 
 def evaluate(obj: Objective, inst: Instance, alpha: Contract,
              profile: Iterable[int]) -> Fraction:
-    """obj at (alpha, S): f(S) read once, c(S) summed once if needed."""
+    """obj at (alpha, S): f(S) read once, c(S) summed once if needed, as
+    ints: :func:`value_at` on F(S) * c_den and C(S) * f_den, divided once."""
     s = frozenset(profile)
-    f_s = inst.f[inst.mask_of(s)]
-    c_s = cost(inst, s) if obj.reads_cost() else ZERO
-    return value_at(obj, alpha, f_s, c_s)
+    f, f_den = inst.scaled_f
+    c_int, c_den = inst.int_costs
+    f_s = f(inst.mask_of(s))
+    c_s = sum(c_int[a] for a in s) if obj.reads_cost() else 0
+    return Fraction(value_at(obj, alpha, f_s * c_den, c_s * f_den), f_den * c_den)
 
 
 def value_at(obj: Objective, alpha: Contract, f_s, c_s):
@@ -192,47 +194,48 @@ def verify_best_properties(obj: Objective, inst: Instance, *,
         keep = max(1, sample_budget // len(profiles))
         contracts = rng.sample(contracts, min(keep, len(contracts)))
 
-    f = inst.f
+    # f and c by mask on one scale, f_den * c_den: value_at(obj, alpha,
+    # fs[S], cs[S]) is the objective at (alpha, S) times it
+    c_int, c_den = inst.int_costs
+    fs = [v * c_den for v in inst.table]
+    cs = [c * inst.oracle.den for c in subset_sums(c_int)]
     # each property keeps its first counterexample and is not checked again
     results: dict[str, tuple[bool, Optional[tuple]]] = dict.fromkeys(
         ("sandwich", "decompose", "monotone-S", "antitone-alpha"), (True, None))
     checks = 0
 
     for alpha in contracts:
+        unpaid = 1 - alpha.total()
+        alone = [restrict_contract(alpha, {i}) for i in range(n)]
+        bumped = [(i, up) for i in range(n) if (up := Contract(
+            alpha.alpha[:i] + (alpha[i] + step,) + alpha.alpha[i + 1:])).total() <= 1]
         for s, mask in zip(profiles, masks):
             if not participation_holds(inst, alpha, s):
                 continue
             checks += 1
-            phi = evaluate(obj, inst, alpha, s)
-            f_s = f[mask]
-            profit = (1 - alpha.total()) * f_s
-            if results["sandwich"][0] and not (profit <= phi <= f_s):
+            f_s = fs[mask]
+            phi = value_at(obj, alpha, f_s, cs[mask])
+            if results["sandwich"][0] and not (unpaid * f_s <= phi <= f_s):
                 results["sandwich"] = (False, (alpha, s))
             if results["decompose"][0]:
-                for i in range(n):
-                    s_i = s & inst.agent_actions[i]
-                    rhs = f[mask & ~inst.agent_masks[i]] + evaluate(
-                        obj, inst, restrict_contract(alpha, {i}), s_i)
-                    if phi > rhs:
+                for i, own in enumerate(inst.agent_masks):
+                    s_i = mask & own
+                    if phi > fs[mask & ~own] + value_at(obj, alone[i], fs[s_i],
+                                                        cs[s_i]):
                         results["decompose"] = (False, (alpha, s, i))
                         break
             if results["monotone-S"][0]:
                 for a in range(m):
-                    if a in s:
+                    more = mask | 1 << a
+                    if more == mask or alpha[inst.owner_of[a]] * (
+                            fs[more] - f_s) < cs[1 << a]:
                         continue
-                    incentive = alpha[inst.owner_of[a]] * (f[mask | 1 << a] - f_s)
-                    if incentive < inst.cost_of[a]:
-                        continue
-                    if phi > evaluate(obj, inst, alpha, s | {a}):
+                    if phi > value_at(obj, alpha, fs[more], cs[more]):
                         results["monotone-S"] = (False, (alpha, s, a))
                         break
             if results["antitone-alpha"][0]:
-                for i in range(n):
-                    bumped = Contract(tuple(
-                        x + step if j == i else x for j, x in enumerate(alpha.alpha)))
-                    if bumped.total() > 1:
-                        continue
-                    if evaluate(obj, inst, bumped, s) > phi:
+                for i, up in bumped:
+                    if value_at(obj, up, f_s, cs[mask]) > phi:
                         results["antitone-alpha"] = (False, (alpha, s, i))
                         break
     passed = all(ok for ok, _ in results.values())

@@ -58,10 +58,6 @@ from budgetcontracts.core import (
 )
 
 
-class ElementAlreadyPresentError(ModelError):
-    pass
-
-
 @dataclass(frozen=True)
 class PriceVector:
     """Per-action prices; actions in ``excluded`` cannot be purchased."""
@@ -142,13 +138,6 @@ class RewardOracle:
                 raise UnknownActionIdError(f"action {a} outside ground set")
             mask |= 1 << a
         return self[mask]
-
-    def marginal(self, action: int, subset: Iterable[int]) -> Fraction:
-        """f({action} | subset) = f(subset + action) - f(subset)."""
-        s = frozenset(subset)
-        if action in s:
-            raise ElementAlreadyPresentError(f"action {action} already in set")
-        return self.value(s | {action}) - self.value(s)
 
     def demand(self, prices: PriceVector) -> frozenset[int]:
         """Native demand query; only some oracles provide one."""

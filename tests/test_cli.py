@@ -3,6 +3,7 @@ import io
 import json
 import os
 import random
+import runpy
 import subprocess
 import sys
 import time
@@ -923,3 +924,56 @@ def test_cli_hardness_descriptor_rejects_a_repeated_hidden_id(tmp_path, capsys):
         "type": "hardness", "n": 4, "budget": "1/2", "hidden": [0, 1, 1]}}))
     assert main(["solve", "--instance", str(inst_path), "--budget", "1/2"]) == 1
     assert _error_type(capsys) == "BadHiddenSetSizeError"
+
+
+# -- the experiment scripts' own argument and ratio handling ---------------------
+
+
+def _script(name):
+    """The script's globals, run as a module that is not ``__main__``."""
+    return runpy.run_path(str(REPO / "scripts" / name))
+
+
+def test_hardness_script_refuses_zero_trials(monkeypatch, tmp_path, capsys):
+    script = _script("run_hardness_experiment.py")
+    for trials in ("0", "-3"):
+        monkeypatch.setattr(sys, "argv", ["run_hardness_experiment.py",
+                                          "--trials", trials,
+                                          "--out-dir", str(tmp_path)])
+        with pytest.raises(SystemExit) as exc:
+            script["main"]()
+        assert exc.value.code == 2
+        assert "--trials must be at least 1" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("name,solver", [
+    ("run_approximation_sweep.py", "additive_fptas"),
+    ("run_reduction_report.py", "gs_constant_factor"),
+])
+def test_script_ratio_of_a_zero_solver_is_empty_unless_opt_is_zero(
+        name, solver, monkeypatch, tmp_path, capsys):
+    # a solver that returns 0 must not read as the perfect ratio 1
+    import dataclasses
+    from budgetcontracts import solvers
+
+    real = getattr(solvers, solver)
+    monkeypatch.setattr(solvers, solver, lambda *args: dataclasses.replace(
+        real(*args), value=F(0)))
+    script = _script(name)
+    out = tmp_path / "rows.csv"
+    monkeypatch.setattr(sys, "argv", [name, "--instances", "3",
+                                      "--out", str(out)])
+    assert script["main"]() == 0
+    lines = out.read_text().splitlines()
+    header = lines[0].split(",")
+    rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
+    unbounded = [r for r in rows if r["opt_value"] != "0"]
+    assert unbounded and all(r["ratio"] == r["ratio_float"] == ""
+                             for r in unbounded)
+    assert all(r["ratio"] == "1" for r in rows if r["opt_value"] == "0")
+    assert f"no finite ratio (solver 0, OPT > 0) on {len(unbounded)} rows" \
+        in capsys.readouterr().out
+    ratio_of = script["ratio_of"]
+    assert (ratio_of(F(0), F(0)), ratio_of(F(1, 2), F(0)),
+            ratio_of(F(1, 2), F(1, 4))) == (1, "", 2)

@@ -103,8 +103,8 @@ def test_cost_hardness_good_profile():
 def test_cost_partition_additivity():
     inst = two_agent_instance()
     profile = frozenset({0, 1})
-    parts = sum((cost(inst, inst.agent_part(profile, i))
-                 for i in range(inst.num_agents)), F(0))
+    parts = sum((cost(inst, profile & own) for own in inst.agent_actions),
+                F(0))
     assert parts == cost(inst, profile)
 
 

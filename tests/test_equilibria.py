@@ -8,13 +8,10 @@ import pytest
 from budgetcontracts.core import Action, Contract, GeneralContract, Instance, \
     ModelError, cost, restrict_contract
 from budgetcontracts.equilibria import (
-    agent_utility,
     best_response,
     double_contract,
-    doubling_epsilon,
     is_nash,
     is_nash_general,
-    is_subset_stable,
     linearize,
     min_incentivizing_contract,
     ne_from_demand,
@@ -139,28 +136,16 @@ def test_ne_from_demand_always_nash_on_random_gs():
 
 
 # -- subset stability and doubling ----------------------------------------------
+# Subset stability (no agent gains by dropping some of its own actions) is
+# the doubling lemma's hypothesis; the library applies the transform and
+# never tests it, so these tests check it with the reference loop below.
 
 
 def test_every_ne_is_subset_stable(hardness4):
     params, inst = hardness4
     alpha, profile = good_contract(params)
-    ok, _ = is_subset_stable(inst, alpha, profile)
+    ok, _ = _reference_is_subset_stable(inst, alpha, profile, inst.oracle.value)
     assert ok
-
-
-def test_empty_profile_subset_stable_under_anything():
-    inst = Instance(1, (Action(0, 0, F(1, 4)),), AdditiveOracle([F(1, 2)]))
-    ok, _ = is_subset_stable(inst, Contract.of([F(1)]), frozenset())
-    assert ok
-
-
-def test_subset_stability_witness_on_overpriced_action():
-    # the agent is told to take an action whose cost exceeds any payoff
-    inst = Instance(1, (Action(0, 0, F(3, 4)),), AdditiveOracle([F(1, 4)]))
-    ok, witness = is_subset_stable(inst, Contract.of([F(1, 2)]), frozenset({0}))
-    assert not ok
-    agent, deviation = witness
-    assert agent == 0 and deviation == frozenset()
 
 
 def test_double_contract_zero_base():
@@ -183,9 +168,10 @@ def test_double_contract_halves_reward_at_worst():
         alpha = Contract.of([F(rng.randint(0, 4), 8)
                              for _ in range(inst.num_agents)])
         profile = ne_from_demand(inst, alpha)
-        ok, _ = is_subset_stable(inst, alpha, profile)
+        ok, _ = _reference_is_subset_stable(inst, alpha, profile,
+                                            inst.oracle.value)
         assert ok
-        eps = doubling_epsilon(F(1, 2), inst.num_agents)
+        eps = F(1, 2) / (4 * inst.num_agents)  # B / (4n)
         doubled, new_profile = double_contract(inst, alpha, eps)
         assert is_nash(inst, doubled, new_profile).ok
         assert 2 * inst.oracle.value(new_profile) >= inst.oracle.value(profile)
@@ -273,7 +259,8 @@ def test_restricted_contract_keeps_subset_stability():
             cut_alpha = restrict_contract(alpha, group)
             cut_profile = frozenset(
                 a for a in profile if inst.owner_of[a] in group)
-            ok, witness = is_subset_stable(inst, cut_alpha, cut_profile)
+            ok, witness = _reference_is_subset_stable(
+                inst, cut_alpha, cut_profile, inst.oracle.value)
             assert ok, (trial, group, witness)
 
 
@@ -354,13 +341,6 @@ def test_linearize_preserves_enumerated_equilibria():
                 assert is_nash(inst, alpha, profile).ok
                 preserved += 1
     assert preserved > 20
-
-
-def test_agent_utility_formula(hardness4):
-    params, inst = hardness4
-    alpha, profile = good_contract(params)
-    u = agent_utility(inst, alpha, profile, 4)
-    assert u == alpha[4] * inst.oracle.value(profile) - inst.cost_of[good_action(4)]
 
 
 # -- the shared deviation walk against the per-checker loops it replaced ----------
@@ -451,8 +431,6 @@ def _checker_pairs(inst, alpha, general, s):
     pairs = [
         (lambda: _cert_tuple(is_nash(inst, alpha, s)),
          lambda: _reference_is_nash(inst, alpha, s, val)),
-        (lambda: is_subset_stable(inst, alpha, s),
-         lambda: _reference_is_subset_stable(inst, alpha, s, val)),
         (lambda: is_nash_general(inst, general, s),
          lambda: _reference_is_nash_general(inst, general, s, val)),
     ]
@@ -505,14 +483,14 @@ def test_deviation_walk_matches_the_reference_loops():
                 for new, reference in _checker_pairs(inst, alpha, general, s):
                     answers.append(new())
                     assert answers[-1] == reference()
-                outcomes[answers[0][0], answers[1][0], answers[2]] += 1
-    assert len(outcomes) >= 4  # the checkers answer both ways
+                outcomes[answers[0][0], answers[1]] += 1
+    assert len(outcomes) == 4  # the checkers answer both ways
 
 
 def test_deviation_walk_reads_like_the_reference_loops():
     # without a table every read is one value query; f(S) is read once per
-    # check, and the early stops of is_subset_stable and is_nash_general
-    # spare the same reads as the reference loops
+    # check, and the early stop of is_nash_general spares the same reads as
+    # the reference loop
     for inst, alpha, general in _walk_cases(73, 12, 5):
         oracle = inst.oracle
         walk = sum(1 << len(own) for own in inst.agent_actions)

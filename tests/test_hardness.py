@@ -1,10 +1,12 @@
+import dataclasses
 import itertools
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from budgetcontracts.core import Contract, ModelError, validate_instance
+from budgetcontracts.core import Contract, validate_instance
 from budgetcontracts.equilibria import is_nash
 from budgetcontracts.hardness import (
     BadHiddenSetSizeError,
@@ -14,15 +16,14 @@ from budgetcontracts.hardness import (
     OddNError,
     OracleView,
     QueryBudgetExceededError,
+    _pair_for_guess,
     adversary_experiment,
     bad_action,
     build_hardness,
-    cheating_solver,
     default_epsilon,
     good_action,
     good_contract,
     hardness_demand,
-    indistinguishability_check,
     make_random_guess_solver,
     verify_gap_exhaustive,
 )
@@ -222,11 +223,18 @@ def test_gap_good_action_alone_not_affordable():
 # -- indistinguishability ----------------------------------------------------------
 
 
+def _indistinguishable(oracle, queries):
+    """Every query but a revealing one sees the penalty-free value."""
+    return all(oracle._reveals(mask) or oracle._int(mask) == oracle._base_int(mask)
+               for mask in map(set_to_mask, queries))
+
+
 def test_indistinguishability_avoiding_queries():
     params = params4()
+    oracle = HardnessOracle(4, params.eps, params.hidden)
     queries = [frozenset(), frozenset({2, 3}), frozenset({0, good_action(4)}),
                frozenset({0, 1, 2, bad_action(4)})]
-    assert indistinguishability_check(params, queries)
+    assert _indistinguishable(oracle, queries)
 
 
 def test_indistinguishability_exact_difference():
@@ -235,8 +243,8 @@ def test_indistinguishability_exact_difference():
     revealing = frozenset({0, 1, bad_action(4)})
     assert oracle._base_value(set_to_mask(revealing)) - oracle.value(revealing) \
         == params.eps / 2
-    assert indistinguishability_check(params, [])
-    assert indistinguishability_check(params, [revealing])  # exempted set
+    assert _indistinguishable(oracle, [])
+    assert _indistinguishable(oracle, [revealing])  # exempted set
 
 
 def test_indistinguishability_exhaustive_small():
@@ -244,7 +252,7 @@ def test_indistinguishability_exhaustive_small():
     oracle = HardnessOracle(4, params.eps, params.hidden)
     all_sets = [frozenset(c) for r in range(7)
                 for c in itertools.combinations(range(6), r)]
-    assert indistinguishability_check(params, all_sets)
+    assert _indistinguishable(oracle, all_sets)
     differing = [s for s in all_sets
                  if oracle.value(s) != oracle._base_value(set_to_mask(s))]
     assert differing == sorted(
@@ -265,18 +273,28 @@ def test_oracle_view_budget_enforced():
     assert view.issued == 3
 
 
-def test_cheating_solver_wins_every_trial():
-    report = adversary_experiment(cheating_solver, 4, F(1, 2), F(1),
-                                  trials=20, query_budget=10, seed=5,
-                                  reveal_hidden=True)
-    assert report.successes == 20
+def _value_prober(view, pub):
+    """Read f(H + bad) for every candidate H and take the lowest: the
+    revealing query is the one that sees the penalty."""
+    n = pub.n
+    best = min(itertools.combinations(range(n), n // 2),
+               key=lambda h: view.value(set(h) | {bad_action(n)}))
+    return _pair_for_guess(pub, best)
+
+
+@pytest.mark.parametrize("n", (4, 6))
+def test_value_prober_wins_every_trial(n):
+    candidates = math.comb(n, n // 2)
+    report = adversary_experiment(_value_prober, n, F(1, 2), F(1), trials=12,
+                                  query_budget=candidates, seed=5)
+    assert report.successes == 12
     assert report.mean_approx_fraction == 1
-
-
-def test_cheating_solver_requires_reveal():
-    with pytest.raises(ModelError):
-        adversary_experiment(cheating_solver, 4, F(1, 2), F(1), trials=1,
-                             query_budget=10, seed=5)
+    assert {rec.issued_queries for rec in report.records} == {candidates}
+    assert not any(rec.budget_exceeded for rec in report.records)
+    short = adversary_experiment(_value_prober, n, F(1, 2), F(1), trials=3,
+                                 query_budget=candidates - 1, seed=5)
+    assert short.successes == 0
+    assert all(rec.budget_exceeded for rec in short.records)
 
 
 def test_random_guess_solver_baseline_plausible():
@@ -312,11 +330,14 @@ def test_solver_sees_only_oracle_interface():
     captured = {}
 
     def inspecting_solver(view, pub):
-        captured["hidden_field"] = pub.hidden
+        captured["fields"] = {f.name for f in dataclasses.fields(pub)}
         captured["view_attrs"] = isinstance(view, OracleView)
         return Contract.zero(5), frozenset()
 
     adversary_experiment(inspecting_solver, 4, F(1, 2), F(1), trials=1,
                          query_budget=4, seed=13)
-    assert captured["hidden_field"] is None
+    # the public info names the setting and the costs, never the hidden set
+    assert captured["fields"] == {"n", "budget", "approx_target", "eps",
+                                  "unit_cost", "bad_cost", "good_cost"}
+    assert not any("hidden" in name for name in captured["fields"])
     assert captured["view_attrs"]

@@ -18,7 +18,7 @@ from budgetcontracts.core import ENUM_LIMIT, GS_TESTER_LIMIT, TESTER_LIMIT, \
     Contract, GeneralContract, GroundSetTooLargeError, ModelError, \
     check_enumeration
 from budgetcontracts.equilibria import best_response, is_nash, is_nash_general, \
-    is_subset_stable, min_incentivizing_contract
+    min_incentivizing_contract
 from budgetcontracts.generators import random_additive_instance, \
     random_unit_demand_instance
 from budgetcontracts.hardness import HardnessParams, verify_gap_exhaustive
@@ -54,8 +54,6 @@ GUARDED = [
      lambda inst: is_nash_general(inst, GeneralContract((F(0),), (HALF,)), {0})),
     ("best_response", ENUM_LIMIT,
      lambda inst: best_response(inst, 0, HALF, (), gs=False)),
-    ("is_subset_stable", ENUM_LIMIT,
-     lambda inst: is_subset_stable(inst, PAY, inst.ground_set)),
     ("single_agent_fptas", TESTER_LIMIT,
      lambda inst: single_agent_fptas(inst, HALF, F(1, 10))),
     ("is_monotone", TESTER_LIMIT, lambda inst: is_monotone(inst.oracle)),
@@ -88,12 +86,6 @@ def test_oxs_constructor_limits_its_columns():
     AssignmentOracle([[F(0)] * GS_TESTER_LIMIT])
     with pytest.raises(GroundSetTooLargeError):
         AssignmentOracle([[F(0)] * (GS_TESTER_LIMIT + 1)])
-
-
-def test_subset_stability_is_bounded_by_the_profile_part():
-    inst = random_additive_instance(1, num_agents=1, num_actions=ENUM_LIMIT + 1)
-    is_subset_stable(inst, PAY, {0, 1})
-    assert 0 < inst.oracle.value_queries <= 1 + 4
 
 
 def test_gap_verification_follows_the_table_limit():

@@ -5,20 +5,26 @@ from fractions import Fraction as F
 
 import pytest
 
-from budgetcontracts.core import Action, Contract, Instance, ModelError, cost
-from budgetcontracts.generators import random_coverage_instance
+from budgetcontracts.core import Action, Contract, Instance, ModelError, cost, \
+    restrict_contract
+from budgetcontracts.equilibria import iter_min_contracts
+from budgetcontracts.generators import random_additive_instance, \
+    random_coverage_instance, random_explicit_monotone_instance, \
+    random_oxs_instance, random_uniform_k_instance, random_unit_demand_instance
 from budgetcontracts.hardness import HardnessParams, build_hardness, good_contract
 from budgetcontracts.objectives import (
     PROFIT,
     REWARD,
     WELFARE,
+    BestPropertyReport,
     combo,
     evaluate,
     objective_from_spec,
     objective_to_spec,
+    value_at,
     verify_best_properties,
 )
-from budgetcontracts.rewards import AdditiveOracle, with_table
+from budgetcontracts.rewards import AdditiveOracle, ExplicitOracle, with_table
 
 
 def small_instance():
@@ -182,3 +188,121 @@ def test_combo_reads_f_once_on_a_lazy_instance():
         before = inst.oracle.value_queries
         assert evaluate(obj, inst, alpha, profile) == want
         assert inst.oracle.value_queries - before == 1
+
+
+# -- the integer verifier against the Fraction one it replaced ------------------
+
+
+def _reference_evaluate(obj, inst, alpha, s):
+    c_s = cost(inst, s) if obj.reads_cost() else F(0)
+    return value_at(obj, alpha, inst.f[inst.mask_of(s)], c_s)
+
+
+def _reference_participation(inst, alpha, s):
+    f, mask = inst.f, inst.mask_of(s)
+    return all(not s & own or alpha[i] * (f[mask] - f[mask & ~inst.agent_masks[i]])
+               >= cost(inst, s & own)
+               for i, own in enumerate(inst.agent_actions))
+
+
+def _reference_verify(obj, inst, denominator=8, seed=0):
+    """The verifier on Fractions: the instance's Fraction view and
+    ``core.cost``, with the same contract pool and check order."""
+    n, m = inst.num_agents, inst.num_actions
+    inst = with_table(inst)
+    profiles = [frozenset(c) for r in range(m + 1)
+                for c in itertools.combinations(range(m), r)]
+    step = F(1, denominator)
+    if (denominator + 1) ** n <= 4096:
+        levels = [F(k, denominator) for k in range(denominator + 1)]
+        contracts = [Contract(t) for t in itertools.product(levels, repeat=n)]
+    else:
+        rng = random.Random(seed)
+        contracts = [Contract(tuple(F(rng.randrange(denominator + 1), denominator)
+                                    for _ in range(n))) for _ in range(4096)]
+    priced = dict(iter_min_contracts(inst))
+    contracts += [priced[mask] for mask in map(inst.mask_of, profiles)
+                  if mask in priced]
+    contracts = [c for c in contracts if c.total() <= 1]
+    f = inst.f
+    results = dict.fromkeys(
+        ("sandwich", "decompose", "monotone-S", "antitone-alpha"), (True, None))
+    checks = 0
+    for alpha in contracts:
+        for s in profiles:
+            if not _reference_participation(inst, alpha, s):
+                continue
+            checks += 1
+            mask = inst.mask_of(s)
+            phi = _reference_evaluate(obj, inst, alpha, s)
+            f_s = f[mask]
+            if results["sandwich"][0] and not (
+                    (1 - alpha.total()) * f_s <= phi <= f_s):
+                results["sandwich"] = (False, (alpha, s))
+            if results["decompose"][0]:
+                for i in range(n):
+                    rhs = f[mask & ~inst.agent_masks[i]] + _reference_evaluate(
+                        obj, inst, restrict_contract(alpha, {i}),
+                        s & inst.agent_actions[i])
+                    if phi > rhs:
+                        results["decompose"] = (False, (alpha, s, i))
+                        break
+            if results["monotone-S"][0]:
+                for a in range(m):
+                    if a in s or alpha[inst.owner_of[a]] * (
+                            f[mask | 1 << a] - f_s) < inst.cost_of[a]:
+                        continue
+                    if phi > _reference_evaluate(obj, inst, alpha, s | {a}):
+                        results["monotone-S"] = (False, (alpha, s, a))
+                        break
+            if results["antitone-alpha"][0]:
+                for i in range(n):
+                    bumped = Contract(tuple(x + step if j == i else x
+                                            for j, x in enumerate(alpha.alpha)))
+                    if bumped.total() > 1:
+                        continue
+                    if _reference_evaluate(obj, inst, bumped, s) > phi:
+                        results["antitone-alpha"] = (False, (alpha, s, i))
+                        break
+    return BestPropertyReport(all(ok for ok, _ in results.values()), checks,
+                              results)
+
+
+BEST_OBJECTIVES = (PROFIT, REWARD, WELFARE,
+                   combo((F(1, 2), PROFIT), (F(1, 2), REWARD)),
+                   combo((F(1, 4), PROFIT), (F(1, 4), REWARD), (F(1, 2), WELFARE)))
+
+
+def _unvalidated_instance(rng):
+    """Two agents on three actions with an unvalidated table, values in
+    [-1/4, 1], and costs in [-1/8, 1/4]: f may fall, go negative or make
+    acting pay, so that every property has a counterexample."""
+    values = [F(0)] + [F(rng.randint(-2, 8), 8) for _ in range(7)]
+    return Instance(2, tuple(Action(a, a % 2, F(rng.randint(-1, 2), 8))
+                             for a in range(3)),
+                    ExplicitOracle(values, validate=False))
+
+
+def test_int_verifier_matches_the_fraction_reference():
+    # criterion 9's corpus, then explicit monotone tables, where f need not
+    # be subadditive, then unvalidated ones; the last two on a coarser grid
+    makers = (random_additive_instance, random_unit_demand_instance,
+              random_uniform_k_instance, random_oxs_instance,
+              random_coverage_instance)
+    rng = random.Random(31)
+    corpus = [(makers[i % 5](121000 + i, num_agents=2, num_actions=3 + i % 2),
+               8) for i in range(50)]
+    corpus += [(random_explicit_monotone_instance(
+        7000 + i, num_agents=2, num_actions=3 + i % 2), 4) for i in range(40)]
+    corpus += [(_unvalidated_instance(rng), 4) for _ in range(10)]
+    failed = collections.Counter()
+    for inst, denominator in corpus:
+        inst = with_table(inst)
+        for obj in BEST_OBJECTIVES:
+            report = verify_best_properties(obj, inst, denominator=denominator)
+            assert report == _reference_verify(obj, inst, denominator), \
+                (inst, obj)
+            failed.update(name for name, (ok, _) in report.results.items()
+                          if not ok)
+    assert set(failed) == {"sandwich", "decompose", "monotone-S",
+                           "antitone-alpha"}, failed

@@ -11,17 +11,16 @@ import pytest
 
 from budgetcontracts.core import Contract, ModelError, UnknownActionIdError
 from budgetcontracts.cli import load_instance, parse_instance
-from budgetcontracts.equilibria import agent_utility, best_response, \
-    double_contract, is_nash, is_nash_general, is_subset_stable, \
-    iter_min_contracts, min_incentivizing_contract, ne_from_demand, \
-    single_agent_hull
+from budgetcontracts.equilibria import best_response, double_contract, \
+    is_nash, is_nash_general, iter_min_contracts, \
+    min_incentivizing_contract, ne_from_demand, single_agent_hull
 from budgetcontracts.generators import random_additive_instance, \
     random_coverage_instance, random_explicit_monotone_instance, \
     random_general_contract, random_oxs_instance, random_uniform_k_instance, \
     random_unit_demand_instance
 from budgetcontracts.hardness import HardnessParams, build_hardness
-from budgetcontracts.objectives import PROFIT, REWARD, WELFARE, evaluate, \
-    verify_best_properties
+from budgetcontracts.objectives import PROFIT, REWARD, WELFARE, combo, \
+    evaluate, verify_best_properties
 from budgetcontracts.rewards import with_table
 from budgetcontracts.solvers import SolveResult, additive_fptas, \
     brute_force_opt, build_dp_table, downsize, gs_constant_factor, \
@@ -64,13 +63,11 @@ def _calls(inst, rng):
         return downsize(i, 6, pair.contract, pair.profile)
 
     calls = [
-        ("agent_utility", lambda i: agent_utility(i, alpha, profile, 0)),
         ("best_response", lambda i: best_response(i, 0, F(1, 2), rest)),
         ("best_response exhaustive",
          lambda i: best_response(i, 0, F(1, 2), rest, gs=False)),
         ("is_nash", lambda i: is_nash(i, alpha, profile)),
         ("ne_from_demand", lambda i: ne_from_demand(i, alpha)),
-        ("is_subset_stable", lambda i: is_subset_stable(i, alpha, profile)),
         ("double_contract", lambda i: double_contract(i, alpha, F(1, 16))),
         ("min_incentivizing_contract",
          lambda i: min_incentivizing_contract(i, profile)),
@@ -193,10 +190,17 @@ def test_with_table_fills_one_record_per_instance(family):
     assert inst.oracle.value_queries - before == 1 << m
 
 
+FIVE_OBJECTIVES = (PROFIT, REWARD, WELFARE,
+                   combo((F(1, 2), PROFIT), (F(1, 2), REWARD)),
+                   combo((F(1, 4), PROFIT), (F(1, 4), REWARD),
+                         (F(1, 2), WELFARE)))
+
+
 @pytest.mark.parametrize("family", sorted(RECORD_SOURCES))
 def test_solver_stages_never_build_the_fraction_view(family):
-    # the stages compare f on the table's ints; Instance.f is the Fraction
-    # view, made on first use, which none of them asks for
+    # the stages, evaluate and the BEST verifier compare f on the table's
+    # ints; Instance.f is the Fraction view, made on first use, which none
+    # of them asks for
     source = RECORD_SOURCES[family]
     inst = (load_instance(source) if source.startswith("gen:")
             else parse_instance(source))
@@ -209,6 +213,12 @@ def test_solver_stages_never_build_the_fraction_view(family):
             gs_single_agent_exact(tabled, 0, obj, budget)
         max_reward_bounded_brute(tabled, budget)
         single_agent_fptas(one, budget, F(1, 4))
+    alpha = Contract(tuple(F(i + 1, 4 * inst.num_agents)
+                           for i in range(inst.num_agents)))
+    for obj in FIVE_OBJECTIVES:
+        for profile in (frozenset(), frozenset({0, 1}), inst.ground_set):
+            evaluate(obj, tabled, alpha, profile)
+    verify_best_properties(FIVE_OBJECTIVES[-1], tabled, denominator=2)
     assert "f" not in tabled.__dict__ and "f" not in one.__dict__
 
 
@@ -256,10 +266,8 @@ PROFILE_ENTRY_POINTS = {
     "is_nash": lambda inst, s: is_nash(inst, PAY, s),
     "min_incentivizing_contract":
         lambda inst, s: min_incentivizing_contract(inst, s),
-    "is_subset_stable": lambda inst, s: is_subset_stable(inst, PAY, s),
     "is_nash_general": lambda inst, s: is_nash_general(
         inst, random_general_contract(1, 2), s),
-    "agent_utility": lambda inst, s: agent_utility(inst, PAY, s, 0),
     "best_response": lambda inst, s: best_response(
         inst, 0, F(1, 2), s - inst.agent_actions[0], gs=False),
     "downsize": lambda inst, s: downsize(inst, 6, PAY, s),
