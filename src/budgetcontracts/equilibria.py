@@ -30,6 +30,7 @@ payments off upper envelopes (:func:`_agent_payments`).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -44,7 +45,7 @@ from budgetcontracts.core import (
     check_enumeration,
 )
 from budgetcontracts.rewards import PriceVector, demand_with_base, \
-    lex_key, mask_to_set, submasks
+    lex_key, mask_to_set, submask_sums, submasks
 
 
 def _check_walks(inst: Instance) -> None:
@@ -313,7 +314,8 @@ def _table_ints(inst: Instance) -> tuple[list[int], int]:
     return inst.table, inst.oracle.den
 
 
-def single_agent_hull(inst: Instance) -> tuple[list[int], list[Fraction]]:
+def single_agent_hull(inst: Instance, budget: Optional[Fraction] = None
+                      ) -> tuple[list[int], list[Fraction]]:
     """The upper envelope of the lines alpha * f(S) - c(S) of a one-agent
     instance carrying its value table, as (hull, breaks):
     :func:`_agent_payments` with R = empty.
@@ -325,12 +327,29 @@ def single_agent_hull(inst: Instance) -> tuple[list[int], list[Fraction]]:
     [breaks[i-1], breaks[i]], and hull[bisect_right(breaks, alpha)] is the
     best response at alpha, the larger f winning at a breakpoint, so
     hull[i] is the one chosen on [breaks[i-1], breaks[i]).
+
+    With a ``budget`` B the envelope is the one on [0, B]: only the lines
+    d with c(d) <= B * (max f - f(empty)) are built.  Any other line lies
+    strictly below the empty set's line alpha * f(empty) there, since
+    alpha * f(d) - c(d) <= alpha * f(empty) + B * (max f - f(empty)) - c(d)
+    for 0 <= alpha <= B.  Such a line's stretch starts above B, and it
+    meets each line on the envelope at a point of [0, B] only above that
+    point, so in the full stack it pops no entry starting at or below B.
+    The lines kept are a prefix of the cost order, whose stack is the
+    full one before the first cut line: the entries and breaks up to B
+    are those of the full envelope, and so are
+    hull[bisect_right(breaks, alpha)] for alpha <= B and whether the next
+    break exceeds B.
     """
     f, f_den = _table_ints(inst)
     c_den = inst.int_costs[1]
+    runs = inst.agent_cost_runs[0]
+    if budget is not None:
+        p, q = budget.as_integer_ratio()
+        cut = bisect_right(runs[1], p * (max(f) - f[0]) * c_den // (q * f_den))
+        runs = tuple(run[:cut] for run in runs)
     best: dict[Fraction, int] = {}
-    for mask, (dc, df) in _agent_payments(f, inst.agent_cost_runs[0],
-                                          [0]).items():
+    for mask, (dc, df) in _agent_payments(f, runs, [0]).items():
         alpha = Fraction(dc * f_den, df * c_den)
         kept = best.get(alpha)
         if kept is None or (f[mask], -mask) > (f[kept], -kept):
@@ -364,6 +383,16 @@ def iter_min_contracts(inst: Instance, *, within: Optional[int] = None,
     table reads in all, where pricing each profile alone reads
     2^|T| * sum_i 2^|T_i|.
 
+    With a ``budget`` B the first agent walks only the rests R with
+    c(R) <= B * spread, spread = max f - min f over the table, and the
+    bound runs over those rests.  Agent j kept on S at alpha_j weakly
+    prefers S_j to doing nothing, so alpha_j * (f(S) - f(S - T_j)) >=
+    c(S_j), and with f(S) - f(S - T_j) <= spread that gives
+    c(S_j) <= alpha_j * spread; for c(S_j) <= 0 this holds as alpha_j >= 0.
+    Summed over the other agents, whose parts make up R, a profile paying
+    at most B has c(R) <= B * spread, whatever the signs of the costs and
+    the values, so a dearer rest holds no profile within the budget.
+
     Values are the table's ints as filled and costs each agent's
     ``Instance.agent_cost_runs``, sorted once per instance; the budget is
     tested on the payment pairs, and a payment becomes a Fraction once,
@@ -388,12 +417,19 @@ def iter_min_contracts(inst: Instance, *, within: Optional[int] = None,
     # are nonnegative, so none of a budget-feasible profile exceeds cap
     if budget is not None:
         cap_n, cap_d = (budget * Fraction(c_den, f_den)).as_integer_ratio()
+        spread = max(f) - min(f)
     kept = None  # the profiles in ``span`` every agent so far is kept on
     pays = []
     for i in agents:
         own = own_masks[i]
-        rests = (submasks(span & ~own) if kept is None
-                 else {mask & ~own for mask in kept})
+        if kept is not None:
+            rests = {mask & ~own for mask in kept}
+        elif budget is None:
+            rests = submasks(span & ~own)
+        else:  # c(R) <= B * spread, cross-multiplied
+            rests = [rest for rest, c
+                     in submask_sums(span & ~own, c_int).items()
+                     if c * cap_d <= cap_n * spread]
         pay = _agent_payments(f, inst.agent_cost_runs[i], rests)
         if budget is not None:
             pay = {k: p for k, p in pay.items() if p[0] * cap_d <= cap_n * p[1]}

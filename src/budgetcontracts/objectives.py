@@ -82,17 +82,20 @@ def evaluate(obj: Objective, inst: Instance, alpha: Contract,
     return Fraction(value_at(obj, alpha, f_s * c_den, c_s * f_den), f_den * c_den)
 
 
-def value_at(obj: Objective, alpha: Contract, f_s, c_s):
-    """obj at (alpha, S) from f(S) and c(S); c(S) is read only by welfare.
-    Linear in (f(S), c(S)): both times one positive scale give the value
-    times it."""
+def value_at(obj: Objective, alpha: Contract, f_s, c_s,
+             paid: Optional[Fraction] = None):
+    """obj at (alpha, S) from f(S) and c(S); c(S) is read only by welfare,
+    and alpha only by profit, through its total, which a caller holding
+    it passes as ``paid``.  Linear in (f(S), c(S)): both times one
+    positive scale give the value times it."""
     if obj.kind == "profit":
-        return (1 - alpha.total()) * f_s
+        return (1 - (alpha.total() if paid is None else paid)) * f_s
     if obj.kind == "reward":
         return f_s
     if obj.kind == "welfare":
         return f_s - c_s
-    return sum((w * value_at(o, alpha, f_s, c_s) for w, o in obj.terms), ZERO)
+    return sum((w * value_at(o, alpha, f_s, c_s, paid) for w, o in obj.terms),
+               ZERO)
 
 
 @dataclass(frozen=True)
@@ -204,24 +207,28 @@ def verify_best_properties(obj: Objective, inst: Instance, *,
         ("sandwich", "decompose", "monotone-S", "antitone-alpha"), (True, None))
     checks = 0
 
+    # each contract's total is summed once: alpha|_i pays alpha_i, and
+    # each bumped contract the total plus step
     for alpha in contracts:
-        unpaid = 1 - alpha.total()
+        total = alpha.total()
+        unpaid, up_total = 1 - total, total + step
         alone = [restrict_contract(alpha, {i}) for i in range(n)]
-        bumped = [(i, up) for i in range(n) if (up := Contract(
-            alpha.alpha[:i] + (alpha[i] + step,) + alpha.alpha[i + 1:])).total() <= 1]
+        bumped = [] if up_total > 1 else [(i, Contract(
+            alpha.alpha[:i] + (alpha[i] + step,) + alpha.alpha[i + 1:]))
+            for i in range(n)]
         for s, mask in zip(profiles, masks):
             if not participation_holds(inst, alpha, s):
                 continue
             checks += 1
             f_s = fs[mask]
-            phi = value_at(obj, alpha, f_s, cs[mask])
+            phi = value_at(obj, alpha, f_s, cs[mask], total)
             if results["sandwich"][0] and not (unpaid * f_s <= phi <= f_s):
                 results["sandwich"] = (False, (alpha, s))
             if results["decompose"][0]:
                 for i, own in enumerate(inst.agent_masks):
                     s_i = mask & own
-                    if phi > fs[mask & ~own] + value_at(obj, alone[i], fs[s_i],
-                                                        cs[s_i]):
+                    if phi > fs[mask & ~own] + value_at(
+                            obj, alone[i], fs[s_i], cs[s_i], alpha[i]):
                         results["decompose"] = (False, (alpha, s, i))
                         break
             if results["monotone-S"][0]:
@@ -230,12 +237,12 @@ def verify_best_properties(obj: Objective, inst: Instance, *,
                     if more == mask or alpha[inst.owner_of[a]] * (
                             fs[more] - f_s) < cs[1 << a]:
                         continue
-                    if phi > value_at(obj, alpha, fs[more], cs[more]):
+                    if phi > value_at(obj, alpha, fs[more], cs[more], total):
                         results["monotone-S"] = (False, (alpha, s, a))
                         break
             if results["antitone-alpha"][0]:
                 for i, up in bumped:
-                    if value_at(obj, up, f_s, cs[mask]) > phi:
+                    if value_at(obj, up, f_s, cs[mask], up_total) > phi:
                         results["antitone-alpha"] = (False, (alpha, s, i))
                         break
     passed = all(ok for ok, _ in results.values())

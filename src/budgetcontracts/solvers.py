@@ -520,10 +520,11 @@ def single_agent_fptas(inst: Instance, budget: Fraction,
     ties toward the larger f, which also pins SW exactly.  All-zero costs
     degenerate to the full action set at alpha = 0.
 
-    The sweep prices one grid point per hull stretch per cost, not every
-    point.  For one c_j, alpha_{j,k} rises strictly with k until it is
-    clipped at B, and the best response only changes at the hull's
-    breakpoints.  Within one stretch [breaks[i-1], breaks[i]) f is fixed
+    The sweep reads the hull on [0, B] (:func:`equilibria.single_agent_hull`
+    given the budget) and prices one grid point per hull stretch per
+    cost, not every point.  For one c_j, alpha_{j,k} rises strictly with
+    k until it is clipped at B, and the best response only changes at the
+    hull's breakpoints.  Within one stretch [breaks[i-1], breaks[i]) f is fixed
     and not negative, so the profit (1 - alpha) * f never rises, and no
     later point of the stretch can beat its first one strictly.  The
     first grid point past each breakpoint comes from an exact integer
@@ -548,7 +549,7 @@ def single_agent_fptas(inst: Instance, budget: Fraction,
         return SolveResult(Contract.zero(1), mask_to_set(free),
                            Fraction(f(free), f_den), "exact", "profit", budget)
 
-    hull, breaks = single_agent_hull(inst)
+    hull, breaks = single_agent_hull(inst, budget)
     # S-dagger maximizes B*f - c; among ties the larger f also maximizes f-c
     s_dagger = hull[bisect_right(breaks, budget)]
     sw = Fraction(f(s_dagger), f_den) - cost(inst, mask_to_set(s_dagger))

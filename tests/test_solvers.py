@@ -252,9 +252,40 @@ def _lopsided_instances():
                                 for a in range(m)), table)
 
 
+def _budget_bound_instances():
+    """Instances at the edges of the budget's cut on rests,
+    c(R) <= B * spread: a profile paying exactly B whose rest costs
+    B * spread, unvalidated tables leaving [0, 1], tables of one value
+    (spread 0), zero-cost actions and one negative-cost action."""
+    # {0, 1} needs alpha_1 = 1/2 and alpha_0 = 0; at B = 1/2 the rest {1}
+    # costs 1/2 = B * spread
+    yield Instance(2, (Action(0, 0, F(0)), Action(1, 1, F(1, 2))),
+                   ExplicitOracle([F(0), F(0), F(0), F(1)]))
+    rng = random.Random(71)
+    levels = [F(-1, 2), F(0), F(1, 4), F(1), F(3, 2)]
+    costs = [F(0), F(0), F(1, 64), F(1, 16), F(1, 8), F(1, 4)]
+    for t in range(16):
+        n, m = rng.randint(1, 3), rng.randint(2, 6)
+        owners = [rng.randrange(n) for _ in range(m)]
+        cost_of = [rng.choice(costs) for _ in range(m)]
+        if t % 4 == 0:
+            values = [rng.choice(levels) for _ in range(1 << m)]
+            oracle = ExplicitOracle(values, validate=False)
+        elif t % 4 == 1:
+            oracle = ExplicitOracle([F(1, 3)] * (1 << m), validate=False)
+        else:
+            oracle = random_explicit_monotone_instance(
+                rng.randint(0, 10 ** 6), num_agents=1, num_actions=m).oracle
+        if t % 4 == 3:
+            cost_of[rng.randrange(m)] = F(-1, 8)
+        yield Instance(n, tuple(Action(a, owners[a], cost_of[a])
+                                for a in range(m)), oracle)
+
+
 def test_envelope_contracts_match_the_reference():
     rng = random.Random(61)
-    for inst in itertools.chain(_tied_line_instances(), _lopsided_instances()):
+    for inst in itertools.chain(_tied_line_instances(), _lopsided_instances(),
+                                _budget_bound_instances()):
         inst = with_table(inst)
         table = inst.f
         m = inst.num_actions
@@ -265,7 +296,7 @@ def test_envelope_contracts_match_the_reference():
                    set_to_mask(inst.agent_actions[0]))
         for tab, within, budget in itertools.product(
                 (inst, _rescaled(inst)), withins,
-                (None, F(0), F(1, 3), F(1))):
+                (None, F(0), F(1, 64), F(1, 3), F(1, 2), F(1))):
             got = list(iter_min_contracts(tab, within=within, budget=budget))
             expected = [(mask, alpha) for mask, alpha in reference.items()
                         if alpha is not None
@@ -305,6 +336,49 @@ def test_min_contracts_price_the_largest_agent_first(monkeypatch):
         calls.clear()
         list(iter_min_contracts(inst, within=within))
         assert calls == order, within
+
+
+def test_budget_cuts_the_first_rests_and_the_hull_lines(monkeypatch):
+    walked = []
+    kernel = equilibria._agent_payments
+
+    def recording(f, runs, rests):
+        rests = list(rests)
+        walked.append((list(runs[0]), rests))
+        return kernel(f, runs, rests)
+
+    monkeypatch.setattr(equilibria, "_agent_payments", recording)
+    # agent 0 owns actions 0-2 and is priced first; its rests are the
+    # subsets of the six one-action agents' actions 3-8
+    inst = with_table(Instance(
+        7, tuple(Action(a, max(0, a - 2), F(a + 1, 128)) for a in range(9)),
+        AdditiveOracle([F(1, 9)] * 9)))
+    spread = max(inst.f) - min(inst.f)
+    for budget in (F(3, 32), F(1, 8)):
+        walked.clear()
+        got = list(iter_min_contracts(inst, budget=budget))
+        rests = walked[0][1]
+        assert rests == [r for r in range(0, 1 << 9, 8)
+                         if cost(inst, mask_to_set(r)) <= budget * spread]
+        assert len(rests) < 2 ** 6 // 2  # the cut skips most rests
+        assert got == [(mask, alpha) for mask, alpha in iter_min_contracts(
+            inst) if alpha.total() <= budget]
+        assert any(alpha.total() > 0 for _, alpha in got)
+    # one agent: the hull is built from the lines within the cut only
+    inst = with_table(Instance(
+        1, tuple(Action(a, 0, F(a + 1, 16)) for a in range(6)),
+        AdditiveOracle([F(1, 6)] * 6)))
+    for budget in (F(1, 8), F(1, 2)):
+        walked.clear()
+        hull, breaks = single_agent_hull(inst, budget)
+        (lines, _), = walked
+        within_cut = [d for d in range(64) if cost(inst, mask_to_set(d))
+                      <= budget * (max(inst.f) - inst.f[0])]
+        assert sorted(lines) == within_cut and len(lines) < 64
+        full_hull, full_breaks = single_agent_hull(inst)
+        k = bisect_right(full_breaks, budget)
+        assert breaks[:k] == full_breaks[:k]
+        assert hull[:k + 1] == full_hull[:k + 1]
 
 
 def test_cost_runs_are_sorted_once_per_instance(monkeypatch):
@@ -1138,8 +1212,10 @@ def _envelope_instances():
                        ExplicitOracle(values, validate=False))
 
 
-def _reference_hull(inst):
-    """The masks and breakpoints of the Fraction reference envelope."""
+def _reference_hull(inst, budget=None):
+    """The masks and breakpoints of the Fraction reference envelope over
+    every line: ``budget``, which cuts the envelope under test, is
+    ignored."""
     hull, breaks = _reference_envelope(_reference_lines(inst, inst.f))
     return [h[2] for h in hull], breaks
 
