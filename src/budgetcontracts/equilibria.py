@@ -25,7 +25,8 @@ certificate's utilities become Fractions once per agent.
 The minimal-contract algebra is :func:`_min_payment`, one agent's bounds
 for one profile, which :func:`min_incentivizing_contract` runs per agent.
 :func:`iter_min_contracts` and :func:`single_agent_hull` read the same
-payments off upper envelopes (:func:`_agent_payments`).
+payments off upper envelopes (:func:`_agent_payments`), under a budget B
+from the deviations within the budget's cost cut, c(d) <= B * spread of f.
 """
 
 from __future__ import annotations
@@ -44,8 +45,9 @@ from budgetcontracts.core import (
     ZERO,
     check_enumeration,
 )
-from budgetcontracts.rewards import PriceVector, demand_with_base, \
-    lex_key, mask_to_set, submask_sums, submasks
+from budgetcontracts.rewards import PriceVector, cost_runs, \
+    demand_with_base, lex_key, mask_to_set, submask_sums, \
+    submask_sums_upto, submasks
 
 
 def _check_walks(inst: Instance) -> None:
@@ -328,26 +330,25 @@ def single_agent_hull(inst: Instance, budget: Optional[Fraction] = None
     best response at alpha, the larger f winning at a breakpoint, so
     hull[i] is the one chosen on [breaks[i-1], breaks[i]).
 
-    With a ``budget`` B the envelope is the one on [0, B]: only the lines
-    d with c(d) <= B * (max f - f(empty)) are built.  Any other line lies
-    strictly below the empty set's line alpha * f(empty) there, since
-    alpha * f(d) - c(d) <= alpha * f(empty) + B * (max f - f(empty)) - c(d)
-    for 0 <= alpha <= B.  Such a line's stretch starts above B, and it
-    meets each line on the envelope at a point of [0, B] only above that
-    point, so in the full stack it pops no entry starting at or below B.
-    The lines kept are a prefix of the cost order, whose stack is the
-    full one before the first cut line: the entries and breaks up to B
-    are those of the full envelope, and so are
-    hull[bisect_right(breaks, alpha)] for alpha <= B and whether the next
-    break exceeds B.
+    With a ``budget`` B the envelope is the one on [0, B], of the sets d
+    with c(d) <= B * (max f - f(empty)) alone, summed and sorted by
+    :func:`rewards.submask_sums_upto`: a prefix of the cost order.  For
+    0 <= alpha <= B, alpha * f(d) - c(d) <= alpha * f(empty) +
+    B * (max f - f(empty)) - c(d), so any other line lies strictly below
+    the empty set's: its stretch starts above B, and it meets each
+    envelope line at a point of [0, B] only above that point, so in the
+    full stack it pops no entry starting at or below B.  The entries and
+    breaks up to B, hull[bisect_right(breaks, alpha)] for alpha <= B and
+    whether the next break exceeds B are the full envelope's.
     """
     f, f_den = _table_ints(inst)
-    c_den = inst.int_costs[1]
-    runs = inst.agent_cost_runs[0]
-    if budget is not None:
+    c_int, c_den = inst.int_costs
+    if budget is None:
+        runs = inst.agent_cost_runs[0]
+    else:
         p, q = budget.as_integer_ratio()
-        cut = bisect_right(runs[1], p * (max(f) - f[0]) * c_den // (q * f_den))
-        runs = tuple(run[:cut] for run in runs)
+        limit = p * (max(f) - f[0]) * c_den // (q * f_den)
+        runs = cost_runs(submask_sums_upto(inst.agent_masks[0], c_int, limit))
     best: dict[Fraction, int] = {}
     for mask, (dc, df) in _agent_payments(f, runs, [0]).items():
         alpha = Fraction(dc * f_den, df * c_den)
@@ -383,15 +384,16 @@ def iter_min_contracts(inst: Instance, *, within: Optional[int] = None,
     table reads in all, where pricing each profile alone reads
     2^|T| * sum_i 2^|T_i|.
 
-    With a ``budget`` B the first agent walks only the rests R with
-    c(R) <= B * spread, spread = max f - min f over the table, and the
-    bound runs over those rests.  Agent j kept on S at alpha_j weakly
-    prefers S_j to doing nothing, so alpha_j * (f(S) - f(S - T_j)) >=
-    c(S_j), and with f(S) - f(S - T_j) <= spread that gives
-    c(S_j) <= alpha_j * spread; for c(S_j) <= 0 this holds as alpha_j >= 0.
-    Summed over the other agents, whose parts make up R, a profile paying
-    at most B has c(R) <= B * spread, whatever the signs of the costs and
-    the values, so a dearer rest holds no profile within the budget.
+    With a ``budget`` B both walks stop at B * spread, spread = max f -
+    min f, whatever the signs of costs and values.  Agent j kept on S at
+    alpha_j prefers S_j to doing nothing, alpha_j * (f(S) - f(S - T_j)) >=
+    c(S_j), so c(S_j) <= alpha_j * spread; summed over the agents but the
+    first, its rests R have c(R) <= B * spread.  Each agent reads only the
+    deviations d with c(d) <= B * spread, a prefix of its cost order that
+    ends on a run boundary: for 0 <= alpha <= B a dearer d's line is below
+    the empty deviation's, alpha * f(R + d) - c(d) < alpha * (f(R + d) -
+    spread) <= alpha * f(R), so (as in :func:`single_agent_hull`) it pops
+    no stack entry starting at or below B: payments up to B are unchanged.
 
     Values are the table's ints as filled and costs each agent's
     ``Instance.agent_cost_runs``, sorted once per instance; the budget is
@@ -406,6 +408,7 @@ def iter_min_contracts(inst: Instance, *, within: Optional[int] = None,
     own_masks = inst.agent_masks
     f, f_den = _table_ints(inst)
     c_int, c_den = inst.int_costs
+    runs = inst.agent_cost_runs
     span = (1 << m) - 1 if within is None else within
     # An agent with no action in ``span`` acts in no profile; if none of
     # its costs is negative, every deviation only adds cost, so its bounds
@@ -418,6 +421,10 @@ def iter_min_contracts(inst: Instance, *, within: Optional[int] = None,
     if budget is not None:
         cap_n, cap_d = (budget * Fraction(c_den, f_den)).as_integer_ratio()
         spread = max(f) - min(f)
+        # C(d) <= B * spread, at least 0, so each walk keeps d = empty
+        limit = max(cap_n, 0) * spread // cap_d
+        cuts = [bisect_right(by_cost, limit) for _, by_cost, _ in runs]
+        runs = [[run[:k] for run in r] for r, k in zip(runs, cuts)]
     kept = None  # the profiles in ``span`` every agent so far is kept on
     pays = []
     for i in agents:
@@ -426,11 +433,10 @@ def iter_min_contracts(inst: Instance, *, within: Optional[int] = None,
             rests = {mask & ~own for mask in kept}
         elif budget is None:
             rests = submasks(span & ~own)
-        else:  # c(R) <= B * spread, cross-multiplied
+        else:
             rests = [rest for rest, c
-                     in submask_sums(span & ~own, c_int).items()
-                     if c * cap_d <= cap_n * spread]
-        pay = _agent_payments(f, inst.agent_cost_runs[i], rests)
+                     in submask_sums(span & ~own, c_int).items() if c <= limit]
+        pay = _agent_payments(f, runs[i], rests)
         if budget is not None:
             pay = {k: p for k, p in pay.items() if p[0] * cap_d <= cap_n * p[1]}
         kept = (sorted(k for k in pay if not k & ~span) if kept is None

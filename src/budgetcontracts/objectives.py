@@ -113,9 +113,10 @@ class BestPropertyReport:
         return None
 
 
-def participation_holds(inst: Instance, alpha: Contract, s: frozenset) -> bool:
+def participation_holds(inst: Instance, alpha: Contract, mask: int) -> bool:
     """Every agent weakly prefers its prescribed actions to quitting:
-    alpha_i * (f(S) - f(S - T_i)) >= c(S_i) for each agent acting in S.
+    alpha_i * (f(S) - f(S - T_i)) >= c(S_i) for each agent acting in the
+    profile S given by its bitmask ``mask``.
 
     For alpha_i = p/q this is p * c_den * (F_S - F_{S - T_i}) >=
     q * f_den * C(S_i), on the ints of ``Instance.scaled_f`` and
@@ -123,7 +124,6 @@ def participation_holds(inst: Instance, alpha: Contract, s: frozenset) -> bool:
     """
     f, f_den = inst.scaled_f
     c_den = inst.int_costs[1]
-    mask = inst.mask_of(s)
     f_s = f(mask)
     for i, (own, costs) in enumerate(zip(inst.agent_masks,
                                          inst.agent_cost_sums)):
@@ -217,7 +217,7 @@ def verify_best_properties(obj: Objective, inst: Instance, *,
             alpha.alpha[:i] + (alpha[i] + step,) + alpha.alpha[i + 1:]))
             for i in range(n)]
         for s, mask in zip(profiles, masks):
-            if not participation_holds(inst, alpha, s):
+            if not participation_holds(inst, alpha, mask):
                 continue
             checks += 1
             f_s = fs[mask]

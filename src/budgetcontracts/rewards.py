@@ -36,7 +36,7 @@ import sys
 from array import array
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
@@ -194,6 +194,24 @@ def submask_sums(mask: int, weights) -> dict[int, int | Fraction]:
     """
     return dict(zip(submasks(mask), subset_sums(
         [weights[a] for a in _set_bits(mask)])))
+
+
+def submask_sums_upto(mask: int, weights, limit: int) -> dict[int, int]:
+    """The entries of ``submask_sums(mask, weights)`` weighing at most
+    ``limit``, in the same order, the others never built: a partial sum
+    is dropped once it tops the limit even with every negative weight
+    still to come."""
+    bits = _set_bits(mask)
+    top = limit - sum(min(weights[a], 0) for a in bits)
+    out = [(0, 0)] if top >= 0 else []
+    for a in bits:
+        w, bit = weights[a], 1 << a
+        top += min(w, 0)
+        more = [(k | bit, v + w) for k, v in out if v <= top - w]
+        if w < 0:
+            out = [p for p in out if p[1] <= top]
+        out += more
+    return dict(out)
 
 
 def cost_runs(costs: dict[int, int]) -> tuple[list[int], list[int], list[int]]:
@@ -372,7 +390,7 @@ class ExplicitOracle(RewardOracle):
     Entries are grouped (by object identity; a descriptor's by string),
     and each group gets once its Fraction, its int over the common
     denominator and that int's rank among the distinct ints; the ranks,
-    mapped over the 2^m entries, index the ints and the stored values.
+    mapped over the 2^m entries, index the ints.
     Validation (unless ``validate=False``): f(empty) = 0 first, then the
     range on the ints and monotonicity on the ranks packed into one int
     (:func:`_ranks_monotone`).  The first failing check in mask order
@@ -413,13 +431,17 @@ class ExplicitOracle(RewardOracle):
         levels = sorted(made)
         rank = dict(zip(levels, range(len(levels))))
         ranks = _picker(keys)(dict(zip(exact, map(rank.__getitem__, scaled))))
-        pick = _picker(ranks)
-        ints = list(pick(levels))
-        self._ints, self.den = ints, den
-        self.values = pick([made[k] for k in levels])
+        ints = list(_picker(ranks)(levels))
+        self._ints, self.den, self._made = ints, den, made
         if validate and (ints[0] != 0 or levels[0] < 0 or levels[-1] > den
                          or not _ranks_monotone(ranks, len(levels))):
             self._raise_first_fault(ints, den)
+
+    @cached_property
+    def values(self) -> tuple[Fraction, ...]:
+        """The 2^m values in mask order, each level's one Fraction, made
+        on first read."""
+        return tuple(map(self._made.__getitem__, self._ints))
 
     def _raise_first_fault(self, ints: list[int], den: int) -> None:
         """Raise for f(empty) != 0, else the first fault in mask order."""

@@ -24,7 +24,8 @@ from budgetcontracts.objectives import (
     value_at,
     verify_best_properties,
 )
-from budgetcontracts.rewards import AdditiveOracle, ExplicitOracle, with_table
+from budgetcontracts.rewards import AdditiveOracle, ExplicitOracle, \
+    set_to_mask, with_table
 
 
 def small_instance():
@@ -86,7 +87,7 @@ def test_sandwich_on_participation_feasible_pairs():
     for _ in range(200):
         alpha = Contract.of([F(rng.randint(0, 4), 8) for _ in range(2)])
         profile = frozenset(a for a in range(2) if rng.random() < 0.5)
-        if not participation_holds(inst, alpha, profile):
+        if not participation_holds(inst, alpha, set_to_mask(profile)):
             continue
         checked += 1
         lo = evaluate(PROFIT, inst, alpha, profile)
@@ -122,7 +123,8 @@ def test_participation_matches_the_fraction_reference():
                             if s & own and gain <= cost(inst, s & own):
                                 verdicts[gain == cost(inst, s & own)] += 1
                                 want = want and gain == cost(inst, s & own)
-                        assert participation_holds(tabled, alpha, s) == want
+                        assert participation_holds(
+                            tabled, alpha, set_to_mask(s)) == want
     assert verdicts[True] > 0 and verdicts[False] > 0
 
 

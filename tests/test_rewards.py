@@ -47,6 +47,7 @@ from budgetcontracts.rewards import (
     oracle_to_spec,
     set_to_mask,
     submask_sums,
+    submask_sums_upto,
     submasks,
     subset_sums,
     value_table,
@@ -444,6 +445,28 @@ def test_cost_runs_match_the_bisect_reference():
     assert len(cases[-21]) == 1 << 11
     for costs in cases:
         assert cost_runs(costs) == _reference_cost_runs(costs)
+
+
+def test_bounded_cost_order_is_the_full_order_cut_at_the_limit():
+    rng = random.Random(29)
+    for m in range(1, 12):
+        for trial in range(4):
+            # few cost levels, so many sets tie; on odd trials one action
+            # costs less than nothing
+            weights = {a: rng.choice((0, 1, 2, 3, 5)) for a in range(2 * m)}
+            mask = set_to_mask(rng.sample(range(2 * m), m))
+            if trial % 2:
+                weights[rng.choice(_scan_members(mask))] = -4
+            full = submask_sums(mask, weights)
+            runs = cost_runs(full)
+            for limit in (-5, -1, 0, 1, 4, 9, 3 * m):
+                got = submask_sums_upto(mask, weights, limit)
+                assert list(got.items()) == [(k, c) for k, c in full.items()
+                                             if c <= limit]
+                cut = bisect_right(runs[1], limit)
+                assert cost_runs(got) == tuple(run[:cut] for run in runs)
+    assert submask_sums_upto(0, {}, 0) == {0: 0}
+    assert submask_sums_upto(0, {}, -1) == {}
 
 
 # -- demand computations -------------------------------------------------------

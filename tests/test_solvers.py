@@ -252,15 +252,30 @@ def _lopsided_instances():
                                 for a in range(m)), table)
 
 
+def _dear_second_agent():
+    """Agent 0 owns three actions and is priced first; agent 1, priced
+    second, owns a cheap action and one costing 1/2, whose deviations
+    (alone or with the cheap one) cost more than B * spread = 3B/4 for
+    B < 2/3."""
+    costs, owners = (F(1, 32), F(1, 16), F(1, 64), F(1, 2), F(1, 64)), \
+        (0, 0, 1, 1, 0)
+    return Instance(2, tuple(Action(a, owners[a], costs[a]) for a in range(5)),
+                    AdditiveOracle([F(1, 8), F(1, 8), F(1, 8), F(1, 4),
+                                    F(1, 8)]))
+
+
 def _budget_bound_instances():
-    """Instances at the edges of the budget's cut on rests,
-    c(R) <= B * spread: a profile paying exactly B whose rest costs
-    B * spread, unvalidated tables leaving [0, 1], tables of one value
-    (spread 0), zero-cost actions and one negative-cost action."""
+    """Instances at the edges of the budget's cuts on rests,
+    c(R) <= B * spread, and on deviations, c(d) <= B * spread: a profile
+    paying exactly B whose rest costs B * spread, an agent priced second
+    whose dearest deviations are cut, unvalidated tables leaving [0, 1],
+    tables of one value (spread 0), zero-cost actions and one
+    negative-cost action."""
     # {0, 1} needs alpha_1 = 1/2 and alpha_0 = 0; at B = 1/2 the rest {1}
     # costs 1/2 = B * spread
     yield Instance(2, (Action(0, 0, F(0)), Action(1, 1, F(1, 2))),
                    ExplicitOracle([F(0), F(0), F(0), F(1)]))
+    yield _dear_second_agent()
     rng = random.Random(71)
     levels = [F(-1, 2), F(0), F(1, 4), F(1), F(3, 2)]
     costs = [F(0), F(0), F(1, 64), F(1, 16), F(1, 8), F(1, 4)]
@@ -338,6 +353,35 @@ def test_min_contracts_price_the_largest_agent_first(monkeypatch):
         assert calls == order, within
 
 
+def test_budget_cuts_every_agents_deviations(monkeypatch):
+    handed = []
+    kernel = equilibria._agent_payments
+
+    def recording(f, runs, rests):
+        handed.append(runs)
+        return kernel(f, runs, rests)
+
+    monkeypatch.setattr(equilibria, "_agent_payments", recording)
+    inst = with_table(_dear_second_agent())
+    f_den, c_den = inst.oracle.den, inst.int_costs[1]
+    spread = max(inst.table) - min(inst.table)
+    for budget in (F(0), F(1, 64), F(1, 3), F(1, 2), F(1)):
+        handed.clear()
+        got = list(iter_min_contracts(inst, budget=budget))
+        p, q = budget.as_integer_ratio()
+        assert len(handed) == 2 and all(  # agent 0, then agent 1
+            not d & ~own for runs, own in zip(handed, inst.agent_masks)
+            for d in runs[0])
+        for runs in handed:  # c(d) <= B * spread, cross-multiplied
+            assert all(c * f_den * q <= p * spread * c_den for c in runs[1])
+        assert got == [(mask, alpha) for mask, alpha in iter_min_contracts(
+            inst) if alpha.total() <= budget]
+        if budget == F(1, 2):  # {3} and {2, 3} are cut, {2} is not
+            assert sorted(handed[1][0]) == [0, 0b100]
+            assert any(alpha[1] > 0 for _, alpha in got)
+    assert list(iter_min_contracts(inst, budget=F(-1, 8))) == []
+
+
 def test_budget_cuts_the_first_rests_and_the_hull_lines(monkeypatch):
     walked = []
     kernel = equilibria._agent_payments
@@ -365,16 +409,27 @@ def test_budget_cuts_the_first_rests_and_the_hull_lines(monkeypatch):
             inst) if alpha.total() <= budget]
         assert any(alpha.total() > 0 for _, alpha in got)
     # one agent: the hull is built from the lines within the cut only
+    # and sorted by cost without the other sets ever reaching cost_runs
+    sizes = []
+    sort = equilibria.cost_runs
+
+    def sized(costs):
+        sizes.append(len(costs))
+        return sort(costs)
+
+    monkeypatch.setattr(equilibria, "cost_runs", sized)
     inst = with_table(Instance(
         1, tuple(Action(a, 0, F(a + 1, 16)) for a in range(6)),
         AdditiveOracle([F(1, 6)] * 6)))
     for budget in (F(1, 8), F(1, 2)):
         walked.clear()
+        sizes.clear()
         hull, breaks = single_agent_hull(inst, budget)
         (lines, _), = walked
         within_cut = [d for d in range(64) if cost(inst, mask_to_set(d))
                       <= budget * (max(inst.f) - inst.f[0])]
         assert sorted(lines) == within_cut and len(lines) < 64
+        assert sizes == [len(within_cut)]
         full_hull, full_breaks = single_agent_hull(inst)
         k = bisect_right(full_breaks, budget)
         assert breaks[:k] == full_breaks[:k]
