@@ -17,6 +17,7 @@ concurrent tasks; the operations here are pure functions.
 from __future__ import annotations
 
 import math
+import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -115,25 +116,37 @@ def descriptor_field(spec: Mapping, key: str, kind: type = object):
     return value
 
 
-def parse_rational(text: str | int) -> Fraction:
-    """Parse a "p/q" (or plain integer) string into an exact rational.
+def parse_ratio(text: str | int) -> tuple[int, int]:
+    """A "p/q" (or plain integer) string as (p, q) in lowest terms, q > 0.
 
     A JSON integer is taken exactly; anything else that is not a string,
     floats and booleans included, is rejected.  A plain "p" or "p/q" of
     ASCII digits, p maybe negative, is read by ``int``; any other string
     by ``Fraction``'s parser, which also takes "+", spaces, underscores,
-    non-ASCII digits, decimals and exponents.
+    non-ASCII digits, decimals and exponents; it refuses a numeral past
+    CPython's int-from-text digit limit as too long, echoing the text cut.
     """
     if type(text) is int:
-        return Fraction(text)
+        return text, 1
     try:
         num, slash, den = text.partition("/")
         if text.isascii() and num.removeprefix("-").isdigit() and (
                 den.isdigit() or not slash):
-            return Fraction(int(num), int(den) if slash else 1)
-        return Fraction(text.strip())
+            p, q = int(num), int(den) if slash else 1
+            g = math.gcd(p, q) if q else 0  # q = 0: p // 0 raises
+            return p // g, q // g
+        return Fraction(text.strip()).as_integer_ratio()
     except (AttributeError, TypeError, ValueError, ZeroDivisionError) as exc:
+        limit = sys.get_int_max_str_digits()  # 0, or at least 640
+        if type(exc) is ValueError and limit and re.search(rf"\d{{{limit + 1}}}", text):
+            raise RationalParseError(f"rational too long to parse: more than {limit} "
+                                     f"digits in a row in {text[:40]!r}...") from exc
         raise RationalParseError(f"not a valid rational: {text!r}") from exc
+
+
+def parse_rational(text: str | int) -> Fraction:
+    """:func:`parse_ratio`'s (p, q) as a Fraction."""
+    return Fraction(*parse_ratio(text))
 
 
 def exact_rational(value) -> Fraction:

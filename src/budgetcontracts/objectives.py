@@ -12,7 +12,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional
+from typing import Callable, Iterable, Mapping, Optional
 
 from budgetcontracts.core import (
     Contract,
@@ -122,16 +122,22 @@ def participation_holds(inst: Instance, alpha: Contract, mask: int) -> bool:
     q * f_den * C(S_i), on the ints of ``Instance.scaled_f`` and
     ``Instance.agent_cost_sums``.
     """
-    f, f_den = inst.scaled_f
-    c_den = inst.int_costs[1]
-    f_s = f(mask)
-    for i, (own, costs) in enumerate(zip(inst.agent_masks,
-                                         inst.agent_cost_sums)):
-        s_i = mask & own
-        if s_i and alpha[i].numerator * c_den * (f_s - f(mask & ~own)) \
-                < alpha[i].denominator * f_den * costs[s_i]:
-            return False
-    return True
+    return _participation_test(inst, alpha)(mask)
+
+
+def _participation_test(inst: Instance, alpha: Contract) -> Callable[[int], bool]:
+    """:func:`participation_holds` on masks, p * c_den and q * f_den made once."""
+    (f, f_den), c_den = inst.scaled_f, inst.int_costs[1]
+    terms = [(own, a.numerator * c_den, a.denominator * f_den, costs)
+             for own, a, costs in zip(inst.agent_masks, alpha.alpha, inst.agent_cost_sums)]
+
+    def holds(mask: int) -> bool:
+        f_s = f(mask)
+        for own, p, q, costs in terms:
+            if mask & own and p * (f_s - f(mask & ~own)) < q * costs[mask & own]:
+                return False
+        return True
+    return holds
 
 
 def verify_best_properties(obj: Objective, inst: Instance, *,
@@ -216,8 +222,9 @@ def verify_best_properties(obj: Objective, inst: Instance, *,
         bumped = [] if up_total > 1 else [(i, Contract(
             alpha.alpha[:i] + (alpha[i] + step,) + alpha.alpha[i + 1:]))
             for i in range(n)]
+        participates = _participation_test(inst, alpha)
         for s, mask in zip(profiles, masks):
-            if not participation_holds(inst, alpha, mask):
+            if not participates(mask):
                 continue
             checks += 1
             f_s = fs[mask]

@@ -32,8 +32,7 @@ from __future__ import annotations
 
 import itertools
 import math
-import sys
-from array import array
+from collections import defaultdict
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
@@ -54,6 +53,7 @@ from budgetcontracts.core import (
     descriptor_field,
     exact_rational,
     parse_integer,
+    parse_ratio,
     parse_rational,
 )
 
@@ -387,61 +387,58 @@ class CoverageOracle(RewardOracle):
 class ExplicitOracle(RewardOracle):
     """A full table of 2^m values in subset-bitmask order.
 
-    Entries are grouped (by object identity; a descriptor's by string),
-    and each group gets once its Fraction, its int over the common
-    denominator and that int's rank among the distinct ints; the ranks,
-    mapped over the 2^m entries, index the ints.
+    One pass groups the entries (by object identity; a descriptor's by
+    string) into codes, each group is read once as a reduced p/q, and the
+    codes pick each entry's int over the common denominator ``den``.
     Validation (unless ``validate=False``): f(empty) = 0 first, then the
-    range on the ints and monotonicity on the ranks packed into one int
-    (:func:`_ranks_monotone`).  The first failing check in mask order
+    range and monotonicity on the ints packed into one int
+    (:func:`_packed_monotone`).  The first failing check in mask order
     raises, the range check before the monotonicity check at one mask.
     """
 
     function_class = "monotone"
 
     def __init__(self, values: Sequence[Fraction], validate: bool = True):
-        ids = list(map(id, values))
-        exact = {i: exact_rational(v) for i, v in dict(zip(ids, values)).items()}
-        self._fill(ids, exact, validate)
+        firsts = {id(v): v for v in values}  # each object once, first seen first
+        codes = list(map(dict(zip(firsts, itertools.count())).__getitem__,
+                         map(id, values)))
+        exact = map(exact_rational, firsts.values())
+        self._fill(codes, list(map(Fraction.as_integer_ratio, exact)), validate)
 
     @classmethod
     def _from_entries(cls, entries: list) -> "ExplicitOracle":
         """Parse each distinct string once; other lists entry by entry, since
         grouping by == takes True for 1 and unhashable entries are errors."""
+        code = defaultdict(itertools.count().__next__)
         try:
-            distinct = dict.fromkeys(entries)
-        except TypeError:  # an unhashable entry
-            distinct = None
-        if distinct is None or not all(type(e) is str for e in distinct):
+            codes = _picker(entries)(code)
+        except TypeError:  # an unhashable entry, or no entry
+            codes = None
+        if codes is None or not all(type(e) is str for e in code):
             return cls(list(map(parse_rational, entries)))
         oracle = cls.__new__(cls)
-        oracle._fill(entries, {e: parse_rational(e) for e in distinct}, True)
+        oracle._fill(codes, list(map(parse_ratio, code)), True)
         return oracle
 
-    def _fill(self, keys: list, exact: dict, validate: bool) -> None:
-        """Fill the table from each entry's key and each key's Fraction."""
-        size = len(keys)
+    def _fill(self, codes: Sequence[int], ratios: list, validate: bool) -> None:
+        """Fill the table from each entry's code and each code's (p, q)."""
+        size = len(codes)
         m = size.bit_length() - 1
         if size == 0 or size != 1 << m:
             raise ModelError("explicit table length must be a power of two")
         super().__init__(m)
-        den = common_denominator(exact.values())
-        scaled = scaled_ints(exact.values(), den)
-        made = dict(zip(scaled, exact.values()))  # one Fraction per level
-        levels = sorted(made)
-        rank = dict(zip(levels, range(len(levels))))
-        ranks = _picker(keys)(dict(zip(exact, map(rank.__getitem__, scaled))))
-        ints = list(_picker(ranks)(levels))
-        self._ints, self.den, self._made = ints, den, made
-        if validate and (ints[0] != 0 or levels[0] < 0 or levels[-1] > den
-                         or not _ranks_monotone(ranks, len(levels))):
+        den = math.lcm(*{q for _, q in ratios})
+        levels = [p * (den // q) for p, q in ratios]
+        ints = list(_picker(codes)(levels))
+        self._ints, self.den = ints, den
+        if validate and (ints[0] != 0 or min(levels) < 0 or max(levels) > den
+                         or not _packed_monotone(ints, den)):
             self._raise_first_fault(ints, den)
 
     @cached_property
     def values(self) -> tuple[Fraction, ...]:
-        """The 2^m values in mask order, each level's one Fraction, made
-        on first read."""
-        return tuple(map(self._made.__getitem__, self._ints))
+        """The 2^m values in mask order, one Fraction per distinct int."""
+        return tuple(as_fractions(self._ints, self.den))
 
     def _raise_first_fault(self, ints: list[int], den: int) -> None:
         """Raise for f(empty) != 0, else the first fault in mask order."""
@@ -450,7 +447,7 @@ class ExplicitOracle(RewardOracle):
         for mask, k in enumerate(ints):
             if not 0 <= k <= den:
                 raise OracleRangeViolationError(
-                    f"table value {self.values[mask]} outside [0, 1]")
+                    f"table value {Fraction(k, den)} outside [0, 1]")
             for b in range(self.num_actions):
                 if not mask >> b & 1 and ints[mask | 1 << b] < k:
                     raise ModelError("explicit table is not monotone")
@@ -470,7 +467,7 @@ def _picker(indices: Sequence) -> Callable[[Sequence], tuple]:
 
 @lru_cache(maxsize=8)
 def _guard_masks(width: int, size: int) -> tuple[int, ...]:
-    """G, then each G_b, of :func:`_ranks_monotone` for the field sizes."""
+    """G, then each G_b, of :func:`_packed_monotone` for the field sizes."""
     guard = bytes(width - 1) + b"\x80"
     return (int.from_bytes(guard * size, "little"),
             *(int.from_bytes((guard * (1 << b) + bytes(width << b))
@@ -478,25 +475,28 @@ def _guard_masks(width: int, size: int) -> tuple[int, ...]:
               for b in range(size.bit_length() - 1)))
 
 
-def _ranks_monotone(ranks: Sequence[int], levels: int) -> bool:
-    """Whether ranks[mask] <= ranks[mask | 1 << b] for every mask and bit b.
+def _packed_monotone(ints: Sequence[int], top: int) -> bool:
+    """Whether ints[mask] <= ints[mask | 1 << b] for every mask and bit b.
 
-    Mask i's rank fills field i of one int P, the fields as wide as the
-    narrowest array item whose top (guard) bit no rank reaches.  With G
+    Mask i's int, in [0, top], fills field i of one int P, in the fewest
+    bytes that leave a top (guard) bit no int reaches; from top >= 2^63
+    the ints' ranks stand in for them, so no field exceeds 8 bytes.  With G
     every guard, field i of ``(P >> 2^b fields | G) - P`` is guard +
-    rank[i + 2^b] - rank[i]: no borrow, and the guard stays iff the pair
-    is in order.  Bit b passes when G_b, the guards of masks without b
-    (a repeated byte pattern, like G), all stay.  The masks are cached
-    for 8 sizes of up to 8 KB of fields (about 1 MB), else built per call.
+    ints[i + 2^b] - ints[i]: no borrow, and the guard stays iff the pair
+    is in order.  Bit b passes when G_b, the guards of masks without b (a
+    repeated byte pattern, like G), all stay.  The masks are cached for 8
+    sizes of up to 8 KB of fields (about 1 MB), else built per call.
     """
-    packed = next(array(tc, ranks) for tc in "BHIQ"
-                  if levels <= 1 << 8 * array(tc).itemsize - 1)
-    if sys.byteorder == "big":
-        packed.byteswap()
-    width, size = packed.itemsize, len(ranks)
+    if top >> 63:
+        rank = dict(zip(sorted(set(ints)), itertools.count()))
+        ints, top = list(map(rank.get, ints)), len(rank)
+    width = next(w for w in itertools.count(1) if top < 1 << 8 * w - 1)
+    packed = bytes(ints) if width == 1 else b"".join(
+        [k.to_bytes(width, "little") for k in ints])
+    size = len(ints)
     masks = _guard_masks if width * size <= 1 << 13 else _guard_masks.__wrapped__
     guards, *g = masks(width, size)
-    p = int.from_bytes(packed.tobytes(), "little")
+    p = int.from_bytes(packed, "little")
     return all(((p >> (8 * width << b) | guards) - p) & g_b == g_b
                for b, g_b in enumerate(g))
 

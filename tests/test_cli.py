@@ -589,6 +589,25 @@ def test_cli_rational_too_long_to_print_is_domain_error(capsys):
     assert error["message"].startswith("rational too long to print")
 
 
+def test_cli_numeral_too_long_to_parse_is_short_domain_error(tmp_path, capsys):
+    # "1/99...9" is a valid rational whose 5000-digit denominator exceeds
+    # CPython's int-from-text limit: the error says so and cuts the text
+    cost = "1/" + "9" * 5000
+    doc = json.loads(MINIMAL)
+    doc["actions"][0]["cost"] = cost
+    inst_path = tmp_path / "inst.json"
+    inst_path.write_text(json.dumps(doc))
+    assert main(["solve", "--instance", str(inst_path), "--budget", "1/2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)["error"]
+    assert error["type"] == "RationalParseError"
+    limit = sys.get_int_max_str_digits()
+    assert error["message"].startswith(
+        f"rational too long to parse: more than {limit} digits")
+    assert "'1/999" in error["message"] and len(error["message"]) < 200
+
+
 def test_hardness_oracle_descriptor_rejects_string_n():
     with pytest.raises(SchemaError):
         oracle_from_spec({"type": "hardness", "n": "x", "eps": "1/64"})

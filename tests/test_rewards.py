@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from budgetcontracts.core import Action, GroundSetTooLargeError, Instance, \
     ModelError, OracleRangeViolationError, RationalParseError, \
-    UnknownActionIdError, format_rational
+    UnknownActionIdError, exact_rational, format_rational, parse_rational
 from budgetcontracts.generators import (
     random_additive_instance,
     random_coverage_instance,
@@ -32,9 +32,10 @@ from budgetcontracts.rewards import (
     UniformKDemandOracle,
     UnitDemandOracle,
     _guard_masks,
-    _ranks_monotone,
+    _packed_monotone,
     _search_price_witness,
     brute_force_demand,
+    common_denominator,
     cost_runs,
     demand_with_base,
     gs_greedy_demand,
@@ -45,6 +46,7 @@ from budgetcontracts.rewards import (
     mask_to_set,
     oracle_from_spec,
     oracle_to_spec,
+    scaled_ints,
     set_to_mask,
     submask_sums,
     submask_sums_upto,
@@ -1017,6 +1019,178 @@ def test_explicit_entry_points_agree():
         assert got == _outcome(lambda v: _parts(ExplicitOracle(v)), values)
 
 
+def test_packed_check_ranks_keep_fields_within_eight_bytes(monkeypatch):
+    # ints below 2^63 are packed as they are; from 2^63 their ranks stand
+    # in, so three distinct ints take one-byte fields however wide they are
+    import budgetcontracts.rewards as rewards_module
+
+    widths = []
+    kept = rewards_module._guard_masks
+    monkeypatch.setattr(rewards_module, "_guard_masks",
+                        lambda width, size: widths.append(width) or kept(width, size))
+    for top in (2 ** 63 - 1, 2 ** 63, 2 ** 200):
+        assert _packed_monotone([0, top // 2, top // 2, top], top)
+        assert not _packed_monotone([0, top, top // 2, top // 2], top)
+    assert widths == [8, 8, 1, 1, 1, 1]
+
+
+class _ReferenceExplicit:
+    """The explicit loader the one-pass fill replaced, kept as a reference.
+
+    Distinct entries by ``dict.fromkeys``, each parsed to a Fraction; ints
+    over the common denominator, ranks among the distinct ints, and the
+    monotonicity check on the ranks.
+    """
+
+    def __init__(self, values, validate=True):
+        ids = list(map(id, values))
+        exact = {i: exact_rational(v) for i, v in dict(zip(ids, values)).items()}
+        self._fill(ids, exact, validate)
+
+    @classmethod
+    def from_entries(cls, entries):
+        try:
+            distinct = dict.fromkeys(entries)
+        except TypeError:  # an unhashable entry
+            distinct = None
+        if distinct is None or not all(type(e) is str for e in distinct):
+            return cls(list(map(parse_rational, entries)))
+        ref = cls.__new__(cls)
+        ref._fill(entries, {e: parse_rational(e) for e in distinct}, True)
+        return ref
+
+    def _fill(self, keys, exact, validate):
+        size = len(keys)
+        m = size.bit_length() - 1
+        if size == 0 or size != 1 << m:
+            raise ModelError("explicit table length must be a power of two")
+        den = common_denominator(exact.values())
+        scaled = scaled_ints(exact.values(), den)
+        made = dict(zip(scaled, exact.values()))  # one Fraction per level
+        levels = sorted(made)
+        rank = dict(zip(levels, range(len(levels))))
+        key_rank = dict(zip(exact, map(rank.__getitem__, scaled)))
+        ranks = [key_rank[k] for k in keys]
+        self._ints, self.den = [levels[r] for r in ranks], den
+        self.values = tuple(made[k] for k in self._ints)
+        if validate and (self._ints[0] != 0 or levels[0] < 0
+                         or levels[-1] > den
+                         or not _reference_ranks_monotone(ranks)):
+            self._raise_first_fault(m)
+
+    def _raise_first_fault(self, m):
+        if self._ints[0] != 0:
+            raise ModelError("explicit table must have f(empty) = 0")
+        for mask, k in enumerate(self._ints):
+            if not 0 <= k <= self.den:
+                raise OracleRangeViolationError(
+                    f"table value {self.values[mask]} outside [0, 1]")
+            for b in range(m):
+                if not mask >> b & 1 and self._ints[mask | 1 << b] < k:
+                    raise ModelError("explicit table is not monotone")
+
+
+def _load_outcome(load, entries):
+    """ints, den, values and which entries share one Fraction; or the error."""
+    try:
+        o = load(entries)
+    except ModelError as exc:
+        return type(exc), str(exc)
+    first = {}
+    shared = [first.setdefault(id(v), mask) for mask, v in enumerate(o.values)]
+    assert all(type(v) is F for v in o.values)
+    return o._ints, o.den, o.values, shared
+
+
+def _spelled(rng, v):
+    """``v`` as a descriptor string, reduced or not, now and then decimal."""
+    k = rng.choice((1, 1, 2, 3))
+    text = f"{v.numerator * k}/{v.denominator * k}"
+    if v.denominator in (1, 2, 4, 5, 8) and rng.random() < 0.2:
+        text = str(v.numerator / v.denominator)  # exact in binary
+    return rng.choice((text, format_rational(v)))
+
+
+def _differential_tables():
+    rng = random.Random(29)
+    for m in range(13):  # random tables, m = 0..12, and their faults
+        for _ in range(3 if m < 10 else 1):
+            values = _random_monotone_table(rng, m)
+            yield values
+            if m:
+                yield from _mutations(rng, values)
+    # more than 128 levels (two-byte fields), then a den of at least 2^63
+    yield [F(k, 255) for k in range(256)]
+    yield [F(0)] + [F(k, 255) for k in range(254, 0, -1)] + [F(1)]
+    big = 2 ** 64 + 13
+    yield [F(k, big) for k in range(8)]
+    yield [F(0), F(3, big), F(2, big), F(1)]
+    yield [F(0), F(1, big), F(1, 3), F(big + 1, big)]
+    # dens around each field width; at a width's first den, 1 (the int
+    # den) sits on the guard bit
+    for top in (127, 128, 2 ** 15 - 1, 2 ** 15, 2 ** 31 - 1, 2 ** 31,
+                2 ** 63 - 1, 2 ** 63):
+        ints = [0, 1] + [max(1, k * top >> 6) for k in range(2, 63)] + [top]
+        yield [F(k, top) for k in ints]
+        yield [F(0)] + [F(top - 1, top)] * 62 + [F(1)]
+
+
+def test_explicit_loader_matches_the_reference_loader():
+    seen = collections.Counter()
+    rng = random.Random(5)
+    for values in _differential_tables():
+        descriptor = [_spelled(rng, v) for v in values]
+        want = _load_outcome(_ReferenceExplicit.from_entries, descriptor)
+        assert _load_outcome(lambda e: oracle_from_spec(
+            {"type": "explicit", "values": e}), descriptor) == want
+        assert _load_outcome(ExplicitOracle, values) == \
+            _load_outcome(_ReferenceExplicit, values)
+        unchecked = _load_outcome(lambda v: ExplicitOracle(v, validate=False),
+                                  values)
+        assert unchecked == _load_outcome(
+            lambda v: _ReferenceExplicit(v, validate=False), values)
+        if isinstance(want[0], list):  # accepted: the packer agrees
+            seen["accepted"] += 1
+            assert _packed_monotone(want[0], want[1])
+        else:
+            seen[want[1] if want[0] is ModelError else want[0]] += 1
+    assert seen["accepted"] > 20 and seen[OracleRangeViolationError] > 20
+    assert seen["explicit table is not monotone"] > 10
+    assert seen["explicit table must have f(empty) = 0"] > 10
+
+
+@pytest.mark.parametrize("entries", [
+    ["0", "1/2", "2/4", "0.5"],           # one value spelled three ways
+    ["0", "2/4", "1/2", "0.5", "1/2", "1/2", "0.50", "1"],
+    [0, 1, 1, 1], [0, "1/2", 1, "1"], ["0", 1, "1", 1],  # ints, mixed
+    [0, 1, True, 1], [0, 0.5, "1/2", 1], [0, "1/2", None, 1],
+    ["0", ["1"], "1", "1"], ["0", "1/2", {"a": 1}, "x"],  # unhashable
+    ["0", "x/3", "1/0", "1"], [], ["0"], ["1"], ["0", "1", "1"],
+    ["0", "-1/3", "1/2", "1"], ["0", "4/3", "1/2", "1"],
+    ["1/7", "1/2", "1/2", "1"], ["0", "1/2", "1/3", "1"],
+    ["0", "1/" + str(2 ** 70), "1", "1"],
+])
+def test_explicit_loader_matches_the_reference_on_named_entries(entries):
+    want = _load_outcome(_ReferenceExplicit.from_entries, entries)
+    assert _load_outcome(lambda e: oracle_from_spec(
+        {"type": "explicit", "values": e}), entries) == want
+
+
+@pytest.mark.parametrize("top", [2 ** 31 - 1, 2 ** 31, 2 ** 63 - 1, 2 ** 63,
+                                 2 ** 200])
+def test_packed_check_wide_ints_and_the_rank_fallback(top):
+    # four- and eight-byte fields hold ints up to 2^63 - 1; from 2^63 no
+    # field does, and the ints' ranks stand in for them
+    rising = [k * top // 7 for k in range(8)]
+    assert _packed_monotone(rising, top)
+    assert _packed_monotone([0] * 7 + [top], top)
+    for i, j in ((3, 7), (6, 7), (0, 4)):
+        ints = list(rising)
+        ints[i], ints[j] = ints[j], ints[i]
+        assert _packed_monotone(ints, top) is \
+            _reference_ranks_monotone(ints) is False
+
+
 def _reference_ranks_monotone(ranks):
     m = len(ranks).bit_length() - 1
     return all(ranks[i] <= ranks[i | 1 << b] for b in range(m)
@@ -1048,8 +1222,10 @@ def test_packed_check_matches_the_testers_on_random_tables():
         o = ExplicitOracle(values, validate=False)
         levels = sorted(set(o._ints))
         ranks = [levels.index(k) for k in o._ints]
-        ok = _ranks_monotone(ranks, len(levels))
+        ok = _packed_monotone(ranks, len(levels) - 1)
         assert ok == is_monotone(o)[0] == _reference_ranks_monotone(ranks)
+        if 0 <= levels[0] and levels[-1] <= o.den:  # the ints themselves
+            assert _packed_monotone(o._ints, o.den) == ok
         assert _outcome(ExplicitOracle, values)[0] == \
             _outcome(_reference_explicit_check, values)[0]
         seen[ok] += 1
@@ -1065,7 +1241,7 @@ def test_packed_check_finds_a_single_fault_at_every_bit(m):
             values = _one_fault_table(m, mask, b)
             o = ExplicitOracle(values, validate=False)
             assert is_monotone(o) == (False, (mask_to_set(mask), b))
-            assert not _ranks_monotone(o._ints, max(o._ints) + 1)
+            assert not _packed_monotone(o._ints, max(o._ints))
             got = _outcome(ExplicitOracle, values)
             assert got == _outcome(_reference_explicit_check, values)
             assert got[1] == "explicit table is not monotone"
@@ -1074,21 +1250,21 @@ def test_packed_check_finds_a_single_fault_at_every_bit(m):
 @pytest.mark.parametrize("m,levels", [(8, 128), (8, 129), (15, 32768),
                                       (16, 32769)])
 def test_packed_check_field_widths_and_guard_bits(m, levels):
-    # 128 and 32768 ranks fill one- and two-byte fields below the guard
-    # bit; one more rank takes the next width.  The extreme ranks sit
-    # next to each other in both orders.
+    # ints 0..127 and 0..32767 fill one- and two-byte fields below the
+    # guard bit; a top one higher takes the next width.  The extreme ints
+    # sit next to each other in both orders.
     size = 1 << m
     rising = [i * levels >> m for i in range(size)]
     assert len(set(rising)) == levels
-    assert _ranks_monotone(rising, levels)
+    assert _packed_monotone(rising, levels - 1)
     top = [0] * (size - 1) + [levels - 1]
-    assert _ranks_monotone(top, levels)
+    assert _packed_monotone(top, levels - 1)
     for mask in (0, 1, size // 2 - 1):
         for hi in (0, levels - 2):
             ranks = list(rising)
             ranks[mask] = levels - 1
             ranks[mask | size >> 1] = hi
-            assert _ranks_monotone(ranks, levels) is \
+            assert _packed_monotone(ranks, levels - 1) is \
                 _reference_ranks_monotone(ranks) is False
     if m == 8:  # through the oracle, against both testers
         values = [F(r, levels - 1) for r in rising]
@@ -1101,9 +1277,9 @@ def test_packed_check_field_widths_and_guard_bits(m, levels):
 
 def test_guard_masks_are_cached_for_small_tables_only():
     _guard_masks.cache_clear()
-    for m in range(14):  # ranks 0..2^m - 1: fields of 1, then 2 bytes
-        assert _ranks_monotone(range(1 << m), 1 << m)
-        assert _ranks_monotone(range(1 << m), 1 << m)  # from the cache
+    for m in range(14):  # ints 0..2^m - 1: fields of 1, then 2 bytes
+        assert _packed_monotone(range(1 << m), (1 << m) - 1)
+        assert _packed_monotone(range(1 << m), (1 << m) - 1)  # from the cache
     # 2^13 two-byte fields take 16 KB: built per call, not kept
     info = _guard_masks.cache_info()
     assert (info.maxsize, info.currsize, info.hits) == (8, 8, 13)
