@@ -20,7 +20,8 @@ subset-cost sums on ``Instance.int_costs``, built once per instance on
 first use.  For alpha_i = p/q a utility is compared as
 p * c_den * F - q * f_den * C, so :func:`is_nash` and
 :func:`best_response` decide on ints with or without a table, and a
-certificate's utilities become Fractions once per agent.
+certificate's utilities become Fractions once per agent; its walk
+(:func:`_agent_walks`) also serves :func:`nash_violator`, the verdict alone.
 
 The minimal-contract algebra is :func:`_min_payment`, one agent's bounds
 for one profile, which :func:`min_incentivizing_contract` runs per agent.
@@ -130,6 +131,26 @@ class NeCertificate:
     violator: Optional[int] = None
 
 
+def _agent_walks(inst: Instance, alpha: Contract, profile: Iterable[int]):
+    """Per agent in index order (u_i, best_u, best_dev, scale): its utility,
+    its first best deviation's (both times scale) and that deviation."""
+    _check_walks(inst)
+    mask = inst.mask_of(profile)
+    f, f_den = inst.scaled_f
+    c_den = inst.int_costs[1]
+    f_s = f(mask)
+    for i in range(inst.num_agents):
+        c_i, walk = _deviations(inst, i, mask)
+        pc, qf = alpha[i].numerator * c_den, alpha[i].denominator * f_den
+        best_u = None
+        best_dev = 0
+        for dev, f_dev, c in walk:
+            u = pc * f_dev - qf * c
+            if best_u is None or u > best_u:
+                best_u, best_dev = u, dev
+        yield pc * f_s - qf * c_i, best_u, best_dev, qf * c_den
+
+
 def is_nash(inst: Instance, alpha: Contract,
             profile: Iterable[int]) -> NeCertificate:
     """Check the weak Nash condition by per-agent enumeration of deviations.
@@ -138,32 +159,22 @@ def is_nash(inst: Instance, alpha: Contract,
     1 + sum_i 2^|T_i| value queries.  Utilities are compared scaled, and
     become Fractions once per agent, for the certificate.
     """
-    _check_walks(inst)
     s = frozenset(profile)
-    mask = inst.mask_of(s)
-    f, f_den = inst.scaled_f
-    c_den = inst.int_costs[1]
-    f_s = f(mask)
-    utilities = []
-    best_devs = []
-    violator = None
-    for i in range(inst.num_agents):
-        c_i, walk = _deviations(inst, i, mask)
-        pc, qf = alpha[i].numerator * c_den, alpha[i].denominator * f_den
-        u_i = pc * f_s - qf * c_i
-        best_u = None
-        best_dev = 0
-        for dev, f_dev, c in walk:
-            u = pc * f_dev - qf * c
-            if best_u is None or u > best_u:
-                best_u, best_dev = u, dev
-        scale = qf * c_den
-        utilities.append(Fraction(u_i, scale))
-        best_devs.append((mask_to_set(best_dev), Fraction(best_u, scale)))
-        if best_u > u_i and violator is None:
-            violator = i
-    return NeCertificate(violator is None, s, tuple(utilities),
-                         tuple(best_devs), violator)
+    walks = list(_agent_walks(inst, alpha, s))
+    violator = next((i for i, (u, b, _, _) in enumerate(walks) if b > u),
+                    None)
+    return NeCertificate(violator is None, s,
+                         tuple(Fraction(u, k) for u, _, _, k in walks),
+                         tuple((mask_to_set(d), Fraction(b, k))
+                               for _, b, d, k in walks), violator)
+
+
+def nash_violator(inst: Instance, alpha: Contract,
+                  profile: Iterable[int]) -> Optional[int]:
+    """``is_nash(...).violator`` (None at an equilibrium) with no
+    certificate; the walks stop at the first violator."""
+    return next((i for i, (u_i, best_u, _, _) in enumerate(
+        _agent_walks(inst, alpha, profile)) if best_u > u_i), None)
 
 
 def ne_from_demand(inst: Instance, alpha: Contract, base: Iterable[int] = (),
@@ -178,7 +189,18 @@ def ne_from_demand(inst: Instance, alpha: Contract, base: Iterable[int] = (),
     pay = {a: alpha[inst.owner_of[a]] for a in inst.ground_set}
     prices = PriceVector({a: inst.cost_of[a] / p for a, p in pay.items() if p > 0},
                          frozenset(a for a, p in pay.items() if p <= 0))
-    return demand_with_base(inst.oracle, prices, base, gs=gs, table=inst.f)
+    return demand_with_base(inst.oracle, prices, base, gs=gs,
+                            table=_FractionReads(inst))
+
+
+class _FractionReads:
+    """f by bitmask, a Fraction made per read from ``Instance.scaled_f``."""
+
+    def __init__(self, inst: Instance):
+        self.read, self.den = inst.scaled_f
+
+    def __getitem__(self, mask: int) -> Fraction:
+        return Fraction(self.read(mask), self.den)
 
 
 def double_contract(inst: Instance, alpha: Contract, epsilon: Fraction):

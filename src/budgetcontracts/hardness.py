@@ -25,7 +25,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from typing import Callable, Iterable, Optional
 
 from budgetcontracts.core import (
@@ -43,7 +43,7 @@ from budgetcontracts.core import (
     parse_integer,
     parse_rational,
 )
-from budgetcontracts.equilibria import is_nash, iter_min_contracts
+from budgetcontracts.equilibria import iter_min_contracts, nash_violator
 from budgetcontracts.objectives import PROFIT, evaluate
 from budgetcontracts.rewards import (
     PriceVector,
@@ -257,8 +257,13 @@ def hardness_demand(oracle: HardnessOracle, prices: PriceVector) -> frozenset[in
             special_options += [opt | {special} for opt in list(special_options)]
     candidates = sorted({u | sp for u in unit_options for sp in special_options},
                         key=lambda s: tuple(sorted(s)))
-    # the first candidate of the highest utility, one value query each
-    return max(candidates, key=lambda s: oracle.value(s) - prices.total(s))
+    # the first candidate of the highest utility, one value query each, on ints
+    used = frozenset().union(*candidates)
+    den = lcm(oracle.den, *(prices.prices[a].denominator for a in used))
+    pay = {a: prices.prices[a].numerator * den // prices.prices[a].denominator
+           for a in used}
+    return max(candidates, key=lambda s: oracle.read(set_to_mask(s))
+               * (den // oracle.den) - sum(map(pay.__getitem__, s)))
 
 
 def build_hardness(params: HardnessParams) -> Instance:
@@ -459,7 +464,8 @@ def adversary_experiment(solver: Solver, n: int, budget: Fraction,
             exceeded = True
         vq, dq = inst.oracle.value_queries, inst.oracle.demand_queries
         value = ZERO
-        if alpha.total() <= budget and is_nash(inst, alpha, profile).ok:
+        if alpha.total() <= budget and \
+                nash_violator(inst, alpha, profile) is None:
             value = evaluate(PROFIT, inst, alpha, profile)
         good_alpha, good_profile = good_contract(params)
         good_value = evaluate(PROFIT, inst, good_alpha, good_profile)

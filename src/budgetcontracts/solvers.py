@@ -15,9 +15,10 @@ and the certified constant accounts for that.
 No envelope is built here: brute force and the exact single-agent solvers
 price profiles with :func:`equilibria.iter_min_contracts`, and the
 single-agent scheme reads its hull from :func:`equilibria.single_agent_hull`.
-Nor are prices built: downsizing calls :func:`equilibria.ne_from_demand`
-and :func:`equilibria.double_contract`, and :func:`_counted` alone reads
-the query counts.
+The GS pipeline races every agent's single-agent pairs in one pass.  Nor
+are prices built: downsizing calls :func:`equilibria.ne_from_demand` and
+:func:`equilibria.double_contract`, and :func:`_counted` alone reads the
+query counts.
 """
 
 from __future__ import annotations
@@ -41,8 +42,8 @@ from budgetcontracts.core import (
     cost,
     restrict_contract,
 )
-from budgetcontracts.equilibria import double_contract, is_nash, \
-    iter_min_contracts, ne_from_demand, single_agent_hull
+from budgetcontracts.equilibria import double_contract, iter_min_contracts, \
+    nash_violator, ne_from_demand, single_agent_hull
 from budgetcontracts.objectives import Objective, REWARD, evaluate, value_at
 from budgetcontracts.rewards import mask_to_set, set_to_mask, with_table
 
@@ -606,10 +607,10 @@ def downsize(inst: Instance, m_param: int, alpha: Contract,
     if m_param < 3:
         raise ModelError("M must be an integer >= 3")
     s = frozenset(profile)
-    cert = is_nash(inst, alpha, s)
-    if not cert.ok:
+    violator = nash_violator(inst, alpha, s)
+    if violator is not None:
         raise NotAnEquilibriumError(
-            f"agent {cert.violator} prefers a deviation under the input contract")
+            f"agent {violator} prefers a deviation under the input contract")
     p = alpha.total()
     if p == 0:
         return alpha, s
@@ -673,10 +674,11 @@ def gs_constant_factor(inst: Instance, budget: Fraction, obj: Objective, *,
     downsized with M = 6 raced against them for the target objective; with
     the exact base solver the certified factor is 120 * 50 + 1 = 6001.
     Unless B = 0, every stage is a pick over the one list of budget-B
-    minimal contracts, read off the one value table filled here: agent i's
-    single-agent pairs are those whose profiles lie in its actions T_i.
-    Each stage keeps its first pick of maximal value, valued as the pick
-    found it: only the downsized pair is valued anew, by
+    minimal contracts, read off the one value table filled here; one pass
+    over it races each agent i's pairs (those whose profiles lie in its
+    actions T_i) for reward and for ``obj``, reading each f(S) and c(S)
+    once.  Each stage keeps its first pick of maximal value, valued as the
+    pick found it: only the downsized pair is valued anew, by
     :func:`objectives.evaluate`.
     """
     if not (force or inst.oracle.is_gs_class):
@@ -690,14 +692,32 @@ def gs_constant_factor(inst: Instance, budget: Fraction, obj: Objective, *,
     check_enumeration(inst.num_actions, "GS pipeline")
     inst = with_table(inst)  # one table for every stage
     pairs = list(iter_min_contracts(inst, budget=budget))
-    singles = [[(mask, alpha) for mask, alpha in pairs if not mask & ~own]
-               for own in inst.agent_masks]
+    f, f_den = inst.scaled_f
+    c_den = inst.int_costs[1]
+    parts = tuple(zip(inst.agent_masks, inst.agent_cost_sums)) \
+        if obj.reads_cost() else ()
+
+    def values(mask: int, alpha: Contract):  # reward, obj times f_den * c_den
+        f_s = f(mask) * c_den
+        c_s = sum(costs[mask & own] for own, costs in parts) * f_den
+        return f_s, value_at(obj, alpha, f_s, c_s)
+
+    # the single-agent races for reward and for obj: per agent, the first
+    # (value, mask, contract) of maximal value, the zero pair first
+    zero = _zero_pair(inst)
+    races = [[(v, *zero)] * inst.num_agents for v in values(*zero)]
+    for mask, alpha in pairs:
+        held = [i for i, own in enumerate(inst.agent_masks) if not mask & ~own]
+        for race, v in zip(races, values(mask, alpha) if held else ()):
+            for i in held:
+                if v > race[i][0]:
+                    race[i] = (v, mask, alpha)
+    rewards, picks = ([(alpha, mask_to_set(mask), Fraction(v, f_den * c_den))
+                       for v, mask, alpha in race] for race in races)
     # each stage races (contract, profile, value) picks; max keeps the first
-    mrb = max([_scaled_profit_base(inst, pairs, budget)]
-              + [_race(REWARD, inst, own) for own in singles],
+    mrb = max([_scaled_profit_base(inst, pairs, budget)] + rewards,
               key=itemgetter(2))
     down = downsize(inst, 6, *mrb[:2])
-    best = max([(*down, evaluate(obj, inst, *down))]
-               + [_race(obj, inst, own) for own in singles],
+    best = max([(*down, evaluate(obj, inst, *down))] + picks,
                key=itemgetter(2))
     return SolveResult(*best, Fraction(6001), str(obj), budget)

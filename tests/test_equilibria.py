@@ -4,6 +4,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from budgetcontracts.core import Action, Contract, GeneralContract, Instance, \
     ModelError, cost, restrict_contract
@@ -14,6 +15,7 @@ from budgetcontracts.equilibria import (
     is_nash_general,
     linearize,
     min_incentivizing_contract,
+    nash_violator,
     ne_from_demand,
 )
 from budgetcontracts.generators import random_coverage_instance, \
@@ -105,6 +107,50 @@ def test_is_nash_bad_profile_fails_via_special_agent(hardness4):
     # the special agent strictly profits by dropping the bad action
     _, dev_utility = cert.best_deviations[4]
     assert dev_utility > cert.utilities[4]
+
+
+@st.composite
+def _nash_cases(draw):
+    """A GS, explicit or coverage instance on 1 to 6 actions, with or
+    without its table, a contract over unlike denominators and a profile;
+    about 40 % of the drawn cases are equilibria."""
+    make = draw(st.sampled_from([random_gs_instance,
+                                 random_explicit_monotone_instance,
+                                 random_coverage_instance]))
+    m = draw(st.integers(1, 6))
+    inst = make(draw(st.integers(0, 10 ** 6)),
+                num_agents=draw(st.integers(1, min(m, 3))), num_actions=m)
+    if draw(st.booleans()):
+        inst = with_table(inst)
+    alpha = Contract(tuple(draw(st.sampled_from(UNLIKE))
+                           for _ in range(inst.num_agents)))
+    return inst, alpha, frozenset(draw(st.sets(st.integers(0, m - 1))))
+
+
+# never validated: action 1 pays its owner to take it, so at alpha = 0 the
+# empty profile fails and {1} holds
+_PAID_TO_ACT = Instance(2, (Action(0, 0, F(1, 6)), Action(1, 0, F(-1, 10)),
+                            Action(2, 1, F(2, 15)), Action(3, 1, F(0))),
+                        AdditiveOracle([F(1, 5), F(1, 7), F(1, 3), F(1, 9)]))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(_nash_cases())
+@example((_PAID_TO_ACT, Contract.zero(2), frozenset()))
+@example((_PAID_TO_ACT, Contract.zero(2), frozenset({1})))
+def test_nash_violator_is_the_certificate_verdict(case):
+    inst, alpha, profile = case
+    oracle = inst.oracle
+    before = oracle.value_queries
+    cert = is_nash(inst, alpha, profile)
+    certified = oracle.value_queries - before
+    before = oracle.value_queries
+    violator = nash_violator(inst, alpha, profile)
+    spent = oracle.value_queries - before
+    assert violator == cert.violator
+    assert (violator is None) == cert.ok
+    # the walks stop at the violator: without a table, no more reads
+    assert spent == certified if cert.ok else spent <= certified
 
 
 def test_ne_from_demand_zero_contract_empty():
@@ -464,13 +510,9 @@ def _wide_walk_cases(seed, count, max_actions):
         general = random_general_contract(rng.randint(0, 10 ** 6), inst.num_agents)
         alpha = Contract(tuple(rng.choice(UNLIKE) for _ in range(inst.num_agents)))
         yield inst, alpha, general
-    # never validated: action 1 pays its owner to take it
-    inst = Instance(2, (Action(0, 0, F(1, 6)), Action(1, 0, F(-1, 10)),
-                        Action(2, 1, F(2, 15)), Action(3, 1, F(0))),
-                    AdditiveOracle([F(1, 5), F(1, 7), F(1, 3), F(1, 9)]))
     for alpha in itertools.product(UNLIKE, repeat=2):
         general = random_general_contract(rng.randint(0, 10 ** 6), 2)
-        yield inst, Contract(alpha), general
+        yield _PAID_TO_ACT, Contract(alpha), general
 
 
 def test_deviation_walk_matches_the_reference_loops():

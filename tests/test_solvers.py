@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, \
     strategies as st
 
-from budgetcontracts import equilibria, solvers
+from budgetcontracts import core, equilibria, solvers
 from budgetcontracts.core import Action, Contract, GroundSetTooLargeError, \
     Instance, ModelError, cost, restrict_contract
 from budgetcontracts.equilibria import best_response, is_nash, \
@@ -552,6 +552,26 @@ def test_gs_pipeline_enumerates_minimal_contracts_once(monkeypatch):
             # pair (at B = 0 the zero pair) is valued again
             assert calls == collections.Counter(
                 iter_min_contracts=enumerations, evaluate=1)
+
+
+def test_gs_pipeline_builds_no_fraction_view(monkeypatch):
+    # every stage, downsizing's demand queries included, reads the int
+    # table; only the tests read Instance.f
+    def refuse(ints, den):
+        raise AssertionError("the Fraction view of the table was built")
+
+    monkeypatch.setattr(core, "as_fractions", refuse)
+    for seed, obj in ((5, PROFIT), (6, REWARD), (7, WELFARE)):
+        inst = with_table(random_unit_demand_instance(seed, num_agents=3,
+                                                      num_actions=8))
+        for budget in (F(1, 4), F(1, 2), F(1)):
+            gs_constant_factor(inst, budget, obj)
+        alpha = Contract.of([F(1, 2)] * 3)
+        profile = ne_from_demand(inst, alpha)
+        downsize(inst, 6, alpha, profile)
+        assert ne_from_demand(inst, alpha, profile) == profile
+    with pytest.raises(AssertionError, match="Fraction view"):
+        inst.f
 
 
 def test_profit_base_is_the_rescaled_optimum_at_scaled_costs():
