@@ -28,6 +28,8 @@ for one profile, which :func:`min_incentivizing_contract` runs per agent.
 :func:`iter_min_contracts` and :func:`single_agent_hull` read the same
 payments off upper envelopes (:func:`_agent_payments`), under a budget B
 from the deviations within the budget's cost cut, c(d) <= B * spread of f.
+The walk yields each profile's payments as ints; :func:`contract_of` makes
+a ``Contract`` of them only where one is read.
 """
 
 from __future__ import annotations
@@ -383,11 +385,13 @@ def single_agent_hull(inst: Instance, budget: Optional[Fraction] = None
 
 def iter_min_contracts(inst: Instance, *, within: Optional[int] = None,
                        budget: Optional[Fraction] = None):
-    """Yield (profile mask, minimal incentivizing Contract) for every
-    incentivizable profile of an instance carrying its value table, in
-    ascending mask order.
+    """Yield a record (mask, tn, td, paid) for every incentivizable profile
+    of an instance carrying its value table, in ascending mask order: the
+    profile's bitmask, its minimal payments' total tn / td, and ``paid``,
+    a list of (agent, dc, df) for each paid agent, alpha_i = dc * f_den /
+    (df * c_den).  :func:`contract_of` makes the ``Contract`` of ``paid``.
 
-    The contracts of :func:`min_incentivizing_contract`, found agent by
+    The payments of :func:`min_incentivizing_contract`, found agent by
     agent from upper envelopes.  Against a fixed rest R = S - T_i, agent
     i's utility from deviation d is the line alpha * f(R + d) - c(d), and
     S_i is kept at alpha exactly where its line is on the upper envelope
@@ -419,8 +423,7 @@ def iter_min_contracts(inst: Instance, *, within: Optional[int] = None,
 
     Values are the table's ints as filled and costs each agent's
     ``Instance.agent_cost_runs``, sorted once per instance; the budget is
-    tested on the payment pairs, and a payment becomes a Fraction once,
-    when its contract is yielded.
+    tested on the payment pairs, and no Fraction is made.
     ``within`` (a bitmask) restricts the profiles to its submasks; an agent
     owning none of its actions is then unpaid and skipped, unless one of
     its costs is negative.  ``budget`` drops profiles whose payments sum
@@ -472,12 +475,19 @@ def iter_min_contracts(inst: Instance, *, within: Optional[int] = None,
             if dc:
                 paid.append((i, dc, df))
                 num, den = num * df + dc * den, den * df
-        if budget is not None and num * cap_d > cap_n * den:
-            continue
-        alpha = [ZERO] * n
-        for i, dc, df in paid:
-            alpha[i] = Fraction(dc * f_den, df * c_den)
-        yield mask, Contract(tuple(alpha))
+        if budget is None or num * cap_d <= cap_n * den:
+            yield mask, num * f_den, den * c_den, paid
+
+
+def contract_of(inst: Instance, paid: Iterable[tuple[int, int, int]]
+                ) -> Contract:
+    """The ``Contract`` of a record's ``paid`` (:func:`iter_min_contracts`):
+    alpha_i = dc * f_den / (df * c_den), every other agent unpaid."""
+    f_den, c_den = inst.oracle.den, inst.int_costs[1]
+    alpha = [ZERO] * inst.num_agents
+    for i, dc, df in paid:
+        alpha[i] = Fraction(dc * f_den, df * c_den)
+    return Contract(tuple(alpha))
 
 
 def linearize(contract: GeneralContract) -> Contract:

@@ -325,7 +325,7 @@ def verify_gap_exhaustive(params: HardnessParams) -> GapReport:
     max_other = 0
     feasible = 0
     violations = []
-    for mask, _ in iter_min_contracts(inst, budget=params.budget):
+    for mask, *_ in iter_min_contracts(inst, budget=params.budget):
         if mask == good_mask:
             continue
         feasible += 1

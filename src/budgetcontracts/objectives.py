@@ -8,6 +8,7 @@ incentivizable prefixes, where it is nonnegative.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -25,9 +26,8 @@ from budgetcontracts.core import (
     descriptor_field,
     exact_rational,
     format_rational,
-    restrict_contract,
 )
-from budgetcontracts.equilibria import iter_min_contracts
+from budgetcontracts.equilibria import contract_of, iter_min_contracts
 from budgetcontracts.rewards import set_to_mask, subset_sums, with_table
 
 
@@ -49,9 +49,14 @@ class Objective:
             if sum((w for w, _ in self.terms), ZERO) != 1:
                 raise ModelError("combo weights must sum to exactly 1")
 
-    def reads_cost(self) -> bool:
-        """Whether the value depends on c(S): a welfare term somewhere."""
-        return self.kind == "welfare" or any(o.reads_cost() for _, o in self.terms)
+    @functools.cached_property
+    def weights(self) -> tuple[Fraction | int, Fraction | int]:
+        """(p, w) with value (1 - p * t) * f(S) - w * c(S) at total payment
+        t: ints for the pure kinds, each combo term's pair weighted."""
+        if self.kind != "combo":
+            return {"profit": (1, 0), "reward": (0, 0), "welfare": (0, 1)}[self.kind]
+        return tuple(sum(w * o.weights[k] for w, o in self.terms)
+                     for k in (0, 1))
 
     def __str__(self) -> str:
         if self.kind != "combo":
@@ -78,24 +83,18 @@ def evaluate(obj: Objective, inst: Instance, alpha: Contract,
     f, f_den = inst.scaled_f
     c_int, c_den = inst.int_costs
     f_s = f(inst.mask_of(s))
-    c_s = sum(c_int[a] for a in s) if obj.reads_cost() else 0
-    return Fraction(value_at(obj, alpha, f_s * c_den, c_s * f_den), f_den * c_den)
+    c_s = sum(c_int[a] for a in s) if obj.weights[1] else 0
+    return Fraction(value_at(obj, alpha.total(), f_s * c_den, c_s * f_den),
+                    f_den * c_den)
 
 
-def value_at(obj: Objective, alpha: Contract, f_s, c_s,
-             paid: Optional[Fraction] = None):
-    """obj at (alpha, S) from f(S) and c(S); c(S) is read only by welfare,
-    and alpha only by profit, through its total, which a caller holding
-    it passes as ``paid``.  Linear in (f(S), c(S)): both times one
-    positive scale give the value times it."""
-    if obj.kind == "profit":
-        return (1 - (alpha.total() if paid is None else paid)) * f_s
-    if obj.kind == "reward":
-        return f_s
-    if obj.kind == "welfare":
-        return f_s - c_s
-    return sum((w * value_at(o, alpha, f_s, c_s, paid) for w, o in obj.terms),
-               ZERO)
+def value_at(obj: Objective, paid, f_s, c_s):
+    """obj at total payment ``paid`` from f(S) and c(S), by
+    ``Objective.weights``: (1 - p * paid) * f(S) - w * c(S).  Linear in
+    (f(S), c(S)): both times one positive scale give the value times it."""
+    p, w = obj.weights
+    v = (1 - p * paid) * f_s if p else f_s
+    return v - w * c_s if w else v
 
 
 @dataclass(frozen=True)
@@ -106,27 +105,16 @@ class BestPropertyReport:
     checks: int
     results: dict[str, tuple[bool, Optional[tuple]]]
 
-    def counterexample(self) -> Optional[tuple]:
-        for name, (ok, info) in self.results.items():
-            if not ok:
-                return (name,) + (info or ())
-        return None
 
-
-def participation_holds(inst: Instance, alpha: Contract, mask: int) -> bool:
-    """Every agent weakly prefers its prescribed actions to quitting:
-    alpha_i * (f(S) - f(S - T_i)) >= c(S_i) for each agent acting in the
-    profile S given by its bitmask ``mask``.
+def _participation_test(inst: Instance, alpha: Contract) -> Callable[[int], bool]:
+    """Whether, at the profile of a bitmask, every agent weakly prefers its
+    prescribed actions to quitting: alpha_i * (f(S) - f(S - T_i)) >= c(S_i)
+    for each agent acting in S.
 
     For alpha_i = p/q this is p * c_den * (F_S - F_{S - T_i}) >=
     q * f_den * C(S_i), on the ints of ``Instance.scaled_f`` and
-    ``Instance.agent_cost_sums``.
+    ``Instance.agent_cost_sums``, with p * c_den and q * f_den made once.
     """
-    return _participation_test(inst, alpha)(mask)
-
-
-def _participation_test(inst: Instance, alpha: Contract) -> Callable[[int], bool]:
-    """:func:`participation_holds` on masks, p * c_den and q * f_den made once."""
     (f, f_den), c_den = inst.scaled_f, inst.int_costs[1]
     terms = [(own, a.numerator * c_den, a.denominator * f_den, costs)
              for own, a, costs in zip(inst.agent_masks, alpha.alpha, inst.agent_cost_sums)]
@@ -195,16 +183,18 @@ def verify_best_properties(obj: Objective, inst: Instance, *,
                                              denominator) for _ in range(n)))
                      for _ in range(4096)]
     # pooled in the profiles' order, which rng.sample below reads
-    priced = dict(iter_min_contracts(inst))
-    contracts += [priced[mask] for mask in masks if mask in priced]
+    priced = {mask: paid for mask, _, _, paid in iter_min_contracts(inst)}
+    contracts += [contract_of(inst, priced[mask]) for mask in masks
+                  if mask in priced]
     contracts = [c for c in contracts if c.total() <= 1]
     if sample_budget is not None and len(contracts) * len(profiles) > sample_budget:
         rng = random.Random(seed + 1)
         keep = max(1, sample_budget // len(profiles))
         contracts = rng.sample(contracts, min(keep, len(contracts)))
 
-    # f and c by mask on one scale, f_den * c_den: value_at(obj, alpha,
-    # fs[S], cs[S]) is the objective at (alpha, S) times it
+    # f and c by mask on one scale, f_den * c_den: value_at(obj, t,
+    # fs[S], cs[S]) is the objective at (alpha, S) times it, t = alpha's
+    # total
     c_int, c_den = inst.int_costs
     fs = [v * c_den for v in inst.table]
     cs = [c * inst.oracle.den for c in subset_sums(c_int)]
@@ -213,29 +203,27 @@ def verify_best_properties(obj: Objective, inst: Instance, *,
         ("sandwich", "decompose", "monotone-S", "antitone-alpha"), (True, None))
     checks = 0
 
-    # each contract's total is summed once: alpha|_i pays alpha_i, and
-    # each bumped contract the total plus step
+    # the objective reads a contract through its total alone: alpha|_i
+    # pays alpha_i, and raising any one entry by step pays the total plus
+    # step, so agent 0 is the first counterexample to antitone-alpha
     for alpha in contracts:
         total = alpha.total()
         unpaid, up_total = 1 - total, total + step
-        alone = [restrict_contract(alpha, {i}) for i in range(n)]
-        bumped = [] if up_total > 1 else [(i, Contract(
-            alpha.alpha[:i] + (alpha[i] + step,) + alpha.alpha[i + 1:]))
-            for i in range(n)]
+        bumps = n > 0 and up_total <= 1
         participates = _participation_test(inst, alpha)
         for s, mask in zip(profiles, masks):
             if not participates(mask):
                 continue
             checks += 1
             f_s = fs[mask]
-            phi = value_at(obj, alpha, f_s, cs[mask], total)
+            phi = value_at(obj, total, f_s, cs[mask])
             if results["sandwich"][0] and not (unpaid * f_s <= phi <= f_s):
                 results["sandwich"] = (False, (alpha, s))
             if results["decompose"][0]:
                 for i, own in enumerate(inst.agent_masks):
                     s_i = mask & own
                     if phi > fs[mask & ~own] + value_at(
-                            obj, alone[i], fs[s_i], cs[s_i], alpha[i]):
+                            obj, alpha[i], fs[s_i], cs[s_i]):
                         results["decompose"] = (False, (alpha, s, i))
                         break
             if results["monotone-S"][0]:
@@ -244,14 +232,12 @@ def verify_best_properties(obj: Objective, inst: Instance, *,
                     if more == mask or alpha[inst.owner_of[a]] * (
                             fs[more] - f_s) < cs[1 << a]:
                         continue
-                    if phi > value_at(obj, alpha, fs[more], cs[more], total):
+                    if phi > value_at(obj, total, fs[more], cs[more]):
                         results["monotone-S"] = (False, (alpha, s, a))
                         break
-            if results["antitone-alpha"][0]:
-                for i, up in bumped:
-                    if value_at(obj, up, f_s, cs[mask], up_total) > phi:
-                        results["antitone-alpha"] = (False, (alpha, s, i))
-                        break
+            if results["antitone-alpha"][0] and bumps and value_at(
+                    obj, up_total, f_s, cs[mask]) > phi:
+                results["antitone-alpha"] = (False, (alpha, s, 0))
     passed = all(ok for ok, _ in results.values())
     return BestPropertyReport(passed, checks, results)
 

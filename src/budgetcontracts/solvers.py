@@ -12,13 +12,14 @@ external poly-time base solver the reduction pipeline would call for
 Max-Profit(1) is stood in for by the exact brute-force oracle (gamma = 1),
 and the certified constant accounts for that.
 
-No envelope is built here: brute force and the exact single-agent solvers
-price profiles with :func:`equilibria.iter_min_contracts`, and the
+No envelope is built here: brute force, the exact single-agent solver and
+every stage of the GS pipeline pick among the integer records of
+:func:`equilibria.iter_min_contracts` with one race, :func:`_race`, valued
+by ``Objective.weights``; only a winner becomes a ``Contract``.  The
 single-agent scheme reads its hull from :func:`equilibria.single_agent_hull`.
-The GS pipeline races every agent's single-agent pairs in one pass.  Nor
-are prices built: downsizing calls :func:`equilibria.ne_from_demand` and
-:func:`equilibria.double_contract`, and :func:`_counted` alone reads the
-query counts.
+Nor are prices built: downsizing calls :func:`equilibria.ne_from_demand`
+and :func:`equilibria.double_contract`, and :func:`_counted` alone reads
+the query counts.
 """
 
 from __future__ import annotations
@@ -42,9 +43,9 @@ from budgetcontracts.core import (
     cost,
     restrict_contract,
 )
-from budgetcontracts.equilibria import double_contract, iter_min_contracts, \
-    nash_violator, ne_from_demand, single_agent_hull
-from budgetcontracts.objectives import Objective, REWARD, evaluate, value_at
+from budgetcontracts.equilibria import contract_of, double_contract, \
+    iter_min_contracts, nash_violator, ne_from_demand, single_agent_hull
+from budgetcontracts.objectives import Objective, PROFIT, REWARD, evaluate
 from budgetcontracts.rewards import mask_to_set, set_to_mask, with_table
 
 
@@ -64,41 +65,45 @@ class SolveResult:
     demand_queries: int = 0
 
 
-def _race(obj: Objective, inst: Instance, pairs: Iterable[tuple[int, Contract]]
+def _race(obj: Objective, inst: Instance, records: Iterable[tuple]
           ) -> tuple[Contract, frozenset[int], Fraction]:
     """The first (contract, profile, value) of maximal objective value over
-    ``pairs`` of (profile mask, contract), on an instance carrying its table.
+    minimal-contract ``records`` (mask, tn, td, paid) of
+    :func:`equilibria.iter_min_contracts`, on an instance carrying its table.
 
-    The objective is linear in (f, c), so it races F(S) * c_den and, if it
-    reads cost, C(S) * f_den (``Instance.scaled_f``, the agents' cost
-    sums); the winner alone is divided by f_den * c_den and becomes a
-    frozenset.  The zero contract with its best response
-    (:func:`_zero_pair`) enters first, and ``max`` keeps the first pair of
-    maximal value, so a later pair must beat the best so far strictly.
+    With ``Objective.weights`` (p, w) = (pn, wn) / d, a record paying t =
+    tn / td at S is worth ((d td - pn tn) F(S) c_den - wn td C(S) f_den) /
+    (d td f_den c_den), F(S) from ``Instance.scaled_f`` and C(S) from the
+    agents' cost sums; records compare on these numerators cross-multiplied
+    by td > 0.  The zero record, the unpaid best response
+    (:func:`_zero_mask`), enters first and a later record wins only
+    strictly; the winner alone becomes a Contract
+    (:func:`equilibria.contract_of`), a frozenset and a Fraction.
     """
     f, f_den = inst.scaled_f
     c_den = inst.int_costs[1]
-    parts = tuple(zip(inst.agent_masks, inst.agent_cost_sums)) \
-        if obj.reads_cost() else ()
+    p, w = obj.weights
+    d = math.lcm(p.denominator, w.denominator)
+    pn, wn = int(p * d), int(w * d)
+    parts = tuple(zip(inst.agent_masks, inst.agent_cost_sums)) if wn else ()
+    best = None
+    for mask, tn, td, paid in chain([(_zero_mask(inst), 0, 1, ())], records):
+        v = (d * td - pn * tn) * f(mask) * c_den
+        if wn:
+            v -= wn * td * f_den * sum(costs[mask & own] for own, costs in parts)
+        if best is None or v * best[1] > best[0] * td:
+            best = v, td, mask, paid
+    v, td, mask, paid = best
+    return contract_of(inst, paid), mask_to_set(mask), \
+        Fraction(v, d * td * f_den * c_den)
 
-    def value(mask: int, alpha: Contract):
-        c_s = sum(costs[mask & own] for own, costs in parts) * f_den \
-            if parts else 0
-        return value_at(obj, alpha, f(mask) * c_den, c_s)
 
-    v, mask, alpha = max(((value(mask, alpha), mask, alpha)
-                          for mask, alpha in chain([_zero_pair(inst)], pairs)),
-                         key=itemgetter(0))
-    return alpha, mask_to_set(mask), Fraction(v, f_den * c_den)
-
-
-def _zero_pair(inst: Instance) -> tuple[int, Contract]:
-    """(profile mask, contract): the zero contract with its best response,
-    every negative-cost action (none in a validated instance), an
-    equilibrium whatever f is.  The sign is read off each cost's
-    numerator, without a Fraction compare."""
+def _zero_mask(inst: Instance) -> int:
+    """The zero contract's best response, every negative-cost action (none
+    in a validated instance), an equilibrium whatever f is.  The sign is
+    read off each cost's numerator, without a Fraction compare."""
     return set_to_mask(a.action_id for a in inst.actions
-                       if a.cost.numerator < 0), Contract.zero(inst.num_agents)
+                       if a.cost.numerator < 0)
 
 
 def _check_budget(budget: Fraction) -> None:
@@ -146,10 +151,14 @@ def _brute(inst: Instance, budget: Fraction, obj: Objective, label: str,
     _check_budget(budget)
     check_enumeration(inst.num_actions, "brute force")
     inst = with_table(inst)
-    pairs = ((mask, alpha)
-             for mask, alpha in iter_min_contracts(inst, budget=budget)
-             if cap is None or all(a <= cap for a in alpha.alpha))
-    return SolveResult(*_race(obj, inst, pairs), "exact", label, budget)
+    records = iter_min_contracts(inst, budget=budget)
+    if cap is not None:
+        # alpha_i = dc * f_den / (df * c_den) <= cap iff dc * cd <= cn * df
+        cn, cd = (cap * Fraction(inst.int_costs[1], inst.oracle.den)
+                  ).as_integer_ratio()
+        records = (r for r in records
+                   if all(dc * cd <= cn * df for _, dc, df in r[3]))
+    return SolveResult(*_race(obj, inst, records), "exact", label, budget)
 
 
 @_counted
@@ -435,13 +444,13 @@ def additive_fptas(inst: Instance, budget: Fraction, eps: Fraction,
     budget-feasible one for reward and welfare, the (1 - payment) * value
     maximizer below it for profit.  Welfare mirrors the reward selection
     rule.  A later scale's pick must beat the best so far strictly, the
-    unpaid profile (:func:`_zero_pair`) entering first.
+    unpaid profile (:func:`_zero_mask`) entering first.
 
     The sweep runs on integers.  Each singleton f({a}) is read once, and
     the tables of all scales share one :class:`_PrefixLayout` built from
-    those reads.  A pick is valued from one read of f at its mask, with
-    the table's integer payment for profit or the prefixes' integer costs
-    for welfare; only the winner becomes a contract and a set of actions.
+    those reads.  A pick is valued by ``Objective.weights`` from one read
+    of f at its mask, the table's integer payment and the prefixes'
+    integer costs; only the winner becomes a contract and a set of actions.
     On an instance without a table the solve issues m + 1 + |scales| value
     queries: the singletons in ascending order, then f of the unpaid
     profile, then f of each scale's pick.
@@ -452,16 +461,16 @@ def additive_fptas(inst: Instance, budget: Fraction, eps: Fraction,
     basis = "f-c" if obj.kind == "welfare" else "f"
     layout = _PrefixLayout.build(inst, basis, eps, budget)
 
-    zero_mask, zero_alpha = _zero_pair(inst)
-    zero_profile = mask_to_set(zero_mask)
-    zero_value = evaluate(obj, inst, zero_alpha, zero_profile)
-    # the best value so far as num / den, and its table and column
-    top_num, top_den = zero_value.numerator, zero_value.denominator
-    best = None
     f, f_den = inst.scaled_f
-    n = inst.num_agents
-    den = layout.den
-    c_den = inst.int_costs[1]
+    c_int, c_den = inst.int_costs
+    n, den = inst.num_agents, layout.den
+    p, w = obj.weights  # ints for the pure kinds
+    # the best value so far times den * f_den * c_den, the unpaid
+    # profile's first, and its table and column
+    zero = _zero_mask(inst)
+    top = den * (f(zero) * c_den - w * f_den * sum(
+        c_int[a] for a in mask_to_set(zero)))
+    best = None
     for b in layout.scales:
         dp = build_dp_table(inst, basis, b, eps, budget=budget, layout=layout)
         # rows end at the budget, so every column left is affordable
@@ -470,25 +479,20 @@ def additive_fptas(inst: Instance, budget: Fraction, eps: Fraction,
             # step the payment is at most the budget, so the score peaks
             # at the step's last column.
             lasts = [s - 1 for s in (*dp.starts[n][1:], dp.ends[n])]
-            _, t_star, pay = max(((den - p) * t, t, p) for t, p in
+            _, t_star, pay = max(((den - q) * t, t, q) for t, q in
                                  zip(lasts, dp.scaled_payments[n]))
         else:
-            t_star = dp.ends[n] - 1
+            t_star, pay = dp.ends[n] - 1, dp.scaled_payments[n][-1]
         mask = c_s = 0
         for i, ell in enumerate(dp.choices(t_star)):
             mask |= layout.prefix_mask[i][ell]
             c_s += layout.prefix_cost[i][ell]
-        v_num, v_den = f(mask), f_den
-        if obj.kind == "profit":
-            v_num, v_den = (den - pay) * v_num, den * v_den
-        elif obj.kind == "welfare":
-            v_num, v_den = v_num * c_den - c_s * v_den, v_den * c_den
-        if v_num * top_den > top_num * v_den:
-            top_num, top_den, best = v_num, v_den, (dp, t_star)
-    pair, value = (zero_alpha, zero_profile), zero_value
-    if best is not None:
-        pair, value = best[0].reconstruct(inst, best[1]), \
-            Fraction(top_num, top_den)
+        v = (den - p * pay) * f(mask) * c_den - w * den * c_s * f_den
+        if v > top:
+            top, best = v, (dp, t_star)
+    pair = (Contract.zero(n), mask_to_set(zero)) if best is None \
+        else best[0].reconstruct(inst, best[1])
+    value = Fraction(top, den * f_den * c_den)
     return SolveResult(*pair, value, 1 / (1 - eps), str(obj), budget)
 
 
@@ -643,24 +647,23 @@ def downsize(inst: Instance, m_param: int, alpha: Contract,
                            p / (inst.num_agents * m_param))
 
 
-def _scaled_profit_base(inst: Instance, pairs: Sequence[tuple[int, Contract]],
-                        budget: Fraction
-                        ) -> tuple[Contract, frozenset[int], Fraction]:
+def _profit_base(inst: Instance, records: Sequence[tuple], budget: Fraction
+                 ) -> tuple[Contract, frozenset[int], Fraction]:
     """The pipeline's base and its reward f(S): the profit optimum at
     budget 1 with costs scaled by k = 4/(3B), rescaled by 3B/4.
 
     Those costs scale each minimal contract by k, so the base is a budget-B
-    pair paying t <= 3B/4, and its scaled profit (1 - k t) f(S) is
-    k (3B/4 - t) f(S).  It is thus the first of ``pairs`` of maximal
-    (3B/4 - t) f(S), the zero pair (:func:`_zero_pair`) entering first and
-    a later pair winning only strictly; rescaled, its contract is its own.
+    record paying t <= 3B/4, of scaled profit (1 - k t) f(S): the PROFIT
+    :func:`_race` over those records with each total divided by 3B/4 > 0,
+    which orders them and their ties as (3B/4 - t) f(S) does.  Rescaled,
+    its contract is its own; f(S) is read from the table.
     """
-    cap = Fraction(3, 4) * budget
+    cap_n, cap_d = (Fraction(3, 4) * budget).as_integer_ratio()
+    alpha, profile, _ = _race(PROFIT, inst, (
+        (mask, tn * cap_d, td * cap_n, paid) for mask, tn, td, paid in records
+        if tn * cap_d <= cap_n * td))
     f, f_den = inst.scaled_f
-    _, mask, alpha = max((((cap - t) * f(mask), mask, alpha)
-                          for mask, alpha in chain([_zero_pair(inst)], pairs)
-                          if (t := alpha.total()) <= cap), key=itemgetter(0))
-    return alpha, mask_to_set(mask), Fraction(f(mask), f_den)
+    return alpha, profile, Fraction(f(set_to_mask(profile)), f_den)
 
 
 @_counted
@@ -669,16 +672,15 @@ def gs_constant_factor(inst: Instance, budget: Fraction, obj: Objective, *,
     """Constant-factor approximation for gross-substitutes rewards.
 
     Pipeline: (a) the profit optimum at budget 1 with costs scaled by
-    (4/3)(1/B), rescaled by 3B/4 (:func:`_scaled_profit_base`), (b) raced
+    (4/3)(1/B), rescaled by 3B/4 (:func:`_profit_base`), (b) raced
     against the exact single-agent solutions for reward, (c) the winner
     downsized with M = 6 raced against them for the target objective; with
     the exact base solver the certified factor is 120 * 50 + 1 = 6001.
-    Unless B = 0, every stage is a pick over the one list of budget-B
-    minimal contracts, read off the one value table filled here; one pass
-    over it races each agent i's pairs (those whose profiles lie in its
-    actions T_i) for reward and for ``obj``, reading each f(S) and c(S)
-    once.  Each stage keeps its first pick of maximal value, valued as the
-    pick found it: only the downsized pair is valued anew, by
+    Unless B = 0, every stage is a :func:`_race` over the one list of
+    budget-B minimal-contract records, read off the one value table filled
+    here; agent i's single-agent races read the records whose profiles lie
+    in its actions T_i.  Each stage keeps its first pick of maximal value,
+    valued as the pick found it: only the downsized pair is valued anew, by
     :func:`objectives.evaluate`.
     """
     if not (force or inst.oracle.is_gs_class):
@@ -691,33 +693,15 @@ def gs_constant_factor(inst: Instance, budget: Fraction, obj: Objective, *,
                            "exact", str(obj), budget)
     check_enumeration(inst.num_actions, "GS pipeline")
     inst = with_table(inst)  # one table for every stage
-    pairs = list(iter_min_contracts(inst, budget=budget))
-    f, f_den = inst.scaled_f
-    c_den = inst.int_costs[1]
-    parts = tuple(zip(inst.agent_masks, inst.agent_cost_sums)) \
-        if obj.reads_cost() else ()
-
-    def values(mask: int, alpha: Contract):  # reward, obj times f_den * c_den
-        f_s = f(mask) * c_den
-        c_s = sum(costs[mask & own] for own, costs in parts) * f_den
-        return f_s, value_at(obj, alpha, f_s, c_s)
-
-    # the single-agent races for reward and for obj: per agent, the first
-    # (value, mask, contract) of maximal value, the zero pair first
-    zero = _zero_pair(inst)
-    races = [[(v, *zero)] * inst.num_agents for v in values(*zero)]
-    for mask, alpha in pairs:
-        held = [i for i, own in enumerate(inst.agent_masks) if not mask & ~own]
-        for race, v in zip(races, values(mask, alpha) if held else ()):
-            for i in held:
-                if v > race[i][0]:
-                    race[i] = (v, mask, alpha)
-    rewards, picks = ([(alpha, mask_to_set(mask), Fraction(v, f_den * c_den))
-                       for v, mask, alpha in race] for race in races)
+    records = list(iter_min_contracts(inst, budget=budget))
+    singles = [[r for r in records if not r[0] & ~own]
+               for own in inst.agent_masks]
     # each stage races (contract, profile, value) picks; max keeps the first
-    mrb = max([_scaled_profit_base(inst, pairs, budget)] + rewards,
+    mrb = max([_profit_base(inst, records, budget)]
+              + [_race(REWARD, inst, own) for own in singles],
               key=itemgetter(2))
     down = downsize(inst, 6, *mrb[:2])
-    best = max([(*down, evaluate(obj, inst, *down))] + picks,
+    best = max([(*down, evaluate(obj, inst, *down))]
+               + [_race(obj, inst, own) for own in singles],
                key=itemgetter(2))
     return SolveResult(*best, Fraction(6001), str(obj), budget)

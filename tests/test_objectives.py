@@ -7,7 +7,6 @@ import pytest
 
 from budgetcontracts.core import Action, Contract, Instance, ModelError, cost, \
     restrict_contract
-from budgetcontracts.equilibria import iter_min_contracts
 from budgetcontracts.generators import random_additive_instance, \
     random_coverage_instance, random_explicit_monotone_instance, \
     random_oxs_instance, random_uniform_k_instance, random_unit_demand_instance
@@ -17,6 +16,7 @@ from budgetcontracts.objectives import (
     REWARD,
     WELFARE,
     BestPropertyReport,
+    _participation_test,
     combo,
     evaluate,
     objective_from_spec,
@@ -26,6 +26,8 @@ from budgetcontracts.objectives import (
 )
 from budgetcontracts.rewards import AdditiveOracle, ExplicitOracle, \
     set_to_mask, with_table
+
+from contract_pairs import contract_pairs
 
 
 def small_instance():
@@ -78,8 +80,6 @@ def test_combo_evaluation_linear_in_weights():
 
 
 def test_sandwich_on_participation_feasible_pairs():
-    from budgetcontracts.objectives import participation_holds
-
     inst = small_instance()
     rng = random.Random(1)
     objs = [WELFARE, combo((F(1, 3), PROFIT), (F(2, 3), REWARD))]
@@ -87,7 +87,7 @@ def test_sandwich_on_participation_feasible_pairs():
     for _ in range(200):
         alpha = Contract.of([F(rng.randint(0, 4), 8) for _ in range(2)])
         profile = frozenset(a for a in range(2) if rng.random() < 0.5)
-        if not participation_holds(inst, alpha, set_to_mask(profile)):
+        if not _participation_test(inst, alpha)(set_to_mask(profile)):
             continue
         checked += 1
         lo = evaluate(PROFIT, inst, alpha, profile)
@@ -98,8 +98,6 @@ def test_sandwich_on_participation_feasible_pairs():
 
 
 def test_participation_matches_the_fraction_reference():
-    from budgetcontracts.objectives import participation_holds
-
     # costs 2/9 of the weights: at alpha_i = 2/9 every agent is indifferent
     w = [F(1, 5), F(1, 7), F(1, 3), F(1, 9)]
     pencil = Instance(2, tuple(Action(a, a % 2, w[a] * F(2, 9)) for a in range(4)),
@@ -123,25 +121,25 @@ def test_participation_matches_the_fraction_reference():
                             if s & own and gain <= cost(inst, s & own):
                                 verdicts[gain == cost(inst, s & own)] += 1
                                 want = want and gain == cost(inst, s & own)
-                        assert participation_holds(
-                            tabled, alpha, set_to_mask(s)) == want
+                        assert _participation_test(tabled, alpha)(
+                            set_to_mask(s)) == want
     assert verdicts[True] > 0 and verdicts[False] > 0
 
 
 def test_verifier_reward_passes():
     report = verify_best_properties(REWARD, small_instance())
-    assert report.passed, report.counterexample()
+    assert report.passed, report.results
 
 
 def test_verifier_profit_passes_on_additive():
     report = verify_best_properties(PROFIT, small_instance())
-    assert report.passed, report.counterexample()
+    assert report.passed, report.results
 
 
 def test_verifier_combo_passes():
     obj = combo((F(1, 2), PROFIT), (F(1, 2), REWARD))
     report = verify_best_properties(obj, small_instance())
-    assert report.passed, report.counterexample()
+    assert report.passed, report.results
 
 
 def test_verifier_passes_on_submodular_families():
@@ -149,7 +147,7 @@ def test_verifier_passes_on_submodular_families():
         inst = random_coverage_instance(seed, num_agents=2, num_actions=3)
         for obj in (PROFIT, WELFARE):
             report = verify_best_properties(obj, inst, sample_budget=4000)
-            assert report.passed, (seed, obj.kind, report.counterexample())
+            assert report.passed, (seed, obj.kind, report.results)
 
 
 def test_verifier_rejects_profit_without_subadditivity():
@@ -196,8 +194,8 @@ def test_combo_reads_f_once_on_a_lazy_instance():
 
 
 def _reference_evaluate(obj, inst, alpha, s):
-    c_s = cost(inst, s) if obj.reads_cost() else F(0)
-    return value_at(obj, alpha, inst.f[inst.mask_of(s)], c_s)
+    c_s = cost(inst, s) if obj.weights[1] else F(0)
+    return value_at(obj, alpha.total(), inst.f[inst.mask_of(s)], c_s)
 
 
 def _reference_participation(inst, alpha, s):
@@ -222,7 +220,7 @@ def _reference_verify(obj, inst, denominator=8, seed=0):
         rng = random.Random(seed)
         contracts = [Contract(tuple(F(rng.randrange(denominator + 1), denominator)
                                     for _ in range(n))) for _ in range(4096)]
-    priced = dict(iter_min_contracts(inst))
+    priced = dict(contract_pairs(inst))
     contracts += [priced[mask] for mask in map(inst.mask_of, profiles)
                   if mask in priced]
     contracts = [c for c in contracts if c.total() <= 1]

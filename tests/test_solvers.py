@@ -38,6 +38,8 @@ from budgetcontracts.solvers import (
     single_agent_fptas,
 )
 
+from contract_pairs import contract_pairs
+
 
 def all_subsets(items):
     items = sorted(items)
@@ -156,7 +158,7 @@ def test_fast_contract_enumeration_matches_generic_operation():
                 num_actions=rng.randint(2, 5))
         inst = with_table(inst)
         table = inst.f
-        fast = dict(iter_min_contracts(inst))
+        fast = dict(contract_pairs(inst))
         for mask in range(1 << inst.num_actions):
             profile = mask_to_set(mask)
             generic = _reference_min_contract(inst, profile, table=table)
@@ -180,7 +182,7 @@ def test_min_contract_algebra_past_a_huge_common_denominator():
     table = inst.f
     assert common_denominator([*table, *costs]) > 10 ** 24
     for budget in (None, F(1, 1000), F(1, 2)):
-        got = list(iter_min_contracts(inst, budget=budget))
+        got = contract_pairs(inst, budget=budget)
         expected = []
         for mask in range(1 << 5):
             alpha = _reference_min_contract(inst, mask_to_set(mask), table=table)
@@ -312,17 +314,17 @@ def test_envelope_contracts_match_the_reference():
         for tab, within, budget in itertools.product(
                 (inst, _rescaled(inst)), withins,
                 (None, F(0), F(1, 64), F(1, 3), F(1, 2), F(1))):
-            got = list(iter_min_contracts(tab, within=within, budget=budget))
+            got = contract_pairs(tab, within=within, budget=budget)
             expected = [(mask, alpha) for mask, alpha in reference.items()
                         if alpha is not None
                         and (within is None or not mask & ~within)
                         and (budget is None or alpha.total() <= budget)]
             assert got == expected
     *_, pencil, _, touch = _tied_line_instances()
-    got = dict(iter_min_contracts(with_table(pencil)))
+    got = dict(contract_pairs(with_table(pencil)))
     assert got == {mask: Contract((F(1, 3) if mask else F(0),))
                    for mask in range(64)}
-    got = dict(iter_min_contracts(with_table(touch)))
+    got = dict(contract_pairs(with_table(touch)))
     assert got == {0b00: Contract((F(0),)), 0b01: Contract((F(1, 3),)),
                    0b11: Contract((F(1, 3),))}
 
@@ -367,14 +369,14 @@ def test_budget_cuts_every_agents_deviations(monkeypatch):
     spread = max(inst.table) - min(inst.table)
     for budget in (F(0), F(1, 64), F(1, 3), F(1, 2), F(1)):
         handed.clear()
-        got = list(iter_min_contracts(inst, budget=budget))
+        got = contract_pairs(inst, budget=budget)
         p, q = budget.as_integer_ratio()
         assert len(handed) == 2 and all(  # agent 0, then agent 1
             not d & ~own for runs, own in zip(handed, inst.agent_masks)
             for d in runs[0])
         for runs in handed:  # c(d) <= B * spread, cross-multiplied
             assert all(c * f_den * q <= p * spread * c_den for c in runs[1])
-        assert got == [(mask, alpha) for mask, alpha in iter_min_contracts(
+        assert got == [(mask, alpha) for mask, alpha in contract_pairs(
             inst) if alpha.total() <= budget]
         if budget == F(1, 2):  # {3} and {2, 3} are cut, {2} is not
             assert sorted(handed[1][0]) == [0, 0b100]
@@ -400,12 +402,12 @@ def test_budget_cuts_the_first_rests_and_the_hull_lines(monkeypatch):
     spread = max(inst.f) - min(inst.f)
     for budget in (F(3, 32), F(1, 8)):
         walked.clear()
-        got = list(iter_min_contracts(inst, budget=budget))
+        got = contract_pairs(inst, budget=budget)
         rests = walked[0][1]
         assert rests == [r for r in range(0, 1 << 9, 8)
                          if cost(inst, mask_to_set(r)) <= budget * spread]
         assert len(rests) < 2 ** 6 // 2  # the cut skips most rests
-        assert got == [(mask, alpha) for mask, alpha in iter_min_contracts(
+        assert got == [(mask, alpha) for mask, alpha in contract_pairs(
             inst) if alpha.total() <= budget]
         assert any(alpha.total() > 0 for _, alpha in got)
     # one agent: the hull is built from the lines within the cut only
@@ -486,9 +488,9 @@ def _reference_gs(inst, budget, obj):
     """gs_constant_factor's stages, every race by :func:`_reference_race`."""
     inst = with_table(inst)
     scaled = _scaled_costs(inst, F(4, 3) / budget)
-    base = _reference_race(PROFIT, scaled, iter_min_contracts(scaled, budget=F(1)))
+    base = _reference_race(PROFIT, scaled, contract_pairs(scaled, budget=F(1)))
     rescaled = (base[0].scale(F(3, 4) * budget), base[1])
-    singles = [list(iter_min_contracts(inst, within=own, budget=budget))
+    singles = [contract_pairs(inst, within=own, budget=budget)
                for own in inst.agent_masks]
     mrb = max([rescaled] + [_reference_race(REWARD, inst, p)[:2] for p in singles],
               key=lambda pair: evaluate(REWARD, inst, *pair))
@@ -499,7 +501,9 @@ def _reference_gs(inst, budget, obj):
 
 
 RACE_OBJECTIVES = (PROFIT, REWARD, WELFARE,
-                   combo((F(1, 3), WELFARE), (F(2, 3), PROFIT)))
+                   combo((F(1, 3), WELFARE), (F(2, 3), PROFIT)),
+                   combo((F(1, 2), combo((F(1, 3), PROFIT), (F(2, 3), WELFARE))),
+                         (F(1, 2), REWARD)))
 
 
 def test_races_match_a_reference_race_over_every_pair():
@@ -512,7 +516,7 @@ def test_races_match_a_reference_race_over_every_pair():
         tabled = with_table(inst)
         for obj in RACE_OBJECTIVES:
             for budget in (F(1, 4), F(2, 3), F(1)):
-                pairs = list(iter_min_contracts(tabled, budget=budget))
+                pairs = contract_pairs(tabled, budget=budget)
                 want = _reference_race(obj, tabled, pairs)
                 got = brute_force_opt(inst, budget, obj)
                 assert (got.contract, got.profile, got.value) == want
@@ -520,7 +524,7 @@ def test_races_match_a_reference_race_over_every_pair():
                           for mask, a in pairs]
                 tied += values.count(want[2]) > 1
                 for agent, own in enumerate(tabled.agent_masks):
-                    want = _reference_race(obj, tabled, iter_min_contracts(
+                    want = _reference_race(obj, tabled, contract_pairs(
                         tabled, within=own, budget=budget))
                     got = gs_single_agent_exact(inst, agent, obj, budget)
                     assert (got.contract, got.profile, got.value) == want
@@ -554,6 +558,39 @@ def test_gs_pipeline_enumerates_minimal_contracts_once(monkeypatch):
                 iter_min_contracts=enumerations, evaluate=1)
 
 
+def test_a_contract_is_built_only_for_winners(monkeypatch):
+    built = collections.Counter()
+    post_init = Contract.__post_init__
+
+    def counting(inst, paid):
+        built["contract_of"] += 1
+        return equilibria.contract_of(inst, paid)
+
+    def counted_post_init(self):
+        built["Contract"] += 1
+        post_init(self)
+
+    monkeypatch.setattr(solvers, "contract_of", counting)
+    monkeypatch.setattr(Contract, "__post_init__", counted_post_init)
+    # additive, three agents: 48 records at B = 1, 4 of them agent 1's
+    inst = with_table(Instance(3, tuple(Action(a, a % 3, F(a + 1, 256))
+                                        for a in range(8)),
+                               AdditiveOracle([F(1, 8)] * 8)))
+    n, budget = inst.num_agents, F(1)
+    assert len(list(iter_min_contracts(inst, budget=budget))) > 2 * n + 1
+    for obj in RACE_OBJECTIVES:
+        # neither the walk nor the race makes a Contract: the winner's is
+        # the only one
+        for solve in (lambda: brute_force_opt(inst, budget, obj),
+                      lambda: gs_single_agent_exact(inst, 1, obj, budget)):
+            built.clear()
+            solve()
+            assert built == {"contract_of": 1, "Contract": 1}
+        built.clear()
+        gs_constant_factor(inst, budget, obj)
+        assert 1 <= built["contract_of"] <= 2 * n + 1
+
+
 def test_gs_pipeline_builds_no_fraction_view(monkeypatch):
     # every stage, downsizing's demand queries included, reads the int
     # table; only the tests read Instance.f
@@ -585,10 +622,10 @@ def test_profit_base_is_the_rescaled_optimum_at_scaled_costs():
         zero = set_to_mask(a for a in inst.ground_set if inst.cost_of[a] < 0)
         for budget in (F(1, 4), F(2, 3), F(1)):
             cap = F(3, 4) * budget
-            pairs = list(iter_min_contracts(inst, budget=budget))
+            records = list(iter_min_contracts(inst, budget=budget))
+            pairs = contract_pairs(inst, budget=budget)
             want = brute_force_opt(_scaled_costs(inst, 1 / cap), F(1), PROFIT)
-            alpha, profile, reward = solvers._scaled_profit_base(inst, pairs,
-                                                                 budget)
+            alpha, profile, reward = solvers._profit_base(inst, records, budget)
             assert (alpha, profile) == (want.contract.scale(cap), want.profile)
             assert reward == f[set_to_mask(profile)]
             assert want.value * cap == (cap - alpha.total()) * reward
@@ -1636,7 +1673,7 @@ def test_restricted_contract_enumeration_matches_generic_operation():
         masks = [set_to_mask(t) for t in inst.agent_actions]
         masks += [rng.randrange(1 << m) for _ in range(3)] + [(1 << m) - 1]
         for within, budget in itertools.product(masks, (None, F(1, 4), F(1))):
-            got = list(iter_min_contracts(inst, within=within, budget=budget))
+            got = contract_pairs(inst, within=within, budget=budget)
             expected = []
             for mask in range(1 << m):
                 if mask & ~within:
@@ -1734,7 +1771,7 @@ def _reference_reward_bounded(inst, budget, table):
     best_alpha = Contract.zero(inst.num_agents)
     best_profile = frozenset()
     best_value = F(0)
-    for mask, alpha in iter_min_contracts(inst, budget=budget):
+    for mask, alpha in contract_pairs(inst, budget=budget):
         if any(a > cap for a in alpha.alpha):
             continue
         v = table[mask]

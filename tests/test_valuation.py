@@ -27,6 +27,8 @@ from budgetcontracts.solvers import SolveResult, additive_fptas, \
     gs_single_agent_exact, max_reward_bounded_brute, \
     single_agent_fptas
 
+from contract_pairs import contract_pairs
+
 MAKERS = (random_additive_instance, random_unit_demand_instance,
           random_uniform_k_instance, random_oxs_instance,
           random_coverage_instance, random_explicit_monotone_instance)
@@ -240,7 +242,7 @@ def test_gap_verifier_never_builds_the_fraction_view(monkeypatch):
 def test_hardness_min_contracts_agree_with_the_per_profile_algebra():
     # the hidden-set family fills its table one subset at a time
     inst = with_table(build_hardness(HardnessParams.make(4, F(1, 2), seed=3)))
-    fast = dict(iter_min_contracts(inst))
+    fast = dict(contract_pairs(inst))
     for mask in range(1 << inst.num_actions):
         profile = {a for a in range(inst.num_actions) if mask >> a & 1}
         assert fast.get(mask) == min_incentivizing_contract(inst, profile)
