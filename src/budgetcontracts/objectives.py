@@ -1,15 +1,18 @@
 """Objectives over (contract, profile) pairs and the sandwich-property verifier.
 
 Built-ins: profit (1 - sum alpha) * f(S), reward f(S), welfare f(S) - c(S),
-and convex combinations of these.  Welfare can be negative for profiles a
-caller supplies by hand; it is reported as-is.  Solvers only evaluate it on
-incentivizable prefixes, where it is nonnegative.
+and convex combinations of these, each valued by the integer form in
+``Objective.weights``.  Welfare can be negative for profiles a caller
+supplies by hand; it is reported as-is.  Solvers only evaluate it on
+incentivizable prefixes, where it is nonnegative.  The verifier checks an
+int contract pool on ints and makes a ``Contract`` only for a counterexample.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,14 +24,14 @@ from budgetcontracts.core import (
     Instance,
     ModelError,
     SchemaError,
-    ZERO,
     check_enumeration,
     descriptor_field,
     exact_rational,
     format_rational,
 )
-from budgetcontracts.equilibria import contract_of, iter_min_contracts
-from budgetcontracts.rewards import set_to_mask, subset_sums, with_table
+from budgetcontracts.equilibria import iter_min_contracts
+from budgetcontracts.rewards import mask_to_set, set_to_mask, subset_sums, \
+    with_table
 
 
 @dataclass(frozen=True)
@@ -46,17 +49,21 @@ class Objective:
                 raise ModelError("combo objective needs at least one term")
             if any(w <= 0 for w, _ in self.terms):
                 raise ModelError("combo weights must be > 0")
-            if sum((w for w, _ in self.terms), ZERO) != 1:
+            if sum(w for w, _ in self.terms) != 1:
                 raise ModelError("combo weights must sum to exactly 1")
 
     @functools.cached_property
-    def weights(self) -> tuple[Fraction | int, Fraction | int]:
-        """(p, w) with value (1 - p * t) * f(S) - w * c(S) at total payment
-        t: ints for the pure kinds, each combo term's pair weighted."""
+    def weights(self) -> tuple[int, int, int]:
+        """(pn, wn, d): at total payment t = tn / td the value times d * td
+        is (d * td - pn * tn) * f(S) - wn * td * c(S), all ints, d = 1 for
+        the pure kinds; a combo weights its terms' pairs (pn / d, wn / d)."""
         if self.kind != "combo":
-            return {"profit": (1, 0), "reward": (0, 0), "welfare": (0, 1)}[self.kind]
-        return tuple(sum(w * o.weights[k] for w, o in self.terms)
-                     for k in (0, 1))
+            return {"profit": (1, 0, 1), "reward": (0, 0, 1),
+                    "welfare": (0, 1, 1)}[self.kind]
+        p, w = (sum(x * Fraction(o.weights[k], o.weights[2]) for x, o in self.terms)
+                for k in (0, 1))
+        d = math.lcm(p.denominator, w.denominator)
+        return int(p * d), int(w * d), d
 
     def __str__(self) -> str:
         if self.kind != "combo":
@@ -78,10 +85,9 @@ def combo(*terms: tuple[Fraction | str | int, Objective]) -> Objective:
 def evaluate(obj: Objective, inst: Instance, alpha: Contract,
              profile: Iterable[int]) -> Fraction:
     """obj at (alpha, S): f(S) read once, c(S) summed once if needed, as
-    ints: :func:`value_at` on F(S) * c_den and C(S) * f_den, divided once."""
+    ints: :func:`value_at` on F(S) * c_den and C(S) * f_den, over f_den * c_den."""
     s = frozenset(profile)
-    f, f_den = inst.scaled_f
-    c_int, c_den = inst.int_costs
+    (f, f_den), (c_int, c_den) = inst.scaled_f, inst.int_costs
     f_s = f(inst.mask_of(s))
     c_s = sum(c_int[a] for a in s) if obj.weights[1] else 0
     return Fraction(value_at(obj, alpha.total(), f_s * c_den, c_s * f_den),
@@ -90,11 +96,12 @@ def evaluate(obj: Objective, inst: Instance, alpha: Contract,
 
 def value_at(obj: Objective, paid, f_s, c_s):
     """obj at total payment ``paid`` from f(S) and c(S), by
-    ``Objective.weights``: (1 - p * paid) * f(S) - w * c(S).  Linear in
-    (f(S), c(S)): both times one positive scale give the value times it."""
-    p, w = obj.weights
-    v = (1 - p * paid) * f_s if p else f_s
-    return v - w * c_s if w else v
+    ``Objective.weights`` (pn, wn, d): ((d - pn * paid) * f(S) - wn * c(S))
+    / d.  Linear in (f(S), c(S)): both times one scale give the value times it."""
+    pn, wn, d = obj.weights
+    v = (d - pn * paid) * f_s if pn else d * f_s
+    v = v - wn * c_s if wn else v
+    return v if d == 1 else Fraction(v, d)
 
 
 @dataclass(frozen=True)
@@ -106,23 +113,19 @@ class BestPropertyReport:
     results: dict[str, tuple[bool, Optional[tuple]]]
 
 
-def _participation_test(inst: Instance, alpha: Contract) -> Callable[[int], bool]:
+def _participation_test(inst: Instance, a: tuple, q: int) -> Callable[[int], bool]:
     """Whether, at the profile of a bitmask, every agent weakly prefers its
-    prescribed actions to quitting: alpha_i * (f(S) - f(S - T_i)) >= c(S_i)
-    for each agent acting in S.
-
-    For alpha_i = p/q this is p * c_den * (F_S - F_{S - T_i}) >=
-    q * f_den * C(S_i), on the ints of ``Instance.scaled_f`` and
-    ``Instance.agent_cost_sums``, with p * c_den and q * f_den made once.
-    """
+    prescribed actions to quitting under alpha_i = a[i] / q: a[i] * c_den *
+    (F_S - F_{S - T_i}) >= q * f_den * C(S_i) for each agent acting in S, on
+    the ints of ``Instance.scaled_f`` and ``Instance.agent_cost_sums``."""
     (f, f_den), c_den = inst.scaled_f, inst.int_costs[1]
-    terms = [(own, a.numerator * c_den, a.denominator * f_den, costs)
-             for own, a, costs in zip(inst.agent_masks, alpha.alpha, inst.agent_cost_sums)]
+    terms = [(own, x * c_den, q * f_den, costs)
+             for own, x, costs in zip(inst.agent_masks, a, inst.agent_cost_sums)]
 
     def holds(mask: int) -> bool:
         f_s = f(mask)
-        for own, p, q, costs in terms:
-            if mask & own and p * (f_s - f(mask & ~own)) < q * costs[mask & own]:
+        for own, p, qf, costs in terms:
+            if mask & own and p * (f_s - f(mask & ~own)) < qf * costs[mask & own]:
                 return False
         return True
     return holds
@@ -160,84 +163,81 @@ def verify_best_properties(obj: Objective, inst: Instance, *,
     table is filled (2^m value queries, none if it carries one) once the
     arguments pass their checks, and every read of f goes through it.
     Above 4096 grid contracts, 4096 are drawn one level at a time, so the
-    grid itself is never built.
+    grid itself is never built.  The pool holds ints, an entry (a, q)
+    paying alpha_i = a[i] / q: a grid point over the denominator, a minimal
+    contract over the lcm of its paid agents' payment denominators.  Every
+    check compares ints on the scale f_den * c_den by ``Objective.weights``,
+    and only a recorded counterexample becomes a ``Contract``.
     """
-    n = inst.num_agents
-    m = inst.num_actions
+    n, m = inst.num_agents, inst.num_actions
     check_enumeration(m, "verification grid", GS_TESTER_LIMIT)
     if denominator < 1:
         raise ModelError(f"grid denominator must be >= 1, got {denominator}")
     if sample_budget is not None and sample_budget < 1:
         raise ModelError(f"sample budget must be >= 1, got {sample_budget}")
     inst = with_table(inst)
-    profiles = [frozenset(c) for r in range(m + 1)
-                for c in itertools.combinations(range(m), r)]
-    masks = list(map(set_to_mask, profiles))
-    step = Fraction(1, denominator)
-    if (denominator + 1) ** n <= 4096:
-        levels = [Fraction(k, denominator) for k in range(denominator + 1)]
-        contracts = [Contract(t) for t in itertools.product(levels, repeat=n)]
-    else:
-        rng = random.Random(seed)
-        contracts = [Contract(tuple(Fraction(rng.randrange(denominator + 1),
-                                             denominator) for _ in range(n)))
-                     for _ in range(4096)]
-    # pooled in the profiles' order, which rng.sample below reads
+    masks = [set_to_mask(c) for r in range(m + 1)
+             for c in itertools.combinations(range(m), r)]
+    rng, top = random.Random(seed), denominator + 1
+    grid = itertools.product(range(top), repeat=n) if top ** n <= 4096 else (
+        tuple(rng.randrange(top) for _ in range(n)) for _ in range(4096))
+    pool = [(t, denominator) for t in grid]
+    # in the profiles' order, which rng.sample reads: alpha_i = dc f_den / (df c_den)
+    (c_int, c_den), f_den = inst.int_costs, inst.oracle.den
     priced = {mask: paid for mask, _, _, paid in iter_min_contracts(inst)}
-    contracts += [contract_of(inst, priced[mask]) for mask in masks
-                  if mask in priced]
-    contracts = [c for c in contracts if c.total() <= 1]
-    if sample_budget is not None and len(contracts) * len(profiles) > sample_budget:
-        rng = random.Random(seed + 1)
-        keep = max(1, sample_budget // len(profiles))
-        contracts = rng.sample(contracts, min(keep, len(contracts)))
+    for paid in (priced[mask] for mask in masks if mask in priced):
+        q = math.lcm(*(df * c_den for _, _, df in paid))
+        a = {i: dc * f_den * (q // (df * c_den)) for i, dc, df in paid}
+        pool.append((tuple(a.get(i, 0) for i in range(n)), q))
+    pool = [(a, q) for a, q in pool if sum(a) <= q]
+    if sample_budget is not None and len(pool) * len(masks) > sample_budget:
+        keep = max(1, sample_budget // len(masks))
+        pool = random.Random(seed + 1).sample(pool, min(keep, len(pool)))
 
-    # f and c by mask on one scale, f_den * c_den: value_at(obj, t,
-    # fs[S], cs[S]) is the objective at (alpha, S) times it, t = alpha's
-    # total
-    c_int, c_den = inst.int_costs
+    # f and c by mask on one scale, f_den * c_den: at alpha = a / q the
+    # objective times d * q is k * fs[S] - wq * cs[S], k = d * q - pn * sum(a)
     fs = [v * c_den for v in inst.table]
-    cs = [c * inst.oracle.den for c in subset_sums(c_int)]
+    cs = [c * f_den for c in subset_sums(c_int)]
+    pn, wn, d = obj.weights
     # each property keeps its first counterexample and is not checked again
     results: dict[str, tuple[bool, Optional[tuple]]] = dict.fromkeys(
         ("sandwich", "decompose", "monotone-S", "antitone-alpha"), (True, None))
     checks = 0
 
-    # the objective reads a contract through its total alone: alpha|_i
-    # pays alpha_i, and raising any one entry by step pays the total plus
-    # step, so agent 0 is the first counterexample to antitone-alpha
-    for alpha in contracts:
-        total = alpha.total()
-        unpaid, up_total = 1 - total, total + step
-        bumps = n > 0 and up_total <= 1
-        participates = _participation_test(inst, alpha)
-        for s, mask in zip(profiles, masks):
-            if not participates(mask):
-                continue
+    def found(a: tuple, q: int, mask: int, *at: int) -> tuple:  # the one Contract
+        return False, (Contract(tuple(Fraction(x, q) for x in a)),
+                       mask_to_set(mask), *at)
+
+    # the objective reads a contract through its total alone: alpha|_i pays
+    # a[i] / q, and raising any one entry by 1/denominator pays (total *
+    # denominator + q) / (q * denominator), agent 0 the first counterexample
+    for a, q in pool:
+        total, dq, wq = sum(a), d * q, wn * q
+        k, up_k = dq - pn * total, dq * denominator - pn * (total * denominator + q)
+        bumps = n > 0 and total * denominator + q <= q * denominator
+        for mask in filter(_participation_test(inst, a, q), masks):
             checks += 1
             f_s = fs[mask]
-            phi = value_at(obj, total, f_s, cs[mask])
-            if results["sandwich"][0] and not (unpaid * f_s <= phi <= f_s):
-                results["sandwich"] = (False, (alpha, s))
+            phi = k * f_s - wq * cs[mask]
+            if results["sandwich"][0] and not d * (q - total) * f_s <= phi <= dq * f_s:
+                results["sandwich"] = found(a, q, mask)
             if results["decompose"][0]:
                 for i, own in enumerate(inst.agent_masks):
                     s_i = mask & own
-                    if phi > fs[mask & ~own] + value_at(
-                            obj, alpha[i], fs[s_i], cs[s_i]):
-                        results["decompose"] = (False, (alpha, s, i))
+                    if phi > dq * fs[mask - s_i] + (dq - pn * a[i]) * fs[s_i] \
+                            - wq * cs[s_i]:
+                        results["decompose"] = found(a, q, mask, i)
                         break
             if results["monotone-S"][0]:
-                for a in range(m):
-                    more = mask | 1 << a
-                    if more == mask or alpha[inst.owner_of[a]] * (
-                            fs[more] - f_s) < cs[1 << a]:
-                        continue
-                    if phi > value_at(obj, total, fs[more], cs[more]):
-                        results["monotone-S"] = (False, (alpha, s, a))
+                for b in range(m):
+                    more = mask | 1 << b
+                    if more != mask and phi > k * fs[more] - wq * cs[more] and \
+                            a[inst.owner_of[b]] * (fs[more] - f_s) >= q * cs[1 << b]:
+                        results["monotone-S"] = found(a, q, mask, b)
                         break
-            if results["antitone-alpha"][0] and bumps and value_at(
-                    obj, up_total, f_s, cs[mask]) > phi:
-                results["antitone-alpha"] = (False, (alpha, s, 0))
+            if results["antitone-alpha"][0] and bumps and up_k * f_s \
+                    - wq * denominator * cs[mask] > phi * denominator:
+                results["antitone-alpha"] = found(a, q, mask, 0)
     passed = all(ok for ok, _ in results.values())
     return BestPropertyReport(passed, checks, results)
 

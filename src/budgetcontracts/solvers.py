@@ -65,29 +65,26 @@ class SolveResult:
     demand_queries: int = 0
 
 
-def _race(obj: Objective, inst: Instance, records: Iterable[tuple]
-          ) -> tuple[Contract, frozenset[int], Fraction]:
+def _race(obj: Objective, inst: Instance, records: Iterable[tuple],
+          zero: int) -> tuple[Contract, frozenset[int], Fraction]:
     """The first (contract, profile, value) of maximal objective value over
     minimal-contract ``records`` (mask, tn, td, paid) of
     :func:`equilibria.iter_min_contracts`, on an instance carrying its table.
 
-    With ``Objective.weights`` (p, w) = (pn, wn) / d, a record paying t =
-    tn / td at S is worth ((d td - pn tn) F(S) c_den - wn td C(S) f_den) /
-    (d td f_den c_den), F(S) from ``Instance.scaled_f`` and C(S) from the
-    agents' cost sums; records compare on these numerators cross-multiplied
-    by td > 0.  The zero record, the unpaid best response
-    (:func:`_zero_mask`), enters first and a later record wins only
-    strictly; the winner alone becomes a Contract
-    (:func:`equilibria.contract_of`), a frozenset and a Fraction.
+    By ``Objective.weights`` (pn, wn, d), a record paying t = tn / td at S
+    is worth ((d td - pn tn) F(S) c_den - wn td C(S) f_den) / (d td f_den
+    c_den), F(S) from ``Instance.scaled_f`` and C(S) from the agents' cost
+    sums; records compare on these numerators cross-multiplied by td > 0.
+    The zero record at ``zero`` (:func:`_zero_mask`, made once per solve)
+    enters first, a later one wins only strictly, and only the winner becomes
+    a Contract (:func:`equilibria.contract_of`), a frozenset and a Fraction.
     """
     f, f_den = inst.scaled_f
     c_den = inst.int_costs[1]
-    p, w = obj.weights
-    d = math.lcm(p.denominator, w.denominator)
-    pn, wn = int(p * d), int(w * d)
+    pn, wn, d = obj.weights
     parts = tuple(zip(inst.agent_masks, inst.agent_cost_sums)) if wn else ()
     best = None
-    for mask, tn, td, paid in chain([(_zero_mask(inst), 0, 1, ())], records):
+    for mask, tn, td, paid in chain([(zero, 0, 1, ())], records):
         v = (d * td - pn * tn) * f(mask) * c_den
         if wn:
             v -= wn * td * f_den * sum(costs[mask & own] for own, costs in parts)
@@ -158,7 +155,8 @@ def _brute(inst: Instance, budget: Fraction, obj: Objective, label: str,
                   ).as_integer_ratio()
         records = (r for r in records
                    if all(dc * cd <= cn * df for _, dc, df in r[3]))
-    return SolveResult(*_race(obj, inst, records), "exact", label, budget)
+    return SolveResult(*_race(obj, inst, records, _zero_mask(inst)),
+                       "exact", label, budget)
 
 
 @_counted
@@ -178,7 +176,7 @@ def gs_single_agent_exact(inst: Instance, agent: int, obj: Objective,
     check_enumeration(len(inst.agent_actions[agent]), "one agent's profiles")
     inst = with_table(inst)
     best = _race(obj, inst, iter_min_contracts(
-        inst, within=inst.agent_masks[agent], budget=budget))
+        inst, within=inst.agent_masks[agent], budget=budget), _zero_mask(inst))
     return SolveResult(*best, "exact", str(obj), budget)
 
 
@@ -464,7 +462,7 @@ def additive_fptas(inst: Instance, budget: Fraction, eps: Fraction,
     f, f_den = inst.scaled_f
     c_int, c_den = inst.int_costs
     n, den = inst.num_agents, layout.den
-    p, w = obj.weights  # ints for the pure kinds
+    p, w, _ = obj.weights  # d = 1 for the pure kinds
     # the best value so far times den * f_den * c_den, the unpaid
     # profile's first, and its table and column
     zero = _zero_mask(inst)
@@ -647,8 +645,8 @@ def downsize(inst: Instance, m_param: int, alpha: Contract,
                            p / (inst.num_agents * m_param))
 
 
-def _profit_base(inst: Instance, records: Sequence[tuple], budget: Fraction
-                 ) -> tuple[Contract, frozenset[int], Fraction]:
+def _profit_base(inst: Instance, records: Sequence[tuple], budget: Fraction,
+                 zero: int) -> tuple[Contract, frozenset[int], Fraction]:
     """The pipeline's base and its reward f(S): the profit optimum at
     budget 1 with costs scaled by k = 4/(3B), rescaled by 3B/4.
 
@@ -661,7 +659,7 @@ def _profit_base(inst: Instance, records: Sequence[tuple], budget: Fraction
     cap_n, cap_d = (Fraction(3, 4) * budget).as_integer_ratio()
     alpha, profile, _ = _race(PROFIT, inst, (
         (mask, tn * cap_d, td * cap_n, paid) for mask, tn, td, paid in records
-        if tn * cap_d <= cap_n * td))
+        if tn * cap_d <= cap_n * td), zero)
     f, f_den = inst.scaled_f
     return alpha, profile, Fraction(f(set_to_mask(profile)), f_den)
 
@@ -694,14 +692,15 @@ def gs_constant_factor(inst: Instance, budget: Fraction, obj: Objective, *,
     check_enumeration(inst.num_actions, "GS pipeline")
     inst = with_table(inst)  # one table for every stage
     records = list(iter_min_contracts(inst, budget=budget))
+    zero = _zero_mask(inst)
     singles = [[r for r in records if not r[0] & ~own]
                for own in inst.agent_masks]
     # each stage races (contract, profile, value) picks; max keeps the first
-    mrb = max([_profit_base(inst, records, budget)]
-              + [_race(REWARD, inst, own) for own in singles],
+    mrb = max([_profit_base(inst, records, budget, zero)]
+              + [_race(REWARD, inst, own, zero) for own in singles],
               key=itemgetter(2))
     down = downsize(inst, 6, *mrb[:2])
     best = max([(*down, evaluate(obj, inst, *down))]
-               + [_race(obj, inst, own) for own in singles],
+               + [_race(obj, inst, own, zero) for own in singles],
                key=itemgetter(2))
     return SolveResult(*best, Fraction(6001), str(obj), budget)

@@ -22,7 +22,7 @@ from budgetcontracts.cli import (
     parse_pair,
     serialize_instance,
 )
-from budgetcontracts.core import HARDNESS_N_LIMIT, Contract, RationalParseError, \
+from budgetcontracts.core import HARDNESS_N_LIMIT, RationalParseError, \
     SchemaError
 from budgetcontracts.generators import (
     random_additive_instance,
@@ -209,21 +209,32 @@ def test_cli_verify_best_samples_a_huge_grid_without_building_it(capsys):
 
 
 def test_verify_best_sampled_pool_is_the_pool_drawn_from_the_level_list(monkeypatch):
-    made = []
-
-    class Recorded(Contract):
-        def __post_init__(self):
-            super().__post_init__()
-            made.append(self.alpha)
-
-    monkeypatch.setattr(objectives, "Contract", Recorded)
-    inst = load_instance("gen:explicit:seed=1,agents=2,actions=3")
-    objectives.verify_best_properties(objectives.PROFIT, inst, denominator=5000,
-                                      sample_budget=8, seed=3)
+    # every level drawn, and the pool walked: the draws of total at most
+    # 1, each as its levels over the denominator
     rng = random.Random(3)
-    levels = [F(k, 5000) for k in range(5001)]
-    assert made[:4096] == [tuple(rng.choice(levels) for _ in range(2))
-                           for _ in range(4096)]
+    levels = range(5001)
+    draws = [tuple(rng.choice(levels) for _ in range(2)) for _ in range(4096)]
+    drawn, walked = [], []
+
+    class Recorded(random.Random):
+        def randrange(self, *args):
+            drawn.append(super().randrange(*args))
+            return drawn[-1]
+
+    real_test = objectives._participation_test
+
+    def participation(inst, a, q):
+        walked.append((a, q))
+        return real_test(inst, a, q)
+
+    inst = load_instance("gen:explicit:seed=1,agents=2,actions=3")
+    monkeypatch.setattr(random, "Random", Recorded)
+    monkeypatch.setattr(objectives, "_participation_test", participation)
+    objectives.verify_best_properties(objectives.PROFIT, inst, denominator=5000,
+                                      seed=3)
+    assert drawn == [k for t in draws for k in t]
+    kept = [(t, 5000) for t in draws if sum(t) <= 5000]
+    assert walked[:len(kept)] == kept
 
 
 def _run_verify_best(monkeypatch, source):

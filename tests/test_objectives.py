@@ -27,7 +27,7 @@ from budgetcontracts.objectives import (
 from budgetcontracts.rewards import AdditiveOracle, ExplicitOracle, \
     set_to_mask, with_table
 
-from contract_pairs import contract_pairs
+from contract_pairs import contract_pairs, huge_denominator_instance
 
 
 def small_instance():
@@ -85,9 +85,10 @@ def test_sandwich_on_participation_feasible_pairs():
     objs = [WELFARE, combo((F(1, 3), PROFIT), (F(2, 3), REWARD))]
     checked = 0
     for _ in range(200):
-        alpha = Contract.of([F(rng.randint(0, 4), 8) for _ in range(2)])
+        levels = tuple(rng.randint(0, 4) for _ in range(2))
+        alpha = Contract(tuple(F(k, 8) for k in levels))
         profile = frozenset(a for a in range(2) if rng.random() < 0.5)
-        if not _participation_test(inst, alpha)(set_to_mask(profile)):
+        if not _participation_test(inst, levels, 8)(set_to_mask(profile)):
             continue
         checked += 1
         lo = evaluate(PROFIT, inst, alpha, profile)
@@ -107,6 +108,7 @@ def test_participation_matches_the_fraction_reference():
                                                  num_agents=2, num_actions=4)
                         for _ in range(3)]
     levels = (F(0), F(1, 7), F(2, 9), F(5, 11))
+    q = 7 * 9 * 11  # every level is an int over q
     verdicts = collections.Counter()
     for inst in cases:
         for tabled in (inst, with_table(inst)):
@@ -121,7 +123,8 @@ def test_participation_matches_the_fraction_reference():
                             if s & own and gain <= cost(inst, s & own):
                                 verdicts[gain == cost(inst, s & own)] += 1
                                 want = want and gain == cost(inst, s & own)
-                        assert _participation_test(tabled, alpha)(
+                        assert _participation_test(
+                            tabled, tuple(int(x * q) for x in alpha), q)(
                             set_to_mask(s)) == want
     assert verdicts[True] > 0 and verdicts[False] > 0
 
@@ -161,6 +164,25 @@ def test_verifier_rejects_profit_without_subadditivity():
     assert not report.passed
     ok, info = report.results["decompose"]
     assert not ok and info is not None
+
+
+def test_verifier_makes_a_contract_only_for_a_counterexample(monkeypatch):
+    # equilibria.contract_of makes its Contract through __post_init__ too
+    made = []
+    real = Contract.__post_init__
+
+    def counted(self):
+        made.append(self)
+        real(self)
+
+    monkeypatch.setattr(Contract, "__post_init__", counted)
+    assert verify_best_properties(REWARD, small_instance()).passed
+    assert made == []
+    inst = Instance(2, (Action(0, 0, F(0)), Action(1, 1, F(0))),
+                    ExplicitOracle([F(0), F(1, 8), F(1, 8), F(1, 2)]))
+    report = verify_best_properties(PROFIT, inst)
+    found = [info[0] for ok, info in report.results.values() if not ok]
+    assert found and made == found
 
 
 def test_objective_descriptor_roundtrip():
@@ -306,3 +328,10 @@ def test_int_verifier_matches_the_fraction_reference():
                           if not ok)
     assert set(failed) == {"sandwich", "decompose", "monotone-S",
                            "antitone-alpha"}, failed
+
+
+def test_int_verifier_past_a_huge_common_denominator():
+    # minimal contracts over lcms of costs near 10**9 each: large q per entry
+    inst = huge_denominator_instance()
+    for obj in BEST_OBJECTIVES:
+        assert verify_best_properties(obj, inst) == _reference_verify(obj, inst), obj

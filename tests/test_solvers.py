@@ -38,7 +38,7 @@ from budgetcontracts.solvers import (
     single_agent_fptas,
 )
 
-from contract_pairs import contract_pairs
+from contract_pairs import contract_pairs, huge_denominator_instance
 
 
 def all_subsets(items):
@@ -170,17 +170,10 @@ def test_fast_contract_enumeration_matches_generic_operation():
 
 
 def test_min_contract_algebra_past_a_huge_common_denominator():
-    # values and costs over distinct primes near 10**9: the integer path
-    # runs over a common denominator above 10**24
-    primes = (1000000007, 1000000009, 1000000021, 1000000033, 998244353)
-    weights = [F(p // 5 + k, 8 * p) for k, p in enumerate(primes[:4])]
-    costs = [F(k + 1, 9 * p) for k, p in enumerate(reversed(primes))]
-    owners = (0, 1, 0, 1, 2)
-    inst = Instance(3, tuple(Action(a, owners[a], costs[a]) for a in range(5)),
-                    AdditiveOracle(weights + [F(1, primes[4])]))
-    inst = with_table(inst)
+    # the integer path runs over a common denominator above 10**24
+    inst = huge_denominator_instance()
     table = inst.f
-    assert common_denominator([*table, *costs]) > 10 ** 24
+    assert common_denominator([*table, *inst.cost_of.values()]) > 10 ** 24
     for budget in (None, F(1, 1000), F(1, 2)):
         got = contract_pairs(inst, budget=budget)
         expected = []
@@ -611,6 +604,22 @@ def test_gs_pipeline_builds_no_fraction_view(monkeypatch):
         inst.f
 
 
+def test_gs_pipeline_makes_the_zero_mask_once(monkeypatch):
+    calls = []
+    real = solvers._zero_mask
+
+    def counted(inst):
+        calls.append(inst)
+        return real(inst)
+
+    monkeypatch.setattr(solvers, "_zero_mask", counted)
+    for agents in (1, 3):
+        calls.clear()
+        inst = random_gs_instance(8, num_agents=agents, num_actions=5)
+        gs_constant_factor(inst, F(1, 2), WELFARE, force=True)
+        assert len(calls) == 1
+
+
 def test_profit_base_is_the_rescaled_optimum_at_scaled_costs():
     rng = random.Random(71)
     instances = list(_tied_line_instances()) + [
@@ -625,7 +634,7 @@ def test_profit_base_is_the_rescaled_optimum_at_scaled_costs():
             records = list(iter_min_contracts(inst, budget=budget))
             pairs = contract_pairs(inst, budget=budget)
             want = brute_force_opt(_scaled_costs(inst, 1 / cap), F(1), PROFIT)
-            alpha, profile, reward = solvers._profit_base(inst, records, budget)
+            alpha, profile, reward = solvers._profit_base(inst, records, budget, zero)
             assert (alpha, profile) == (want.contract.scale(cap), want.profile)
             assert reward == f[set_to_mask(profile)]
             assert want.value * cap == (cap - alpha.total()) * reward
