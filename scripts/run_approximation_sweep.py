@@ -12,7 +12,7 @@ import argparse
 import sys
 from fractions import Fraction
 
-from budgetcontracts.cli import emit_report
+from budgetcontracts.cli import emit_report, ratio_of
 from budgetcontracts.generators import random_additive_instance
 from budgetcontracts.objectives import PROFIT, REWARD, WELFARE
 from budgetcontracts.rewards import with_table
@@ -23,14 +23,6 @@ COLUMNS = ["seed", "objective", "budget", "eps", "solver_value", "opt_value",
 RATIONALS = ["budget", "eps", "solver_value", "opt_value", "ratio",
              "certificate"]
 BUDGETS = [Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1)]
-
-
-def ratio_of(opt: Fraction, value: Fraction) -> Fraction | str:
-    """OPT / value; 1 for 0 / 0, and an empty cell when the solver gets
-    nothing of a positive OPT, where no finite factor holds."""
-    if value > 0:
-        return opt / value
-    return Fraction(1) if opt == value == 0 else ""
 
 
 def main() -> int:

@@ -205,6 +205,14 @@ def emit_report(rows: Sequence[dict], columns: Sequence[str],
     return "\n".join(lines) + "\n"
 
 
+def ratio_of(opt: Fraction, value: Fraction) -> Fraction | str:
+    """A report's ratio OPT / value; 1 for 0 / 0, and an empty cell when the
+    solver gets nothing of a positive OPT, where no finite factor holds."""
+    if value > 0:
+        return opt / value
+    return Fraction(1) if opt == value == 0 else ""
+
+
 # -- config plumbing ----------------------------------------------------------
 
 _GENERATORS = {

@@ -234,14 +234,6 @@ class Instance:
         c_int, _ = self.int_costs
         return tuple(submask_sums(own, c_int) for own in self.agent_masks)
 
-    @cached_property
-    def agent_cost_runs(self) -> tuple[tuple[list[int], list[int], list[int]], ...]:
-        """Per agent, its :attr:`agent_cost_sums` ordered by cost, built once
-        per instance (:func:`rewards.cost_runs`); a budget B cuts it at
-        c(d) <= B * spread of f (:func:`equilibria.iter_min_contracts`)."""
-        from budgetcontracts.rewards import cost_runs
-        return tuple(map(cost_runs, self.agent_cost_sums))
-
     @property
     def scaled_f(self):
         """(F, den) with f(S) = F(S) / den for a bitmask S: the table's

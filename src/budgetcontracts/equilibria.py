@@ -25,16 +25,15 @@ certificate's utilities become Fractions once per agent; its walk
 
 The minimal-contract algebra is :func:`_min_payment`, one agent's bounds
 for one profile, which :func:`min_incentivizing_contract` runs per agent.
-:func:`iter_min_contracts` and :func:`single_agent_hull` read the same
-payments off upper envelopes (:func:`_agent_payments`), under a budget B
-from the deviations within the budget's cost cut, c(d) <= B * spread of f.
-The walk yields each profile's payments as ints; :func:`contract_of` makes
-a ``Contract`` of them only where one is read.
+:func:`iter_min_contracts` reads the same payments off upper envelopes
+(:func:`_agent_payments`), under a budget B from the deviations within the
+budget's cost cut, c(d) <= B * spread of f; :func:`single_agent_hull` is
+its records for one agent.  The walk yields each profile's payments as
+ints; :func:`contract_of` makes a ``Contract`` of them where one is read.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -49,8 +48,7 @@ from budgetcontracts.core import (
     check_enumeration,
 )
 from budgetcontracts.rewards import PriceVector, cost_runs, \
-    demand_with_base, lex_key, mask_to_set, submask_sums, \
-    submask_sums_upto, submasks
+    demand_with_base, lex_key, mask_to_set, submask_sums_upto, submasks
 
 
 def _check_walks(inst: Instance) -> None:
@@ -282,9 +280,9 @@ def _agent_payments(f: Sequence[int], runs: tuple[list[int], list[int],
                                                     list[int]],
                     rests: Iterable[int]) -> dict[int, tuple]:
     """The minimal payment of one agent for each profile it can be kept
-    on, keyed by profile mask, over the distinct ``rests``; ``runs`` is the
-    agent's entry of ``Instance.agent_cost_runs``: the submasks of its
-    actions in ascending cost, their costs and the ends of the cost runs.
+    on, keyed by profile mask, over the distinct ``rests``; ``runs`` is
+    :func:`rewards.cost_runs` of its deviations (all, or a budget's cut):
+    the submasks in ascending cost, their costs and the ends of the runs.
 
     Per rest R, one loop reads f(R + d) for the deviations d in ascending
     cost, keeps the staircase (each worth more than every cheaper one) and
@@ -332,52 +330,28 @@ def _agent_payments(f: Sequence[int], runs: tuple[list[int], list[int],
     return pay
 
 
-def _table_ints(inst: Instance) -> tuple[list[int], int]:
-    """(table, oracle den) of the instance; ModelError without a table."""
-    if inst.table is None:
-        raise ModelError("no value table on the instance: fill it with "
-                         "rewards.with_table")
-    return inst.table, inst.oracle.den
-
-
 def single_agent_hull(inst: Instance, budget: Optional[Fraction] = None
                       ) -> tuple[list[int], list[Fraction]]:
     """The upper envelope of the lines alpha * f(S) - c(S) of a one-agent
-    instance carrying its value table, as (hull, breaks):
-    :func:`_agent_payments` with R = empty.
+    instance carrying its value table, as (hull, breaks): the records of
+    :func:`iter_min_contracts`, each set's minimal payment the left end of
+    its stretch.
 
-    Of the sets sharing a left end there, the largest f, then the smallest
-    mask, stays, so a set touching the envelope in one point gives way to
-    the line after it.  ``hull`` lists the masks by left end and ``breaks``
-    the positive left ends: hull[i] is on the envelope over
-    [breaks[i-1], breaks[i]], and hull[bisect_right(breaks, alpha)] is the
-    best response at alpha, the larger f winning at a breakpoint, so
-    hull[i] is the one chosen on [breaks[i-1], breaks[i]).
-
-    With a ``budget`` B the envelope is the one on [0, B], of the sets d
-    with c(d) <= B * (max f - f(empty)) alone, summed and sorted by
-    :func:`rewards.submask_sums_upto`: a prefix of the cost order.  For
-    0 <= alpha <= B, alpha * f(d) - c(d) <= alpha * f(empty) +
-    B * (max f - f(empty)) - c(d), so any other line lies strictly below
-    the empty set's: its stretch starts above B, and it meets each
-    envelope line at a point of [0, B] only above that point, so in the
-    full stack it pops no entry starting at or below B.  The entries and
-    breaks up to B, hull[bisect_right(breaks, alpha)] for alpha <= B and
-    whether the next break exceeds B are the full envelope's.
+    Of the sets sharing a left end, the largest f, then the smallest mask,
+    stays, so a set touching the envelope in one point gives way to the
+    line after it.  ``hull`` lists the masks by left end and ``breaks`` the
+    positive left ends: hull[i] is on the envelope over [breaks[i-1],
+    breaks[i]], and hull[bisect_right(breaks, alpha)] is the best response
+    at alpha, the larger f winning at a breakpoint, so hull[i] is the one
+    chosen on [breaks[i-1], breaks[i]).  With a ``budget`` B the hull ends
+    at B: its last stretch is the one starting at or below B.
     """
-    f, f_den = _table_ints(inst)
-    c_int, c_den = inst.int_costs
-    if budget is None:
-        runs = inst.agent_cost_runs[0]
-    else:
-        p, q = budget.as_integer_ratio()
-        limit = p * (max(f) - f[0]) * c_den // (q * f_den)
-        runs = cost_runs(submask_sums_upto(inst.agent_masks[0], c_int, limit))
+    f = inst.table
     best: dict[Fraction, int] = {}
-    for mask, (dc, df) in _agent_payments(f, runs, [0]).items():
-        alpha = Fraction(dc * f_den, df * c_den)
-        kept = best.get(alpha)
-        if kept is None or (f[mask], -mask) > (f[kept], -kept):
+    for mask, tn, td, _ in iter_min_contracts(inst, budget=budget):
+        alpha = Fraction(tn, td)
+        kept = best.get(alpha)  # masks ascend: a tie in f keeps the first
+        if kept is None or f[mask] > f[kept]:
             best[alpha] = mask
     ends = sorted(best)
     return [best[alpha] for alpha in ends], ends[1:]
@@ -415,25 +389,28 @@ def iter_min_contracts(inst: Instance, *, within: Optional[int] = None,
     alpha_j prefers S_j to doing nothing, alpha_j * (f(S) - f(S - T_j)) >=
     c(S_j), so c(S_j) <= alpha_j * spread; summed over the agents but the
     first, its rests R have c(R) <= B * spread.  Each agent reads only the
-    deviations d with c(d) <= B * spread, a prefix of its cost order that
-    ends on a run boundary: for 0 <= alpha <= B a dearer d's line is below
-    the empty deviation's, alpha * f(R + d) - c(d) < alpha * (f(R + d) -
-    spread) <= alpha * f(R), so (as in :func:`single_agent_hull`) it pops
-    no stack entry starting at or below B: payments up to B are unchanged.
+    deviations d with c(d) <= B * spread: for 0 <= alpha <= B a dearer d's
+    line is below the empty deviation's, alpha * f(R + d) - c(d) <
+    alpha * (f(R + d) - spread) <= alpha * f(R).  On [0, B] the envelope
+    and the lines reaching it stay as they were, and so does each stretch
+    starting at or below B: payments up to B are unchanged.
 
-    Values are the table's ints as filled and costs each agent's
-    ``Instance.agent_cost_runs``, sorted once per instance; the budget is
-    tested on the payment pairs, and no Fraction is made.
-    ``within`` (a bitmask) restricts the profiles to its submasks; an agent
-    owning none of its actions is then unpaid and skipped, unless one of
-    its costs is negative.  ``budget`` drops profiles whose payments sum
-    above it.
+    Values are the table's ints as filled.  The walk sorts an agent's
+    deviations by cost (:func:`rewards.cost_runs`) when it reaches it: all
+    of ``Instance.agent_cost_sums``, or under a budget only those within
+    the cut (:func:`rewards.submask_sums_upto`).  The budget is tested on
+    the payment pairs, and no Fraction is made.  ``within`` (a bitmask)
+    restricts the profiles to its submasks; an agent owning none of its
+    actions is then unpaid and skipped, unless one of its costs is
+    negative.  ``budget`` drops profiles whose payments sum above it.
     """
     m, n = inst.num_actions, inst.num_agents
     own_masks = inst.agent_masks
-    f, f_den = _table_ints(inst)
+    f, f_den = inst.table, inst.oracle.den
+    if f is None:
+        raise ModelError("no value table on the instance: fill it with "
+                         "rewards.with_table")
     c_int, c_den = inst.int_costs
-    runs = inst.agent_cost_runs
     span = (1 << m) - 1 if within is None else within
     # An agent with no action in ``span`` acts in no profile; if none of
     # its costs is negative, every deviation only adds cost, so its bounds
@@ -445,23 +422,21 @@ def iter_min_contracts(inst: Instance, *, within: Optional[int] = None,
     # are nonnegative, so none of a budget-feasible profile exceeds cap
     if budget is not None:
         cap_n, cap_d = (budget * Fraction(c_den, f_den)).as_integer_ratio()
-        spread = max(f) - min(f)
         # C(d) <= B * spread, at least 0, so each walk keeps d = empty
-        limit = max(cap_n, 0) * spread // cap_d
-        cuts = [bisect_right(by_cost, limit) for _, by_cost, _ in runs]
-        runs = [[run[:k] for run in r] for r, k in zip(runs, cuts)]
+        limit = max(cap_n, 0) * (max(f) - min(f)) // cap_d
     kept = None  # the profiles in ``span`` every agent so far is kept on
     pays = []
     for i in agents:
         own = own_masks[i]
+        runs = cost_runs(inst.agent_cost_sums[i] if budget is None
+                         else submask_sums_upto(own, c_int, limit))
         if kept is not None:
             rests = {mask & ~own for mask in kept}
         elif budget is None:
             rests = submasks(span & ~own)
         else:
-            rests = [rest for rest, c
-                     in submask_sums(span & ~own, c_int).items() if c <= limit]
-        pay = _agent_payments(f, runs[i], rests)
+            rests = submask_sums_upto(span & ~own, c_int, limit)
+        pay = _agent_payments(f, runs, rests)
         if budget is not None:
             pay = {k: p for k, p in pay.items() if p[0] * cap_d <= cap_n * p[1]}
         kept = (sorted(k for k in pay if not k & ~span) if kept is None

@@ -113,19 +113,19 @@ class BestPropertyReport:
     results: dict[str, tuple[bool, Optional[tuple]]]
 
 
-def _participation_test(inst: Instance, a: tuple, q: int) -> Callable[[int], bool]:
+def _participation_test(inst: Instance, fs: list[int], cs: list[int],
+                        a: tuple, q: int) -> Callable[[int], bool]:
     """Whether, at the profile of a bitmask, every agent weakly prefers its
-    prescribed actions to quitting under alpha_i = a[i] / q: a[i] * c_den *
-    (F_S - F_{S - T_i}) >= q * f_den * C(S_i) for each agent acting in S, on
-    the ints of ``Instance.scaled_f`` and ``Instance.agent_cost_sums``."""
-    (f, f_den), c_den = inst.scaled_f, inst.int_costs[1]
-    terms = [(own, x * c_den, q * f_den, costs)
-             for own, x, costs in zip(inst.agent_masks, a, inst.agent_cost_sums)]
+    prescribed actions to quitting under alpha_i = a[i] / q: a[i] *
+    (fs[S] - fs[S - T_i]) >= q * cs[S_i] for each agent acting in S, on
+    the verifier's tables of f and c by mask over one scale."""
+    terms = tuple(zip(inst.agent_masks, a))
 
     def holds(mask: int) -> bool:
-        f_s = f(mask)
-        for own, p, qf, costs in terms:
-            if mask & own and p * (f_s - f(mask & ~own)) < qf * costs[mask & own]:
+        f_s = fs[mask]
+        for own, x in terms:
+            s_i = mask & own
+            if s_i and x * (f_s - fs[mask - s_i]) < q * cs[s_i]:
                 return False
         return True
     return holds
@@ -215,7 +215,7 @@ def verify_best_properties(obj: Objective, inst: Instance, *,
         total, dq, wq = sum(a), d * q, wn * q
         k, up_k = dq - pn * total, dq * denominator - pn * (total * denominator + q)
         bumps = n > 0 and total * denominator + q <= q * denominator
-        for mask in filter(_participation_test(inst, a, q), masks):
+        for mask in filter(_participation_test(inst, fs, cs, a, q), masks):
             checks += 1
             f_s = fs[mask]
             phi = k * f_s - wq * cs[mask]

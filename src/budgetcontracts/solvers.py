@@ -349,10 +349,8 @@ class DpTable:
         return Contract(tuple(alpha)), mask_to_set(mask)
 
 
-def build_dp_table(inst: Instance, basis: str, b: Fraction, eps: Fraction, *,
-                   budget: Optional[Fraction] = None,
-                   layout: Optional[_PrefixLayout] = None) -> DpTable:
-    """Fill the dynamic program for additive f at scale ``b``.
+def build_dp_table(layout: _PrefixLayout, b: Fraction) -> DpTable:
+    """Fill the dynamic program for additive f at scale ``b > 0``.
 
     Per agent, actions sort ascending by payment ratio c_a / f({a}); a
     contract then incentivizes exactly a prefix, whose payment is the last
@@ -362,21 +360,19 @@ def build_dp_table(inst: Instance, basis: str, b: Fraction, eps: Fraction, *,
     the previous row, shifted by each prefix weight and raised by its
     payment, merged by pointwise min.  The merge works on steps, never on
     columns (the dominance lists of Nemhauser and Ullmann): its cost grows
-    with the number of steps, not with t_max.  Passing ``budget`` drops
-    prefixes whose own ratio already exceeds it and ends every row before
-    its first step above it.  Payments are nonnegative, so this only
-    removes entries that the budget selection would discard anyway.
+    with the number of steps, not with t_max.  A layout built with a
+    budget has dropped the prefixes whose own ratio already exceeds it,
+    and every row ends before its first step above it.  Payments are
+    nonnegative, so this only removes entries that the budget selection
+    would discard anyway.
 
-    Without ``layout`` the arguments are checked and each singleton f({a})
-    is read once (one value query each on an instance without a table).
-    :func:`additive_fptas` passes the :class:`_PrefixLayout` it built, with
-    the same ``basis``, ``eps`` and ``budget``, once for every scale: the
-    fill then reads and checks nothing, and works on ints only.
+    The basis, eps, budget and prefixes come from ``layout``
+    (:meth:`_PrefixLayout.build`, which checks them and reads each
+    singleton f({a}) once); :func:`additive_fptas` builds it once per
+    solve and fills one table per scale from it, on ints only.
     """
-    if layout is None:
-        if b <= 0:
-            raise ModelError("b must be > 0")
-        layout = _PrefixLayout.build(inst, basis, eps, budget)
+    if b <= 0:
+        raise ModelError("b must be > 0")
     # phi / (delta * b) = phi * m / (eps * b), over integers; // floors
     # negative phi of the f-c basis too
     eps = layout.eps
@@ -470,7 +466,7 @@ def additive_fptas(inst: Instance, budget: Fraction, eps: Fraction,
         c_int[a] for a in mask_to_set(zero)))
     best = None
     for b in layout.scales:
-        dp = build_dp_table(inst, basis, b, eps, budget=budget, layout=layout)
+        dp = build_dp_table(layout, b)
         # rows end at the budget, so every column left is affordable
         if obj.kind == "profit":
             # (1 - payment) * value; ties go to the larger column.  On one
@@ -523,15 +519,16 @@ def single_agent_fptas(inst: Instance, budget: Fraction,
     ties toward the larger f, which also pins SW exactly.  All-zero costs
     degenerate to the full action set at alpha = 0.
 
-    The sweep reads the hull on [0, B] (:func:`equilibria.single_agent_hull`
-    given the budget) and prices one grid point per hull stretch per
-    cost, not every point.  For one c_j, alpha_{j,k} rises strictly with
-    k until it is clipped at B, and the best response only changes at the
-    hull's breakpoints.  Within one stretch [breaks[i-1], breaks[i]) f is fixed
-    and not negative, so the profit (1 - alpha) * f never rises, and no
-    later point of the stretch can beat its first one strictly.  The
-    first grid point past each breakpoint comes from an exact integer
-    search (:func:`_first_grid_index`).
+    The sweep reads the hull, which ends at B given the budget
+    (:func:`equilibria.single_agent_hull`), and prices one grid point per
+    hull stretch per cost, not every point.  For one c_j, alpha_{j,k}
+    rises strictly with k until it is clipped at B, and the best response
+    only changes at the hull's breakpoints.  Within one stretch
+    [breaks[i-1], breaks[i]) f is fixed and not negative, so the profit
+    (1 - alpha) * f never rises, and no later point of the stretch can
+    beat its first one strictly.  The first grid point past each
+    breakpoint comes from an exact integer search
+    (:func:`_first_grid_index`).
     """
     if inst.num_agents != 1:
         raise ModelError("single-agent FPTAS needs exactly one agent")
@@ -553,8 +550,9 @@ def single_agent_fptas(inst: Instance, budget: Fraction,
                            Fraction(f(free), f_den), "exact", "profit", budget)
 
     hull, breaks = single_agent_hull(inst, budget)
-    # S-dagger maximizes B*f - c; among ties the larger f also maximizes f-c
-    s_dagger = hull[bisect_right(breaks, budget)]
+    # S-dagger, the best response at B where the hull ends, maximizes
+    # B*f - c; among ties the larger f also maximizes f-c
+    s_dagger = hull[-1]
     sw = Fraction(f(s_dagger), f_den) - cost(inst, mask_to_set(s_dagger))
     if sw <= 0:
         return SolveResult(Contract.zero(1), frozenset(), ZERO, "exact",
@@ -580,7 +578,7 @@ def single_agent_fptas(inst: Instance, budget: Fraction,
             profit = (1 - alpha) * f(hull[i])
             if profit > best_profit:
                 best_alpha, best_mask, best_profit = alpha, hull[i], profit
-            if i == len(breaks) or breaks[i] > budget:
+            if i == len(breaks):
                 break  # the grid stays in this stretch
             k = _first_grid_index(eps, (1 - breaks[i]) / share, k + 1,
                                   k_count + 1)

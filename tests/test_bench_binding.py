@@ -14,7 +14,7 @@ from pathlib import Path
 
 from budgetcontracts import cli
 from budgetcontracts.rewards import value_table, with_table
-from budgetcontracts.solvers import build_dp_table
+from budgetcontracts.solvers import _PrefixLayout, build_dp_table
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -82,7 +82,7 @@ def test_benchmark_tracer_and_workloads_bind_to_the_package(tmp_path):
     scales = {w for w in inst.oracle.weights if w > 0}
     dp = tracer.stats["solvers.build_dp_table"]
     assert dp.calls == len(scales) > 1
-    cells = [bench_trace._dp_cells(None, build_dp_table(
-        inst, "f", b, Fraction(1, 10), budget=Fraction(1, 2)), None)
+    layout = _PrefixLayout.build(inst, "f", Fraction(1, 10), Fraction(1, 2))
+    cells = [bench_trace._dp_cells(None, build_dp_table(layout, b), None)
         for b in scales]
     assert dp.count == sum(cells) and min(cells) > 0

@@ -223,9 +223,9 @@ def test_verify_best_sampled_pool_is_the_pool_drawn_from_the_level_list(monkeypa
 
     real_test = objectives._participation_test
 
-    def participation(inst, a, q):
+    def participation(inst, fs, cs, a, q):
         walked.append((a, q))
-        return real_test(inst, a, q)
+        return real_test(inst, fs, cs, a, q)
 
     inst = load_instance("gen:explicit:seed=1,agents=2,actions=3")
     monkeypatch.setattr(random, "Random", Recorded)

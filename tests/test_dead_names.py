@@ -5,10 +5,12 @@ method of one of its classes, must be named somewhere in ``src/``,
 ``scripts/``, ``perfbench/`` or ``tests/test_acceptance.py``: as an
 identifier, an attribute, an imported name or a word of a string that is
 not a docstring (the benchmark's tracer names its targets in strings).
-Code that only the other tests read belongs in the tests.
+Code that only the other tests read belongs in the tests.  Nor does a
+module of the package import a name it never reads.
 """
 
 import ast
+import itertools
 import re
 from pathlib import Path
 
@@ -71,3 +73,33 @@ def test_every_defined_name_has_a_reader():
     assert len(defined) > 100  # the scan sees the package
     unread = sorted(qual for qual, name in defined if name not in read)
     assert unread == sorted(ALLOWED)
+
+
+def _unread_imports(path):
+    """The names a module binds by import and never reads as a name,
+    ``__all__`` counting as a reading of the names it lists and a string
+    annotation as the expression it spells."""
+    tree = ast.parse(path.read_text(), str(path))
+    quoted = [ast.parse(note.value, mode="eval") for node in ast.walk(tree)
+              for note in (getattr(node, "annotation", None),
+                           getattr(node, "returns", None))
+              if isinstance(note, ast.Constant) and isinstance(note.value, str)]
+    bound, read = set(), set()
+    for node in itertools.chain(*map(ast.walk, [tree, *quoted])):
+        if isinstance(node, ast.Import):
+            bound.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(a.asname or a.name for a in node.names)
+        elif isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            read.update(c.value for c in ast.walk(node.value)
+                        if isinstance(c, ast.Constant))
+    return bound - read
+
+
+def test_every_imported_name_is_read():
+    unread = [f"{path.stem}.{name}" for path in sorted(PACKAGE.glob("*.py"))
+              for name in sorted(_unread_imports(path))]
+    assert unread == []

@@ -25,7 +25,7 @@ from budgetcontracts.objectives import (
     verify_best_properties,
 )
 from budgetcontracts.rewards import AdditiveOracle, ExplicitOracle, \
-    set_to_mask, with_table
+    set_to_mask, subset_sums, with_table
 
 from contract_pairs import contract_pairs, huge_denominator_instance
 
@@ -33,6 +33,15 @@ from contract_pairs import contract_pairs, huge_denominator_instance
 def small_instance():
     return Instance(2, (Action(0, 0, F(1, 8)), Action(1, 1, F(1, 4))),
                     AdditiveOracle([F(1, 2), F(1, 4)]))
+
+
+def _participation(inst, a, q):
+    """``_participation_test`` on the verifier's tables of ``inst``: f and
+    c by mask, both over f_den * c_den."""
+    inst = with_table(inst)
+    (c_int, c_den), f_den = inst.int_costs, inst.oracle.den
+    return _participation_test(inst, [v * c_den for v in inst.table],
+                               [c * f_den for c in subset_sums(c_int)], a, q)
 
 
 def test_empty_profile_evaluates_to_zero_everywhere():
@@ -88,7 +97,7 @@ def test_sandwich_on_participation_feasible_pairs():
         levels = tuple(rng.randint(0, 4) for _ in range(2))
         alpha = Contract(tuple(F(k, 8) for k in levels))
         profile = frozenset(a for a in range(2) if rng.random() < 0.5)
-        if not _participation_test(inst, levels, 8)(set_to_mask(profile)):
+        if not _participation(inst, levels, 8)(set_to_mask(profile)):
             continue
         checked += 1
         lo = evaluate(PROFIT, inst, alpha, profile)
@@ -123,7 +132,7 @@ def test_participation_matches_the_fraction_reference():
                             if s & own and gain <= cost(inst, s & own):
                                 verdicts[gain == cost(inst, s & own)] += 1
                                 want = want and gain == cost(inst, s & own)
-                        assert _participation_test(
+                        assert _participation(
                             tabled, tuple(int(x * q) for x in alpha), q)(
                             set_to_mask(s)) == want
     assert verdicts[True] > 0 and verdicts[False] > 0

@@ -27,6 +27,7 @@ from budgetcontracts.rewards import AdditiveOracle, AssignmentOracle, \
     UnitDemandOracle, common_denominator, mask_to_set, set_to_mask, with_table
 from budgetcontracts.solvers import (
     NotAnEquilibriumError,
+    _PrefixLayout,
     additive_fptas,
     brute_force_opt,
     build_dp_table,
@@ -425,37 +426,84 @@ def test_budget_cuts_the_first_rests_and_the_hull_lines(monkeypatch):
                       <= budget * (max(inst.f) - inst.f[0])]
         assert sorted(lines) == within_cut and len(lines) < 64
         assert sizes == [len(within_cut)]
+        # the hull ends at B: it is the full one's up to B
         full_hull, full_breaks = single_agent_hull(inst)
         k = bisect_right(full_breaks, budget)
-        assert breaks[:k] == full_breaks[:k]
-        assert hull[:k + 1] == full_hull[:k + 1]
+        assert k < len(full_breaks)
+        assert breaks == full_breaks[:k]
+        assert hull == full_hull[:k + 1]
 
 
-def test_cost_runs_are_sorted_once_per_instance(monkeypatch):
-    from budgetcontracts import rewards
-
+def test_cost_runs_are_sorted_once_per_walk(monkeypatch):
+    # each walk sorts the deviations of each agent it visits, once, and
+    # under a budget B only those with c(d) <= B * spread: the others are
+    # neither summed nor sorted
     sorts = []
-    cost_runs = rewards.cost_runs
+    sort = equilibria.cost_runs
 
     def counting(costs):
-        sorts.append(max(costs))  # the agent's own mask
-        return cost_runs(costs)
+        sorts.append(sorted(costs.items()))
+        return sort(costs)
 
-    monkeypatch.setattr(rewards, "cost_runs", counting)
+    monkeypatch.setattr(equilibria, "cost_runs", counting)
     inst = with_table(random_unit_demand_instance(4, num_agents=3,
                                                   num_actions=7))
+    assert all(inst.agent_masks)  # the walk visits every agent
+    f_den, c_den = inst.oracle.den, inst.int_costs[1]
+    spread = max(inst.table) - min(inst.table)
+    cut = 0
     for budget in (None, F(1, 2), F(1, 4)):
+        sorts.clear()
         list(iter_min_contracts(inst, budget=budget))
+        p, q = (budget or F(1)).as_integer_ratio()
+        want = [sorted((d, c) for d, c in costs.items() if budget is None
+                       or c * f_den * q <= p * spread * c_den)
+                for costs in inst.agent_cost_sums]
+        assert sorted(sorts) == sorted(want)
+        cut += sum(len(costs) - len(w)
+                   for costs, w in zip(inst.agent_cost_sums, want))
+    assert cut > 0  # some budget cuts some agent's deviations
     for i in range(inst.num_agents):
+        sorts.clear()
         list(iter_min_contracts(inst, within=inst.agent_masks[i]))
-    assert sorted(sorts) == sorted(inst.agent_masks)
-    # the GS pipeline prices every stage on its one instance: one sort
-    # per agent
-    sorts.clear()
-    gs_constant_factor(random_unit_demand_instance(5, num_agents=3,
-                                                   num_actions=7),
-                       F(1, 2), PROFIT)
-    assert len(sorts) == 3
+        assert sorts == [sorted(inst.agent_cost_sums[i].items())]
+    # the GS pipeline prices every stage from one walk: one sort per agent
+    # per solve
+    gs = random_unit_demand_instance(5, num_agents=3, num_actions=7)
+    for budget in (F(1, 2), F(1)):
+        sorts.clear()
+        gs_constant_factor(gs, budget, PROFIT)
+        assert len(sorts) == 3
+
+
+def test_single_agent_scheme_reads_one_min_contract_walk(monkeypatch):
+    # the hull is the records of one iter_min_contracts pass, and the
+    # envelope kernel runs inside that walk alone
+    walks, running, kernel_calls = [], [], []
+    walk, kernel = equilibria.iter_min_contracts, equilibria._agent_payments
+
+    def counted_walk(inst, **kwargs):
+        walks.append(kwargs)
+        running.append(True)
+        yield from walk(inst, **kwargs)
+        running.pop()
+
+    def recording(f, runs, rests):
+        kernel_calls.append(bool(running))  # whether a walk is running
+        return kernel(f, runs, rests)
+
+    monkeypatch.setattr(equilibria, "iter_min_contracts", counted_walk)
+    monkeypatch.setattr(equilibria, "_agent_payments", recording)
+    rng = random.Random(17)
+    for _ in range(6):
+        inst = random_explicit_monotone_instance(rng.randint(0, 10 ** 6),
+                                                 num_actions=rng.randint(2, 6))
+        budget = F(rng.randint(1, 4), 4)
+        walks.clear()
+        kernel_calls.clear()
+        single_agent_fptas(inst, budget, F(1, 4))
+        assert walks == [{"budget": budget}] and not running
+        assert kernel_calls == [True]
 
 
 def _reference_race(obj, inst, pairs):
@@ -723,12 +771,15 @@ def _prefix_ratio(dp):
 
 def test_dp_table_single_action_zero_column():
     inst = Instance(1, (Action(0, 0, F(1, 8)),), AdditiveOracle([F(1, 2)]))
-    dp = build_dp_table(inst, "f", F(1, 2), F(1, 2))
+    dp = build_dp_table(_PrefixLayout.build(inst, "f", F(1, 2), None), F(1, 2))
     assert _payment(dp, 0, 0) == 0
     assert _payment(dp, 1, 0) == 0
     assert all(_payment(dp, 0, t) is None for t in range(1, dp.t_max + 1))
     with pytest.raises(ModelError):
-        build_dp_table(inst, "f", F(1, 2), F(1, 2), budget=F(-1, 2))
+        build_dp_table(_PrefixLayout.build(inst, "f", F(1, 2), F(-1, 2)),
+                       F(1, 2))
+    with pytest.raises(ModelError):
+        build_dp_table(dp.layout, F(0))
 
 
 def test_dp_table_matches_prefix_enumeration():
@@ -737,7 +788,7 @@ def test_dp_table_matches_prefix_enumeration():
     # prefixes cost 0, 1/4 and 1/2
     inst = Instance(1, (Action(0, 0, F(1, 8)), Action(1, 0, F(1, 4))),
                     AdditiveOracle([F(1, 2), F(1, 2)]))
-    dp = build_dp_table(inst, "f", F(1, 2), F(1, 2))
+    dp = build_dp_table(_PrefixLayout.build(inst, "f", F(1, 2), None), F(1, 2))
     # delta = eps/|T| = 1/4, b = 1/2
     assert dp.layout.eps / dp.layout.num_actions * dp.b == F(1, 8)
     expected = {}
@@ -758,7 +809,8 @@ def test_dp_table_monotone_rows():
         inst = random_additive_instance(rng.randint(0, 10 ** 6))
         inst = with_table(inst)
         for basis in ("f", "f-c"):
-            dp = build_dp_table(inst, basis, F(1, 4), F(1, 4))
+            layout = _PrefixLayout.build(inst, basis, F(1, 4), None)
+            dp = build_dp_table(layout, F(1, 4))
             row = [_payment(dp, inst.num_agents, t) for t in range(dp.t_max + 1)]
             seen = [p for p in row if p is not None]
             assert all(x <= y for x, y in zip(seen, seen[1:]))
@@ -772,7 +824,8 @@ def test_dp_reconstruction_matches_table_payment():
     for _ in range(10):
         inst = random_additive_instance(rng.randint(0, 10 ** 6), num_agents=2)
         inst = with_table(inst)
-        dp = build_dp_table(inst, "f", F(1, 2), F(1, 4))
+        dp = build_dp_table(_PrefixLayout.build(inst, "f", F(1, 4), None),
+                            F(1, 2))
         for t in range(dp.t_max + 1):
             if _payment(dp, inst.num_agents, t) is None:
                 continue
@@ -913,7 +966,7 @@ def _reference_picks(inst, budget, eps, obj, *, dense=False):
         if f_a > 0 and b > 0:
             scales.add(b)
     for b in sorted(scales, reverse=True):
-        dp = build_dp_table(inst, basis, b, eps, budget=budget)
+        dp = build_dp_table(_PrefixLayout.build(inst, basis, eps, budget), b)
         if dense:
             rows = _dense_rows(dp, budget)
             pick = functools.partial(_argmin_walk, dp, rows)
@@ -971,7 +1024,8 @@ def test_dp_table_matches_per_cell_reference():
                 ("f", "f-c"), (F(1, 2), F(1, 4), F(1, 10)),
                 (None, F(0), F(1, 4), F(1, 2), F(1))):
             for b in scales[-2:]:
-                dp = build_dp_table(inst, basis, b, eps, budget=budget)
+                dp = build_dp_table(
+                    _PrefixLayout.build(inst, basis, eps, budget), b)
                 negative_weights += any(w < 0 for ws in dp.prefix_weight for w in ws)
                 _check_against_references(inst, dp, budget)
     assert negative_weights > 0  # the f-c basis produced negative shifts
@@ -982,7 +1036,8 @@ def test_dp_step_rows_match_references_at_scale():
     top = max(inst.oracle.value(frozenset({a})) for a in range(inst.num_actions))
     most_steps = 0
     for basis, budget in itertools.product(("f", "f-c"), (None, F(0), F(1, 2))):
-        dp = build_dp_table(inst, basis, top, F(1, 4), budget=budget)
+        dp = build_dp_table(_PrefixLayout.build(inst, basis, F(1, 4), budget),
+                            top)
         _check_against_references(inst, dp, budget)
         most_steps = max(most_steps, len(dp.scaled_payments[-1]))
     assert most_steps >= 10
@@ -1100,8 +1155,9 @@ def test_dp_layout_matches_fraction_reference():
                 (None, F(0), F(1, 4), F(1, 2), F(1))):
             for b in scales:
                 before = inst.oracle.value_queries
-                dp = build_dp_table(inst, basis, b, eps, budget=budget)
-                # a standalone call reads each singleton once
+                dp = build_dp_table(
+                    _PrefixLayout.build(inst, basis, eps, budget), b)
+                # building the layout reads each singleton once
                 assert inst.oracle.value_queries - before == inst.num_actions
                 order, ratios, weights, t_max, den = _reference_layout(
                     inst, basis, b, eps, budget)
@@ -1335,10 +1391,11 @@ def _envelope_instances():
 
 def _reference_hull(inst, budget=None):
     """The masks and breakpoints of the Fraction reference envelope over
-    every line: ``budget``, which cuts the envelope under test, is
-    ignored."""
+    every line, with a ``budget`` ending at its last stretch that starts
+    at or below it."""
     hull, breaks = _reference_envelope(_reference_lines(inst, inst.f))
-    return [h[2] for h in hull], breaks
+    k = len(breaks) if budget is None else bisect_right(breaks, budget)
+    return [h[2] for h in hull[:k + 1]], breaks[:k]
 
 
 def test_integer_envelope_matches_fraction_reference(monkeypatch):
@@ -1351,6 +1408,8 @@ def test_integer_envelope_matches_fraction_reference(monkeypatch):
         assert single_agent_hull(_rescaled(inst)) == (hull, breaks)
         assert all(type(b) is F for b in breaks)
         for budget in (F(0), F(1, 3), F(1, 2), F(1)):
+            assert single_agent_hull(inst, budget) \
+                == _reference_hull(inst, budget)
             got = single_agent_fptas(inst, budget, F(1, 4))
             with monkeypatch.context() as patch:
                 patch.setattr(solvers, "single_agent_hull", _reference_hull)

@@ -22,7 +22,8 @@ from budgetcontracts.hardness import HardnessParams, build_hardness
 from budgetcontracts.objectives import PROFIT, REWARD, WELFARE, combo, \
     evaluate, verify_best_properties
 from budgetcontracts.rewards import with_table
-from budgetcontracts.solvers import SolveResult, additive_fptas, \
+from budgetcontracts.solvers import SolveResult, _PrefixLayout, \
+    additive_fptas, \
     brute_force_opt, build_dp_table, downsize, gs_constant_factor, \
     gs_single_agent_exact, max_reward_bounded_brute, \
     single_agent_fptas
@@ -81,7 +82,8 @@ def _calls(inst, rng):
          lambda i: max_reward_bounded_brute(i, budget)),
         ("gs_single_agent_exact",
          lambda i: gs_single_agent_exact(i, 0, PROFIT, budget)),
-        ("build_dp_table", lambda i: build_dp_table(i, "f", F(1, 2), F(1, 4))),
+        ("build_dp_table", lambda i: build_dp_table(
+            _PrefixLayout.build(i, "f", F(1, 4), None), F(1, 2))),
         ("downsize", downsized),
     ]
     if m <= 4:
