@@ -558,13 +558,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         return args.func(args)
     except ModelError as exc:
-        error = {"error": {"type": type(exc).__name__, "message": str(exc)}}
-        sys.stderr.write(json.dumps(error) + "\n")
-        return 1
+        kind, message = type(exc).__name__, str(exc)
     except OSError as exc:
-        error = {"error": {"type": "OSError", "message": str(exc)}}
-        sys.stderr.write(json.dumps(error) + "\n")
-        return 1
+        kind, message = "OSError", str(exc)
+    except RecursionError:  # the package recurses only over input nesting
+        kind, message = SchemaError.__name__, "input nested too deeply"
+    error = {"error": {"type": kind, "message": message}}
+    sys.stderr.write(json.dumps(error) + "\n")
+    return 1
 
 
 if __name__ == "__main__":

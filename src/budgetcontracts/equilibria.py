@@ -357,8 +357,7 @@ def single_agent_hull(inst: Instance, budget: Optional[Fraction] = None
     return [best[alpha] for alpha in ends], ends[1:]
 
 
-def iter_min_contracts(inst: Instance, *, within: Optional[int] = None,
-                       budget: Optional[Fraction] = None):
+def iter_min_contracts(inst: Instance, *, budget: Optional[Fraction] = None):
     """Yield a record (mask, tn, td, paid) for every incentivizable profile
     of an instance carrying its value table, in ascending mask order: the
     profile's bitmask, its minimal payments' total tn / td, and ``paid``,
@@ -376,55 +375,48 @@ def iter_min_contracts(inst: Instance, *, within: Optional[int] = None,
     rises with cost matters, and of it only the envelope neighbours of
     S_i bind: the one before it sets the payment, read off the two lines.
     A line touching the envelope in a single point (its bounds meet,
-    lo = hi) stays admissible.  The agents go in descending order of their
-    actions in the span T (all m actions, or ``within``), ties by index:
-    the first, owning T_max, walks 2^(|T| - |T_max & T|) rests of 2^|T_max|
-    reads each (2^|T| reads when T_max lies in T), and each later one reads
-    f(R + d) once per rest of the profiles still standing, at most n * 2^m
-    table reads in all, where pricing each profile alone reads
-    2^|T| * sum_i 2^|T_i|.
+    lo = hi) stays admissible.  The agents owning an action go in
+    descending order of their action counts, ties by index; one owning
+    none is never paid and never blocks.  The first, owning T_max, walks
+    2^(m - |T_max|) rests of 2^|T_max| reads each, and each later one
+    reads f(R + d) once per rest of the profiles still standing, at most
+    n * 2^m table reads in all, where pricing each profile alone reads
+    2^m * sum_i 2^|T_i|.
 
-    With a ``budget`` B both walks stop at B * spread, spread = max f -
-    min f, whatever the signs of costs and values.  Agent j kept on S at
-    alpha_j prefers S_j to doing nothing, alpha_j * (f(S) - f(S - T_j)) >=
-    c(S_j), so c(S_j) <= alpha_j * spread; summed over the agents but the
-    first, its rests R have c(R) <= B * spread.  Each agent reads only the
-    deviations d with c(d) <= B * spread: for 0 <= alpha <= B a dearer d's
-    line is below the empty deviation's, alpha * f(R + d) - c(d) <
-    alpha * (f(R + d) - spread) <= alpha * f(R).  On [0, B] the envelope
-    and the lines reaching it stay as they were, and so does each stretch
-    starting at or below B: payments up to B are unchanged.
+    A ``budget`` B drops the profiles whose payments sum above it, and
+    both walks stop at B * spread, spread = max f - min f, whatever the
+    signs of costs and values.  Agent j kept on S at alpha_j prefers S_j
+    to doing nothing, alpha_j * (f(S) - f(S - T_j)) >= c(S_j), so c(S_j)
+    <= alpha_j * spread; summed over the agents but the first, its rests
+    R have c(R) <= B * spread.  Each agent reads only the deviations d
+    with c(d) <= B * spread: for 0 <= alpha <= B a dearer d's line is
+    below the empty deviation's, alpha * f(R + d) - c(d) < alpha * (f(R +
+    d) - spread) <= alpha * f(R).  On [0, B] the envelope and the lines
+    reaching it stay as they were, and so does each stretch starting at
+    or below B: payments up to B are unchanged.
 
     Values are the table's ints as filled.  The walk sorts an agent's
     deviations by cost (:func:`rewards.cost_runs`) when it reaches it: all
     of ``Instance.agent_cost_sums``, or under a budget only those within
     the cut (:func:`rewards.submask_sums_upto`).  The budget is tested on
-    the payment pairs, and no Fraction is made.  ``within`` (a bitmask)
-    restricts the profiles to its submasks; an agent owning none of its
-    actions is then unpaid and skipped, unless one of its costs is
-    negative.  ``budget`` drops profiles whose payments sum above it.
+    the payment pairs, and no Fraction is made.
     """
-    m, n = inst.num_actions, inst.num_agents
     own_masks = inst.agent_masks
     f, f_den = inst.table, inst.oracle.den
     if f is None:
         raise ModelError("no value table on the instance: fill it with "
                          "rewards.with_table")
     c_int, c_den = inst.int_costs
-    span = (1 << m) - 1 if within is None else within
-    # An agent with no action in ``span`` acts in no profile; if none of
-    # its costs is negative, every deviation only adds cost, so its bounds
-    # are lo = 0 <= hi: it is never paid and never blocks.
-    agents = sorted((i for i in range(n) if own_masks[i] & span
-                     or any(c_int[a] < 0 for a in inst.agent_actions[i])),
-                    key=lambda i: -(own_masks[i] & span).bit_count())
+    everything = (1 << inst.num_actions) - 1
+    agents = sorted((i for i, own in enumerate(own_masks) if own),
+                    key=lambda i: -own_masks[i].bit_count())
     # a payment (dc, df) is alpha_i = dc * f_den / (df * c_den); payments
     # are nonnegative, so none of a budget-feasible profile exceeds cap
     if budget is not None:
         cap_n, cap_d = (budget * Fraction(c_den, f_den)).as_integer_ratio()
         # C(d) <= B * spread, at least 0, so each walk keeps d = empty
         limit = max(cap_n, 0) * (max(f) - min(f)) // cap_d
-    kept = None  # the profiles in ``span`` every agent so far is kept on
+    kept = None  # the profiles every agent so far is kept on
     pays = []
     for i in agents:
         own = own_masks[i]
@@ -433,16 +425,15 @@ def iter_min_contracts(inst: Instance, *, within: Optional[int] = None,
         if kept is not None:
             rests = {mask & ~own for mask in kept}
         elif budget is None:
-            rests = submasks(span & ~own)
+            rests = submasks(everything & ~own)
         else:
-            rests = submask_sums_upto(span & ~own, c_int, limit)
+            rests = submask_sums_upto(everything & ~own, c_int, limit)
         pay = _agent_payments(f, runs, rests)
         if budget is not None:
             pay = {k: p for k, p in pay.items() if p[0] * cap_d <= cap_n * p[1]}
-        kept = (sorted(k for k in pay if not k & ~span) if kept is None
-                else [mask for mask in kept if mask in pay])
+        kept = sorted(pay) if kept is None else [k for k in kept if k in pay]
         pays.append(pay)
-    for mask in submasks(span) if kept is None else kept:
+    for mask in submasks(everything) if kept is None else kept:
         paid = []
         num, den = 0, 1  # sum of the paid dc / df
         for i, pay in zip(agents, pays):

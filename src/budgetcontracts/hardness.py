@@ -389,7 +389,7 @@ def make_random_guess_solver(seed: int) -> Solver:
     """Baseline: guess the hidden set uniformly, no queries at all."""
     rng = random.Random(seed)
 
-    def solver(view: OracleView, pub: HardnessPublicInfo):
+    def solver(_view: OracleView, pub: HardnessPublicInfo):
         guess = frozenset(rng.sample(range(pub.n), pub.n // 2))
         return _pair_for_guess(pub, guess)
 

@@ -12,10 +12,10 @@ external poly-time base solver the reduction pipeline would call for
 Max-Profit(1) is stood in for by the exact brute-force oracle (gamma = 1),
 and the certified constant accounts for that.
 
-No envelope is built here: brute force, the exact single-agent solver and
-every stage of the GS pipeline pick among the integer records of
-:func:`equilibria.iter_min_contracts` with one race, :func:`_race`, valued
-by ``Objective.weights``; only a winner becomes a ``Contract``.  The
+No envelope is built here: brute force, over one agent's records the exact
+single-agent solver, and every stage of the GS pipeline pick among the int
+records of :func:`equilibria.iter_min_contracts` with one race, :func:`_race`,
+valued by ``Objective.weights``; only a winner becomes a ``Contract``.  The
 single-agent scheme reads its hull from :func:`equilibria.single_agent_hull`.
 Nor are prices built: downsizing calls :func:`equilibria.ne_from_demand`
 and :func:`equilibria.double_contract`, and :func:`_counted` alone reads
@@ -38,6 +38,7 @@ from budgetcontracts.core import (
     Instance,
     ModelError,
     TESTER_LIMIT,
+    UnknownAgentIdError,
     ZERO,
     check_enumeration,
     cost,
@@ -136,48 +137,42 @@ def max_reward_bounded_brute(inst: Instance, budget: Fraction) -> SolveResult:
     """Exact reward maximization with the per-agent cap alpha_i <= 3B/4:
     :func:`brute_force_opt` for reward over the minimal contracts whose
     every entry respects the cap."""
+    # alpha_i = dc * f_den / (df * c_den) <= 3B/4 iff dc * cd <= cn * df
+    cn, cd = (Fraction(3, 4) * budget * Fraction(
+        inst.int_costs[1], inst.oracle.den)).as_integer_ratio()
     return _brute(inst, budget, REWARD, "reward-bounded",
-                  Fraction(3, 4) * budget)
+                  lambda r: all(dc * cd <= cn * df for _, dc, df in r[3]))
 
 
 @_counted
 def _brute(inst: Instance, budget: Fraction, obj: Objective, label: str,
-           cap: Optional[Fraction] = None) -> SolveResult:
-    """The :func:`_race` for ``obj`` over every budget-feasible minimal
-    contract, and with ``cap`` over those paying no agent above it."""
+           keep=None) -> SolveResult:
+    """The :func:`_race` for ``obj`` over the records (mask, tn, td, paid)
+    of the budget-feasible minimal contracts: all, or those ``keep`` passes."""
     _check_budget(budget)
     check_enumeration(inst.num_actions, "brute force")
     inst = with_table(inst)
     records = iter_min_contracts(inst, budget=budget)
-    if cap is not None:
-        # alpha_i = dc * f_den / (df * c_den) <= cap iff dc * cd <= cn * df
-        cn, cd = (cap * Fraction(inst.int_costs[1], inst.oracle.den)
-                  ).as_integer_ratio()
-        records = (r for r in records
-                   if all(dc * cd <= cn * df for _, dc, df in r[3]))
+    if keep is not None:
+        records = filter(keep, records)
     return SolveResult(*_race(obj, inst, records, _zero_mask(inst)),
                        "exact", label, budget)
 
 
-@_counted
 def gs_single_agent_exact(inst: Instance, agent: int, obj: Objective,
                           budget: Fraction) -> SolveResult:
     """Exact best single-agent pair: pay only ``agent``, who acts alone.
 
-    Desk-scale realization of the critical-point method: every subset of
-    the agent's actions is priced at its minimal incentivizing payment by
-    :func:`iter_min_contracts` restricted to those actions (the other
-    agents stay unpaid), and the objective maximizer within ``budget``
-    wins; among equal values the smallest profile mask does.  The
-    instance's value table is filled (2^m value queries) unless it
-    carries one.
+    The critical-point method at desk scale: brute force's race
+    (:func:`_brute`) over the records whose profiles lie in the agent's
+    actions T_i, every other agent unpaid on the empty set.  Among equal
+    values the smallest profile mask wins.  The value table is filled
+    (2^m value queries) unless the instance carries one.
     """
-    _check_budget(budget)
-    check_enumeration(len(inst.agent_actions[agent]), "one agent's profiles")
-    inst = with_table(inst)
-    best = _race(obj, inst, iter_min_contracts(
-        inst, within=inst.agent_masks[agent], budget=budget), _zero_mask(inst))
-    return SolveResult(*best, "exact", str(obj), budget)
+    if not 0 <= agent < inst.num_agents:
+        raise UnknownAgentIdError(f"agent {agent} out of range")
+    own = inst.agent_masks[agent]
+    return _brute(inst, budget, obj, str(obj), lambda r: not r[0] & ~own)
 
 
 # -- additive FPTAS ----------------------------------------------------------

@@ -215,3 +215,29 @@ def test_cli_survives_mutated_instance_documents(workdir, text, command):
 @given(argv=argvs())
 def test_cli_survives_fuzzed_argv(workdir, argv):
     assert_clean_exit(argv, workdir)
+
+
+def _combo_nested(depth):
+    """A combo objective document wrapping "reward" ``depth`` times."""
+    return '{"type": "combo", "terms": [["1", ' * depth + '"reward"' \
+        + "]]}" * depth
+
+
+GEN = "gen:coverage:seed=1,agents=2,actions=3"
+
+
+@pytest.mark.parametrize("text,argv", [
+    ("[" * 100000 + "]" * 100000, ["--instance", "{deep}"]),
+    # decodes, then is recursed over mid-solve; deeper ones fail to decode
+    (_combo_nested(320), ["--instance", GEN, "--objective", "{deep}"]),
+], ids=["instance", "objective"])
+def test_deeply_nested_input_is_a_schema_error(tmp_path, text, argv):
+    deep = tmp_path / "deep.json"
+    deep.write_text(text)
+    argv = ["solve", "--budget", "1/2"] + [a.format(deep=deep) for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert main(argv) == 1
+    assert out.getvalue() == ""
+    assert json.loads(err.getvalue()) == {"error": {
+        "type": "SchemaError", "message": "input nested too deeply"}}

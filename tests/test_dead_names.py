@@ -103,3 +103,37 @@ def test_every_imported_name_is_read():
     unread = [f"{path.stem}.{name}" for path in sorted(PACKAGE.glob("*.py"))
               for name in sorted(_unread_imports(path))]
     assert unread == []
+
+
+def _only_raises_not_implemented(node):
+    body = node.body if isinstance(node.body, list) else [node.body]
+    return len(body) == 1 and isinstance(body[0], ast.Raise) and \
+        "NotImplementedError" in ast.unparse(body[0])
+
+
+def _unread_parameters(path):
+    """(function, parameter) for each parameter of a function or lambda
+    that its body never reads, bar those of an abstract body (one that only
+    raises ``NotImplementedError``) and those named with a leading ``_``."""
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)) \
+                or _only_raises_not_implemented(node):
+            continue
+        args = node.args
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {name.id for statement in body for name in ast.walk(statement)
+                if isinstance(name, ast.Name)
+                and not isinstance(name.ctx, ast.Store)}
+        for param in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                      args.vararg, args.kwarg):
+            if param and not param.arg.startswith("_") \
+                    and param.arg not in read:
+                yield (f"{path.stem}.{getattr(node, 'name', 'lambda')}"
+                       f":{node.lineno}", param.arg)
+
+
+def test_every_parameter_is_read():
+    unread = [u for path in sorted(PACKAGE.glob("*.py"))
+              for u in _unread_parameters(path)]
+    assert unread == []

@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, example, given, settings, \
 
 from budgetcontracts import core, equilibria, solvers
 from budgetcontracts.core import Action, Contract, GroundSetTooLargeError, \
-    Instance, ModelError, cost, restrict_contract
+    Instance, ModelError, UnknownAgentIdError, cost, restrict_contract
 from budgetcontracts.equilibria import best_response, is_nash, \
     min_incentivizing_contract, ne_from_demand, single_agent_hull
 from budgetcontracts.generators import random_additive_instance, \
@@ -308,7 +308,9 @@ def test_envelope_contracts_match_the_reference():
         for tab, within, budget in itertools.product(
                 (inst, _rescaled(inst)), withins,
                 (None, F(0), F(1, 64), F(1, 3), F(1, 2), F(1))):
-            got = contract_pairs(tab, within=within, budget=budget)
+            got = [(mask, alpha) for mask, alpha
+                   in contract_pairs(tab, budget=budget)
+                   if within is None or not mask & ~within]
             expected = [(mask, alpha) for mask, alpha in reference.items()
                         if alpha is not None
                         and (within is None or not mask & ~within)
@@ -338,15 +340,14 @@ def test_min_contracts_price_the_largest_agent_first(monkeypatch):
     inst = with_table(Instance(4, tuple(Action(a, owners[a], F(costs[a], 24))
                                         for a in range(6)),
                                AdditiveOracle([F(1, 8)] * 6)))
-    for within, order in ((None, [0b110011, 0b000100, 0b001000]),
-                          # in ``within`` agents 0 and 1 own one action each
-                          # and tie; agent 2 owns none but is priced last
-                          (0b000101, [0b000100, 0b110011, 0b001000]),
-                          (0b110111, [0b110011, 0b000100, 0b001000]),
-                          (0b001000, [0b001000])):
-        calls.clear()
-        list(iter_min_contracts(inst, within=within))
-        assert calls == order, within
+    list(iter_min_contracts(inst))
+    assert calls == [0b110011, 0b000100, 0b001000]  # agent 3 is not visited
+    # agents 0 and 1 own one action each and tie: they go by index
+    calls.clear()
+    tied = (2, 1, 0, 2, 2, 2)
+    list(iter_min_contracts(with_table(replace(inst, actions=tuple(
+        replace(a, owner=tied[a.action_id]) for a in inst.actions)))))
+    assert calls == [0b111001, 0b000100, 0b000010]
 
 
 def test_budget_cuts_every_agents_deviations(monkeypatch):
@@ -463,10 +464,12 @@ def test_cost_runs_are_sorted_once_per_walk(monkeypatch):
         cut += sum(len(costs) - len(w)
                    for costs, w in zip(inst.agent_cost_sums, want))
     assert cut > 0  # some budget cuts some agent's deviations
+    # the exact single-agent solver reads the same walk: one sort per
+    # agent, whichever agent it pays
     for i in range(inst.num_agents):
         sorts.clear()
-        list(iter_min_contracts(inst, within=inst.agent_masks[i]))
-        assert sorts == [sorted(inst.agent_cost_sums[i].items())]
+        gs_single_agent_exact(inst, i, PROFIT, F(1))
+        assert len(sorts) == inst.num_agents
     # the GS pipeline prices every stage from one walk: one sort per agent
     # per solve
     gs = random_unit_demand_instance(5, num_agents=3, num_actions=7)
@@ -531,7 +534,8 @@ def _reference_gs(inst, budget, obj):
     scaled = _scaled_costs(inst, F(4, 3) / budget)
     base = _reference_race(PROFIT, scaled, contract_pairs(scaled, budget=F(1)))
     rescaled = (base[0].scale(F(3, 4) * budget), base[1])
-    singles = [contract_pairs(inst, within=own, budget=budget)
+    pairs = contract_pairs(inst, budget=budget)
+    singles = [[(mask, a) for mask, a in pairs if not mask & ~own]
                for own in inst.agent_masks]
     mrb = max([rescaled] + [_reference_race(REWARD, inst, p)[:2] for p in singles],
               key=lambda pair: evaluate(REWARD, inst, *pair))
@@ -565,8 +569,8 @@ def test_races_match_a_reference_race_over_every_pair():
                           for mask, a in pairs]
                 tied += values.count(want[2]) > 1
                 for agent, own in enumerate(tabled.agent_masks):
-                    want = _reference_race(obj, tabled, contract_pairs(
-                        tabled, within=own, budget=budget))
+                    want = _reference_race(obj, tabled, [
+                        (mask, a) for mask, a in pairs if not mask & ~own])
                     got = gs_single_agent_exact(inst, agent, obj, budget)
                     assert (got.contract, got.profile, got.value) == want
                 got = gs_constant_factor(inst, budget, obj, force=True)
@@ -1741,7 +1745,9 @@ def test_restricted_contract_enumeration_matches_generic_operation():
         masks = [set_to_mask(t) for t in inst.agent_actions]
         masks += [rng.randrange(1 << m) for _ in range(3)] + [(1 << m) - 1]
         for within, budget in itertools.product(masks, (None, F(1, 4), F(1))):
-            got = contract_pairs(inst, within=within, budget=budget)
+            got = [(mask, alpha) for mask, alpha
+                   in contract_pairs(inst, budget=budget)
+                   if not mask & ~within]
             expected = []
             for mask in range(1 << m):
                 if mask & ~within:
@@ -1766,6 +1772,41 @@ def test_gs_single_agent_matches_fraction_reference():
             assert (got.contract, got.profile, got.value) == \
                 _reference_single_agent(inst, agent, obj, budget, table)
             assert got.value_queries == 0
+
+
+def test_gs_single_agent_is_brute_forces_race_over_its_agents_records(
+        monkeypatch):
+    walks = []
+    walk = solvers.iter_min_contracts
+
+    def recording(inst, **kwargs):
+        walks.append(kwargs)
+        return walk(inst, **kwargs)
+
+    monkeypatch.setattr(solvers, "iter_min_contracts", recording)
+    rng = random.Random(59)
+    for inst in _single_agent_instances():
+        inst = with_table(inst)
+        zero = solvers._zero_mask(inst)
+        for agent, obj in itertools.product(range(inst.num_agents),
+                                            RACE_OBJECTIVES):
+            budget = F(rng.randint(0, 4), 4)
+            own = inst.agent_masks[agent]
+            records = [r for r in walk(inst, budget=budget)
+                       if not r[0] & ~own]
+            walks.clear()
+            got = gs_single_agent_exact(inst, agent, obj, budget)
+            assert walks == [{"budget": budget}]
+            assert (got.contract, got.profile, got.value) == \
+                solvers._race(obj, inst, records, zero)
+
+
+def test_gs_single_agent_refuses_an_unknown_agent():
+    inst = random_gs_instance(3, num_agents=2, num_actions=4)
+    for agent in (-1, 2):
+        with pytest.raises(UnknownAgentIdError, match=f"agent {agent} "):
+            gs_single_agent_exact(inst, agent, PROFIT, F(1, 2))
+    gs_single_agent_exact(inst, 1, PROFIT, F(1, 2))
 
 
 def _reference_pipeline(inst, budget, obj):
