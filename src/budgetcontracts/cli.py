@@ -563,6 +563,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         kind, message = "OSError", str(exc)
     except RecursionError:  # the package recurses only over input nesting
         kind, message = SchemaError.__name__, "input nested too deeply"
+    except UnicodeDecodeError as exc:  # an input file read as UTF-8
+        kind, message = SchemaError.__name__, f"input is not UTF-8: {exc}"
     error = {"error": {"type": kind, "message": message}}
     sys.stderr.write(json.dumps(error) + "\n")
     return 1

@@ -7,6 +7,9 @@ Conventions shared by every other module:
   comparison,
 * agents are ``0 .. num_agents-1``, actions are ``0 .. num_actions-1``, each
   action owned by exactly one agent (agents' action sets are disjoint),
+* every action costs at least 0, as in Dütting, Ezra, Feldman and
+  Kesselheim's model ("Multi-Agent Contracts"), so the empty set is every
+  agent's cheapest deviation; ``Instance`` checks all of this when built,
 * an action profile is a plain ``frozenset[int]`` of action ids; the slice
   belonging to agent ``i`` is its intersection with that agent's action set.
 
@@ -123,11 +126,15 @@ def parse_ratio(text: str | int) -> tuple[int, int]:
     floats and booleans included, is rejected.  A plain "p" or "p/q" of
     ASCII digits, p maybe negative, is read by ``int``; any other string
     by ``Fraction``'s parser, which also takes "+", spaces, underscores,
-    non-ASCII digits, decimals and exponents; it refuses a numeral past
-    CPython's int-from-text digit limit as too long, echoing the text cut.
+    non-ASCII digits, decimals and exponents.  CPython's int-from-text
+    digit limit, when set, bounds both: more digits in a row are refused
+    as too long, echoing the text cut, and a text ending in an exponent
+    above the limit in absolute value is refused before ``Fraction``
+    builds 10^exponent.
     """
     if type(text) is int:
         return text, 1
+    limit = sys.get_int_max_str_digits()  # 0, or at least 640
     try:
         num, slash, den = text.partition("/")
         if text.isascii() and num.removeprefix("-").isdigit() and (
@@ -135,13 +142,16 @@ def parse_ratio(text: str | int) -> tuple[int, int]:
             p, q = int(num), int(den) if slash else 1
             g = math.gcd(p, q) if q else 0  # q = 0: p // 0 raises
             return p // g, q // g
-        return Fraction(text.strip()).as_integer_ratio()
+        exp = re.search(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z", text)  # Fraction's rule
+        if not (exp and limit and abs(int(exp[1])) > limit):
+            return Fraction(text.strip()).as_integer_ratio()
     except (AttributeError, TypeError, ValueError, ZeroDivisionError) as exc:
-        limit = sys.get_int_max_str_digits()  # 0, or at least 640
         if type(exc) is ValueError and limit and re.search(rf"\d{{{limit + 1}}}", text):
             raise RationalParseError(f"rational too long to parse: more than {limit} "
                                      f"digits in a row in {text[:40]!r}...") from exc
         raise RationalParseError(f"not a valid rational: {text!r}") from exc
+    raise RationalParseError(f"rational exponent above {limit} in absolute "
+                             f"value: {text[:40]!r}")
 
 
 def parse_rational(text: str | int) -> Fraction:
@@ -190,6 +200,8 @@ class Instance:
     all of them.  ``table``, when present, is f * ``oracle.den`` as a
     plain list of ints in bitmask order (``rewards.with_table`` fills it);
     ``scaled_f`` reads it, and without one the oracle's counted read.
+    Construction checks, in this order: at least one agent, no duplicate
+    id, owners in range, costs >= 0, ids exactly 0..m-1.
     """
 
     num_agents: int
@@ -204,19 +216,26 @@ class Instance:
     ground_set: frozenset[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        owner = {a.action_id: a.owner for a in self.actions}
-        costs = {a.action_id: a.cost for a in self.actions}
+        if self.num_agents <= 0:
+            raise ModelError("need at least one agent")
+        owner, costs = {}, {}
         per_agent: list[set[int]] = [set() for _ in range(self.num_agents)]
-        masks = [0] * self.num_agents
         for a in self.actions:
-            if 0 <= a.owner < self.num_agents:
-                per_agent[a.owner].add(a.action_id)
-                if 0 <= a.action_id < len(self.actions):
-                    masks[a.owner] |= 1 << a.action_id
+            if a.action_id in owner:
+                raise DuplicateActionIdError(f"action id {a.action_id} appears twice")
+            if not 0 <= a.owner < self.num_agents:
+                raise UnknownAgentIdError(f"action {a.action_id} owned by unknown agent {a.owner}")
+            if a.cost.numerator < 0:
+                raise NegativeCostError(f"action {a.action_id} has cost {a.cost} < 0")
+            owner[a.action_id], costs[a.action_id] = a.owner, a.cost
+            per_agent[a.owner].add(a.action_id)
+        if owner.keys() != set(range(len(self.actions))):
+            raise DuplicateActionIdError("action ids must be exactly 0..m-1")
         object.__setattr__(self, "owner_of", owner)
         object.__setattr__(self, "cost_of", costs)
         object.__setattr__(self, "agent_actions", tuple(frozenset(s) for s in per_agent))
-        object.__setattr__(self, "agent_masks", tuple(masks))
+        object.__setattr__(self, "agent_masks", tuple(  # no bit shared: sum = or
+            sum(1 << a for a in own) for own in per_agent))
         object.__setattr__(self, "ground_set", frozenset(owner))
 
     @cached_property
@@ -324,30 +343,14 @@ class GeneralContract:
 
 
 def validate_instance(inst: Instance) -> None:
-    """Check every structural invariant; raise a specific error otherwise.
-
-    Verifies: at least one agent, unique contiguous action ids, owners in
-    range, costs >= 0, f(empty) = 0, and every singleton oracle value
-    inside [0, 1].  The oracle is read by mask as ints over its den.
-    """
-    if inst.num_agents <= 0:
-        raise ModelError("need at least one agent")
-    seen: set[int] = set()
-    for a in inst.actions:
-        if a.action_id in seen:
-            raise DuplicateActionIdError(f"action id {a.action_id} appears twice")
-        seen.add(a.action_id)
-        if not 0 <= a.owner < inst.num_agents:
-            raise UnknownAgentIdError(f"action {a.action_id} owned by unknown agent {a.owner}")
-        if a.cost.numerator < 0:
-            raise NegativeCostError(f"action {a.action_id} has cost {a.cost} < 0")
-    if seen != set(range(len(inst.actions))):
-        raise DuplicateActionIdError("action ids must be exactly 0..m-1")
-    if inst.oracle.num_actions != len(inst.actions):
-        raise ModelError(
-            f"oracle covers {inst.oracle.num_actions} actions, "
-            f"instance has {len(inst.actions)}")
+    """Check the oracle of an instance (which checked its own structure
+    when built): its width is the action count, f(empty) = 0, and every
+    singleton value lies in [0, 1], read by mask as ints over its den."""
     oracle = inst.oracle
+    if oracle.num_actions != len(inst.actions):
+        raise ModelError(
+            f"oracle covers {oracle.num_actions} actions, "
+            f"instance has {len(inst.actions)}")
     empty = oracle.read(0)
     if empty:
         raise NonzeroEmptyValueError(

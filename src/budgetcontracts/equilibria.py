@@ -383,11 +383,14 @@ def iter_min_contracts(inst: Instance, *, budget: Optional[Fraction] = None):
     n * 2^m table reads in all, where pricing each profile alone reads
     2^m * sum_i 2^|T_i|.
 
+    Costs are not negative, so the empty deviation is in every agent's
+    cheapest run: the first record is (0, 0, c_den, []) under any B >= 0.
+
     A ``budget`` B drops the profiles whose payments sum above it, and
     both walks stop at B * spread, spread = max f - min f, whatever the
-    signs of costs and values.  Agent j kept on S at alpha_j prefers S_j
-    to doing nothing, alpha_j * (f(S) - f(S - T_j)) >= c(S_j), so c(S_j)
-    <= alpha_j * spread; summed over the agents but the first, its rests
+    signs of values.  Agent j kept on S at alpha_j prefers S_j to doing
+    nothing, alpha_j * (f(S) - f(S - T_j)) >= c(S_j), so c(S_j) <=
+    alpha_j * spread; summed over the agents but the first, its rests
     R have c(R) <= B * spread.  Each agent reads only the deviations d
     with c(d) <= B * spread: for 0 <= alpha <= B a dearer d's line is
     below the empty deviation's, alpha * f(R + d) - c(d) < alpha * (f(R +

@@ -48,6 +48,7 @@ from budgetcontracts.objectives import PROFIT, evaluate
 from budgetcontracts.rewards import (
     PriceVector,
     RewardOracle,
+    _check_prices,
     mask_to_set,
     set_to_mask,
     with_table,
@@ -229,10 +230,8 @@ class HardnessOracle(RewardOracle):
 def hardness_demand(oracle: HardnessOracle, prices: PriceVector) -> frozenset[int]:
     """Demand via the twelve-candidate simulation (see HardnessOracle)."""
     n, eps = oracle.n, oracle.eps
-    units = [a for a in range(n) if a not in prices.excluded]
-    for a in units:
-        if a not in prices.prices:
-            raise ModelError(f"unit action {a} neither priced nor excluded")
+    items = _check_prices(oracle, prices)
+    units = [a for a in items if a < n]
     negative = [a for a in units if prices.prices[a] < 0]
     if len(negative) > n // 2 + 1:
         # they saturate the capped count; the lexicographic rule buys the
@@ -250,11 +249,8 @@ def hardness_demand(oracle: HardnessOracle, prices: PriceVector) -> frozenset[in
         if tau >= 2:
             unit_options.add(frozenset(order[:tau - 2]) | {order[tau - 1]})
     special_options = [frozenset()]
-    for special in (good_action(n), bad_action(n)):
-        if special not in prices.excluded:
-            if special not in prices.prices:
-                raise ModelError(f"action {special} neither priced nor excluded")
-            special_options += [opt | {special} for opt in list(special_options)]
+    for special in items[len(units):]:  # the bad and good action, unless excluded
+        special_options += [opt | {special} for opt in list(special_options)]
     candidates = sorted({u | sp for u in unit_options for sp in special_options},
                         key=lambda s: tuple(sorted(s)))
     # the first candidate of the highest utility, one value query each, on ints

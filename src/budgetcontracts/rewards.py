@@ -198,19 +198,12 @@ def submask_sums(mask: int, weights) -> dict[int, int | Fraction]:
 
 def submask_sums_upto(mask: int, weights, limit: int) -> dict[int, int]:
     """The entries of ``submask_sums(mask, weights)`` weighing at most
-    ``limit``, in the same order, the others never built: a partial sum
-    is dropped once it tops the limit even with every negative weight
-    still to come."""
-    bits = _set_bits(mask)
-    top = limit - sum(min(weights[a], 0) for a in bits)
-    out = [(0, 0)] if top >= 0 else []
-    for a in bits:
+    ``limit``, in the same order, for weights >= 0 (an instance's costs):
+    a partial sum above the limit is never extended."""
+    out = [(0, 0)] if limit >= 0 else []
+    for a in _set_bits(mask):
         w, bit = weights[a], 1 << a
-        top += min(w, 0)
-        more = [(k | bit, v + w) for k, v in out if v <= top - w]
-        if w < 0:
-            out = [p for p in out if p[1] <= top]
-        out += more
+        out += [(k | bit, v + w) for k, v in out if v <= limit - w]
     return dict(out)
 
 
@@ -390,20 +383,20 @@ class ExplicitOracle(RewardOracle):
     One pass groups the entries (by object identity; a descriptor's by
     string) into codes, each group is read once as a reduced p/q, and the
     codes pick each entry's int over the common denominator ``den``.
-    Validation (unless ``validate=False``): f(empty) = 0 first, then the
-    range and monotonicity on the ints packed into one int
-    (:func:`_packed_monotone`).  The first failing check in mask order
-    raises, the range check before the monotonicity check at one mask.
+    Validation: f(empty) = 0 first, then the range and monotonicity on the
+    ints packed into one int (:func:`_packed_monotone`).  The first failing
+    check in mask order raises, the range check before the monotonicity
+    check at one mask (:meth:`_raise_first_fault`).
     """
 
     function_class = "monotone"
 
-    def __init__(self, values: Sequence[Fraction], validate: bool = True):
+    def __init__(self, values: Sequence[Fraction]):
         firsts = {id(v): v for v in values}  # each object once, first seen first
         codes = list(map(dict(zip(firsts, itertools.count())).__getitem__,
                          map(id, values)))
         exact = map(exact_rational, firsts.values())
-        self._fill(codes, list(map(Fraction.as_integer_ratio, exact)), validate)
+        self._fill(codes, list(map(Fraction.as_integer_ratio, exact)))
 
     @classmethod
     def _from_entries(cls, entries: list) -> "ExplicitOracle":
@@ -417,10 +410,10 @@ class ExplicitOracle(RewardOracle):
         if codes is None or not all(type(e) is str for e in code):
             return cls(list(map(parse_rational, entries)))
         oracle = cls.__new__(cls)
-        oracle._fill(codes, list(map(parse_ratio, code)), True)
+        oracle._fill(codes, list(map(parse_ratio, code)))
         return oracle
 
-    def _fill(self, codes: Sequence[int], ratios: list, validate: bool) -> None:
+    def _fill(self, codes: Sequence[int], ratios: list) -> None:
         """Fill the table from each entry's code and each code's (p, q)."""
         size = len(codes)
         m = size.bit_length() - 1
@@ -431,8 +424,8 @@ class ExplicitOracle(RewardOracle):
         levels = [p * (den // q) for p, q in ratios]
         ints = list(_picker(codes)(levels))
         self._ints, self.den = ints, den
-        if validate and (ints[0] != 0 or min(levels) < 0 or max(levels) > den
-                         or not _packed_monotone(ints, den)):
+        if ints[0] != 0 or min(levels) < 0 or max(levels) > den \
+                or not _packed_monotone(ints, den):
             self._raise_first_fault(ints, den)
 
     @cached_property

@@ -29,7 +29,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from itertools import accumulate, chain
+from itertools import accumulate
 from operator import itemgetter, or_
 from typing import Iterable, Optional, Sequence
 
@@ -66,8 +66,8 @@ class SolveResult:
     demand_queries: int = 0
 
 
-def _race(obj: Objective, inst: Instance, records: Iterable[tuple],
-          zero: int) -> tuple[Contract, frozenset[int], Fraction]:
+def _race(obj: Objective, inst: Instance, records: Iterable[tuple]
+          ) -> tuple[Contract, frozenset[int], Fraction]:
     """The first (contract, profile, value) of maximal objective value over
     minimal-contract ``records`` (mask, tn, td, paid) of
     :func:`equilibria.iter_min_contracts`, on an instance carrying its table.
@@ -76,16 +76,16 @@ def _race(obj: Objective, inst: Instance, records: Iterable[tuple],
     is worth ((d td - pn tn) F(S) c_den - wn td C(S) f_den) / (d td f_den
     c_den), F(S) from ``Instance.scaled_f`` and C(S) from the agents' cost
     sums; records compare on these numerators cross-multiplied by td > 0.
-    The zero record at ``zero`` (:func:`_zero_mask`, made once per solve)
-    enters first, a later one wins only strictly, and only the winner becomes
-    a Contract (:func:`equilibria.contract_of`), a frozenset and a Fraction.
+    The first is the walk's unpaid empty profile (costs are not negative),
+    which every caller's filter keeps; a later one wins only strictly, and
+    only the winner becomes a Contract (:func:`equilibria.contract_of`).
     """
     f, f_den = inst.scaled_f
     c_den = inst.int_costs[1]
     pn, wn, d = obj.weights
     parts = tuple(zip(inst.agent_masks, inst.agent_cost_sums)) if wn else ()
     best = None
-    for mask, tn, td, paid in chain([(zero, 0, 1, ())], records):
+    for mask, tn, td, paid in records:
         v = (d * td - pn * tn) * f(mask) * c_den
         if wn:
             v -= wn * td * f_den * sum(costs[mask & own] for own, costs in parts)
@@ -94,14 +94,6 @@ def _race(obj: Objective, inst: Instance, records: Iterable[tuple],
     v, td, mask, paid = best
     return contract_of(inst, paid), mask_to_set(mask), \
         Fraction(v, d * td * f_den * c_den)
-
-
-def _zero_mask(inst: Instance) -> int:
-    """The zero contract's best response, every negative-cost action (none
-    in a validated instance), an equilibrium whatever f is.  The sign is
-    read off each cost's numerator, without a Fraction compare."""
-    return set_to_mask(a.action_id for a in inst.actions
-                       if a.cost.numerator < 0)
 
 
 def _check_budget(budget: Fraction) -> None:
@@ -155,8 +147,7 @@ def _brute(inst: Instance, budget: Fraction, obj: Objective, label: str,
     records = iter_min_contracts(inst, budget=budget)
     if keep is not None:
         records = filter(keep, records)
-    return SolveResult(*_race(obj, inst, records, _zero_mask(inst)),
-                       "exact", label, budget)
+    return SolveResult(*_race(obj, inst, records), "exact", label, budget)
 
 
 def gs_single_agent_exact(inst: Instance, agent: int, obj: Objective,
@@ -433,7 +424,7 @@ def additive_fptas(inst: Instance, budget: Fraction, eps: Fraction,
     budget-feasible one for reward and welfare, the (1 - payment) * value
     maximizer below it for profit.  Welfare mirrors the reward selection
     rule.  A later scale's pick must beat the best so far strictly, the
-    unpaid profile (:func:`_zero_mask`) entering first.
+    unpaid empty profile entering first.
 
     The sweep runs on integers.  Each singleton f({a}) is read once, and
     the tables of all scales share one :class:`_PrefixLayout` built from
@@ -441,8 +432,8 @@ def additive_fptas(inst: Instance, budget: Fraction, eps: Fraction,
     of f at its mask, the table's integer payment and the prefixes'
     integer costs; only the winner becomes a contract and a set of actions.
     On an instance without a table the solve issues m + 1 + |scales| value
-    queries: the singletons in ascending order, then f of the unpaid
-    profile, then f of each scale's pick.
+    queries: the singletons in ascending order, then f of the unpaid empty
+    profile, read rather than taken as 0, then f of each scale's pick.
     """
     if obj.kind not in ("profit", "reward", "welfare"):
         raise ModelError("additive FPTAS supports profit, reward, welfare")
@@ -451,14 +442,12 @@ def additive_fptas(inst: Instance, budget: Fraction, eps: Fraction,
     layout = _PrefixLayout.build(inst, basis, eps, budget)
 
     f, f_den = inst.scaled_f
-    c_int, c_den = inst.int_costs
+    c_den = inst.int_costs[1]
     n, den = inst.num_agents, layout.den
     p, w, _ = obj.weights  # d = 1 for the pure kinds
-    # the best value so far times den * f_den * c_den, the unpaid
+    # the best value so far times den * f_den * c_den, the unpaid empty
     # profile's first, and its table and column
-    zero = _zero_mask(inst)
-    top = den * (f(zero) * c_den - w * f_den * sum(
-        c_int[a] for a in mask_to_set(zero)))
+    top = den * f(0) * c_den
     best = None
     for b in layout.scales:
         dp = build_dp_table(layout, b)
@@ -479,7 +468,7 @@ def additive_fptas(inst: Instance, budget: Fraction, eps: Fraction,
         v = (den - p * pay) * f(mask) * c_den - w * den * c_s * f_den
         if v > top:
             top, best = v, (dp, t_star)
-    pair = (Contract.zero(n), mask_to_set(zero)) if best is None \
+    pair = (Contract.zero(n), frozenset()) if best is None \
         else best[0].reconstruct(inst, best[1])
     value = Fraction(top, den * f_den * c_den)
     return SolveResult(*pair, value, 1 / (1 - eps), str(obj), budget)
@@ -638,8 +627,8 @@ def downsize(inst: Instance, m_param: int, alpha: Contract,
                            p / (inst.num_agents * m_param))
 
 
-def _profit_base(inst: Instance, records: Sequence[tuple], budget: Fraction,
-                 zero: int) -> tuple[Contract, frozenset[int], Fraction]:
+def _profit_base(inst: Instance, records: Sequence[tuple], budget: Fraction
+                 ) -> tuple[Contract, frozenset[int], Fraction]:
     """The pipeline's base and its reward f(S): the profit optimum at
     budget 1 with costs scaled by k = 4/(3B), rescaled by 3B/4.
 
@@ -652,7 +641,7 @@ def _profit_base(inst: Instance, records: Sequence[tuple], budget: Fraction,
     cap_n, cap_d = (Fraction(3, 4) * budget).as_integer_ratio()
     alpha, profile, _ = _race(PROFIT, inst, (
         (mask, tn * cap_d, td * cap_n, paid) for mask, tn, td, paid in records
-        if tn * cap_d <= cap_n * td), zero)
+        if tn * cap_d <= cap_n * td))
     f, f_den = inst.scaled_f
     return alpha, profile, Fraction(f(set_to_mask(profile)), f_den)
 
@@ -685,15 +674,14 @@ def gs_constant_factor(inst: Instance, budget: Fraction, obj: Objective, *,
     check_enumeration(inst.num_actions, "GS pipeline")
     inst = with_table(inst)  # one table for every stage
     records = list(iter_min_contracts(inst, budget=budget))
-    zero = _zero_mask(inst)
     singles = [[r for r in records if not r[0] & ~own]
                for own in inst.agent_masks]
     # each stage races (contract, profile, value) picks; max keeps the first
-    mrb = max([_profit_base(inst, records, budget, zero)]
-              + [_race(REWARD, inst, own, zero) for own in singles],
+    mrb = max([_profit_base(inst, records, budget)]
+              + [_race(REWARD, inst, own) for own in singles],
               key=itemgetter(2))
     down = downsize(inst, 6, *mrb[:2])
     best = max([(*down, evaluate(obj, inst, *down))]
-               + [_race(obj, inst, own, zero) for own in singles],
+               + [_race(obj, inst, own) for own in singles],
                key=itemgetter(2))
     return SolveResult(*best, Fraction(6001), str(obj), budget)

@@ -1,11 +1,21 @@
-"""The minimal-contract records as (mask, Contract) pairs, and an instance
-whose records run past a huge common denominator, for the tests."""
+"""The minimal-contract records as (mask, Contract) pairs, an instance
+whose records run past a huge common denominator, and an explicit table
+left unchecked, for the tests."""
 
 from fractions import Fraction
 
 from budgetcontracts.core import Action, Instance
 from budgetcontracts.equilibria import contract_of, iter_min_contracts
-from budgetcontracts.rewards import AdditiveOracle, with_table
+from budgetcontracts.rewards import AdditiveOracle, ExplicitOracle, with_table
+
+
+class UncheckedExplicit(ExplicitOracle):
+    """An explicit table whose f(empty), range and monotonicity go
+    unchecked, so that f may be nonzero at the empty set, fall, or leave
+    [0, 1]."""
+
+    def _raise_first_fault(self, ints, den):
+        pass
 
 
 def contract_pairs(inst, **kwargs):

@@ -241,3 +241,37 @@ def test_deeply_nested_input_is_a_schema_error(tmp_path, text, argv):
     assert out.getvalue() == ""
     assert json.loads(err.getvalue()) == {"error": {
         "type": "SchemaError", "message": "input nested too deeply"}}
+
+
+NOT_UTF8 = b"\xff\xfe{}"
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--instance", "{bad}", "--budget", "1/2"],
+    ["verify-ne", "--instance", GEN, "--pair", "{bad}"],
+    ["solve", "--instance", GEN, "--budget", "1/2", "--objective", "{bad}"],
+], ids=["instance", "pair", "objective"])
+def test_a_file_not_in_utf8_is_a_schema_error(tmp_path, argv):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(NOT_UTF8)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert main([a.format(bad=bad) for a in argv]) == 1
+    assert out.getvalue() == ""
+    error = json.loads(err.getvalue())["error"]
+    assert error["type"] == "SchemaError"
+    assert error["message"].startswith("input is not UTF-8: ")
+
+
+# any bytes, or a valid start cut by bytes that are no UTF-8
+BYTES = st.binary(max_size=40) | st.sampled_from(
+    [NOT_UTF8, b"{\xc3}", b"\xed\xa0\x80"]).map(
+        json.dumps(BASE_DOCS[0]).encode()[:20].__add__)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(BYTES)
+def test_cli_survives_instance_file_bytes(workdir, data):
+    (workdir / "bytes.json").write_bytes(data)
+    assert_clean_exit(["solve", "--instance", "{dir}/bytes.json",
+                       "--budget", "1/2"], workdir)

@@ -2,6 +2,7 @@ import json
 import random
 import re
 import sys
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -18,6 +19,7 @@ from budgetcontracts.core import (
     NonzeroEmptyValueError,
     RationalParseError,
     UnknownActionIdError,
+    UnknownAgentIdError,
     cost,
     format_rational,
     parse_ratio,
@@ -28,7 +30,9 @@ from budgetcontracts.core import (
 from budgetcontracts.hardness import HardnessParams, build_hardness, good_action
 from budgetcontracts.objectives import PROFIT, REWARD, WELFARE, Objective, \
     combo
-from budgetcontracts.rewards import AdditiveOracle, ExplicitOracle
+from budgetcontracts.rewards import AdditiveOracle
+
+from contract_pairs import UncheckedExplicit
 
 
 def two_agent_instance():
@@ -41,41 +45,58 @@ def test_validate_well_formed():
 
 
 def test_validate_negative_cost():
-    inst = Instance(1, (Action(0, 0, F(-1)),), AdditiveOracle([F(1, 2)]))
     with pytest.raises(NegativeCostError):
-        validate_instance(inst)
+        Instance(1, (Action(0, 0, F(-1)),), AdditiveOracle([F(1, 2)]))
 
 
 def test_validate_duplicate_id():
-    inst = Instance(1, (Action(0, 0, F(0)), Action(0, 0, F(0))),
-                    AdditiveOracle([F(1, 4), F(1, 4)]))
     with pytest.raises(DuplicateActionIdError):
-        validate_instance(inst)
+        Instance(1, (Action(0, 0, F(0)), Action(0, 0, F(0))),
+                 AdditiveOracle([F(1, 4), F(1, 4)]))
 
 
 def test_ids_outside_0_to_m_set_no_mask_bit_and_fail_validation():
-    # the agent masks take bits 0..m-1 only: a huge id allocates nothing
+    # the ids are checked before any mask is built: a huge id allocates nothing
     for bad in (-1, 1, 10 ** 18):
-        inst = Instance(1, (Action(bad, 0, F(0)),), AdditiveOracle([F(1, 4)]))
-        assert inst.agent_masks == (0,)
-        with pytest.raises(DuplicateActionIdError):
-            validate_instance(inst)
+        with pytest.raises(DuplicateActionIdError, match="exactly 0..m-1"):
+            Instance(1, (Action(bad, 0, F(0)),), AdditiveOracle([F(1, 4)]))
 
 
 def test_validate_checks_the_agent_count_first():
     # with no agent every owner is unknown; the count is what is wrong
     for n in (0, -2):
-        inst = Instance(n, (Action(0, 0, F(0)),), AdditiveOracle([F(1, 4)]))
         with pytest.raises(ModelError, match="need at least one agent"):
-            validate_instance(inst)
+            Instance(n, (Action(0, 0, F(0)),), AdditiveOracle([F(1, 4)]))
+
+
+@pytest.mark.parametrize("n,actions,error,message", [
+    (0, [(0, 5, -1), (0, 0, 0)], ModelError, "need at least one agent"),
+    (1, [(0, 5, -1)], UnknownAgentIdError, "owned by unknown agent 5"),
+    (1, [(0, 0, -1), (0, 0, 0)], NegativeCostError, "cost -1 < 0"),
+    (1, [(0, 0, 0), (0, 3, -1)], DuplicateActionIdError, "appears twice"),
+    (1, [(1, 0, -1)], NegativeCostError, "cost -1 < 0"),
+    (1, [(1, 0, 0), (2, 0, 0)], DuplicateActionIdError, "exactly 0..m-1"),
+])
+def test_instance_refuses_the_first_fault_in_order(n, actions, error, message):
+    # the agent count, then per action a duplicate id, an unknown owner and
+    # a negative cost, then ids not exactly 0..m-1
+    with pytest.raises(error, match=message):
+        Instance(n, tuple(Action(a, o, F(c)) for a, o, c in actions),
+                 AdditiveOracle([F(1, 4)] * len(actions)))
+
+
+def test_validate_instance_checks_the_oracle_only():
+    inst = two_agent_instance()
+    for oracle, message in ((AdditiveOracle([F(1, 4)]), "oracle covers 1"),
+                            (UncheckedExplicit([F(0), F(3, 2), F(1, 4), F(1)]),
+                             r"f\(\{0\}\) = 3/2 outside")):
+        with pytest.raises(ModelError, match=message):
+            validate_instance(replace(inst, oracle=oracle))
 
 
 def test_validate_nonzero_empty_value():
-    class Shifted(ExplicitOracle):
-        def __init__(self):
-            super().__init__([F(1, 10), F(1, 2)], validate=False)
-
-    inst = Instance(1, (Action(0, 0, F(0)),), Shifted())
+    inst = Instance(1, (Action(0, 0, F(0)),),
+                    UncheckedExplicit([F(1, 10), F(1, 2)]))
     with pytest.raises(NonzeroEmptyValueError):
         validate_instance(inst)
 
@@ -189,8 +210,22 @@ def test_rational_parse_errors():
         parse_rational("not-a-number")
 
 
+def _big_exponent(text):
+    """Whether ``text`` ends in an exponent above the int digit limit, which
+    is refused before ``Fraction`` builds 10^exponent."""
+    end = re.search(r"[eE]([-+]?[\d_]+)\s*\Z", text) \
+        if isinstance(text, str) else None
+    try:
+        return bool(end) and abs(int(end[1])) > sys.get_int_max_str_digits()
+    except ValueError:  # not an int, or more digits than the limit
+        return False
+
+
 def _fraction_or_none(text):
-    """What ``Fraction`` makes of the stripped text, None when it fails."""
+    """What ``Fraction`` makes of the stripped text, None when it fails or
+    when the text ends in too large an exponent."""
+    if _big_exponent(text):
+        return None
     try:
         return F(text.strip())
     except (AttributeError, TypeError, ValueError, ZeroDivisionError):
@@ -209,6 +244,9 @@ def _check_parse(text):
             assert str(err.value).startswith(
                 f"rational too long to parse: more than {limit} digits")
             assert len(str(err.value)) < 120
+        elif _big_exponent(text):
+            assert str(err.value) == (f"rational exponent above {limit} in "
+                                      f"absolute value: {text[:40]!r}")
         else:
             assert str(err.value) == f"not a valid rational: {text!r}"
     else:
@@ -243,9 +281,21 @@ def test_parse_rational_named_cases():
                  " 3/4 ", "1_0/3", "\u0663/4", "1e3", "1.5", "3/ 4", "3/0",
                  "3/00", "-/4", "3/", "/4", "-", "", "3/4/5", "--3",
                  "1" * 5000, "1/" + "2" * 5000, "1" * 4300 + "/7",
-                 True, 1.0, None, b"3/4"):
+                 "1e4301", "1e-4301", "1E+4_301", "0e99999999999",
+                 "--1e5000", " 7.5E-0004301 ", "2.5e-3", "1e300", "1e-4300",
+                 "1e" + "9" * 4301, True, 1.0, None, b"3/4"):
         _check_parse(text)
     assert parse_rational(7) == 7 and parse_rational(-2) == -2
+
+
+def test_parse_rational_refuses_no_exponent_without_a_digit_limit():
+    # the named cases hold the refusals under the default limit of 4300
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert parse_ratio("1e-4301") == (1, 10 ** 4301)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_rational_json_roundtrip_bit_exact():

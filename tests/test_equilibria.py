@@ -127,17 +127,18 @@ def _nash_cases(draw):
     return inst, alpha, frozenset(draw(st.sets(st.integers(0, m - 1))))
 
 
-# never validated: action 1 pays its owner to take it, so at alpha = 0 the
-# empty profile fails and {1} holds
-_PAID_TO_ACT = Instance(2, (Action(0, 0, F(1, 6)), Action(1, 0, F(-1, 10)),
+# each agent owns a free action, so at alpha = 0 the empty profile and {1}
+# hold, tied, while {0} fails
+_FREE_TO_ACT = Instance(2, (Action(0, 0, F(1, 6)), Action(1, 0, F(0)),
                             Action(2, 1, F(2, 15)), Action(3, 1, F(0))),
                         AdditiveOracle([F(1, 5), F(1, 7), F(1, 3), F(1, 9)]))
 
 
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
 @given(_nash_cases())
-@example((_PAID_TO_ACT, Contract.zero(2), frozenset()))
-@example((_PAID_TO_ACT, Contract.zero(2), frozenset({1})))
+@example((_FREE_TO_ACT, Contract.zero(2), frozenset()))
+@example((_FREE_TO_ACT, Contract.zero(2), frozenset({1})))
+@example((_FREE_TO_ACT, Contract.zero(2), frozenset({0})))
 def test_nash_violator_is_the_certificate_verdict(case):
     inst, alpha, profile = case
     oracle = inst.oracle
@@ -499,7 +500,7 @@ UNLIKE = (F(0), F(1, 7), F(2, 9), F(5, 11))
 
 def _wide_walk_cases(seed, count, max_actions):
     """GS, explicit and coverage instances under contracts over unlike
-    denominators, then one instance built directly with a negative cost."""
+    denominators, then one built directly with a free action per agent."""
     rng = random.Random(seed)
     makers = (random_gs_instance, random_explicit_monotone_instance,
               random_coverage_instance)
@@ -512,7 +513,7 @@ def _wide_walk_cases(seed, count, max_actions):
         yield inst, alpha, general
     for alpha in itertools.product(UNLIKE, repeat=2):
         general = random_general_contract(rng.randint(0, 10 ** 6), 2)
-        yield _PAID_TO_ACT, Contract(alpha), general
+        yield _FREE_TO_ACT, Contract(alpha), general
 
 
 def test_deviation_walk_matches_the_reference_loops():

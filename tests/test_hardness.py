@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from budgetcontracts.core import Contract, validate_instance
+from budgetcontracts.core import Contract, ModelError, validate_instance
 from budgetcontracts.equilibria import is_nash
 from budgetcontracts.hardness import (
     BadHiddenSetSizeError,
@@ -123,6 +123,25 @@ def test_hardness_demand_matches_brute_force(n, budget):
         brute = brute_force_demand(inst.oracle, pv, table=table)
         u = lambda s: table[sum(1 << a for a in s)] - pv.total(s)
         assert u(sim) == u(brute), pv.prices
+
+
+@pytest.mark.parametrize("missing", [(2,), (4,), (5,), (4, 5), (5, 1)],
+                         ids=["unit", "bad", "good", "bad-and-good",
+                              "good-and-unit"])
+def test_hardness_demand_refuses_an_unpriced_action_as_brute_force(missing):
+    # one rule for the price vector: the first action neither priced nor
+    # excluded, in id order, is named
+    oracle = build_hardness(params4()).oracle
+    for excluded in ((), (3,)):
+        pv = PriceVector.of({a: F(1, 8) for a in range(6) if a not in missing},
+                            excluded)
+        errors = []
+        for demand in (hardness_demand, brute_force_demand):
+            with pytest.raises(ModelError) as err:
+                demand(oracle, pv)
+            errors.append((type(err.value), str(err.value)))
+        assert errors[0] == errors[1] == (
+            ModelError, f"action {min(missing)} neither priced nor excluded")
 
 
 def test_hardness_demand_falls_back_when_very_negative():

@@ -27,7 +27,8 @@ from budgetcontracts.objectives import (
 from budgetcontracts.rewards import AdditiveOracle, ExplicitOracle, \
     set_to_mask, subset_sums, with_table
 
-from contract_pairs import contract_pairs, huge_denominator_instance
+from contract_pairs import UncheckedExplicit, contract_pairs, \
+    huge_denominator_instance
 
 
 def small_instance():
@@ -306,12 +307,12 @@ BEST_OBJECTIVES = (PROFIT, REWARD, WELFARE,
 
 def _unvalidated_instance(rng):
     """Two agents on three actions with an unvalidated table, values in
-    [-1/4, 1], and costs in [-1/8, 1/4]: f may fall, go negative or make
-    acting pay, so that every property has a counterexample."""
+    [-1/4, 1], and costs in [0, 1/4]: f may fall or go negative, so that
+    every property has a counterexample."""
     values = [F(0)] + [F(rng.randint(-2, 8), 8) for _ in range(7)]
-    return Instance(2, tuple(Action(a, a % 2, F(rng.randint(-1, 2), 8))
+    return Instance(2, tuple(Action(a, a % 2, F(rng.randint(0, 2), 8))
                              for a in range(3)),
-                    ExplicitOracle(values, validate=False))
+                    UncheckedExplicit(values))
 
 
 def test_int_verifier_matches_the_fraction_reference():

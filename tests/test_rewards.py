@@ -55,6 +55,9 @@ from budgetcontracts.rewards import (
     value_table,
 )
 
+from contract_pairs import UncheckedExplicit
+
+
 EPS = F(1, 32)
 
 
@@ -454,11 +457,11 @@ def test_bounded_cost_order_is_the_full_order_cut_at_the_limit():
     for m in range(1, 12):
         for trial in range(4):
             # few cost levels, so many sets tie; on odd trials one action
-            # costs less than nothing
+            # costs more than every limit
             weights = {a: rng.choice((0, 1, 2, 3, 5)) for a in range(2 * m)}
             mask = set_to_mask(rng.sample(range(2 * m), m))
             if trial % 2:
-                weights[rng.choice(_scan_members(mask))] = -4
+                weights[rng.choice(_scan_members(mask))] = 3 * m + 1
             full = submask_sums(mask, weights)
             runs = cost_runs(full)
             for limit in (-5, -1, 0, 1, 4, 9, 3 * m):
@@ -873,8 +876,8 @@ def test_class_testers_on_the_int_table_match_a_fraction_reference():
             rng.sample(range(d), rng.randint(0, d)) for _ in range(4)])))
     seen = collections.Counter()
     for values in tables:
-        got = ExplicitOracle(values, validate=False)
-        ref = ExplicitOracle(values, validate=False)
+        got = UncheckedExplicit(values)
+        ref = UncheckedExplicit(values)
         for tester, reference in zip(
                 (is_monotone, is_submodular, is_gross_substitutes),
                 _reference_testers(ref)):
@@ -1145,8 +1148,7 @@ def test_explicit_loader_matches_the_reference_loader():
             {"type": "explicit", "values": e}), descriptor) == want
         assert _load_outcome(ExplicitOracle, values) == \
             _load_outcome(_ReferenceExplicit, values)
-        unchecked = _load_outcome(lambda v: ExplicitOracle(v, validate=False),
-                                  values)
+        unchecked = _load_outcome(UncheckedExplicit, values)
         assert unchecked == _load_outcome(
             lambda v: _ReferenceExplicit(v, validate=False), values)
         if isinstance(want[0], list):  # accepted: the packer agrees
@@ -1219,7 +1221,7 @@ def test_packed_check_matches_the_testers_on_random_tables():
         tables.extend(_mutations(rng, values))
     seen = collections.Counter()
     for values in tables:
-        o = ExplicitOracle(values, validate=False)
+        o = UncheckedExplicit(values)
         levels = sorted(set(o._ints))
         ranks = [levels.index(k) for k in o._ints]
         ok = _packed_monotone(ranks, len(levels) - 1)
@@ -1239,7 +1241,7 @@ def test_packed_check_finds_a_single_fault_at_every_bit(m):
         without = [mask for mask in range(1, 1 << m) if not mask >> b & 1]
         for mask in {without[0], without[len(without) // 2], without[-1]}:
             values = _one_fault_table(m, mask, b)
-            o = ExplicitOracle(values, validate=False)
+            o = UncheckedExplicit(values)
             assert is_monotone(o) == (False, (mask_to_set(mask), b))
             assert not _packed_monotone(o._ints, max(o._ints))
             got = _outcome(ExplicitOracle, values)
@@ -1301,7 +1303,7 @@ def test_explicit_validation_reports_first_fault_in_mask_order():
 
 def test_explicit_unvalidated_table_and_bad_lengths():
     values = [F(1, 10), F(-1, 3), F(5, 4), F(1, 2)]
-    assert ExplicitOracle(values, validate=False).values == tuple(values)
+    assert UncheckedExplicit(values).values == tuple(values)
     for size in (0, 3, 6):
         with pytest.raises(ModelError, match="power of two"):
             ExplicitOracle([F(0)] * size)

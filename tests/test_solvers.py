@@ -18,7 +18,8 @@ from budgetcontracts.equilibria import best_response, is_nash, \
     min_incentivizing_contract, ne_from_demand, single_agent_hull
 from budgetcontracts.generators import random_additive_instance, \
     random_coverage_instance, random_explicit_monotone_instance, \
-    random_gs_instance, random_oxs_instance, random_unit_demand_instance
+    random_gs_instance, random_oxs_instance, random_uniform_k_instance, \
+    random_unit_demand_instance
 from budgetcontracts.hardness import HardnessParams, build_hardness, good_action
 from budgetcontracts.objectives import PROFIT, REWARD, WELFARE, combo, \
     evaluate
@@ -39,7 +40,8 @@ from budgetcontracts.solvers import (
     single_agent_fptas,
 )
 
-from contract_pairs import contract_pairs, huge_denominator_instance
+from contract_pairs import UncheckedExplicit, contract_pairs, \
+    huge_denominator_instance
 
 
 def all_subsets(items):
@@ -72,21 +74,6 @@ def test_brute_force_hardness_profit_floor():
     r = brute_force_opt(inst, budget, PROFIT)
     assert r.value >= (1 - budget) / 2
     assert good_action(4) in r.profile
-
-
-def test_zero_contract_seed_is_an_equilibrium():
-    # unpaid, the agent still takes its negative-cost action, so the zero
-    # contract with the empty profile is no equilibrium
-    inst = Instance(1, (Action(0, 0, F(-1, 4)),), ExplicitOracle([F(0), F(0)]))
-    results = [brute_force_opt(inst, F(1, 2), PROFIT),
-               max_reward_bounded_brute(inst, F(1, 2)),
-               gs_single_agent_exact(inst, 0, PROFIT, F(1, 2)),
-               additive_fptas(inst, F(1, 2), F(1, 4), PROFIT),
-               single_agent_fptas(inst, F(0), F(1, 4)),
-               gs_constant_factor(inst, F(0), PROFIT, force=True)]
-    for r in results:
-        assert r.contract.total() == 0 and r.profile == frozenset({0})
-        assert is_nash(inst, r.contract, r.profile).ok
 
 
 def _reference_min_contract(inst, profile, *, enum_cap=20, table=None):
@@ -210,14 +197,14 @@ def _tied_line_instances():
     """Instances whose deviation lines tie, cross and meet in one point."""
     rng = random.Random(59)
     levels = [F(0), F(1, 8), F(1, 4), F(1, 3), F(1, 2), F(3, 4)]
-    costs = [F(-1, 6), F(0), F(0), F(1, 12), F(1, 12), F(1, 6), F(1, 4)]
+    costs = [F(0), F(0), F(0), F(1, 12), F(1, 12), F(1, 6), F(1, 4)]
     for _ in range(40):
         n, m = rng.randint(1, 3), rng.randint(1, 6)
         actions = tuple(Action(a, rng.randrange(n), rng.choice(costs))
                         for a in range(m))
         # any table, monotone or not, with equal values and equal costs
         values = [rng.choice(levels) for _ in range(1 << m)]
-        yield Instance(n, actions, ExplicitOracle(values, validate=False))
+        yield Instance(n, actions, UncheckedExplicit(values))
     # the degenerate pencil: with costs w/3 every line
     # alpha * (f(R) + w(d)) - w(d)/3 passes through alpha = 1/3
     w = [F(k, 36) for k in (1, 2, 3, 5, 8, 4)]
@@ -232,8 +219,8 @@ def _tied_line_instances():
 
 def _lopsided_instances():
     """Agents of very different sizes: one owns 1 action, another m - 2,
-    a third the last action, at a negative cost on every other instance,
-    and a fourth owns none."""
+    a third the last action, free on every other instance, and a fourth
+    owns none."""
     rng = random.Random(67)
     for t in range(10):
         m = rng.randint(4, 7)
@@ -241,7 +228,7 @@ def _lopsided_instances():
         rng.shuffle(owners)
         costs = [F(rng.randint(0, 6), 24) for _ in range(m)]
         if t % 2:
-            costs[owners.index(2)] = F(-1, 12)
+            costs[owners.index(2)] = F(0)
         table = random_explicit_monotone_instance(
             rng.randint(0, 10 ** 6), num_agents=1, num_actions=m).oracle
         yield Instance(4, tuple(Action(a, owners[a], costs[a])
@@ -265,8 +252,8 @@ def _budget_bound_instances():
     c(R) <= B * spread, and on deviations, c(d) <= B * spread: a profile
     paying exactly B whose rest costs B * spread, an agent priced second
     whose dearest deviations are cut, unvalidated tables leaving [0, 1],
-    tables of one value (spread 0), zero-cost actions and one
-    negative-cost action."""
+    tables of one value (spread 0), zero-cost actions and one dear
+    action."""
     # {0, 1} needs alpha_1 = 1/2 and alpha_0 = 0; at B = 1/2 the rest {1}
     # costs 1/2 = B * spread
     yield Instance(2, (Action(0, 0, F(0)), Action(1, 1, F(1, 2))),
@@ -281,14 +268,14 @@ def _budget_bound_instances():
         cost_of = [rng.choice(costs) for _ in range(m)]
         if t % 4 == 0:
             values = [rng.choice(levels) for _ in range(1 << m)]
-            oracle = ExplicitOracle(values, validate=False)
+            oracle = UncheckedExplicit(values)
         elif t % 4 == 1:
-            oracle = ExplicitOracle([F(1, 3)] * (1 << m), validate=False)
+            oracle = UncheckedExplicit([F(1, 3)] * (1 << m))
         else:
             oracle = random_explicit_monotone_instance(
                 rng.randint(0, 10 ** 6), num_agents=1, num_actions=m).oracle
         if t % 4 == 3:
-            cost_of[rng.randrange(m)] = F(-1, 8)
+            cost_of[rng.randrange(m)] = F(1, 2)
         yield Instance(n, tuple(Action(a, owners[a], cost_of[a])
                                 for a in range(m)), oracle)
 
@@ -335,8 +322,8 @@ def test_min_contracts_price_the_largest_agent_first(monkeypatch):
 
     monkeypatch.setattr(equilibria, "_agent_payments", recording)
     # agent 0 owns action 2, agent 1 actions 0, 1, 4 and 5, agent 2
-    # action 3 at a negative cost, agent 3 none
-    owners, costs = (1, 1, 0, 2, 1, 1), (1, 2, 1, -1, 3, 1)
+    # action 3 at no cost, agent 3 none
+    owners, costs = (1, 1, 0, 2, 1, 1), (1, 2, 1, 0, 3, 1)
     inst = with_table(Instance(4, tuple(Action(a, owners[a], F(costs[a], 24))
                                         for a in range(6)),
                                AdditiveOracle([F(1, 8)] * 6)))
@@ -377,6 +364,27 @@ def test_budget_cuts_every_agents_deviations(monkeypatch):
             assert sorted(handed[1][0]) == [0, 0b100]
             assert any(alpha[1] > 0 for _, alpha in got)
     assert list(iter_min_contracts(inst, budget=F(-1, 8))) == []
+
+
+def test_the_walks_first_record_is_the_empty_profile_unpaid():
+    # costs are never negative, so the empty deviation is in every agent's
+    # cheapest run; _race and its callers start from this record
+    makers = (random_additive_instance, random_unit_demand_instance,
+              random_uniform_k_instance, random_oxs_instance,
+              random_coverage_instance, random_explicit_monotone_instance,
+              random_gs_instance)
+    rng = random.Random(83)
+    for maker in makers:
+        for _ in range(5):
+            m = rng.randint(1, 8)
+            inst = with_table(maker(rng.randint(0, 10 ** 6),
+                                    num_agents=rng.randint(1, min(m, 4)),
+                                    num_actions=m))
+            for budget in (F(0), F(1, 4), F(1)):
+                first = next(iter_min_contracts(inst, budget=budget))
+                assert first == (0, 0, inst.int_costs[1], [])
+    hard = with_table(build_hardness(HardnessParams.make(4, F(1, 2))))
+    assert next(iter_min_contracts(hard)) == (0, 0, hard.int_costs[1], [])
 
 
 def test_budget_cuts_the_first_rests_and_the_hull_lines(monkeypatch):
@@ -510,9 +518,9 @@ def test_single_agent_scheme_reads_one_min_contract_walk(monkeypatch):
 
 
 def _reference_race(obj, inst, pairs):
-    """The race on (mask, contract) pairs with one evaluate per pair."""
-    best_alpha = Contract.zero(inst.num_agents)
-    best_profile = frozenset(a for a in inst.ground_set if inst.cost_of[a] < 0)
+    """The race on (mask, contract) pairs with one evaluate per pair,
+    from the zero contract on the empty profile."""
+    best_alpha, best_profile = Contract.zero(inst.num_agents), frozenset()
     best_value = evaluate(obj, inst, best_alpha, best_profile)
     for mask, alpha in pairs:
         v = evaluate(obj, inst, alpha, mask_to_set(mask))
@@ -656,22 +664,6 @@ def test_gs_pipeline_builds_no_fraction_view(monkeypatch):
         inst.f
 
 
-def test_gs_pipeline_makes_the_zero_mask_once(monkeypatch):
-    calls = []
-    real = solvers._zero_mask
-
-    def counted(inst):
-        calls.append(inst)
-        return real(inst)
-
-    monkeypatch.setattr(solvers, "_zero_mask", counted)
-    for agents in (1, 3):
-        calls.clear()
-        inst = random_gs_instance(8, num_agents=agents, num_actions=5)
-        gs_constant_factor(inst, F(1, 2), WELFARE, force=True)
-        assert len(calls) == 1
-
-
 def test_profit_base_is_the_rescaled_optimum_at_scaled_costs():
     rng = random.Random(71)
     instances = list(_tied_line_instances()) + [
@@ -680,17 +672,16 @@ def test_profit_base_is_the_rescaled_optimum_at_scaled_costs():
     tied = 0
     for inst in map(with_table, instances):
         f = inst.f
-        zero = set_to_mask(a for a in inst.ground_set if inst.cost_of[a] < 0)
         for budget in (F(1, 4), F(2, 3), F(1)):
             cap = F(3, 4) * budget
             records = list(iter_min_contracts(inst, budget=budget))
             pairs = contract_pairs(inst, budget=budget)
             want = brute_force_opt(_scaled_costs(inst, 1 / cap), F(1), PROFIT)
-            alpha, profile, reward = solvers._profit_base(inst, records, budget, zero)
+            alpha, profile, reward = solvers._profit_base(inst, records, budget)
             assert (alpha, profile) == (want.contract.scale(cap), want.profile)
             assert reward == f[set_to_mask(profile)]
             assert want.value * cap == (cap - alpha.total()) * reward
-            values = [cap * f[zero]] + [(cap - a.total()) * f[mask]
+            values = [cap * f[0]] + [(cap - a.total()) * f[mask]
                                         for mask, a in pairs if a.total() <= cap]
             tied += values.count(max(values)) > 1
     assert tied > 20  # equal values keep the first pair
@@ -732,12 +723,11 @@ def _small_gs_instances(draw):
 @example(Instance(3, (Action(0, 0, F(1, 8)), Action(1, 2, F(0)),
                       Action(2, 0, F(1, 8))),
                   UnitDemandOracle([F(1, 2), F(1, 4), F(1, 2)])))
-# unvalidated, agent 1's action at a negative cost and f({1}) < 0: at B = 1,
-# without its 3B/4 cap the base's profit race would pick {0, 1} at
-# alpha_0 = 1 over the unpaid {1}
-@example(Instance(2, (Action(0, 0, F(1, 4)), Action(1, 1, F(-1, 6))),
-                  ExplicitOracle([F(0), F(-1, 4), F(-1, 8), F(1, 8)],
-                                 validate=False)))
+# unvalidated, f(empty) = -1/2 below f({0}) = -1/8: at B = 1, without its
+# 3B/4 cap the base's profit race would pick {0} at alpha_0 = 1 over the
+# unpaid empty profile
+@example(Instance(2, (Action(0, 0, F(3, 8)), Action(1, 1, F(0))),
+                  UncheckedExplicit([F(-1, 2), F(-1, 8), F(-1, 2), F(-1, 8)])))
 def test_gs_pipeline_matches_the_per_stage_reference(inst):
     for budget in (F(1, 4), F(1, 2), F(2, 3), F(3, 4), F(1)):
         for obj in RACE_OBJECTIVES:
@@ -1383,14 +1373,14 @@ def _envelope_instances():
     costs = [F(1, 16), F(1, 16), F(1, 4), F(1, 4), F(0)]
     yield Instance(1, tuple(Action(a, 0, c) for a, c in enumerate(costs)),
                    AdditiveOracle(weights))
-    # negative costs, with duplicates, on monotone and non-monotone tables
+    # zero costs, with duplicates, on monotone and non-monotone tables
     for _ in range(12):
         m = rng.randint(1, 6)
-        costs = [rng.choice((F(-1, 4), F(-1, 8), F(0), F(1, 8), F(1, 4)))
+        costs = [rng.choice((F(0), F(1, 16), F(0), F(1, 8), F(1, 4)))
                  for _ in range(m)]
         values = [F(0)] + [F(rng.randint(0, 4), 4) for _ in range(1, 1 << m)]
         yield Instance(1, tuple(Action(a, 0, c) for a, c in enumerate(costs)),
-                       ExplicitOracle(values, validate=False))
+                       UncheckedExplicit(values))
 
 
 def _reference_hull(inst, budget=None):
@@ -1700,11 +1690,9 @@ def _reference_single_agent(inst, agent, obj, budget, table):
     """The Fraction loop gs_single_agent_exact ran before it enumerated
     through iter_min_contracts: every subset of the agent's sorted actions
     priced by _reference_min_contract, the first strict maximizer kept.
-    The race starts from the zero contract with its best response, every
-    negative-cost action (the empty profile when no cost is negative)."""
+    The race starts from the zero contract on the empty profile."""
     own = sorted(inst.agent_actions[agent])
-    best = Contract.zero(inst.num_agents), \
-        frozenset(a for a in inst.ground_set if inst.cost_of[a] < 0)
+    best = Contract.zero(inst.num_agents), frozenset()
     best_value = evaluate(obj, inst, *best)
     for mask in range(1 << len(own)):
         profile = frozenset(own[b] for b in range(len(own)) if mask & (1 << b))
@@ -1728,12 +1716,6 @@ def _single_agent_instances():
             num_actions=rng.randint(2, 6))
     for n, seed in ((2, 1), (4, 2)):
         yield build_hardness(HardnessParams.make(n, F(1, 2), seed=seed))
-    # a negative cost (outside the validated model) lets an agent that acts
-    # in no profile block every profile: taking its zero-value action pays
-    # it 1/8, and no contract stops that deviation
-    yield Instance(2, (Action(0, 0, F(1, 8)), Action(1, 1, F(-1, 8)),
-                       Action(2, 1, F(1, 4))),
-                   AdditiveOracle([F(1, 2), F(0), F(1, 4)]))
 
 
 def test_restricted_contract_enumeration_matches_generic_operation():
@@ -1787,7 +1769,6 @@ def test_gs_single_agent_is_brute_forces_race_over_its_agents_records(
     rng = random.Random(59)
     for inst in _single_agent_instances():
         inst = with_table(inst)
-        zero = solvers._zero_mask(inst)
         for agent, obj in itertools.product(range(inst.num_agents),
                                             RACE_OBJECTIVES):
             budget = F(rng.randint(0, 4), 4)
@@ -1798,7 +1779,7 @@ def test_gs_single_agent_is_brute_forces_race_over_its_agents_records(
             got = gs_single_agent_exact(inst, agent, obj, budget)
             assert walks == [{"budget": budget}]
             assert (got.contract, got.profile, got.value) == \
-                solvers._race(obj, inst, records, zero)
+                solvers._race(obj, inst, records)
 
 
 def test_gs_single_agent_refuses_an_unknown_agent():
