@@ -12,7 +12,6 @@ from budgetcontracts.core import (
     Instance,
     cost,
     restrict_contract,
-    validate_instance,
 )
 
 __all__ = [
@@ -23,5 +22,4 @@ __all__ = [
     "Instance",
     "cost",
     "restrict_contract",
-    "validate_instance",
 ]

@@ -32,7 +32,6 @@ from budgetcontracts.core import (
     format_rational,
     parse_integer,
     parse_rational,
-    validate_instance,
 )
 from budgetcontracts.equilibria import is_nash
 from budgetcontracts.generators import (
@@ -97,7 +96,6 @@ def parse_instance(text: str) -> Instance:
         inst = hardness_instance_from_spec(reward)
         if "actions" in doc and len(doc["actions"]) != inst.num_actions:
             raise SchemaError("hardness instance with mismatched action list")
-        validate_instance(inst)
         return inst
     for key in ("numAgents", "actions"):
         if key not in doc:
@@ -114,9 +112,7 @@ def parse_instance(text: str) -> Instance:
             raise SchemaError(f"actions[{idx}] missing {exc}") from exc
     num_agents = parse_integer(doc["numAgents"], "numAgents")
     _check_agent_count(num_agents, len(actions))
-    inst = Instance(num_agents, tuple(actions), oracle_from_spec(reward))
-    validate_instance(inst)
-    return inst
+    return Instance(num_agents, tuple(actions), oracle_from_spec(reward))
 
 
 def serialize_instance(inst: Instance) -> str:

@@ -52,10 +52,6 @@ class OracleRangeViolationError(ModelError):
     pass
 
 
-class NonzeroEmptyValueError(ModelError):
-    pass
-
-
 class UnknownActionIdError(ModelError):
     pass
 
@@ -71,15 +67,18 @@ class GroundSetTooLargeError(ModelError):
 # The work-limit policy: the most items whose subsets one routine may walk.
 ENUM_LIMIT = 20  # value tables, demand, deviations, brute force, GS pipeline, gap
 TESTER_LIMIT = 16  # monotone/submodular testers, single-agent scheme
-GS_TESTER_LIMIT = 12  # GS tester, verify_best_properties, OXS columns
+GS_TESTER_LIMIT = 12  # verify_best_properties, OXS columns
 # The most unit agents of the hardness family: 1/C(n, n/2), printed as
 # baselineProb, stays below Python's 4300-digit int-to-text limit.
 HARDNESS_N_LIMIT = 10000
+# The most points ceil(L / eps) of the single-agent FPTAS's payment grid, L
+# the bit length of m 2^m: its search builds powers of k log2(1/eps) bits.
+GRID_LIMIT = 200_000
 
 
 def check_enumeration(count: int, what: str, limit: int = ENUM_LIMIT) -> None:
-    """Refuse to walk the 2^count subsets of ``count`` items above ``limit``;
-    every subset-walking routine calls this before its first value query."""
+    """Refuse the 2^count subsets of ``count`` items (or ``count`` grid
+    points) above ``limit``; a subset walk checks before its first read."""
     if count > limit:
         raise GroundSetTooLargeError(f"{what}: {count} items exceed the limit {limit}")
 
@@ -201,7 +200,8 @@ class Instance:
     plain list of ints in bitmask order (``rewards.with_table`` fills it);
     ``scaled_f`` reads it, and without one the oracle's counted read.
     Construction checks, in this order: at least one agent, no duplicate
-    id, owners in range, costs >= 0, ids exactly 0..m-1.
+    id, owners in range, costs >= 0, ids exactly 0..m-1, oracle width m;
+    each oracle family checks f(empty) = 0 and values in [0, 1] when built.
     """
 
     num_agents: int
@@ -231,6 +231,9 @@ class Instance:
             per_agent[a.owner].add(a.action_id)
         if owner.keys() != set(range(len(self.actions))):
             raise DuplicateActionIdError("action ids must be exactly 0..m-1")
+        if self.oracle.num_actions != len(self.actions):
+            raise ModelError(f"oracle covers {self.oracle.num_actions} "
+                             f"actions, instance has {len(self.actions)}")
         object.__setattr__(self, "owner_of", owner)
         object.__setattr__(self, "cost_of", costs)
         object.__setattr__(self, "agent_actions", tuple(frozenset(s) for s in per_agent))
@@ -340,26 +343,6 @@ class GeneralContract:
 
     def __len__(self) -> int:
         return len(self.pay_on_success)
-
-
-def validate_instance(inst: Instance) -> None:
-    """Check the oracle of an instance (which checked its own structure
-    when built): its width is the action count, f(empty) = 0, and every
-    singleton value lies in [0, 1], read by mask as ints over its den."""
-    oracle = inst.oracle
-    if oracle.num_actions != len(inst.actions):
-        raise ModelError(
-            f"oracle covers {oracle.num_actions} actions, "
-            f"instance has {len(inst.actions)}")
-    empty = oracle.read(0)
-    if empty:
-        raise NonzeroEmptyValueError(
-            f"f(empty set) = {Fraction(empty, oracle.den)}, expected 0")
-    for a in inst.actions:
-        v = oracle.read(1 << a.action_id)
-        if not 0 <= v <= oracle.den:
-            raise OracleRangeViolationError(
-                f"f({{{a.action_id}}}) = {Fraction(v, oracle.den)} outside [0, 1]")
 
 
 def cost(inst: Instance, profile: Iterable[int]) -> Fraction:

@@ -44,6 +44,7 @@ from budgetcontracts.core import (
     GeneralContract,
     Instance,
     ModelError,
+    UnknownAgentIdError,
     ZERO,
     check_enumeration,
 )
@@ -87,8 +88,11 @@ def best_response(inst: Instance, agent: int, alpha_i: Fraction,
     principal's favor, which is what makes knife-edge minimal contracts
     come out as prescribed), then toward the lexicographically smallest
     set.  At alpha_i = 0 the canonical response is the empty set (the
-    agent is indifferent among all zero-cost sets); alpha_i < 0 raises.
+    agent is indifferent among all zero-cost sets); alpha_i < 0 and an
+    agent outside 0..n-1 raise.
     """
+    if not 0 <= agent < inst.num_agents:
+        raise UnknownAgentIdError(f"agent {agent} out of range")
     if alpha_i < 0:
         raise ModelError("payment must be >= 0")
     s_other = frozenset(s_minus_i)
@@ -133,7 +137,11 @@ class NeCertificate:
 
 def _agent_walks(inst: Instance, alpha: Contract, profile: Iterable[int]):
     """Per agent in index order (u_i, best_u, best_dev, scale): its utility,
-    its first best deviation's (both times scale) and that deviation."""
+    its first best deviation's (both times scale) and that deviation.  A
+    contract without exactly one entry per agent raises."""
+    if len(alpha) != inst.num_agents:
+        raise ModelError(f"contract has {len(alpha)} entries for "
+                         f"{inst.num_agents} agents")
     _check_walks(inst)
     mask = inst.mask_of(profile)
     f, f_den = inst.scaled_f

@@ -35,6 +35,7 @@ from typing import Iterable, Optional, Sequence
 
 from budgetcontracts.core import (
     Contract,
+    GRID_LIMIT,
     Instance,
     ModelError,
     TESTER_LIMIT,
@@ -512,7 +513,10 @@ def single_agent_fptas(inst: Instance, budget: Fraction,
     (1 - alpha) * f never rises, and no later point of the stretch can
     beat its first one strictly.  The first grid point past each
     breakpoint comes from an exact integer search
-    (:func:`_first_grid_index`).
+    (:func:`_first_grid_index`).  Unless the answer is exact without the
+    grid (all costs zero, B = 0 or SW <= 0), an eps whose grid bound
+    ceil(L / eps), L the bit length of m 2^m, exceeds ``GRID_LIMIT``
+    raises ``GroundSetTooLargeError``.
     """
     if inst.num_agents != 1:
         raise ModelError("single-agent FPTAS needs exactly one agent")
@@ -545,9 +549,9 @@ def single_agent_fptas(inst: Instance, budget: Fraction,
     # (1-eps)^k <= e^(-eps k) < 2^-L < 1/(m 2^m) once eps k >= L, the bit
     # length of m 2^m, so k_count is at most ceil(L / eps)
     target = m << m
-    bits = target.bit_length()
-    k_count = _first_grid_index(eps, Fraction(1, target), 0,
-                                -(-bits * eps.denominator // eps.numerator))
+    grid = -(-target.bit_length() * eps.denominator // eps.numerator)
+    check_enumeration(grid, "single-agent payment grid", GRID_LIMIT)
+    k_count = _first_grid_index(eps, Fraction(1, target), 0, grid)
 
     # zero-payment baseline: the agent still performs its free actions
     # (profits are kept times f_den)

@@ -625,11 +625,13 @@ def test_hardness_oracle_descriptor_rejects_string_n():
 
 
 def test_parse_hardness_descriptor_is_validated():
-    # validation reads f(empty) and every singleton: m + 1 value queries
-    doc = json.dumps({"reward": {
-        "type": "hardness", "n": 4, "budget": "1/2", "hidden": [0, 1]}})
-    inst = parse_instance(doc)
-    assert inst.oracle.value_queries == inst.num_actions + 1
+    # the family's constructors check it, reading no value: f(empty) = 0
+    # and the range follow from eps <= 1/(n+2)
+    reward = {"type": "hardness", "n": 4, "budget": "1/2", "hidden": [0, 1]}
+    inst = parse_instance(json.dumps({"reward": reward}))
+    assert inst.oracle.value_queries == 0
+    with pytest.raises(hardness.InvalidEpsilonError):
+        parse_instance(json.dumps({"reward": {**reward, "eps": "1/5"}}))
 
 
 # -- golden solve outputs -------------------------------------------------------

@@ -16,7 +16,7 @@ from budgetcontracts.core import (
     Instance,
     ModelError,
     NegativeCostError,
-    NonzeroEmptyValueError,
+    OracleRangeViolationError,
     RationalParseError,
     UnknownActionIdError,
     UnknownAgentIdError,
@@ -25,12 +25,12 @@ from budgetcontracts.core import (
     parse_ratio,
     parse_rational,
     restrict_contract,
-    validate_instance,
 )
-from budgetcontracts.hardness import HardnessParams, build_hardness, good_action
+from budgetcontracts.hardness import HardnessParams, InvalidEpsilonError, \
+    build_hardness, good_action
 from budgetcontracts.objectives import PROFIT, REWARD, WELFARE, Objective, \
     combo
-from budgetcontracts.rewards import AdditiveOracle
+from budgetcontracts.rewards import AdditiveOracle, oracle_from_spec
 
 from contract_pairs import UncheckedExplicit
 
@@ -41,7 +41,8 @@ def two_agent_instance():
 
 
 def test_validate_well_formed():
-    validate_instance(two_agent_instance())
+    inst = two_agent_instance()
+    assert inst.oracle.num_actions == inst.num_actions == 2
 
 
 def test_validate_negative_cost():
@@ -85,20 +86,54 @@ def test_instance_refuses_the_first_fault_in_order(n, actions, error, message):
                  AdditiveOracle([F(1, 4)] * len(actions)))
 
 
-def test_validate_instance_checks_the_oracle_only():
+def test_instance_refuses_an_oracle_of_another_width():
     inst = two_agent_instance()
-    for oracle, message in ((AdditiveOracle([F(1, 4)]), "oracle covers 1"),
-                            (UncheckedExplicit([F(0), F(3, 2), F(1, 4), F(1)]),
-                             r"f\(\{0\}\) = 3/2 outside")):
-        with pytest.raises(ModelError, match=message):
-            validate_instance(replace(inst, oracle=oracle))
+    for width in (1, 3):
+        with pytest.raises(ModelError, match=f"oracle covers {width} actions, "
+                                             "instance has 2"):
+            replace(inst, oracle=AdditiveOracle([F(1, 4)] * width))
+    # after the structural checks: a negative cost is reported first
+    with pytest.raises(NegativeCostError):
+        Instance(1, (Action(0, 0, F(-1)),), AdditiveOracle([F(1, 4)] * 2))
 
 
-def test_validate_nonzero_empty_value():
-    inst = Instance(1, (Action(0, 0, F(0)),),
-                    UncheckedExplicit([F(1, 10), F(1, 2)]))
-    with pytest.raises(NonzeroEmptyValueError):
-        validate_instance(inst)
+@pytest.mark.parametrize("spec,error,message", [
+    pytest.param({"type": "additive", "weights": ["3/4", "1/2"]},
+                 OracleRangeViolationError, "sum to <= 1", id="additive-above"),
+    pytest.param({"type": "additive", "weights": ["-1/4", "1/2"]},
+                 OracleRangeViolationError, ">= 0", id="additive-negative"),
+    pytest.param({"type": "unit_demand", "weights": ["1/4", "3/2"]},
+                 OracleRangeViolationError, r"in \[0, 1\]",
+                 id="unit_demand-above"),
+    pytest.param({"type": "unit_demand", "weights": ["-1/4"]},
+                 OracleRangeViolationError, r"in \[0, 1\]",
+                 id="unit_demand-negative"),
+    pytest.param({"type": "uniform_k_demand", "num_actions": 4, "k": 3,
+                  "v": "1/2"}, OracleRangeViolationError, r"in \[0, 1\]",
+                 id="uniform_k-above"),
+    pytest.param({"type": "uniform_k_demand", "num_actions": 4, "k": 1,
+                  "v": "-1/4"}, OracleRangeViolationError, r"in \[0, 1\]",
+                 id="uniform_k-negative"),
+    pytest.param({"type": "oxs", "values": [["3/4", "0"], ["0", "3/4"]]},
+                 OracleRangeViolationError, "exceeds 1", id="oxs-above"),
+    pytest.param({"type": "oxs", "values": [["-1/4"]]},
+                 OracleRangeViolationError, ">= 0", id="oxs-negative"),
+    pytest.param({"type": "coverage", "universe_size": 2, "covers": [[0], [2]]},
+                 ModelError, "outside universe", id="coverage-element"),
+    pytest.param({"type": "coverage", "universe_size": 0, "covers": [[]]},
+                 ModelError, "nonempty", id="coverage-universe"),
+    pytest.param({"type": "explicit", "values": ["1/10", "1/2"]},
+                 ModelError, r"f\(empty\) = 0", id="explicit-empty"),
+    pytest.param({"type": "explicit", "values": ["0", "3/2"]},
+                 OracleRangeViolationError, "3/2 outside", id="explicit-above"),
+    pytest.param({"type": "hardness", "n": 4, "eps": "1/5", "hidden": [0, 1]},
+                 InvalidEpsilonError, r"1/\(n\+2\)", id="hardness-above"),
+])
+def test_oracle_construction_refuses_an_invalid_value(spec, error, message):
+    # what every family guarantees, so no later check reads f for it: f of
+    # the empty set is 0 and every value lies in [0, 1]
+    with pytest.raises(error, match=message):
+        oracle_from_spec(spec)
 
 
 def test_cost_empty_and_sum():

@@ -20,13 +20,6 @@ READERS = [*(ROOT / "src").rglob("*.py"), *(ROOT / "scripts").rglob("*.py"),
            *(ROOT / "perfbench").rglob("*.py"),
            ROOT / "tests" / "test_acceptance.py"]
 
-# name -> why it stays without a reader in the code above
-ALLOWED = {
-    "rewards.is_gross_substitutes":
-        "the exact check behind the oracles' function_class declarations, "
-        "which the greedy demand trusts; the tests run it on every family",
-}
-
 
 def _docstrings(tree):
     """The ids of the string constants that are docstrings or other bare
@@ -71,8 +64,7 @@ def test_every_defined_name_has_a_reader():
     read = set().union(*map(_names_read, READERS))
     defined = [d for path in sorted(PACKAGE.glob("*.py")) for d in _defined(path)]
     assert len(defined) > 100  # the scan sees the package
-    unread = sorted(qual for qual, name in defined if name not in read)
-    assert unread == sorted(ALLOWED)
+    assert sorted(qual for qual, name in defined if name not in read) == []
 
 
 def _unread_imports(path):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from budgetcontracts.core import Action, Contract, GeneralContract, Instance, \
-    ModelError, cost, restrict_contract
+    ModelError, UnknownAgentIdError, cost, restrict_contract
 from budgetcontracts.equilibria import (
     best_response,
     double_contract,
@@ -581,6 +581,27 @@ def test_best_response_rejects_a_negative_payment(inst):
     for gs in (None, True, False):
         with pytest.raises(ModelError):
             best_response(inst, 0, F(-1, 2), (), gs=gs)
+
+
+@pytest.mark.parametrize("inst", [
+    random_unit_demand_instance(3, num_agents=2, num_actions=4),
+    random_explicit_monotone_instance(3, num_agents=2, num_actions=4),
+], ids=["gs", "explicit"])
+def test_best_response_refuses_an_agent_out_of_range(inst):
+    for agent in (-1, inst.num_agents):
+        for gs in (None, True, False):
+            with pytest.raises(UnknownAgentIdError, match=f"agent {agent} "):
+                best_response(inst, agent, F(1, 2), (), gs=gs)
+
+
+@pytest.mark.parametrize("entries", [1, 3])
+def test_nash_checks_refuse_a_contract_of_another_length(entries):
+    inst = random_unit_demand_instance(3, num_agents=2, num_actions=4)
+    alpha = Contract((F(1, 4),) * entries)
+    for check in (is_nash, nash_violator):
+        with pytest.raises(ModelError, match=f"contract has {entries} entries "
+                                             "for 2 agents"):
+            check(inst, alpha, frozenset())
 
 
 def test_ne_from_demand_with_base_is_demand_at_contract_prices():

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from budgetcontracts.core import Contract, ModelError, validate_instance
+from budgetcontracts.core import Contract, ModelError
 from budgetcontracts.equilibria import is_nash
 from budgetcontracts.hardness import (
     BadHiddenSetSizeError,
@@ -46,7 +46,8 @@ def test_costs_follow_formulas():
         assert inst.cost_of[i] == eps ** 3
     assert inst.cost_of[bad_action(n)] == F(3, 2) * eps * budget
     assert inst.cost_of[good_action(n)] == F(1, 2) * (budget - 2 * eps ** 2)
-    validate_instance(inst)
+    assert inst.oracle[0] == 0
+    assert all(0 <= inst.oracle[1 << a] <= 1 for a in range(inst.num_actions))
 
 
 def test_value_hidden_plus_bad():

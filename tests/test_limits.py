@@ -14,21 +14,23 @@ from fractions import Fraction as F
 import pytest
 
 from budgetcontracts.cli import main
-from budgetcontracts.core import ENUM_LIMIT, GS_TESTER_LIMIT, TESTER_LIMIT, \
-    Contract, GeneralContract, GroundSetTooLargeError, ModelError, \
-    check_enumeration
+from budgetcontracts.core import ENUM_LIMIT, GRID_LIMIT, GS_TESTER_LIMIT, \
+    TESTER_LIMIT, Action, Contract, GeneralContract, GroundSetTooLargeError, \
+    Instance, ModelError, check_enumeration
 from budgetcontracts.equilibria import best_response, is_nash, is_nash_general, \
     min_incentivizing_contract
 from budgetcontracts.generators import random_additive_instance, \
     random_unit_demand_instance
 from budgetcontracts.hardness import HardnessParams, verify_gap_exhaustive
 from budgetcontracts.objectives import PROFIT, REWARD, verify_best_properties
-from budgetcontracts.rewards import AssignmentOracle, PriceVector, \
-    brute_force_demand, is_gross_substitutes, is_monotone, is_submodular, \
-    value_table, with_table
+from budgetcontracts.rewards import AdditiveOracle, AssignmentOracle, \
+    PriceVector, brute_force_demand, is_monotone, is_submodular, value_table, \
+    with_table
 from budgetcontracts.solvers import brute_force_opt, downsize, \
     gs_constant_factor, gs_single_agent_exact, max_reward_bounded_brute, \
     single_agent_fptas
+
+from gs_tester import is_gross_substitutes
 
 HALF = F(1, 2)
 PAY = Contract.of([HALF])
@@ -117,6 +119,34 @@ def test_budget_zero_gs_solve_reads_f_once(m):
                          "--budget", "0"])
     assert code == 0
     assert json.loads(out)["valueQueries"] == 1
+
+
+def test_single_agent_fptas_refuses_a_grid_past_the_limit():
+    # m = 4: L = 7, the bit length of m 2^m, so the grid bound is 7 q / p
+    inst = random_additive_instance(1, num_agents=1, num_actions=4)
+    eps = F(7, GRID_LIMIT + 1)
+    with pytest.raises(GroundSetTooLargeError, match=f"single-agent payment "
+                       f"grid: {GRID_LIMIT + 1} items exceed the limit"):
+        single_agent_fptas(inst, HALF, eps)
+    # the answers exact without the grid are given at any eps
+    free = Instance(1, (Action(0, 0, F(0)),), AdditiveOracle([HALF]))
+    dear = Instance(1, (Action(0, 0, F(1)),), AdditiveOracle([HALF]))
+    for case, budget in ((free, HALF), (inst, F(0)), (dear, HALF)):
+        assert single_agent_fptas(case, budget, eps).factor == "exact"
+
+
+def test_cli_refuses_a_tiny_single_agent_eps_at_once():
+    start = time.monotonic()
+    code, out, err = _run(["solve", "--instance",
+                           "gen:additive:seed=1,agents=1,actions=4",
+                           "--budget", "1/2", "--force-solver", "single-fptas",
+                           "--eps", "1/100000"])
+    assert time.monotonic() - start < 0.5
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"] == {
+        "type": "GroundSetTooLargeError",
+        "message": "single-agent payment grid: 700000 items exceed the limit "
+                   f"{GRID_LIMIT}"}
 
 
 def test_downsize_without_a_table_reads_f_lazily():

@@ -27,19 +27,16 @@ from budgetcontracts.rewards import (
     AssignmentOracle,
     CoverageOracle,
     ExplicitOracle,
-    GsWitness,
     PriceVector,
     UniformKDemandOracle,
     UnitDemandOracle,
     _guard_masks,
     _packed_monotone,
-    _search_price_witness,
     brute_force_demand,
     common_denominator,
     cost_runs,
     demand_with_base,
     gs_greedy_demand,
-    is_gross_substitutes,
     is_monotone,
     is_submodular,
     lex_key,
@@ -56,6 +53,7 @@ from budgetcontracts.rewards import (
 )
 
 from contract_pairs import UncheckedExplicit
+from gs_tester import GsWitness, _search_price_witness, is_gross_substitutes
 
 
 EPS = F(1, 32)
