@@ -345,6 +345,13 @@ class GeneralContract:
         return len(self.pay_on_success)
 
 
+def check_contract(inst: Instance, contract: Contract | GeneralContract) -> None:
+    """Refuse a contract without exactly one entry per agent of ``inst``."""
+    if len(contract) != inst.num_agents:
+        raise ModelError(f"contract has {len(contract)} entries for "
+                         f"{inst.num_agents} agents")
+
+
 def cost(inst: Instance, profile: Iterable[int]) -> Fraction:
     """Total cost of a profile: the sum of its member actions' costs."""
     total = ZERO

@@ -23,20 +23,22 @@ p * c_den * F - q * f_den * C, so :func:`is_nash` and
 certificate's utilities become Fractions once per agent; its walk
 (:func:`_agent_walks`) also serves :func:`nash_violator`, the verdict alone.
 
-The minimal-contract algebra is :func:`_min_payment`, one agent's bounds
-for one profile, which :func:`min_incentivizing_contract` runs per agent.
-:func:`iter_min_contracts` reads the same payments off upper envelopes
-(:func:`_agent_payments`), under a budget B from the deviations within the
-budget's cost cut, c(d) <= B * spread of f; :func:`single_agent_hull` is
-its records for one agent.  The walk yields each profile's payments as
-ints; :func:`contract_of` makes a ``Contract`` of them where one is read.
+The minimal-contract algebra is one routine, :func:`_agent_payments`:
+one agent's minimal payments, read off the upper envelope of its
+deviations' lines against each rest.  :func:`iter_min_contracts` runs it
+over every profile, under a budget B from the deviations within the
+budget's cost cut, c(d) <= B * spread of f, and
+:func:`min_incentivizing_contract` over one profile's rests;
+:func:`single_agent_hull` is the walk's records for one agent.  Payments
+are int pairs; :func:`contract_of` makes a ``Contract`` of them where one
+is read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from budgetcontracts.core import (
     ActionProfile,
@@ -46,6 +48,7 @@ from budgetcontracts.core import (
     ModelError,
     UnknownAgentIdError,
     ZERO,
+    check_contract,
     check_enumeration,
 )
 from budgetcontracts.rewards import PriceVector, cost_runs, \
@@ -99,7 +102,7 @@ def best_response(inst: Instance, agent: int, alpha_i: Fraction,
     other = inst.mask_of(s_other)
     own = inst.agent_actions[agent]
     if s_other & own:
-        raise ValueError("s_minus_i intersects the agent's own actions")
+        raise ModelError("s_minus_i intersects the agent's own actions")
     if alpha_i == 0:
         return frozenset()
     if inst.oracle.is_gs_class if gs is None else gs:
@@ -139,9 +142,7 @@ def _agent_walks(inst: Instance, alpha: Contract, profile: Iterable[int]):
     """Per agent in index order (u_i, best_u, best_dev, scale): its utility,
     its first best deviation's (both times scale) and that deviation.  A
     contract without exactly one entry per agent raises."""
-    if len(alpha) != inst.num_agents:
-        raise ModelError(f"contract has {len(alpha)} entries for "
-                         f"{inst.num_agents} agents")
+    check_contract(inst, alpha)
     _check_walks(inst)
     mask = inst.mask_of(profile)
     f, f_den = inst.scaled_f
@@ -194,6 +195,7 @@ def ne_from_demand(inst: Instance, alpha: Contract, base: Iterable[int] = (),
     is forced in (:func:`demand_with_base`).  With an empty base, any
     demand set at these prices is a Nash equilibrium of ``alpha``.
     """
+    check_contract(inst, alpha)
     pay = {a: alpha[inst.owner_of[a]] for a in inst.ground_set}
     prices = PriceVector({a: inst.cost_of[a] / p for a, p in pay.items() if p > 0},
                          frozenset(a for a, p in pay.items() if p <= 0))
@@ -218,7 +220,7 @@ def double_contract(inst: Instance, alpha: Contract, epsilon: Fraction):
     the returned contract retains at least half of f(S).
     """
     if epsilon <= 0:
-        raise ValueError("epsilon must be > 0")
+        raise ModelError("epsilon must be > 0")
     doubled = alpha.scale(Fraction(2)).add_everyone(epsilon)
     profile = ne_from_demand(inst, doubled)
     return doubled, profile
@@ -226,78 +228,51 @@ def double_contract(inst: Instance, alpha: Contract, epsilon: Fraction):
 
 def min_incentivizing_contract(inst: Instance, profile: Iterable[int]
                                ) -> Optional[Contract]:
-    """The cheapest contract making ``profile`` a weak Nash equilibrium.
+    """The cheapest contract making ``profile`` a weak Nash equilibrium,
+    or None when some agent cannot be kept on it at any payment.
 
-    Per agent, each deviation S' with f(S) > f(S' + S_-i) forces
-    alpha_i >= (c(S_i) - c(S')) / (f(S) - f(S' + S_-i)), and each deviation
-    with f(S) < f(S' + S_-i) caps alpha_i from above by the same ratio;
-    equal-f deviations must not be strictly cheaper.  Returns None when some
-    agent's bounds cross (the profile cannot be incentivized at any payment).
-    :func:`_min_payment` on the scaled values as read and the cost sums:
-    f(S) first, then each agent's deviations in ascending mask order until
-    the profile fails, so without a table it issues at most
-    1 + sum_i (2^|T_i| - 1) value queries.
+    Per agent i, with rest R = S - T_i, f(R + d) is read for every
+    deviation d of T_i in ascending mask order, f(S) once up front for
+    all agents, and the agent's payment is what :func:`_agent_payments`
+    gives S against R: the envelope of :func:`iter_min_contracts`, for
+    one profile.  Without a table a kept profile issues
+    1 + sum_i (2^|T_i| - 1) value queries; one not kept stops after its
+    first failing agent's walk.
     """
     mask = inst.mask_of(frozenset(profile))
     _check_walks(inst)
-    f, f_den = inst.scaled_f
-    c_den = inst.int_costs[1]
+    f, _ = inst.scaled_f
     f_s = f(mask)
-    entries = []
-    for om, costs in zip(inst.agent_masks, inst.agent_cost_sums):
-        s_i, rest = mask & om, mask & ~om
-        walk = ((f(rest | dev), c) for dev, c in costs.items() if dev != s_i)
-        pay = _min_payment(f_s, costs[s_i], walk)
+    paid = []
+    for i, (own, costs) in enumerate(zip(inst.agent_masks,
+                                         inst.agent_cost_sums)):
+        rest = mask & ~own
+        vals = {rest | d: f_s if rest | d == mask else f(rest | d)
+                for d in costs}
+        pay = _agent_payments(vals, cost_runs(costs), (rest,)).get(mask)
         if pay is None:
             return None
-        dc, df = pay
-        entries.append(Fraction(dc * f_den, df * c_den))
-    return Contract(tuple(entries))
+        paid.append((i, *pay))
+    return contract_of(inst, paid)
 
 
-def _min_payment(f_s, c_i, deviations: Iterable[tuple]) -> Optional[tuple]:
-    """One agent's minimal payment for keeping its part S_i of a profile.
-
-    ``f_s`` is f(S), ``c_i`` is c(S_i), and ``deviations`` yields
-    (f(S' + S_-i), c(S')) for the deviations S' to bound against.  Values
-    are ints over one denominator and costs ints over another.  Returns
-    the payment as a (cost difference, positive value difference) pair,
-    (0, 1) when unpaid, or None when an equal-f deviation is strictly
-    cheaper or the bounds cross.  Stops at the first failure, so a lazy
-    ``deviations`` spares the later reads.
-    """
-    lo_n, lo_d = 0, 1
-    hi = None  # (numerator, positive denominator)
-    for f_dev, c in deviations:
-        df = f_s - f_dev
-        dc = c_i - c
-        if df > 0:
-            if dc > 0 and dc * lo_d > lo_n * df:
-                lo_n, lo_d = dc, df
-        elif df == 0:
-            if dc > 0:
-                return None
-        elif hi is None or dc * hi[1] > hi[0] * df:  # dc/df < hi
-            hi = (-dc, -df)
-    if hi is not None and lo_n * hi[1] > hi[0] * lo_d:
-        return None
-    return lo_n, lo_d
-
-
-def _agent_payments(f: Sequence[int], runs: tuple[list[int], list[int],
-                                                    list[int]],
+def _agent_payments(f: Sequence[int] | Mapping[int, int],
+                    runs: tuple[list[int], list[int], list[int]],
                     rests: Iterable[int]) -> dict[int, tuple]:
     """The minimal payment of one agent for each profile it can be kept
     on, keyed by profile mask, over the distinct ``rests``; ``runs`` is
     :func:`rewards.cost_runs` of its deviations (all, or a budget's cut):
     the submasks in ascending cost, their costs and the ends of the runs.
+    ``f`` maps each R + d to f(R + d) scaled: a value table, or the values
+    of one profile's walk (:func:`min_incentivizing_contract`).
 
     Per rest R, one loop reads f(R + d) for the deviations d in ascending
     cost, keeps the staircase (each worth more than every cheaper one) and
     runs a monotone stack over it for the upper envelope.  Kept are the
     cheapest run at 0, then each envelope line h and its exact duplicates,
     priced as (c(h) - c(p), f(R + h) - f(R + p)) from the line p before
-    it, which is cheaper and worth less (what :func:`_min_payment` gives).
+    it, which is cheaper and worth less.  A profile left out is one the
+    agent cannot be kept on at any payment.
     """
     devs, by_cost, ends = runs
     cheapest = devs[:ends[0]]
@@ -482,6 +457,7 @@ def linearize(contract: GeneralContract) -> Contract:
 def is_nash_general(inst: Instance, contract: GeneralContract,
                     profile: Iterable[int]) -> bool:
     """Weak Nash check under a general (success/failure payment) contract."""
+    check_contract(inst, contract)
     s = inst.mask_of(frozenset(profile))
     _check_walks(inst)
 

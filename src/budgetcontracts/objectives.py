@@ -24,6 +24,7 @@ from budgetcontracts.core import (
     Instance,
     ModelError,
     SchemaError,
+    check_contract,
     check_enumeration,
     descriptor_field,
     exact_rational,
@@ -86,6 +87,7 @@ def evaluate(obj: Objective, inst: Instance, alpha: Contract,
              profile: Iterable[int]) -> Fraction:
     """obj at (alpha, S): f(S) read once, c(S) summed once if needed, as
     ints: :func:`value_at` on F(S) * c_den and C(S) * f_den, over f_den * c_den."""
+    check_contract(inst, alpha)
     s = frozenset(profile)
     (f, f_den), (c_int, c_den) = inst.scaled_f, inst.int_costs
     f_s = f(inst.mask_of(s))

@@ -265,13 +265,17 @@ class UniformKDemandOracle(RewardOracle):
     def __init__(self, num_actions: int, k: int,
                  unit_value: Fraction | int | str):
         super().__init__(num_actions)
+        if num_actions < 0:
+            raise ModelError(f"num_actions must be >= 0, got {num_actions}")
         if type(k) is not int or k < 1:
             raise ModelError(f"k must be an int >= 1, got {k!r}")
         self.k = k
         self.unit_value = exact_rational(unit_value)
         self.den = self.unit_value.denominator
-        if not 0 <= self.unit_value * min(k, num_actions) <= 1:
-            raise OracleRangeViolationError("k * unit_value must lie in [0, 1]")
+        if not (0 <= self.unit_value <= 1
+                and self.unit_value * min(k, num_actions) <= 1):
+            raise OracleRangeViolationError("unit_value and k * unit_value "
+                                            "must lie in [0, 1]")
 
     def _int(self, mask: int) -> int:
         return min(mask.bit_count(), self.k) * self.unit_value.numerator

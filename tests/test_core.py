@@ -114,6 +114,12 @@ def test_instance_refuses_an_oracle_of_another_width():
     pytest.param({"type": "uniform_k_demand", "num_actions": 4, "k": 1,
                   "v": "-1/4"}, OracleRangeViolationError, r"in \[0, 1\]",
                  id="uniform_k-negative"),
+    pytest.param({"type": "uniform_k_demand", "num_actions": 0, "k": 1,
+                  "v": "-5"}, OracleRangeViolationError, r"in \[0, 1\]",
+                 id="uniform_k-negative-no-actions"),
+    pytest.param({"type": "uniform_k_demand", "num_actions": -1, "k": 1,
+                  "v": "-1/2"}, ModelError, "num_actions must be >= 0",
+                 id="uniform_k-negative-width"),
     pytest.param({"type": "oxs", "values": [["3/4", "0"], ["0", "3/4"]]},
                  OracleRangeViolationError, "exceeds 1", id="oxs-above"),
     pytest.param({"type": "oxs", "values": [["-1/4"]]},

@@ -23,6 +23,7 @@ from budgetcontracts.generators import random_coverage_instance, \
     random_gs_instance, random_unit_demand_instance
 from budgetcontracts.hardness import HardnessParams, _pair_for_guess, \
     bad_action, build_hardness, good_action, good_contract
+from budgetcontracts.objectives import PROFIT, evaluate
 from budgetcontracts.rewards import (
     AdditiveOracle,
     ExplicitOracle,
@@ -596,12 +597,35 @@ def test_best_response_refuses_an_agent_out_of_range(inst):
 
 @pytest.mark.parametrize("entries", [1, 3])
 def test_nash_checks_refuse_a_contract_of_another_length(entries):
+    # every entry point where a contract meets an instance, before any read
     inst = random_unit_demand_instance(3, num_agents=2, num_actions=4)
     alpha = Contract((F(1, 4),) * entries)
-    for check in (is_nash, nash_violator):
+    general = GeneralContract((F(0),) * entries, (F(1, 4),) * entries)
+    for call in (lambda: is_nash(inst, alpha, frozenset()),
+                 lambda: nash_violator(inst, alpha, frozenset()),
+                 lambda: is_nash_general(inst, general, frozenset()),
+                 lambda: ne_from_demand(inst, alpha),
+                 lambda: double_contract(inst, alpha, F(1, 16)),
+                 lambda: evaluate(PROFIT, inst, alpha, {0})):
         with pytest.raises(ModelError, match=f"contract has {entries} entries "
                                              "for 2 agents"):
-            check(inst, alpha, frozenset())
+            call()
+    assert (inst.oracle.value_queries, inst.oracle.demand_queries) == (0, 0)
+
+
+def test_best_response_refuses_a_base_meeting_its_own_actions():
+    inst = random_unit_demand_instance(3, num_agents=2, num_actions=4)
+    own = min(inst.agent_actions[0])
+    for gs in (None, True, False):
+        with pytest.raises(ModelError, match="intersects the agent's own"):
+            best_response(inst, 0, F(1, 2), {own}, gs=gs)
+
+
+@pytest.mark.parametrize("eps", [F(0), F(-1, 16)])
+def test_double_contract_refuses_a_nonpositive_epsilon(eps):
+    inst = random_unit_demand_instance(3, num_agents=2, num_actions=4)
+    with pytest.raises(ModelError, match="epsilon must be > 0"):
+        double_contract(inst, Contract.zero(2), eps)
 
 
 def test_ne_from_demand_with_base_is_demand_at_contract_prices():

@@ -175,12 +175,15 @@ def test_min_contract_algebra_past_a_huge_common_denominator():
 
 
 def test_min_contract_without_table_reads_like_the_reference():
+    # a kept profile reads what the reference reads; one not kept reads at
+    # least the reference's early stop and at most every agent's whole walk
     rng = random.Random(3)
     infeasible = 0
     for t in range(12):
         maker = random_gs_instance if t % 2 else random_explicit_monotone_instance
         inst = maker(rng.randint(0, 10 ** 6), num_agents=rng.randint(1, 3),
                      num_actions=rng.randint(2, 5))
+        walks = 1 + sum((1 << len(own)) - 1 for own in inst.agent_actions)
         for mask in range(1 << inst.num_actions):
             profile = mask_to_set(mask)
             before = inst.oracle.value_queries
@@ -188,9 +191,13 @@ def test_min_contract_without_table_reads_like_the_reference():
             spent = inst.oracle.value_queries - before
             before = inst.oracle.value_queries
             assert min_incentivizing_contract(inst, profile) == expected
-            assert inst.oracle.value_queries - before == spent
+            got = inst.oracle.value_queries - before
+            if expected is None:
+                assert spent <= got <= walks
+            else:
+                assert got == spent == walks
             infeasible += expected is None
-    assert infeasible > 0  # early stops are compared too
+    assert infeasible > 0  # profiles not kept are compared too
 
 
 def _tied_line_instances():
@@ -292,6 +299,9 @@ def test_envelope_contracts_match_the_reference():
                      for mask in range(1 << m)}
         withins = (None, rng.randrange(1 << m),
                    set_to_mask(inst.agent_actions[0]))
+        for tab in (inst, _rescaled(inst)):
+            assert {mask: min_incentivizing_contract(tab, mask_to_set(mask))
+                    for mask in range(1 << m)} == reference
         for tab, within, budget in itertools.product(
                 (inst, _rescaled(inst)), withins,
                 (None, F(0), F(1, 64), F(1, 3), F(1, 2), F(1))):
