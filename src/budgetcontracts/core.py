@@ -197,7 +197,8 @@ class Instance:
     ``agent_actions[i]`` is agent ``i``'s action set T_i and
     ``agent_masks[i]`` its bitmask; ``ground_set`` is the disjoint union of
     all of them.  ``table``, when present, is f * ``oracle.den`` as a
-    plain list of ints in bitmask order (``rewards.with_table`` fills it);
+    plain list of ints in bitmask order (``rewards.with_table`` fills it
+    on a copy, keeping the checks and cost caches, which read no f);
     ``scaled_f`` reads it, and without one the oracle's counted read.
     Construction checks, in this order: at least one agent, no duplicate
     id, owners in range, costs >= 0, ids exactly 0..m-1, oracle width m;
@@ -255,6 +256,13 @@ class Instance:
         from budgetcontracts.rewards import submask_sums
         c_int, _ = self.int_costs
         return tuple(submask_sums(own, c_int) for own in self.agent_masks)
+
+    @cached_property
+    def agent_cost_runs(self) -> tuple[tuple[list[int], ...], ...]:
+        """Per agent, its ``agent_cost_sums`` by cost, sorted once by the
+        walk's ``cost_runs`` as ``equilibria`` reads it, like its cuts."""
+        from budgetcontracts.equilibria import cost_runs
+        return tuple(map(cost_runs, self.agent_cost_sums))
 
     @property
     def scaled_f(self):

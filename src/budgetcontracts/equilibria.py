@@ -244,12 +244,12 @@ def min_incentivizing_contract(inst: Instance, profile: Iterable[int]
     f, _ = inst.scaled_f
     f_s = f(mask)
     paid = []
-    for i, (own, costs) in enumerate(zip(inst.agent_masks,
-                                         inst.agent_cost_sums)):
+    for i, (own, costs, runs) in enumerate(zip(
+            inst.agent_masks, inst.agent_cost_sums, inst.agent_cost_runs)):
         rest = mask & ~own
         vals = {rest | d: f_s if rest | d == mask else f(rest | d)
                 for d in costs}
-        pay = _agent_payments(vals, cost_runs(costs), (rest,)).get(mask)
+        pay = _agent_payments(vals, runs, (rest,)).get(mask)
         if pay is None:
             return None
         paid.append((i, *pay))
@@ -370,22 +370,23 @@ def iter_min_contracts(inst: Instance, *, budget: Optional[Fraction] = None):
     cheapest run: the first record is (0, 0, c_den, []) under any B >= 0.
 
     A ``budget`` B drops the profiles whose payments sum above it, and
-    both walks stop at B * spread, spread = max f - min f, whatever the
-    signs of values.  Agent j kept on S at alpha_j prefers S_j to doing
-    nothing, alpha_j * (f(S) - f(S - T_j)) >= c(S_j), so c(S_j) <=
-    alpha_j * spread; summed over the agents but the first, its rests
-    R have c(R) <= B * spread.  Each agent reads only the deviations d
-    with c(d) <= B * spread: for 0 <= alpha <= B a dearer d's line is
-    below the empty deviation's, alpha * f(R + d) - c(d) < alpha * (f(R +
-    d) - spread) <= alpha * f(R).  On [0, B] the envelope and the lines
-    reaching it stay as they were, and so does each stretch starting at
-    or below B: payments up to B are unchanged.
+    both walks stop at B * spread, spread = max f - min f whatever the
+    signs of values, as the oracle states it (``RewardOracle.spread``, no
+    pass over the table for a monotone f).  Agent j kept on S at alpha_j
+    prefers S_j to doing nothing, alpha_j * (f(S) - f(S - T_j)) >= c(S_j),
+    so c(S_j) <= alpha_j * spread; summed over the agents but the first,
+    its rests R have c(R) <= B * spread.  Each agent reads only the
+    deviations d with c(d) <= B * spread: for 0 <= alpha <= B a dearer d's
+    line is below the empty deviation's, alpha * f(R + d) - c(d) < alpha *
+    (f(R + d) - spread) <= alpha * f(R).  On [0, B] the envelope and the
+    lines reaching it stay as they were, and so does each stretch starting
+    at or below B: payments up to B are unchanged.
 
-    Values are the table's ints as filled.  The walk sorts an agent's
-    deviations by cost (:func:`rewards.cost_runs`) when it reaches it: all
-    of ``Instance.agent_cost_sums``, or under a budget only those within
-    the cut (:func:`rewards.submask_sums_upto`).  The budget is tested on
-    the payment pairs, and no Fraction is made.
+    Values are the table's ints as filled.  An agent's deviations in
+    ascending cost (:func:`rewards.cost_runs`) are the instance's
+    ``agent_cost_runs``, sorted once, or under a budget only those within
+    the cut (:func:`rewards.submask_sums_upto`), sorted per walk.  The
+    budget is tested on the payment pairs, and no Fraction is made.
     """
     own_masks = inst.agent_masks
     f, f_den = inst.table, inst.oracle.den
@@ -401,13 +402,13 @@ def iter_min_contracts(inst: Instance, *, budget: Optional[Fraction] = None):
     if budget is not None:
         cap_n, cap_d = (budget * Fraction(c_den, f_den)).as_integer_ratio()
         # C(d) <= B * spread, at least 0, so each walk keeps d = empty
-        limit = max(cap_n, 0) * (max(f) - min(f)) // cap_d
+        limit = max(cap_n, 0) * inst.oracle.spread(f) // cap_d
     kept = None  # the profiles every agent so far is kept on
     pays = []
     for i in agents:
         own = own_masks[i]
-        runs = cost_runs(inst.agent_cost_sums[i] if budget is None
-                         else submask_sums_upto(own, c_int, limit))
+        runs = inst.agent_cost_runs[i] if budget is None \
+            else cost_runs(submask_sums_upto(own, c_int, limit))
         if kept is not None:
             rests = {mask & ~own for mask in kept}
         elif budget is None:

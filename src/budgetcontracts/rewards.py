@@ -22,10 +22,11 @@ infinite price while keeping all arithmetic exact and total.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 from collections import defaultdict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
 from operator import itemgetter
@@ -103,6 +104,7 @@ class RewardOracle:
 
     function_class = "monotone"
     has_native_demand = False
+    monotone = False  # True where f is monotone with f(empty) = 0 when built
 
     def __init__(self, num_actions: int):
         self.num_actions = num_actions
@@ -154,6 +156,11 @@ class RewardOracle:
         """All 2^m values times ``den`` in bitmask order, uncounted: one
         ``_int`` per subset here, a subset DP in families with structure."""
         return list(map(self._int, range(1 << self.num_actions)))
+
+    def spread(self, table: list[int]) -> int:
+        """max - min of ``table``, this oracle's filled table: f(ground
+        set) - f(empty) when ``monotone``, else a pass for each."""
+        return table[-1] - table[0] if self.monotone else max(table) - min(table)
 
 
 def common_denominator(values: Iterable[Fraction]) -> int:
@@ -218,6 +225,7 @@ class AdditiveOracle(RewardOracle):
     """
 
     function_class = "additive"
+    monotone = True
 
     def __init__(self, weights: Sequence[Fraction | int | str]):
         super().__init__(len(weights))
@@ -238,6 +246,7 @@ class AdditiveOracle(RewardOracle):
 
 class UnitDemandOracle(RewardOracle):
     function_class = "gross_substitutes"
+    monotone = True
 
     def __init__(self, weights: Sequence[Fraction | int | str]):
         super().__init__(len(weights))
@@ -261,6 +270,7 @@ class UniformKDemandOracle(RewardOracle):
     """f(S) = min(|S|, k) * unit_value."""
 
     function_class = "gross_substitutes"
+    monotone = True
 
     def __init__(self, num_actions: int, k: int,
                  unit_value: Fraction | int | str):
@@ -296,6 +306,7 @@ class AssignmentOracle(RewardOracle):
     """
 
     function_class = "gross_substitutes"
+    monotone = True
 
     def __init__(self, values: Sequence[Sequence[Fraction | int | str]]):
         super().__init__(len(values))
@@ -348,6 +359,7 @@ class CoverageOracle(RewardOracle):
     """f(S) = |union of the actions' element sets| / universe size."""
 
     function_class = "submodular"
+    monotone = True
 
     def __init__(self, universe_size: int, covers: Sequence[Iterable[int]]):
         super().__init__(len(covers))
@@ -380,9 +392,10 @@ class ExplicitOracle(RewardOracle):
     string) into codes, each group is read once as a reduced p/q, and the
     codes pick each entry's int over the common denominator ``den``.
     Validation: f(empty) = 0 first, then the range and monotonicity on the
-    ints packed into one int (:func:`_packed_monotone`).  The first failing
-    check in mask order raises, the range check before the monotonicity
-    check at one mask (:meth:`_raise_first_fault`).
+    ints packed into one int (:func:`_packed_monotone`); a table passing
+    them is ``monotone``.  The first failing check in mask order raises,
+    the range check before the monotonicity check at one mask
+    (:meth:`_raise_first_fault`).
     """
 
     function_class = "monotone"
@@ -420,8 +433,9 @@ class ExplicitOracle(RewardOracle):
         levels = [p * (den // q) for p, q in ratios]
         ints = list(_picker(codes)(levels))
         self._ints, self.den = ints, den
-        if ints[0] != 0 or min(levels) < 0 or max(levels) > den \
-                or not _packed_monotone(ints, den):
+        self.monotone = ints[0] == 0 and min(levels) >= 0 \
+            and max(levels) <= den and _packed_monotone(ints, den)
+        if not self.monotone:
             self._raise_first_fault(ints, den)
 
     @cached_property
@@ -604,10 +618,15 @@ def _filled_table(oracle: RewardOracle) -> list[int]:
 def with_table(inst: Instance) -> Instance:
     """``inst`` carrying its value table (:func:`_filled_table`), which
     ``Instance.scaled_f`` then reads: 2^m value queries the first time,
-    none when the instance already carries one."""
+    none when the instance already carries one.  It is a shallow copy of
+    ``inst``, checked when built, so no check runs again; of its caches
+    only the Fraction view ``f`` reads the table, and it is dropped."""
     if inst.table is not None:
         return inst
-    return replace(inst, table=_filled_table(inst.oracle))
+    tabled = copy.copy(inst)
+    vars(tabled).pop("f", None)
+    vars(tabled)["table"] = _filled_table(inst.oracle)
+    return tabled
 
 
 # -- class membership testers ----------------------------------------------

@@ -481,13 +481,22 @@ def additive_fptas(inst: Instance, budget: Fraction, eps: Fraction,
 def _first_grid_index(eps: Fraction, bound: Fraction, lo: int, hi: int) -> int:
     """The least k in [lo, hi) with (1-eps)^k <= bound, or hi if none is.
 
-    A binary search on ints: with eps = p/q and bound = num/den each probe
-    tests (q-p)^k * den <= num * q^k, building its two powers on demand.
+    With eps = p/q and bound = num/den the test is (q-p)^k * den <= num *
+    q^k.  A float log guesses k; exact int tests decide from there, each
+    step to k + 1 or k - 1 one multiplication of each side by q - p or q.
     """
     p, q = eps.numerator, eps.denominator
     num, den = bound.numerator, bound.denominator
-    return lo + bisect_left(range(lo, hi), True,
-                            key=lambda k: pow(q - p, k) * den <= num * pow(q, k))
+    if num <= 0:
+        return hi
+    rate = math.log(q - p) - math.log(q) or -p / q  # log(1 - eps), eps tiny
+    k = min(max(math.ceil((math.log(num) - math.log(den)) / rate), lo), hi)
+    left, right = pow(q - p, k) * den, num * pow(q, k)
+    while k < hi and left > right:
+        k, left, right = k + 1, left * (q - p), right * q
+    while k > lo and left * q <= right * (q - p):  # the test holds at k - 1
+        k, left, right = k - 1, left * q, right * (q - p)
+    return k
 
 
 @_counted

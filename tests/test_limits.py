@@ -6,6 +6,7 @@ solver reads f only where its algorithm needs it.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import time
@@ -133,6 +134,21 @@ def test_single_agent_fptas_refuses_a_grid_past_the_limit():
     dear = Instance(1, (Action(0, 0, F(1)),), AdditiveOracle([HALF]))
     for case, budget in ((free, HALF), (inst, F(0)), (dear, HALF)):
         assert single_agent_fptas(case, budget, eps).factor == "exact"
+
+
+def test_single_agent_grid_just_under_the_limit_is_searched_fast():
+    # a grid of 199,983 points at m = 16: the first grid index is guessed
+    # and stepped to, where a bisection built two k-bit powers per probe
+    # (about 4 s CPU); the answer is the bisection's, byte for byte
+    start = time.process_time()
+    code, out, err = _run(["solve", "--instance",
+                           "gen:unit_demand:seed=2,agents=1,actions=16",
+                           "--budget", "1/2", "--force-solver", "single-fptas",
+                           "--eps", "1/9523"])
+    assert time.process_time() - start < 1.0
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "75115f736e4ce3a733860750f35019c50e20994e4e23c1a261459a39e247045b"
 
 
 def test_cli_refuses_a_tiny_single_agent_eps_at_once():

@@ -3,7 +3,7 @@ import functools
 import itertools
 import math
 import random
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -320,6 +320,80 @@ def test_envelope_contracts_match_the_reference():
     got = dict(contract_pairs(with_table(touch)))
     assert got == {0b00: Contract((F(0),)), 0b01: Contract((F(1, 3),)),
                    0b11: Contract((F(1, 3),))}
+
+
+def _spread_instances():
+    """Instances of every family, the hidden-set one too, and the
+    unvalidated explicit tables of :func:`_budget_bound_instances`, which
+    fall, leave [0, 1] or hold one value."""
+    rng = random.Random(73)
+    for maker in (random_additive_instance, random_unit_demand_instance,
+                  random_uniform_k_instance, random_oxs_instance,
+                  random_coverage_instance, random_explicit_monotone_instance):
+        for _ in range(3):
+            yield maker(rng.randint(0, 10 ** 6), num_agents=rng.randint(1, 3),
+                        num_actions=rng.randint(1, 6))
+    yield build_hardness(HardnessParams.make(4, F(1, 2), seed=3))
+    yield from (inst for inst in _budget_bound_instances()
+                if type(inst.oracle) is UncheckedExplicit)
+
+
+def test_each_oracle_states_the_spread_of_its_table():
+    kinds = set()
+    for inst in _spread_instances():
+        for tab in (with_table(inst), _rescaled(inst)):
+            table = tab.table
+            assert tab.oracle.spread(table) == max(table) - min(table)
+            kinds.add(type(tab.oracle).__name__)
+    assert kinds == {"AdditiveOracle", "UnitDemandOracle",
+                     "UniformKDemandOracle", "AssignmentOracle",
+                     "CoverageOracle", "ExplicitOracle", "HardnessOracle",
+                     "UncheckedExplicit", "_Tripled"}
+
+
+class _NoWalk(list):
+    """A value table that may be read by index but not walked whole."""
+
+    def __iter__(self):
+        raise AssertionError("the whole value table was walked")
+
+
+def test_budgeted_walk_never_walks_the_whole_table():
+    # the budget's cut takes f's spread from the oracle: no pass over 2^m
+    for maker in (random_explicit_monotone_instance, random_coverage_instance):
+        tab = with_table(maker(17, num_agents=2, num_actions=7))
+        guarded = replace(tab, table=_NoWalk(tab.table))
+        for budget in (F(0), F(1, 8), F(1, 2), F(1)):
+            got = contract_pairs(guarded, budget=budget)
+            assert got == contract_pairs(tab, budget=budget)
+        assert any(alpha.total() > 0 for _, alpha in got)
+
+
+def test_unbudgeted_readers_sort_each_agent_once(monkeypatch):
+    # the walk without a budget and min_incentivizing_contract read the
+    # instance's one cost order; a budget's cut is sorted per walk
+    sorted_for = []
+    kernel = equilibria.cost_runs
+
+    def counting(costs):
+        sorted_for.append(max(costs))
+        return kernel(costs)
+
+    inst = with_table(random_unit_demand_instance(11, num_agents=3,
+                                                  num_actions=7))
+    want = contract_pairs(inst)
+    mics = [min_incentivizing_contract(inst, mask_to_set(mask))
+            for mask in range(1 << 7)]
+    monkeypatch.setattr(equilibria, "cost_runs", counting)
+    fresh = with_table(random_unit_demand_instance(11, num_agents=3,
+                                                   num_actions=7))
+    assert contract_pairs(fresh) == want
+    assert [min_incentivizing_contract(fresh, mask_to_set(mask))
+            for mask in range(1 << 7)] == mics
+    assert sorted_for == list(fresh.agent_masks)  # once per agent, in order
+    assert fresh.agent_cost_runs == tuple(map(kernel, fresh.agent_cost_sums))
+    list(iter_min_contracts(fresh, budget=F(1, 2)))  # the cut sorts its own
+    assert len(sorted_for) > fresh.num_agents
 
 
 def test_min_contracts_price_the_largest_agent_first(monkeypatch):
@@ -1484,6 +1558,34 @@ def _one_agent_table(rng, m, costs):
 def _sweep_result(inst, budget, eps):
     got = single_agent_fptas(inst, budget, eps)
     return (got.contract, got.profile, got.value, got.factor, got.value_queries)
+
+
+def _bisected_grid_index(eps, bound, lo, hi):
+    """The bisection ``_first_grid_index`` replaced: the least k in
+    [lo, hi) with (1-eps)^k <= bound, or hi, each probe building (q-p)^k
+    and q^k."""
+    p, q = eps.numerator, eps.denominator
+    num, den = bound.numerator, bound.denominator
+    return lo + bisect_left(range(lo, hi), True,
+                            key=lambda k: pow(q - p, k) * den <= num * pow(q, k))
+
+
+def test_first_grid_index_matches_the_bisection():
+    rng = random.Random(79)
+    for t in range(2000):
+        q = rng.choice((rng.randint(2, 60), rng.randint(2, 10 ** 6),
+                        10 ** rng.randint(2, 30) + rng.randint(0, 9)))
+        eps = F(1 if t % 7 == 0 else rng.randint(1, q - 1), q)
+        if t % 3 == 0:  # on a grid point, or next to one
+            bound = (1 - eps) ** rng.randint(0, 150) \
+                + rng.choice((0, 0, F(1, 10 ** 60), F(-1, 10 ** 60)))
+        else:
+            bound = F(rng.randint(-2, 10 ** rng.randint(0, 30)),
+                      rng.randint(1, 10 ** rng.randint(0, 30)))
+        lo = rng.randint(0, 150)
+        hi = lo + rng.randint(0, 150)
+        assert solvers._first_grid_index(eps, bound, lo, hi) \
+            == _bisected_grid_index(eps, bound, lo, hi), (eps, bound, lo, hi)
 
 
 def test_stretch_sweep_matches_per_point_reference():

@@ -4,12 +4,14 @@ spends value queries after the fill."""
 
 import dataclasses
 import json
+import operator
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from budgetcontracts.core import Contract, ModelError, UnknownActionIdError
+from budgetcontracts.core import Contract, Instance, ModelError, \
+    UnknownActionIdError
 from budgetcontracts.cli import load_instance, parse_instance
 from budgetcontracts.equilibria import best_response, double_contract, \
     is_nash, is_nash_general, iter_min_contracts, \
@@ -154,6 +156,33 @@ def test_with_table_fills_once():
     assert type(tabled.table) is list and tabled.f is tabled.f  # made once
     assert tabled.f == [F(k, inst.oracle.den) for k in tabled.table]
     assert tabled == inst  # the table is a cache, not part of the instance
+
+
+def test_with_table_copies_the_checked_instance(monkeypatch):
+    inst = random_coverage_instance(9, num_agents=3, num_actions=6)
+    caches = (inst.int_costs, inst.agent_cost_sums, inst.agent_cost_runs)
+    assert inst.f is inst.oracle  # the counted view, read before tabling
+    built = []
+    check = Instance.__post_init__
+
+    def counting(self):
+        built.append(self)
+        check(self)
+
+    monkeypatch.setattr(Instance, "__post_init__", counting)
+    dataclasses.replace(inst)  # the patch sees a build
+    assert len(built) == 1
+    tabled = with_table(inst)
+    assert len(built) == 1  # checked when built: tabling checks nothing
+    assert (tabled.int_costs, tabled.agent_cost_sums,
+            tabled.agent_cost_runs) == caches
+    assert all(map(operator.is_, (tabled.int_costs, tabled.agent_cost_sums,
+                                  tabled.agent_cost_runs), caches))
+    before = inst.oracle.value_queries
+    assert tabled.f == [F(k, inst.oracle.den) for k in tabled.table]
+    assert inst.oracle.value_queries == before  # the table, not the oracle
+    assert inst.table is None and inst.f is inst.oracle  # inst is as it was
+    assert tabled == inst
 
 
 def _oxs_document(columns: int) -> str:
