@@ -259,9 +259,9 @@ class Instance:
 
     @cached_property
     def agent_cost_runs(self) -> tuple[tuple[list[int], ...], ...]:
-        """Per agent, its ``agent_cost_sums`` by cost, sorted once by the
-        walk's ``cost_runs`` as ``equilibria`` reads it, like its cuts."""
-        from budgetcontracts.equilibria import cost_runs
+        """Per agent, its ``agent_cost_sums`` by cost, sorted once
+        (``rewards.cost_runs``)."""
+        from budgetcontracts.rewards import cost_runs
         return tuple(map(cost_runs, self.agent_cost_sums))
 
     @property

@@ -10,25 +10,24 @@ otherwise the oracle, one value query per read.  A profile becomes a
 bitmask once, at the entry point (``Instance.mask_of``), where an id
 outside the ground set raises ``UnknownActionIdError``.
 
-The exhaustive checks share one walk over an agent's deviations
-(:func:`_deviations`) and differ only in utility and tie rule.  The walk
-is one integer kernel: f(X) = F(X) / f_den with (F, f_den) from
-``Instance.scaled_f`` (the table's ints, or without a table the oracle's
-counted integer read, over the oracle's den), and c(X) =
-C(X) / c_den with C from ``Instance.agent_cost_sums``, each agent's
-subset-cost sums on ``Instance.int_costs``, built once per instance on
-first use.  For alpha_i = p/q a utility is compared as
-p * c_den * F - q * f_den * C, so :func:`is_nash` and
-:func:`best_response` decide on ints with or without a table, and a
-certificate's utilities become Fractions once per agent; its walk
-(:func:`_agent_walks`) also serves :func:`nash_violator`, the verdict alone.
+Every equilibrium check reads f over an agent's deviations through one
+walk, :func:`_deviations`: f(S) once per check, by the caller, and f
+once per other deviation.  The walk is one integer kernel:
+f(X) = F(X) / f_den with (F, f_den) from ``Instance.scaled_f`` (the
+table's ints, or without a table the oracle's counted integer read, over
+the oracle's den), and c(X) = C(X) / c_den with C from
+``Instance.agent_cost_sums``, each agent's subset-cost sums on
+``Instance.int_costs``, built once per instance on first use.  At slope
+p/q a utility is compared as p * c_den * F - q * f_den * C, on ints with
+or without a table.  The checks differ in slope, tie rule and where they
+stop; :func:`_agent_walks` gives each agent's walk at its slope.
 
 The minimal-contract algebra is one routine, :func:`_agent_payments`:
 one agent's minimal payments, read off the upper envelope of its
 deviations' lines against each rest.  :func:`iter_min_contracts` runs it
 over every profile, under a budget B from the deviations within the
 budget's cost cut, c(d) <= B * spread of f, and
-:func:`min_incentivizing_contract` over one profile's rests;
+:func:`min_incentivizing_contract` over one profile's walk;
 :func:`single_agent_hull` is the walk's records for one agent.  Payments
 are int pairs; :func:`contract_of` makes a ``Contract`` of them where one
 is read.
@@ -38,6 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Mapping, Optional, Sequence
 
 from budgetcontracts.core import (
@@ -61,22 +61,25 @@ def _check_walks(inst: Instance) -> None:
                       "one agent's deviations")
 
 
-def _deviations(inst: Instance, agent: int, s: int):
+def _deviations(inst: Instance, agent: int, s: int, f_s: int):
     """Agent ``agent``'s deviations from the profile bitmask ``s``, scaled.
 
     Returns (C(S_i), walk).  The walk yields (dev, F(dev | S_-i), C(dev))
     for every subset dev of T_i, each a bitmask, in ascending mask order:
     the order of the subsets of the agent's sorted actions.  F and C are f
-    and c scaled as the module docstring says.  f is read as the walk goes,
-    so a caller that stops early spares the later reads.  Callers check
-    the walk's size with :func:`_check_walks` before their first read.
+    and c scaled as the module docstring says.  F(S) is the caller's one
+    read ``f_s``; f is read once per other deviation as the walk goes, so
+    a caller that stops early spares the later reads.  Callers check the
+    walk's size with :func:`_check_walks` before their first read.
     """
     own = inst.agent_masks[agent]
     costs = inst.agent_cost_sums[agent]
     rest = s & ~own
     f, _ = inst.scaled_f
-    return costs[s & own], zip(costs, map(f, [dev | rest for dev in costs]),
-                               costs.values())
+    fulls = [dev | rest for dev in costs]
+    k = fulls.index(s)
+    return costs[s & own], zip(costs, chain(
+        map(f, fulls[:k]), (f_s,), map(f, fulls[k + 1:])), costs.values())
 
 
 def best_response(inst: Instance, agent: int, alpha_i: Fraction,
@@ -110,9 +113,10 @@ def best_response(inst: Instance, agent: int, alpha_i: Fraction,
                               for j in range(inst.num_agents)))
         return ne_from_demand(inst, only, s_other, gs=True) - s_other
     check_enumeration(len(own), "one agent's deviations")
-    _, walk = _deviations(inst, agent, other)
+    f, f_den = inst.scaled_f
+    _, walk = _deviations(inst, agent, other, f(other))
     pc = alpha_i.numerator * inst.int_costs[1]
-    qf = alpha_i.denominator * inst.scaled_f[1]
+    qf = alpha_i.denominator * f_den
     best = None
     for dev, f_full, c in walk:
         rank = (pc * f_full - qf * c, f_full)
@@ -138,26 +142,22 @@ class NeCertificate:
     violator: Optional[int] = None
 
 
-def _agent_walks(inst: Instance, alpha: Contract, profile: Iterable[int]):
-    """Per agent in index order (u_i, best_u, best_dev, scale): its utility,
-    its first best deviation's (both times scale) and that deviation.  A
-    contract without exactly one entry per agent raises."""
-    check_contract(inst, alpha)
+def _agent_walks(inst: Instance, slopes: Contract | Sequence[Fraction],
+                 profile: Iterable[int]):
+    """Per agent in index order (u_i, pc, qf, walk) at its slope p/q, which
+    may be negative: pc = p * c_den, qf = q * f_den, walk its
+    :func:`_deviations`, each worth pc * F - qf * C times qf * c_den, and
+    u_i the worth of S_i.  Without one slope per agent it raises."""
+    check_contract(inst, slopes)
     _check_walks(inst)
     mask = inst.mask_of(profile)
     f, f_den = inst.scaled_f
     c_den = inst.int_costs[1]
     f_s = f(mask)
     for i in range(inst.num_agents):
-        c_i, walk = _deviations(inst, i, mask)
-        pc, qf = alpha[i].numerator * c_den, alpha[i].denominator * f_den
-        best_u = None
-        best_dev = 0
-        for dev, f_dev, c in walk:
-            u = pc * f_dev - qf * c
-            if best_u is None or u > best_u:
-                best_u, best_dev = u, dev
-        yield pc * f_s - qf * c_i, best_u, best_dev, qf * c_den
+        c_i, walk = _deviations(inst, i, mask, f_s)
+        pc, qf = slopes[i].numerator * c_den, slopes[i].denominator * f_den
+        yield pc * f_s - qf * c_i, pc, qf, walk
 
 
 def is_nash(inst: Instance, alpha: Contract,
@@ -165,11 +165,18 @@ def is_nash(inst: Instance, alpha: Contract,
     """Check the weak Nash condition by per-agent enumeration of deviations.
 
     f(S) is read once for all agents, so without a table the check issues
-    1 + sum_i 2^|T_i| value queries.  Utilities are compared scaled, and
-    become Fractions once per agent, for the certificate.
+    1 + sum_i (2^|T_i| - 1) value queries.  Each agent keeps its first
+    best deviation; utilities become Fractions once per agent.
     """
     s = frozenset(profile)
-    walks = list(_agent_walks(inst, alpha, s))
+    walks = []
+    for u_i, pc, qf, walk in _agent_walks(inst, alpha, s):
+        best_u = None
+        for dev, f_dev, c in walk:
+            u = pc * f_dev - qf * c
+            if best_u is None or u > best_u:
+                best_u, best_dev = u, dev
+        walks.append((u_i, best_u, best_dev, qf * inst.int_costs[1]))
     violator = next((i for i, (u, b, _, _) in enumerate(walks) if b > u),
                     None)
     return NeCertificate(violator is None, s,
@@ -178,12 +185,15 @@ def is_nash(inst: Instance, alpha: Contract,
                                for _, b, d, k in walks), violator)
 
 
-def nash_violator(inst: Instance, alpha: Contract,
+def nash_violator(inst: Instance, alpha: Contract | Sequence[Fraction],
                   profile: Iterable[int]) -> Optional[int]:
-    """``is_nash(...).violator`` (None at an equilibrium) with no
-    certificate; the walks stop at the first violator."""
-    return next((i for i, (u_i, best_u, _, _) in enumerate(
-        _agent_walks(inst, alpha, profile)) if best_u > u_i), None)
+    """``is_nash(...).violator`` (None at an equilibrium), returning at the
+    first improving deviation; ``alpha`` may be any sequence of slopes."""
+    for i, (u_i, pc, qf, walk) in enumerate(_agent_walks(inst, alpha, profile)):
+        for _, f_dev, c in walk:
+            if pc * f_dev - qf * c > u_i:
+                return i
+    return None
 
 
 def ne_from_demand(inst: Instance, alpha: Contract, base: Iterable[int] = (),
@@ -231,25 +241,23 @@ def min_incentivizing_contract(inst: Instance, profile: Iterable[int]
     """The cheapest contract making ``profile`` a weak Nash equilibrium,
     or None when some agent cannot be kept on it at any payment.
 
-    Per agent i, with rest R = S - T_i, f(R + d) is read for every
-    deviation d of T_i in ascending mask order, f(S) once up front for
-    all agents, and the agent's payment is what :func:`_agent_payments`
-    gives S against R: the envelope of :func:`iter_min_contracts`, for
-    one profile.  Without a table a kept profile issues
-    1 + sum_i (2^|T_i| - 1) value queries; one not kept stops after its
-    first failing agent's walk.
+    Per agent i, its walk (:func:`_deviations`, f(S) read once up front
+    for all agents) reads f(R + d) for every other deviation d of T_i in
+    ascending mask order, R = S - T_i, and the agent's payment is what
+    :func:`_agent_payments` gives S_i against those values: the envelope
+    of :func:`iter_min_contracts`, for one profile.  Without a table a
+    kept profile issues 1 + sum_i (2^|T_i| - 1) value queries; one not
+    kept stops after its first failing agent's walk.
     """
     mask = inst.mask_of(frozenset(profile))
     _check_walks(inst)
     f, _ = inst.scaled_f
     f_s = f(mask)
     paid = []
-    for i, (own, costs, runs) in enumerate(zip(
-            inst.agent_masks, inst.agent_cost_sums, inst.agent_cost_runs)):
-        rest = mask & ~own
-        vals = {rest | d: f_s if rest | d == mask else f(rest | d)
-                for d in costs}
-        pay = _agent_payments(vals, runs, (rest,)).get(mask)
+    for i, runs in enumerate(inst.agent_cost_runs):
+        _, walk = _deviations(inst, i, mask, f_s)
+        vals = {dev: f_dev for dev, f_dev, _ in walk}
+        pay = _agent_payments(vals, runs, (0,)).get(mask & inst.agent_masks[i])
         if pay is None:
             return None
         paid.append((i, *pay))
@@ -263,8 +271,8 @@ def _agent_payments(f: Sequence[int] | Mapping[int, int],
     on, keyed by profile mask, over the distinct ``rests``; ``runs`` is
     :func:`rewards.cost_runs` of its deviations (all, or a budget's cut):
     the submasks in ascending cost, their costs and the ends of the runs.
-    ``f`` maps each R + d to f(R + d) scaled: a value table, or the values
-    of one profile's walk (:func:`min_incentivizing_contract`).
+    ``f`` maps each R + d to f(R + d) scaled: a value table, or one walk's
+    values by deviation, at rest 0 (:func:`min_incentivizing_contract`).
 
     Per rest R, one loop reads f(R + d) for the deviations d in ascending
     cost, keeps the staircase (each worth more than every cheaper one) and
@@ -457,24 +465,11 @@ def linearize(contract: GeneralContract) -> Contract:
 
 def is_nash_general(inst: Instance, contract: GeneralContract,
                     profile: Iterable[int]) -> bool:
-    """Weak Nash check under a general (success/failure payment) contract."""
-    check_contract(inst, contract)
-    s = inst.mask_of(frozenset(profile))
-    _check_walks(inst)
+    """Weak Nash check under a general (success/failure payment) contract.
 
-    f, f_den = inst.scaled_f
-    c_den = inst.int_costs[1]
-
-    def utility(i: int, f_dev, c) -> Fraction:  # times f_den * c_den
-        t0 = contract.pay_on_failure[i]
-        t1 = contract.pay_on_success[i]
-        return (t1 * f_dev + t0 * (f_den - f_dev)) * c_den - c * f_den
-
-    f_s = f(s)
-    for i in range(inst.num_agents):
-        c_i, walk = _deviations(inst, i, s)
-        u_i = utility(i, f_s, c_i)
-        for _, f_dev, c in walk:
-            if utility(i, f_dev, c) > u_i:
-                return False
-    return True
+    Agent i's utility t0 + (t1 - t0) * f - c moves from one deviation to
+    another only by (t1 - t0) * f - c, so t0 drops out and this is
+    :func:`nash_violator` at the slopes t1 - t0, which may be negative.
+    """
+    return nash_violator(inst, [t1 - t0 for t0, t1 in zip(
+        contract.pay_on_failure, contract.pay_on_success)], profile) is None

@@ -98,19 +98,15 @@ def _check_setting(budget: Fraction, approx_target: Fraction) -> None:
 
 
 def default_epsilon(n: int, budget: Fraction, approx_target: Fraction) -> Fraction:
-    """Half the binding upper bound on epsilon, as an exact rational.
+    """Half the gap bound (1-B)/(K(n+4)) on epsilon, as an exact rational,
+    halved again until eps^2 < 2B/n so the good action's cost stays
+    positive; strict inequalities need slack, hence the halving.
 
-    Bounds enforced: the gap condition (1-B)/(K(n+4)) and 4n/B, plus
-    1/(n+2) so the top reward value stays inside [0, 1], and eps^2 < 2B/n
-    so the good action's cost stays positive; strict inequalities need
-    slack, hence the halving.
+    With B in (0, 1) and K >= 1 (:func:`_check_setting`) the gap bound is
+    below 1/(n+4) < 1/(n+2), which keeps the top reward value inside
+    [0, 1], and below 1 < 4n/B, so it is the one that binds.
     """
-    bound = min(
-        (ONE - budget) / (approx_target * (n + 4)),
-        Fraction(4 * n) / budget,
-        Fraction(1, n + 2),
-    )
-    eps = bound / 2
+    eps = (ONE - budget) / (approx_target * (n + 4)) / 2
     while eps * eps >= Fraction(2) * budget / n:
         eps /= 2
     return eps
@@ -145,10 +141,6 @@ class HardnessParams:
             raise InvalidEpsilonError("eps must be > 0")
         if e >= (ONE - self.budget) / (self.approx_target * (self.n + 4)):
             raise InvalidEpsilonError("eps too large for the gap condition")
-        if e >= Fraction(4 * self.n) / self.budget:
-            raise InvalidEpsilonError("eps violates the 4n/B condition")
-        if e > Fraction(1, self.n + 2):
-            raise InvalidEpsilonError("eps > 1/(n+2) pushes f above 1")
         if e * e >= Fraction(2) * self.budget / self.n:
             raise InvalidEpsilonError("eps^2 must stay below 2B/n")
 

@@ -188,7 +188,6 @@ class _PrefixLayout:
     every table of the solve.
     """
 
-    basis: str
     eps: Fraction
     num_actions: int
     agent_order: tuple[tuple[int, ...], ...]
@@ -243,7 +242,7 @@ class _PrefixLayout:
             (0, *(ratio[a][0] * (den // ratio[a][1]) for a in kept))
             for kept in agent_order)
         return cls(
-            basis, eps, m, tuple(agent_order), den, prefix_payment,
+            eps, m, tuple(agent_order), den, prefix_payment,
             tuple(tuple(accumulate((1 << a for a in kept), or_, initial=0))
                   for kept in agent_order),
             tuple(tuple(accumulate((c_int[a] for a in kept), initial=0))

@@ -409,7 +409,8 @@ def _reference_is_nash(inst, alpha, s, val):
         u_i = alpha[i] * f_s - cost(inst, s_i)
         best_u, best_set = None, frozenset()
         for dev in _ordered_subsets(inst.agent_actions[i]):
-            u = alpha[i] * val(dev | (s - s_i)) - cost(inst, dev)
+            f_dev = f_s if dev == s_i else val(dev | (s - s_i))
+            u = alpha[i] * f_dev - cost(inst, dev)
             if best_u is None or u > best_u:
                 best_u, best_set = u, dev
         utilities.append(u_i)
@@ -441,7 +442,8 @@ def _reference_is_nash_general(inst, contract, s, val):
 
         u_i = utility(f_s, s_i)
         for dev in _ordered_subsets(inst.agent_actions[i]):
-            if utility(val(dev | (s - s_i)), dev) > u_i:
+            f_dev = f_s if dev == s_i else val(dev | (s - s_i))
+            if utility(f_dev, dev) > u_i:
                 return False
     return True
 
@@ -533,11 +535,11 @@ def test_deviation_walk_matches_the_reference_loops():
 
 def test_deviation_walk_reads_like_the_reference_loops():
     # without a table every read is one value query; f(S) is read once per
-    # check, and the early stop of is_nash_general spares the same reads as
-    # the reference loop
+    # check and never again in a walk, and the early stop of
+    # is_nash_general spares the same reads as the reference loop
     for inst, alpha, general in _walk_cases(73, 12, 5):
         oracle = inst.oracle
-        walk = sum(1 << len(own) for own in inst.agent_actions)
+        walk = sum((1 << len(own)) - 1 for own in inst.agent_actions)
         for s in all_subsets(range(inst.num_actions)):
             pairs = _checker_pairs(inst, alpha, general, s)
             for k, (new, reference) in enumerate(pairs):
@@ -547,13 +549,14 @@ def test_deviation_walk_reads_like_the_reference_loops():
                 before = oracle.value_queries
                 assert new() == expected
                 assert oracle.value_queries - before == spent
-                if k == 0:  # is_nash: f(S), then every deviation
+                if k == 0:  # is_nash: f(S), then every other deviation
                     assert spent == 1 + walk
 
 
 def test_untabled_is_nash_matches_the_reference_at_n_200():
     # no table reaches 2^202 subsets, so is_nash reads the oracle's ints:
-    # f(S), then two deviations per unit agent and four for the special one
+    # f(S), then one other deviation per unit agent and three for the
+    # special one
     params = HardnessParams.make(200, F(1, 2))
     inst = build_hardness(params)
     n = params.n
@@ -567,11 +570,81 @@ def test_untabled_is_nash_matches_the_reference_at_n_200():
         alpha, profile = _pair_for_guess(params, guess)
         before = inst.oracle.value_queries
         cert = is_nash(inst, alpha, profile)
-        assert inst.oracle.value_queries - before == 1 + 2 * n + 4
+        assert inst.oracle.value_queries - before == 1 + n + 3
         assert _cert_tuple(cert) == _reference_is_nash(
             inst, alpha, profile, inst.oracle.value)
         verdicts.append(cert.ok)
     assert verdicts == [True, False, False, False]
+
+
+def _stopping_reads(inst, f, slopes, s, blocks):
+    """The reads of a walk at ``slopes`` that stops at the first deviation
+    improving on S: f(S), then each agent's ``blocks`` up to that one."""
+    reads = [inst.mask_of(s)]
+    for i, block in enumerate(blocks):
+        own = inst.agent_actions[i]
+        u_i = slopes[i] * f[reads[0]] - cost(inst, s & own)
+        for x, dev in block:
+            reads.append(x)
+            if slopes[i] * f[x] - cost(inst, dev) > u_i:
+                return reads
+    return reads
+
+
+def test_each_check_reads_each_mask_once_and_f_of_s_first(monkeypatch):
+    # every read of an untabled instance is recorded: f(S) comes first
+    # (f(S_-i) for best_response), then each agent's other deviations in
+    # ascending mask order, no mask twice, and nash_violator and
+    # is_nash_general read nothing after the first improving deviation
+    negative = 0
+    for inst, alpha, general in _wide_walk_cases(79, 12, 5):
+        oracle = inst.oracle
+        f = with_table(inst).f
+        reads = []
+
+        def recording(mask, oracle=oracle):
+            reads.append(mask)
+            return type(oracle).read(oracle, mask)
+
+        monkeypatch.setattr(oracle, "read", recording)
+        slopes = [t1 - t0 for t0, t1 in zip(general.pay_on_failure,
+                                            general.pay_on_success)]
+        negative += min(slopes) < 0
+        for s in all_subsets(range(inst.num_actions)):
+            blocks = [[(inst.mask_of(dev | (s - own)), dev)
+                       for dev in _ordered_subsets(own) if dev != s & own]
+                      for own in inst.agent_actions]
+            upto = [[inst.mask_of(s)]]
+            for block in blocks:
+                upto.append(upto[-1] + [x for x, _ in block])
+            reads.clear()
+            is_nash(inst, alpha, s)
+            assert reads == upto[-1]
+            reads.clear()
+            nash_violator(inst, alpha, s)
+            assert reads == _stopping_reads(inst, f, alpha, s, blocks)
+            reads.clear()
+            is_nash_general(inst, general, s)
+            assert reads == _stopping_reads(inst, f, slopes, s, blocks)
+            reads.clear()
+            kept = min_incentivizing_contract(inst, s)
+            assert reads == upto[-1] if kept is not None else reads in upto
+            for i, own in enumerate(inst.agent_actions):
+                reads.clear()
+                best_response(inst, i, alpha[i], s - own, gs=False)
+                assert reads == ([] if alpha[i] == 0 else [
+                    inst.mask_of(dev | (s - own))
+                    for dev in _ordered_subsets(own)])
+    assert negative  # some agent is paid more on failure than on success
+
+
+def test_is_nash_general_at_a_negative_slope():
+    # paid more on failure, the agent gains by lowering f: the free action
+    # is a deviation that pays, and leaving it is an equilibrium
+    inst = Instance(1, (Action(0, 0, F(0)),), AdditiveOracle([F(1, 2)]))
+    general = GeneralContract((F(1, 2),), (F(1, 4),))
+    assert not is_nash_general(inst, general, {0})
+    assert is_nash_general(inst, general, set())
 
 
 @pytest.mark.parametrize("inst", [

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, \
     strategies as st
 
-from budgetcontracts import core, equilibria, solvers
+from budgetcontracts import core, equilibria, rewards, solvers
 from budgetcontracts.core import Action, Contract, GroundSetTooLargeError, \
     Instance, ModelError, UnknownAgentIdError, cost, restrict_contract
 from budgetcontracts.equilibria import best_response, is_nash, \
@@ -371,7 +371,9 @@ def test_budgeted_walk_never_walks_the_whole_table():
 
 def test_unbudgeted_readers_sort_each_agent_once(monkeypatch):
     # the walk without a budget and min_incentivizing_contract read the
-    # instance's one cost order; a budget's cut is sorted per walk
+    # instance's one cost order; a budget's cut is sorted per walk.  The
+    # instance sorts through rewards.cost_runs, the walk's cut through
+    # the name equilibria binds, so both are counted
     sorted_for = []
     kernel = equilibria.cost_runs
 
@@ -384,7 +386,8 @@ def test_unbudgeted_readers_sort_each_agent_once(monkeypatch):
     want = contract_pairs(inst)
     mics = [min_incentivizing_contract(inst, mask_to_set(mask))
             for mask in range(1 << 7)]
-    monkeypatch.setattr(equilibria, "cost_runs", counting)
+    for module in (equilibria, rewards):
+        monkeypatch.setattr(module, "cost_runs", counting)
     fresh = with_table(random_unit_demand_instance(11, num_agents=3,
                                                    num_actions=7))
     assert contract_pairs(fresh) == want
@@ -530,7 +533,8 @@ def test_budget_cuts_the_first_rests_and_the_hull_lines(monkeypatch):
 def test_cost_runs_are_sorted_once_per_walk(monkeypatch):
     # each walk sorts the deviations of each agent it visits, once, and
     # under a budget B only those with c(d) <= B * spread: the others are
-    # neither summed nor sorted
+    # neither summed nor sorted.  Without a budget the instance sorts
+    # through rewards.cost_runs, so both bound names are counted
     sorts = []
     sort = equilibria.cost_runs
 
@@ -538,7 +542,8 @@ def test_cost_runs_are_sorted_once_per_walk(monkeypatch):
         sorts.append(sorted(costs.items()))
         return sort(costs)
 
-    monkeypatch.setattr(equilibria, "cost_runs", counting)
+    for module in (equilibria, rewards):
+        monkeypatch.setattr(module, "cost_runs", counting)
     inst = with_table(random_unit_demand_instance(4, num_agents=3,
                                                   num_actions=7))
     assert all(inst.agent_masks)  # the walk visits every agent

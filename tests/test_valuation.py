@@ -130,7 +130,8 @@ def test_lazy_instance_keeps_its_documented_query_counts():
                                 if rng.random() < 0.5)
             before = oracle.value_queries
             is_nash(inst, alpha, profile)
-            assert oracle.value_queries - before == 1 + walk
+            # f(S), then each agent's deviations but S_i
+            assert oracle.value_queries - before == 1 + walk - inst.num_agents
             # f(S), then each agent's deviations but S_i until a failure
             before = oracle.value_queries
             got = min_incentivizing_contract(inst, profile)
