@@ -26,7 +26,8 @@ The minimal-contract algebra is one routine, :func:`_agent_payments`:
 one agent's minimal payments, read off the upper envelope of its
 deviations' lines against each rest.  :func:`iter_min_contracts` runs it
 over every profile, under a budget B from the deviations within the
-budget's cost cut, c(d) <= B * spread of f, and
+budget's cost cut, c(d) <= B * spread of f (on a monotone f, per rest R,
+c(d) <= B * (f(R + T_i) - f(R))), and
 :func:`min_incentivizing_contract` over one profile's walk;
 :func:`single_agent_hull` is the walk's records for one agent.  Payments
 are int pairs; :func:`contract_of` makes a ``Contract`` of them where one
@@ -35,6 +36,7 @@ is read.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -266,13 +268,18 @@ def min_incentivizing_contract(inst: Instance, profile: Iterable[int]
 
 def _agent_payments(f: Sequence[int] | Mapping[int, int],
                     runs: tuple[list[int], list[int], list[int]],
-                    rests: Iterable[int]) -> dict[int, tuple]:
+                    rests: Iterable[int],
+                    cut: Optional[tuple[int, int, int]] = None
+                    ) -> dict[int, tuple]:
     """The minimal payment of one agent for each profile it can be kept
     on, keyed by profile mask, over the distinct ``rests``; ``runs`` is
     :func:`rewards.cost_runs` of its deviations (all, or a budget's cut):
     the submasks in ascending cost, their costs and the ends of the runs.
     ``f`` maps each R + d to f(R + d) scaled: a value table, or one walk's
     values by deviation, at rest 0 (:func:`min_incentivizing_contract`).
+    A ``cut`` (own, cap_n, cap_d) reads per rest R only the deviations d
+    with C(d) * cap_d <= cap_n * (F(R + own) - F(R)), whole runs of equal
+    cost.
 
     Per rest R, one loop reads f(R + d) for the deviations d in ascending
     cost, keeps the staircase (each worth more than every cheaper one) and
@@ -285,8 +292,11 @@ def _agent_payments(f: Sequence[int] | Mapping[int, int],
     devs, by_cost, ends = runs
     cheapest = devs[:ends[0]]
     pay = {}
+    own, cap_n, cap_d = cut or (0, 0, 1)
     for rest in rests:
-        vals = [f[rest | d] for d in devs]
+        within = devs if cut is None else devs[:bisect_right(
+            by_cost, cap_n * (f[rest | own] - f[rest]) // cap_d)]
+        vals = [f[rest | d] for d in within]
         hull = [0]
         top = vals[0]
         for k in range(1, len(vals)):
@@ -378,22 +388,25 @@ def iter_min_contracts(inst: Instance, *, budget: Optional[Fraction] = None):
     cheapest run: the first record is (0, 0, c_den, []) under any B >= 0.
 
     A ``budget`` B drops the profiles whose payments sum above it, and
-    both walks stop at B * spread, spread = max f - min f whatever the
-    signs of values, as the oracle states it (``RewardOracle.spread``, no
-    pass over the table for a monotone f).  Agent j kept on S at alpha_j
-    prefers S_j to doing nothing, alpha_j * (f(S) - f(S - T_j)) >= c(S_j),
-    so c(S_j) <= alpha_j * spread; summed over the agents but the first,
-    its rests R have c(R) <= B * spread.  Each agent reads only the
-    deviations d with c(d) <= B * spread: for 0 <= alpha <= B a dearer d's
-    line is below the empty deviation's, alpha * f(R + d) - c(d) < alpha *
-    (f(R + d) - spread) <= alpha * f(R).  On [0, B] the envelope and the
-    lines reaching it stay as they were, and so does each stretch starting
-    at or below B: payments up to B are unchanged.
+    the walks read only what such a profile can need.  Let g be spread =
+    max f - min f, as the oracle states it (``RewardOracle.spread``), or on
+    a monotone f (``RewardOracle.monotone``) a bound per rest R: f(R + T_i)
+    - f(R) for agent i's deviations, f(R + T_1) - f(empty) for the first
+    agent's rests.  Each agent reads only the deviations d with c(d) <=
+    B * g, whole runs of equal cost: f(R + d) - f(R) <= g, so for 0 <=
+    alpha <= B a dearer d's line is below the empty deviation's, alpha *
+    f(R + d) - c(d) < alpha * (f(R + d) - g) <= alpha * f(R).  On [0, B]
+    the envelope and the lines reaching it stay as they were, and so does
+    each stretch starting at or below B: payments up to B are unchanged.
+    Agent j kept on S = R + S_1 at alpha_j prefers S_j to doing nothing,
+    alpha_j * (f(S) - f(S - T_j)) >= c(S_j), and f(S) - f(S - T_j) <= g
+    as S is within R + T_1; summed over the agents but the first, c(R) <=
+    B * g, so the first agent walks only those rests.
 
     Values are the table's ints as filled.  An agent's deviations in
     ascending cost (:func:`rewards.cost_runs`) are the instance's
     ``agent_cost_runs``, sorted once, or under a budget only those within
-    the cut (:func:`rewards.submask_sums_upto`), sorted per walk.  The
+    B * spread (:func:`rewards.submask_sums_upto`), sorted per walk.  The
     budget is tested on the payment pairs, and no Fraction is made.
     """
     own_masks = inst.agent_masks
@@ -417,13 +430,19 @@ def iter_min_contracts(inst: Instance, *, budget: Optional[Fraction] = None):
         own = own_masks[i]
         runs = inst.agent_cost_runs[i] if budget is None \
             else cost_runs(submask_sums_upto(own, c_int, limit))
+        cut = None if budget is None or not inst.oracle.monotone \
+            else (own, max(cap_n, 0), cap_d)  # g per rest, as above
         if kept is not None:
             rests = {mask & ~own for mask in kept}
         elif budget is None:
             rests = submasks(everything & ~own)
         else:
             rests = submask_sums_upto(everything & ~own, c_int, limit)
-        pay = _agent_payments(f, runs, rests)
+            if cut:  # C(R) <= B * g = B * (F(R + T_1) - F(empty))
+                f_0 = f[0]
+                rests = [r for r, c in rests.items()
+                         if c * cap_d <= cap_n * (f[r | own] - f_0)]
+        pay = _agent_payments(f, runs, rests, cut)
         if budget is not None:
             pay = {k: p for k, p in pay.items() if p[0] * cap_d <= cap_n * p[1]}
         kept = sorted(pay) if kept is None else [k for k in kept if k in pay]

@@ -3,17 +3,19 @@
 Its tracer wraps package functions by name and its workloads call the
 package directly, so a renamed function or a dropped keyword would only
 show up as failed benchmark operations.  The harness files are read, never
-written or imported as a package.
+written or imported as a package.  The budgeted walk's table reads on the
+``exact_tables`` corpus are pinned here too.
 """
 
 import contextlib
 import io
 import types
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
-from budgetcontracts import cli
-from budgetcontracts.rewards import value_table, with_table
+from budgetcontracts import cli, equilibria
+from budgetcontracts.rewards import submask_sums_upto, value_table, with_table
 from budgetcontracts.solvers import _PrefixLayout, build_dp_table
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -86,3 +88,57 @@ def test_benchmark_tracer_and_workloads_bind_to_the_package(tmp_path):
     cells = [bench_trace._dp_cells(None, build_dp_table(layout, b), None)
         for b in scales]
     assert dp.count == sum(cells) and min(cells) > 0
+
+
+class _CountingTable(list):
+    """A value table that counts its reads."""
+
+    reads = 0
+
+    def __getitem__(self, mask):
+        self.reads += 1
+        return super().__getitem__(mask)
+
+
+def test_budgeted_walk_reads_on_the_exact_tables_corpus(tmp_path, monkeypatch):
+    # the brute-force ops of exact_tables at seed 1, all on monotone f:
+    # the first agent reads under 35 % of the (rest, deviation) pairs that
+    # the one cut per instance, c <= B * spread, keeps, and the walk reads
+    # 62,454 table values in all, 157,285 under that cut
+    ops = _harness_module("bench_workloads").ExactTables(1, tmp_path).build()
+    walks = []
+    kernel = equilibria._agent_payments
+
+    def recording(f, runs, rests, cut=None):
+        assert cut is not None
+        rests = list(rests)
+        before = f.reads
+        pay = kernel(f, runs, rests, cut)
+        # less the cut's own two reads per rest R, f(R + T_i) and f(R)
+        walks[-1].append(f.reads - before - 2 * len(rests))
+        return pay
+
+    monkeypatch.setattr(equilibria, "_agent_payments", recording)
+    reads = spread_pairs = 0
+    for op in ops:
+        if "--force-solver" in op.argv:
+            continue
+        inst = with_table(cli.load_instance(str(op.path)))
+        budget = Fraction(op.budget)
+        c_int, c_den = inst.int_costs
+        cap_n, cap_d = (budget * Fraction(c_den, inst.oracle.den)
+                        ).as_integer_ratio()
+        limit = cap_n * inst.oracle.spread(inst.table) // cap_d
+        own = max(inst.agent_masks, key=int.bit_count)  # priced first
+        spread_pairs += len(submask_sums_upto(
+            (1 << inst.num_actions) - 1 & ~own, c_int, limit)) * len(
+            submask_sums_upto(own, c_int, limit))
+        table = _CountingTable(inst.table)
+        walks.append([])
+        list(equilibria.iter_min_contracts(replace(inst, table=table),
+                                           budget=budget))
+        reads += table.reads
+    first_pairs = sum(pairs[0] for pairs in walks)
+    assert len(walks) == 162
+    assert (first_pairs, spread_pairs, reads) == (39_434, 136_518, 62_454)
+    assert first_pairs <= 0.35 * spread_pairs

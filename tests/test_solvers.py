@@ -403,9 +403,9 @@ def test_min_contracts_price_the_largest_agent_first(monkeypatch):
     calls = []
     kernel = equilibria._agent_payments
 
-    def recording(f, runs, rests):
+    def recording(f, runs, rests, cut=None):
         calls.append(max(runs[0]))  # the agent's own mask
-        return kernel(f, runs, rests)
+        return kernel(f, runs, rests, cut)
 
     monkeypatch.setattr(equilibria, "_agent_payments", recording)
     # agent 0 owns action 2, agent 1 actions 0, 1, 4 and 5, agent 2
@@ -425,12 +425,13 @@ def test_min_contracts_price_the_largest_agent_first(monkeypatch):
 
 
 def test_budget_cuts_every_agents_deviations(monkeypatch):
-    handed = []
+    handed, cuts = [], []
     kernel = equilibria._agent_payments
 
-    def recording(f, runs, rests):
+    def recording(f, runs, rests, cut=None):
         handed.append(runs)
-        return kernel(f, runs, rests)
+        cuts.append(cut)
+        return kernel(f, runs, rests, cut)
 
     monkeypatch.setattr(equilibria, "_agent_payments", recording)
     inst = with_table(_dear_second_agent())
@@ -438,11 +439,16 @@ def test_budget_cuts_every_agents_deviations(monkeypatch):
     spread = max(inst.table) - min(inst.table)
     for budget in (F(0), F(1, 64), F(1, 3), F(1, 2), F(1)):
         handed.clear()
+        cuts.clear()
         got = contract_pairs(inst, budget=budget)
         p, q = budget.as_integer_ratio()
         assert len(handed) == 2 and all(  # agent 0, then agent 1
             not d & ~own for runs, own in zip(handed, inst.agent_masks)
             for d in runs[0])
+        # f is monotone: each agent's walk also cuts per rest, at
+        # B * (f(R + T_i) - f(R)) in the payments' units
+        cap = (budget * F(c_den, f_den)).as_integer_ratio()
+        assert cuts == [(own, *cap) for own in inst.agent_masks]
         for runs in handed:  # c(d) <= B * spread, cross-multiplied
             assert all(c * f_den * q <= p * spread * c_den for c in runs[1])
         assert got == [(mask, alpha) for mask, alpha in contract_pairs(
@@ -478,14 +484,15 @@ def test_budget_cuts_the_first_rests_and_the_hull_lines(monkeypatch):
     walked = []
     kernel = equilibria._agent_payments
 
-    def recording(f, runs, rests):
+    def recording(f, runs, rests, cut=None):
         rests = list(rests)
         walked.append((list(runs[0]), rests))
-        return kernel(f, runs, rests)
+        return kernel(f, runs, rests, cut)
 
     monkeypatch.setattr(equilibria, "_agent_payments", recording)
     # agent 0 owns actions 0-2 and is priced first; its rests are the
-    # subsets of the six one-action agents' actions 3-8
+    # subsets of the six one-action agents' actions 3-8, and f is
+    # monotone, so a rest R stays where c(R) <= B * (f(R + T_0) - f(empty))
     inst = with_table(Instance(
         7, tuple(Action(a, max(0, a - 2), F(a + 1, 128)) for a in range(9)),
         AdditiveOracle([F(1, 9)] * 9)))
@@ -495,7 +502,11 @@ def test_budget_cuts_the_first_rests_and_the_hull_lines(monkeypatch):
         got = contract_pairs(inst, budget=budget)
         rests = walked[0][1]
         assert rests == [r for r in range(0, 1 << 9, 8)
-                         if cost(inst, mask_to_set(r)) <= budget * spread]
+                         if cost(inst, mask_to_set(r))
+                         <= budget * (inst.f[r | 0b111] - inst.f[0])]
+        # the per-rest bound cuts rests that c(R) <= B * spread keeps
+        assert any(cost(inst, mask_to_set(r)) <= budget * spread
+                   for r in set(range(0, 1 << 9, 8)) - set(rests))
         assert len(rests) < 2 ** 6 // 2  # the cut skips most rests
         assert got == [(mask, alpha) for mask, alpha in contract_pairs(
             inst) if alpha.total() <= budget]
@@ -528,6 +539,61 @@ def test_budget_cuts_the_first_rests_and_the_hull_lines(monkeypatch):
         assert k < len(full_breaks)
         assert breaks == full_breaks[:k]
         assert hull == full_hull[:k + 1]
+
+
+def _cut_boundary_instances():
+    """(instance, B, pins): explicit monotone, coverage and GS instances,
+    n 2-4 and m <= 8, each with costs set so that a rest R of the first
+    agent sits exactly on c(R) = B * (f(R + T_1) - f(empty)) and one
+    deviation {b} of every other agent it can on c(b) = B * (f(R' + T_i)
+    - f(R')), with the pinned (agent, R', b) in ``pins``."""
+    rng = random.Random(89)
+    makers = (random_explicit_monotone_instance, random_coverage_instance,
+              random_gs_instance)
+    for t in range(36):
+        n = rng.randint(2, 4)
+        base = with_table(makers[t % 3](rng.randint(0, 10 ** 6), num_agents=n,
+                                        num_actions=rng.randint(n + 1, 8)))
+        f, masks, m = base.f, base.agent_masks, base.num_actions
+        budget = rng.choice((F(1, 4), F(1, 2), F(3, 4), F(1)))
+        costs = [rng.choice((F(0), F(0), F(1, 32), F(1, 8), F(1, 2)))
+                 for _ in range(m)]
+        first = max(range(n), key=lambda i: (masks[i].bit_count(), -i))
+        others = (1 << m) - 1 & ~masks[first]
+        if not others:
+            continue
+        rest = rng.choice(rewards.submasks(others)[1:])
+        a, *free = mask_to_set(rest)
+        for b in free:
+            costs[b] = F(0)
+        costs[a] = budget * (f[rest | masks[first]] - f[0])
+        pins = []
+        for i, own in enumerate(masks):
+            if own & ~rest:
+                b = rng.choice(sorted(mask_to_set(own & ~rest)))
+                at = rng.choice(rewards.submasks((1 << m) - 1 & ~own))
+                costs[b] = budget * (f[at | own] - f[at])
+                pins.append((i, at, b))
+        inst = with_table(Instance(n, tuple(
+            Action(k, base.owner_of[k], costs[k]) for k in range(m)),
+            base.oracle))
+        assert base.oracle.monotone and cost(inst, mask_to_set(rest)) \
+            == budget * (f[rest | masks[first]] - f[0])
+        yield inst, budget, pins
+
+
+def test_budget_cuts_keep_the_profiles_on_their_bounds():
+    # on a monotone f the walk keeps per rest R the deviations with
+    # c(d) <= B * (f(R + T_i) - f(R)), and for the first agent the rests
+    # with c(R) <= B * (f(R + T_1) - f(empty)): a weak bound, and f(empty)
+    # rather than f(R).  A profile on either bound can pay exactly B.
+    for inst, budget, pins in _cut_boundary_instances():
+        assert all(inst.cost_of[b] == budget * (inst.f[at | inst.agent_masks[i]]
+                                                - inst.f[at])
+                   for i, at, b in pins)
+        assert contract_pairs(inst, budget=budget) == [
+            (mask, alpha) for mask, alpha in contract_pairs(inst)
+            if alpha.total() <= budget]
 
 
 def test_cost_runs_are_sorted_once_per_walk(monkeypatch):
@@ -588,9 +654,9 @@ def test_single_agent_scheme_reads_one_min_contract_walk(monkeypatch):
         yield from walk(inst, **kwargs)
         running.pop()
 
-    def recording(f, runs, rests):
+    def recording(f, runs, rests, cut=None):
         kernel_calls.append(bool(running))  # whether a walk is running
-        return kernel(f, runs, rests)
+        return kernel(f, runs, rests, cut)
 
     monkeypatch.setattr(equilibria, "iter_min_contracts", counted_walk)
     monkeypatch.setattr(equilibria, "_agent_payments", recording)
