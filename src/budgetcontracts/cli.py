@@ -391,10 +391,14 @@ EXPERIMENT_COLUMNS = ["trial", "n", "budget", "approx_target", "eps",
                       "budget_exceeded"]
 
 
+def _setting_args(args) -> tuple[Fraction, Fraction, Optional[Fraction]]:
+    """A hardness command's --budget, --approx-target and --eps (or None)."""
+    return (parse_rational(args.budget), parse_rational(args.approx_target),
+            parse_rational(args.eps) if args.eps else None)
+
+
 def _cmd_hardness_experiment(args) -> int:
-    budget = parse_rational(args.budget)
-    target = parse_rational(args.approx_target)
-    eps = parse_rational(args.eps) if args.eps else None
+    budget, target, eps = _setting_args(args)
     solver = make_random_guess_solver(args.seed + 1)
     report = adversary_experiment(solver, args.n, budget, target, args.trials,
                                   args.query_budget, args.seed, eps=eps)
@@ -433,9 +437,7 @@ GAP_COLUMNS = ["n", "budget", "approx_target", "eps", "bound",
 
 
 def _cmd_gap_report(args) -> int:
-    budget = parse_rational(args.budget)
-    target = parse_rational(args.approx_target)
-    eps = parse_rational(args.eps) if args.eps else None
+    budget, target, eps = _setting_args(args)
     hidden = [parse_integer(x, "--hidden entry") for x in args.hidden.split(",")] \
         if args.hidden else None
     # refuse before the family is built: a huge n allocates O(n) first

@@ -23,7 +23,7 @@ query-counting view exposing only value and demand answers.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import comb, lcm
 from typing import Callable, Iterable, Optional
@@ -40,6 +40,7 @@ from budgetcontracts.core import (
     check_enumeration,
     descriptor_field,
     exact_rational,
+    format_rational,
     parse_integer,
     parse_rational,
 )
@@ -53,8 +54,6 @@ from budgetcontracts.rewards import (
     set_to_mask,
     with_table,
 )
-
-HALF = Fraction(1, 2)
 
 
 class InvalidEpsilonError(ModelError):
@@ -89,39 +88,56 @@ def _check_n(n: int) -> None:
             f"hardness family: n = {n} exceeds the limit {HARDNESS_N_LIMIT}")
 
 
-def _check_setting(budget: Fraction, approx_target: Fraction) -> None:
-    """The budget and target checks that :func:`default_epsilon` relies on."""
+def _check_setting(n: int, budget: Fraction, approx_target: Fraction) -> None:
+    """n, B and K of a setting, which :meth:`HardnessParams.make` reads."""
+    _check_n(n)
     if not 0 < budget < 1:
         raise ModelError("budget must lie strictly inside (0, 1)")
     if approx_target < 1:
         raise ModelError("approximation target must be >= 1")
 
 
-def default_epsilon(n: int, budget: Fraction, approx_target: Fraction) -> Fraction:
-    """Half the gap bound (1-B)/(K(n+4)) on epsilon, as an exact rational,
-    halved again until eps^2 < 2B/n so the good action's cost stays
-    positive; strict inequalities need slack, hence the halving.
+def _eps_bounds(n: int, budget: Fraction,
+                approx_target: Fraction) -> tuple[Fraction, Fraction]:
+    """The one eps rule: a setting needs eps in (0, min of these bounds).
+    Below the first, the good pair's floor (1-B)/2 exceeds K times the
+    reward bound (n/2 + 2) eps of every other feasible profile; below
+    2B/n, the good action alone needs a share above B (README's eps rule)."""
+    return (ONE - budget) / (approx_target * (n + 4)), 2 * budget / n
 
-    With B in (0, 1) and K >= 1 (:func:`_check_setting`) the gap bound is
-    below 1/(n+4) < 1/(n+2), which keeps the top reward value inside
-    [0, 1], and below 1 < 4n/B, so it is the one that binds.
-    """
-    eps = (ONE - budget) / (approx_target * (n + 4)) / 2
-    while eps * eps >= Fraction(2) * budget / n:
+
+def default_epsilon(n: int, budget: Fraction, approx_target: Fraction) -> Fraction:
+    """Half the gap bound, halved until it is below 2B/n too: the rule of
+    :func:`_eps_bounds` with slack.  Needs a checked setting (B > 0)."""
+    gap, alone = _eps_bounds(n, budget, approx_target)
+    eps = gap / 2
+    while eps >= alone:
         eps /= 2
     return eps
 
 
-def _hidden_set(ids: Iterable[int]) -> frozenset[int]:
-    """``ids`` as a set; a repeated id raises rather than shrinking it."""
+def _hidden_set(n: int, ids: Iterable[int]) -> frozenset[int]:
+    """The one hidden-set rule: ``ids`` name n/2 distinct unit agents of
+    0..n-1; a repeated id raises rather than shrinking the set."""
     ids = list(ids)
-    if len(set(ids)) < len(ids):
-        raise BadHiddenSetSizeError(f"hidden set repeats an agent id: {ids}")
-    return frozenset(ids)
+    hidden = frozenset(ids)
+    if not len(hidden) == len(ids) == n // 2 or not hidden <= set(range(n)):
+        raise BadHiddenSetSizeError(
+            f"hidden set must be {n // 2} distinct agents of 0..{n - 1}")
+    return hidden
+
+
+def _draw_hidden(n: int, rng: random.Random) -> frozenset[int]:
+    """n/2 of the n unit agents, uniformly."""
+    return frozenset(rng.sample(range(n), n // 2))
 
 
 @dataclass(frozen=True)
 class HardnessParams:
+    """One setting of the family, checked when built (n, B and K, the
+    hidden set, then 0 < eps < min((1-B)/(K(n+4)), 2B/n)); :meth:`make`
+    fills the defaults."""
+
     n: int
     budget: Fraction
     approx_target: Fraction
@@ -131,32 +147,26 @@ class HardnessParams:
     def __post_init__(self) -> None:
         for name in ("budget", "approx_target", "eps"):
             object.__setattr__(self, name, exact_rational(getattr(self, name)))
-        _check_n(self.n)
-        _check_setting(self.budget, self.approx_target)
-        if len(self.hidden) != self.n // 2 or not self.hidden <= set(range(self.n)):
-            raise BadHiddenSetSizeError(
-                f"hidden set must be {self.n // 2} of the unit agents")
-        e = self.eps
-        if e <= 0:
-            raise InvalidEpsilonError("eps must be > 0")
-        if e >= (ONE - self.budget) / (self.approx_target * (self.n + 4)):
-            raise InvalidEpsilonError("eps too large for the gap condition")
-        if e * e >= Fraction(2) * self.budget / self.n:
-            raise InvalidEpsilonError("eps^2 must stay below 2B/n")
+        _check_setting(self.n, self.budget, self.approx_target)
+        object.__setattr__(self, "hidden", _hidden_set(self.n, self.hidden))
+        bound = min(_eps_bounds(self.n, self.budget, self.approx_target))
+        if not 0 < self.eps < bound:
+            raise InvalidEpsilonError(f"eps must lie in (0, {bound})")
 
     @staticmethod
     def make(n: int, budget: Fraction, approx_target: Fraction = ONE,
              eps: Optional[Fraction] = None,
              hidden: Optional[Iterable[int]] = None,
              seed: int = 0) -> "HardnessParams":
-        _check_n(n)
+        """The setting with :func:`default_epsilon` and a hidden set drawn
+        from ``seed`` as defaults; n, B and K are checked first for them."""
         budget, approx_target = map(exact_rational, (budget, approx_target))
-        _check_setting(budget, approx_target)
+        _check_setting(n, budget, approx_target)
         if eps is None:
             eps = default_epsilon(n, budget, approx_target)
         if hidden is None:
-            hidden = random.Random(seed).sample(range(n), n // 2)
-        return HardnessParams(n, budget, approx_target, eps, _hidden_set(hidden))
+            hidden = _draw_hidden(n, random.Random(seed))
+        return HardnessParams(n, budget, approx_target, eps, hidden)
 
 
 class HardnessOracle(RewardOracle):
@@ -182,8 +192,7 @@ class HardnessOracle(RewardOracle):
 
     def __init__(self, n: int, eps: Fraction, hidden: frozenset[int]):
         _check_n(n)
-        if len(frozenset(hidden)) != n // 2 or not frozenset(hidden) <= set(range(n)):
-            raise BadHiddenSetSizeError("hidden set must be n/2 unit agents")
+        hidden = _hidden_set(n, hidden)
         eps = exact_rational(eps)
         if not 0 < eps <= Fraction(1, n + 2):
             raise InvalidEpsilonError("eps must lie in (0, 1/(n+2)]")
@@ -191,7 +200,7 @@ class HardnessOracle(RewardOracle):
         self.n = n
         self.eps = eps
         self.den = 2 * eps.denominator
-        self._hidden = frozenset(hidden)
+        self._hidden = hidden
         self._good = 1 << good_action(n)
         # the revealing queries: hidden + bad, with or without the good action
         self._revealing = self._good | 1 << bad_action(n) | set_to_mask(self._hidden)
@@ -260,7 +269,7 @@ def build_hardness(params: HardnessParams) -> Instance:
     n, eps, budget = params.n, params.eps, params.budget
     actions = [Action(i, i, eps ** 3) for i in range(n)]
     actions.append(Action(bad_action(n), n, Fraction(3, 2) * eps * budget))
-    actions.append(Action(good_action(n), n, HALF * (budget - Fraction(n, 2) * eps * eps)))
+    actions.append(Action(good_action(n), n, (budget - Fraction(n, 2) * eps * eps) / 2))
     oracle = HardnessOracle(n, eps, params.hidden)
     return Instance(n + 1, tuple(actions), oracle)
 
@@ -277,12 +286,9 @@ def _pair_for_guess(setting: HardnessParams | HardnessPublicInfo,
 
 
 def good_contract(params: HardnessParams) -> tuple[Contract, frozenset[int]]:
-    """The one budget-exhausting pair that reaches reward 1/2.
-
-    Pays eps^2 to each hidden unit agent and the remaining budget to the
-    special agent; the prescribed profile is the hidden set plus the good
-    action.
-    """
+    """The one budget-exhausting pair that reaches reward 1/2: eps^2 to each
+    hidden unit agent, the rest of B to the special agent, and the profile
+    hidden set plus the good action."""
     return _pair_for_guess(params, params.hidden)
 
 
@@ -379,8 +385,7 @@ def make_random_guess_solver(seed: int) -> Solver:
     rng = random.Random(seed)
 
     def solver(_view: OracleView, pub: HardnessPublicInfo):
-        guess = frozenset(rng.sample(range(pub.n), pub.n // 2))
-        return _pair_for_guess(pub, guess)
+        return _pair_for_guess(pub, _draw_hidden(pub.n, rng))
 
     return solver
 
@@ -421,23 +426,22 @@ def adversary_experiment(solver: Solver, n: int, budget: Fraction,
     ``query_budget`` issued queries, and scores success as: the returned
     pair is budget-feasible, is a Nash equilibrium, and its profit times
     the approximation target reaches the good pair's profit floor (1-B)/2.
-    A blown query budget records as a failed trial, not a crash.
+    A blown query budget records as a failed trial, not a crash.  The
+    setting is checked before the first trial, so a bad one raises before
+    any trial runs; each trial replaces only its hidden set.
     """
-    _check_n(n)
-    _check_setting(budget, approx_target)
+    setting = HardnessParams.make(n, budget, approx_target, eps, seed=seed)
     for name, count in (("trials", trials), ("query budget", query_budget)):
         if count < 0:
             raise ModelError(f"{name} must be >= 0, got {count}")
-    if eps is None:
-        eps = default_epsilon(n, budget, approx_target)
+    budget, approx_target, eps = setting.budget, setting.approx_target, setting.eps
     rng = random.Random(seed)
     records = []
     successes = 0
     total_fraction = ZERO
     floor = (ONE - budget) / 2
     for t in range(trials):
-        hidden = frozenset(rng.sample(range(n), n // 2))
-        params = HardnessParams(n, budget, approx_target, eps, hidden)
+        params = replace(setting, hidden=_draw_hidden(n, rng))
         inst = build_hardness(params)
         pub = HardnessPublicInfo(
             n, budget, approx_target, eps,
@@ -474,48 +478,41 @@ def adversary_experiment(solver: Solver, n: int, budget: Fraction,
 # -- JSON descriptor ----------------------------------------------------------
 
 
-def _setting_from_spec(spec) -> tuple[Fraction, Fraction]:
-    """The descriptor's budget and approximation target, checked."""
-    budget = parse_rational(descriptor_field(spec, "budget"))
-    target = parse_rational(spec.get("approx_target", "1"))
-    _check_setting(budget, target)
-    return budget, target
+def _hidden_members(spec) -> list[int]:
+    return [parse_integer(i, "hardness hidden member")
+            for i in descriptor_field(spec, "hidden", list)]
 
 
-def _oracle_fields(spec) -> tuple[int, Fraction, frozenset[int]]:
-    """n, eps and the hidden set of a hardness descriptor.
-
-    Without "eps" the default comes from "budget" and "approx_target";
-    without "hidden" the set is drawn from "seed" (default 0).
-    """
-    n = descriptor_field(spec, "n", int)
-    _check_n(n)
-    if "eps" in spec:
-        eps = parse_rational(spec["eps"])
-    else:
-        eps = default_epsilon(n, *_setting_from_spec(spec))
-    if "hidden" in spec:
-        hidden = _hidden_set(parse_integer(i, "hardness hidden member")
-                             for i in descriptor_field(spec, "hidden", list))
-    else:
-        seed = descriptor_field(spec, "seed", int) if "seed" in spec else 0
-        hidden = frozenset(random.Random(seed).sample(range(n), n // 2))
-    return n, eps, hidden
+def _params_from_spec(spec) -> HardnessParams:
+    """The setting of a hardness descriptor, built by
+    :meth:`HardnessParams.make`: "n" and "budget", and optionally
+    "approx_target" (default 1), "eps", "hidden" and "seed" (default 0)."""
+    return HardnessParams.make(
+        descriptor_field(spec, "n", int),
+        parse_rational(descriptor_field(spec, "budget")),
+        parse_rational(spec.get("approx_target", "1")),
+        parse_rational(spec["eps"]) if "eps" in spec else None,
+        _hidden_members(spec) if "hidden" in spec else None,
+        descriptor_field(spec, "seed", int) if "seed" in spec else 0)
 
 
 def hardness_oracle_from_spec(spec) -> HardnessOracle:
-    return HardnessOracle(*_oracle_fields(spec))
+    """The oracle of a hardness descriptor.  With a "budget" the descriptor
+    is a setting (:func:`_params_from_spec`); without one it is what
+    :func:`hardness_oracle_to_spec` writes, "n", "eps" and "hidden", and the
+    oracle checks those itself."""
+    if "budget" in spec:
+        return build_hardness(_params_from_spec(spec)).oracle
+    return HardnessOracle(descriptor_field(spec, "n", int),
+                          parse_rational(descriptor_field(spec, "eps")),
+                          _hidden_members(spec))
 
 
 def hardness_oracle_to_spec(oracle: HardnessOracle) -> dict:
-    from budgetcontracts.core import format_rational as fr
-
-    return {"type": "hardness", "n": oracle.n, "eps": fr(oracle.eps),
+    return {"type": "hardness", "n": oracle.n, "eps": format_rational(oracle.eps),
             "hidden": sorted(oracle._hidden)}
 
 
 def hardness_instance_from_spec(spec) -> Instance:
     """Build the full instance (agents, costs, oracle) from a descriptor."""
-    n, eps, hidden = _oracle_fields(spec)
-    budget, target = _setting_from_spec(spec)
-    return build_hardness(HardnessParams(n, budget, target, eps, hidden))
+    return build_hardness(_params_from_spec(spec))

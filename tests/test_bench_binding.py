@@ -4,7 +4,8 @@ Its tracer wraps package functions by name and its workloads call the
 package directly, so a renamed function or a dropped keyword would only
 show up as failed benchmark operations.  The harness files are read, never
 written or imported as a package.  The budgeted walk's table reads on the
-``exact_tables`` corpus are pinned here too.
+``exact_tables`` corpus are pinned here too, and so is the harness's own
+copy of the hidden-set family's eps rule.
 """
 
 import contextlib
@@ -15,6 +16,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from budgetcontracts import cli, equilibria
+from budgetcontracts.hardness import HardnessParams, default_epsilon
 from budgetcontracts.rewards import submask_sums_upto, value_table, with_table
 from budgetcontracts.solvers import _PrefixLayout, build_dp_table
 
@@ -98,6 +100,21 @@ class _CountingTable(list):
     def __getitem__(self, mask):
         self.reads += 1
         return super().__getitem__(mask)
+
+
+def test_bench_hardness_epsilon_is_the_programs_default():
+    # the harness writes eps into its descriptors with a copy of the rule;
+    # at its n and budgets the copy must give the program's default, which
+    # the program's own check accepts
+    bench_workloads = _harness_module("bench_workloads")
+    demand = bench_workloads.HardnessDemand
+    got = [bench_workloads.hardness_epsilon(demand.N, budget)
+           for budget in demand.BUDGETS]
+    assert got == [default_epsilon(demand.N, budget, Fraction(1))
+                   for budget in demand.BUDGETS]
+    assert got == [Fraction(1, 32), Fraction(1, 48), Fraction(1, 96)]
+    for budget, eps in zip(demand.BUDGETS, got):
+        assert HardnessParams.make(demand.N, budget, eps=eps).eps == eps
 
 
 def test_budgeted_walk_reads_on_the_exact_tables_corpus(tmp_path, monkeypatch):

@@ -950,6 +950,38 @@ def test_cli_gap_report_rejects_a_repeated_hidden_id(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["gap-report", "--n", "8", "--budget", "1/8", "--eps", "1/32"],
+    ["hardness-experiment", "--n", "8", "--budget", "1/8", "--eps", "1/32",
+     "--trials", "1"],
+    ["hardness-experiment", "--n", "8", "--budget", "1/8", "--eps", "1/32",
+     "--trials", "0"],
+], ids=["gap-report", "experiment", "experiment-no-trial"])
+def test_cli_hardness_refuses_eps_at_two_b_over_n(argv, tmp_path, capsys):
+    # 1/32 = 2B/n: the good action alone would be within budget
+    out = tmp_path / "out.csv"
+    assert main([*argv, "--out", str(out)]) == 1
+    assert _error_type(capsys) == "InvalidEpsilonError"
+    assert not out.exists()
+
+
+def test_cli_hardness_descriptor_refuses_eps_at_two_b_over_n(tmp_path, capsys):
+    inst_path = tmp_path / "inst.json"
+    inst_path.write_text(json.dumps({"reward": {
+        "type": "hardness", "n": 8, "budget": "1/8", "eps": "1/32"}}))
+    assert main(["solve", "--instance", str(inst_path), "--budget", "1/8"]) == 1
+    assert _error_type(capsys) == "InvalidEpsilonError"
+
+
+def test_cli_gap_report_default_eps_holds_at_a_small_budget(tmp_path):
+    out = tmp_path / "gap.csv"
+    assert main(["gap-report", "--n", "8", "--budget", "1/8",
+                 "--out", str(out)]) == 0
+    header, row = out.read_text().splitlines()
+    cells = dict(zip(header.split(","), row.split(",")))
+    assert (cells["eps"], cells["ok"]) == ("7/384", "1")
+
+
 def test_cli_hardness_descriptor_rejects_a_repeated_hidden_id(tmp_path, capsys):
     inst_path = tmp_path / "inst.json"
     inst_path.write_text(json.dumps({"reward": {

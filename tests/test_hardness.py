@@ -86,6 +86,53 @@ def test_default_epsilon_satisfies_all_bounds():
                                frozenset(range(n // 2)))  # validates
 
 
+# the small-budget sweep: n up to 10, B = k/16
+SWEEP = [(n, F(k, 16)) for n in range(2, 11, 2) for k in range(1, 16)]
+
+
+def test_default_gap_holds_at_every_small_budget():
+    # eps below 2B/n keeps the good action alone out of budget; the old
+    # rule, eps^2 < 2B/n, let it in at B <= 1/8 here
+    for n, budget in SWEEP:
+        params = HardnessParams.make(n, budget)
+        assert params.eps < 2 * budget / n
+        assert verify_gap_exhaustive(params).ok, (n, budget)
+
+
+def test_eps_at_or_above_two_b_over_n_is_refused():
+    # n = 8, B = 1/8: 1/32 = 2B/n is below the gap bound 7/96, and its
+    # square is below 2B/n, so only the rule eps < 2B/n refuses it
+    for eps in (F(1, 32), F(1, 20)):
+        with pytest.raises(InvalidEpsilonError):
+            HardnessParams.make(8, F(1, 8), eps=eps)
+    assert HardnessParams.make(8, F(1, 8)).eps == F(7, 384)
+
+
+def _good_alone(_view, pub):
+    """No query: pay the special agent just enough to take the good action
+    alone over the bad one, and nobody else."""
+    alpha = [F(0)] * (pub.n + 1)
+    alpha[pub.n] = (pub.good_cost - pub.bad_cost) / (F(1, 2) - 2 * pub.eps)
+    return Contract(tuple(alpha)), frozenset({good_action(pub.n)})
+
+
+def test_query_free_solver_wins_no_trial_at_any_small_budget():
+    for n, budget in SWEEP:
+        report = adversary_experiment(_good_alone, n, budget, F(1), trials=5,
+                                      query_budget=0, seed=n)
+        assert report.successes == 0, (n, budget)
+
+
+def test_gap_report_lists_the_good_action_alone_past_the_bound():
+    # past the rule, bypassing the check: eps = 2B/n makes {g} affordable
+    params = HardnessParams.make(8, F(1, 8))
+    object.__setattr__(params, "eps", F(1, 32))
+    report = verify_gap_exhaustive(params)
+    assert not report.ok
+    assert report.max_other_value == F(1, 2)
+    assert frozenset({good_action(8)}) in report.violations
+
+
 # -- demand simulation -----------------------------------------------------------
 
 

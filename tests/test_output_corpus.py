@@ -13,6 +13,10 @@ contract and a profile: one line holds the ``is_nash`` certificate, the
 exhaustive best response and the minimal incentivizing contract.  The
 lines of one family and one solver hash to one digest in
 ``data/output_corpus.json``, so a failure names the solver that moved.
+Two more digests pin ``single_agent_fptas``'s exact exits on the
+one-agent instances: ``zero-cost/single-fptas`` with every cost set to 0,
+at every budget, and ``zero-budget/single-fptas`` at B = 0 with every
+even action made free, so the free set it returns is not empty.
 
 A change that moves an output on purpose re-records the file with
 ``python tests/test_output_corpus.py --record`` (``src`` on the path)
@@ -27,7 +31,7 @@ from collections import defaultdict
 from fractions import Fraction as F
 from pathlib import Path
 
-from budgetcontracts.core import Contract, format_rational
+from budgetcontracts.core import Action, Contract, Instance, format_rational
 from budgetcontracts.equilibria import best_response, is_nash, \
     is_nash_general, iter_min_contracts, min_incentivizing_contract, \
     nash_violator, single_agent_hull
@@ -145,11 +149,33 @@ def _results(inst, seed: int):
         yield "equilibria", _checks(tabled, seed, alpha, profile)
 
 
+def _costed(inst, cost):
+    """``inst`` with each action's cost replaced by ``cost(action)``."""
+    return Instance(inst.num_agents, tuple(
+        Action(a.action_id, a.owner, cost(a)) for a in inst.actions),
+        inst.oracle)
+
+
+def _exact_exits(inst):
+    """(key, canonical line) for the single-agent scheme's exact exits."""
+    zero_cost = _costed(inst, lambda a: F(0))
+    half_free = _costed(inst, lambda a: a.cost if a.action_id % 2 else F(0))
+    for eps in EPS:
+        for budget in BUDGETS:
+            yield "zero-cost/single-fptas", _line(
+                single_agent_fptas(zero_cost, budget, eps))
+        yield "zero-budget/single-fptas", _line(
+            single_agent_fptas(half_free, F(0), eps))
+
+
 def digests() -> dict[str, str]:
     lines = defaultdict(list)
     for seed, (family, inst) in enumerate(_corpus()):
         for solver, line in _results(inst, seed):
             lines[f"{family}/{solver}"].append(line)
+        if inst.num_agents == 1:
+            for key, line in _exact_exits(inst):
+                lines[key].append(line)
     return {key: hashlib.sha256("\n".join(lines[key]).encode()).hexdigest()
             for key in sorted(lines)}
 
