@@ -274,16 +274,13 @@ def _write(out: Optional[str], text: str) -> None:
 
 
 def _pick_solver(inst: Instance, force: Optional[str]) -> str:
-    cls = inst.oracle.function_class
     if force:
-        if force == "fptas" and cls != "additive":
-            raise ModelError("additive FPTAS forced on a non-additive oracle")
         if force == "gs-pipeline" and not inst.oracle.is_gs_class:
             raise ModelError("GS pipeline forced on a non-GS oracle")
         if force == "single-fptas" and inst.num_agents != 1:
             raise ModelError("single-agent FPTAS needs exactly one agent")
         return force
-    if cls == "additive":
+    if inst.oracle.function_class == "additive":
         return "fptas"
     if inst.oracle.is_gs_class:
         return "gs-pipeline"

@@ -25,9 +25,8 @@ stop; :func:`_agent_walks` gives each agent's walk at its slope.
 The minimal-contract algebra is one routine, :func:`_agent_payments`:
 one agent's minimal payments, read off the upper envelope of its
 deviations' lines against each rest.  :func:`iter_min_contracts` runs it
-over every profile, under a budget B from the deviations within the
-budget's cost cut, c(d) <= B * spread of f (on a monotone f, per rest R,
-c(d) <= B * (f(R + T_i) - f(R))), and
+over every profile, under a budget B per rest R from the deviations
+within the budget's one cut, c(d) <= B * (f(R + T_i) - f(R)), and
 :func:`min_incentivizing_contract` over one profile's walk;
 :func:`single_agent_hull` is the walk's records for one agent.  Payments
 are int pairs; :func:`contract_of` makes a ``Contract`` of them where one
@@ -388,26 +387,26 @@ def iter_min_contracts(inst: Instance, *, budget: Optional[Fraction] = None):
     cheapest run: the first record is (0, 0, c_den, []) under any B >= 0.
 
     A ``budget`` B drops the profiles whose payments sum above it, and
-    the walks read only what such a profile can need.  Let g be spread =
-    max f - min f, as the oracle states it (``RewardOracle.spread``), or on
-    a monotone f (``RewardOracle.monotone``) a bound per rest R: f(R + T_i)
-    - f(R) for agent i's deviations, f(R + T_1) - f(empty) for the first
-    agent's rests.  Each agent reads only the deviations d with c(d) <=
-    B * g, whole runs of equal cost: f(R + d) - f(R) <= g, so for 0 <=
-    alpha <= B a dearer d's line is below the empty deviation's, alpha *
-    f(R + d) - c(d) < alpha * (f(R + d) - g) <= alpha * f(R).  On [0, B]
-    the envelope and the lines reaching it stay as they were, and so does
-    each stretch starting at or below B: payments up to B are unchanged.
-    Agent j kept on S = R + S_1 at alpha_j prefers S_j to doing nothing,
-    alpha_j * (f(S) - f(S - T_j)) >= c(S_j), and f(S) - f(S - T_j) <= g
-    as S is within R + T_1; summed over the agents but the first, c(R) <=
-    B * g, so the first agent walks only those rests.
+    the walks read only what such a profile can need.  f is monotone with
+    f(empty) = 0 (``RewardOracle``), so against a rest R agent i gains at
+    most g = f(R + T_i) - f(R) by any deviation d: f(R + d) - f(R) <= g.
+    Per rest, each agent reads only the deviations d with c(d) <= B * g,
+    whole runs of equal cost: for 0 <= alpha <= B a dearer d's line is
+    below the empty deviation's, alpha * f(R + d) - c(d) < alpha *
+    (f(R + d) - g) <= alpha * f(R).  On [0, B] the envelope and the lines
+    reaching it stay as they were, and so does each stretch starting at
+    or below B: payments up to B are unchanged.  Agent j kept on
+    S = R + S_1 at alpha_j prefers S_j to doing nothing, alpha_j *
+    (f(S) - f(S - T_j)) >= c(S_j), and f(S) - f(S - T_j) <= f(R + T_1)
+    as f >= 0 and S is within R + T_1; summed over the agents but the
+    first, c(R) <= B * f(R + T_1), so the first agent walks only those
+    rests.  Both cuts lie within c <= B * f(ground set), cut first.
 
     Values are the table's ints as filled.  An agent's deviations in
     ascending cost (:func:`rewards.cost_runs`) are the instance's
     ``agent_cost_runs``, sorted once, or under a budget only those within
-    B * spread (:func:`rewards.submask_sums_upto`), sorted per walk.  The
-    budget is tested on the payment pairs, and no Fraction is made.
+    B * f(ground set) (:func:`rewards.submask_sums_upto`), sorted per
+    walk.  The budget is tested on the payment pairs; no Fraction is made.
     """
     own_masks = inst.agent_masks
     f, f_den = inst.table, inst.oracle.den
@@ -422,26 +421,23 @@ def iter_min_contracts(inst: Instance, *, budget: Optional[Fraction] = None):
     # are nonnegative, so none of a budget-feasible profile exceeds cap
     if budget is not None:
         cap_n, cap_d = (budget * Fraction(c_den, f_den)).as_integer_ratio()
-        # C(d) <= B * spread, at least 0, so each walk keeps d = empty
-        limit = max(cap_n, 0) * inst.oracle.spread(f) // cap_d
+        # C(d) <= B * F(ground set), at least 0, so each walk keeps d = empty
+        limit = max(cap_n, 0) * f[everything] // cap_d
     kept = None  # the profiles every agent so far is kept on
     pays = []
     for i in agents:
         own = own_masks[i]
         runs = inst.agent_cost_runs[i] if budget is None \
             else cost_runs(submask_sums_upto(own, c_int, limit))
-        cut = None if budget is None or not inst.oracle.monotone \
-            else (own, max(cap_n, 0), cap_d)  # g per rest, as above
+        cut = None if budget is None else (own, max(cap_n, 0), cap_d)
         if kept is not None:
             rests = {mask & ~own for mask in kept}
         elif budget is None:
             rests = submasks(everything & ~own)
-        else:
-            rests = submask_sums_upto(everything & ~own, c_int, limit)
-            if cut:  # C(R) <= B * g = B * (F(R + T_1) - F(empty))
-                f_0 = f[0]
-                rests = [r for r, c in rests.items()
-                         if c * cap_d <= cap_n * (f[r | own] - f_0)]
+        else:  # C(R) <= B * F(R + T_1)
+            rests = [r for r, c in submask_sums_upto(
+                everything & ~own, c_int, limit).items()
+                if c * cap_d <= cap_n * f[r | own]]
         pay = _agent_payments(f, runs, rests, cut)
         if budget is not None:
             pay = {k: p for k, p in pay.items() if p[0] * cap_d <= cap_n * p[1]}

@@ -188,7 +188,6 @@ class HardnessOracle(RewardOracle):
 
     function_class = "submodular"
     has_native_demand = True
-    monotone = True
 
     def __init__(self, n: int, eps: Fraction, hidden: frozenset[int]):
         _check_n(n)

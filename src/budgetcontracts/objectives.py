@@ -28,7 +28,6 @@ from budgetcontracts.core import (
     check_enumeration,
     descriptor_field,
     exact_rational,
-    format_rational,
 )
 from budgetcontracts.equilibria import iter_min_contracts
 from budgetcontracts.rewards import mask_to_set, set_to_mask, subset_sums, \
@@ -262,11 +261,3 @@ def objective_from_spec(spec: Mapping | str) -> Objective:
         return Objective("combo", tuple(
             (w, objective_from_spec(o)) for w, o in terms))
     raise ModelError(f"unknown objective descriptor: {kind!r}")
-
-
-def objective_to_spec(obj: Objective) -> dict:
-    if obj.kind != "combo":
-        return {"type": obj.kind}
-    return {"type": "combo",
-            "terms": [[format_rational(w), objective_to_spec(o)]
-                      for w, o in obj.terms]}

@@ -91,7 +91,9 @@ def mask_to_set(mask: int) -> frozenset[int]:
 
 class RewardOracle:
     """Base value-query interface; subclasses set ``den`` and implement
-    ``_int(mask)``, f of the subset ``mask`` encodes times ``den``.
+    ``_int(mask)``, f of the subset ``mask`` encodes times ``den``.  The
+    f of every subclass is the model's: monotone, f(empty) = 0, and every
+    value in [0, 1].
 
     ``read(mask)`` is one counted value query on the subset whose bits are
     set in ``mask``, as that int; ``oracle[mask]`` is the same query as a
@@ -104,7 +106,6 @@ class RewardOracle:
 
     function_class = "monotone"
     has_native_demand = False
-    monotone = False  # True where f is monotone with f(empty) = 0 when built
 
     def __init__(self, num_actions: int):
         self.num_actions = num_actions
@@ -156,11 +157,6 @@ class RewardOracle:
         """All 2^m values times ``den`` in bitmask order, uncounted: one
         ``_int`` per subset here, a subset DP in families with structure."""
         return list(map(self._int, range(1 << self.num_actions)))
-
-    def spread(self, table: list[int]) -> int:
-        """max - min of ``table``, this oracle's filled table: f(ground
-        set) - f(empty) when ``monotone``, else a pass for each."""
-        return table[-1] - table[0] if self.monotone else max(table) - min(table)
 
 
 def common_denominator(values: Iterable[Fraction]) -> int:
@@ -225,7 +221,6 @@ class AdditiveOracle(RewardOracle):
     """
 
     function_class = "additive"
-    monotone = True
 
     def __init__(self, weights: Sequence[Fraction | int | str]):
         super().__init__(len(weights))
@@ -246,7 +241,6 @@ class AdditiveOracle(RewardOracle):
 
 class UnitDemandOracle(RewardOracle):
     function_class = "gross_substitutes"
-    monotone = True
 
     def __init__(self, weights: Sequence[Fraction | int | str]):
         super().__init__(len(weights))
@@ -270,7 +264,6 @@ class UniformKDemandOracle(RewardOracle):
     """f(S) = min(|S|, k) * unit_value."""
 
     function_class = "gross_substitutes"
-    monotone = True
 
     def __init__(self, num_actions: int, k: int,
                  unit_value: Fraction | int | str):
@@ -306,7 +299,6 @@ class AssignmentOracle(RewardOracle):
     """
 
     function_class = "gross_substitutes"
-    monotone = True
 
     def __init__(self, values: Sequence[Sequence[Fraction | int | str]]):
         super().__init__(len(values))
@@ -359,7 +351,6 @@ class CoverageOracle(RewardOracle):
     """f(S) = |union of the actions' element sets| / universe size."""
 
     function_class = "submodular"
-    monotone = True
 
     def __init__(self, universe_size: int, covers: Sequence[Iterable[int]]):
         super().__init__(len(covers))
@@ -392,10 +383,9 @@ class ExplicitOracle(RewardOracle):
     string) into codes, each group is read once as a reduced p/q, and the
     codes pick each entry's int over the common denominator ``den``.
     Validation: f(empty) = 0 first, then the range and monotonicity on the
-    ints packed into one int (:func:`_packed_monotone`); a table passing
-    them is ``monotone``.  The first failing check in mask order raises,
-    the range check before the monotonicity check at one mask
-    (:meth:`_raise_first_fault`).
+    ints packed into one int (:func:`_packed_monotone`).  The first failing
+    check in mask order raises, the range check before the monotonicity
+    check at one mask (:meth:`_raise_first_fault`).
     """
 
     function_class = "monotone"
@@ -433,9 +423,8 @@ class ExplicitOracle(RewardOracle):
         levels = [p * (den // q) for p, q in ratios]
         ints = list(_picker(codes)(levels))
         self._ints, self.den = ints, den
-        self.monotone = ints[0] == 0 and min(levels) >= 0 \
-            and max(levels) <= den and _packed_monotone(ints, den)
-        if not self.monotone:
+        if ints[0] or min(levels) < 0 or max(levels) > den \
+                or not _packed_monotone(ints, den):
             self._raise_first_fault(ints, den)
 
     @cached_property

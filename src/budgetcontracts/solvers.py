@@ -435,6 +435,8 @@ def additive_fptas(inst: Instance, budget: Fraction, eps: Fraction,
     queries: the singletons in ascending order, then f of the unpaid empty
     profile, read rather than taken as 0, then f of each scale's pick.
     """
+    if inst.oracle.function_class != "additive":
+        raise ModelError("additive FPTAS forced on a non-additive oracle")
     if obj.kind not in ("profit", "reward", "welfare"):
         raise ModelError("additive FPTAS supports profit, reward, welfare")
     _check_budget(budget)

@@ -118,10 +118,10 @@ def test_bench_hardness_epsilon_is_the_programs_default():
 
 
 def test_budgeted_walk_reads_on_the_exact_tables_corpus(tmp_path, monkeypatch):
-    # the brute-force ops of exact_tables at seed 1, all on monotone f:
-    # the first agent reads under 35 % of the (rest, deviation) pairs that
-    # the one cut per instance, c <= B * spread, keeps, and the walk reads
-    # 62,454 table values in all, 157,285 under that cut
+    # the brute-force ops of exact_tables at seed 1: the first agent reads
+    # under 35 % of the (rest, deviation) pairs that the prefilter per
+    # instance, c <= B * f(ground set), keeps, and the walk reads 62,130
+    # table values in all
     ops = _harness_module("bench_workloads").ExactTables(1, tmp_path).build()
     walks = []
     kernel = equilibria._agent_payments
@@ -145,7 +145,7 @@ def test_budgeted_walk_reads_on_the_exact_tables_corpus(tmp_path, monkeypatch):
         c_int, c_den = inst.int_costs
         cap_n, cap_d = (budget * Fraction(c_den, inst.oracle.den)
                         ).as_integer_ratio()
-        limit = cap_n * inst.oracle.spread(inst.table) // cap_d
+        limit = cap_n * inst.table[-1] // cap_d
         own = max(inst.agent_masks, key=int.bit_count)  # priced first
         spread_pairs += len(submask_sums_upto(
             (1 << inst.num_actions) - 1 & ~own, c_int, limit)) * len(
@@ -157,5 +157,5 @@ def test_budgeted_walk_reads_on_the_exact_tables_corpus(tmp_path, monkeypatch):
         reads += table.reads
     first_pairs = sum(pairs[0] for pairs in walks)
     assert len(walks) == 162
-    assert (first_pairs, spread_pairs, reads) == (39_434, 136_518, 62_454)
+    assert (first_pairs, spread_pairs, reads) == (39_434, 136_518, 62_130)
     assert first_pairs <= 0.35 * spread_pairs

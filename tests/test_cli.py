@@ -112,7 +112,9 @@ def test_cli_force_solver_mismatch_is_domain_error(tmp_path, capsys):
                  "--force-solver", "fptas"])
     assert code == 1
     err = capsys.readouterr().err
-    assert json.loads(err)["error"]["type"] == "ModelError"
+    assert json.loads(err)["error"] == {
+        "type": "ModelError",
+        "message": "additive FPTAS forced on a non-additive oracle"}
 
 
 def test_cli_single_fptas_rejects_non_profit(tmp_path, capsys):

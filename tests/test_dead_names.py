@@ -30,19 +30,31 @@ def _docstrings(tree):
 
 
 def _names_read(path):
+    """The names ``path`` reads, bar those a function reads inside its own
+    body: a recursive call is no reader of the function."""
     tree = ast.parse(path.read_text(), str(path))
     skip = _docstrings(tree)
     names = set()
-    for node in ast.walk(tree):
+
+    def visit(node, within):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            within = within | {node.name}
         if isinstance(node, ast.Name):
-            names.add(node.id)
+            read = {node.id}
         elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
+            read = {node.attr}
         elif isinstance(node, ast.alias):
-            names.update(node.name.split("."))
+            read = set(node.name.split("."))
         elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
                 and id(node) not in skip:
-            names.update(re.findall(r"\w+", node.value))
+            read = set(re.findall(r"\w+", node.value))
+        else:
+            read = set()
+        names.update(read - within)
+        for child in ast.iter_child_nodes(node):
+            visit(child, within)
+
+    visit(tree, frozenset())
     return names
 
 

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from budgetcontracts.core import Action, Contract, Instance, ModelError, cost, \
-    restrict_contract
+    format_rational, restrict_contract
 from budgetcontracts.generators import random_additive_instance, \
     random_coverage_instance, random_explicit_monotone_instance, \
     random_oxs_instance, random_uniform_k_instance, random_unit_demand_instance
@@ -20,7 +20,6 @@ from budgetcontracts.objectives import (
     combo,
     evaluate,
     objective_from_spec,
-    objective_to_spec,
     value_at,
     verify_best_properties,
 )
@@ -193,6 +192,15 @@ def test_verifier_makes_a_contract_only_for_a_counterexample(monkeypatch):
     report = verify_best_properties(PROFIT, inst)
     found = [info[0] for ok, info in report.results.values() if not ok]
     assert found and made == found
+
+
+def objective_to_spec(obj):
+    """The JSON descriptor of ``obj``, which ``objective_from_spec`` reads."""
+    if obj.kind != "combo":
+        return {"type": obj.kind}
+    return {"type": "combo",
+            "terms": [[format_rational(w), objective_to_spec(o)]
+                      for w, o in obj.terms]}
 
 
 def test_objective_descriptor_roundtrip():

@@ -8,6 +8,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from budgetcontracts.cli import load_instance
 from budgetcontracts.core import Action, GroundSetTooLargeError, Instance, \
     ModelError, OracleRangeViolationError, RationalParseError, \
     UnknownActionIdError, exact_rational, format_rational, parse_rational
@@ -21,7 +22,7 @@ from budgetcontracts.generators import (
     random_unit_demand_instance,
 )
 from budgetcontracts.hardness import HardnessOracle, HardnessParams, \
-    bad_action, good_action
+    bad_action, build_hardness, good_action
 from budgetcontracts.rewards import (
     AdditiveOracle,
     AssignmentOracle,
@@ -252,6 +253,35 @@ def test_value_table_counts_one_value_query_per_subset():
         table = value_table(o)
         assert type(table) is list and table == _per_subset(o)
         assert (o.value_queries, o.demand_queries) == (1 << o.num_actions, 0)
+
+
+def _built_oracles():
+    """An oracle of each kind the library builds: every ``gen:`` family at
+    a few seeds, OXS on five columns (the per-subset table), an explicit
+    table parsed from JSON strings, and hidden-set oracles at several n
+    and B."""
+    for kind in ("additive", "unit_demand", "uniform_k", "oxs", "coverage",
+                 "explicit", "gs"):
+        for seed in range(4):
+            yield load_instance(f"gen:{kind}:seed={seed}").oracle
+    yield AssignmentOracle([[F(k, 20), F(k + 1, 20), F(1, 20), F(0), F(3, 20)]
+                            for k in range(4)])
+    yield oracle_from_spec({"type": "explicit", "values": [
+        "0", "1/3", "1/4", "1/2", "1/3", "2/3", "1/2", "1"]})
+    for n, budget in ((2, F(1, 2)), (4, F(1, 4)), (6, F(2, 3)), (8, F(3, 4))):
+        yield build_hardness(HardnessParams.make(n, budget, seed=n)).oracle
+
+
+def test_every_built_oracle_is_in_the_model():
+    # the budgeted walk's cuts rely on it: f is monotone, f(empty) = 0 and
+    # every value lies in [0, 1]
+    kinds = collections.Counter()
+    for o in _built_oracles():
+        kinds[type(o).__name__] += 1
+        assert o.read(0) == 0
+        assert is_monotone(o)[0], oracle_to_spec(o)
+        assert all(0 <= k <= o.den for k in o._table())
+    assert len(kinds) == 7 and kinds["HardnessOracle"] == 4
 
 
 # -- the bitmask hook against the frozenset formulas ----------------------------

@@ -200,8 +200,14 @@ def test_min_contract_without_table_reads_like_the_reference():
     assert infeasible > 0  # profiles not kept are compared too
 
 
-def _tied_line_instances():
-    """Instances whose deviation lines tie, cross and meet in one point."""
+def _tied_line_instances(model=False):
+    """Instances whose deviation lines tie, cross and meet in one point.
+
+    Their random tables take a few repeated levels, at costs that repeat
+    too: any such table, which may fall or be nonzero at the empty set,
+    or with ``model`` the least monotone table above it with f(empty) = 0,
+    which takes the same levels.
+    """
     rng = random.Random(59)
     levels = [F(0), F(1, 8), F(1, 4), F(1, 3), F(1, 2), F(3, 4)]
     costs = [F(0), F(0), F(0), F(1, 12), F(1, 12), F(1, 6), F(1, 4)]
@@ -209,9 +215,16 @@ def _tied_line_instances():
         n, m = rng.randint(1, 3), rng.randint(1, 6)
         actions = tuple(Action(a, rng.randrange(n), rng.choice(costs))
                         for a in range(m))
-        # any table, monotone or not, with equal values and equal costs
         values = [rng.choice(levels) for _ in range(1 << m)]
-        yield Instance(n, actions, UncheckedExplicit(values))
+        if not model:
+            yield Instance(n, actions, UncheckedExplicit(values))
+            continue
+        values[0] = F(0)
+        for b in range(m):
+            for mask in range(1 << m):
+                if mask >> b & 1:
+                    values[mask] = max(values[mask], values[mask ^ 1 << b])
+        yield Instance(n, actions, ExplicitOracle(values))
     # the degenerate pencil: with costs w/3 every line
     # alpha * (f(R) + w(d)) - w(d)/3 passes through alpha = 1/3
     w = [F(k, 36) for k in (1, 2, 3, 5, 8, 4)]
@@ -245,8 +258,8 @@ def _lopsided_instances():
 def _dear_second_agent():
     """Agent 0 owns three actions and is priced first; agent 1, priced
     second, owns a cheap action and one costing 1/2, whose deviations
-    (alone or with the cheap one) cost more than B * spread = 3B/4 for
-    B < 2/3."""
+    (alone or with the cheap one) cost more than B * f(ground set) = 3B/4
+    for B < 2/3."""
     costs, owners = (F(1, 32), F(1, 16), F(1, 64), F(1, 2), F(1, 64)), \
         (0, 0, 1, 1, 0)
     return Instance(2, tuple(Action(a, owners[a], costs[a]) for a in range(5)),
@@ -255,14 +268,14 @@ def _dear_second_agent():
 
 
 def _budget_bound_instances():
-    """Instances at the edges of the budget's cuts on rests,
-    c(R) <= B * spread, and on deviations, c(d) <= B * spread: a profile
-    paying exactly B whose rest costs B * spread, an agent priced second
-    whose dearest deviations are cut, unvalidated tables leaving [0, 1],
-    tables of one value (spread 0), zero-cost actions and one dear
-    action."""
+    """Instances at the edges of the budget's cuts on the first agent's
+    rests, c(R) <= B * f(R + T_1), and on deviations, c(d) <= B * f(ground
+    set): a profile paying exactly B whose rest costs B * f(R + T_1), an
+    agent priced second whose dearest deviations are cut, zero-cost
+    actions and one dear action; and, outside the model, unvalidated
+    tables leaving [0, 1] and tables of one nonzero value."""
     # {0, 1} needs alpha_1 = 1/2 and alpha_0 = 0; at B = 1/2 the rest {1}
-    # costs 1/2 = B * spread
+    # costs 1/2 = B * f({0, 1})
     yield Instance(2, (Action(0, 0, F(0)), Action(1, 1, F(1, 2))),
                    ExplicitOracle([F(0), F(0), F(0), F(1)]))
     yield _dear_second_agent()
@@ -288,9 +301,15 @@ def _budget_bound_instances():
 
 
 def test_envelope_contracts_match_the_reference():
+    # a table outside the model (unvalidated) is walked without a budget
+    # only: the budget's cuts hold for the model's f alone
     rng = random.Random(61)
-    for inst in itertools.chain(_tied_line_instances(), _lopsided_instances(),
+    for inst in itertools.chain(_tied_line_instances(),
+                                _tied_line_instances(model=True),
+                                _lopsided_instances(),
                                 _budget_bound_instances()):
+        budgets = (None,) if type(inst.oracle) is UncheckedExplicit \
+            else (None, F(0), F(1, 64), F(1, 3), F(1, 2), F(1))
         inst = with_table(inst)
         table = inst.f
         m = inst.num_actions
@@ -303,8 +322,7 @@ def test_envelope_contracts_match_the_reference():
             assert {mask: min_incentivizing_contract(tab, mask_to_set(mask))
                     for mask in range(1 << m)} == reference
         for tab, within, budget in itertools.product(
-                (inst, _rescaled(inst)), withins,
-                (None, F(0), F(1, 64), F(1, 3), F(1, 2), F(1))):
+                (inst, _rescaled(inst)), withins, budgets):
             got = [(mask, alpha) for mask, alpha
                    in contract_pairs(tab, budget=budget)
                    if within is None or not mask & ~within]
@@ -322,35 +340,6 @@ def test_envelope_contracts_match_the_reference():
                    0b11: Contract((F(1, 3),))}
 
 
-def _spread_instances():
-    """Instances of every family, the hidden-set one too, and the
-    unvalidated explicit tables of :func:`_budget_bound_instances`, which
-    fall, leave [0, 1] or hold one value."""
-    rng = random.Random(73)
-    for maker in (random_additive_instance, random_unit_demand_instance,
-                  random_uniform_k_instance, random_oxs_instance,
-                  random_coverage_instance, random_explicit_monotone_instance):
-        for _ in range(3):
-            yield maker(rng.randint(0, 10 ** 6), num_agents=rng.randint(1, 3),
-                        num_actions=rng.randint(1, 6))
-    yield build_hardness(HardnessParams.make(4, F(1, 2), seed=3))
-    yield from (inst for inst in _budget_bound_instances()
-                if type(inst.oracle) is UncheckedExplicit)
-
-
-def test_each_oracle_states_the_spread_of_its_table():
-    kinds = set()
-    for inst in _spread_instances():
-        for tab in (with_table(inst), _rescaled(inst)):
-            table = tab.table
-            assert tab.oracle.spread(table) == max(table) - min(table)
-            kinds.add(type(tab.oracle).__name__)
-    assert kinds == {"AdditiveOracle", "UnitDemandOracle",
-                     "UniformKDemandOracle", "AssignmentOracle",
-                     "CoverageOracle", "ExplicitOracle", "HardnessOracle",
-                     "UncheckedExplicit", "_Tripled"}
-
-
 class _NoWalk(list):
     """A value table that may be read by index but not walked whole."""
 
@@ -359,7 +348,7 @@ class _NoWalk(list):
 
 
 def test_budgeted_walk_never_walks_the_whole_table():
-    # the budget's cut takes f's spread from the oracle: no pass over 2^m
+    # the budget's cut reads f(ground set) once: no pass over 2^m
     for maker in (random_explicit_monotone_instance, random_coverage_instance):
         tab = with_table(maker(17, num_agents=2, num_actions=7))
         guarded = replace(tab, table=_NoWalk(tab.table))
@@ -436,7 +425,7 @@ def test_budget_cuts_every_agents_deviations(monkeypatch):
     monkeypatch.setattr(equilibria, "_agent_payments", recording)
     inst = with_table(_dear_second_agent())
     f_den, c_den = inst.oracle.den, inst.int_costs[1]
-    spread = max(inst.table) - min(inst.table)
+    top = inst.table[-1]  # f(ground set), scaled
     for budget in (F(0), F(1, 64), F(1, 3), F(1, 2), F(1)):
         handed.clear()
         cuts.clear()
@@ -445,12 +434,12 @@ def test_budget_cuts_every_agents_deviations(monkeypatch):
         assert len(handed) == 2 and all(  # agent 0, then agent 1
             not d & ~own for runs, own in zip(handed, inst.agent_masks)
             for d in runs[0])
-        # f is monotone: each agent's walk also cuts per rest, at
-        # B * (f(R + T_i) - f(R)) in the payments' units
+        # each agent's walk cuts per rest, at B * (f(R + T_i) - f(R)) in
+        # the payments' units
         cap = (budget * F(c_den, f_den)).as_integer_ratio()
         assert cuts == [(own, *cap) for own in inst.agent_masks]
-        for runs in handed:  # c(d) <= B * spread, cross-multiplied
-            assert all(c * f_den * q <= p * spread * c_den for c in runs[1])
+        for runs in handed:  # c(d) <= B * f(ground set), cross-multiplied
+            assert all(c * f_den * q <= p * top * c_den for c in runs[1])
         assert got == [(mask, alpha) for mask, alpha in contract_pairs(
             inst) if alpha.total() <= budget]
         if budget == F(1, 2):  # {3} and {2, 3} are cut, {2} is not
@@ -491,21 +480,21 @@ def test_budget_cuts_the_first_rests_and_the_hull_lines(monkeypatch):
 
     monkeypatch.setattr(equilibria, "_agent_payments", recording)
     # agent 0 owns actions 0-2 and is priced first; its rests are the
-    # subsets of the six one-action agents' actions 3-8, and f is
-    # monotone, so a rest R stays where c(R) <= B * (f(R + T_0) - f(empty))
+    # subsets of the six one-action agents' actions 3-8, and a rest R
+    # stays where c(R) <= B * f(R + T_0)
     inst = with_table(Instance(
         7, tuple(Action(a, max(0, a - 2), F(a + 1, 128)) for a in range(9)),
         AdditiveOracle([F(1, 9)] * 9)))
-    spread = max(inst.f) - min(inst.f)
+    top = inst.f[-1]
     for budget in (F(3, 32), F(1, 8)):
         walked.clear()
         got = contract_pairs(inst, budget=budget)
         rests = walked[0][1]
         assert rests == [r for r in range(0, 1 << 9, 8)
                          if cost(inst, mask_to_set(r))
-                         <= budget * (inst.f[r | 0b111] - inst.f[0])]
-        # the per-rest bound cuts rests that c(R) <= B * spread keeps
-        assert any(cost(inst, mask_to_set(r)) <= budget * spread
+                         <= budget * inst.f[r | 0b111]]
+        # the per-rest bound cuts rests that c(R) <= B * f(ground set) keeps
+        assert any(cost(inst, mask_to_set(r)) <= budget * top
                    for r in set(range(0, 1 << 9, 8)) - set(rests))
         assert len(rests) < 2 ** 6 // 2  # the cut skips most rests
         assert got == [(mask, alpha) for mask, alpha in contract_pairs(
@@ -530,7 +519,7 @@ def test_budget_cuts_the_first_rests_and_the_hull_lines(monkeypatch):
         hull, breaks = single_agent_hull(inst, budget)
         (lines, _), = walked
         within_cut = [d for d in range(64) if cost(inst, mask_to_set(d))
-                      <= budget * (max(inst.f) - inst.f[0])]
+                      <= budget * inst.f[-1]]
         assert sorted(lines) == within_cut and len(lines) < 64
         assert sizes == [len(within_cut)]
         # the hull ends at B: it is the full one's up to B
@@ -544,9 +533,9 @@ def test_budget_cuts_the_first_rests_and_the_hull_lines(monkeypatch):
 def _cut_boundary_instances():
     """(instance, B, pins): explicit monotone, coverage and GS instances,
     n 2-4 and m <= 8, each with costs set so that a rest R of the first
-    agent sits exactly on c(R) = B * (f(R + T_1) - f(empty)) and one
-    deviation {b} of every other agent it can on c(b) = B * (f(R' + T_i)
-    - f(R')), with the pinned (agent, R', b) in ``pins``."""
+    agent sits exactly on c(R) = B * f(R + T_1) and one deviation {b} of
+    every other agent it can on c(b) = B * (f(R' + T_i) - f(R')), with the
+    pinned (agent, R', b) in ``pins``."""
     rng = random.Random(89)
     makers = (random_explicit_monotone_instance, random_coverage_instance,
               random_gs_instance)
@@ -566,7 +555,7 @@ def _cut_boundary_instances():
         a, *free = mask_to_set(rest)
         for b in free:
             costs[b] = F(0)
-        costs[a] = budget * (f[rest | masks[first]] - f[0])
+        costs[a] = budget * f[rest | masks[first]]
         pins = []
         for i, own in enumerate(masks):
             if own & ~rest:
@@ -577,16 +566,15 @@ def _cut_boundary_instances():
         inst = with_table(Instance(n, tuple(
             Action(k, base.owner_of[k], costs[k]) for k in range(m)),
             base.oracle))
-        assert base.oracle.monotone and cost(inst, mask_to_set(rest)) \
-            == budget * (f[rest | masks[first]] - f[0])
+        assert cost(inst, mask_to_set(rest)) == budget * f[rest | masks[first]]
         yield inst, budget, pins
 
 
 def test_budget_cuts_keep_the_profiles_on_their_bounds():
-    # on a monotone f the walk keeps per rest R the deviations with
-    # c(d) <= B * (f(R + T_i) - f(R)), and for the first agent the rests
-    # with c(R) <= B * (f(R + T_1) - f(empty)): a weak bound, and f(empty)
-    # rather than f(R).  A profile on either bound can pay exactly B.
+    # the walk keeps per rest R the deviations with c(d) <= B * (f(R + T_i)
+    # - f(R)), and for the first agent the rests with c(R) <= B * f(R +
+    # T_1): weak bounds, the second with f(empty) = 0 rather than f(R).  A
+    # profile on either bound can pay exactly B.
     for inst, budget, pins in _cut_boundary_instances():
         assert all(inst.cost_of[b] == budget * (inst.f[at | inst.agent_masks[i]]
                                                 - inst.f[at])
@@ -598,9 +586,9 @@ def test_budget_cuts_keep_the_profiles_on_their_bounds():
 
 def test_cost_runs_are_sorted_once_per_walk(monkeypatch):
     # each walk sorts the deviations of each agent it visits, once, and
-    # under a budget B only those with c(d) <= B * spread: the others are
-    # neither summed nor sorted.  Without a budget the instance sorts
-    # through rewards.cost_runs, so both bound names are counted
+    # under a budget B only those with c(d) <= B * f(ground set): the
+    # others are neither summed nor sorted.  Without a budget the instance
+    # sorts through rewards.cost_runs, so both bound names are counted
     sorts = []
     sort = equilibria.cost_runs
 
@@ -614,14 +602,14 @@ def test_cost_runs_are_sorted_once_per_walk(monkeypatch):
                                                   num_actions=7))
     assert all(inst.agent_masks)  # the walk visits every agent
     f_den, c_den = inst.oracle.den, inst.int_costs[1]
-    spread = max(inst.table) - min(inst.table)
+    top = inst.table[-1]  # f(ground set), scaled
     cut = 0
     for budget in (None, F(1, 2), F(1, 4)):
         sorts.clear()
         list(iter_min_contracts(inst, budget=budget))
         p, q = (budget or F(1)).as_integer_ratio()
         want = [sorted((d, c) for d, c in costs.items() if budget is None
-                       or c * f_den * q <= p * spread * c_den)
+                       or c * f_den * q <= p * top * c_den)
                 for costs in inst.agent_cost_sums]
         assert sorted(sorts) == sorted(want)
         cut += sum(len(costs) - len(w)
@@ -716,7 +704,7 @@ RACE_OBJECTIVES = (PROFIT, REWARD, WELFARE,
 
 def test_races_match_a_reference_race_over_every_pair():
     rng = random.Random(61)
-    instances = list(_tied_line_instances())[::3] + [
+    instances = list(_tied_line_instances(model=True))[::3] + [
         random_gs_instance(rng.randint(0, 10 ** 6), num_agents=rng.randint(1, 3),
                            num_actions=rng.randint(2, 6)) for _ in range(6)]
     tied = 0
@@ -821,7 +809,7 @@ def test_gs_pipeline_builds_no_fraction_view(monkeypatch):
 
 def test_profit_base_is_the_rescaled_optimum_at_scaled_costs():
     rng = random.Random(71)
-    instances = list(_tied_line_instances()) + [
+    instances = list(_tied_line_instances(model=True)) + [
         random_gs_instance(rng.randint(0, 10 ** 6), num_agents=rng.randint(1, 3),
                            num_actions=rng.randint(2, 6)) for _ in range(12)]
     tied = 0
@@ -878,11 +866,6 @@ def _small_gs_instances(draw):
 @example(Instance(3, (Action(0, 0, F(1, 8)), Action(1, 2, F(0)),
                       Action(2, 0, F(1, 8))),
                   UnitDemandOracle([F(1, 2), F(1, 4), F(1, 2)])))
-# unvalidated, f(empty) = -1/2 below f({0}) = -1/8: at B = 1, without its
-# 3B/4 cap the base's profit race would pick {0} at alpha_0 = 1 over the
-# unpaid empty profile
-@example(Instance(2, (Action(0, 0, F(3, 8)), Action(1, 1, F(0))),
-                  UncheckedExplicit([F(-1, 2), F(-1, 8), F(-1, 2), F(-1, 8)])))
 def test_gs_pipeline_matches_the_per_stage_reference(inst):
     for budget in (F(1, 4), F(1, 2), F(2, 3), F(3, 4), F(1)):
         for obj in RACE_OBJECTIVES:
@@ -1390,6 +1373,20 @@ def test_fptas_at_scale_is_a_budgeted_equilibrium():
 # -- additive FPTAS -------------------------------------------------------------
 
 
+def test_additive_fptas_refuses_a_non_additive_oracle():
+    # the library refuses, as the forced CLI solve does, before any read:
+    # on a non-additive f its pairs need not be equilibria
+    makers = (random_unit_demand_instance, random_uniform_k_instance,
+              random_oxs_instance, random_coverage_instance,
+              random_explicit_monotone_instance)
+    for inst in [make(3, num_agents=2, num_actions=5) for make in makers] \
+            + [build_hardness(HardnessParams.make(4, F(1, 2)))]:
+        with pytest.raises(ModelError, match="^additive FPTAS forced on a "
+                                             "non-additive oracle$"):
+            additive_fptas(inst, F(1, 2), F(1, 10), PROFIT)
+        assert inst.oracle.value_queries == 0
+
+
 def test_fptas_zero_budget_positive_costs():
     inst = Instance(2, (Action(0, 0, F(1, 8)), Action(1, 1, F(1, 4))),
                     AdditiveOracle([F(1, 2), F(1, 4)]))
@@ -1551,12 +1548,15 @@ def test_integer_envelope_matches_fraction_reference(monkeypatch):
     import budgetcontracts.solvers as solvers
 
     for inst in _envelope_instances():
+        # a table outside the model (unvalidated) has no budgeted hull
+        budgets = () if type(inst.oracle) is UncheckedExplicit \
+            else (F(0), F(1, 3), F(1, 2), F(1))
         inst = with_table(inst)
         hull, breaks = single_agent_hull(inst)
         assert (hull, breaks) == _reference_hull(inst)
         assert single_agent_hull(_rescaled(inst)) == (hull, breaks)
         assert all(type(b) is F for b in breaks)
-        for budget in (F(0), F(1, 3), F(1, 2), F(1)):
+        for budget in budgets:
             assert single_agent_hull(inst, budget) \
                 == _reference_hull(inst, budget)
             got = single_agent_fptas(inst, budget, F(1, 4))
