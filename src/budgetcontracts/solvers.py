@@ -43,6 +43,7 @@ from budgetcontracts.core import (
     ZERO,
     check_enumeration,
     cost,
+    exact_rational,
     restrict_contract,
 )
 from budgetcontracts.equilibria import contract_of, double_contract, \
@@ -97,9 +98,12 @@ def _race(obj: Objective, inst: Instance, records: Iterable[tuple]
         Fraction(v, d * td * f_den * c_den)
 
 
-def _check_budget(budget: Fraction) -> None:
+def _check_budget(budget: Fraction) -> Fraction:
+    """``budget`` in [0, 1], by :func:`core.exact_rational`'s rule."""
+    budget = exact_rational(budget)
     if not 0 <= budget <= 1:
         raise ModelError("budget must lie in [0, 1]")
+    return budget
 
 
 def _counted(solver):
@@ -130,6 +134,7 @@ def max_reward_bounded_brute(inst: Instance, budget: Fraction) -> SolveResult:
     """Exact reward maximization with the per-agent cap alpha_i <= 3B/4:
     :func:`brute_force_opt` for reward over the minimal contracts whose
     every entry respects the cap."""
+    budget = _check_budget(budget)
     # alpha_i = dc * f_den / (df * c_den) <= 3B/4 iff dc * cd <= cn * df
     cn, cd = (Fraction(3, 4) * budget * Fraction(
         inst.int_costs[1], inst.oracle.den)).as_integer_ratio()
@@ -142,7 +147,7 @@ def _brute(inst: Instance, budget: Fraction, obj: Objective, label: str,
            keep=None) -> SolveResult:
     """The :func:`_race` for ``obj`` over the records (mask, tn, td, paid)
     of the budget-feasible minimal contracts: all, or those ``keep`` passes."""
-    _check_budget(budget)
+    budget = _check_budget(budget)
     check_enumeration(inst.num_actions, "brute force")
     inst = with_table(inst)
     records = iter_min_contracts(inst, budget=budget)
@@ -181,11 +186,13 @@ class _PrefixLayout:
     and their cost as an int over ``Instance.int_costs``' den
     (``prefix_mask``, ``prefix_cost``); and each kept action's phi (f or
     f - c of its singleton) as an int over ``phi_den``.  ``scales`` are the
-    sweep's scales b, descending: every distinct positive phi of an action
-    with f({a}) > 0.  The arguments are checked here, and ``t_cap`` and
-    ``cap``, the most a table entry may pay over ``den`` (the budget's, or
-    without one the sum of every agent's dearest prefix), computed once for
-    every table of the solve.
+    sweep's scales b, descending: every distinct positive phi of a kept
+    action.  Only those can be OPT's largest phi: a budget-feasible profile
+    pays each agent its prefix's largest ratio, so it holds kept actions
+    only.  The arguments are checked here, and ``t_cap`` and ``cap``, the
+    most a table entry may pay over ``den`` (the budget's, or without one
+    the sum of every agent's dearest prefix), computed once for every
+    table of the solve.
     """
 
     eps: Fraction
@@ -206,6 +213,7 @@ class _PrefixLayout:
               budget: Optional[Fraction]) -> "_PrefixLayout":
         """Check the arguments, then read f({a}) once for every action a,
         in ascending order (one value query each without a table)."""
+        eps = exact_rational(eps)
         if not 0 < eps < 1:
             raise ModelError("eps must lie in (0, 1)")
         if budget is not None and budget < 0:
@@ -250,7 +258,8 @@ class _PrefixLayout:
             tuple(tuple(phi[a] for a in kept) for kept in agent_order),
             phi_den,
             tuple(Fraction(v, phi_den) for v in sorted(
-                {phi[a] for a in ratio if phi[a] > 0}, reverse=True)),
+                {phi[a] for kept in agent_order for a in kept if phi[a] > 0},
+                reverse=True)),
             -(-m * m * eps.denominator // eps.numerator),
             sum(pays[-1] for pays in prefix_payment) if budget is None
             else budget.numerator * den // budget.denominator)
@@ -418,13 +427,14 @@ def additive_fptas(inst: Instance, budget: Fraction, eps: Fraction,
                    obj: Objective) -> SolveResult:
     """(1-eps)-approximation for additive f under any budget in [0, 1].
 
-    Sweeps the scale b over every candidate singleton value (f singletons
-    for profit and reward, f-c singletons for welfare), descending, fills
-    the payment table per scale, and selects the column: the largest
-    budget-feasible one for reward and welfare, the (1 - payment) * value
-    maximizer below it for profit.  Welfare mirrors the reward selection
-    rule.  A later scale's pick must beat the best so far strictly, the
-    unpaid empty profile entering first.
+    Sweeps the scale b over the positive singleton values (f singletons
+    for profit and reward, f-c singletons for welfare) of the actions whose
+    ratio c_a / f({a}) is within the budget, descending, fills the payment
+    table per scale, and selects the column: the largest budget-feasible
+    one for reward and welfare, the (1 - payment) * value maximizer below
+    it for profit.  Welfare mirrors the reward selection rule.  A later
+    scale's pick must beat the best so far strictly, the unpaid empty
+    profile entering first.
 
     The sweep runs on integers.  Each singleton f({a}) is read once, and
     the tables of all scales share one :class:`_PrefixLayout` built from
@@ -439,7 +449,7 @@ def additive_fptas(inst: Instance, budget: Fraction, eps: Fraction,
         raise ModelError("additive FPTAS forced on a non-additive oracle")
     if obj.kind not in ("profit", "reward", "welfare"):
         raise ModelError("additive FPTAS supports profit, reward, welfare")
-    _check_budget(budget)
+    budget = _check_budget(budget)
     basis = "f-c" if obj.kind == "welfare" else "f"
     layout = _PrefixLayout.build(inst, basis, eps, budget)
 
@@ -473,7 +483,7 @@ def additive_fptas(inst: Instance, budget: Fraction, eps: Fraction,
     pair = (Contract.zero(n), frozenset()) if best is None \
         else best[0].reconstruct(inst, best[1])
     value = Fraction(top, den * f_den * c_den)
-    return SolveResult(*pair, value, 1 / (1 - eps), str(obj), budget)
+    return SolveResult(*pair, value, 1 / (1 - layout.eps), str(obj), budget)
 
 
 # -- single-agent FPTAS ------------------------------------------------------
@@ -530,7 +540,7 @@ def single_agent_fptas(inst: Instance, budget: Fraction,
     """
     if inst.num_agents != 1:
         raise ModelError("single-agent FPTAS needs exactly one agent")
-    _check_budget(budget)
+    budget, eps = _check_budget(budget), exact_rational(eps)
     if not 0 < eps < 1:
         raise ModelError("eps must lie in (0, 1)")
     m = inst.num_actions
@@ -679,7 +689,7 @@ def gs_constant_factor(inst: Instance, budget: Fraction, obj: Objective, *,
     """
     if not (force or inst.oracle.is_gs_class):
         raise ModelError("oracle not declared gross substitutes (use force=True)")
-    _check_budget(budget)
+    budget = _check_budget(budget)
     if budget == 0:
         free = frozenset(a for a in inst.ground_set if inst.cost_of[a] <= 0)
         zero = Contract.zero(inst.num_agents)

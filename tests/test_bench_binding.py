@@ -83,12 +83,11 @@ def test_benchmark_tracer_and_workloads_bind_to_the_package(tmp_path):
     # the additive solve (profit, eps 1/10) fills one traced DP table per
     # scale, each counted by the tracer's cell formula
     inst = cli.load_instance(SOLVES["solvers.additive_fptas"][1])
-    scales = {w for w in inst.oracle.weights if w > 0}
-    dp = tracer.stats["solvers.build_dp_table"]
-    assert dp.calls == len(scales) > 1
     layout = _PrefixLayout.build(inst, "f", Fraction(1, 10), Fraction(1, 2))
+    dp = tracer.stats["solvers.build_dp_table"]
+    assert dp.calls == len(layout.scales) > 1
     cells = [bench_trace._dp_cells(None, build_dp_table(layout, b), None)
-        for b in scales]
+        for b in layout.scales]
     assert dp.count == sum(cells) and min(cells) > 0
 
 

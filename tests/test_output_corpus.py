@@ -5,18 +5,21 @@ solved by every solver that applies to it (the GS ones on the GS
 families), at five budgets and four
 objectives, and its minimal-contract walk and (for one agent) its upper
 envelope are read too.  Each result becomes one canonical line: the
-contract and value as exact rationals, the sorted profile and both query
-counts.  The equilibrium checks run on the tabled instance, at each
+contract and value as exact rationals, the sorted profile, the factor and
+the objective; its two query counts go on a line of their own.  The equilibrium checks run on the tabled instance, at each
 budget's brute-force pair for profit and at three seeded draws of a
 contract and a profile: one line holds the ``is_nash`` certificate, the
 ``nash_violator`` and ``is_nash_general`` verdicts, each agent's
 exhaustive best response and the minimal incentivizing contract.  The
 lines of one family and one solver hash to one digest in
-``data/output_corpus.json``, so a failure names the solver that moved.
-Two more digests pin ``single_agent_fptas``'s exact exits on the
+``data/output_corpus.json``, so a failure names the solver that moved,
+and a solver's query counts hash apart, to ``<family>/<solver>/queries``,
+so a change that only saves queries moves that digest alone.  Two more
+digests pin ``single_agent_fptas``'s exact exits on the
 one-agent instances: ``zero-cost/single-fptas`` with every cost set to 0,
 at every budget, and ``zero-budget/single-fptas`` at B = 0 with every
-even action made free, so the free set it returns is not empty.
+even action made free, so the free set it returns is not empty; each
+has its ``/queries`` digest too.
 
 A change that moves an output on purpose re-records the file with
 ``python tests/test_output_corpus.py --record`` (``src`` on the path)
@@ -81,12 +84,15 @@ def _corpus():
                                        num_actions=3 + j % 7)
 
 
-def _line(result) -> str:
-    return " ".join([*map(format_rational, result.contract.alpha), "|",
-                     *map(str, sorted(result.profile)), "|",
-                     format_rational(result.value),
-                     str(result.factor), result.objective,
-                     str(result.value_queries), str(result.demand_queries)])
+def _lines(solver: str, result):
+    """(key, canonical line) of one result: its outputs under ``solver``,
+    its query counts under ``solver/queries``."""
+    yield solver, " ".join([*map(format_rational, result.contract.alpha), "|",
+                            *map(str, sorted(result.profile)), "|",
+                            format_rational(result.value),
+                            str(result.factor), result.objective])
+    yield f"{solver}/queries", \
+        f"{result.value_queries} {result.demand_queries}"
 
 
 def _rationals(values) -> str:
@@ -120,24 +126,28 @@ def _results(inst, seed: int):
     for budget in BUDGETS:
         for obj in OBJECTIVES:
             result = brute_force_opt(inst, budget, obj)
-            yield "brute", _line(result)
+            yield from _lines("brute", result)
             if obj is PROFIT:
                 yield "equilibria", _checks(tabled, seed, result.contract,
                                             frozenset(result.profile))
             if gs:
-                yield "gs-pipeline", _line(gs_constant_factor(inst, budget, obj))
+                yield from _lines("gs-pipeline",
+                                  gs_constant_factor(inst, budget, obj))
                 for agent in range(inst.num_agents):
-                    yield "gs-single", _line(
-                        gs_single_agent_exact(inst, agent, obj, budget))
+                    yield from _lines("gs-single", gs_single_agent_exact(
+                        inst, agent, obj, budget))
             if additive and obj.kind != "combo":
                 for eps in EPS:
-                    yield "fptas", _line(additive_fptas(inst, budget, eps, obj))
-        yield "reward-bounded", _line(max_reward_bounded_brute(inst, budget))
+                    yield from _lines("fptas", additive_fptas(
+                        inst, budget, eps, obj))
+        yield from _lines("reward-bounded",
+                          max_reward_bounded_brute(inst, budget))
         for mask, tn, td, paid in iter_min_contracts(tabled, budget=budget):
             yield "walk", f"{mask} {tn}/{td} {paid}"
         if inst.num_agents == 1:
             for eps in EPS:
-                yield "single-fptas", _line(single_agent_fptas(inst, budget, eps))
+                yield from _lines("single-fptas",
+                                  single_agent_fptas(inst, budget, eps))
             hull, breaks = single_agent_hull(tabled, budget)
             yield "hull", f"{hull} {list(map(format_rational, breaks))}"
     rng = random.Random(seed)
@@ -162,10 +172,10 @@ def _exact_exits(inst):
     half_free = _costed(inst, lambda a: a.cost if a.action_id % 2 else F(0))
     for eps in EPS:
         for budget in BUDGETS:
-            yield "zero-cost/single-fptas", _line(
-                single_agent_fptas(zero_cost, budget, eps))
-        yield "zero-budget/single-fptas", _line(
-            single_agent_fptas(half_free, F(0), eps))
+            yield from _lines("zero-cost/single-fptas",
+                              single_agent_fptas(zero_cost, budget, eps))
+        yield from _lines("zero-budget/single-fptas",
+                          single_agent_fptas(half_free, F(0), eps))
 
 
 def digests() -> dict[str, str]:

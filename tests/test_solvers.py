@@ -1089,13 +1089,14 @@ def _reference_picks(inst, budget, eps, obj, *, dense=False):
     """Each scale's (contract, profile) pick, by descending scale, from a
     reference fill and the scan-based selection: the per-cell rows and
     choices, or with ``dense`` the dense rows and an argmin walk down them
-    (fast enough for m = 40 at eps = 1/20)."""
+    (fast enough for m = 40 at eps = 1/20).  The scales are the positive
+    phi of the actions whose ratio c_a / f({a}) is within the budget."""
     basis = "f-c" if obj is WELFARE else "f"
     scales = set()
     for a in range(inst.num_actions):
         f_a = inst.oracle.value(frozenset({a}))
         b = f_a - inst.cost_of[a] if basis == "f-c" else f_a
-        if f_a > 0 and b > 0:
+        if f_a > 0 and b > 0 and inst.cost_of[a] <= budget * f_a:
             scales.add(b)
     for b in sorted(scales, reverse=True):
         dp = build_dp_table(_PrefixLayout.build(inst, basis, eps, budget), b)
@@ -1325,10 +1326,12 @@ def test_fptas_reads_each_singleton_once():
         oracle = _LoggedAdditive(base.oracle.weights)
         inst = Instance(base.num_agents, base.actions, oracle)
         for obj in (PROFIT, REWARD, WELFARE):
+            # the positive phi of the actions affordable at budget 1/2
             scales = {b for a in range(m)
                       for b in [oracle.weights[a] - inst.cost_of[a]
                                 if obj is WELFARE else oracle.weights[a]]
-                      if oracle.weights[a] > 0 and b > 0}
+                      if oracle.weights[a] > 0 and b > 0
+                      and 2 * inst.cost_of[a] <= oracle.weights[a]}
             oracle.log.clear()
             r = additive_fptas(inst, F(1, 2), F(1, 10), obj)
             assert r.value_queries == len(oracle.log) == m + 1 + len(scales)
@@ -1356,7 +1359,7 @@ def test_fptas_at_scale_is_a_budgeted_equilibrium():
     budget, eps = F(1, 2), F(1, 20)
     for obj in (PROFIT, REWARD, WELFARE):
         scales = {f[a] - inst.cost_of[a] if obj is WELFARE else f[a]
-                  for a in range(m)}
+                  for a in range(m) if inst.cost_of[a] <= budget * f[a]}
         r = additive_fptas(inst, budget, eps, obj)
         assert r.value_queries == m + 1 + len(scales)
         assert r.contract.total() <= budget and r.profile
@@ -1409,6 +1412,125 @@ def test_fptas_within_guarantee_small():
             assert got.value >= (1 - eps) * opt.value
             assert got.contract.total() <= budget
             assert is_nash(inst, got.contract, got.profile).ok
+
+
+def _additive_opt(inst, budget, obj):
+    """The exact optimum of ``obj`` (profit, reward or welfare) on an
+    additive instance, from per-agent prefix lists instead of profiles.
+
+    Under additive f agent i, paid alpha_i, takes every action with
+    alpha_i f({a}) > c_a and may take those with equality, so a minimal
+    contract pays each agent the largest ratio c_a / f({a}) of its set, and
+    the set holds every action of a smaller ratio.  Taking all the actions
+    of that ratio lowers no objective (at a ratio r <= B <= 1 each adds
+    f({a}) >= c_a), so OPT is over prefixes of whole ratio groups.  Each
+    agent's prefixes become (payment, F, C) points; the points are merged
+    agent by agent, cut to the budget, and only those no other point beats
+    on payment and on the objective's key (F, or F - C for welfare) are
+    kept: a point beaten so stays beaten after any later merge.
+    """
+    f = inst.oracle.weights  # read without counting a query
+    pn, wn, d = obj.weights
+
+    def key(point):
+        return point[1] - point[2] if wn else point[1]
+
+    front = [(F(0), F(0), F(0))]
+    for own in inst.agent_actions:
+        prefixes = [(F(0), F(0), F(0))]
+        for r in sorted({inst.cost_of[a] / f[a] for a in own if f[a] > 0}):
+            group = [a for a in own if f[a] > 0 and inst.cost_of[a] == r * f[a]]
+            _, f_s, c_s = prefixes[-1]
+            prefixes.append((r, f_s + sum(f[a] for a in group),
+                             c_s + sum(inst.cost_of[a] for a in group)))
+        merged = sorted(((p + q, fp + fq, cp + cq)
+                         for p, fp, cp in front for q, fq, cq in prefixes
+                         if p + q <= budget),
+                        key=lambda point: (point[0], -key(point)))
+        front = []
+        for point in merged:  # payment ascending, the best key first
+            if not front or key(point) > key(front[-1]):
+                front.append(point)
+    return max(f_s - (pn * p * f_s + wn * c_s) / d for p, f_s, c_s in front)
+
+
+def _recosted(inst, seed):
+    """``inst`` with each action costing c_a = f({a}) * u / 32, u drawn
+    from 1..31: every ratio c_a / f({a}) is a multiple of 1/32."""
+    rng = random.Random(seed)
+    f = inst.oracle.weights
+    return Instance(inst.num_agents, tuple(
+        Action(a.action_id, a.owner, f[a.action_id] * F(rng.randint(1, 31), 32))
+        for a in inst.actions), inst.oracle)
+
+
+def _small_additive():
+    """Library additive instances and their re-costed copies, n 1-4 and
+    m 3-12, each shape once."""
+    for seed in range(40):
+        inst = random_additive_instance(seed, num_agents=1 + seed % 4,
+                                        num_actions=3 + seed // 4)
+        yield inst
+        yield _recosted(inst, seed)
+
+
+def test_additive_reference_matches_brute_force():
+    for inst in _small_additive():
+        for budget, obj in itertools.product(
+                (F(0), F(1, 4), F(1, 2), F(3, 4), F(1)),
+                (PROFIT, REWARD, WELFARE)):
+            assert _additive_opt(inst, budget, obj) == \
+                brute_force_opt(inst, budget, obj).value
+
+
+def test_fptas_certificate_holds_against_the_exact_optimum_at_scale():
+    # past brute force: the prefix-list optimum certifies the factor
+    for m in (50, 200):
+        inst = _size_stable_additive(m, n=4, m=m)
+        for budget, obj in itertools.product((F(1, 4), F(1, 2), F(3, 4)),
+                                             (PROFIT, REWARD, WELFARE)):
+            opt = _additive_opt(inst, budget, obj)
+            got = additive_fptas(inst, budget, F(1, 10), obj)
+            assert got.value <= opt <= got.value * got.factor
+            assert got.value_queries == m + 1 + len(_PrefixLayout.build(
+                inst, "f-c" if obj is WELFARE else "f", F(1, 10),
+                budget).scales)
+
+
+def test_sweep_of_affordable_scales_against_every_scale(monkeypatch):
+    """The sweep over the scales of affordable actions against the sweep
+    over every positive phi of an action with f({a}) > 0: the dropped
+    scales only remove candidates, so the value cannot rise, it keeps the
+    certificate, and each dropped scale saves its one query."""
+    build = _PrefixLayout.build
+    dropped = []
+
+    def every_scale(inst, basis, eps, budget):
+        layout = build(inst, basis, eps, budget)
+        f = inst.oracle.weights
+        phi = {f[a] - inst.cost_of[a] if basis == "f-c" else f[a]
+               for a in range(inst.num_actions) if f[a] > 0}
+        scales = tuple(sorted((b for b in phi if b > 0), reverse=True))
+        dropped.append(len(scales) - len(layout.scales))
+        return replace(layout, scales=scales)
+
+    differing = 0
+    for inst in _small_additive():
+        for budget, obj, eps in itertools.product(
+                (F(0), F(1, 4), F(1, 2), F(3, 4), F(1)),
+                (PROFIT, REWARD, WELFARE), (F(1, 4), F(1, 10))):
+            new = additive_fptas(inst, budget, eps, obj)
+            with monkeypatch.context() as patch:
+                patch.setattr(_PrefixLayout, "build", every_scale)
+                old = additive_fptas(inst, budget, eps, obj)
+            opt = brute_force_opt(inst, budget, obj).value
+            assert new.value <= old.value and new.value * new.factor >= opt
+            assert new.value_queries == old.value_queries - dropped[-1]
+            differing += new.value != old.value
+    assert sum(dropped) > 0
+    # on this corpus no value moves (a dropped scale's pick can still
+    # have won a tie: 2 of the 2400 pairs differ at equal value)
+    assert differing == 0
 
 
 # -- single-agent FPTAS ----------------------------------------------------------
@@ -2091,6 +2213,37 @@ def test_every_solver_refuses_a_budget_outside_the_unit_interval(solver, budget)
     with pytest.raises(ModelError, match=r"budget must lie in \[0, 1\]"):
         SOLVER_ENTRY_POINTS[solver](inst, budget)
 
+
+@pytest.mark.parametrize("budget", [0.1, True, None],
+                         ids=["float", "bool", "none"])
+@pytest.mark.parametrize("solver", sorted(SOLVER_ENTRY_POINTS))
+def test_every_solver_refuses_an_inexact_budget(solver, budget):
+    # a float or a bool is no exact rational (core.exact_rational): no
+    # budget cut is decided on one, and none is reported
+    inst = Instance(1, (Action(0, 0, F(1, 8)), Action(1, 0, F(1, 4))),
+                    AdditiveOracle([F(1, 4), F(1, 2)]))
+    with pytest.raises(ModelError):
+        SOLVER_ENTRY_POINTS[solver](inst, budget)
+    assert inst.oracle.value_queries == 0
+    # an int or a "p/q" string is exact, and reported as a Fraction
+    for exact in (1, "1/2"):
+        got = SOLVER_ENTRY_POINTS[solver](inst, exact).budget
+        assert type(got) is F and got == F(exact)
+
+
+@pytest.mark.parametrize("eps", [0.1, True, None],
+                         ids=["float", "bool", "none"])
+@pytest.mark.parametrize("solve", [
+    lambda inst, eps: additive_fptas(inst, F(1, 2), eps, PROFIT),
+    lambda inst, eps: single_agent_fptas(inst, F(1, 2), eps)],
+    ids=["additive_fptas", "single_agent_fptas"])
+def test_the_fptas_refuse_an_inexact_eps(solve, eps):
+    inst = Instance(1, (Action(0, 0, F(1, 8)), Action(1, 0, F(1, 4))),
+                    AdditiveOracle([F(1, 4), F(1, 2)]))
+    with pytest.raises(ModelError):
+        solve(inst, eps)
+    assert inst.oracle.value_queries == 0
+    assert solve(inst, "1/4").factor in ("exact", F(4, 3))
 
 def test_max_reward_bounded_hardness_upper_bound():
     params = HardnessParams.make(4, F(1, 2))

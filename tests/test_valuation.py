@@ -139,8 +139,10 @@ def test_lazy_instance_keeps_its_documented_query_counts():
             full = 1 + walk - inst.num_agents
             assert spent == full if got is not None else spent <= full
         if oracle.function_class == "additive":
+            # the positive f({a}) of the actions affordable at budget 1/2
             scales = {oracle.weights[a] for a in range(inst.num_actions)
-                      if oracle.weights[a] > 0}
+                      if oracle.weights[a] > 0
+                      and 2 * inst.cost_of[a] <= oracle.weights[a]}
             before = oracle.value_queries
             additive_fptas(inst, F(1, 2), F(1, 4), REWARD)
             assert oracle.value_queries - before == \
