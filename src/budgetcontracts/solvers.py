@@ -29,7 +29,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, chain
 from operator import itemgetter, or_
 from typing import Iterable, Optional, Sequence
 
@@ -189,10 +189,11 @@ class _PrefixLayout:
     sweep's scales b, descending: every distinct positive phi of a kept
     action.  Only those can be OPT's largest phi: a budget-feasible profile
     pays each agent its prefix's largest ratio, so it holds kept actions
-    only.  The arguments are checked here, and ``t_cap`` and ``cap``, the
-    most a table entry may pay over ``den`` (the budget's, or without one
-    the sum of every agent's dearest prefix), computed once for every
-    table of the solve.
+    only.  ``mass`` holds each scale's P(b) over ``phi_den``: the kept
+    actions' positive phi up to b, summed.  The arguments are checked
+    here, and ``t_cap`` and ``cap``, the most a table entry may pay over
+    ``den`` (the budget's, or without one the sum of every agent's
+    dearest prefix), computed once for every table of the solve.
     """
 
     eps: Fraction
@@ -205,6 +206,7 @@ class _PrefixLayout:
     phi: tuple[tuple[int, ...], ...]
     phi_den: int
     scales: tuple[Fraction, ...]
+    mass: tuple[int, ...]
     t_cap: int
     cap: int
 
@@ -246,6 +248,8 @@ class _PrefixLayout:
                 or ratio[a][0] * budget.denominator
                 <= budget.numerator * ratio[a][1]))
         den = math.lcm(*(ratio[a][1] for kept in agent_order for a in kept))
+        pos = sorted(phi[a] for a in chain(*agent_order) if phi[a] > 0)
+        mass = dict(zip(pos, accumulate(pos)))  # P(v): v's last running sum
         prefix_payment = tuple(
             (0, *(ratio[a][0] * (den // ratio[a][1]) for a in kept))
             for kept in agent_order)
@@ -256,10 +260,8 @@ class _PrefixLayout:
             tuple(tuple(accumulate((c_int[a] for a in kept), initial=0))
                   for kept in agent_order),
             tuple(tuple(phi[a] for a in kept) for kept in agent_order),
-            phi_den,
-            tuple(Fraction(v, phi_den) for v in sorted(
-                {phi[a] for kept in agent_order for a in kept if phi[a] > 0},
-                reverse=True)),
+            phi_den, tuple(Fraction(v, phi_den) for v in reversed(mass)),
+            tuple(reversed(mass.values())),
             -(-m * m * eps.denominator // eps.numerator),
             sum(pays[-1] for pays in prefix_payment) if budget is None
             else budget.numerator * den // budget.denominator)
@@ -432,18 +434,23 @@ def additive_fptas(inst: Instance, budget: Fraction, eps: Fraction,
     ratio c_a / f({a}) is within the budget, descending, fills the payment
     table per scale, and selects the column: the largest budget-feasible
     one for reward and welfare, the (1 - payment) * value maximizer below
-    it for profit.  Welfare mirrors the reward selection rule.  A later
-    scale's pick must beat the best so far strictly, the unpaid empty
-    profile entering first.
+    it for profit.  A later scale's pick must beat the best so far
+    strictly, the unpaid empty profile entering first.  The sweep stops at
+    the first b whose P(b) (``layout.mass``) is below the best so far: the
+    bound needs only b*, the largest phi of an optimal profile S*, and as
+    S* holds kept actions, OPT <= the sum over S* of max(phi, 0) <= P(b*)
+    (reward sums f, profit is at most reward, welfare sums f - c).  The
+    best so far, a feasible pick's value, is at most OPT, and P falls with
+    b, so b* was swept: the value is never below (1 - eps) OPT.
 
-    The sweep runs on integers.  Each singleton f({a}) is read once, and
-    the tables of all scales share one :class:`_PrefixLayout` built from
-    those reads.  A pick is valued by ``Objective.weights`` from one read
-    of f at its mask, the table's integer payment and the prefixes'
-    integer costs; only the winner becomes a contract and a set of actions.
-    On an instance without a table the solve issues m + 1 + |scales| value
-    queries: the singletons in ascending order, then f of the unpaid empty
-    profile, read rather than taken as 0, then f of each scale's pick.
+    The sweep runs on integers; all its tables share one
+    :class:`_PrefixLayout`, built from one read of each singleton.  A pick
+    is valued by ``Objective.weights`` from one read of f at its mask, the
+    table's integer payment and the prefixes' integer costs; only the
+    winner becomes a contract and a set of actions.  Without a table the
+    solve issues m + 1 + (scales swept) value queries: the singletons in
+    ascending order, f of the unpaid empty profile (read, not taken as 0),
+    then f of each swept scale's pick.
     """
     if inst.oracle.function_class != "additive":
         raise ModelError("additive FPTAS forced on a non-additive oracle")
@@ -461,7 +468,9 @@ def additive_fptas(inst: Instance, budget: Fraction, eps: Fraction,
     # profile's first, and its table and column
     top = den * f(0) * c_den
     best = None
-    for b in layout.scales:
+    for b, mass in zip(layout.scales, layout.mass):
+        if mass * den * f_den * c_den < top * layout.phi_den:
+            break  # no scale left can be OPT's largest phi
         dp = build_dp_table(layout, b)
         # rows end at the budget, so every column left is affordable
         if obj.kind == "profit":

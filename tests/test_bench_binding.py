@@ -18,7 +18,11 @@ from pathlib import Path
 from budgetcontracts import cli, equilibria
 from budgetcontracts.hardness import HardnessParams, default_epsilon
 from budgetcontracts.rewards import submask_sums_upto, value_table, with_table
-from budgetcontracts.solvers import _PrefixLayout, build_dp_table
+from budgetcontracts.objectives import PROFIT
+from budgetcontracts.solvers import _PrefixLayout, additive_fptas, \
+    build_dp_table
+
+from fptas_sweep import LoggedAdditive, swept_scales
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -81,13 +85,19 @@ def test_benchmark_tracer_and_workloads_bind_to_the_package(tmp_path):
         assert all(type(k) is int for k in tabled.table)
         assert table == [Fraction(k, inst.oracle.den) for k in tabled.table]
     # the additive solve (profit, eps 1/10) fills one traced DP table per
-    # scale, each counted by the tracer's cell formula
+    # swept scale, each counted by the tracer's cell formula
     inst = cli.load_instance(SOLVES["solvers.additive_fptas"][1])
     layout = _PrefixLayout.build(inst, "f", Fraction(1, 10), Fraction(1, 2))
+    logged = LoggedAdditive(inst.oracle.weights)
+    additive_fptas(replace(inst, oracle=logged), Fraction(1, 2),
+                   Fraction(1, 10), PROFIT)
+    swept = swept_scales(inst, Fraction(1, 2), PROFIT,
+                         logged.log[inst.num_actions + 1:])
     dp = tracer.stats["solvers.build_dp_table"]
-    assert dp.calls == len(layout.scales) > 1
+    assert dp.calls == len(swept) >= 1 and len(layout.scales) == 2
+    assert layout.scales[:len(swept)] == tuple(swept)
     cells = [bench_trace._dp_cells(None, build_dp_table(layout, b), None)
-        for b in layout.scales]
+        for b in swept]
     assert dp.count == sum(cells) and min(cells) > 0
 
 

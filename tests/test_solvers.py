@@ -42,6 +42,7 @@ from budgetcontracts.solvers import (
 
 from contract_pairs import UncheckedExplicit, contract_pairs, \
     huge_denominator_instance
+from fptas_sweep import LoggedAdditive, swept_scales
 
 
 def all_subsets(items):
@@ -1085,12 +1086,14 @@ def _argmin_walk(dp, rows, t):
     return Contract(tuple(alpha)), frozenset(chosen)
 
 
-def _reference_picks(inst, budget, eps, obj, *, dense=False):
-    """Each scale's (contract, profile) pick, by descending scale, from a
-    reference fill and the scan-based selection: the per-cell rows and
-    choices, or with ``dense`` the dense rows and an argmin walk down them
-    (fast enough for m = 40 at eps = 1/20).  The scales are the positive
-    phi of the actions whose ratio c_a / f({a}) is within the budget."""
+def _reference_picks(inst, budget, eps, obj, *, dense=False, stop=True):
+    """Each swept scale's (contract, profile) pick, by descending scale,
+    from a reference fill and the scan-based selection: the per-cell rows
+    and choices, or with ``dense`` the dense rows and an argmin walk down
+    them (fast enough for m = 40 at eps = 1/20).  The scales are the
+    positive phi of the actions whose ratio c_a / f({a}) is within the
+    budget; the sweep ends where :func:`swept_scales` ends it, or with
+    ``stop`` false covers every scale."""
     basis = "f-c" if obj is WELFARE else "f"
     scales = set()
     for a in range(inst.num_actions):
@@ -1098,32 +1101,44 @@ def _reference_picks(inst, budget, eps, obj, *, dense=False):
         b = f_a - inst.cost_of[a] if basis == "f-c" else f_a
         if f_a > 0 and b > 0 and inst.cost_of[a] <= budget * f_a:
             scales.add(b)
-    for b in sorted(scales, reverse=True):
-        dp = build_dp_table(_PrefixLayout.build(inst, basis, eps, budget), b)
-        if dense:
-            rows = _dense_rows(dp, budget)
-            pick = functools.partial(_argmin_walk, dp, rows)
-        else:
-            rows, choices = _reference_rows(dp)
-            pick = functools.partial(_reference_reconstruct, dp, choices)
-        row, den = rows[-1], dp.layout.den
-        top, scale = budget.numerator * den, budget.denominator
-        affordable = [t for t, p in enumerate(row)
-                      if p is not None and p * scale <= top]
-        t_star = max(affordable)  # column 0 pays nothing
-        if obj is PROFIT:
-            # the best (1 - payment) * t, the later column on a tie
-            _, t_star = max(((den - p) * t, t)
-                            for t, p in enumerate(row[:t_star + 1])
-                            if p is not None)
-        yield pick(t_star)
+    picks = []
+
+    def each():
+        for b in sorted(scales, reverse=True):
+            dp = build_dp_table(_PrefixLayout.build(inst, basis, eps, budget),
+                                b)
+            if dense:
+                rows = _dense_rows(dp, budget)
+                pick = functools.partial(_argmin_walk, dp, rows)
+            else:
+                rows, choices = _reference_rows(dp)
+                pick = functools.partial(_reference_reconstruct, dp, choices)
+            row, den = rows[-1], dp.layout.den
+            top, scale = budget.numerator * den, budget.denominator
+            affordable = [t for t, p in enumerate(row)
+                          if p is not None and p * scale <= top]
+            t_star = max(affordable)  # column 0 pays nothing
+            if obj is PROFIT:
+                # the best (1 - payment) * t, the later column on a tie
+                _, t_star = max(((den - p) * t, t)
+                                for t, p in enumerate(row[:t_star + 1])
+                                if p is not None)
+            picks.append(pick(t_star))
+            yield set_to_mask(picks[-1][1])
+
+    if stop:
+        swept_scales(inst, budget, obj, each())
+    else:
+        list(each())
+    return picks
 
 
-def _reference_fptas(inst, budget, eps, obj, *, dense=False):
+def _reference_fptas(inst, budget, eps, obj, *, dense=False, stop=True):
     """additive_fptas on :func:`_reference_picks`, each pick evaluated."""
     best = Contract.zero(inst.num_agents), frozenset()
     best_value = evaluate(obj, inst, *best)
-    for pair in _reference_picks(inst, budget, eps, obj, dense=dense):
+    for pair in _reference_picks(inst, budget, eps, obj, dense=dense,
+                                 stop=stop):
         v = evaluate(obj, inst, *pair)
         if v > best_value:
             best, best_value = pair, v
@@ -1308,35 +1323,18 @@ def test_dp_layout_matches_fraction_reference():
     assert zero_singletons > 0
 
 
-class _LoggedAdditive(AdditiveOracle):
-    """An additive oracle that logs the mask of every value query."""
-
-    def __init__(self, weights):
-        super().__init__(weights)
-        self.log = []
-
-    def _int(self, mask):
-        self.log.append(mask)
-        return super()._int(mask)
-
-
 def test_fptas_reads_each_singleton_once():
     for m in (8, 14, 16, 40):
         base = _size_stable_additive(m, n=3, m=m)
-        oracle = _LoggedAdditive(base.oracle.weights)
+        oracle = LoggedAdditive(base.oracle.weights)
         inst = Instance(base.num_agents, base.actions, oracle)
         for obj in (PROFIT, REWARD, WELFARE):
-            # the positive phi of the actions affordable at budget 1/2
-            scales = {b for a in range(m)
-                      for b in [oracle.weights[a] - inst.cost_of[a]
-                                if obj is WELFARE else oracle.weights[a]]
-                      if oracle.weights[a] > 0 and b > 0
-                      and 2 * inst.cost_of[a] <= oracle.weights[a]}
             oracle.log.clear()
             r = additive_fptas(inst, F(1, 2), F(1, 10), obj)
-            assert r.value_queries == len(oracle.log) == m + 1 + len(scales)
+            swept = swept_scales(base, F(1, 2), obj, oracle.log[m + 1:])
+            assert r.value_queries == len(oracle.log) == m + 1 + len(swept)
             # the singletons first, each once; then f of the empty profile
-            # and of each scale's pick, by descending scale
+            # and of each swept scale's pick, by descending scale
             assert collections.Counter(oracle.log[:m]) == \
                 {1 << a: 1 for a in range(m)}
             assert oracle.log[m] == 0
@@ -1354,14 +1352,17 @@ def test_fptas_reads_each_singleton_once():
 
 def test_fptas_at_scale_is_a_budgeted_equilibrium():
     m = 200
-    inst = _size_stable_additive(3, n=4, m=m)
+    base = _size_stable_additive(3, n=4, m=m)
+    inst = Instance(base.num_agents, base.actions,
+                    LoggedAdditive(base.oracle.weights))
     f = inst.oracle.weights
     budget, eps = F(1, 2), F(1, 20)
     for obj in (PROFIT, REWARD, WELFARE):
-        scales = {f[a] - inst.cost_of[a] if obj is WELFARE else f[a]
-                  for a in range(m) if inst.cost_of[a] <= budget * f[a]}
+        inst.oracle.log.clear()
         r = additive_fptas(inst, budget, eps, obj)
-        assert r.value_queries == m + 1 + len(scales)
+        picks = inst.oracle.log[m + 1:]
+        assert r.value_queries == m + 1 + len(picks)
+        assert len(swept_scales(inst, budget, obj, picks)) == len(picks)
         assert r.contract.total() <= budget and r.profile
         # additive f: each action's marginal is its singleton, so an agent
         # best-responds iff it takes exactly the actions alpha_i pays for
@@ -1485,23 +1486,27 @@ def test_additive_reference_matches_brute_force():
 
 def test_fptas_certificate_holds_against_the_exact_optimum_at_scale():
     # past brute force: the prefix-list optimum certifies the factor
-    for m in (50, 200):
-        inst = _size_stable_additive(m, n=4, m=m)
+    for m in (50, 200, 1000):
+        base = _size_stable_additive(m, n=4, m=m)
+        inst = Instance(base.num_agents, base.actions,
+                        LoggedAdditive(base.oracle.weights))
         for budget, obj in itertools.product((F(1, 4), F(1, 2), F(3, 4)),
                                              (PROFIT, REWARD, WELFARE)):
             opt = _additive_opt(inst, budget, obj)
+            inst.oracle.log.clear()
             got = additive_fptas(inst, budget, F(1, 10), obj)
             assert got.value <= opt <= got.value * got.factor
-            assert got.value_queries == m + 1 + len(_PrefixLayout.build(
-                inst, "f-c" if obj is WELFARE else "f", F(1, 10),
-                budget).scales)
+            picks = inst.oracle.log[m + 1:]
+            assert got.value_queries == m + 1 + len(picks)
+            assert len(swept_scales(inst, budget, obj, picks)) == len(picks)
 
 
 def test_sweep_of_affordable_scales_against_every_scale(monkeypatch):
     """The sweep over the scales of affordable actions against the sweep
-    over every positive phi of an action with f({a}) > 0: the dropped
-    scales only remove candidates, so the value cannot rise, it keeps the
-    certificate, and each dropped scale saves its one query."""
+    over every positive phi of an action with f({a}) > 0, both with the
+    stop: P(b) is the same sum over the affordable actions on both sides,
+    so the added scales only add candidates, and both keep the
+    certificate."""
     build = _PrefixLayout.build
     dropped = []
 
@@ -1511,10 +1516,13 @@ def test_sweep_of_affordable_scales_against_every_scale(monkeypatch):
         phi = {f[a] - inst.cost_of[a] if basis == "f-c" else f[a]
                for a in range(inst.num_actions) if f[a] > 0}
         scales = tuple(sorted((b for b in phi if b > 0), reverse=True))
+        kept = [p for phis in layout.phi for p in phis if p > 0]
+        mass = tuple(sum(p for p in kept if p <= b * layout.phi_den)
+                     for b in scales)
         dropped.append(len(scales) - len(layout.scales))
-        return replace(layout, scales=scales)
+        return replace(layout, scales=scales, mass=mass)
 
-    differing = 0
+    differing = fewer = more = 0
     for inst in _small_additive():
         for budget, obj, eps in itertools.product(
                 (F(0), F(1, 4), F(1, 2), F(3, 4), F(1)),
@@ -1524,13 +1532,56 @@ def test_sweep_of_affordable_scales_against_every_scale(monkeypatch):
                 patch.setattr(_PrefixLayout, "build", every_scale)
                 old = additive_fptas(inst, budget, eps, obj)
             opt = brute_force_opt(inst, budget, obj).value
-            assert new.value <= old.value and new.value * new.factor >= opt
-            assert new.value_queries == old.value_queries - dropped[-1]
+            assert new.value * new.factor >= opt
+            assert old.value * old.factor >= opt
             differing += new.value != old.value
-    assert sum(dropped) > 0
+            fewer += new.value_queries < old.value_queries
+            more += new.value_queries > old.value_queries
+    assert sum(dropped) == 8556 and sum(map(bool, dropped)) == 1860
     # on this corpus no value moves (a dropped scale's pick can still
-    # have won a tie: 2 of the 2400 pairs differ at equal value)
-    assert differing == 0
+    # have won a tie: 2 of the 2400 pairs differ at equal value), and no
+    # solve spends more queries on the affordable scales alone
+    assert (differing, fewer, more) == (0, 1342, 0)
+
+
+def test_the_sweep_stops_only_after_the_optimums_largest_phi():
+    """The stop against the full sweep of :func:`_reference_fptas`: the
+    stopped value is at most the full sweep's and keeps the certificate,
+    and the largest positive phi of the brute-force optimum is always
+    among the scales swept."""
+    rng = random.Random(44)
+    cases = fired = fell = 0
+    worst = F(1)
+    for k in range(150):
+        n, m = 1 + k // 2 % 4, 2 + k // 2 % 9
+        seed = rng.randint(0, 10 ** 6)
+        inst = random_additive_instance(seed, num_agents=n, num_actions=m) \
+            if k % 2 else _size_stable_additive(seed, n=n, m=m)
+        f = inst.oracle.weights
+        for budget, obj in itertools.product((F(1, 4), F(1, 2), F(1)),
+                                             (PROFIT, REWARD, WELFARE)):
+            opt = brute_force_opt(inst, budget, obj)
+            b_star = max((f[a] - inst.cost_of[a] if obj is WELFARE else f[a]
+                          for a in opt.profile), default=0)
+            for eps in (F(1, 2), F(1, 10)):
+                got = additive_fptas(inst, budget, eps, obj)
+                scales = _PrefixLayout.build(
+                    inst, "f-c" if obj is WELFARE else "f", eps,
+                    budget).scales
+                swept = scales[:got.value_queries - m - 1]
+                _, full = _reference_fptas(inst, budget, eps, obj, dense=True,
+                                           stop=False)
+                assert got.value <= full
+                assert got.value * got.factor >= opt.value
+                assert b_star <= 0 or b_star in swept
+                cases += 1
+                fired += len(swept) < len(scales)
+                if got.value < full:
+                    fell += 1
+                    worst = min(worst, got.value / full)
+    # the stop fires on 1210 solves; 9 values fall, the worst to 372/395
+    # (0.942) of the full sweep's
+    assert (cases, fired, fell, worst) == (2700, 1210, 9, F(372, 395))
 
 
 # -- single-agent FPTAS ----------------------------------------------------------

@@ -31,6 +31,7 @@ from budgetcontracts.solvers import SolveResult, _PrefixLayout, \
     single_agent_fptas
 
 from contract_pairs import contract_pairs
+from fptas_sweep import LoggedAdditive, swept_scales
 
 MAKERS = (random_additive_instance, random_unit_demand_instance,
           random_uniform_k_instance, random_oxs_instance,
@@ -139,14 +140,17 @@ def test_lazy_instance_keeps_its_documented_query_counts():
             full = 1 + walk - inst.num_agents
             assert spent == full if got is not None else spent <= full
         if oracle.function_class == "additive":
-            # the positive f({a}) of the actions affordable at budget 1/2
-            scales = {oracle.weights[a] for a in range(inst.num_actions)
-                      if oracle.weights[a] > 0
-                      and 2 * inst.cost_of[a] <= oracle.weights[a]}
+            # the singletons, the empty profile, then each swept scale's
+            # pick, which a logged copy of the oracle names
+            logged = LoggedAdditive(oracle.weights)
+            additive_fptas(dataclasses.replace(inst, oracle=logged),
+                           F(1, 2), F(1, 4), REWARD)
+            swept = swept_scales(inst, F(1, 2), REWARD,
+                                 logged.log[inst.num_actions + 1:])
             before = oracle.value_queries
             additive_fptas(inst, F(1, 2), F(1, 4), REWARD)
-            assert oracle.value_queries - before == \
-                inst.num_actions + 1 + len(scales)
+            assert oracle.value_queries - before == len(logged.log) == \
+                inst.num_actions + 1 + len(swept)
 
 
 def test_with_table_fills_once():
