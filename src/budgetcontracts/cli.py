@@ -7,8 +7,8 @@ Instance documents look like
      "reward": {"type": "additive", "weights": ["1/2", "1/4", ...]}}
 
 with rationals serialized as "p/q" strings; numAgents may not exceed the
-number of actions.  A reward descriptor of type "hardness" may omit
-numAgents/actions (they are derived).  Exit codes:
+number of actions.  A reward descriptor of type "hardness" with a
+"budget" may omit numAgents/actions (they are derived).  Exit codes:
 0 ok, 1 domain error (machine-readable JSON on stderr), 2 usage error.
 Identical (config, seed) pairs produce byte-identical outputs.
 """
@@ -92,7 +92,7 @@ def parse_instance(text: str) -> Instance:
         raise SchemaError("'reward' must be an object")
     if "actions" in doc and not isinstance(doc["actions"], list):
         raise SchemaError("'actions' must be a list")
-    if reward.get("type") == "hardness":
+    if reward.get("type") == "hardness" and "budget" in reward:
         inst = hardness_instance_from_spec(reward)
         if "actions" in doc and len(doc["actions"]) != inst.num_actions:
             raise SchemaError("hardness instance with mismatched action list")

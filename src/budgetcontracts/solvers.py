@@ -106,6 +106,14 @@ def _check_budget(budget: Fraction) -> Fraction:
     return budget
 
 
+def _check_eps(eps: Fraction) -> Fraction:
+    """``eps`` in (0, 1), by :func:`core.exact_rational`'s rule."""
+    eps = exact_rational(eps)
+    if not 0 < eps < 1:
+        raise ModelError("eps must lie in (0, 1)")
+    return eps
+
+
 def _counted(solver):
     """``solver`` reporting, on every exit, the value and demand queries
     its instance's oracle took during the call."""
@@ -179,26 +187,25 @@ def gs_single_agent_exact(inst: Instance, agent: int, obj: Objective,
 class _PrefixLayout:
     """The scale-free part of every FPTAS table of one solve, on integers.
 
-    Built once per solve from one read of each singleton f({a}).  Per
-    agent: the kept actions in payment order (``agent_order``); each
-    prefix's payment, the ratio c_a / f({a}) of its last action, as an int
-    over ``den`` (``prefix_payment``); each prefix's actions as a bitmask
-    and their cost as an int over ``Instance.int_costs``' den
-    (``prefix_mask``, ``prefix_cost``); and each kept action's phi (f or
-    f - c of its singleton) as an int over ``phi_den``.  ``scales`` are the
-    sweep's scales b, descending: every distinct positive phi of a kept
-    action.  Only those can be OPT's largest phi: a budget-feasible profile
-    pays each agent its prefix's largest ratio, so it holds kept actions
-    only.  ``mass`` holds each scale's P(b) over ``phi_den``: the kept
-    actions' positive phi up to b, summed.  The arguments are checked
-    here, and ``t_cap`` and ``cap``, the most a table entry may pay over
-    ``den`` (the budget's, or without one the sum of every agent's
-    dearest prefix), computed once for every table of the solve.
+    Built once per solve from one read of each singleton f({a}).  Each
+    agent's kept actions (f({a}) > 0 and, given a budget, ratio c_a / f({a})
+    within it) sort ascending by that ratio; per agent, each prefix of
+    them has its payment, the ratio of its last action, as an int over
+    ``den`` (``prefix_payment``), its actions as a bitmask and their cost
+    as an int over ``Instance.int_costs``' den (``prefix_mask``,
+    ``prefix_cost``); each kept action has its phi (f or f - c of its
+    singleton) as an int over ``phi_den``.  ``scales`` are the sweep's
+    scales b, descending: every distinct positive phi of a kept action.
+    Only those can be OPT's largest phi: a budget-feasible profile pays
+    each agent its prefix's largest ratio, so it holds kept actions only.
+    ``mass`` holds each scale's P(b) over ``phi_den``: the kept actions'
+    positive phi up to b, summed.  ``t_cap`` and ``cap``, the most a table
+    entry may pay over ``den`` (the budget's, or without one the sum of
+    every agent's dearest prefix), serve every table of the solve.
     """
 
     eps: Fraction
     num_actions: int
-    agent_order: tuple[tuple[int, ...], ...]
     den: int
     prefix_payment: tuple[tuple[int, ...], ...]
     prefix_mask: tuple[tuple[int, ...], ...]
@@ -213,15 +220,9 @@ class _PrefixLayout:
     @classmethod
     def build(cls, inst: Instance, basis: str, eps: Fraction,
               budget: Optional[Fraction]) -> "_PrefixLayout":
-        """Check the arguments, then read f({a}) once for every action a,
-        in ascending order (one value query each without a table)."""
-        eps = exact_rational(eps)
-        if not 0 < eps < 1:
-            raise ModelError("eps must lie in (0, 1)")
-        if budget is not None and budget < 0:
-            raise ModelError("budget must be >= 0")
-        if basis not in ("f", "f-c"):
-            raise ModelError('basis must be "f" or "f-c"')
+        """Read f({a}) once for every action a, in ascending order (one
+        value query each without a table), for ``basis`` "f" or "f-c", an
+        exact eps in (0, 1) and a budget in [0, 1] or None."""
         m = inst.num_actions
         f, f_den = inst.scaled_f
         f_int = [f(1 << a) for a in range(m)]
@@ -254,7 +255,7 @@ class _PrefixLayout:
             (0, *(ratio[a][0] * (den // ratio[a][1]) for a in kept))
             for kept in agent_order)
         return cls(
-            eps, m, tuple(agent_order), den, prefix_payment,
+            eps, m, den, prefix_payment,
             tuple(tuple(accumulate((1 << a for a in kept), or_, initial=0))
                   for kept in agent_order),
             tuple(tuple(accumulate((c_int[a] for a in kept), initial=0))
@@ -276,34 +277,27 @@ class DpTable:
     the prefixes come from the solve's ``layout``.  Payments are stored as
     integers over the layout's ``den`` (exact; the hot loop stays on
     machine integers).  Each row is a nondecreasing step function of t
-    whose reachable columns form a prefix, so row j is stored as its steps:
-    ``starts[j]`` ascend from 0, ``scaled_payments[j]`` holds one payment
-    per step, strictly increasing, and the row is defined on columns below
-    ``ends[j]`` (exclusive).  A column at or past the end is unreachable.
-    When the table is built with a budget, every row ends before its first
-    step that exceeds the budget.  Nothing records the choices:
-    :meth:`choices` re-derives each argmin from the rows.  Actions with
-    zero singleton value are dropped up front.  Agent i's prefixes are
-    the leading actions of the layout's ``agent_order[i]``: the prefix of
-    length ell pays ``prefix_payment[i][ell]`` over ``den`` and is worth
+    whose reachable columns form a prefix, so row j is stored as its steps,
+    the dominance list the fill builds: ``ends[j]`` ascend, ``pays[j]``
+    holds one payment per step, strictly increasing, and step k serves the
+    columns from ``ends[j][k - 1]`` (0 for the first) up to ``ends[j][k]``
+    exclusive.  Column t's entry is ``pays[j][bisect_right(ends[j], t)]``;
+    a column at or past the last end is unreachable.  When the table is
+    built with a budget, every row ends before its first step that exceeds
+    the budget.  Nothing records the choices: :meth:`choices` re-derives
+    each argmin from the rows.  Actions with zero singleton value are
+    dropped up front.  Agent i's prefix of length ell pays
+    ``prefix_payment[i][ell]`` over the layout's ``den`` and is worth
     ``prefix_weight[i][ell]`` columns.  Only ``b``, ``prefix_weight`` and
     what depends on them differ between the scales of one solve.
     """
 
     b: Fraction
     t_max: int
-    starts: tuple[tuple[int, ...], ...]
-    scaled_payments: tuple[tuple[int, ...], ...]
-    ends: tuple[int, ...]
+    ends: tuple[tuple[int, ...], ...]
+    pays: tuple[tuple[int, ...], ...]
     prefix_weight: tuple[tuple[int, ...], ...]
     layout: _PrefixLayout = field(repr=False)
-
-    def _scaled(self, j: int, t: int) -> Optional[int]:
-        """Row j's payment at column t over the layout's den; None past
-        the end."""
-        if not 0 <= t < self.ends[j]:
-            return None
-        return self.scaled_payments[j][bisect_right(self.starts[j], t) - 1]
 
     def choices(self, t: int) -> list[int]:
         """Each agent's prefix length behind the payment-minimal entry at
@@ -313,37 +307,24 @@ class DpTable:
         length whose candidate attains the entry - the tie rule of the fill.
         """
         n = len(self.ends) - 1
-        target = self._scaled(n, t)
-        if target is None:
+        if not 0 <= t < self.ends[n][-1]:
             raise ModelError(f"column {t} is unreachable")
+        target = self.pays[n][bisect_right(self.ends[n], t)]
         ells = [0] * n
         col = t
         for j in range(n - 1, -1, -1):
             # row j's entry at col - w plus the payment of prefix ell
-            starts, pays, end = self.starts[j], self.scaled_payments[j], \
-                self.ends[j]
+            ends, pays = self.ends[j], self.pays[j]
             for ell, (w, pay) in enumerate(zip(self.prefix_weight[j],
                                                self.layout.prefix_payment[j])):
                 idx = col - w if col > w else 0
-                if idx < end:
-                    p = pays[bisect_right(starts, idx) - 1]
+                if idx < ends[-1]:
+                    p = pays[bisect_right(ends, idx)]
                     if p + pay == target:
                         break
             ells[j] = ell
             col, target = idx, p
         return ells
-
-    def reconstruct(self, inst: Instance, t: int) -> tuple[Contract, frozenset[int]]:
-        """The payment-minimal (contract, profile) behind column ``t``:
-        :meth:`choices` as a contract and a set of actions."""
-        layout = self.layout
-        mask = 0
-        alpha = [ZERO] * inst.num_agents
-        for i, ell in enumerate(self.choices(t)):
-            if ell:
-                alpha[i] = Fraction(layout.prefix_payment[i][ell], layout.den)
-                mask |= layout.prefix_mask[i][ell]
-        return Contract(tuple(alpha)), mask_to_set(mask)
 
 
 def build_dp_table(layout: _PrefixLayout, b: Fraction) -> DpTable:
@@ -356,17 +337,18 @@ def build_dp_table(layout: _PrefixLayout, b: Fraction) -> DpTable:
     integers.  Column arguments below zero clamp to column zero.  Row j is
     the previous row, shifted by each prefix weight and raised by its
     payment, merged by pointwise min.  The merge works on steps, never on
-    columns (the dominance lists of Nemhauser and Ullmann): its cost grows
-    with the number of steps, not with t_max.  A layout built with a
-    budget has dropped the prefixes whose own ratio already exceeds it,
-    and every row ends before its first step above it.  Payments are
-    nonnegative, so this only removes entries that the budget selection
-    would discard anyway.
+    columns (the dominance lists of Nemhauser and Ullmann), and the table
+    keeps each row as the list it merged to: its cost grows with the
+    number of steps, not with t_max.  A layout built with a budget has
+    dropped the prefixes whose own ratio already exceeds it, and every
+    row ends before its first step above it.  Payments are nonnegative, so
+    this only removes entries that the budget selection would discard
+    anyway.
 
     The basis, eps, budget and prefixes come from ``layout``
-    (:meth:`_PrefixLayout.build`, which checks them and reads each
-    singleton f({a}) once); :func:`additive_fptas` builds it once per
-    solve and fills one table per scale from it, on ints only.
+    (:meth:`_PrefixLayout.build`, which reads each singleton f({a}) once);
+    :func:`additive_fptas` builds it once per solve and fills one table
+    per scale from it, on ints only.
     """
     if b <= 0:
         raise ModelError("b must be > 0")
@@ -382,10 +364,9 @@ def build_dp_table(layout: _PrefixLayout, b: Fraction) -> DpTable:
 
     cap = layout.cap
     end_cap = t_max + 1
-    starts: list[tuple[int, ...]] = [(0,)]
-    pays: list[tuple[int, ...]] = [(0,)]
-    ends: list[int] = [1]
     row_ends, row_pays = [1], [0]  # the previous row's step ends and pays
+    ends: list[tuple[int, ...]] = [(1,)]
+    pays: list[tuple[int, ...]] = [(0,)]
     for weights, payments in zip(prefix_weight, layout.prefix_payment):
         # A step (e, q) offers payment q to every column below its end e,
         # and a row's entry is the least payment offered to its column.
@@ -417,11 +398,9 @@ def build_dp_table(layout: _PrefixLayout, b: Fraction) -> DpTable:
         if k < len(row_ends):
             del row_ends[k + 1:], row_pays[k + 1:]
             row_ends[k] = end_cap
-        starts.append((0, *row_ends[:-1]))
+        ends.append(tuple(row_ends))
         pays.append(tuple(row_pays))
-        ends.append(row_ends[-1])
-    return DpTable(b, t_max, tuple(starts), tuple(pays), tuple(ends),
-                   prefix_weight, layout)
+    return DpTable(b, t_max, tuple(ends), tuple(pays), prefix_weight, layout)
 
 
 @_counted
@@ -444,19 +423,21 @@ def additive_fptas(inst: Instance, budget: Fraction, eps: Fraction,
     b, so b* was swept: the value is never below (1 - eps) OPT.
 
     The sweep runs on integers; all its tables share one
-    :class:`_PrefixLayout`, built from one read of each singleton.  A pick
-    is valued by ``Objective.weights`` from one read of f at its mask, the
-    table's integer payment and the prefixes' integer costs; only the
-    winner becomes a contract and a set of actions.  Without a table the
-    solve issues m + 1 + (scales swept) value queries: the singletons in
-    ascending order, f of the unpaid empty profile (read, not taken as 0),
-    then f of each swept scale's pick.
+    :class:`_PrefixLayout`, built from one read of each singleton.  Each
+    pick is one :meth:`DpTable.choices` walk, valued by
+    ``Objective.weights`` from one read of f at its mask, the table's
+    integer payment and the prefixes' integer costs.  The best pick keeps
+    its prefix lengths and mask, and only it becomes a contract and a set
+    of actions, once the sweep ends.  Without a table the solve issues
+    m + 1 + (scales swept) value queries: the singletons in ascending
+    order, f of the unpaid empty profile (read, not taken as 0), then f of
+    each swept scale's pick.
     """
     if inst.oracle.function_class != "additive":
         raise ModelError("additive FPTAS forced on a non-additive oracle")
     if obj.kind not in ("profit", "reward", "welfare"):
         raise ModelError("additive FPTAS supports profit, reward, welfare")
-    budget = _check_budget(budget)
+    budget, eps = _check_budget(budget), _check_eps(eps)
     basis = "f-c" if obj.kind == "welfare" else "f"
     layout = _PrefixLayout.build(inst, basis, eps, budget)
 
@@ -465,34 +446,37 @@ def additive_fptas(inst: Instance, budget: Fraction, eps: Fraction,
     n, den = inst.num_agents, layout.den
     p, w, _ = obj.weights  # d = 1 for the pure kinds
     # the best value so far times den * f_den * c_den, the unpaid empty
-    # profile's first, and its table and column
+    # profile's first, and its prefix lengths and mask
     top = den * f(0) * c_den
-    best = None
+    best = [0] * n, 0
     for b, mass in zip(layout.scales, layout.mass):
         if mass * den * f_den * c_den < top * layout.phi_den:
             break  # no scale left can be OPT's largest phi
         dp = build_dp_table(layout, b)
         # rows end at the budget, so every column left is affordable
+        ends, pays = dp.ends[n], dp.pays[n]
         if obj.kind == "profit":
             # (1 - payment) * value; ties go to the larger column.  On one
             # step the payment is at most the budget, so the score peaks
             # at the step's last column.
-            lasts = [s - 1 for s in (*dp.starts[n][1:], dp.ends[n])]
-            _, t_star, pay = max(((den - q) * t, t, q) for t, q in
-                                 zip(lasts, dp.scaled_payments[n]))
+            _, t_star, pay = max(((den - q) * (e - 1), e - 1, q)
+                                 for e, q in zip(ends, pays))
         else:
-            t_star, pay = dp.ends[n] - 1, dp.scaled_payments[n][-1]
+            t_star, pay = ends[-1] - 1, pays[-1]
+        ells = dp.choices(t_star)
         mask = c_s = 0
-        for i, ell in enumerate(dp.choices(t_star)):
+        for i, ell in enumerate(ells):
             mask |= layout.prefix_mask[i][ell]
             c_s += layout.prefix_cost[i][ell]
         v = (den - p * pay) * f(mask) * c_den - w * den * c_s * f_den
         if v > top:
-            top, best = v, (dp, t_star)
-    pair = (Contract.zero(n), frozenset()) if best is None \
-        else best[0].reconstruct(inst, best[1])
-    value = Fraction(top, den * f_den * c_den)
-    return SolveResult(*pair, value, 1 / (1 - layout.eps), str(obj), budget)
+            top, best = v, (ells, mask)
+    ells, mask = best
+    contract = Contract(tuple(Fraction(payments[ell], den) for payments, ell
+                              in zip(layout.prefix_payment, ells)))
+    return SolveResult(contract, mask_to_set(mask),
+                       Fraction(top, den * f_den * c_den), 1 / (1 - eps),
+                       str(obj), budget)
 
 
 # -- single-agent FPTAS ------------------------------------------------------
@@ -549,9 +533,7 @@ def single_agent_fptas(inst: Instance, budget: Fraction,
     """
     if inst.num_agents != 1:
         raise ModelError("single-agent FPTAS needs exactly one agent")
-    budget, eps = _check_budget(budget), exact_rational(eps)
-    if not 0 < eps < 1:
-        raise ModelError("eps must lie in (0, 1)")
+    budget, eps = _check_budget(budget), _check_eps(eps)
     m = inst.num_actions
     check_enumeration(m, "single-agent scheme", TESTER_LIMIT)
     inst = with_table(inst)
@@ -562,7 +544,7 @@ def single_agent_fptas(inst: Instance, budget: Fraction,
                            Fraction(f((1 << m) - 1), f_den), "exact", "profit",
                            budget)
     if budget == 0:
-        free = set_to_mask(a for a in range(m) if inst.cost_of[a] <= 0)
+        free = set_to_mask(a for a in range(m) if inst.cost_of[a] == 0)
         return SolveResult(Contract.zero(1), mask_to_set(free),
                            Fraction(f(free), f_den), "exact", "profit", budget)
 
@@ -700,7 +682,7 @@ def gs_constant_factor(inst: Instance, budget: Fraction, obj: Objective, *,
         raise ModelError("oracle not declared gross substitutes (use force=True)")
     budget = _check_budget(budget)
     if budget == 0:
-        free = frozenset(a for a in inst.ground_set if inst.cost_of[a] <= 0)
+        free = frozenset(a for a in inst.ground_set if inst.cost_of[a] == 0)
         zero = Contract.zero(inst.num_agents)
         return SolveResult(zero, free, evaluate(obj, inst, zero, free),
                            "exact", str(obj), budget)

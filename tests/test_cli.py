@@ -76,6 +76,25 @@ def test_instance_roundtrip_semantically_identical():
             assert back.oracle.value(s) == inst.oracle.value(s)
 
 
+def test_hidden_set_instance_roundtrip(tmp_path):
+    # the document carries the oracle form ("n", "eps", "hidden", no
+    # budget) with the actions and costs, and loads back through them
+    inst = hardness.build_hardness(hardness.HardnessParams.make(4, F(1, 2)))
+    text = serialize_instance(inst)
+    assert "budget" not in json.loads(text)["reward"]
+    back = parse_instance(text)
+    assert serialize_instance(back) == text
+    assert (back.num_agents, back.cost_of) == (inst.num_agents, inst.cost_of)
+    for mask in range(1 << inst.num_actions):
+        s = frozenset(a for a in range(inst.num_actions) if mask & (1 << a))
+        assert back.oracle.value(s) == inst.oracle.value(s)
+    inst_path, out = tmp_path / "hidden.json", tmp_path / "solve.json"
+    inst_path.write_text(text)
+    assert main(["solve", "--instance", str(inst_path), "--budget", "1/2",
+                 "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["factor"] == "exact"
+
+
 def test_emit_report_empty_and_single():
     header_only = emit_report([], ["a", "b"], ["b"])
     assert header_only == "a,b,b_float\n"

@@ -2,6 +2,7 @@ import collections
 import functools
 import itertools
 import math
+import operator
 import random
 from bisect import bisect_left, bisect_right
 from dataclasses import replace
@@ -27,6 +28,7 @@ from budgetcontracts.rewards import AdditiveOracle, AssignmentOracle, \
     ExplicitOracle, PriceVector, RewardOracle, UniformKDemandOracle, \
     UnitDemandOracle, common_denominator, mask_to_set, set_to_mask, with_table
 from budgetcontracts.solvers import (
+    DpTable,
     NotAnEquilibriumError,
     _PrefixLayout,
     additive_fptas,
@@ -892,8 +894,22 @@ def test_brute_force_output_is_feasible_equilibrium():
 
 def _payment(dp, j, t):
     """Row j's payment at column t as a Fraction; None past the row's end."""
-    p = dp._scaled(j, t)
-    return None if p is None else F(p, dp.layout.den)
+    ends = dp.ends[j]
+    if not 0 <= t < ends[-1]:
+        return None
+    return F(dp.pays[j][bisect_right(ends, t)], dp.layout.den)
+
+
+def _chosen_pair(dp, t):
+    """The (contract, profile) behind column t: :meth:`DpTable.choices` as
+    each agent's prefix payment and the union of the prefixes' actions."""
+    layout = dp.layout
+    ells = dp.choices(t)
+    alpha = tuple(F(pays[ell], layout.den)
+                  for pays, ell in zip(layout.prefix_payment, ells))
+    mask = functools.reduce(operator.or_, (
+        masks[ell] for masks, ell in zip(layout.prefix_mask, ells)), 0)
+    return Contract(alpha), mask_to_set(mask)
 
 
 def _prefix_ratio(dp):
@@ -909,10 +925,29 @@ def test_dp_table_single_action_zero_column():
     assert _payment(dp, 1, 0) == 0
     assert all(_payment(dp, 0, t) is None for t in range(1, dp.t_max + 1))
     with pytest.raises(ModelError):
-        build_dp_table(_PrefixLayout.build(inst, "f", F(1, 2), F(-1, 2)),
-                       F(1, 2))
-    with pytest.raises(ModelError):
         build_dp_table(dp.layout, F(0))
+
+
+@pytest.mark.parametrize("budget, eps", [
+    (F(-1, 2), F(1, 2)), (0.5, F(1, 2)), (None, F(1, 2)),
+    (F(1, 2), F(0)), (F(1, 2), F(1)), (F(1, 2), 0.5)])
+def test_additive_fptas_refuses_its_arguments_before_any_read(budget, eps):
+    # the layout takes its budget and eps as checked by the solver
+    inst = Instance(1, (Action(0, 0, F(1, 8)),), AdditiveOracle([F(1, 2)]))
+    with pytest.raises(ModelError):
+        additive_fptas(inst, budget, eps, PROFIT)
+    assert inst.oracle.value_queries == 0
+
+
+def test_the_fptas_refuse_the_budget_before_eps():
+    inst = Instance(1, (Action(0, 0, F(1, 8)),), AdditiveOracle([F(1, 2)]))
+    for solve in (lambda b, e: additive_fptas(inst, b, e, PROFIT),
+                  lambda b, e: single_agent_fptas(inst, b, e)):
+        with pytest.raises(ModelError, match=r"^budget must lie in \[0, 1\]$"):
+            solve(F(-1, 2), F(0))
+        with pytest.raises(ModelError, match=r"^eps must lie in \(0, 1\)$"):
+            solve(F(1, 2), F(1))
+    assert inst.oracle.value_queries == 0
 
 
 def test_dp_table_matches_prefix_enumeration():
@@ -962,7 +997,7 @@ def test_dp_reconstruction_matches_table_payment():
         for t in range(dp.t_max + 1):
             if _payment(dp, inst.num_agents, t) is None:
                 continue
-            alpha, profile = dp.reconstruct(inst, t)
+            alpha, profile = _chosen_pair(dp, t)
             assert alpha.total() == _payment(dp, inst.num_agents, t)
             assert is_nash(inst, alpha, profile).ok
 
@@ -1024,20 +1059,22 @@ def _dense_rows(dp, budget):
 def _expanded(dp, j):
     """Row j of ``dp`` written out entry by entry, with its step invariants
     checked on the way."""
-    starts, pays, end = dp.starts[j], dp.scaled_payments[j], dp.ends[j]
-    assert starts[0] == 0 and len(starts) == len(pays)
-    assert all(x < y for x, y in zip(starts, starts[1:])) and starts[-1] < end
+    ends, pays = dp.ends[j], dp.pays[j]
+    assert ends and len(ends) == len(pays)
+    assert 0 < ends[0] and all(x < y for x, y in zip(ends, ends[1:]))
     assert all(x < y for x, y in zip(pays, pays[1:]))
-    assert end <= dp.t_max + 1
+    assert ends[-1] <= dp.t_max + 1
     row = []
-    for start, stop, p in zip(starts, (*starts[1:], end), pays):
+    for start, stop, p in zip((0, *ends), ends, pays):
         row += [p] * (stop - start)
     return row
 
 
-def _check_against_references(inst, dp, budget):
+def _check_against_references(inst, dp, basis, budget):
     """Step rows equal to the dense fill and to the per-cell reference, and
-    reconstruction equal to the per-cell choices at every column."""
+    the pair :meth:`DpTable.choices` picks equal to the per-cell choices'
+    at every reachable column."""
+    order = _reference_layout(inst, basis, dp.b, dp.layout.eps, budget)[0]
     rows, choices = _reference_rows(dp)
     dense = _dense_rows(dp, budget)
     for j, ref in enumerate(rows):
@@ -1048,31 +1085,37 @@ def _check_against_references(inst, dp, budget):
         assert [_payment(dp, j, t) for t in range(dp.t_max + 1)] == \
             [F(p, dp.layout.den) for p in kept] \
             + [None] * (dp.t_max + 1 - len(kept))
-    for t in range(dp.ends[-1]):
-        assert dp.reconstruct(inst, t) == _reference_reconstruct(dp, choices, t)
-    with pytest.raises(ModelError):
-        dp.reconstruct(inst, dp.ends[-1])
+    reach = dp.ends[-1][-1]
+    for t in range(reach):
+        assert _chosen_pair(dp, t) == \
+            _reference_reconstruct(dp, order, choices, t)
+    for t in (-1, reach):
+        with pytest.raises(ModelError, match="unreachable"):
+            dp.choices(t)
 
 
-def _reference_reconstruct(dp, choices, t):
+def _reference_reconstruct(dp, order, choices, t):
+    """The pair behind column t of the per-cell ``choices``, agent i's
+    prefixes read from ``order[i]``, the reference layout's action order."""
     ratios = _prefix_ratio(dp)
-    alpha = [F(0)] * len(dp.layout.agent_order)
+    alpha = [F(0)] * len(order)
     chosen = set()
-    for j in range(len(dp.layout.agent_order), 0, -1):
+    for j in range(len(order), 0, -1):
         ell, t = choices[j][t]
         if ell > 0:
             alpha[j - 1] = ratios[j - 1][ell]
-            chosen.update(dp.layout.agent_order[j - 1][:ell])
+            chosen.update(order[j - 1][:ell])
     return Contract(tuple(alpha)), frozenset(chosen)
 
 
-def _argmin_walk(dp, rows, t):
+def _argmin_walk(dp, order, rows, t):
     """The pair behind column t of the dense ``rows``: walking down from
-    agent n, each agent takes the first prefix of least candidate."""
+    agent n, each agent takes the first prefix of least candidate, agent
+    i's prefixes read from ``order[i]``."""
     ratios, den = _prefix_ratio(dp), dp.layout.den
-    alpha = [F(0)] * len(dp.layout.agent_order)
+    alpha = [F(0)] * len(order)
     chosen = set()
-    for j in range(len(dp.layout.agent_order), 0, -1):
+    for j in range(len(order), 0, -1):
         prev = rows[j - 1]
         best = None
         for ell, (w, r) in enumerate(zip(dp.prefix_weight[j - 1], ratios[j - 1])):
@@ -1082,7 +1125,7 @@ def _argmin_walk(dp, rows, t):
         _, ell, t = best
         if ell > 0:
             alpha[j - 1] = ratios[j - 1][ell]
-            chosen.update(dp.layout.agent_order[j - 1][:ell])
+            chosen.update(order[j - 1][:ell])
     return Contract(tuple(alpha)), frozenset(chosen)
 
 
@@ -1107,12 +1150,14 @@ def _reference_picks(inst, budget, eps, obj, *, dense=False, stop=True):
         for b in sorted(scales, reverse=True):
             dp = build_dp_table(_PrefixLayout.build(inst, basis, eps, budget),
                                 b)
+            order = _reference_layout(inst, basis, b, eps, budget)[0]
             if dense:
                 rows = _dense_rows(dp, budget)
-                pick = functools.partial(_argmin_walk, dp, rows)
+                pick = functools.partial(_argmin_walk, dp, order, rows)
             else:
                 rows, choices = _reference_rows(dp)
-                pick = functools.partial(_reference_reconstruct, dp, choices)
+                pick = functools.partial(_reference_reconstruct, dp, order,
+                                         choices)
             row, den = rows[-1], dp.layout.den
             top, scale = budget.numerator * den, budget.denominator
             affordable = [t for t, p in enumerate(row)
@@ -1175,7 +1220,7 @@ def test_dp_table_matches_per_cell_reference():
                 dp = build_dp_table(
                     _PrefixLayout.build(inst, basis, eps, budget), b)
                 negative_weights += any(w < 0 for ws in dp.prefix_weight for w in ws)
-                _check_against_references(inst, dp, budget)
+                _check_against_references(inst, dp, basis, budget)
     assert negative_weights > 0  # the f-c basis produced negative shifts
 
 
@@ -1186,8 +1231,8 @@ def test_dp_step_rows_match_references_at_scale():
     for basis, budget in itertools.product(("f", "f-c"), (None, F(0), F(1, 2))):
         dp = build_dp_table(_PrefixLayout.build(inst, basis, F(1, 4), budget),
                             top)
-        _check_against_references(inst, dp, budget)
-        most_steps = max(most_steps, len(dp.scaled_payments[-1]))
+        _check_against_references(inst, dp, basis, budget)
+        most_steps = max(most_steps, len(dp.pays[-1]))
     assert most_steps >= 10
 
 
@@ -1309,7 +1354,10 @@ def test_dp_layout_matches_fraction_reference():
                 assert inst.oracle.value_queries - before == inst.num_actions
                 order, ratios, weights, t_max, den = _reference_layout(
                     inst, basis, b, eps, budget)
-                assert dp.layout.agent_order == order
+                assert dp.layout.prefix_mask == tuple(
+                    tuple(itertools.accumulate((1 << a for a in kept),
+                                               operator.or_, initial=0))
+                    for kept in order)
                 assert _prefix_ratio(dp) == ratios
                 assert dp.prefix_weight == weights
                 assert (dp.t_max, dp.layout.den) == (t_max, den)
@@ -1348,6 +1396,34 @@ def test_fptas_reads_each_singleton_once():
                 assert got.value_queries == 0 and oracle.log == []
                 assert (got.contract, got.profile, got.value) == \
                     (r.contract, r.profile, r.value)
+
+
+def test_fptas_walks_each_swept_scale_once_and_builds_one_contract(
+        monkeypatch):
+    # the winner keeps the prefix lengths of its own walk: no scale's
+    # choices run twice, and only the result becomes a Contract
+    walks, contracts = [], []
+    choices, post_init = DpTable.choices, Contract.__post_init__
+    monkeypatch.setattr(DpTable, "choices",
+                        lambda dp, t: walks.append(dp.b) or choices(dp, t))
+    monkeypatch.setattr(Contract, "__post_init__",
+                        lambda c: contracts.append(c) or post_init(c))
+    won = 0
+    for m in (8, 40):
+        base = _size_stable_additive(m, n=3, m=m)
+        inst = Instance(base.num_agents, base.actions,
+                        LoggedAdditive(base.oracle.weights))
+        for budget, obj in itertools.product((F(0), F(1, 2), F(1)),
+                                             (PROFIT, REWARD, WELFARE)):
+            walks.clear()
+            inst.oracle.log.clear()
+            contracts.clear()
+            r = additive_fptas(inst, budget, F(1, 10), obj)
+            assert walks == swept_scales(base, budget, obj,
+                                         inst.oracle.log[m + 1:])
+            assert len(contracts) == 1 and contracts[0] is r.contract
+            won += bool(r.profile)
+    assert won == 12  # every solve but the three at budget 0 pays someone
 
 
 def test_fptas_at_scale_is_a_budgeted_equilibrium():
