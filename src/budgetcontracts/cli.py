@@ -277,8 +277,6 @@ def _pick_solver(inst: Instance, force: Optional[str]) -> str:
     if force:
         if force == "gs-pipeline" and not inst.oracle.is_gs_class:
             raise ModelError("GS pipeline forced on a non-GS oracle")
-        if force == "single-fptas" and inst.num_agents != 1:
-            raise ModelError("single-agent FPTAS needs exactly one agent")
         return force
     if inst.oracle.function_class == "additive":
         return "fptas"

@@ -71,14 +71,11 @@ GS_TESTER_LIMIT = 12  # verify_best_properties, OXS columns
 # The most unit agents of the hardness family: 1/C(n, n/2), printed as
 # baselineProb, stays below Python's 4300-digit int-to-text limit.
 HARDNESS_N_LIMIT = 10000
-# The most points ceil(L / eps) of the single-agent FPTAS's payment grid, L
-# the bit length of m 2^m: its search builds powers of k log2(1/eps) bits.
-GRID_LIMIT = 200_000
 
 
 def check_enumeration(count: int, what: str, limit: int = ENUM_LIMIT) -> None:
-    """Refuse the 2^count subsets of ``count`` items (or ``count`` grid
-    points) above ``limit``; a subset walk checks before its first read."""
+    """Refuse the 2^count subsets of ``count`` items above ``limit``; a
+    subset walk checks before its first read."""
     if count > limit:
         raise GroundSetTooLargeError(f"{what}: {count} items exceed the limit {limit}")
 

@@ -1,5 +1,6 @@
-"""Optimization algorithms: exact brute force, FPTAS variants, downsizing,
-and the constant-factor pipeline for gross-substitutes rewards.
+"""Optimization algorithms: exact brute force, the additive FPTAS, the exact
+single-agent scheme, downsizing, and the constant-factor pipeline for
+gross-substitutes rewards.
 
 Every solver returns a :class:`SolveResult` whose contract/profile pair is a
 weak Nash equilibrium within budget, the objective value evaluated exactly,
@@ -16,7 +17,8 @@ No envelope is built here: brute force, over one agent's records the exact
 single-agent solver, and every stage of the GS pipeline pick among the int
 records of :func:`equilibria.iter_min_contracts` with one race, :func:`_race`,
 valued by ``Objective.weights``; only a winner becomes a ``Contract``.  The
-single-agent scheme reads its hull from :func:`equilibria.single_agent_hull`.
+single-agent scheme reads its hull from :func:`equilibria.single_agent_hull`
+and answers with the hull's best left end.
 Nor are prices built: downsizing calls :func:`equilibria.ne_from_demand`
 and :func:`equilibria.double_contract`, and :func:`_counted` alone reads
 the query counts.
@@ -35,14 +37,12 @@ from typing import Iterable, Optional, Sequence
 
 from budgetcontracts.core import (
     Contract,
-    GRID_LIMIT,
     Instance,
     ModelError,
     TESTER_LIMIT,
     UnknownAgentIdError,
     ZERO,
     check_enumeration,
-    cost,
     exact_rational,
     restrict_contract,
 )
@@ -479,111 +479,37 @@ def additive_fptas(inst: Instance, budget: Fraction, eps: Fraction,
                        str(obj), budget)
 
 
-# -- single-agent FPTAS ------------------------------------------------------
-
-
-def _first_grid_index(eps: Fraction, bound: Fraction, lo: int, hi: int) -> int:
-    """The least k in [lo, hi) with (1-eps)^k <= bound, or hi if none is.
-
-    With eps = p/q and bound = num/den the test is (q-p)^k * den <= num *
-    q^k.  A float log guesses k; exact int tests decide from there, each
-    step to k + 1 or k - 1 one multiplication of each side by q - p or q.
-    """
-    p, q = eps.numerator, eps.denominator
-    num, den = bound.numerator, bound.denominator
-    if num <= 0:
-        return hi
-    rate = math.log(q - p) - math.log(q) or -p / q  # log(1 - eps), eps tiny
-    k = min(max(math.ceil((math.log(num) - math.log(den)) / rate), lo), hi)
-    left, right = pow(q - p, k) * den, num * pow(q, k)
-    while k < hi and left > right:
-        k, left, right = k + 1, left * (q - p), right * q
-    while k > lo and left * q <= right * (q - p):  # the test holds at k - 1
-        k, left, right = k - 1, left * q, right * (q - p)
-    return k
+# -- single-agent scheme -----------------------------------------------------
 
 
 @_counted
 def single_agent_fptas(inst: Instance, budget: Fraction,
                        eps: Fraction) -> SolveResult:
-    """Profit FPTAS for one agent with monotone f under budget B <= 1.
+    """Exact profit optimum for one agent with monotone f under budget B <= 1.
 
-    Computes the welfare benchmark from a demand query at prices c_a / B,
-    then sweeps the geometric payment grid
-    alpha_{j,k} = min(B, 1 - (1-eps)^k * SW / (c_j + SW)) over actions j
-    with positive cost and k from 1 to the least k_count with
-    (1-eps)^k_count <= 1/(m 2^m), keeping the most profitable best
-    response; the first grid point wins a tie.  Best responses resolve
-    ties toward the larger f, which also pins SW exactly.  All-zero costs
-    degenerate to the full action set at alpha = 0.
-
-    The sweep reads the hull, which ends at B given the budget
-    (:func:`equilibria.single_agent_hull`), and prices one grid point per
-    hull stretch per cost, not every point.  For one c_j, alpha_{j,k}
-    rises strictly with k until it is clipped at B, and the best response
-    only changes at the hull's breakpoints.  Within one stretch
-    [breaks[i-1], breaks[i]) f is fixed and not negative, so the profit
-    (1 - alpha) * f never rises, and no later point of the stretch can
-    beat its first one strictly.  The first grid point past each
-    breakpoint comes from an exact integer search
-    (:func:`_first_grid_index`).  Unless the answer is exact without the
-    grid (all costs zero, B = 0 or SW <= 0), an eps whose grid bound
-    ceil(L / eps), L the bit length of m 2^m, exceeds ``GRID_LIMIT``
-    raises ``GroundSetTooLargeError``.
+    On stretch i of the best-response hull, which ends at B given the
+    budget (:func:`equilibria.single_agent_hull`), the agent plays
+    hull[i], and the profit (1 - alpha) * f(hull[i]) is highest at the
+    stretch's left end, hull[i]'s minimal payment: the optimum is the best
+    left end (the critical values of Dütting, Ezra, Feldman and
+    Kesselheim, "Combinatorial Contracts", FOCS 2021).  The first maximum
+    wins, so the smallest payment wins a tie, and the hull's own rule
+    (the largest f, then the smallest mask) picks the set at each left
+    end.  ``eps`` is still checked but does not change the answer.
     """
     if inst.num_agents != 1:
         raise ModelError("single-agent FPTAS needs exactly one agent")
-    budget, eps = _check_budget(budget), _check_eps(eps)
-    m = inst.num_actions
-    check_enumeration(m, "single-agent scheme", TESTER_LIMIT)
+    budget = _check_budget(budget)
+    _check_eps(eps)
+    check_enumeration(inst.num_actions, "single-agent scheme", TESTER_LIMIT)
     inst = with_table(inst)
     f, f_den = inst.scaled_f
-
-    if all(inst.cost_of[a] == 0 for a in range(m)):
-        return SolveResult(Contract.of([ZERO]), frozenset(range(m)),
-                           Fraction(f((1 << m) - 1), f_den), "exact", "profit",
-                           budget)
-    if budget == 0:
-        free = set_to_mask(a for a in range(m) if inst.cost_of[a] == 0)
-        return SolveResult(Contract.zero(1), mask_to_set(free),
-                           Fraction(f(free), f_den), "exact", "profit", budget)
-
     hull, breaks = single_agent_hull(inst, budget)
-    # S-dagger, the best response at B where the hull ends, maximizes
-    # B*f - c; among ties the larger f also maximizes f-c
-    s_dagger = hull[-1]
-    sw = Fraction(f(s_dagger), f_den) - cost(inst, mask_to_set(s_dagger))
-    if sw <= 0:
-        return SolveResult(Contract.zero(1), frozenset(), ZERO, "exact",
-                           "profit", budget)
-
-    # (1-eps)^k <= e^(-eps k) < 2^-L < 1/(m 2^m) once eps k >= L, the bit
-    # length of m 2^m, so k_count is at most ceil(L / eps)
-    target = m << m
-    grid = -(-target.bit_length() * eps.denominator // eps.numerator)
-    check_enumeration(grid, "single-agent payment grid", GRID_LIMIT)
-    k_count = _first_grid_index(eps, Fraction(1, target), 0, grid)
-
-    # zero-payment baseline: the agent still performs its free actions
-    # (profits are kept times f_den)
-    best_alpha, best_mask = ZERO, hull[0]
-    best_profit = f(best_mask)
-    for c_j in sorted({inst.cost_of[a] for a in range(m) if inst.cost_of[a] > 0}):
-        share = sw / (c_j + sw)
-        k = 1
-        while k <= k_count:
-            alpha = min(budget, 1 - (1 - eps) ** k * share)
-            i = bisect_right(breaks, alpha)
-            profit = (1 - alpha) * f(hull[i])
-            if profit > best_profit:
-                best_alpha, best_mask, best_profit = alpha, hull[i], profit
-            if i == len(breaks):
-                break  # the grid stays in this stretch
-            k = _first_grid_index(eps, (1 - breaks[i]) / share, k + 1,
-                                  k_count + 1)
-    return SolveResult(Contract.of([best_alpha]), mask_to_set(best_mask),
-                       Fraction(best_profit, f_den), 1 / (1 - eps), "profit",
-                       budget)
+    alpha, mask = max(zip([ZERO, *breaks], hull),
+                      key=lambda end: (1 - end[0]) * f(end[1]))
+    return SolveResult(Contract.of([alpha]), mask_to_set(mask),
+                       (1 - alpha) * Fraction(f(mask), f_den), "exact",
+                       "profit", budget)
 
 
 # -- downsizing and the GS pipeline ------------------------------------------

@@ -149,6 +149,16 @@ def test_cli_single_fptas_rejects_non_profit(tmp_path, capsys):
     assert "profit" in capsys.readouterr().err
 
 
+def test_cli_single_fptas_refuses_two_agents(capsys):
+    assert main(["solve", "--instance", "gen:additive:seed=1,agents=2,actions=4",
+                 "--budget", "1/2", "--force-solver", "single-fptas"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == {
+        "type": "ModelError",
+        "message": "single-agent FPTAS needs exactly one agent"}
+
+
 def test_cli_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["solve"])  # missing required flags
@@ -608,17 +618,24 @@ def test_cli_hardness_experiment_rejects_a_negative_count(flag, value, tmp_path,
     assert not summary.exists()
 
 
-def test_cli_rational_too_long_to_print_is_domain_error(capsys):
-    # the winning payment of the single-agent scheme at eps 1/3000 has a
-    # numerator of more than 4300 digits
-    assert main(["solve", "--instance", "gen:explicit:seed=7,agents=1,actions=10",
-                 "--budget", "1", "--force-solver", "single-fptas",
-                 "--eps", "1/3000"]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    error = json.loads(captured.err)["error"]
-    assert error["type"] == "ModelError"
-    assert error["message"].startswith("rational too long to print")
+def test_cli_rational_too_long_to_print_is_domain_error(tmp_path, capsys):
+    # the weight's and the cost's denominators have about 3000 digits each,
+    # so the value's, their product, has about 6000
+    inst_path = tmp_path / "inst.json"
+    inst_path.write_text(json.dumps({
+        "numAgents": 1,
+        "actions": [{"id": 0, "owner": 0,
+                     "cost": f"1/{3 * 10 ** 3000 + 7}"}],
+        "reward": {"type": "additive", "weights": [f"1/{10 ** 3000 + 1}"]},
+    }))
+    for objective in ("welfare", "profit"):
+        assert main(["solve", "--instance", str(inst_path), "--budget", "1",
+                     "--objective", objective, "--force-solver", "brute"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        error = json.loads(captured.err)["error"]
+        assert error["type"] == "ModelError"
+        assert error["message"].startswith("rational too long to print")
 
 
 def test_cli_numeral_too_long_to_parse_is_short_domain_error(tmp_path, capsys):

@@ -15,11 +15,11 @@ lines of one family and one solver hash to one digest in
 ``data/output_corpus.json``, so a failure names the solver that moved,
 and a solver's query counts hash apart, to ``<family>/<solver>/queries``,
 so a change that only saves queries moves that digest alone.  Two more
-digests pin ``single_agent_fptas``'s exact exits on the
-one-agent instances: ``zero-cost/single-fptas`` with every cost set to 0,
-at every budget, and ``zero-budget/single-fptas`` at B = 0 with every
-even action made free, so the free set it returns is not empty; each
-has its ``/queries`` digest too.
+digests pin ``single_agent_fptas`` where the hull's tie rule decides its
+profile, on the one-agent instances: ``zero-cost/single-fptas`` with
+every cost set to 0, at every budget, and ``zero-budget/single-fptas``
+at B = 0 with every even action made free, so the set it returns need
+not be empty; each has its ``/queries`` digest too.
 
 A change that moves an output on purpose re-records the file with
 ``python tests/test_output_corpus.py --record`` (``src`` on the path)
@@ -166,8 +166,9 @@ def _costed(inst, cost):
         inst.oracle)
 
 
-def _exact_exits(inst):
-    """(key, canonical line) for the single-agent scheme's exact exits."""
+def _free_actions(inst):
+    """(key, canonical line) for the single-agent scheme with every action,
+    or at B = 0 every even one, free."""
     zero_cost = _costed(inst, lambda a: F(0))
     half_free = _costed(inst, lambda a: a.cost if a.action_id % 2 else F(0))
     for eps in EPS:
@@ -184,7 +185,7 @@ def digests() -> dict[str, str]:
         for solver, line in _results(inst, seed):
             lines[f"{family}/{solver}"].append(line)
         if inst.num_agents == 1:
-            for key, line in _exact_exits(inst):
+            for key, line in _free_actions(inst):
                 lines[key].append(line)
     return {key: hashlib.sha256("\n".join(lines[key]).encode()).hexdigest()
             for key in sorted(lines)}

@@ -4,7 +4,7 @@ import itertools
 import math
 import operator
 import random
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -1666,13 +1666,28 @@ def test_the_sweep_stops_only_after_the_optimums_largest_phi():
 def test_single_agent_one_action_example():
     inst = Instance(1, (Action(0, 0, F(1, 4)),), AdditiveOracle([F(1, 2)]))
     r = single_agent_fptas(inst, F(1), F(1, 10))
-    assert r.value >= F(9, 10) * F(1, 4)
+    assert (r.contract, r.value, r.factor) == (Contract.of([F(1, 2)]), F(1, 4),
+                                               "exact")
 
 
 def test_single_agent_worthless_actions():
     inst = Instance(1, (Action(0, 0, F(1, 2)),), AdditiveOracle([F(1, 4)]))
     r = single_agent_fptas(inst, F(1), F(1, 4))
     assert r.value == 0 and r.profile == frozenset()
+
+
+def test_single_agent_tie_goes_to_the_smaller_payment():
+    # left ends 0, 1/4 and 1/2 with profits 0, 3/8 and 3/8
+    inst = Instance(1, (Action(0, 0, F(1, 8)), Action(1, 0, F(1, 8))),
+                    AdditiveOracle([F(1, 2), F(1, 4)]))
+    r = single_agent_fptas(inst, F(1), F(1, 4))
+    assert (r.contract, r.profile, r.value) == \
+        (Contract.of([F(1, 4)]), frozenset({0}), F(3, 8))
+    # profit 0 at both left ends, 0 and the budget 1
+    inst = Instance(1, (Action(0, 0, F(1, 2)),), AdditiveOracle([F(1, 2)]))
+    r = single_agent_fptas(inst, F(1), F(1, 4))
+    assert (r.contract, r.profile, r.value) == \
+        (Contract.zero(1), frozenset(), F(0))
 
 
 def test_single_agent_all_costs_zero():
@@ -1693,8 +1708,23 @@ def test_single_agent_vs_brute_random_tables():
         opt = brute_force_opt(inst, budget, PROFIT)
         for eps in (F(1, 4), F(1, 10)):
             got = single_agent_fptas(inst, budget, eps)
-            assert got.value >= (1 - eps) * opt.value
+            assert got.value == opt.value
             assert got.contract.total() <= budget
+
+
+def test_single_agent_scheme_is_the_exact_single_agent_optimum():
+    # 300 one-agent explicit tables, m 2-14, at three budgets and two eps:
+    # the hull's best left end is the optimum the exact race finds
+    for seed in range(17000, 17300):
+        inst = with_table(random_explicit_monotone_instance(
+            seed, num_agents=1, num_actions=2 + seed % 13))
+        for budget in (F(1, 3), F(1, 2), F(1)):
+            opt = gs_single_agent_exact(inst, 0, PROFIT, budget).value
+            for eps in (F(1, 4), F(1, 10)):
+                got = single_agent_fptas(inst, budget, eps)
+                assert got.value == opt, (seed, budget, eps)
+                assert is_nash(inst, got.contract, got.profile).ok
+                assert got.contract.total() <= budget
 
 
 def test_breakpoint_sweep_is_monotone_in_f():
@@ -1813,157 +1843,10 @@ def test_integer_envelope_matches_fraction_reference(monkeypatch):
                 patch.setattr(solvers, "single_agent_hull", _reference_hull)
                 want = single_agent_fptas(inst, budget, F(1, 4))
             assert got == want
-            if got.factor != "exact":  # the sweep: at a breakpoint the
-                # right-hand line, the larger f, is the best response
-                alpha = got.contract[0]
-                assert set_to_mask(got.profile) == hull[bisect_right(breaks, alpha)]
-
-
-def _reference_sweep(inst, budget, eps):
-    """The per-grid-point Fraction sweep the stretch-wise one replaced:
-    every grid point alpha_{j,k} priced once, k_count from a Fraction
-    loop.  Returns the result single_agent_fptas reports on its sweep
-    path, or None when an exact early exit applies."""
-    m = inst.num_actions
-    before = inst.oracle.value_queries
-    inst = with_table(inst)
-    table = inst.f
-    costs = [inst.cost_of[a] for a in range(m)]
-    if all(c == 0 for c in costs) or budget == 0:
-        return None
-    hull, breaks = single_agent_hull(inst)
-
-    def best_response_at(alpha):
-        mask = hull[bisect_right(breaks, alpha)]
-        return mask_to_set(mask), table[mask]
-
-    s_dagger, f_dagger = best_response_at(budget)
-    sw = f_dagger - cost(inst, s_dagger)
-    if sw <= 0:
-        return None
-    k_count, acc, limit = 0, F(1), F(1, m * (1 << m))
-    while acc > limit:
-        acc *= 1 - eps
-        k_count += 1
-    best_alpha = F(0)
-    best_set, best_profit = best_response_at(F(0))
-    seen = {F(0)}
-    for c_j in sorted({c for c in costs if c > 0}):
-        shrink = F(1)
-        for _ in range(k_count):
-            shrink *= 1 - eps
-            alpha = min(budget, 1 - shrink * sw / (c_j + sw))
-            if alpha in seen:
-                continue
-            seen.add(alpha)
-            s_alpha, f_alpha = best_response_at(alpha)
-            profit = (1 - alpha) * f_alpha
-            if profit > best_profit:
-                best_alpha, best_set, best_profit = alpha, s_alpha, profit
-    return (Contract.of([best_alpha]), best_set, best_profit, 1 / (1 - eps),
-            inst.oracle.value_queries - before)
-
-
-def _one_agent_table(rng, m, costs):
-    """A random monotone one-agent explicit instance with the given costs."""
-    levels = [0] * (1 << m)
-    for mask in range(1, 1 << m):
-        floor = max(levels[mask & ~(1 << b)] for b in range(m) if mask >> b & 1)
-        levels[mask] = floor + rng.choice((0, 1, 2, 3, 5))
-    top = max(levels[-1], 1) + rng.randint(0, 3)
-    return Instance(1, tuple(Action(a, 0, c) for a, c in enumerate(costs)),
-                    ExplicitOracle([F(v, top) for v in levels]))
-
-
-def _sweep_result(inst, budget, eps):
-    got = single_agent_fptas(inst, budget, eps)
-    return (got.contract, got.profile, got.value, got.factor, got.value_queries)
-
-
-def _bisected_grid_index(eps, bound, lo, hi):
-    """The bisection ``_first_grid_index`` replaced: the least k in
-    [lo, hi) with (1-eps)^k <= bound, or hi, each probe building (q-p)^k
-    and q^k."""
-    p, q = eps.numerator, eps.denominator
-    num, den = bound.numerator, bound.denominator
-    return lo + bisect_left(range(lo, hi), True,
-                            key=lambda k: pow(q - p, k) * den <= num * pow(q, k))
-
-
-def test_first_grid_index_matches_the_bisection():
-    rng = random.Random(79)
-    for t in range(2000):
-        q = rng.choice((rng.randint(2, 60), rng.randint(2, 10 ** 6),
-                        10 ** rng.randint(2, 30) + rng.randint(0, 9)))
-        eps = F(1 if t % 7 == 0 else rng.randint(1, q - 1), q)
-        if t % 3 == 0:  # on a grid point, or next to one
-            bound = (1 - eps) ** rng.randint(0, 150) \
-                + rng.choice((0, 0, F(1, 10 ** 60), F(-1, 10 ** 60)))
-        else:
-            bound = F(rng.randint(-2, 10 ** rng.randint(0, 30)),
-                      rng.randint(1, 10 ** rng.randint(0, 30)))
-        lo = rng.randint(0, 150)
-        hi = lo + rng.randint(0, 150)
-        assert solvers._first_grid_index(eps, bound, lo, hi) \
-            == _bisected_grid_index(eps, bound, lo, hi), (eps, bound, lo, hi)
-
-
-def test_stretch_sweep_matches_per_point_reference():
-    rng = random.Random(61)
-    swept = collections.Counter()
-    for t in range(600):
-        family = t % 3
-        if family == 0:  # few distinct costs
-            m = rng.randint(2, 11) if t % 8 == 0 else rng.randint(2, 7)
-            costs = [F(rng.randint(0, 16), 64) for _ in range(m)]
-        elif family == 1:  # many distinct costs: a grid per action
-            m = rng.randint(2, 11) if t % 8 == 1 else rng.randint(2, 7)
-            costs = [F(rng.randint(0, 120), 997) for _ in range(m)]
-        else:  # coarse costs: grid points land on breakpoints and budgets
-            m = rng.randint(2, 4)
-            den = rng.choice((4, 8, 16, 32))
-            costs = [F(rng.randint(0, den), 2 * den) for _ in range(m)]
-        inst = _one_agent_table(rng, m, costs)
-        _, breaks = single_agent_hull(with_table(inst))
-        budget = rng.choice([F(0), F(1), F(1, 4), F(1, 2), F(3, 4),
-                             F(rng.randint(1, 99), 100)]
-                            + [b for b in breaks if b <= 1] * 3)
-        eps = rng.choice((F(1, 2), F(1, 4), F(1, 10), F(1, 20)))
-        want = _reference_sweep(inst, budget, eps)
-        if want is None:  # an exact early exit, shared by both
-            assert single_agent_fptas(inst, budget, eps).factor == "exact"
-        else:
-            swept[family] += 1
-            assert _sweep_result(inst, budget, eps) == want
-    assert min(swept.values()) > 80
-
-
-def test_stretch_sweep_takes_a_grid_point_on_a_breakpoint():
-    # the hull turns at 5/8, and for c_j = 3/16 the grid point k = 2 is
-    # 1 - (3/4)^2 * 2/3 = 5/8 exactly: the larger f wins there
-    inst = Instance(1, (Action(0, 0, F(7, 16)), Action(1, 0, F(3, 16))),
-                    ExplicitOracle([F(0), F(1, 2), F(0), F(1)]))
-    assert single_agent_hull(with_table(inst))[1] == [F(5, 8)]
-    want = _reference_sweep(inst, F(1), F(1, 4))
-    assert want[:3] == (Contract.of([F(5, 8)]), frozenset({0, 1}), F(3, 8))
-    assert _sweep_result(inst, F(1), F(1, 4)) == want
-
-
-def test_stretch_sweep_at_small_eps():
-    import time
-
-    rng = random.Random(67)
-    inst = _one_agent_table(rng, 11, [F(rng.randint(1, 60), 997)
-                                      for _ in range(11)])
-    want = _reference_sweep(inst, F(1, 2), F(1, 100))
-    assert want is not None
-    assert _sweep_result(inst, F(1, 2), F(1, 100)) == want
-    # about 3000 grid points per cost: the per-point sweep took seconds
-    start = time.process_time()
-    got = single_agent_fptas(inst, F(1, 2), F(1, 300))
-    assert time.process_time() - start < 1
-    assert got.contract.total() <= F(1, 2)
-    assert is_nash(inst, got.contract, got.profile).ok
+            # at a breakpoint the right-hand line, the larger f, is the
+            # best response
+            alpha = got.contract[0]
+            assert set_to_mask(got.profile) == hull[bisect_right(breaks, alpha)]
 
 
 # -- downsizing ------------------------------------------------------------------
@@ -2453,7 +2336,8 @@ def _zero_cost_one_agent():
 
 
 def _costly_one_agent():
-    # B * f - c < 0 for the only action at B = 1/2: the welfare exit
+    # B * f - c < 0 for the only action at B = 1/2: only the empty set is
+    # affordable
     return Instance(1, (Action(0, 0, F(3, 4)),), ExplicitOracle([F(0), F(1, 2)]))
 
 
@@ -2473,7 +2357,7 @@ QUERY_COUNT_CASES = [
      lambda: Instance(1, (Action(0, 0, F(7, 16)), Action(1, 0, F(3, 16))),
                       ExplicitOracle([F(0), F(1, 2), F(0), F(1)])),
      lambda i: single_agent_fptas(i, F(1), F(1, 4)),
-     lambda r: r.factor == F(4, 3)),
+     lambda r: r.factor == "exact"),
     ("gs-budget-0",
      lambda: random_unit_demand_instance(3, num_agents=3, num_actions=6),
      lambda i: gs_constant_factor(i, F(0), PROFIT),
