@@ -315,8 +315,6 @@ def _cmd_solve(args) -> int:
     budget = parse_rational(args.budget)
     eps = parse_rational(args.eps) if args.eps is not None else Fraction(1, 10)
     solver = _pick_solver(inst, args.force_solver)
-    if solver not in ("fptas", "single-fptas"):
-        eps = None  # the exact and GS solvers take no eps; report none
     if solver == "fptas":
         result = additive_fptas(inst, budget, eps, obj)
     elif solver == "single-fptas":
@@ -328,8 +326,9 @@ def _cmd_solve(args) -> int:
     else:
         result = brute_force_opt(inst, budget, obj)
     if args.csv:
-        _write(args.out, emit_report([_result_row(result, solver, eps)],
-                                     SOLVE_COLUMNS, SOLVE_RATIONALS))
+        # only the additive FPTAS's answer depends on eps; report no other
+        row = _result_row(result, solver, eps if solver == "fptas" else None)
+        _write(args.out, emit_report([row], SOLVE_COLUMNS, SOLVE_RATIONALS))
     else:
         _write(args.out, json.dumps(result_to_doc(result), indent=2) + "\n")
     return 0

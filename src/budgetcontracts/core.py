@@ -66,7 +66,7 @@ class GroundSetTooLargeError(ModelError):
 
 # The work-limit policy: the most items whose subsets one routine may walk.
 ENUM_LIMIT = 20  # value tables, demand, deviations, brute force, GS pipeline, gap
-TESTER_LIMIT = 16  # monotone/submodular testers, single-agent scheme
+TESTER_LIMIT = 16  # monotone/submodular testers
 GS_TESTER_LIMIT = 12  # verify_best_properties, OXS columns
 # The most unit agents of the hardness family: 1/C(n, n/2), printed as
 # baselineProb, stays below Python's 4300-digit int-to-text limit.

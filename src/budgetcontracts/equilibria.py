@@ -27,8 +27,7 @@ one agent's minimal payments, read off the upper envelope of its
 deviations' lines against each rest.  :func:`iter_min_contracts` runs it
 over every profile, under a budget B per rest R from the deviations
 within the budget's one cut, c(d) <= B * (f(R + T_i) - f(R)), and
-:func:`min_incentivizing_contract` over one profile's walk;
-:func:`single_agent_hull` is the walk's records for one agent.  Payments
+:func:`min_incentivizing_contract` over one profile's walk.  Payments
 are int pairs; :func:`contract_of` makes a ``Contract`` of them where one
 is read.
 """
@@ -328,33 +327,6 @@ def _agent_payments(f: Sequence[int] | Mapping[int, int],
                     if vals[k] == vals[h]:
                         pay[rest | devs[k]] = p_h
     return pay
-
-
-def single_agent_hull(inst: Instance, budget: Optional[Fraction] = None
-                      ) -> tuple[list[int], list[Fraction]]:
-    """The upper envelope of the lines alpha * f(S) - c(S) of a one-agent
-    instance carrying its value table, as (hull, breaks): the records of
-    :func:`iter_min_contracts`, each set's minimal payment the left end of
-    its stretch.
-
-    Of the sets sharing a left end, the largest f, then the smallest mask,
-    stays, so a set touching the envelope in one point gives way to the
-    line after it.  ``hull`` lists the masks by left end and ``breaks`` the
-    positive left ends: hull[i] is on the envelope over [breaks[i-1],
-    breaks[i]], and hull[bisect_right(breaks, alpha)] is the best response
-    at alpha, the larger f winning at a breakpoint, so hull[i] is the one
-    chosen on [breaks[i-1], breaks[i]).  With a ``budget`` B the hull ends
-    at B: its last stretch is the one starting at or below B.
-    """
-    f = inst.table
-    best: dict[Fraction, int] = {}
-    for mask, tn, td, _ in iter_min_contracts(inst, budget=budget):
-        alpha = Fraction(tn, td)
-        kept = best.get(alpha)  # masks ascend: a tie in f keeps the first
-        if kept is None or f[mask] > f[kept]:
-            best[alpha] = mask
-    ends = sorted(best)
-    return [best[alpha] for alpha in ends], ends[1:]
 
 
 def iter_min_contracts(inst: Instance, *, budget: Optional[Fraction] = None):

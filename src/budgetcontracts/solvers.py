@@ -13,12 +13,11 @@ external poly-time base solver the reduction pipeline would call for
 Max-Profit(1) is stood in for by the exact brute-force oracle (gamma = 1),
 and the certified constant accounts for that.
 
-No envelope is built here: brute force, over one agent's records the exact
-single-agent solver, and every stage of the GS pipeline pick among the int
-records of :func:`equilibria.iter_min_contracts` with one race, :func:`_race`,
-valued by ``Objective.weights``; only a winner becomes a ``Contract``.  The
-single-agent scheme reads its hull from :func:`equilibria.single_agent_hull`
-and answers with the hull's best left end.
+No envelope is built here: brute force, the single-agent scheme (brute
+force on its one agent), over one agent's records the exact single-agent
+solver, and every stage of the GS pipeline pick among the int records of
+:func:`equilibria.iter_min_contracts` with one race, :func:`_race`, valued
+by ``Objective.weights``; only a winner becomes a ``Contract``.
 Nor are prices built: downsizing calls :func:`equilibria.ne_from_demand`
 and :func:`equilibria.double_contract`, and :func:`_counted` alone reads
 the query counts.
@@ -39,7 +38,6 @@ from budgetcontracts.core import (
     Contract,
     Instance,
     ModelError,
-    TESTER_LIMIT,
     UnknownAgentIdError,
     ZERO,
     check_enumeration,
@@ -47,7 +45,7 @@ from budgetcontracts.core import (
     restrict_contract,
 )
 from budgetcontracts.equilibria import contract_of, double_contract, \
-    iter_min_contracts, nash_violator, ne_from_demand, single_agent_hull
+    iter_min_contracts, nash_violator, ne_from_demand
 from budgetcontracts.objectives import Objective, PROFIT, REWARD, evaluate
 from budgetcontracts.rewards import mask_to_set, set_to_mask, with_table
 
@@ -482,34 +480,22 @@ def additive_fptas(inst: Instance, budget: Fraction, eps: Fraction,
 # -- single-agent scheme -----------------------------------------------------
 
 
-@_counted
 def single_agent_fptas(inst: Instance, budget: Fraction,
                        eps: Fraction) -> SolveResult:
     """Exact profit optimum for one agent with monotone f under budget B <= 1.
 
-    On stretch i of the best-response hull, which ends at B given the
-    budget (:func:`equilibria.single_agent_hull`), the agent plays
-    hull[i], and the profit (1 - alpha) * f(hull[i]) is highest at the
-    stretch's left end, hull[i]'s minimal payment: the optimum is the best
-    left end (the critical values of Dütting, Ezra, Feldman and
-    Kesselheim, "Combinatorial Contracts", FOCS 2021).  The first maximum
-    wins, so the smallest payment wins a tie, and the hull's own rule
-    (the largest f, then the smallest mask) picks the set at each left
-    end.  ``eps`` is still checked but does not change the answer.
+    Brute force's race (:func:`_brute`) on the one agent's records: the
+    best left end of its best-response hull, each set's minimal payment,
+    at or below B (the critical values of Dütting, Ezra, Feldman and
+    Kesselheim, "Combinatorial Contracts", FOCS 2021).  Among equal
+    profits the smallest profile mask wins.  ``eps`` is still checked but
+    does not change the answer.
     """
     if inst.num_agents != 1:
         raise ModelError("single-agent FPTAS needs exactly one agent")
     budget = _check_budget(budget)
     _check_eps(eps)
-    check_enumeration(inst.num_actions, "single-agent scheme", TESTER_LIMIT)
-    inst = with_table(inst)
-    f, f_den = inst.scaled_f
-    hull, breaks = single_agent_hull(inst, budget)
-    alpha, mask = max(zip([ZERO, *breaks], hull),
-                      key=lambda end: (1 - end[0]) * f(end[1]))
-    return SolveResult(Contract.of([alpha]), mask_to_set(mask),
-                       (1 - alpha) * Fraction(f(mask), f_den), "exact",
-                       "profit", budget)
+    return _brute(inst, budget, PROFIT, "profit")
 
 
 # -- downsizing and the GS pipeline ------------------------------------------

@@ -56,7 +56,7 @@ GUARDED = [
      lambda inst: is_nash_general(inst, GeneralContract((F(0),), (HALF,)), {0})),
     ("best_response", ENUM_LIMIT,
      lambda inst: best_response(inst, 0, HALF, (), gs=False)),
-    ("single_agent_fptas", TESTER_LIMIT,
+    ("single_agent_fptas", ENUM_LIMIT,
      lambda inst: single_agent_fptas(inst, HALF, F(1, 10))),
     ("is_monotone", TESTER_LIMIT, lambda inst: is_monotone(inst.oracle)),
     ("is_submodular", TESTER_LIMIT, lambda inst: is_submodular(inst.oracle)),
@@ -122,8 +122,8 @@ def test_budget_zero_gs_solve_reads_f_once(m):
 
 
 def test_cli_refuses_a_tiny_single_agent_eps_at_once():
-    # eps is checked but sets no work: the answer, the hull's best left
-    # end, is exact at any eps
+    # eps is checked but sets no work: the answer, brute force's race on
+    # the one agent, is exact at any eps
     start = time.monotonic()
     code, out, err = _run(["solve", "--instance",
                            "gen:additive:seed=1,agents=1,actions=4",

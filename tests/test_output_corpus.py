@@ -3,8 +3,7 @@
 Each of 126 seeded instances (seven families in turn, n 1-4, m 3-9) is
 solved by every solver that applies to it (the GS ones on the GS
 families), at five budgets and four
-objectives, and its minimal-contract walk and (for one agent) its upper
-envelope are read too.  Each result becomes one canonical line: the
+objectives, and its minimal-contract walk is read too.  Each result becomes one canonical line: the
 contract and value as exact rationals, the sorted profile, the factor and
 the objective; its two query counts go on a line of their own.  The equilibrium checks run on the tabled instance, at each
 budget's brute-force pair for profit and at three seeded draws of a
@@ -15,7 +14,7 @@ lines of one family and one solver hash to one digest in
 ``data/output_corpus.json``, so a failure names the solver that moved,
 and a solver's query counts hash apart, to ``<family>/<solver>/queries``,
 so a change that only saves queries moves that digest alone.  Two more
-digests pin ``single_agent_fptas`` where the hull's tie rule decides its
+digests pin ``single_agent_fptas`` where the race's tie rule decides its
 profile, on the one-agent instances: ``zero-cost/single-fptas`` with
 every cost set to 0, at every budget, and ``zero-budget/single-fptas``
 at B = 0 with every even action made free, so the set it returns need
@@ -37,7 +36,7 @@ from pathlib import Path
 from budgetcontracts.core import Action, Contract, Instance, format_rational
 from budgetcontracts.equilibria import best_response, is_nash, \
     is_nash_general, iter_min_contracts, min_incentivizing_contract, \
-    nash_violator, single_agent_hull
+    nash_violator
 from budgetcontracts.generators import (
     random_additive_instance,
     random_coverage_instance,
@@ -148,8 +147,6 @@ def _results(inst, seed: int):
             for eps in EPS:
                 yield from _lines("single-fptas",
                                   single_agent_fptas(inst, budget, eps))
-            hull, breaks = single_agent_hull(tabled, budget)
-            yield "hull", f"{hull} {list(map(format_rational, breaks))}"
     rng = random.Random(seed)
     for _ in range(3):
         alpha = Contract(tuple(F(rng.randint(0, 8), 8)

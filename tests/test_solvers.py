@@ -16,7 +16,7 @@ from budgetcontracts import core, equilibria, rewards, solvers
 from budgetcontracts.core import Action, Contract, GroundSetTooLargeError, \
     Instance, ModelError, UnknownAgentIdError, cost, restrict_contract
 from budgetcontracts.equilibria import best_response, is_nash, \
-    min_incentivizing_contract, ne_from_demand, single_agent_hull
+    min_incentivizing_contract, ne_from_demand
 from budgetcontracts.generators import random_additive_instance, \
     random_coverage_instance, random_explicit_monotone_instance, \
     random_gs_instance, random_oxs_instance, random_uniform_k_instance, \
@@ -503,8 +503,8 @@ def test_budget_cuts_the_first_rests_and_the_hull_lines(monkeypatch):
         assert got == [(mask, alpha) for mask, alpha in contract_pairs(
             inst) if alpha.total() <= budget]
         assert any(alpha.total() > 0 for _, alpha in got)
-    # one agent: the hull is built from the lines within the cut only
-    # and sorted by cost without the other sets ever reaching cost_runs
+    # one agent: the walk reads the lines within the cut only and sorts
+    # them by cost without the other sets ever reaching cost_runs
     sizes = []
     sort = equilibria.cost_runs
 
@@ -519,18 +519,12 @@ def test_budget_cuts_the_first_rests_and_the_hull_lines(monkeypatch):
     for budget in (F(1, 8), F(1, 2)):
         walked.clear()
         sizes.clear()
-        hull, breaks = single_agent_hull(inst, budget)
+        list(iter_min_contracts(inst, budget=budget))
         (lines, _), = walked
         within_cut = [d for d in range(64) if cost(inst, mask_to_set(d))
                       <= budget * inst.f[-1]]
         assert sorted(lines) == within_cut and len(lines) < 64
         assert sizes == [len(within_cut)]
-        # the hull ends at B: it is the full one's up to B
-        full_hull, full_breaks = single_agent_hull(inst)
-        k = bisect_right(full_breaks, budget)
-        assert k < len(full_breaks)
-        assert breaks == full_breaks[:k]
-        assert hull == full_hull[:k + 1]
 
 
 def _cut_boundary_instances():
@@ -634,10 +628,10 @@ def test_cost_runs_are_sorted_once_per_walk(monkeypatch):
 
 
 def test_single_agent_scheme_reads_one_min_contract_walk(monkeypatch):
-    # the hull is the records of one iter_min_contracts pass, and the
+    # the answer is raced over one iter_min_contracts pass, and the
     # envelope kernel runs inside that walk alone
     walks, running, kernel_calls = [], [], []
-    walk, kernel = equilibria.iter_min_contracts, equilibria._agent_payments
+    walk, kernel = solvers.iter_min_contracts, equilibria._agent_payments
 
     def counted_walk(inst, **kwargs):
         walks.append(kwargs)
@@ -649,7 +643,7 @@ def test_single_agent_scheme_reads_one_min_contract_walk(monkeypatch):
         kernel_calls.append(bool(running))  # whether a walk is running
         return kernel(f, runs, rests, cut)
 
-    monkeypatch.setattr(equilibria, "iter_min_contracts", counted_walk)
+    monkeypatch.setattr(solvers, "iter_min_contracts", counted_walk)
     monkeypatch.setattr(equilibria, "_agent_payments", recording)
     rng = random.Random(17)
     for _ in range(6):
@@ -1676,7 +1670,7 @@ def test_single_agent_worthless_actions():
     assert r.value == 0 and r.profile == frozenset()
 
 
-def test_single_agent_tie_goes_to_the_smaller_payment():
+def test_single_agent_tie_goes_to_the_smallest_mask():
     # left ends 0, 1/4 and 1/2 with profits 0, 3/8 and 3/8
     inst = Instance(1, (Action(0, 0, F(1, 8)), Action(1, 0, F(1, 8))),
                     AdditiveOracle([F(1, 2), F(1, 4)]))
@@ -1688,6 +1682,14 @@ def test_single_agent_tie_goes_to_the_smaller_payment():
     r = single_agent_fptas(inst, F(1), F(1, 4))
     assert (r.contract, r.profile, r.value) == \
         (Contract.zero(1), frozenset(), F(0))
+    # left ends 1/4 for {1} and 5/8 for {0}, both of profit 3/16: the
+    # smaller mask wins though its payment is larger, as in brute force
+    inst = Instance(1, (Action(0, 0, F(7, 32)), Action(1, 0, F(1, 16))),
+                    ExplicitOracle([F(0), F(1, 2), F(1, 4), F(1, 2)]))
+    r = single_agent_fptas(inst, F(1), F(1, 4))
+    assert (r.contract, r.profile, r.value) == \
+        (Contract.of([F(5, 8)]), frozenset({0}), F(3, 16))
+    assert r == brute_force_opt(inst, F(1), PROFIT)
 
 
 def test_single_agent_all_costs_zero():
@@ -1714,7 +1716,7 @@ def test_single_agent_vs_brute_random_tables():
 
 def test_single_agent_scheme_is_the_exact_single_agent_optimum():
     # 300 one-agent explicit tables, m 2-14, at three budgets and two eps:
-    # the hull's best left end is the optimum the exact race finds
+    # the scheme finds the optimum of the agent's own exact race
     for seed in range(17000, 17300):
         inst = with_table(random_explicit_monotone_instance(
             seed, num_agents=1, num_actions=2 + seed % 13))
@@ -1732,7 +1734,7 @@ def test_breakpoint_sweep_is_monotone_in_f():
     for _ in range(8):
         inst = random_explicit_monotone_instance(rng.randint(0, 10 ** 6),
                                                  num_actions=4)
-        breaks = single_agent_hull(with_table(inst))[1]
+        breaks = _reference_hull(with_table(inst))[1]
         probes = sorted(set([F(0), F(1)] + breaks))
         last = F(-1)
         for alpha in probes:
@@ -1804,14 +1806,6 @@ def _envelope_instances():
     costs = [F(1, 16), F(1, 16), F(1, 4), F(1, 4), F(0)]
     yield Instance(1, tuple(Action(a, 0, c) for a, c in enumerate(costs)),
                    AdditiveOracle(weights))
-    # zero costs, with duplicates, on monotone and non-monotone tables
-    for _ in range(12):
-        m = rng.randint(1, 6)
-        costs = [rng.choice((F(0), F(1, 16), F(0), F(1, 8), F(1, 4)))
-                 for _ in range(m)]
-        values = [F(0)] + [F(rng.randint(0, 4), 4) for _ in range(1, 1 << m)]
-        yield Instance(1, tuple(Action(a, 0, c) for a, c in enumerate(costs)),
-                       UncheckedExplicit(values))
 
 
 def _reference_hull(inst, budget=None):
@@ -1823,28 +1817,17 @@ def _reference_hull(inst, budget=None):
     return [h[2] for h in hull[:k + 1]], breaks[:k]
 
 
-def test_integer_envelope_matches_fraction_reference(monkeypatch):
-    import budgetcontracts.solvers as solvers
-
+def test_integer_envelope_matches_fraction_reference():
+    # the scheme's value is the best left end of the Fraction reference
+    # envelope within the budget; at a breakpoint the right-hand line, the
+    # larger f, is the best response, and that is the set it returns
     for inst in _envelope_instances():
-        # a table outside the model (unvalidated) has no budgeted hull
-        budgets = () if type(inst.oracle) is UncheckedExplicit \
-            else (F(0), F(1, 3), F(1, 2), F(1))
         inst = with_table(inst)
-        hull, breaks = single_agent_hull(inst)
-        assert (hull, breaks) == _reference_hull(inst)
-        assert single_agent_hull(_rescaled(inst)) == (hull, breaks)
-        assert all(type(b) is F for b in breaks)
-        for budget in budgets:
-            assert single_agent_hull(inst, budget) \
-                == _reference_hull(inst, budget)
+        for budget in (F(0), F(1, 3), F(1, 2), F(1)):
+            hull, breaks = _reference_hull(inst, budget)
             got = single_agent_fptas(inst, budget, F(1, 4))
-            with monkeypatch.context() as patch:
-                patch.setattr(solvers, "single_agent_hull", _reference_hull)
-                want = single_agent_fptas(inst, budget, F(1, 4))
-            assert got == want
-            # at a breakpoint the right-hand line, the larger f, is the
-            # best response
+            assert got.value == max((1 - alpha) * inst.f[mask] for alpha, mask
+                                    in zip([F(0), *breaks], hull))
             alpha = got.contract[0]
             assert set_to_mask(got.profile) == hull[bisect_right(breaks, alpha)]
 
