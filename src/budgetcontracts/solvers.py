@@ -30,9 +30,9 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from itertools import accumulate, chain
+from itertools import accumulate, chain, pairwise
 from operator import itemgetter, or_
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from budgetcontracts.core import (
     Contract,
@@ -193,13 +193,13 @@ class _PrefixLayout:
     as an int over ``Instance.int_costs``' den (``prefix_mask``,
     ``prefix_cost``); each kept action has its phi (f or f - c of its
     singleton) as an int over ``phi_den``.  ``scales`` are the sweep's
-    scales b, descending: every distinct positive phi of a kept action.
-    Only those can be OPT's largest phi: a budget-feasible profile pays
-    each agent its prefix's largest ratio, so it holds kept actions only.
-    ``mass`` holds each scale's P(b) over ``phi_den``: the kept actions'
-    positive phi up to b, summed.  ``t_cap`` and ``cap``, the most a table
+    scales b as ints over ``phi_den``, descending: every distinct positive
+    phi of a kept action.  Only those can be OPT's largest phi: a
+    budget-feasible profile pays each agent its prefix's largest ratio, so
+    it holds kept actions only.  ``t_cap`` and ``cap``, the most a table
     entry may pay over ``den`` (the budget's, or without one the sum of
-    every agent's dearest prefix), serve every table of the solve.
+    every agent's dearest prefix), serve every table of the solve;
+    :meth:`bound` caps what the scales below one may still be worth.
     """
 
     eps: Fraction
@@ -210,8 +210,7 @@ class _PrefixLayout:
     prefix_cost: tuple[tuple[int, ...], ...]
     phi: tuple[tuple[int, ...], ...]
     phi_den: int
-    scales: tuple[Fraction, ...]
-    mass: tuple[int, ...]
+    scales: tuple[int, ...]
     t_cap: int
     cap: int
 
@@ -247,8 +246,6 @@ class _PrefixLayout:
                 or ratio[a][0] * budget.denominator
                 <= budget.numerator * ratio[a][1]))
         den = math.lcm(*(ratio[a][1] for kept in agent_order for a in kept))
-        pos = sorted(phi[a] for a in chain(*agent_order) if phi[a] > 0)
-        mass = dict(zip(pos, accumulate(pos)))  # P(v): v's last running sum
         prefix_payment = tuple(
             (0, *(ratio[a][0] * (den // ratio[a][1]) for a in kept))
             for kept in agent_order)
@@ -259,11 +256,57 @@ class _PrefixLayout:
             tuple(tuple(accumulate((c_int[a] for a in kept), initial=0))
                   for kept in agent_order),
             tuple(tuple(phi[a] for a in kept) for kept in agent_order),
-            phi_den, tuple(Fraction(v, phi_den) for v in reversed(mass)),
-            tuple(reversed(mass.values())),
+            phi_den, tuple(sorted({phi[a] for a in chain(*agent_order)
+                                   if phi[a] > 0}, reverse=True)),
             -(-m * m * eps.denominator // eps.numerator),
             sum(pays[-1] for pays in prefix_payment) if budget is None
             else budget.numerator * den // budget.denominator)
+
+    def bound(self, v: int, profit: bool) -> Iterator[tuple[int, int]]:
+        """Pairs (x, d), the largest x / d over ``den * phi_den`` capping
+        the value (profit with ``profit``, else the sum of phi) of every
+        budget-feasible pair whose profile's largest phi is at most v over
+        ``phi_den``: per agent, r* is the least ratio of a kept action with
+        phi above v, and the upper concave envelope of (ratio, positive phi
+        up to it) of the actions of ratio at most r* and phi at most v
+        starts at the free ones' sum; the envelopes' segments fill ``cap``
+        greedily by slope (the multiple-choice knapsack LP), and for profit
+        (den - t) g(t) is taken at each segment's ends and interior peak.
+        """
+        free, segs = 0, []
+        for pays, phis in zip(self.prefix_payment, self.phi):
+            r_star = next((r for r, p in zip(pays[1:], phis) if p > v),
+                          pays[-1])
+            acc, hull = 0, [(0, 0)]
+            for r, p in zip(pays[1:], phis):
+                if r > r_star:
+                    break
+                if 0 < p <= v:
+                    acc += p
+                    # pop a point at ratio r, or on or under the chord to r
+                    while hull and (hull[-1][0] == r or len(hull) > 1 and (
+                            (acc - hull[-2][1]) * (hull[-1][0] - hull[-2][0])
+                            >= (hull[-1][1] - hull[-2][1]) * (r - hull[-2][0]))):
+                        hull.pop()
+                    hull.append((r, acc))
+            free += hull[0][1]
+            segs += [(y1 - y0, x1 - x0)
+                     for (x0, y0), (x1, y1) in pairwise(hull)]
+        lcm = math.lcm(*(dp for _, dp in segs))
+        segs.sort(key=lambda seg: seg[0] * (lcm // seg[1]), reverse=True)
+        t, g, d = 0, free, 1
+        for dv, dp in segs:
+            room = self.cap - t
+            if profit:
+                a = self.den - t
+                yield a * g, 1
+                if 0 < a * dv - g * dp < 2 * dv * min(dp, room):
+                    yield (a * dv + g * dp) ** 2, 4 * dv * dp
+            if dp >= room:  # the last segment fills cap, maybe in part
+                t, g, d = self.cap, g * dp + dv * room, dp
+                break
+            t, g = t + dp, g + dv
+        yield (self.den - t if profit else self.den) * g, d
 
 
 @dataclass(frozen=True)
@@ -412,13 +455,19 @@ def additive_fptas(inst: Instance, budget: Fraction, eps: Fraction,
     table per scale, and selects the column: the largest budget-feasible
     one for reward and welfare, the (1 - payment) * value maximizer below
     it for profit.  A later scale's pick must beat the best so far
-    strictly, the unpaid empty profile entering first.  The sweep stops at
-    the first b whose P(b) (``layout.mass``) is below the best so far: the
-    bound needs only b*, the largest phi of an optimal profile S*, and as
-    S* holds kept actions, OPT <= the sum over S* of max(phi, 0) <= P(b*)
-    (reward sums f, profit is at most reward, welfare sums f - c).  The
-    best so far, a feasible pick's value, is at most OPT, and P falls with
-    b, so b* was swept: the value is never below (1 - eps) OPT.
+    strictly, the unpaid empty profile entering first.  Once that best is
+    positive, the sweep stops before the first b whose LP bound
+    (:meth:`_PrefixLayout.bound`, after Sinha and Zoltners) is below it.
+    The scaling argument (Ibarra and Kim) needs only b*, the largest phi
+    of an optimal profile, to be swept, and the bound at b caps every
+    budget-feasible pair whose largest phi is at most b: under additive f
+    agent i, paid its minimal alpha_i, takes every action of ratio below
+    alpha_i and none above, so alpha_i <= r* and S_i lies in the allowed
+    actions of ratio at most alpha_i; the payments are ints over ``den``
+    totalling t <= ``cap``, so the value is at most the LP's g(t), and
+    profit at most (1 - t) g(t).  The best so far is at most OPT, so a
+    bound below it at b means b* > b was swept: the value is never below
+    (1 - eps) OPT.
 
     The sweep runs on integers; all its tables share one
     :class:`_PrefixLayout`, built from one read of each singleton.  Each
@@ -447,10 +496,11 @@ def additive_fptas(inst: Instance, budget: Fraction, eps: Fraction,
     # profile's first, and its prefix lengths and mask
     top = den * f(0) * c_den
     best = [0] * n, 0
-    for b, mass in zip(layout.scales, layout.mass):
-        if mass * den * f_den * c_den < top * layout.phi_den:
+    for v in layout.scales:
+        if top > 0 and all(x * f_den * c_den < top * layout.phi_den * d
+                           for x, d in layout.bound(v, obj.kind == "profit")):
             break  # no scale left can be OPT's largest phi
-        dp = build_dp_table(layout, b)
+        dp = build_dp_table(layout, Fraction(v, layout.phi_den))
         # rows end at the budget, so every column left is affordable
         ends, pays = dp.ends[n], dp.pays[n]
         if obj.kind == "profit":

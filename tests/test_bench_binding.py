@@ -100,7 +100,8 @@ def test_benchmark_tracer_and_workloads_bind_to_the_package(tmp_path):
                          logged.log[inst.num_actions + 1:])
     dp = tracer.stats["solvers.build_dp_table"]
     assert dp.calls == len(swept) >= 1 and len(layout.scales) == 2
-    assert layout.scales[:len(swept)] == tuple(swept)
+    assert tuple(Fraction(v, layout.phi_den)
+                 for v in layout.scales[:len(swept)]) == tuple(swept)
     cells = [bench_trace._dp_cells(None, build_dp_table(layout, b), None)
         for b in swept]
     assert dp.count == sum(cells) and min(cells) > 0

@@ -6,6 +6,7 @@ import random
 import runpy
 import subprocess
 import sys
+import tempfile
 import time
 from fractions import Fraction as F
 from pathlib import Path
@@ -690,7 +691,8 @@ GOLDEN_CASES = [
     ("coverage-profit", random_coverage_instance, 56, 2, 7, "1/2", "profit", ()),
 ]
 # recorded with golden_stdout before explicit tables and the single-agent
-# envelope moved to integers; any change to these bytes must be deliberate
+# envelope moved to integers; any change to these bytes must be deliberate,
+# and is re-recorded with ``python tests/test_cli.py --record``
 GOLDEN_PATH = Path(__file__).parent / "data" / "cli_golden.json"
 
 
@@ -1079,3 +1081,28 @@ def test_script_ratio_of_a_zero_solver_is_empty_unless_opt_is_zero(
     ratio_of = script["ratio_of"]
     assert (ratio_of(F(0), F(0)), ratio_of(F(1, 2), F(0)),
             ratio_of(F(1, 2), F(1, 4))) == (1, "", 2)
+
+
+def record_goldens() -> None:
+    """Rewrite ``data/cli_golden.json`` from :func:`golden_stdout` over
+    ``GOLDEN_CASES`` and :func:`golden_run` over ``GOLDEN_RUNS``.
+
+    Run as ``python tests/test_cli.py --record`` (``src`` on the path)
+    when a change moves a golden on purpose; each moved golden is then
+    listed, with its reason, in CHANGES.md.
+    """
+    goldens = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for case in GOLDEN_CASES:
+            goldens[case[0]] = {
+                key: golden_stdout(case, csv, Path(tmp))
+                for key, csv in (("json", False), ("csv", True))}
+        for case in GOLDEN_RUNS:
+            with tempfile.TemporaryDirectory(dir=tmp) as run_dir:
+                goldens[case[0]] = golden_run(case, Path(run_dir))
+    GOLDEN_PATH.write_text(json.dumps(goldens, indent=2, sort_keys=True)
+                           + "\n")
+
+
+if __name__ == "__main__" and sys.argv[1:] == ["--record"]:
+    record_goldens()

@@ -44,7 +44,7 @@ from budgetcontracts.solvers import (
 
 from contract_pairs import UncheckedExplicit, contract_pairs, \
     huge_denominator_instance
-from fptas_sweep import LoggedAdditive, swept_scales
+from fptas_sweep import LoggedAdditive, lp_bound, swept_scales
 
 
 def all_subsets(items):
@@ -1574,8 +1574,8 @@ def test_fptas_certificate_holds_against_the_exact_optimum_at_scale():
 def test_sweep_of_affordable_scales_against_every_scale(monkeypatch):
     """The sweep over the scales of affordable actions against the sweep
     over every positive phi of an action with f({a}) > 0, both with the
-    stop: P(b) is the same sum over the affordable actions on both sides,
-    so the added scales only add candidates, and both keep the
+    stop: the bound reads the affordable actions alone on both sides, so
+    the added scales only add candidates, and both keep the
     certificate."""
     build = _PrefixLayout.build
     dropped = []
@@ -1585,12 +1585,10 @@ def test_sweep_of_affordable_scales_against_every_scale(monkeypatch):
         f = inst.oracle.weights
         phi = {f[a] - inst.cost_of[a] if basis == "f-c" else f[a]
                for a in range(inst.num_actions) if f[a] > 0}
-        scales = tuple(sorted((b for b in phi if b > 0), reverse=True))
-        kept = [p for phis in layout.phi for p in phis if p > 0]
-        mass = tuple(sum(p for p in kept if p <= b * layout.phi_den)
-                     for b in scales)
+        scales = tuple(sorted((int(b * layout.phi_den) for b in phi if b > 0),
+                              reverse=True))
         dropped.append(len(scales) - len(layout.scales))
-        return replace(layout, scales=scales, mass=mass)
+        return replace(layout, scales=scales)
 
     differing = fewer = more = 0
     for inst in _small_additive():
@@ -1611,7 +1609,7 @@ def test_sweep_of_affordable_scales_against_every_scale(monkeypatch):
     # on this corpus no value moves (a dropped scale's pick can still
     # have won a tie: 2 of the 2400 pairs differ at equal value), and no
     # solve spends more queries on the affordable scales alone
-    assert (differing, fewer, more) == (0, 1342, 0)
+    assert (differing, fewer, more) == (0, 1310, 0)
 
 
 def test_the_sweep_stops_only_after_the_optimums_largest_phi():
@@ -1635,9 +1633,9 @@ def test_the_sweep_stops_only_after_the_optimums_largest_phi():
                           for a in opt.profile), default=0)
             for eps in (F(1, 2), F(1, 10)):
                 got = additive_fptas(inst, budget, eps, obj)
-                scales = _PrefixLayout.build(
-                    inst, "f-c" if obj is WELFARE else "f", eps,
-                    budget).scales
+                layout = _PrefixLayout.build(
+                    inst, "f-c" if obj is WELFARE else "f", eps, budget)
+                scales = [F(v, layout.phi_den) for v in layout.scales]
                 swept = scales[:got.value_queries - m - 1]
                 _, full = _reference_fptas(inst, budget, eps, obj, dense=True,
                                            stop=False)
@@ -1649,9 +1647,120 @@ def test_the_sweep_stops_only_after_the_optimums_largest_phi():
                 if got.value < full:
                     fell += 1
                     worst = min(worst, got.value / full)
-    # the stop fires on 1210 solves; 9 values fall, the worst to 372/395
+    # the stop fires on 1234 solves; 10 values fall, the worst to 372/395
     # (0.942) of the full sweep's
-    assert (cases, fired, fell, worst) == (2700, 1210, 9, F(372, 395))
+    assert (cases, fired, fell, worst) == (2700, 1234, 10, F(372, 395))
+
+
+def _tied_ratios(seed):
+    """An additive instance, m <= 10, whose ratios c_a / f({a}) are drawn
+    from {1/4, 1/2, 3/4, 1}, or 0 for about a third of the actions, and
+    whose weights take few values: ratio ties straddle each agent's r*,
+    and free actions carry zero-ratio value."""
+    rng = random.Random(seed)
+    n, m = rng.randint(1, 3), rng.randint(2, 10)
+    raw = [rng.randint(1, 4) for _ in range(m)]
+    weights = [F(w, 2 * sum(raw)) for w in raw]
+    ratios = [F(0) if rng.randrange(3) == 0
+              else F(rng.randint(1, 4), 4) for _ in range(m)]
+    return Instance(n, tuple(Action(a, rng.randrange(n),
+                                    weights[a] * ratios[a]) for a in range(m)),
+                    AdditiveOracle(weights))
+
+
+def _bound_corpus():
+    """Library, size-stable and tied-ratio additive instances, m <= 10."""
+    for seed in range(60):
+        yield random_additive_instance(seed, num_agents=1 + seed % 3,
+                                       num_actions=2 + seed % 9)
+        yield _size_stable_additive(seed, m=2 + seed % 9)
+        yield _tied_ratios(seed)
+
+
+def _largest_phi(inst, obj, mask):
+    f = inst.oracle.weights
+    return max((f[a] - inst.cost_of[a] if obj is WELFARE else f[a]
+                for a in mask_to_set(mask)), default=None)
+
+
+def test_the_lp_bound_caps_every_pair_below_its_scale():
+    """At every scale b of every layout, :meth:`_PrefixLayout.bound` is at
+    least the value of every budget-feasible pair whose profile's largest
+    phi is at most b, the pairs read off brute force's minimal-contract
+    records; and the FPTAS keeps its certificate and sweeps the largest
+    phi of every optimal profile."""
+    free = tied = 0
+    for inst in _bound_corpus():
+        f = inst.oracle.weights
+        tabled = with_table(inst)
+        for budget in (F(0), F(1, 4), F(1, 2), F(1)):
+            records = list(iter_min_contracts(tabled, budget=budget))
+            for obj in (PROFIT, REWARD, WELFARE):
+                pn, wn, dn = obj.weights
+                pairs = []  # (largest phi, value) per record
+                for mask, tn, td, _ in records:
+                    profile = mask_to_set(mask)
+                    reward = sum(f[a] for a in profile)
+                    cost_s = sum(inst.cost_of[a] for a in profile)
+                    pairs.append((_largest_phi(inst, obj, mask),
+                                  reward - (pn * F(tn, td) * reward
+                                            + wn * cost_s) / dn))
+                layout = _PrefixLayout.build(
+                    inst, "f-c" if obj is WELFARE else "f", F(1, 10), budget)
+                scale = layout.den * layout.phi_den
+                for v in layout.scales:
+                    b = F(v, layout.phi_den)
+                    bound = max(F(x, d) for x, d in
+                                layout.bound(v, obj is PROFIT)) / scale
+                    best = max(value for phi, value in pairs
+                               if phi is None or phi <= b)
+                    assert bound >= best, (inst, budget, obj, b)
+                opt = max(value for _, value in pairs)
+                for eps in (F(1, 2), F(1, 10)):
+                    got = additive_fptas(inst, budget, eps, obj)
+                    assert got.value * got.factor >= opt
+                    swept = [F(v, layout.phi_den) for v in
+                             layout.scales[:got.value_queries
+                                           - inst.num_actions - 1]]
+                    assert all(phi is None or phi <= 0 or phi in swept
+                               for phi, value in pairs if value == opt)
+        ratios = [inst.cost_of[a] / f[a] for a in range(inst.num_actions)
+                  if f[a] > 0]
+        free += 0 in ratios
+        tied += len(set(ratios)) < len(ratios)
+    # zero-ratio value on 62 instances, a ratio tie on 82 of the 180
+    assert (free, tied) == (62, 82)
+
+
+def test_the_lp_bound_matches_the_fraction_reference():
+    # the int hull-and-greedy bound against the Lagrangian one on Fractions
+    for inst in _bound_corpus():
+        for budget, obj in itertools.product((F(0), F(1, 4), F(1, 2), F(1)),
+                                             (PROFIT, REWARD, WELFARE)):
+            layout = _PrefixLayout.build(
+                inst, "f-c" if obj is WELFARE else "f", F(1, 10), budget)
+            for v in layout.scales:
+                bound = max(F(x, d) for x, d in layout.bound(v, obj is PROFIT))
+                assert bound / (layout.den * layout.phi_den) == lp_bound(
+                    inst, budget, obj, F(v, layout.phi_den))
+
+
+def test_fptas_table_count_is_pinned(monkeypatch):
+    # every table the sweep fills on a size-stable corpus at n = 4
+    calls = []
+    monkeypatch.setattr(solvers, "build_dp_table", lambda layout, b: (
+        calls.append(b), build_dp_table(layout, b))[1])
+    solves = 0
+    for m in (16, 18, 20):
+        for seed in range(4):
+            inst = _size_stable_additive(100 * m + seed, n=4, m=m)
+            for budget, obj in itertools.product(
+                    (F(1, 4), F(1, 2), F(3, 4), F(1)),
+                    (PROFIT, REWARD, WELFARE)):
+                additive_fptas(inst, budget, F(1, 10), obj)
+                solves += 1
+    # 501 under the P(b) stop, the sum of the kept positive phi up to b
+    assert (solves, len(calls)) == (144, 182)
 
 
 # -- single-agent FPTAS ----------------------------------------------------------
