@@ -25,6 +25,8 @@ from __future__ import annotations
 import copy
 import itertools
 import math
+import sys
+from array import array
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -49,6 +51,8 @@ from budgetcontracts.core import (
     parse_ratio,
     parse_rational,
 )
+
+_TYPECODES = {array(code).itemsize: code for code in "BHILQ"}  # unsigned ints
 
 
 @dataclass(frozen=True)
@@ -254,10 +258,7 @@ class UnitDemandOracle(RewardOracle):
         return max(map(self._ints.__getitem__, _set_bits(mask)), default=0)
 
     def _table(self) -> list[int]:
-        out = [0]
-        for w in self._ints:
-            out += [v if v > w else w for v in out]
-        return out
+        return _matching_table([(w,) for w in self._ints], 1, self.den)
 
 
 class UniformKDemandOracle(RewardOracle):
@@ -308,12 +309,12 @@ class AssignmentOracle(RewardOracle):
             raise ModelError("all rows need the same number of columns")
         self.num_columns = cols.pop()
         check_enumeration(self.num_columns, "assignment columns", GS_TESTER_LIMIT)
-        if any(v < 0 for row in self.values for v in row):
-            raise OracleRangeViolationError("assignment values must be >= 0")
         # the matching DP runs on integers over one common denominator
         self.den = common_denominator(v for row in self.values for v in row)
         self._scaled_values = tuple(tuple(scaled_ints(row, self.den))
                                     for row in self.values)
+        if any(v < 0 for row in self._scaled_values for v in row):
+            raise OracleRangeViolationError("assignment values must be >= 0")
         full = self._int((1 << self.num_actions) - 1)
         if full > self.den:
             raise OracleRangeViolationError(
@@ -331,20 +332,10 @@ class AssignmentOracle(RewardOracle):
         return max(best.values())
 
     def _table(self) -> list[int]:
-        if self.num_columns > 3:  # one list per column subset: keep them few
+        if self.num_columns > 3:  # one packed table per column set: keep them few
+            check_enumeration(self.num_actions + self.num_columns, "OXS table")
             return super()._table()
-        # best[cols][s]: the best matching of s into the columns in cols;
-        # adding action a appends the subsets that contain it
-        best = [[0] for _ in range(1 << self.num_columns)]
-        for row in self._scaled_values:
-            for cols in range(len(best)):
-                ext = list(best[cols])  # a left unmatched
-                for c, w in enumerate(row):
-                    if cols >> c & 1:  # a matched to column c
-                        ext = [x if x >= y + w else y + w
-                               for x, y in zip(ext, best[cols ^ (1 << c)])]
-                best[cols] += ext
-        return best[-1]
+        return _matching_table(self._scaled_values, self.num_columns, self.den)
 
 
 class CoverageOracle(RewardOracle):
@@ -467,22 +458,60 @@ def _guard_masks(width: int, size: int) -> tuple[int, ...]:
               for b in range(size.bit_length() - 1)))
 
 
+def _field_width(top: int) -> int:
+    """The fewest bytes holding every int in [0, top] below a guard bit."""
+    return top.bit_length() // 8 + 1
+
+
+def _matching_table(rows: Sequence, columns: int, den: int) -> list[int]:
+    """Each subset's best matching of actions to columns, in bitmask order;
+    ``rows[a][c]`` is action a on column c; unit demand is one column.
+    Column set C's table is one int in :func:`_packed_monotone`'s layout,
+    and action a appends the field-wise max of T_C and each T_{C-c} +
+    w_{a,c}: y ^ ((x ^ y) & M), M filling each field whose guard G stays
+    in t = ((x | G) - y) & G; no matching exceeds den, so none carries."""
+    width = _field_width(den)
+    guard, ones, shift = 8 * width - 1, 1, 8 * width  # ones: a 1 per field
+    best = [0] * (1 << columns)  # column set -> its table so far
+    for row in rows:
+        guards = ones << guard
+        for cols in reversed(range(1, len(best))):  # reads T_{C-c} before it grows
+            x = best[cols]
+            for c, w in enumerate(row):
+                if cols >> c & 1:
+                    y = best[cols ^ 1 << c] + w * ones
+                    t = ((x | guards) - y) & guards
+                    x = y ^ ((x ^ y) & (t | t - (t >> guard)))
+            best[cols] |= x << shift
+        ones |= ones << shift
+        shift *= 2
+    packed = best[-1].to_bytes(shift // 8, "little")
+    if width not in _TYPECODES:
+        return [int.from_bytes(packed[i:i + width], "little")
+                for i in range(0, len(packed), width)]
+    table = array(_TYPECODES[width], packed)
+    if sys.byteorder == "big":
+        table.byteswap()
+    return table.tolist()
+
+
 def _packed_monotone(ints: Sequence[int], top: int) -> bool:
     """Whether ints[mask] <= ints[mask | 1 << b] for every mask and bit b.
 
     Mask i's int, in [0, top], fills field i of one int P, in the fewest
-    bytes that leave a top (guard) bit no int reaches; from top >= 2^63
-    the ints' ranks stand in for them, so no field exceeds 8 bytes.  With G
-    every guard, field i of ``(P >> 2^b fields | G) - P`` is guard +
-    ints[i + 2^b] - ints[i]: no borrow, and the guard stays iff the pair
-    is in order.  Bit b passes when G_b, the guards of masks without b (a
-    repeated byte pattern, like G), all stay.  The masks are cached for 8
+    bytes that leave a top (guard) bit no int reaches (the layout of
+    :func:`_matching_table`); from top >= 2^63 the ints' ranks stand in
+    for them, so no field exceeds 8 bytes.  With G every guard, field i
+    of ``(P >> 2^b fields | G) - P`` is guard + ints[i + 2^b] - ints[i]:
+    no borrow, and the guard stays iff the pair is in order.  Bit b
+    passes when G_b, the guards of masks without b (a repeated byte
+    pattern, like G), all stay.  The masks are cached for 8
     sizes of up to 8 KB of fields (about 1 MB), else built per call.
     """
     if top >> 63:
         rank = dict(zip(sorted(set(ints)), itertools.count()))
         ints, top = list(map(rank.get, ints)), len(rank)
-    width = next(w for w in itertools.count(1) if top < 1 << 8 * w - 1)
+    width = _field_width(top)
     packed = bytes(ints) if width == 1 else b"".join(
         [k.to_bytes(width, "little") for k in ints])
     size = len(ints)
@@ -593,15 +622,16 @@ def value_table(oracle: RewardOracle) -> list[Fraction]:
 
 
 def _filled_table(oracle: RewardOracle) -> list[int]:
-    """The 2^m values times ``oracle.den`` in bitmask order, counted as 2^m
-    value queries (one per subset) and no demand queries.  Families with
-    structure fill it by a subset DP: additive (sums), unit-demand (max),
-    uniform-k (levels by size), coverage (bit-OR of covers), OXS with at
-    most three columns; an explicit oracle hands over its validated ints,
-    uncopied and never mutated; the rest read one ``_int`` per subset."""
+    """The 2^m values times ``oracle.den`` in bitmask order, counted once
+    filled as 2^m value queries, no demand queries.  A subset DP fills
+    additive (sums), uniform-k (levels by size), coverage (bit-OR of
+    covers), and unit-demand and OXS up to three columns on packed ints
+    (:func:`_matching_table`); an explicit oracle hands over its validated
+    ints, uncopied and never mutated; the rest read one ``_int`` each."""
     check_enumeration(oracle.num_actions, "value table")
+    table = oracle._table()
     oracle.value_queries += 1 << oracle.num_actions
-    return oracle._table()
+    return table
 
 
 def with_table(inst: Instance) -> Instance:

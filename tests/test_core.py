@@ -124,6 +124,9 @@ def test_instance_refuses_an_oracle_of_another_width():
                  OracleRangeViolationError, "exceeds 1", id="oxs-above"),
     pytest.param({"type": "oxs", "values": [["-1/4"]]},
                  OracleRangeViolationError, ">= 0", id="oxs-negative"),
+    pytest.param({"type": "oxs", "values": [["-1/4"], ["3/2"]]},
+                 OracleRangeViolationError, ">= 0",
+                 id="oxs-negative-before-above"),
     pytest.param({"type": "coverage", "universe_size": 2, "covers": [[0], [2]]},
                  ModelError, "outside universe", id="coverage-element"),
     pytest.param({"type": "coverage", "universe_size": 0, "covers": [[]]},

@@ -32,6 +32,7 @@ from budgetcontracts.rewards import (
     UniformKDemandOracle,
     UnitDemandOracle,
     _guard_masks,
+    _matching_table,
     _packed_monotone,
     brute_force_demand,
     common_denominator,
@@ -246,6 +247,60 @@ def test_table_fills_match_per_subset_values():
         assert table == [o._int(k) for k in range(1 << o.num_actions)], \
             oracle_to_spec(o)
     assert len(seen) == 7
+
+
+# Dens at each field width's edge: 127 and 128, 2^15 - 1 and 2^15, 2^63 - 1
+# and 2^63 cross a byte; 2^15, 2^31, 2^63 and 10^40 + 1 take widths (3, 5,
+# 9 and 17 bytes) that no array typecode has, so they unpack field by field.
+MATCHING_DENS = (127, 128, 2 ** 15 - 1, 2 ** 15, 2 ** 31, 2 ** 63 - 1,
+                 2 ** 63, 10 ** 40 + 1)
+
+
+def _matching_rows(den):
+    """OXS rows as ints over ``den``: 1-3 columns at m 1, 2 and 7 (and 12
+    at two dens, one per unpacking path), drawn at random, all zero, all
+    equal, and with a matching worth den exactly."""
+    rng = random.Random(den)
+    sizes = (1, 2, 7, 12) if den in (128, 10 ** 40 + 1) else (1, 2, 7)
+    for cols, m in itertools.product((1, 2, 3), sizes):
+        k = min(cols, m)
+        yield [[rng.randint(0, den // (cols * m)) for _ in range(cols)]
+               for _ in range(m)]
+        yield [[0] * cols for _ in range(m)]
+        yield [[den // k] * cols for _ in range(m)]
+        full = [[rng.randint(0, den // k) for _ in range(cols)]
+                for _ in range(m)]
+        for c in range(k):  # the diagonal matching sums to den
+            full[c][c] = den // k + (den % k if c == 0 else 0)
+        yield full
+
+
+def test_packed_matching_fill_matches_the_per_subset_matching():
+    # the packed kernel against each subset's own matching (_int), at dens
+    # where a field one byte too narrow, a lost guard or a wrong shift
+    # shows; the oracle then fills its own table over its reduced den
+    for den in MATCHING_DENS:
+        reached = 0
+        for rows in _matching_rows(den):
+            o = AssignmentOracle([[F(v, den) for v in row] for row in rows])
+            per_subset = [o._int(k) for k in range(1 << o.num_actions)]
+            assert _matching_table(rows, len(rows[0]), den) == \
+                [k * (den // o.den) for k in per_subset], (den, rows)
+            assert o._table() == per_subset
+            reached += per_subset[-1] == o.den
+        assert reached >= 9  # each full shape's f(ground set) is 1
+
+
+def test_packed_matching_fill_on_the_generator_and_bench_corpora():
+    rng = random.Random(49)
+    oracles = [gen(seed).oracle for seed in range(200)
+               for gen in (random_oxs_instance, random_unit_demand_instance)]
+    for m in (9, 10):  # perfbench's gs_pipeline OXS: two columns, tenths
+        oracles += [AssignmentOracle([[F(rng.randint(0, 10), 20)
+                                       for _ in range(2)] for _ in range(m)])
+                    for _ in range(10)]
+    for o in oracles:
+        assert o._table() == [o._int(k) for k in range(1 << o.num_actions)]
 
 
 def test_value_table_counts_one_value_query_per_subset():
