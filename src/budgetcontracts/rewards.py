@@ -35,6 +35,7 @@ from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from budgetcontracts.core import (
+    ENUM_LIMIT,
     GS_TESTER_LIMIT,
     Instance,
     ModelError,
@@ -331,10 +332,9 @@ class AssignmentOracle(RewardOracle):
             best = nxt
         return max(best.values())
 
-    def _table(self) -> list[int]:
-        if self.num_columns > 3:  # one packed table per column set: keep them few
-            check_enumeration(self.num_actions + self.num_columns, "OXS table")
-            return super()._table()
+    def _table(self) -> list[int]:  # 2^c tables of 2^m fields: 3 columns at m = 20
+        check_enumeration(self.num_actions + self.num_columns, "OXS table",
+                          ENUM_LIMIT + 3)
         return _matching_table(self._scaled_values, self.num_columns, self.den)
 
 
@@ -467,10 +467,11 @@ def _matching_table(rows: Sequence, columns: int, den: int) -> list[int]:
     """Each subset's best matching of actions to columns, in bitmask order;
     ``rows[a][c]`` is action a on column c; unit demand is one column.
     Column set C's table is one int in :func:`_packed_monotone`'s layout,
-    and action a appends the field-wise max of T_C and each T_{C-c} +
-    w_{a,c}: y ^ ((x ^ y) & M), M filling each field whose guard G stays
-    in t = ((x | G) - y) & G; no matching exceeds den, so none carries."""
+    widened to an array itemsize; action a appends the field-wise max of
+    T_C and each T_{C-c} + w_{a,c}: y ^ ((x ^ y) & M), M filling each field
+    whose guard G stays in t = ((x | G) - y) & G; no matching exceeds den."""
     width = _field_width(den)
+    width = min((size for size in _TYPECODES if size >= width), default=width)
     guard, ones, shift = 8 * width - 1, 1, 8 * width  # ones: a 1 per field
     best = [0] * (1 << columns)  # column set -> its table so far
     for row in rows:
@@ -624,10 +625,9 @@ def value_table(oracle: RewardOracle) -> list[Fraction]:
 def _filled_table(oracle: RewardOracle) -> list[int]:
     """The 2^m values times ``oracle.den`` in bitmask order, counted once
     filled as 2^m value queries, no demand queries.  A subset DP fills
-    additive (sums), uniform-k (levels by size), coverage (bit-OR of
-    covers), and unit-demand and OXS up to three columns on packed ints
-    (:func:`_matching_table`); an explicit oracle hands over its validated
-    ints, uncopied and never mutated; the rest read one ``_int`` each."""
+    additive (sums), uniform-k (levels by size), coverage (bit-OR of covers),
+    unit-demand and OXS (:func:`_matching_table`); an explicit oracle hands
+    over its ints, uncopied, never mutated; the rest read ``_int`` each."""
     check_enumeration(oracle.num_actions, "value table")
     table = oracle._table()
     oracle.value_queries += 1 << oracle.num_actions

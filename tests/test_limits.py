@@ -24,8 +24,8 @@ from budgetcontracts.generators import random_additive_instance, \
 from budgetcontracts.hardness import HardnessParams, verify_gap_exhaustive
 from budgetcontracts.objectives import PROFIT, REWARD, verify_best_properties
 from budgetcontracts.rewards import AssignmentOracle, PriceVector, \
-    RewardOracle, brute_force_demand, is_monotone, is_submodular, \
-    value_table, with_table
+    brute_force_demand, is_monotone, is_submodular, value_table, \
+    with_table
 from budgetcontracts.solvers import brute_force_opt, downsize, \
     gs_constant_factor, gs_single_agent_exact, max_reward_bounded_brute, \
     single_agent_fptas
@@ -90,20 +90,18 @@ def test_oxs_constructor_limits_its_columns():
         AssignmentOracle([[F(0)] * (GS_TESTER_LIMIT + 1)])
 
 
-def test_oxs_table_above_three_columns_limits_actions_plus_columns(monkeypatch):
-    # one matching per subset, each over up to 2^c column sets: the
-    # table's m + c items take the value-table limit, refused before any
-    # query is counted
-    wide = AssignmentOracle([[F(0)] * 5] * (ENUM_LIMIT - 4))
-    with pytest.raises(GroundSetTooLargeError, match="OXS table: 21 items"):
+def test_oxs_table_limits_actions_plus_columns():
+    # the packed fill holds 2^c tables of 2^m fields: m + c may reach a
+    # three-column table's 23 at the value-table limit, and a larger table
+    # is refused before any query is counted
+    wide = AssignmentOracle([[F(0)] * 4] * ENUM_LIMIT)
+    with pytest.raises(GroundSetTooLargeError, match="OXS table: 24 items"):
         value_table(wide)
     assert (wide.value_queries, wide.demand_queries) == (0, 0)
-    # m + c = 20 is filled; the per-subset fill takes seconds at that
-    # size and test_rewards checks it at smaller ones, so a stub stands in
-    monkeypatch.setattr(RewardOracle, "_table",
-                        lambda o: [0] * (1 << o.num_actions))
-    at_limit = AssignmentOracle([[F(1, 64)] * 4] * (ENUM_LIMIT - 4))
-    assert len(value_table(at_limit)) == at_limit.value_queries == 1 << 16
+    at_limit = AssignmentOracle([[F(1, 64)] * 4] * (ENUM_LIMIT - 1))
+    table = value_table(at_limit)
+    assert len(table) == at_limit.value_queries == 1 << 19
+    assert table[-1] == F(4, 64)
 
 
 def test_gap_verification_follows_the_table_limit():
